@@ -1,9 +1,15 @@
 """Acceptance suite: runs every registered experiment at its default
 configuration and requires every check inside it to pass at the stated
-tolerance. One line per criterion is printed for the run log."""
+tolerance. One line per criterion is printed for the run log.
+
+Each report, minus its timestamp, must also equal the golden copy in
+`tests/golden/` byte for byte, and so must the digests of the quotient
+traces; regenerate them with `tests/make_golden.py` only when a change is
+meant to alter a report."""
 
 import pytest
 
+from make_golden import GOLDEN_DIR, report_text, trace_digests
 from projderiv.experiments import resolve_config, run_experiment
 
 CRITERIA = [
@@ -30,3 +36,8 @@ def test_acceptance_criterion(number, experiment):
     failed = [c for c in report.checks if not c.passed]
     detail = "; ".join(f"{c.name}: got {c.observed}, expected {c.expected}" for c in failed)
     assert report.passed, f"criterion {number} ({experiment}) failed: {detail}"
+    assert report_text(report) == (GOLDEN_DIR / f"{experiment}.json").read_text()
+
+
+def test_trace_digests_match_golden():
+    assert trace_digests() == (GOLDEN_DIR / "traces.sha256").read_text()
