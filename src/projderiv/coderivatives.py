@@ -40,6 +40,7 @@ __all__ = [
     "OracleOnlyError",
     "MapDescriptor",
     "CoderivativeSet",
+    "FixedPointCharacterization",
     "affine_map",
     "ball_projection_map",
     "cone_projection_map",
@@ -64,6 +65,11 @@ POLY_PROJ = "poly_proj"
 # strict positivity threshold used when classifying base points of the cone
 ZM_POSITIVITY_THRESHOLD = 1e-12
 
+# Half-width, relative to max(1, r), of the band around the sphere ||x|| = r
+# that the ball and l_1 ball maps treat as the sphere itself: its points take
+# the inside branch of the value and have no closed-form derivative.
+SPHERE_BAND = 1e-12
+
 
 class BoundaryCaseError(ValueError):
     """The base point sits on the set boundary, which the closed forms do
@@ -77,7 +83,8 @@ class OracleOnlyError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MapDescriptor:
-    """A closed description of one of the mapping families.
+    """A closed description of one of the mapping families, and the one home
+    of everything that depends on which family it is.
 
     affine:       f(u) = shift + scale * u (single valued everywhere).
     ball_proj:    nearest point of the radius-r ball in an Lp space.
@@ -116,19 +123,11 @@ class MapDescriptor:
 
     def value(self, u: PrimalVector) -> PrimalVector:
         """Single value, or the canonical selection for the l_1 ball."""
-        if self.kind == AFFINE:
-            return self.shift + self.scale * u
-        if self.kind == BALL_PROJ:
-            return projections.project_ball_lp(u, self.radius)
-        if self.kind == CONE_PROJ:
-            return projections.project_positive_cone(u)
-        if self.kind == L1_BALL_PROJ:
-            return projections.project_ball_l1_selection(u, self.radius).point
-        result = chebyshev.remez(u, self.degree)
-        return result.polynomial.on_grid(self.space)
+        return PrimalVector(self.space, self.value_batch(u.values[None, :])[0])
 
     def value_batch(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized `value` over the rows of a (m, size) array."""
+        """`value` over the rows of a (m, size) array; the one value formula.
+        Points on the sphere of either ball take the inside branch."""
         rows = np.asarray(rows, dtype=float)
         if self.kind == AFFINE:
             return self.shift.values[None, :] + self.scale * rows
@@ -136,12 +135,13 @@ class MapDescriptor:
             return np.maximum(rows, 0.0)
         if self.kind in (BALL_PROJ, L1_BALL_PROJ):
             norms = norm_rows(self.space, rows)
-            inside = norms <= self.radius * (1.0 + projections.INSIDE_SLACK)
+            inside = _sphere_side(norms, self.radius) <= 0
             factors = np.where(inside, 1.0, self.radius / np.where(norms == 0, 1.0, norms))
             return rows * factors[:, None]
         out = np.empty_like(rows)
         for i, row in enumerate(rows):
-            out[i] = self.value(PrimalVector(self.space, row)).values
+            fit = chebyshev.remez(PrimalVector(self.space, row), self.degree)
+            out[i] = fit.polynomial(self.space.grid)
         return out
 
     def graph_contains(self, x: PrimalVector, y: PrimalVector, tol: float = 1e-9) -> bool:
@@ -156,13 +156,85 @@ class MapDescriptor:
         """Whether u lies in the same smooth piece of the map as x (used to
         keep directed rays away from branch crossings)."""
         if self.kind in (BALL_PROJ, L1_BALL_PROJ):
-            r = self.radius
-            return (norm(x) <= r) == (norm(u) <= r)
+            return bool((self._side(x) <= 0) == (self._side(u) <= 0))
         if self.kind == CONE_PROJ:
             sx, su = np.sign(x.values), np.sign(u.values)
             active = sx != 0
             return bool(np.all(sx[active] == su[active]))
         return True
+
+    def _side(self, x: PrimalVector):
+        return _sphere_side(norm(x), self.radius)
+
+    @property
+    def kink_rays(self) -> tuple[PrimalVector, ...]:
+        """Signed basis rays, aligned with the coordinate kinks of the cone
+        and l_1 maps; none for the other kinds."""
+        if self.kind not in (CONE_PROJ, L1_BALL_PROJ):
+            return ()
+        return tuple(
+            PrimalVector(self.space, ray) for row in np.eye(self.space.size) for ray in (row, -row)
+        )
+
+    def fixed_point_set(self, base) -> "FixedPointCharacterization":
+        """Closed-form fixed-point set of the derivative operator at the graph
+        point `base`.
+
+        Translations and interior projection bases give the whole dual space;
+        exterior ball and exterior canonical l_1 bases, and affine maps with a
+        nonzero shift and scale != 1, pin the origin only; the Hilbert cone at
+        a base positive exactly on M gives nonnegativity off M. Uncovered
+        bases (on the sphere, off the l_1 selection, ...) are oracle-only.
+        """
+        kind, index_set = ORACLE_ONLY, None
+        if self.kind == AFFINE:
+            if self.scale == 1.0:
+                kind = WHOLE_DUAL
+            elif norm(self.shift) > 0.0:
+                kind = ORIGIN_ONLY
+        elif self.kind in (BALL_PROJ, L1_BALL_PROJ):
+            side = self._side(base.x)
+            on_selection = self.kind == BALL_PROJ or (
+                norm(base.y - self.value(base.x)) <= 1e-12 * (1.0 + norm(base.x))
+            )
+            if side != 0 and on_selection:
+                kind = WHOLE_DUAL if side < 0 else ORIGIN_ONLY
+        elif self.kind == CONE_PROJ and self.space.kind == KIND_LP and self.space.p == 2.0:
+            m_set = zm_index_set(base.x)
+            if m_set is not None and m_set.members:
+                kind, index_set = POSITIVE_CONE_DUAL, m_set.complement
+        return FixedPointCharacterization(kind, self.space, index_set=index_set)
+
+    def expected_image(self, base, ystar: DualVector) -> DualVector | None:
+        """Closed-form image of y* under the derivative operator at `base`
+        when it is a singleton, used to aim rejection rays; otherwise None."""
+        if self.kind == AFFINE:
+            return self.scale * ystar
+        if self.kind == BALL_PROJ and self._side(base.x) != 0:
+            return coderiv_ball_lp(base.x, self.radius, ystar).point
+        if self.kind == L1_BALL_PROJ and self._side(base.x) < 0:
+            return ystar
+        return None
+
+    def known_member(self, base, cand: DualVector) -> bool:
+        """Partial fixed-point facts of the Lp cone beyond `fixed_point_set`:
+        the duality image of a nonzero nonnegative base is a fixed point, and
+        at the origin every nonnegative dual is one."""
+        if self.kind != CONE_PROJ or self.space.kind != KIND_LP:
+            return False
+        f = base.x
+        if np.all(f.values >= 0.0) and norm(f) > 0.0:
+            jf = duality_map(f)
+            if dual_norm(cand - jf) <= 1e-12 * (1.0 + dual_norm(jf)):
+                return True
+        return norm(f) == 0.0 and bool(np.all(cand.values >= 0.0))
+
+
+def _sphere_side(norms, radius: float):
+    """Side of the sphere ||x|| = radius for each norm: -1 inside, 0 on the
+    sphere (within SPHERE_BAND * max(1, radius) of it), +1 outside."""
+    gap = np.asarray(norms) - radius
+    return np.where(np.abs(gap) <= SPHERE_BAND * max(1.0, radius), 0.0, np.sign(gap))
 
 
 def affine_map(space: SpaceSpec, shift: PrimalVector, scale: float = 1.0) -> MapDescriptor:
@@ -195,6 +267,8 @@ ORDER_INTERVAL = "order_interval"
 CONE_SLICE = "cone_slice"
 WHOLE_DUAL = "whole_dual"
 POSITIVE_CONE_DUAL = "positive_cone_dual"
+ORIGIN_ONLY = "origin_only"
+ORACLE_ONLY = "oracle_only"
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,6 +330,29 @@ class CoderivativeSet:
         return bool(np.all(w.values[on] >= -tol))
 
 
+@dataclass(frozen=True, eq=False)
+class FixedPointCharacterization:
+    """Closed form of the fixed-point set, where one exists.
+
+    positive_cone_dual(S): duals nonnegative on the index set S (free
+    elsewhere). oracle_only: no characterization; membership is decided by
+    sampling.
+    """
+
+    kind: str
+    space: SpaceSpec
+    index_set: IndexSet | None = None
+
+    def membership(self, w: DualVector, tol: float = 1e-9) -> bool:
+        if self.kind == WHOLE_DUAL:
+            return True
+        if self.kind == ORIGIN_ONLY:
+            return dual_norm(w) <= tol
+        if self.kind == POSITIVE_CONE_DUAL:
+            return bool(np.all(w.values[self.index_set.mask] >= -tol))
+        raise ValueError("no closed-form membership for oracle-only bases")
+
+
 # ---------------------------------------------------------------------------
 # closed-form operators
 # ---------------------------------------------------------------------------
@@ -279,10 +376,10 @@ def coderiv_ball_lp(x: PrimalVector, r: float, w: DualVector) -> CoderivativeSet
     if x.space.kind != KIND_LP:
         raise ValueError("coderiv_ball_lp needs an Lp space")
     nx = norm(x)
-    scale = max(1.0, abs(r))
-    if abs(nx - r) <= 1e-12 * scale:
+    side = _sphere_side(nx, r)
+    if side == 0:
         raise BoundaryCaseError("base point on the sphere ||x|| = r is uncovered")
-    if nx < r:
+    if side < 0:
         return CoderivativeSet(SINGLETON, x.space, point=w)
     jx = duality_map(x)
     coeff = pairing(w, x) / nx**2
@@ -365,11 +462,10 @@ def coderiv_l1ball(x: PrimalVector, r: float, phi: DualVector) -> CoderivativeSe
     """
     if x.space.kind != KIND_L1:
         raise ValueError("coderiv_l1ball needs an L1 space")
-    nx = norm(x)
-    scale = max(1.0, abs(r))
-    if abs(nx - r) <= 1e-12 * scale:
+    side = _sphere_side(norm(x), r)
+    if side == 0:
         raise BoundaryCaseError("base point on the sphere ||x||_1 = r is uncovered")
-    if nx < r:
+    if side < 0:
         return CoderivativeSet(SINGLETON, x.space, point=phi)
     if dual_norm(phi) == 0.0:
         if not np.all(x.values > 0.0):

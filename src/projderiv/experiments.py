@@ -78,12 +78,19 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not (1.0 < self.p < np.inf):
             raise ConfigError("p must lie in (1, inf)")
+        if not (np.isfinite(self.r) and np.isfinite(self.r0)):
+            raise ConfigError("r and r0 must be finite")
         if self.N < 1 or self.G < 2:
             raise ConfigError("N >= 1 and G >= 2 required")
         if self.r <= 0 or self.n < 0:
             raise ConfigError("r > 0 and n >= 0 required")
         if self.r0 <= 0 or self.K < 4 or self.S < 16:
             raise ConfigError("schedule needs r0 > 0, K >= 4, S >= 16")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        for holds, message in EXPERIMENT_REQUIREMENTS.get(self.experiment, ()):
+            if not holds(self):
+                raise ConfigError(f"{self.experiment}: {message}")
 
     def schedule(self, extra_rays: tuple[PrimalVector, ...] = ()) -> lo.SamplingSchedule:
         return lo.SamplingSchedule(
@@ -779,6 +786,29 @@ EXPERIMENT_DEFAULTS: dict[str, dict] = {
 }
 
 
+# a degree-n Remez fit on the grid needs n + 2 nodes
+_G_FITS_N = (lambda c: c.G >= c.n + 2, "G >= n + 2 required")
+_G_FITS_CUBICS = (lambda c: c.G >= 5, "G >= 5 required (degrees up to 3)")
+_M_INSIDE = (lambda c: set(c.M) <= set(range(1, c.N + 1)), "M must lie inside 1..N")
+
+# What each experiment needs of its config beyond the general checks in
+# `ExperimentConfig.validate`, as (predicate, message) pairs.
+EXPERIMENT_REQUIREMENTS: dict[str, tuple] = {
+    "cone_l2_theorem_4_3": (
+        _M_INSIDE,
+        (lambda c: 0 < len(set(c.M)) < c.N, "M and its complement in 1..N must be nonempty"),
+    ),
+    "l1_cases": ((lambda c: c.N >= 2, "N >= 2 required"),),
+    "remez_theorem_5_4": (_G_FITS_CUBICS,),
+    "remez_continuity_theorem_4_8": (_G_FITS_CUBICS,),
+    "poly_theorem_4_11": (
+        (lambda c: c.n == 1, "n = 1 required: the 8/15 target is the best-line value"),
+        _G_FITS_N,
+    ),
+    "structural_prop_3_2": (_G_FITS_N,),
+}
+
+
 def experiment_ids() -> list[str]:
     return list(EXPERIMENTS)
 
@@ -887,6 +917,9 @@ def experiment_trace(config: ExperimentConfig) -> lo.LimsupEstimate:
         xs = dual(space, np.eye(config.N)[0])
         return lo.estimate_limsup(mapd, base, xs, xs, config.schedule())
     if name == "cone_l2_theorem_4_3" or name == "cone_lp_theorem_4_2":
+        holds, message = _M_INSIDE  # the cone_lp run itself does not use M
+        if not holds(config):
+            raise ConfigError(f"{name}: {message}")
         p = 2.0 if name == "cone_l2_theorem_4_3" else config.p
         space = lp_space(p, config.N)
         vals = np.zeros(config.N)

@@ -16,14 +16,13 @@ import numpy as np
 
 from . import chebyshev
 from .coderivatives import (
-    AFFINE,
-    BALL_PROJ,
-    CONE_PROJ,
-    L1_BALL_PROJ,
-    POLY_PROJ,
+    ORACLE_ONLY,
+    ORIGIN_ONLY,
+    POSITIVE_CONE_DUAL,
+    WHOLE_DUAL,
+    FixedPointCharacterization,
     MapDescriptor,
-    coderiv_ball_lp,
-    zm_index_set,
+    poly_projection_map,
 )
 from .limsup_oracle import (
     GraphPoint,
@@ -36,14 +35,11 @@ from .limsup_oracle import (
 )
 from .spaces import (
     KIND_C01,
-    KIND_LP,
     DualVector,
-    IndexSet,
     PrimalVector,
     SpaceSpec,
     atomic_measure,
     dual_norm,
-    duality_map,
     norm,
     norming_direction,
     pairing,
@@ -60,7 +56,6 @@ __all__ = [
     "POSITIVE_CONE_DUAL",
     "ORACLE_ONLY",
     "characterize",
-    "expected_coderivative_image",
     "registry_rays",
     "registry_verdict",
     "is_fixed_point",
@@ -71,11 +66,6 @@ __all__ = [
     "scaling_direction_report",
     "query_report_json",
 ]
-
-WHOLE_DUAL = "whole_dual"
-ORIGIN_ONLY = "origin_only"
-POSITIVE_CONE_DUAL = "positive_cone_dual"
-ORACLE_ONLY = "oracle_only"
 
 
 class FixedPointAuditError(AssertionError):
@@ -89,94 +79,10 @@ class FixedPointQuery:
     candidate: DualVector
 
 
-@dataclass(frozen=True, eq=False)
-class FixedPointCharacterization:
-    """Closed form of the fixed-point set, where one exists.
-
-    positive_cone_dual(S): duals nonnegative on the index set S (free
-    elsewhere). oracle_only: no characterization; membership is decided by
-    sampling.
-    """
-
-    kind: str
-    space: SpaceSpec
-    index_set: IndexSet | None = None
-
-    def membership(self, w: DualVector, tol: float = 1e-9) -> bool:
-        if self.kind == WHOLE_DUAL:
-            return True
-        if self.kind == ORIGIN_ONLY:
-            return dual_norm(w) <= tol
-        if self.kind == POSITIVE_CONE_DUAL:
-            return bool(np.all(w.values[self.index_set.mask] >= -tol))
-        raise ValueError("no closed-form membership for oracle-only bases")
-
-
-def _is_canonical_selection(mapd: MapDescriptor, base: GraphPoint) -> bool:
-    nx = norm(base.x)
-    target = base.x if nx <= mapd.radius else (mapd.radius / nx) * base.x
-    return norm(base.y - target) <= 1e-12 * (1.0 + nx)
-
-
 def characterize(mapd: MapDescriptor, base: GraphPoint) -> FixedPointCharacterization:
-    """Closed-form fixed-point set of the derivative operator at the base.
-
-    Translations and interior projection bases give the whole dual space;
-    exterior ball and exterior canonical l_1 bases, and affine maps with a
-    nonzero shift and scale != 1, pin the origin only; the Hilbert cone at a
-    base positive exactly on M gives nonnegativity off M. Uncovered bases
-    are oracle-only.
-    """
-    space = mapd.space
-    if mapd.kind == AFFINE:
-        if mapd.scale == 1.0:
-            return FixedPointCharacterization(WHOLE_DUAL, space)
-        if norm(mapd.shift) > 0.0:
-            return FixedPointCharacterization(ORIGIN_ONLY, space)
-        return FixedPointCharacterization(ORACLE_ONLY, space)
-    if mapd.kind == BALL_PROJ:
-        nx = norm(base.x)
-        if abs(nx - mapd.radius) <= 1e-12 * max(1.0, mapd.radius):
-            return FixedPointCharacterization(ORACLE_ONLY, space)
-        if nx < mapd.radius:
-            return FixedPointCharacterization(WHOLE_DUAL, space)
-        return FixedPointCharacterization(ORIGIN_ONLY, space)
-    if mapd.kind == CONE_PROJ:
-        if space.kind != KIND_LP or space.p != 2.0:
-            return FixedPointCharacterization(ORACLE_ONLY, space)
-        m_set = zm_index_set(base.x)
-        if m_set is None or not m_set.members:
-            return FixedPointCharacterization(ORACLE_ONLY, space)
-        return FixedPointCharacterization(
-            POSITIVE_CONE_DUAL, space, index_set=m_set.complement
-        )
-    if mapd.kind == L1_BALL_PROJ:
-        nx = norm(base.x)
-        if abs(nx - mapd.radius) <= 1e-12 * max(1.0, mapd.radius):
-            return FixedPointCharacterization(ORACLE_ONLY, space)
-        if not _is_canonical_selection(mapd, base):
-            return FixedPointCharacterization(ORACLE_ONLY, space)
-        if nx < mapd.radius:
-            return FixedPointCharacterization(WHOLE_DUAL, space)
-        return FixedPointCharacterization(ORIGIN_ONLY, space)
-    return FixedPointCharacterization(ORACLE_ONLY, space)
-
-
-def expected_coderivative_image(
-    mapd: MapDescriptor, base: GraphPoint, ystar: DualVector
-) -> DualVector | None:
-    """Closed-form image of y* under the derivative operator when it is a
-    singleton, used to aim rejection rays."""
-    if mapd.kind == AFFINE:
-        return mapd.scale * ystar
-    if mapd.kind == BALL_PROJ:
-        nx = norm(base.x)
-        if abs(nx - mapd.radius) <= 1e-12 * max(1.0, mapd.radius):
-            return None
-        return coderiv_ball_lp(base.x, mapd.radius, ystar).point
-    if mapd.kind == L1_BALL_PROJ and norm(base.x) < mapd.radius:
-        return ystar
-    return None
+    """Closed-form fixed-point set of the derivative operator at the base
+    (see `MapDescriptor.fixed_point_set`)."""
+    return mapd.fixed_point_set(base)
 
 
 def registry_rays(
@@ -186,7 +92,7 @@ def registry_rays(
     x* minus its expected image. Safe to add for members, whose ray limits
     are nonpositive."""
     rays: list[PrimalVector] = []
-    expected = expected_coderivative_image(mapd, base, ystar)
+    expected = mapd.expected_image(base, ystar)
     if expected is not None:
         diff = xstar - expected
         if dual_norm(diff) > 1e-12 * (1.0 + dual_norm(ystar)):
@@ -209,15 +115,7 @@ def registry_verdict(query: FixedPointQuery) -> Verdict | None:
     char = characterize(mapd, base)
     if char.kind != ORACLE_ONLY:
         return Verdict.MEMBER if char.membership(cand) else Verdict.NON_MEMBER
-    if mapd.kind == CONE_PROJ and mapd.space.kind == KIND_LP:
-        f = base.x
-        if np.all(f.values >= 0.0) and norm(f) > 0.0:
-            jf = duality_map(f)
-            if dual_norm(cand - jf) <= 1e-12 * (1.0 + dual_norm(jf)):
-                return Verdict.MEMBER
-        if norm(f) == 0.0 and np.all(cand.values >= 0.0):
-            return Verdict.MEMBER
-    return None
+    return Verdict.MEMBER if mapd.known_member(base, cand) else None
 
 
 def is_fixed_point(
@@ -260,16 +158,17 @@ def _check_quotient_forms(
     """The three equal quotient forms must agree to 1e-12 scale on sampled
     graph points; a violation means the pairing arithmetic broke."""
     rng = np.random.default_rng([schedule.seed, 555])
-    dim = mapd.space.size
+    space = mapd.space
     radius = schedule.r0 * 2.0 ** (-(schedule.levels - 1))
     scale = 1.0 + dual_norm(candidate)
-    for _ in range(8):
-        d = rng.standard_normal(dim)
-        peak = float(np.max(np.abs(d)))
-        if peak == 0.0:
-            continue
-        u = base.x + (radius / peak) * PrimalVector(mapd.space, d)
-        spread = quotient_forms_spread(candidate, base, u, mapd.value(u))
+    dirs = rng.standard_normal((8, space.size))
+    peaks = np.max(np.abs(dirs), axis=1)
+    dirs, peaks = dirs[peaks > 0.0], peaks[peaks > 0.0]
+    us = base.x.values[None, :] + (radius / peaks)[:, None] * dirs
+    for u, v in zip(us, mapd.value_batch(us)):
+        spread = quotient_forms_spread(
+            candidate, base, PrimalVector(space, u), PrimalVector(space, v)
+        )
         if spread > 1e-12 * scale:
             raise FixedPointAuditError(
                 f"quotient forms disagree by {spread:.3e} at scale {scale:.3e}"
@@ -352,10 +251,13 @@ def _probe_sequence(mapd, base, members, schedule, mode, combos, violations):
 
 def poly_annihilator(space: SpaceSpec, degree: int) -> DualVector:
     """An atomic measure annihilating every polynomial of degree <= degree:
-    atoms at degree + 2 Chebyshev points, weights spanning the null space of
-    the moment matrix, normalized to total variation 1 with a positive first
-    weight."""
-    pts = chebyshev.chebyshev_points(degree + 2)
+    atoms at the grid nodes nearest to degree + 2 Chebyshev points, weights
+    spanning the null space of the moment matrix at those nodes, normalized
+    to total variation 1 with a positive first weight. The weights are solved
+    at the nodes themselves, since snapping the atoms after solving breaks
+    the annihilation by up to 4e-4 for degrees 3 to 5."""
+    last = space.grid_size - 1
+    pts = space.grid[[int(round(t * last)) for t in chebyshev.chebyshev_points(degree + 2)]]
     moments = pts[None, :] ** np.arange(degree + 1)[:, None]
     _, _, vt = np.linalg.svd(moments)
     weights = vt[-1]
@@ -379,7 +281,7 @@ def poly_fixed_point_quotient(
     if f.space.kind != KIND_C01:
         raise ValueError("needs a C01 grid function")
     schedule = schedule or SamplingSchedule(levels=5, dirs_per_level=16, seed=seed)
-    mapd = MapDescriptor(POLY_PROJ, f.space, degree=degree)
+    mapd = poly_projection_map(f.space, degree)
     grid = f.space.grid
     rng = np.random.default_rng([schedule.seed, 977])
     rays: list[PrimalVector] = [f]

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .coderivatives import CONE_PROJ, L1_BALL_PROJ, MapDescriptor
+from .coderivatives import L1_BALL_PROJ, MapDescriptor
 from .spaces import (
     DualVector,
     PrimalVector,
@@ -264,16 +264,15 @@ def directed_ray_limit(
         raise ValueError("the split denominator applies to the l_1 ball projection")
 
     ts = [t_start * ratio**j for j in range(steps)]
+    us = base.x.values[None, :] + np.array(ts)[:, None] * direction.values[None, :]
     qs = []
-    for t in ts:
-        u = base.x + t * direction
-        v = mapd.value(u)
-        num = pairing(xstar, u - base.x) - pairing(ystar, v - base.y)
+    for t, u_row, v_row in zip(ts, us, mapd.value_batch(us)):
+        u, v = PrimalVector(mapd.space, u_row), PrimalVector(mapd.space, v_row)
         if split_l1_denominator:
-            den = _split_l1_denominator(mapd, base, u, t, direction)
+            num = pairing(xstar, u - base.x) - pairing(ystar, v - base.y)
+            qs.append(num / _split_l1_denominator(mapd, base, u, t, direction))
         else:
-            den = norm(u - base.x) + norm(v - base.y)
-        qs.append(num / den)
+            qs.append(quotient(mapd, base, u, v, xstar, ystar))
     # Richardson step for q(t) = L + c t + O(t^2) on a geometric sequence
     return float((qs[-1] - ratio * qs[-2]) / (1.0 - ratio))
 
@@ -287,12 +286,7 @@ def _default_rays(
     diff = xstar - ystar
     if dual_norm(diff) > 1e-12 * (1.0 + dual_norm(ystar)):
         rays.append(norming_direction(diff))
-    if mapd.kind in (CONE_PROJ, L1_BALL_PROJ):
-        dim = mapd.space.size
-        eye = np.eye(dim)
-        for i in range(dim):
-            rays.append(PrimalVector(mapd.space, eye[i]))
-            rays.append(PrimalVector(mapd.space, -eye[i]))
+    rays.extend(mapd.kink_rays)
     return rays
 
 

@@ -13,6 +13,7 @@ which makes the module safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -330,11 +331,32 @@ class IndexSet:
 # norms and pairings
 # ---------------------------------------------------------------------------
 
+def _lp(mags: np.ndarray, p: float) -> np.ndarray:
+    """sum(m^p)^(1/p) over the last axis of the magnitudes m = |v|."""
+    return np.sum(mags**p, axis=-1) ** (1.0 / p)
+
+
+def _lp_rescaled(mags: np.ndarray, p: float) -> np.ndarray:
+    """`_lp` with each vector first divided by its largest magnitude. Used
+    only where the plain power sum underflows to 0 or overflows on a nonzero
+    vector (largest magnitude below about 1e-154 or above 1e154 at p = 2), so
+    every other norm keeps the bits of the plain formula."""
+    peaks = np.max(mags, axis=-1)
+    peaks = np.where(peaks > 0.0, peaks, 1.0)
+    return peaks * _lp(mags / peaks[..., None], p)
+
+
+def _lp_scalar(values: np.ndarray, p: float) -> float:
+    mags = np.abs(values)
+    n = float(_lp(mags, p))
+    return n if 0.0 < n < math.inf else float(_lp_rescaled(mags, p))
+
+
 def norm(v: PrimalVector) -> float:
     """Primal norm: p-norm (Lp), 1-norm (L1), grid max (C01)."""
     kind = v.space.kind
     if kind == KIND_LP:
-        return float(np.sum(np.abs(v.values) ** v.space.p) ** (1.0 / v.space.p))
+        return _lp_scalar(v.values, v.space.p)
     if kind == KIND_L1:
         return float(np.sum(np.abs(v.values)))
     return float(np.max(np.abs(v.values)))
@@ -344,7 +366,11 @@ def norm_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     """Primal norm of each row of a (m, size) array."""
     rows = np.asarray(rows, dtype=float)
     if space.kind == KIND_LP:
-        return np.sum(np.abs(rows) ** space.p, axis=1) ** (1.0 / space.p)
+        mags = np.abs(rows)
+        norms = _lp(mags, space.p)
+        if norms.all() and math.isfinite(norms.sum()):
+            return norms
+        return np.where((norms > 0.0) & (norms < np.inf), norms, _lp_rescaled(mags, space.p))
     if space.kind == KIND_L1:
         return np.sum(np.abs(rows), axis=1)
     return np.max(np.abs(rows), axis=1)
@@ -355,8 +381,7 @@ def dual_norm(w: DualVector) -> float:
     (atomic measures)."""
     kind = w.space.kind
     if kind == KIND_LP:
-        q = w.space.q
-        return float(np.sum(np.abs(w.values) ** q) ** (1.0 / q))
+        return _lp_scalar(w.values, w.space.q)
     if kind == KIND_L1:
         return float(np.max(np.abs(w.values))) if w.values.size else 0.0
     if not w.atoms:

@@ -88,3 +88,28 @@ def test_run_experiment_rejects_unknown():
     cfg.experiment = "missing"
     with pytest.raises(ConfigError):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--experiment", "l1_cases", "--N", "1"],
+        ["run", "--experiment", "cone_l2_theorem_4_3", "--M", "9"],
+        ["run", "--experiment", "cone_l2_theorem_4_3", "--M", "0"],
+        ["run", "--experiment", "cone_l2_theorem_4_3", "--M", "1,2,3,4,5,6"],
+        ["run", "--experiment", "cone_l2_theorem_4_3", "--N", "2", "--M", "1,2"],
+        ["run", "--experiment", "remez_theorem_5_4", "--G", "3"],
+        ["run", "--experiment", "remez_continuity_theorem_4_8", "--G", "4"],
+        ["run", "--experiment", "structural_prop_3_2", "--G", "3", "--n", "2"],
+        ["run", "--experiment", "poly_theorem_4_11", "--G", "2"],
+        ["run", "--experiment", "poly_theorem_4_11", "--n", "2"],
+        ["run", "--experiment", "ball_theorem_4_1", "--r0", "nan"],
+        ["run", "--experiment", "ball_theorem_4_1", "--r", "inf"],
+        ["run", "--experiment", "determinants_lemma_4_5", "--seed", "-1"],
+        ["trace", "--experiment", "cone_lp_theorem_4_2", "--M", "9"],
+    ],
+    ids=lambda argv: " ".join(argv[2:]),
+)
+def test_invalid_config_exits_2(argv, tmp_path, capsys):
+    assert main(argv + (["--out", str(tmp_path / "r.json")] if argv[0] == "run" else [])) == 2
+    assert "config error" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from projderiv.coderivatives import (
     poly_projection_map,
     zm_index_set,
 )
+from projderiv.fixed_points import ORACLE_ONLY, characterize
 from projderiv.limsup_oracle import (
     GraphPoint,
     SamplingSchedule,
@@ -106,6 +107,28 @@ def test_ball_boundary_uncovered():
     x = primal(lp_space(2.0, 2), [0.6, 0.8])
     with pytest.raises(BoundaryCaseError):
         coderiv_ball_lp(x, 1.0, dual(lp_space(2.0, 2), [1, 0]))
+
+
+@pytest.mark.parametrize("offset", [-4e-13, 4e-13], ids=["inside", "outside"])
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+@pytest.mark.parametrize("family", ["ball", "l1_ball"])
+def test_points_near_the_sphere_count_as_on_it(family, radius, offset):
+    # one predicate decides the sphere for the value, the branch test, the
+    # fixed-point set and the closed forms
+    if family == "ball":
+        space = lp_space(3.0, 3)
+        mapd, coderiv = ball_projection_map(space, radius), coderiv_ball_lp
+    else:
+        space = l1_space(3)
+        mapd, coderiv = l1_ball_projection_map(space, radius), coderiv_l1ball
+    x = primal(space, [radius + offset, 0.0, 0.0])
+    assert abs(norm(x) - radius) <= 5e-13
+    assert np.array_equal(mapd.value(x).values, x.values)
+    assert mapd.same_branch(x, 0.5 * x)
+    assert mapd.same_branch(0.5 * x, x)
+    assert characterize(mapd, GraphPoint.at_point(mapd, x)).kind == ORACLE_ONLY
+    with pytest.raises(BoundaryCaseError):
+        coderiv(x, radius, dual(space, [1.0, 0.0, 0.0]))
 
 
 def test_zm_index_set():

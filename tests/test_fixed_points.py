@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from projderiv.coderivatives import (
@@ -187,6 +187,7 @@ entry = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
     st.lists(entry, min_size=4, max_size=4),
     st.lists(entry, min_size=4, max_size=4),
 )
+@example(wv=[0.0] * 4, uv=[0.0, 0.0, 0.0, 1.829338305192498e-240], noise=[0.0] * 4)
 def test_quotient_forms_agree(wv, uv, noise):
     ballm = ball_projection_map(L24, 1.0)
     base = GraphPoint.at_point(ballm, primal(L24, [2.0, 0.3, 0, 0]))
@@ -220,6 +221,17 @@ def test_poly_annihilator_structure():
     assert abs(dual_norm(gamma) - 1.0) <= 1e-12
     for k in range(2):
         assert abs(pairing(gamma, primal(C513, C513.grid**k))) <= 1e-12
+
+
+@pytest.mark.parametrize("grid_size", [513, 4097])
+@pytest.mark.parametrize("degree", range(6))
+def test_poly_annihilator_annihilates_on_the_grid(degree, grid_size):
+    space = c01_space(grid_size)
+    gamma = poly_annihilator(space, degree)
+    assert len(gamma.atoms) == degree + 2
+    assert abs(dual_norm(gamma) - 1.0) <= 1e-12
+    for k in range(degree + 1):
+        assert abs(pairing(gamma, primal(space, space.grid**k))) <= 1e-14
 
 
 def test_poly_fixed_point_quotient_theta_and_regression():

@@ -18,6 +18,7 @@ from projderiv.spaces import (
     l1_space,
     lp_space,
     norm,
+    norm_rows,
     norming_direction,
     pairing,
     primal,
@@ -32,6 +33,25 @@ def test_norm_examples():
     assert norm(primal(L23, [3, 4])) == 5.0
     f = primal(C101, C101.grid**2)
     assert norm(f) == 1.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("peak", [1.8e-240, 1e-160, 1e160, 1e250])
+def test_lp_norms_outside_the_power_range(p, peak):
+    # sum(|v|^p) under- or overflows at the extremes; the norm must still scale
+    space = lp_space(p, 4)
+    vals = np.array([0.0, 0.0, 3.0, 4.0]) * (peak / 4.0)
+    expected = peak / 4.0 * float(np.sum(np.array([3.0, 4.0]) ** p) ** (1.0 / p))
+    assert norm(primal(space, vals)) == pytest.approx(expected, rel=1e-12)
+    assert dual_norm(dual(space, vals)) == pytest.approx(
+        peak / 4.0 * float(np.sum(np.array([3.0, 4.0]) ** space.q) ** (1.0 / space.q)), rel=1e-12
+    )
+    plain = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 0.0, 0.0, 0.0]])
+    rows = norm_rows(space, np.vstack([plain, vals]))
+    assert rows[2] == pytest.approx(expected, rel=1e-12)
+    assert rows[1] == 0.0
+    assert rows[0] == np.sum(np.abs(plain[0]) ** p) ** (1.0 / p)
 
 
 def test_dual_norm_examples():
