@@ -26,10 +26,6 @@ from .projections import (
     positive_cone,
     l1_ball,
     poly_subspace,
-    project_ball_lp,
-    project_positive_cone,
-    project_ball_l1_selection,
-    project_poly,
     brute_force_project,
 )
 from .chebyshev import (

@@ -41,8 +41,10 @@ from .spaces import (
     atomic_measure,
     dual_norm,
     norm,
+    norm_rows,
     norming_direction,
     pairing,
+    pairing_rows,
 )
 
 __all__ = [
@@ -165,27 +167,27 @@ def _check_quotient_forms(
     peaks = np.max(np.abs(dirs), axis=1)
     dirs, peaks = dirs[peaks > 0.0], peaks[peaks > 0.0]
     us = base.x.values[None, :] + (radius / peaks)[:, None] * dirs
-    for u, v in zip(us, mapd.value_batch(us)):
-        spread = quotient_forms_spread(
-            candidate, base, PrimalVector(space, u), PrimalVector(space, v)
-        )
-        if spread > 1e-12 * scale:
-            raise FixedPointAuditError(
-                f"quotient forms disagree by {spread:.3e} at scale {scale:.3e}"
-            )
+    spread = float(np.max(quotient_forms_spread(candidate, base, us, mapd.value_batch(us))))
+    if spread > 1e-12 * scale:
+        raise FixedPointAuditError(f"quotient forms disagree by {spread:.3e} at scale {scale:.3e}")
 
 
 def quotient_forms_spread(
-    ystar: DualVector, base: GraphPoint, u: PrimalVector, v: PrimalVector
-) -> float:
+    ystar: DualVector, base: GraphPoint, us: np.ndarray, vs: np.ndarray
+) -> np.ndarray:
     """Largest pairwise difference of the three algebraically equal quotient
-    forms of the fixed-point criterion at one sample: pairing the increments
-    separately, pairing their difference, and pairing the residual shift."""
-    den = norm(u - base.x) + norm(v - base.y)
-    f1 = (pairing(ystar, u - base.x) - pairing(ystar, v - base.y)) / den
-    f2 = pairing(ystar, (u - base.x) - (v - base.y)) / den
-    f3 = pairing(ystar, (u - v) - (base.x - base.y)) / den
-    return float(max(abs(f1 - f2), abs(f1 - f3), abs(f2 - f3)))
+    forms of the fixed-point criterion at each sample (us[i], vs[i]): pairing
+    the increments separately, pairing their difference, and pairing the
+    residual shift."""
+    du = us - base.x.values[None, :]
+    dv = vs - base.y.values[None, :]
+    den = norm_rows(base.x.space, du) + norm_rows(base.x.space, dv)
+    if not np.all(den):
+        raise ZeroDivisionError("sample coincides with the base point")
+    f1 = (pairing_rows(ystar, du) - pairing_rows(ystar, dv)) / den
+    f2 = pairing_rows(ystar, du - dv) / den
+    f3 = pairing_rows(ystar, (us - vs) - (base.x.values - base.y.values)[None, :]) / den
+    return np.maximum(np.maximum(np.abs(f1 - f2), np.abs(f1 - f3)), np.abs(f2 - f3))
 
 
 @dataclass(frozen=True)
@@ -318,14 +320,18 @@ class ScalingDirectionReport:
     quotients: tuple[float, ...]
 
 
+# The scaling path starts at lambda = SCALING_LAM0 and takes SCALING_STEPS
+# steps shrinking by SCALING_RATIO.
+SCALING_LAM0 = 0.05
+SCALING_STEPS = 10
+SCALING_RATIO = 0.5
+
+
 def scaling_direction_report(
     f: PrimalVector,
     degree: int,
     mu: DualVector,
     gamma: DualVector,
-    lam0: float = 0.05,
-    steps: int = 10,
-    ratio: float = 0.5,
 ) -> ScalingDirectionReport:
     """Certify mu outside the derivative-operator value at gamma (and, when
     mu = gamma annihilates the polynomial class, outside the fixed-point set)
@@ -346,7 +352,7 @@ def scaling_direction_report(
             raise ValueError("gamma must annihilate the polynomial class")
     base_fit = chebyshev.remez(f, degree)
     p_grid = base_fit.polynomial(grid)
-    lams = [lam0 * ratio**j for j in range(steps)]
+    lams = [SCALING_LAM0 * SCALING_RATIO**j for j in range(SCALING_STEPS)]
     quotients = []
     for lam in lams:
         g = PrimalVector(f.space, (1.0 + lam) * f.values)
@@ -354,7 +360,7 @@ def scaling_direction_report(
         num = pairing(mu, g - f) - _pairing_grid(gamma, q_grid - p_grid, f.space)
         den = float(np.max(np.abs(g.values - f.values)) + np.max(np.abs(q_grid - p_grid)))
         quotients.append(num / den)
-    limit = float((quotients[-1] - ratio * quotients[-2]) / (1.0 - ratio))
+    limit = float((quotients[-1] - SCALING_RATIO * quotients[-2]) / (1.0 - SCALING_RATIO))
     predicted = pairing(mu, f) / (norm(f) + float(np.max(np.abs(p_grid))))
     rel_err = abs(limit - predicted) / max(abs(predicted), 1e-300)
     _, tol_reject = tolerance_pair(gamma)

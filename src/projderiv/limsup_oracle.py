@@ -35,7 +35,6 @@ from .spaces import (
     dual_norm,
     norm,
     norm_rows,
-    pairing,
     pairing_rows,
 )
 
@@ -141,11 +140,28 @@ def quotient(
     ystar: DualVector,
 ) -> float:
     """The defining ratio at one sampled graph point (u, v) != (x, y)."""
-    num = pairing(xstar, u - base.x) - pairing(ystar, v - base.y)
-    den = norm(u - base.x) + norm(v - base.y)
-    if den == 0.0:
+    return float(_row_quotients(base, u.values[None, :], v.values[None, :], xstar, ystar)[0])
+
+
+def _row_quotients(
+    base: GraphPoint,
+    us: np.ndarray,
+    vs: np.ndarray,
+    xstar: DualVector,
+    ystar: DualVector,
+    dens: np.ndarray | None = None,
+) -> np.ndarray:
+    """The defining ratio at each sampled graph point (us[i], vs[i]), the one
+    quotient formula; `dens` replaces the plain denominators
+    ||u - x|| + ||v - y||."""
+    du = us - base.x.values[None, :]
+    dv = vs - base.y.values[None, :]
+    nums = pairing_rows(xstar, du) - pairing_rows(ystar, dv)
+    if dens is None:
+        dens = norm_rows(base.x.space, du) + norm_rows(base.x.space, dv)
+    if not np.all(dens):
         raise ZeroDivisionError("sample coincides with the base point")
-    return num / den
+    return nums / dens
 
 
 def _verdict(value: float, tol_accept: float, tol_reject: float) -> Verdict:
@@ -170,7 +186,6 @@ def estimate_limsup(
     space = mapd.space
     dim = space.size
     x = base.x.values
-    y = base.y.values
     sups: list[float] = []
     rows: list[TraceRow] = []
     for level in range(schedule.levels):
@@ -187,9 +202,7 @@ def estimate_limsup(
             dirs = np.vstack([dirs, extra / extra_norms[:, None]])
         us = x[None, :] + radius * dirs
         vs = mapd.value_batch(us)
-        nums = pairing_rows(xstar, us - x[None, :]) - pairing_rows(ystar, vs - y[None, :])
-        dens = norm_rows(space, us - x[None, :]) + norm_rows(space, vs - y[None, :])
-        quotients = nums / dens
+        quotients = _row_quotients(base, us, vs, xstar, ystar)
         sups.append(float(np.max(quotients)))
         if keep_trace:
             for idx, q in enumerate(quotients):
@@ -216,19 +229,11 @@ def estimate_limsup(
     )
 
 
-def _split_l1_denominator(
-    mapd: MapDescriptor, base: GraphPoint, u: PrimalVector, t: float, direction: PrimalVector
-) -> float:
-    """Triangle-split denominator for the exterior l_1 canonical selection:
-    the selection move is split into its ray part and its rescaling part
-    before taking norms, matching the lower-bound chain the exterior case
-    analysis is built on. Never smaller than the plain denominator."""
-    r = mapd.radius
-    nu = norm(u)
-    nx = norm(base.x)
-    ray_part = (r / nu) * t * direction
-    rescale_part = (r / nu - r / nx) * base.x
-    return norm(t * direction) + norm(ray_part) + norm(rescale_part)
+# Directed rays start at t = RAY_T0 (or the first halving of it that stays
+# in the base branch) and take RAY_STEPS steps shrinking by RAY_RATIO.
+RAY_T0 = 1e-2
+RAY_STEPS = 10
+RAY_RATIO = 0.5
 
 
 def directed_ray_limit(
@@ -237,21 +242,18 @@ def directed_ray_limit(
     xstar: DualVector,
     ystar: DualVector,
     direction: PrimalVector,
-    t0: float = 1e-2,
-    steps: int = 10,
-    ratio: float = 0.5,
     split_l1_denominator: bool = False,
 ) -> float:
     """Extrapolated t -> 0 limit of the quotient along u_t = x + t * direction.
 
-    The start t0 shrinks until the whole ray stays in the base point's smooth
+    The start shrinks until the whole ray stays in the base point's smooth
     branch of the map. With `split_l1_denominator` the exterior l_1 cases use
     the triangle-split denominator (a lower bound for the raw quotient),
     reproducing the case-analysis values instead of the raw ray limit.
     """
     if norm(direction) == 0.0:
         raise ValueError("direction must be nonzero")
-    t_start = t0
+    t_start = RAY_T0
     for _ in range(60):
         probe = base.x + t_start * direction
         if mapd.same_branch(base.x, probe):
@@ -263,18 +265,22 @@ def directed_ray_limit(
     if split_l1_denominator and mapd.kind != L1_BALL_PROJ:
         raise ValueError("the split denominator applies to the l_1 ball projection")
 
-    ts = [t_start * ratio**j for j in range(steps)]
-    us = base.x.values[None, :] + np.array(ts)[:, None] * direction.values[None, :]
-    qs = []
-    for t, u_row, v_row in zip(ts, us, mapd.value_batch(us)):
-        u, v = PrimalVector(mapd.space, u_row), PrimalVector(mapd.space, v_row)
-        if split_l1_denominator:
-            num = pairing(xstar, u - base.x) - pairing(ystar, v - base.y)
-            qs.append(num / _split_l1_denominator(mapd, base, u, t, direction))
-        else:
-            qs.append(quotient(mapd, base, u, v, xstar, ystar))
+    ts = t_start * RAY_RATIO ** np.arange(RAY_STEPS)
+    offsets = ts[:, None] * direction.values[None, :]
+    us = base.x.values[None, :] + offsets
+    dens = None
+    if split_l1_denominator:
+        # the selection move split into its ray part and its rescaling part
+        # before taking norms, matching the lower-bound chain the exterior
+        # case analysis is built on; never smaller than the plain denominator
+        space, r = mapd.space, mapd.radius
+        scales = r / norm_rows(space, us)
+        ray_parts = (scales * ts)[:, None] * direction.values[None, :]
+        rescale_parts = (scales - r / norm(base.x))[:, None] * base.x.values[None, :]
+        dens = norm_rows(space, offsets) + norm_rows(space, ray_parts) + norm_rows(space, rescale_parts)
+    qs = _row_quotients(base, us, mapd.value_batch(us), xstar, ystar, dens)
     # Richardson step for q(t) = L + c t + O(t^2) on a geometric sequence
-    return float((qs[-1] - ratio * qs[-2]) / (1.0 - ratio))
+    return float((qs[-1] - RAY_RATIO * qs[-2]) / (1.0 - RAY_RATIO))
 
 
 def _default_rays(

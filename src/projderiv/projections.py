@@ -1,9 +1,10 @@
-"""Metric projections onto the four families of closed convex sets used by
-the derivative operators: p-norm balls, positive cones, l_1 balls (canonical
-selection of the set-valued projection), and polynomial classes in C[0, 1].
+"""The four families of closed convex sets the derivative operators project
+onto: p-norm balls, positive cones, l_1 balls, and polynomial classes in
+C[0, 1], with membership in the set-valued l_1 ball projection.
 
-A grid-seeded multi-start descent (`brute_force_project`) serves as an
-independent oracle for the closed forms; it never consults them.
+The closed-form projections live in `MapDescriptor.value_batch`. A
+grid-seeded multi-start descent (`brute_force_project`) serves as an
+independent oracle for them; it shares none of their code.
 """
 
 from __future__ import annotations
@@ -25,16 +26,11 @@ from .spaces import (
 
 __all__ = [
     "ConvexSet",
-    "L1BallProjectionSelection",
     "ball",
     "positive_cone",
     "l1_ball",
     "poly_subspace",
-    "project_ball_lp",
-    "project_positive_cone",
-    "project_ball_l1_selection",
     "l1_projection_set_contains",
-    "project_poly",
     "brute_force_project",
     "INSIDE_SLACK",
 ]
@@ -44,9 +40,9 @@ POSITIVE_CONE = "positive_cone"
 L1_BALL = "l1_ball"
 POLY_SUBSPACE = "poly_subspace"
 
-# Points with norm within this relative slack of the radius take the
-# "inside" branch (both branches agree there), which keeps the projections
-# exactly idempotent in floating point.
+# Points with norm within this relative slack of the radius count as inside
+# the ball; the oracle's own feasibility slack, kept apart from the maps'
+# sphere band.
 INSIDE_SLACK = 1e-12
 
 
@@ -111,50 +107,8 @@ def poly_subspace(space: SpaceSpec, degree: int) -> ConvexSet:
 
 
 # ---------------------------------------------------------------------------
-# closed forms
+# set-valued l_1 projection
 # ---------------------------------------------------------------------------
-
-def project_ball_lp(x: PrimalVector, r: float) -> PrimalVector:
-    """Nearest point of the radius-r ball: x inside, (r/||x||) x outside."""
-    if x.space.kind != KIND_LP:
-        raise ValueError("project_ball_lp needs an Lp space")
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    nx = norm(x)
-    if nx <= r * (1.0 + INSIDE_SLACK):
-        return x
-    return (r / nx) * x
-
-
-def project_positive_cone(x: PrimalVector) -> PrimalVector:
-    """Componentwise clamp max(x_i, 0)."""
-    if x.space.kind not in (KIND_LP, KIND_L1):
-        raise ValueError("project_positive_cone needs a sequence space")
-    return PrimalVector(x.space, np.maximum(x.values, 0.0))
-
-
-@dataclass(frozen=True)
-class L1BallProjectionSelection:
-    """Canonical member (r/||x||_1) x of the set-valued l_1 ball projection.
-
-    ``selection_only`` flags exterior inputs, where the projection set
-    contains other members besides the returned one.
-    """
-
-    point: PrimalVector
-    selection_only: bool
-
-
-def project_ball_l1_selection(x: PrimalVector, r: float) -> L1BallProjectionSelection:
-    if x.space.kind != KIND_L1:
-        raise ValueError("the l1 ball selection needs an L1 space")
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    nx = norm(x)
-    if nx <= r * (1.0 + INSIDE_SLACK):
-        return L1BallProjectionSelection(x, selection_only=False)
-    return L1BallProjectionSelection((r / nx) * x, selection_only=True)
-
 
 def l1_projection_set_contains(
     x: PrimalVector, r: float, y: PrimalVector, tol: float = 1e-12
@@ -166,12 +120,6 @@ def l1_projection_set_contains(
         return False
     dist = max(norm(x) - r, 0.0)
     return abs(norm(x - y) - dist) <= tol * scale
-
-
-def project_poly(f: PrimalVector, n: int) -> chebyshev.RemezResult:
-    """Best uniform approximation by polynomials of degree <= n, with the
-    equioscillation certificate attached. Single valued."""
-    return chebyshev.remez(f, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from projderiv.cli import main
 from projderiv.experiments import (
     ConfigError,
+    ExperimentConfig,
     experiment_ids,
     load_config_file,
     resolve_config,
@@ -106,6 +110,11 @@ def test_run_experiment_rejects_unknown():
         ["run", "--experiment", "ball_theorem_4_1", "--r0", "nan"],
         ["run", "--experiment", "ball_theorem_4_1", "--r", "inf"],
         ["run", "--experiment", "determinants_lemma_4_5", "--seed", "-1"],
+        ["run", "--experiment", "ball_theorem_4_1", "--r0", "1e-300"],
+        ["run", "--experiment", "ball_theorem_4_1", "--r0", "1e-20"],
+        ["run", "--experiment", "ball_theorem_4_1", "--K", "45"],
+        ["run", "--experiment", "ball_theorem_4_1", "--K", "60"],
+        ["run", "--experiment", "ball_theorem_4_1", "--K", "1100"],
         ["trace", "--experiment", "cone_lp_theorem_4_2", "--M", "9"],
     ],
     ids=lambda argv: " ".join(argv[2:]),
@@ -113,3 +122,24 @@ def test_run_experiment_rejects_unknown():
 def test_invalid_config_exits_2(argv, tmp_path, capsys):
     assert main(argv + (["--out", str(tmp_path / "r.json")] if argv[0] == "run" else [])) == 2
     assert "config error" in capsys.readouterr().err
+
+
+CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"]
+config_text = st.one_of(st.text(), st.from_regex(r"-?[0-9]*[.,]?[0-9]*([eE][-+]?[0-9]+)?", fullmatch=True))
+
+
+# resolves configs only: running fuzzed S, G or K values could allocate without bound
+@given(
+    st.sampled_from(experiment_ids()),
+    st.dictionaries(st.sampled_from(CONFIG_KEYS), config_text, max_size=4),
+)
+@example("l1_cases", {"N": "abc"})
+@example("l1_cases", {"N": "1e3"})
+@example("cone_l2_theorem_4_3", {"M": "1,x"})
+@example("ball_theorem_4_1", {"K": "9" * 400})
+def test_config_text_resolves_or_is_config_error(experiment, overrides):
+    try:
+        config = resolve_config(experiment, overrides=overrides)
+    except ConfigError:
+        return
+    config.validate()

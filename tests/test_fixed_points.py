@@ -191,12 +191,21 @@ entry = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 def test_quotient_forms_agree(wv, uv, noise):
     ballm = ball_projection_map(L24, 1.0)
     base = GraphPoint.at_point(ballm, primal(L24, [2.0, 0.3, 0, 0]))
-    u = base.x + primal(L24, [0.1 * t for t in uv])
-    v = ballm.value(u)
-    if np.array_equal(u.values, base.x.values):
+    us = base.x.values[None, :] + 0.1 * np.array([uv])
+    if np.array_equal(us[0], base.x.values):
         return
     w = dual(L24, wv)
-    assert quotient_forms_spread(w, base, u, v) <= 1e-12
+    assert np.all(quotient_forms_spread(w, base, us, ballm.value_batch(us)) <= 1e-12)
+
+
+def test_quotient_forms_spread_raises_on_a_row_at_the_base():
+    ballm = ball_projection_map(L24, 1.0)
+    base = GraphPoint.at_point(ballm, primal(L24, [2.0, 0.3, 0, 0]))
+    us = base.x.values[None, :] + np.array([[0.01, 0.0, 0.02, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    w = dual(L24, [1.0, 0.5, 0.0, 0.0])
+    assert quotient_forms_spread(w, base, us[:1], ballm.value_batch(us[:1]))[0] <= 1e-12
+    with pytest.raises(ZeroDivisionError):
+        quotient_forms_spread(w, base, us, ballm.value_batch(us))
 
 
 def test_convexity_probe_whole_dual(rng):

@@ -11,6 +11,9 @@ from projderiv.coderivatives import (
     l1_ball_projection_map,
 )
 from projderiv.limsup_oracle import (
+    RAY_RATIO,
+    RAY_STEPS,
+    RAY_T0,
     GraphPoint,
     SamplingSchedule,
     Verdict,
@@ -31,6 +34,7 @@ from projderiv.spaces import (
     lp_space,
     norm,
     norming_direction,
+    pairing,
     primal,
 )
 
@@ -63,6 +67,10 @@ def test_quotient_zero_denominator():
     w = dual(L24, [1, 0, 0, 0])
     with pytest.raises(ZeroDivisionError):
         quotient(mapd, base, base.x, base.y, w, w)
+    # a zero extra ray puts one sample of every level on the base point
+    sched = SamplingSchedule(extra_rays=(PrimalVector.zero(L24),))
+    with pytest.raises(ZeroDivisionError):
+        estimate_limsup(mapd, base, w, w, sched, keep_trace=False)
 
 
 def test_translation_ray_limit():
@@ -178,6 +186,54 @@ def test_l1_case_limits_split_and_raw():
     # raw ray quotients dominate the split surrogate
     raw = directed_ray_limit(mapd, base, phi_e1, phi_e1, primal(sp, basis[0]))
     assert raw >= 0.5 - 1e-9
+
+
+RAY_CASES = {
+    "ball": (ball_projection_map(lp_space(3.0, 4), 1.0), [2.0, 0.3, -0.4, 0.1]),
+    "cone": (cone_projection_map(L24), [1.0, -0.5, 0.7, -2.0]),
+    "affine": (_translation(L24, 2.0), [0.3, 0.1, -0.2, 0.5]),
+    "l1": (l1_ball_projection_map(l1_space(4), 1.0), [2.0, 1.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("kind", RAY_CASES)
+def test_ray_limit_is_the_richardson_step_of_quotient(kind):
+    mapd, x = RAY_CASES[kind]
+    sp = mapd.space
+    base = GraphPoint.at_point(mapd, primal(sp, x))
+    xs, ys = dual(sp, [1.0, -2.0, 0.5, 0.3]), dual(sp, [0.2, 0.4, -1.0, 0.6])
+    direction = primal(sp, [0.6, -0.3, 0.8, 0.5])
+    qs = []
+    for j in range(RAY_STEPS):
+        u = base.x + (RAY_T0 * RAY_RATIO**j) * direction
+        qs.append(quotient(mapd, base, u, mapd.value(u), xs, ys))
+    expected = (qs[-1] - RAY_RATIO * qs[-2]) / (1.0 - RAY_RATIO)
+    assert expected != 0.0
+    limit = directed_ray_limit(mapd, base, xs, ys, direction)
+    assert abs(limit - expected) <= 1e-12 * abs(expected)
+
+
+def test_split_ray_limit_matches_the_scalar_split_denominator():
+    mapd, x = RAY_CASES["l1"]
+    sp, r = mapd.space, mapd.radius
+    base = GraphPoint.at_point(mapd, primal(sp, x))
+    xs = ys = dual(sp, [0.0, 1.0, 0.0, 0.0])
+    direction = primal(sp, [0.0, 1.0, 0.5, -0.25])
+    qs = []
+    for j in range(RAY_STEPS):
+        t = RAY_T0 * RAY_RATIO**j
+        u = base.x + t * direction
+        num = pairing(xs, u - base.x) - pairing(ys, mapd.value(u) - base.y)
+        den = (
+            norm(t * direction)
+            + norm((r / norm(u)) * t * direction)
+            + norm((r / norm(u) - r / norm(base.x)) * base.x)
+        )
+        qs.append(num / den)
+    expected = (qs[-1] - RAY_RATIO * qs[-2]) / (1.0 - RAY_RATIO)
+    assert expected != 0.0
+    limit = directed_ray_limit(mapd, base, xs, ys, direction, split_l1_denominator=True)
+    assert abs(limit - expected) <= 1e-12 * abs(expected)
 
 
 def test_split_denominator_guard():

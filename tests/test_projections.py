@@ -3,6 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from projderiv.coderivatives import (
+    ball_projection_map,
+    cone_projection_map,
+    l1_ball_projection_map,
+    poly_projection_map,
+)
 from projderiv.projections import (
     ball,
     brute_force_project,
@@ -10,10 +16,6 @@ from projderiv.projections import (
     l1_projection_set_contains,
     poly_subspace,
     positive_cone,
-    project_ball_l1_selection,
-    project_ball_lp,
-    project_poly,
-    project_positive_cone,
 )
 from projderiv.spaces import (
     c01_space,
@@ -33,44 +35,50 @@ entry = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 
 def test_ball_projection_examples():
+    proj = ball_projection_map(L24, 1.0)
     inside = primal(L24, [0.1, 0.2])
-    assert project_ball_lp(inside, 1.0) is inside
-    out = project_ball_lp(primal(L24, [3, 4]), 1.0)
+    assert np.array_equal(proj.value(inside).values, inside.values)
+    out = proj.value(primal(L24, [3, 4]))
     assert np.allclose(out.values, [0.6, 0.8], atol=1e-15)
     boundary = primal(L24, [0.6, 0.8])
-    assert project_ball_lp(boundary, 1.0) is boundary
+    assert np.array_equal(proj.value(boundary).values, boundary.values)
 
 
 def test_cone_projection_examples():
     sp = lp_space(2.0, 3)
-    assert np.array_equal(project_positive_cone(primal(sp, [1, -2, 3])).values, [1, 0, 3])
-    assert norm(project_positive_cone(primal(sp, [-1, -2, 0]))) == 0.0
+    proj = cone_projection_map(sp)
+    assert np.array_equal(proj.value(primal(sp, [1, -2, 3])).values, [1, 0, 3])
+    assert norm(proj.value(primal(sp, [-1, -2, 0]))) == 0.0
 
 
 @given(st.lists(entry, min_size=3, max_size=3), st.floats(min_value=0, max_value=4))
 def test_cone_positive_homogeneous(vals, lam):
     sp = lp_space(2.0, 3)
+    proj = cone_projection_map(sp)
     x = primal(sp, vals)
-    left = project_positive_cone(lam * x)
-    right = lam * project_positive_cone(x)
+    left = proj.value(lam * x)
+    right = lam * proj.value(x)
     assert np.allclose(left.values, right.values, atol=1e-12)
 
 
 def test_l1_selection_examples():
     sp = l1_space(3)
-    sel = project_ball_l1_selection(primal(sp, [2, 1, 0]), 1.0)
-    assert sel.selection_only
-    assert np.allclose(sel.point.values, [2 / 3, 1 / 3, 0])
+    proj = l1_ball_projection_map(sp, 1.0)
+    x = primal(sp, [2, 1, 0])
+    assert np.allclose(proj.value(x).values, [2 / 3, 1 / 3, 0])
+    # exterior: the selection is one member of a larger projection set
+    assert l1_projection_set_contains(x, 1.0, primal(sp, [1.0, 0.0, 0.0]))
     inside = primal(sp, [0.2, -0.3, 0.1])
-    sel2 = project_ball_l1_selection(inside, 1.0)
-    assert sel2.point is inside and not sel2.selection_only
+    assert np.array_equal(proj.value(inside).values, inside.values)
+    # interior: the projection set is the point itself
+    assert not l1_projection_set_contains(inside, 1.0, primal(sp, [0.2, -0.3, 0.0]))
 
 
 def test_l1_selection_variational_inequality(rng):
     sp = l1_space(4)
     x = primal(sp, [2.0, 1.0, 0.5, 0.25])
     r = 1.0
-    sel = project_ball_l1_selection(x, r).point
+    sel = l1_ball_projection_map(sp, r).value(x)
     jx = duality_map_l1_selection(x).functional
     for _ in range(100):
         y = rng.normal(size=4)
@@ -87,23 +95,22 @@ def test_l1_projection_set_membership():
 
 
 def test_project_poly_examples():
+    proj = poly_projection_map(C513, 1)
     f = primal(C513, C513.grid**2)
-    res = project_poly(f, 1)
-    assert abs(res.error - 0.125) <= 1e-9
+    fit = proj.value(f)
+    assert abs(norm(f - fit) - 0.125) <= 1e-9
     poly_f = primal(C513, 0.5 - 0.25 * C513.grid)
-    assert project_poly(poly_f, 1).error <= 1e-12
-    shifted = project_poly(primal(C513, f.values + 0.3), 1)
-    assert np.max(
-        np.abs(shifted.polynomial(C513.grid) - (res.polynomial(C513.grid) + 0.3))
-    ) <= 1e-8
+    assert norm(poly_f - proj.value(poly_f)) <= 1e-12
+    shifted = proj.value(primal(C513, f.values + 0.3))
+    assert np.max(np.abs(shifted.values - (fit.values + 0.3))) <= 1e-8
 
 
 @given(st.sampled_from([1.5, 2.0, 3.0]), st.lists(entry, min_size=3, max_size=3))
 def test_ball_projection_idempotent_exactly(p, vals):
     sp = lp_space(p, 3)
-    x = primal(sp, vals)
-    once = project_ball_lp(x, 1.0)
-    twice = project_ball_lp(once, 1.0)
+    proj = ball_projection_map(sp, 1.0)
+    once = proj.value(primal(sp, vals))
+    twice = proj.value(once)
     assert np.array_equal(once.values, twice.values)
     assert norm(once) <= 1.0 + 1e-12
 
@@ -111,28 +118,28 @@ def test_ball_projection_idempotent_exactly(p, vals):
 @given(st.lists(entry, min_size=3, max_size=3))
 def test_cone_and_l1_idempotent_exactly(vals):
     spc = lp_space(2.0, 3)
-    x = primal(spc, vals)
-    once = project_positive_cone(x)
-    assert np.array_equal(once.values, project_positive_cone(once).values)
+    cone = cone_projection_map(spc)
+    once = cone.value(primal(spc, vals))
+    assert np.array_equal(once.values, cone.value(once).values)
     spl = l1_space(3)
-    xl = primal(spl, vals)
-    sel = project_ball_l1_selection(xl, 1.0).point
-    again = project_ball_l1_selection(sel, 1.0).point
+    l1ball = l1_ball_projection_map(spl, 1.0)
+    sel = l1ball.value(primal(spl, vals))
+    again = l1ball.value(sel)
     assert np.array_equal(sel.values, again.values)
 
 
 def test_hilbert_nonexpansive_and_variational(rng):
     sp = lp_space(2.0, 3)
-    for _ in range(500):
-        x = primal(sp, rng.normal(size=3) * 2)
-        y = primal(sp, rng.normal(size=3) * 2)
-        assert norm(project_ball_lp(x, 1.0) - project_ball_lp(y, 1.0)) <= norm(x - y) + 1e-12
-        assert norm(
-            project_positive_cone(x) - project_positive_cone(y)
-        ) <= norm(x - y) + 1e-12
+    ballm, cone = ball_projection_map(sp, 1.0), cone_projection_map(sp)
+    xs = rng.normal(size=(500, 3)) * 2
+    ys = rng.normal(size=(500, 3)) * 2
+    gaps = np.linalg.norm(xs - ys, axis=1)
+    for proj in (ballm, cone):
+        moved = np.linalg.norm(proj.value_batch(xs) - proj.value_batch(ys), axis=1)
+        assert np.all(moved <= gaps + 1e-12)
     for _ in range(100):
         x = primal(sp, rng.normal(size=3) * 2)
-        px = project_ball_lp(x, 1.0)
+        px = ballm.value(x)
         z = rng.normal(size=3)
         z = primal(sp, rng.uniform(0, 1) * z / np.linalg.norm(z))
         residual = dual(sp, x.values - px.values)
@@ -148,11 +155,11 @@ def test_brute_force_matches_closed_forms(rng):
         assume_outside = norm(x) > 1.1
         if not assume_outside:
             continue
-        cf = project_ball_lp(x, 1.0)
+        cf = ball_projection_map(sp, 1.0).value(x)
         bf = brute_force_project(x, ball(sp, 1.0), resolution=40, seed=trial)
         assert norm(bf - cf) <= 2 / 40
         xc = primal(sp, rng.normal(size=d) * 1.5)
-        cfc = project_positive_cone(xc)
+        cfc = cone_projection_map(sp).value(xc)
         bfc = brute_force_project(xc, positive_cone(sp), resolution=40, seed=trial)
         assert norm(bfc - cfc) <= 2 / 40
 
