@@ -13,6 +13,7 @@ they imply for norm-bounded polynomials.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,47 +260,60 @@ def _leveled_solve(points: np.ndarray, values: np.ndarray, n: int):
 
 def _alternating_extrema(residual: np.ndarray) -> list[int]:
     """Indices of the per-sign-run argmax of |residual|; one candidate per
-    run, so candidates alternate in sign by construction."""
+    run, so candidates alternate in sign by construction. Exact zeros carry
+    the previous nonzero sign (+1 before the first one), and a tie within a
+    run goes to its first index, as with np.argmax."""
     signs = np.sign(residual)
-    # carry the previous nonzero sign through exact zeros
-    last = 1.0
-    carried = np.empty_like(signs)
-    for i, s in enumerate(signs):
-        if s != 0.0:
-            last = s
-        carried[i] = last
-    candidates = []
-    start = 0
-    for i in range(1, carried.size + 1):
-        if i == carried.size or carried[i] != carried[start]:
-            run = np.arange(start, i)
-            candidates.append(int(run[np.argmax(np.abs(residual[run]))]))
-            start = i
-    return candidates
+    # index of the last nonzero sign at or before each point, -1 before any
+    last = np.maximum.accumulate(np.where(signs != 0.0, np.arange(signs.size), -1))
+    carried = np.where(last >= 0, signs[np.maximum(last, 0)], 1.0)
+    starts = np.flatnonzero(np.diff(carried, prepend=0.0))  # carried is +-1
+    run = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, signs.size]))
+    mags = np.abs(residual)
+    hits = np.flatnonzero(mags == np.maximum.reduceat(mags, starts)[run])
+    return hits[np.diff(run[hits], prepend=-1) != 0].tolist()  # first hit per run
 
 
 def _trim_reference(candidates: list[int], residual: np.ndarray, target: int) -> list[int]:
     """Reduce an alternating candidate list to `target` points by repeatedly
-    removing the smallest-magnitude candidate; removing an interior one joins
-    two same-sign neighbours, of which the larger is kept. The global maximum
-    always survives."""
-    picked = list(candidates)
-    while len(picked) > target:
-        if len(picked) - target == 1:
-            if abs(residual[picked[0]]) <= abs(residual[picked[-1]]):
-                picked.pop(0)
-            else:
-                picked.pop()
+    removing the smallest-magnitude candidate (the first one on a tie);
+    removing an interior one joins two same-sign neighbours, of which the
+    larger is kept (the left one on a tie). The global maximum always
+    survives.
+
+    Magnitudes never change and positions only drop out, so a heap keyed by
+    (magnitude, position) with lazy deletion finds each minimum, and a
+    doubly linked list over the positions finds its neighbours: O(k log k).
+    """
+    size = len(candidates)
+    mags = np.abs(residual[candidates]).tolist()
+    # position `size` is a sentinel that closes the list at both ends
+    nxt = list(range(1, size + 1)) + [0]
+    prev = [size] + list(range(size))
+    alive = [True] * size
+
+    def unlink(i: int) -> None:
+        alive[i] = False
+        nxt[prev[i]] = nxt[i]
+        prev[nxt[i]] = prev[i]
+
+    heap = [(m, i) for i, m in enumerate(mags)]
+    heapq.heapify(heap)
+    count = size
+    while count - target > 1:
+        _, k = heapq.heappop(heap)
+        if not alive[k]:
             continue
-        mags = [abs(residual[j]) for j in picked]
-        k = int(np.argmin(mags))
-        if 0 < k < len(picked) - 1:
-            left, right = picked[k - 1], picked[k + 1]
-            keep = left if abs(residual[left]) >= abs(residual[right]) else right
-            picked[k - 1 : k + 2] = [keep]
-        else:
-            picked.pop(k)
-    return picked
+        left, right = prev[k], nxt[k]
+        if left != size and right != size:
+            unlink(right if mags[left] >= mags[right] else left)
+            count -= 1
+        unlink(k)
+        count -= 1
+    if count - target == 1:
+        head, tail = nxt[size], prev[size]
+        unlink(head if mags[head] <= mags[tail] else tail)
+    return [c for c, keep in zip(candidates, alive) if keep]
 
 
 def _single_exchange(ref_idx: list[int], residual: np.ndarray) -> list[int]:

@@ -22,6 +22,7 @@ from .experiments import (
     resolve_config,
     run_experiment,
 )
+from .fixed_points import FixedPointAuditError
 from .limsup_oracle import trace_to_csv
 
 _OVERRIDE_KEYS = ("p", "N", "G", "r", "n", "M", "r0", "K", "S", "seed")
@@ -73,16 +74,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "trace":
-        try:
-            estimate = experiment_trace(config)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        sys.stdout.write(trace_to_csv(estimate))
-        return 0
-
-    report = run_experiment(config)
+    try:
+        if args.command == "trace":
+            sys.stdout.write(trace_to_csv(experiment_trace(config)))
+            return 0
+        report = run_experiment(config)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except FixedPointAuditError as exc:
+        print(f"FAIL {config.experiment}: {exc}", file=sys.stderr)
+        return 1
     out_path = config.out or f"{config.experiment}_report.json"
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write(report_to_json(report))

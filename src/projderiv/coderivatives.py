@@ -136,7 +136,7 @@ class MapDescriptor:
         if self.kind in (BALL_PROJ, L1_BALL_PROJ):
             norms = norm_rows(self.space, rows)
             inside = _sphere_side(norms, self.radius) <= 0
-            factors = np.where(inside, 1.0, self.radius / np.where(norms == 0, 1.0, norms))
+            factors = np.where(inside, 1.0, self.radius / np.where(inside, 1.0, norms))
             return rows * factors[:, None]
         out = np.empty_like(rows)
         for i, row in enumerate(rows):

@@ -45,6 +45,10 @@ POLY_SUBSPACE = "poly_subspace"
 # sphere band.
 INSIDE_SLACK = 1e-12
 
+# Coefficient-mesh rows evaluated against the grid at once by the polynomial
+# box search; bounds its temporaries to MESH_CHUNK x grid size floats.
+MESH_CHUNK = 128
+
 
 @dataclass(frozen=True)
 class ConvexSet:
@@ -244,8 +248,7 @@ def _brute_force_poly(x: PrimalVector, cset: ConvexSet, resolution: int):
     for _ in range(6):
         axes = [np.linspace(c - half, c + half, per_axis) for c in best]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n + 1)
-        errs = np.max(np.abs(mesh @ vander.T - x.values[None, :]), axis=1)
-        best = mesh[int(np.argmin(errs))]
+        best = mesh[int(np.argmin(_mesh_errors(mesh, vander, x.values)))]
         half /= 2.0
         if half < 1e-4:
             break
@@ -257,6 +260,15 @@ def _brute_force_poly(x: PrimalVector, cset: ConvexSet, resolution: int):
     if refined is not None:
         best = refined
     return PrimalVector(x.space, vander @ best)
+
+
+def _mesh_errors(mesh: np.ndarray, vander: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sup-norm error on the grid of each coefficient row of the mesh,
+    MESH_CHUNK rows at a time."""
+    return np.concatenate([
+        np.max(np.abs(mesh[start : start + MESH_CHUNK] @ vander.T - values[None, :]), axis=1)
+        for start in range(0, len(mesh), MESH_CHUNK)
+    ])
 
 
 def _minimax_lp(vander: np.ndarray, values: np.ndarray, fallback: np.ndarray):

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projderiv.chebyshev import (
     Polynomial,
     RemezConvergenceError,
+    _alternating_extrema,
+    _trim_reference,
     an_determinant,
     an_recursive,
     chebyshev_points,
@@ -223,3 +225,82 @@ def test_chebyshev_points_endpoints():
     pts = chebyshev_points(4)
     assert pts[0] == 0.0 and pts[-1] == 1.0
     assert np.all(np.diff(pts) > 0)
+
+
+# Loop versions of the exchange helpers, kept as the reference that the
+# vectorized run split and the heap-based trim must reproduce exactly.
+def _alternating_extrema_loop(residual):
+    signs = np.sign(residual)
+    last = 1.0
+    carried = np.empty_like(signs)
+    for i, s in enumerate(signs):
+        if s != 0.0:
+            last = s
+        carried[i] = last
+    candidates = []
+    start = 0
+    for i in range(1, carried.size + 1):
+        if i == carried.size or carried[i] != carried[start]:
+            run = np.arange(start, i)
+            candidates.append(int(run[np.argmax(np.abs(residual[run]))]))
+            start = i
+    return candidates
+
+
+def _trim_reference_loop(candidates, residual, target):
+    picked = list(candidates)
+    while len(picked) > target:
+        if len(picked) - target == 1:
+            if abs(residual[picked[0]]) <= abs(residual[picked[-1]]):
+                picked.pop(0)
+            else:
+                picked.pop()
+            continue
+        mags = [abs(residual[j]) for j in picked]
+        k = int(np.argmin(mags))
+        if 0 < k < len(picked) - 1:
+            left, right = picked[k - 1], picked[k + 1]
+            keep = left if abs(residual[left]) >= abs(residual[right]) else right
+            picked[k - 1 : k + 2] = [keep]
+        else:
+            picked.pop(k)
+    return picked
+
+
+# a few magnitudes make ties common; both signed zeros appear
+tie_prone = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.lists(st.one_of(tie_prone, st.floats(-3, 3)), min_size=2, max_size=40),
+)
+@example(0, [0.0] * 9)  # all zero
+@example(0, [0.5, 2.0, 0.0, 2.0, 1.0])  # one sign, tied peaks
+@example(0, [-1.0, 1.0])  # length 2
+@example(0, [2.0, -2.0])
+@example(4, [-1.0, 1.0, -0.0, 1.0, -1.0])  # leading zero run
+def test_run_split_and_trim_match_the_loop_versions(leading_zeros, values):
+    residual = np.array([0.0] * leading_zeros + values)
+    candidates = _alternating_extrema(residual)
+    assert candidates == _alternating_extrema_loop(residual)
+    for target in range(1, len(candidates) + 1):
+        assert _trim_reference(candidates, residual, target) == _trim_reference_loop(
+            candidates, residual, target
+        )
+
+
+def test_remez_certificate_with_hundreds_of_sign_runs():
+    space = c01_space(4097)
+    rng = np.random.default_rng(7)
+    f = primal(space, np.sin(3 * space.grid) + 0.5 * rng.standard_normal(space.grid.size))
+    for n in (1, 3, 5):
+        res = remez(f, n)
+        assert len(_alternating_extrema(f.values - res.polynomial(space.grid))) >= 200
+        assert len(res.reference) == n + 2
+        assert all(res.reference[i] < res.reference[i + 1] for i in range(n + 1))
+        resid = np.array(res.reference_values) - res.polynomial(np.array(res.reference))
+        assert np.all(np.abs(np.abs(resid) - res.error) <= 1e-9 * (1 + res.error))
+        signs = np.sign(resid)
+        assert all(signs[i] == -signs[i + 1] for i in range(n + 1))

@@ -124,6 +124,14 @@ def test_invalid_config_exits_2(argv, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_quotient_form_audit_failure_exits_1_without_a_traceback(tmp_path, capsys):
+    argv = ["run", "--experiment", "ball_theorem_4_1", "--K", "16", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL ball_theorem_4_1: quotient forms disagree")
+    assert "Traceback" not in err
+
+
 CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"]
 config_text = st.one_of(st.text(), st.from_regex(r"-?[0-9]*[.,]?[0-9]*([eE][-+]?[0-9]+)?", fullmatch=True))
 

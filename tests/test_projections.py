@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from projderiv.coderivatives import (
     poly_projection_map,
 )
 from projderiv.projections import (
+    _mesh_errors,
     ball,
     brute_force_project,
     l1_ball,
@@ -115,6 +118,18 @@ def test_ball_projection_idempotent_exactly(p, vals):
     assert norm(once) <= 1.0 + 1e-12
 
 
+def test_ball_rows_with_subnormal_norms_stay_inside_without_overflow():
+    rows = np.array([[5e-324, 0.0, 0.0], [0.0, -5e-324, 0.0], [0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
+    maps = [ball_projection_map(lp_space(p, 3), 1.0) for p in (1.5, 2.0, 3.0)]
+    maps.append(l1_ball_projection_map(l1_space(3), 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mapd in maps:
+            out = mapd.value_batch(rows)
+            assert np.array_equal(out[:3], rows[:3])
+            assert abs(norm(primal(mapd.space, out[3])) - 1.0) <= 1e-15
+
+
 @given(st.lists(entry, min_size=3, max_size=3))
 def test_cone_and_l1_idempotent_exactly(vals):
     spc = lp_space(2.0, 3)
@@ -171,6 +186,18 @@ def test_brute_force_l1_matches_distance(rng):
         bf = brute_force_project(x, l1_ball(sp, 1.0), resolution=30, seed=trial)
         expected = max(norm(x) - 1.0, 0.0)
         assert abs(norm(x - bf) - expected) <= 1e-4
+
+
+@pytest.mark.parametrize("n, per_axis", [(0, 13), (1, 11), (1, 13), (2, 5), (2, 11), (2, 13)])
+def test_chunked_mesh_errors_equal_the_one_shot_expression(n, per_axis):
+    rng = np.random.default_rng(per_axis + 17 * n)
+    grid = c01_space(4097).grid
+    vander = grid[:, None] ** np.arange(n + 1)[None, :]
+    values = np.sin(3 * grid) + 0.1 * rng.standard_normal(grid.size)
+    axes = [np.linspace(c - 0.3, c + 0.3, per_axis) for c in rng.normal(size=n + 1)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n + 1)
+    one_shot = np.max(np.abs(mesh @ vander.T - values[None, :]), axis=1)
+    assert np.array_equal(_mesh_errors(mesh, vander, values), one_shot)
 
 
 def test_brute_force_inside_returns_input():
