@@ -360,13 +360,11 @@ def _polish_point(grid: np.ndarray, residual: np.ndarray, j: int):
     return float(grid[j] + shift)
 
 
-def remez(
-    f: PrimalVector,
-    n: int,
-    tol: float = 1e-10,
-    max_iterations: int = 100,
-    polish: bool = True,
-) -> RemezResult:
+# the exchange stops, and the polish may lower the level, within REMEZ_TOL * max(1, level)
+REMEZ_TOL = 1e-10
+
+
+def remez(f: PrimalVector, n: int, max_iterations: int = 100) -> RemezResult:
     """Best uniform approximation of a grid function by a polynomial of
     degree <= n, by discrete multi-point exchange plus one off-grid polish.
 
@@ -421,7 +419,7 @@ def remez(
         history.append(abs(level))
         residual = fv - poly(grid)
         max_resid = float(np.max(np.abs(residual)))
-        if max_resid - abs(level) <= tol * max(1.0, abs(level)):
+        if max_resid - abs(level) <= REMEZ_TOL * max(1.0, abs(level)):
             break
         candidates = _alternating_extrema(residual)
         if len(candidates) < n + 2:
@@ -446,30 +444,28 @@ def remez(
     ref_pts = [float(grid[j]) for j in ref_idx]
     ref_vals = [float(fv[j]) for j in ref_idx]
 
-    if polish:
-        residual = fv - poly(grid)
-        polished_pts = []
-        polished_vals = []
-        for j in ref_idx:
-            t_star = _polish_point(grid, residual, j)
-            if t_star is None:
-                polished_pts.append(float(grid[j]))
-                polished_vals.append(float(fv[j]))
-            else:
-                polished_pts.append(t_star)
-                polished_vals.append(sample_value(f, t_star))
-        order = np.argsort(polished_pts)
-        polished_pts = [polished_pts[i] for i in order]
-        polished_vals = [polished_vals[i] for i in order]
-        if len(set(polished_pts)) == n + 2:
-            poly2, level2 = _leveled_solve(
-                np.array(polished_pts), np.array(polished_vals), n
-            )
-            # the polish may only sharpen the certificate, never degrade it
-            if abs(level2) >= abs(level) - tol * max(1.0, abs(level)):
-                poly, level = poly2, abs(level2)
-                ref_pts, ref_vals = polished_pts, polished_vals
-                history.append(abs(level2))
+    # phase 2: move each reference point to its nearby off-grid extremum
+    residual = fv - poly(grid)
+    polished_pts = []
+    polished_vals = []
+    for j in ref_idx:
+        t_star = _polish_point(grid, residual, j)
+        if t_star is None:
+            polished_pts.append(float(grid[j]))
+            polished_vals.append(float(fv[j]))
+        else:
+            polished_pts.append(t_star)
+            polished_vals.append(sample_value(f, t_star))
+    order = np.argsort(polished_pts)
+    polished_pts = [polished_pts[i] for i in order]
+    polished_vals = [polished_vals[i] for i in order]
+    if len(set(polished_pts)) == n + 2:
+        poly2, level2 = _leveled_solve(np.array(polished_pts), np.array(polished_vals), n)
+        # the polish may only sharpen the certificate, never degrade it
+        if abs(level2) >= abs(level) - REMEZ_TOL * max(1.0, abs(level)):
+            poly, level = poly2, abs(level2)
+            ref_pts, ref_vals = polished_pts, polished_vals
+            history.append(abs(level2))
 
     level = abs(level)
     resid_at_ref = np.array(ref_vals) - poly(np.array(ref_pts))
@@ -485,18 +481,20 @@ def remez(
     )
 
 
+PERTURBATION_SCALE = 5e-3  # sup norm of the random direction of `continuity_experiment`
+
+
 def continuity_experiment(
     f: PrimalVector,
     n: int,
     perturbations: int = 32,
     g: PrimalVector | None = None,
     seed: int = 0,
-    perturbation_scale: float = 5e-3,
 ) -> ContinuityReport:
     """Deviations ||P(f + g/m) - P(f)|| for m = 1..perturbations.
 
     When no direction g is supplied, a random bounded smooth grid function of
-    sup norm ``perturbation_scale`` is drawn. The report fits C on the first
+    sup norm PERTURBATION_SCALE is drawn. The report fits C on the first
     three quarters of the sequence and checks d_m <= C/m on the last quarter,
     plus the absolute bound on the final deviation.
     """
@@ -511,7 +509,7 @@ def continuity_experiment(
         vals += rng.normal() * grid
         peak = np.max(np.abs(vals))
         if peak > 0:
-            vals *= perturbation_scale / peak
+            vals *= PERTURBATION_SCALE / peak
         g = PrimalVector(f.space, vals)
     base = remez(f, n).polynomial
     base_grid = base(f.space.grid)

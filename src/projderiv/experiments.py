@@ -211,11 +211,11 @@ def _exp_ball_coderivative(config: ExperimentConfig) -> list[CheckResult]:
         sched = config.schedule()
         image = cd.coderiv_ball_lp(x, config.r, ystar).point
         rays = fp.registry_rays(mapd, base, image, ystar)
-        est = lo.membership_test(mapd, base, image, ystar, sched, rays, keep_trace=False)
+        est = lo.membership_test(mapd, base, image, ystar, sched, rays)
         member_ok += est.verdict == lo.Verdict.MEMBER
         perturbed = image + 0.1 * _unit_dual(space, rng)
         rays_p = fp.registry_rays(mapd, base, perturbed, ystar)
-        est_p = lo.membership_test(mapd, base, perturbed, ystar, sched, rays_p, keep_trace=False)
+        est_p = lo.membership_test(mapd, base, perturbed, ystar, sched, rays_p)
         reject_ok += est_p.verdict == lo.Verdict.NON_MEMBER
         collapse = cd.coderiv_ball_lp(x, config.r, duality_map(x)).point
         worst_collapse = max(worst_collapse, dual_norm(collapse))
@@ -240,7 +240,7 @@ def _exp_affine(config: ExperimentConfig) -> list[CheckResult]:
     base = lo.GraphPoint.at_point(translation, _primal_with_norm(space, rng, 0.2, 1.0))
 
     xs = _dual_with_norm(space, rng, 0.5, 1.5)
-    est = lo.estimate_limsup(translation, base, xs, xs, config.schedule(), keep_trace=False)
+    est = lo.estimate_limsup(translation, base, xs, xs, config.schedule())
     _check(
         checks,
         "translation quotient vanishes at x* = y*",
@@ -346,7 +346,7 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
         else:
             z[int(rng.choice(sorted(m_set.members))) - 1] += rng.uniform(0.3, 1.0)
         zd = dual(space, z)
-        est = lo.membership_test(mapd, base, zd, anchor, sched, keep_trace=False)
+        est = lo.membership_test(mapd, base, zd, anchor, sched)
         closed = slice_set.membership(zd)
         agree += (est.verdict != lo.Verdict.INDETERMINATE) and (
             closed == (est.verdict == lo.Verdict.MEMBER)
@@ -370,7 +370,7 @@ def _exp_cone_lp(config: ExperimentConfig) -> list[CheckResult]:
         f = primal(space, rng.uniform(0.3, 1.5, size=config.N) * mask)
         jf = duality_map(f)
         base = lo.GraphPoint.at_point(mapd, f)
-        est = lo.membership_test(mapd, base, jf, jf, sched, keep_trace=False)
+        est = lo.membership_test(mapd, base, jf, jf, sched)
         j_ok += est.verdict == lo.Verdict.MEMBER
     _check(checks, "duality images are fixed points", j_ok == 20, j_ok, 20)
 
@@ -382,7 +382,7 @@ def _exp_cone_lp(config: ExperimentConfig) -> list[CheckResult]:
         if not mask.any():
             mask[0] = True
         psi = dual(space, rng.uniform(0.3, 1.5, size=config.N) * mask)
-        est = lo.membership_test(mapd, base0, psi, psi, sched, keep_trace=False)
+        est = lo.membership_test(mapd, base0, psi, psi, sched)
         psi_ok += est.verdict == lo.Verdict.MEMBER
     _check(checks, "nonnegative duals at the origin are fixed points", psi_ok == 20, psi_ok, 20)
 
@@ -401,9 +401,7 @@ def _exp_cone_lp(config: ExperimentConfig) -> list[CheckResult]:
         phi = dual(space, pv)
         predicate = cd.coderiv_cone_lp_theta_membership(f, phi)
         base = lo.GraphPoint.at_point(mapd, f)
-        est = lo.membership_test(
-            mapd, base, DualVector.zero(space), phi, sched, keep_trace=False
-        )
+        est = lo.membership_test(mapd, base, DualVector.zero(space), phi, sched)
         match += (predicate and est.verdict == lo.Verdict.MEMBER) or (
             not predicate and est.verdict == lo.Verdict.NON_MEMBER
         )
@@ -443,7 +441,7 @@ def _exp_l1_cases(config: ExperimentConfig) -> list[CheckResult]:
             f"{target} +- 5%",
         )
     theta = DualVector.zero(space)
-    est = lo.estimate_limsup(mapd, base, theta, theta, config.schedule(), keep_trace=False)
+    est = lo.estimate_limsup(mapd, base, theta, theta, config.schedule())
     _check(
         checks,
         "dual origin is a fixed point with exact zero quotients",
@@ -459,7 +457,7 @@ def _exp_l1_cases(config: ExperimentConfig) -> list[CheckResult]:
         if not np.any(vals):
             vals[0] = 0.5
         phi = dual(space, vals)
-        est = lo.membership_test(mapd, base, phi, phi, config.schedule(), keep_trace=False)
+        est = lo.membership_test(mapd, base, phi, phi, config.schedule())
         reject_ok += est.verdict == lo.Verdict.NON_MEMBER
     _check(checks, "nonzero duals are not fixed points", reject_ok == 20, reject_ok, 20)
     return checks
@@ -677,7 +675,7 @@ def _exp_structural(config: ExperimentConfig) -> list[CheckResult]:
     theta_ok = True
     for name, mapd, base in instances:
         theta = DualVector.zero(mapd.space)
-        est = lo.estimate_limsup(mapd, base, theta, theta, sched, keep_trace=False)
+        est = lo.estimate_limsup(mapd, base, theta, theta, sched)
         theta_ok = theta_ok and est.verdict == lo.Verdict.MEMBER and est.extrapolated == 0.0
     poly_space = c01_space(config.G)
     fpoly = primal(poly_space, poly_space.grid**2)
@@ -692,8 +690,9 @@ def _exp_structural(config: ExperimentConfig) -> list[CheckResult]:
         est = lo.estimate_limsup(mapd, base, ystar, ystar, sched)
         # one row per call: the golden report pins this spread, and a one-row
         # product rounds like a scalar dot where a multi-row one does not
-        for row in est.trace:
-            spread = fp.quotient_forms_spread(ystar, base, np.array([row.u]), np.array([row.v]))
+        size = mapd.space.size
+        for u, v in zip(est.trace.us.reshape(-1, size), est.trace.vs.reshape(-1, size)):
+            spread = fp.quotient_forms_spread(ystar, base, u[None, :], v[None, :])
             spread_worst = max(spread_worst, float(spread[0]))
     _check(checks, "the three quotient forms agree", spread_worst <= 1e-12, f"{spread_worst:.3e}", "<= 1e-12")
 

@@ -139,10 +139,7 @@ def is_fixed_point(
         return exact
     _check_quotient_forms(query.map, query.base, query.candidate, schedule)
     rays = registry_rays(query.map, query.base, query.candidate, query.candidate)
-    estimate = membership_test(
-        query.map, query.base, query.candidate, query.candidate, schedule, rays,
-        keep_trace=False,
-    )
+    estimate = membership_test(query.map, query.base, query.candidate, query.candidate, schedule, rays)
     if mode == "audit" and exact is not None:
         opposite = {Verdict.MEMBER: Verdict.NON_MEMBER, Verdict.NON_MEMBER: Verdict.MEMBER}
         if estimate.verdict == opposite[exact]:
@@ -357,7 +354,7 @@ def scaling_direction_report(
     for lam in lams:
         g = PrimalVector(f.space, (1.0 + lam) * f.values)
         q_grid = chebyshev.remez(g, degree).polynomial(grid)
-        num = pairing(mu, g - f) - _pairing_grid(gamma, q_grid - p_grid, f.space)
+        num = pairing(mu, g - f) - pairing(gamma, PrimalVector(f.space, q_grid - p_grid))
         den = float(np.max(np.abs(g.values - f.values)) + np.max(np.abs(q_grid - p_grid)))
         quotients.append(num / den)
     limit = float((quotients[-1] - SCALING_RATIO * quotients[-2]) / (1.0 - SCALING_RATIO))
@@ -378,10 +375,6 @@ def scaling_direction_report(
         lambdas=tuple(lams),
         quotients=tuple(float(q) for q in quotients),
     )
-
-
-def _pairing_grid(w: DualVector, grid_values: np.ndarray, space: SpaceSpec) -> float:
-    return pairing(w, PrimalVector(space, grid_values))
 
 
 def query_report_json(

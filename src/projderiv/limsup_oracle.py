@@ -16,14 +16,14 @@ canonical selection is sampled, so "member" verdicts at exterior l_1 bases
 are one sided; non-membership stays conclusive there.
 
 Direction draws within a level are independent, and results do not depend on
-evaluation order: the supremum is order insensitive and traces are emitted
-sorted. The module holds no shared mutable state.
+evaluation order: the supremum is order insensitive and the trace is indexed
+by level and row. The module holds no shared mutable state.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -35,6 +35,7 @@ from .spaces import (
     dual_norm,
     norm,
     norm_rows,
+    norming_direction,
     pairing_rows,
 )
 
@@ -42,7 +43,7 @@ __all__ = [
     "Verdict",
     "GraphPoint",
     "SamplingSchedule",
-    "TraceRow",
+    "QuotientTrace",
     "LimsupEstimate",
     "tolerance_pair",
     "quotient",
@@ -104,14 +105,19 @@ class SamplingSchedule:
             raise ValueError("need at least 16 directions per level")
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    level: int
-    radius: float
-    index: int
-    u: tuple[float, ...]
-    v: tuple[float, ...]
-    quotient: float
+@dataclass(frozen=True, eq=False)
+class QuotientTrace:
+    """Every sampled quotient of one estimate, indexed [level, row]: the
+    radius of each level, the sampled points u and values v (shape
+    (levels, rows, size)), and the quotients (shape (levels, rows))."""
+
+    radii: np.ndarray
+    us: np.ndarray
+    vs: np.ndarray
+    quotients: np.ndarray
+
+    def __len__(self) -> int:
+        return self.quotients.size
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,7 @@ class LimsupEstimate:
     per_level_sup: tuple[float, ...]
     extrapolated: float
     verdict: Verdict
-    trace: tuple[TraceRow, ...]
+    trace: QuotientTrace
     tol_accept: float
     tol_reject: float
 
@@ -178,7 +184,6 @@ def estimate_limsup(
     xstar: DualVector,
     ystar: DualVector,
     schedule: SamplingSchedule,
-    keep_trace: bool = True,
 ) -> LimsupEstimate:
     """Per-level suprema of the quotient over sampled directions, with the
     max of the two finest levels as the extrapolated limsup value.
@@ -186,44 +191,38 @@ def estimate_limsup(
     space = mapd.space
     dim = space.size
     x = base.x.values
-    sups: list[float] = []
-    rows: list[TraceRow] = []
-    for level in range(schedule.levels):
+    extra = np.empty((0, dim))
+    if schedule.extra_rays:
+        extra = np.stack([ray.values for ray in schedule.extra_rays])
+        extra_norms = norm_rows(space, extra)
+        extra = extra / np.where(extra_norms == 0.0, 1.0, extra_norms)[:, None]
+    levels, rows = schedule.levels, schedule.dirs_per_level + len(extra)
+    trace = QuotientTrace(
+        radii=np.empty(levels),
+        us=np.empty((levels, rows, dim)),
+        vs=np.empty((levels, rows, dim)),
+        quotients=np.empty((levels, rows)),
+    )
+    for level in range(levels):
         radius = schedule.r0 * 2.0 ** (-level)
         rng = np.random.default_rng([schedule.seed, level])
         dirs = rng.standard_normal((schedule.dirs_per_level, dim))
         dir_norms = norm_rows(space, dirs)
-        dir_norms = np.where(dir_norms == 0.0, 1.0, dir_norms)
-        dirs = dirs / dir_norms[:, None]
-        if schedule.extra_rays:
-            extra = np.stack([ray.values for ray in schedule.extra_rays])
-            extra_norms = norm_rows(space, extra)
-            extra_norms = np.where(extra_norms == 0.0, 1.0, extra_norms)
-            dirs = np.vstack([dirs, extra / extra_norms[:, None]])
-        us = x[None, :] + radius * dirs
+        dirs = dirs / np.where(dir_norms == 0.0, 1.0, dir_norms)[:, None]
+        us = x[None, :] + radius * np.vstack([dirs, extra])
         vs = mapd.value_batch(us)
-        quotients = _row_quotients(base, us, vs, xstar, ystar)
-        sups.append(float(np.max(quotients)))
-        if keep_trace:
-            for idx, q in enumerate(quotients):
-                rows.append(
-                    TraceRow(
-                        level=level,
-                        radius=float(radius),
-                        index=idx,
-                        u=tuple(float(t) for t in us[idx]),
-                        v=tuple(float(t) for t in vs[idx]),
-                        quotient=float(q),
-                    )
-                )
+        trace.radii[level] = radius
+        trace.us[level] = us
+        trace.vs[level] = vs
+        trace.quotients[level] = _row_quotients(base, us, vs, xstar, ystar)
+    sups = trace.quotients.max(axis=1).tolist()
     extrapolated = max(sups[-2:])
     tol_accept, tol_reject = tolerance_pair(ystar)
-    rows.sort(key=lambda row: (row.level, row.index))
     return LimsupEstimate(
         per_level_sup=tuple(sups),
         extrapolated=float(extrapolated),
         verdict=_verdict(extrapolated, tol_accept, tol_reject),
-        trace=tuple(rows),
+        trace=trace,
         tol_accept=tol_accept,
         tol_reject=tol_reject,
     )
@@ -286,8 +285,6 @@ def directed_ray_limit(
 def _default_rays(
     mapd: MapDescriptor, base: GraphPoint, xstar: DualVector, ystar: DualVector
 ) -> list[PrimalVector]:
-    from .spaces import norming_direction  # local import to keep module load light
-
     rays: list[PrimalVector] = []
     diff = xstar - ystar
     if dual_norm(diff) > 1e-12 * (1.0 + dual_norm(ystar)):
@@ -303,7 +300,6 @@ def membership_test(
     ystar: DualVector,
     schedule: SamplingSchedule,
     extra_ray_dirs: tuple[PrimalVector, ...] = (),
-    keep_trace: bool = True,
 ) -> LimsupEstimate:
     """Three-way membership verdict for x* in the derivative operator value
     at y*.
@@ -313,7 +309,7 @@ def membership_test(
     supplied ones); rays can only certify fresh non-membership, never flip a
     true member, since every ray limit lower-bounds the limsup.
     """
-    est = estimate_limsup(mapd, base, xstar, ystar, schedule, keep_trace=keep_trace)
+    est = estimate_limsup(mapd, base, xstar, ystar, schedule)
     combined = est.extrapolated
     for ray in list(_default_rays(mapd, base, xstar, ystar)) + list(extra_ray_dirs):
         if norm(ray) == 0.0:
@@ -323,13 +319,10 @@ def membership_test(
         except ValueError:
             continue
         combined = max(combined, limit)
-    return LimsupEstimate(
-        per_level_sup=est.per_level_sup,
+    return replace(
+        est,
         extrapolated=float(combined),
         verdict=_verdict(combined, est.tol_accept, est.tol_reject),
-        trace=est.trace,
-        tol_accept=est.tol_accept,
-        tol_reject=est.tol_reject,
     )
 
 
@@ -337,6 +330,8 @@ def trace_to_csv(estimate: LimsupEstimate) -> str:
     """Quotient trace as CSV rows (level, radius, direction index, quotient)."""
     out = io.StringIO()
     out.write("level,radius,direction_index,quotient\n")
-    for row in estimate.trace:
-        out.write(f"{row.level},{row.radius!r},{row.index},{row.quotient!r}\n")
+    trace = estimate.trace
+    for level, (radius, quotients) in enumerate(zip(trace.radii.tolist(), trace.quotients.tolist())):
+        for index, q in enumerate(quotients):
+            out.write(f"{level},{radius!r},{index},{q!r}\n")
     return out.getvalue()

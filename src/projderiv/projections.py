@@ -130,7 +130,12 @@ def l1_projection_set_contains(
 # independent oracle
 # ---------------------------------------------------------------------------
 
-def _pattern_search(objective, feasible, start, step, rng, max_iters=600, n_random=10, patience=2):
+PATTERN_ITERS = 600  # rounds of the 2 * dim axis steps plus the random steps
+PATTERN_RANDOM_DIRS = 10  # random unit steps per round
+PATTERN_PATIENCE = 2  # rounds without improvement before the step halves
+
+
+def _pattern_search(objective, feasible, start, step, rng):
     """First-improvement descent over axis directions plus random directions,
     with gentle step decay. Plain axis steps stall on curved ball boundaries
     and in the thin descent wedges of max-type objectives, so the random
@@ -140,9 +145,9 @@ def _pattern_search(objective, feasible, start, step, rng, max_iters=600, n_rand
     dim = y.size
     axes = np.vstack([np.eye(dim), -np.eye(dim)])
     stalled = 0
-    for _ in range(max_iters):
+    for _ in range(PATTERN_ITERS):
         improved = False
-        randoms = rng.standard_normal((n_random, dim))
+        randoms = rng.standard_normal((PATTERN_RANDOM_DIRS, dim))
         norms = np.linalg.norm(randoms, axis=1, keepdims=True)
         randoms = randoms / np.where(norms == 0, 1.0, norms)
         for d in np.vstack([axes, randoms]):
@@ -157,7 +162,7 @@ def _pattern_search(objective, feasible, start, step, rng, max_iters=600, n_rand
             stalled = 0
         else:
             stalled += 1
-            if stalled >= patience:
+            if stalled >= PATTERN_PATIENCE:
                 step *= 0.5
                 stalled = 0
             if step < 1e-8:

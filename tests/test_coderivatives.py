@@ -72,9 +72,9 @@ def test_affine_scale_two_oracle_cross_check():
     w = dual(sp, [1.0, 0.0])
     image = coderiv_affine(mapd, base.x, w).point
     sched = SamplingSchedule(seed=5)
-    est = membership_test(mapd, base, image, w, sched, keep_trace=False)
+    est = membership_test(mapd, base, image, w, sched)
     assert est.verdict == Verdict.MEMBER
-    est_bad = membership_test(mapd, base, w, w, sched, keep_trace=False)
+    est_bad = membership_test(mapd, base, w, w, sched)
     assert est_bad.verdict == Verdict.NON_MEMBER
 
 
@@ -274,7 +274,7 @@ def test_singleton_outputs_pass_oracle(rng):
         base = GraphPoint.at_point(mapd, primal(sp, rng.normal(size=4)))
         w = dual(sp, rng.normal(size=4))
         image = coderiv_affine(mapd, base.x, w).point
-        est = membership_test(mapd, base, image, w, sched, keep_trace=False)
+        est = membership_test(mapd, base, image, w, sched)
         assert est.verdict == Verdict.MEMBER
         checked += 1
     for i in range(12):
@@ -287,7 +287,7 @@ def test_singleton_outputs_pass_oracle(rng):
         w = dual(spp, rng.normal(size=4))
         w = (rng.uniform(0.5, 1.5) / dual_norm(w)) * w
         image = coderiv_ball_lp(x, 1.0, w).point
-        est = membership_test(mapd, base, image, w, sched, keep_trace=False)
+        est = membership_test(mapd, base, image, w, sched)
         assert est.verdict == Verdict.MEMBER
         checked += 1
     l1sp = l1_space(4)
@@ -297,7 +297,7 @@ def test_singleton_outputs_pass_oracle(rng):
         base = GraphPoint.at_point(mapd, x)
         phi = dual(l1sp, rng.normal(size=4))
         image = coderiv_l1ball(x, 1.0, phi).point
-        est = membership_test(mapd, base, image, phi, sched, keep_trace=False)
+        est = membership_test(mapd, base, image, phi, sched)
         assert est.verdict == Verdict.MEMBER
         checked += 1
     cone = cone_projection_map(L26)
@@ -311,7 +311,7 @@ def test_singleton_outputs_pass_oracle(rng):
         yd = dual(L26, y)
         out = coderiv_cone_l2(xbar, m_set, yd)
         assert out.kind == "singleton"
-        est = membership_test(cone, cone_base, out.point, yd, sched, keep_trace=False)
+        est = membership_test(cone, cone_base, out.point, yd, sched)
         assert est.verdict == Verdict.MEMBER
         checked += 1
     assert checked == 36

@@ -70,7 +70,7 @@ def test_quotient_zero_denominator():
     # a zero extra ray puts one sample of every level on the base point
     sched = SamplingSchedule(extra_rays=(PrimalVector.zero(L24),))
     with pytest.raises(ZeroDivisionError):
-        estimate_limsup(mapd, base, w, w, sched, keep_trace=False)
+        estimate_limsup(mapd, base, w, w, sched)
 
 
 def test_translation_ray_limit():
@@ -125,7 +125,30 @@ def test_determinism_bit_for_bit():
     b = estimate_limsup(mapd, base, xs, ys, sched)
     assert a.per_level_sup == b.per_level_sup
     assert a.extrapolated == b.extrapolated
-    assert a.trace == b.trace
+    for field in ("radii", "us", "vs", "quotients"):
+        assert np.array_equal(getattr(a.trace, field), getattr(b.trace, field))
+
+
+def test_trace_columns_hold_every_sample():
+    mapd = ball_projection_map(L24, 1.0)
+    base = GraphPoint.at_point(mapd, primal(L24, [2, 0.5, 0, 0]))
+    ys = dual(L24, [0.3, 1.0, -0.2, 0.0])
+    xs = coderiv_ball_lp(base.x, 1.0, ys).point
+    rays = (primal(L24, [0, 3, 0, 0]), primal(L24, [1, -1, 1, 0]))
+    sched = SamplingSchedule(r0=0.25, levels=5, dirs_per_level=16, extra_rays=rays, seed=4)
+    est = estimate_limsup(mapd, base, xs, ys, sched)
+    trace = est.trace
+    assert trace.radii.shape == (5,)
+    assert trace.us.shape == trace.vs.shape == (5, 18, 4)
+    assert trace.quotients.shape == (5, 18)
+    assert len(trace) == 5 * (16 + 2)
+    assert np.array_equal(trace.radii, 0.25 * 2.0 ** -np.arange(5))
+    assert np.array_equal(trace.quotients.max(axis=1), est.per_level_sup)
+    for k in range(5):
+        assert np.array_equal(trace.vs[k], mapd.value_batch(trace.us[k]))
+        for u, v, q in zip(trace.us[k], trace.vs[k], trace.quotients[k]):
+            expected = quotient(mapd, base, primal(L24, u), primal(L24, v), xs, ys)
+            assert abs(q - expected) <= 1e-12 * max(abs(expected), 1e-300)
 
 
 def test_monotone_refinement_nested_directions():
@@ -157,7 +180,7 @@ def test_affine_scale_two_sampled_sup_reaches_limit():
     xstar = dual(sp, [1.0, 0.0])
     mapd = affine_map(sp, primal(sp, [0.3, -0.2]), 2.0)
     base = GraphPoint.at_point(mapd, primal(sp, [0.1, 0.4]))
-    est = estimate_limsup(mapd, base, xstar, xstar, SamplingSchedule(seed=6), keep_trace=False)
+    est = estimate_limsup(mapd, base, xstar, xstar, SamplingSchedule(seed=6))
     assert est.extrapolated >= 0.3
     assert est.extrapolated <= 1 / 3 + 1e-12
 
@@ -261,7 +284,7 @@ def test_l1_per_level_sup_bounded_below_by_case_limits():
     )
     for phi, ray, value in cases:
         sched = SamplingSchedule(seed=9, extra_rays=(ray,))
-        est = estimate_limsup(mapd, base, phi, phi, sched, keep_trace=False)
+        est = estimate_limsup(mapd, base, phi, phi, sched)
         for sup in est.per_level_sup[-2:]:
             assert sup >= 0.95 * value
 
@@ -278,7 +301,7 @@ def test_membership_theta_star_everywhere():
     for mapd, x in instances:
         base = GraphPoint.at_point(mapd, x)
         theta = DualVector.zero(mapd.space)
-        est = membership_test(mapd, base, theta, theta, sched, keep_trace=False)
+        est = membership_test(mapd, base, theta, theta, sched)
         assert est.verdict == Verdict.MEMBER
         assert est.extrapolated == 0.0
 
@@ -291,7 +314,7 @@ def test_soundness_members_and_rejections(rng):
 
     def run(mapd, base, xstar, ystar):
         nonlocal indeterminate
-        est = membership_test(mapd, base, xstar, ystar, sched, keep_trace=False)
+        est = membership_test(mapd, base, xstar, ystar, sched)
         indeterminate += est.verdict == Verdict.INDETERMINATE
         return est.verdict
 
