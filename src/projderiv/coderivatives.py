@@ -261,10 +261,12 @@ def poly_projection_map(space: SpaceSpec, degree: int) -> MapDescriptor:
 # symbolic dual sets
 # ---------------------------------------------------------------------------
 
+# kinds of CoderivativeSet
 EMPTY = "empty"
 SINGLETON = "singleton"
 ORDER_INTERVAL = "order_interval"
 CONE_SLICE = "cone_slice"
+# kinds of FixedPointCharacterization
 WHOLE_DUAL = "whole_dual"
 POSITIVE_CONE_DUAL = "positive_cone_dual"
 ORIGIN_ONLY = "origin_only"
@@ -273,11 +275,10 @@ ORACLE_ONLY = "oracle_only"
 
 @dataclass(frozen=True, eq=False)
 class CoderivativeSet:
-    """Symbolic value of a derivative operator (or of a fixed-point set)
-    with an exact membership test.
-
-    cone_slice(M, anchor y): z with z_i = y_i on M and 0 <= z_i <= y_i on
-    the complement of M. positive_cone_dual(S): z with z_i >= 0 on S.
+    """Symbolic value of a derivative operator with an exact membership
+    test: empty, singleton {point}, order_interval [lower, upper], or
+    cone_slice(M, anchor y), the z with z_i = y_i on M and 0 <= z_i <= y_i
+    on the complement of M.
     """
 
     kind: str
@@ -289,6 +290,8 @@ class CoderivativeSet:
     anchor: DualVector | None = None
 
     def __post_init__(self):
+        if self.kind not in (EMPTY, SINGLETON, ORDER_INTERVAL, CONE_SLICE):
+            raise ValueError(f"unknown derivative set kind {self.kind!r}")
         if self.kind == SINGLETON and self.point is None:
             raise ValueError("singleton needs its point")
         if self.kind == ORDER_INTERVAL:
@@ -298,16 +301,12 @@ class CoderivativeSet:
                 raise ValueError("order interval needs lower <= upper componentwise")
         if self.kind == CONE_SLICE and (self.index_set is None or self.anchor is None):
             raise ValueError("cone slice needs an index set and an anchor")
-        if self.kind == POSITIVE_CONE_DUAL and self.index_set is None:
-            raise ValueError("positive cone dual needs its index set")
 
     def membership(self, w: DualVector, tol: float = 1e-9) -> bool:
         if w.space != self.space:
             return False
         if self.kind == EMPTY:
             return False
-        if self.kind == WHOLE_DUAL:
-            return True
         if self.kind == SINGLETON:
             scale = 1.0 + dual_norm(self.point)
             return dual_norm(w - self.point) <= tol * scale
@@ -316,18 +315,15 @@ class CoderivativeSet:
                 np.all(w.values >= self.lower.values - tol)
                 and np.all(w.values <= self.upper.values + tol)
             )
-        if self.kind == CONE_SLICE:
-            on = self.index_set.mask
-            off = ~on
-            y = self.anchor.values
-            z = w.values
-            return bool(
-                np.all(np.abs(z[on] - y[on]) <= tol)
-                and np.all(z[off] >= -tol)
-                and np.all(z[off] <= y[off] + tol)
-            )
         on = self.index_set.mask
-        return bool(np.all(w.values[on] >= -tol))
+        off = ~on
+        y = self.anchor.values
+        z = w.values
+        return bool(
+            np.all(np.abs(z[on] - y[on]) <= tol)
+            and np.all(z[off] >= -tol)
+            and np.all(z[off] <= y[off] + tol)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,7 +469,7 @@ def coderiv_l1ball(x: PrimalVector, r: float, phi: DualVector) -> CoderivativeSe
         return CoderivativeSet(SINGLETON, x.space, point=DualVector.zero(x.space))
     if not np.all(x.values > 0.0):
         raise OracleOnlyError("the exterior closed forms assume strictly positive x")
-    jx = duality_map_l1_selection(x).functional
+    jx = duality_map_l1_selection(x)
     if dual_norm(phi - jx) <= 1e-12 * (1.0 + dual_norm(jx)):
         return CoderivativeSet(EMPTY, x.space)
     raise OracleOnlyError(

@@ -9,7 +9,6 @@ audit mode both run and a contradiction fails loudly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +65,6 @@ __all__ = [
     "poly_annihilator",
     "poly_fixed_point_quotient",
     "scaling_direction_report",
-    "query_report_json",
 ]
 
 
@@ -376,27 +374,3 @@ def scaling_direction_report(
         quotients=tuple(float(q) for q in quotients),
     )
 
-
-def query_report_json(
-    query: FixedPointQuery,
-    verdict: Verdict,
-    estimate: LimsupEstimate | None = None,
-) -> str:
-    """One fixed-point query as a JSON record (query data, characterization,
-    verdict, and the per-level trace when an oracle estimate is attached)."""
-    char = characterize(query.map, query.base)
-    record = {
-        "map": query.map.kind,
-        "base_x": [float(t) for t in query.base.x.values],
-        "candidate": (
-            [float(t) for t in query.candidate.values]
-            if query.candidate.values is not None
-            else [[loc, w] for loc, w in query.candidate.atoms]
-        ),
-        "characterization": char.kind,
-        "verdict": verdict.value,
-    }
-    if estimate is not None:
-        record["per_level_sup"] = list(estimate.per_level_sup)
-        record["extrapolated"] = estimate.extrapolated
-    return json.dumps(record, sort_keys=True)

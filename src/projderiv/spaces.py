@@ -4,8 +4,12 @@ functions on [0, 1] paired with finite signed atomic measures.
 Sequence spaces are truncated to a fixed dimension N; every construction used
 downstream perturbs only finitely many coordinates, so truncation preserves
 the implemented formulas exactly. Functions on [0, 1] are represented by
-samples on a uniform grid, and atomic measures snap their support to grid
-nodes so that pairings reduce to exact finite sums.
+samples on a uniform grid, and an atomic measure by its weight at each grid
+node (`atomic_measure` snaps atom locations to nodes), so pairings reduce to
+exact finite sums over the atoms.
+
+Primal and dual vectors alike are a space plus a frozen array of
+``space.size`` entries.
 
 All values are immutable after construction and every operation is pure,
 which makes the module safe for unrestricted concurrent use.
@@ -32,7 +36,6 @@ __all__ = [
     "PrimalVector",
     "DualVector",
     "IndexSet",
-    "L1DualitySelection",
     "lp_space",
     "l1_space",
     "c01_space",
@@ -64,8 +67,9 @@ class SpaceSpec:
     kind "L1":  length-``dim`` sequences with the 1-norm; the dual carries
                 the max norm.
     kind "C01": functions on [0, 1] sampled at ``grid_size`` uniform nodes
-                with the max norm; dual elements are finite signed atomic
-                measures with total-variation norm.
+                with the max norm; dual elements are signed atomic
+                measures on the nodes, stored as the weight at each node,
+                with total-variation norm.
     """
 
     kind: str
@@ -139,9 +143,10 @@ def _freeze(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PrimalVector:
-    """An element of a model space: coordinates for Lp/L1, grid samples
-    for C01."""
+class _Vector:
+    """A space plus a frozen array of its ``space.size`` entries. Sums and
+    differences need two vectors of the same class and space; primal and
+    dual vectors never mix."""
 
     space: SpaceSpec
     values: np.ndarray
@@ -155,148 +160,74 @@ class PrimalVector:
         object.__setattr__(self, "values", arr)
 
     @classmethod
-    def zero(cls, space: SpaceSpec) -> "PrimalVector":
+    def zero(cls, space: SpaceSpec):
         return cls(space, np.zeros(space.size))
 
-    def _same_space(self, other: "PrimalVector") -> None:
+    def _same_space(self, other: "_Vector") -> None:
+        if type(other) is not type(self):
+            raise SpaceMismatchError(
+                f"cannot combine a {type(self).__name__} with a {type(other).__name__}"
+            )
         if self.space != other.space:
-            raise SpaceMismatchError("primal vectors live in different spaces")
+            raise SpaceMismatchError(f"{type(self).__name__}s live in different spaces")
 
-    def __add__(self, other: "PrimalVector") -> "PrimalVector":
+    def __add__(self, other):
         self._same_space(other)
-        return PrimalVector(self.space, self.values + other.values)
+        return type(self)(self.space, self.values + other.values)
 
-    def __sub__(self, other: "PrimalVector") -> "PrimalVector":
+    def __sub__(self, other):
         self._same_space(other)
-        return PrimalVector(self.space, self.values - other.values)
+        return type(self)(self.space, self.values - other.values)
 
-    def __mul__(self, scalar: float) -> "PrimalVector":
-        return PrimalVector(self.space, self.values * float(scalar))
+    def __mul__(self, scalar: float):
+        return type(self)(self.space, self.values * float(scalar))
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "PrimalVector":
-        return PrimalVector(self.space, -self.values)
+    def __neg__(self):
+        return type(self)(self.space, -self.values)
+
+
+@dataclass(frozen=True, eq=False)
+class PrimalVector(_Vector):
+    """An element of a model space: coordinates for Lp/L1, grid samples
+    for C01."""
+
+
+@dataclass(frozen=True, eq=False)
+class DualVector(_Vector):
+    """An element of the dual model: q-norm coordinates for an Lp primal,
+    max-norm coordinates for L1, and for C01 the weight of a signed atomic
+    measure at each grid node (its atoms are the nonzero entries)."""
 
 
 def primal(space: SpaceSpec, values) -> PrimalVector:
     return PrimalVector(space, values)
 
 
-@dataclass(frozen=True, eq=False)
-class DualVector:
-    """An element of the dual model.
-
-    For Lp primal spaces the entries are q-norm coordinates, for L1 they are
-    max-norm coordinates. For C01 the functional is a finite signed atomic
-    measure: ``atoms`` holds (location, weight) pairs with locations snapped
-    to the nearest grid node (``snap_distance`` records the largest move).
-    Exactly one of ``values`` / ``atoms`` is populated.
-    """
-
-    space: SpaceSpec
-    values: np.ndarray | None = None
-    atoms: tuple[tuple[float, float], ...] | None = None
-    snap_distance: float = 0.0
-
-    def __post_init__(self):
-        if self.space.kind == KIND_C01:
-            if self.values is not None or self.atoms is None:
-                raise ValueError("C01 duals are atomic measures")
-            grid = self.space.grid
-            g = self.space.grid_size
-            snapped = {}
-            max_move = 0.0
-            for loc, weight in self.atoms:
-                loc = float(loc)
-                weight = float(weight)
-                if not (0.0 <= loc <= 1.0):
-                    raise ValueError("atom locations must lie in [0, 1]")
-                if not np.isfinite(weight):
-                    raise ValueError("atom weights must be finite")
-                idx = int(round(loc * (g - 1)))
-                max_move = max(max_move, abs(grid[idx] - loc))
-                if idx in snapped:
-                    raise ValueError("duplicate atom locations after snapping")
-                if weight != 0.0:
-                    snapped[idx] = weight
-            idxs = tuple(sorted(snapped))
-            object.__setattr__(
-                self, "atoms", tuple((float(grid[i]), snapped[i]) for i in idxs)
-            )
-            object.__setattr__(self, "_indices", idxs)
-            object.__setattr__(self, "snap_distance", max(max_move, self.snap_distance))
-        else:
-            if self.atoms is not None or self.values is None:
-                raise ValueError("sequence-space duals carry coordinates")
-            arr = _freeze(self.values)
-            if arr.size != self.space.size:
-                raise ValueError(
-                    f"expected {self.space.size} entries, got {arr.size}"
-                )
-            object.__setattr__(self, "values", arr)
-            object.__setattr__(self, "_indices", None)
-
-    @property
-    def atom_indices(self) -> tuple[int, ...]:
-        if self.space.kind != KIND_C01:
-            raise ValueError("only atomic measures have atom indices")
-        return self._indices
-
-    @property
-    def atom_weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms], dtype=float)
-
-    @classmethod
-    def zero(cls, space: SpaceSpec) -> "DualVector":
-        if space.kind == KIND_C01:
-            return cls(space, atoms=())
-        return cls(space, values=np.zeros(space.size))
-
-    def _same_space(self, other: "DualVector") -> None:
-        if self.space != other.space:
-            raise SpaceMismatchError("dual vectors live in different spaces")
-
-    def _combine(self, other: "DualVector", sign: float) -> "DualVector":
-        self._same_space(other)
-        if self.space.kind == KIND_C01:
-            grid = self.space.grid
-            acc: dict[int, float] = {}
-            for idx, (_, w) in zip(self.atom_indices, self.atoms):
-                acc[idx] = acc.get(idx, 0.0) + w
-            for idx, (_, w) in zip(other.atom_indices, other.atoms):
-                acc[idx] = acc.get(idx, 0.0) + sign * w
-            atoms = tuple(
-                (float(grid[i]), acc[i]) for i in sorted(acc) if acc[i] != 0.0
-            )
-            return DualVector(self.space, atoms=atoms)
-        return DualVector(self.space, values=self.values + sign * other.values)
-
-    def __add__(self, other: "DualVector") -> "DualVector":
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other: "DualVector") -> "DualVector":
-        return self._combine(other, -1.0)
-
-    def __mul__(self, scalar: float) -> "DualVector":
-        scalar = float(scalar)
-        if self.space.kind == KIND_C01:
-            atoms = tuple((loc, w * scalar) for loc, w in self.atoms if w * scalar != 0.0)
-            return DualVector(self.space, atoms=atoms)
-        return DualVector(self.space, values=self.values * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "DualVector":
-        return self * -1.0
-
-
 def dual(space: SpaceSpec, values) -> DualVector:
-    return DualVector(space, values=values)
+    return DualVector(space, values)
 
 
 def atomic_measure(space: SpaceSpec, atoms: Iterable[tuple[float, float]]) -> DualVector:
-    return DualVector(space, atoms=tuple(atoms))
+    """The measure sum_i w_i delta(t_i) on a C01 grid from (t_i, w_i) pairs.
+    Each location snaps to its nearest grid node; two atoms on one node, or
+    a location outside [0, 1], raise."""
+    if space.kind != KIND_C01:
+        raise ValueError("atomic measures live on C01 spaces")
+    last = space.grid_size - 1
+    weights = np.zeros(space.size)
+    taken = set()
+    for loc, weight in atoms:
+        loc = float(loc)
+        if not (0.0 <= loc <= 1.0):
+            raise ValueError("atom locations must lie in [0, 1]")
+        idx = int(round(loc * last))
+        if idx in taken:
+            raise ValueError("duplicate atom locations after snapping")
+        taken.add(idx)
+        weights[idx] = float(weight)
+    return DualVector(space, weights)
 
 
 @dataclass(frozen=True)
@@ -383,22 +314,19 @@ def dual_norm(w: DualVector) -> float:
     if kind == KIND_LP:
         return _lp_scalar(w.values, w.space.q)
     if kind == KIND_L1:
-        return float(np.max(np.abs(w.values))) if w.values.size else 0.0
-    if not w.atoms:
-        return 0.0
-    return float(np.sum(np.abs(w.atom_weights)))
+        return float(np.max(np.abs(w.values)))
+    idx = np.flatnonzero(w.values)
+    return float(np.sum(np.abs(w.values[idx])))
 
 
 def pairing(w: DualVector, v: PrimalVector) -> float:
-    """Canonical pairing <w, v>: coordinate dot product, or the exact atomic
-    sum  sum_i weight_i * v(t_i)  with atoms snapped to grid nodes."""
+    """Canonical pairing <w, v>: coordinate dot product, or for C01 the
+    atomic sum  sum_i w(t_i) v(t_i)  over the atoms in node order."""
     if w.space != v.space:
         raise SpaceMismatchError("pairing needs matching spaces")
     if w.space.kind == KIND_C01:
-        if not w.atoms:
-            return 0.0
-        idx = np.array(w.atom_indices, dtype=int)
-        return float(np.dot(w.atom_weights, v.values[idx]))
+        idx = np.flatnonzero(w.values)
+        return float(np.dot(w.values[idx], v.values[idx]))
     return float(np.dot(w.values, v.values))
 
 
@@ -406,10 +334,8 @@ def pairing_rows(w: DualVector, rows: np.ndarray) -> np.ndarray:
     """Pairing of one dual vector against each row of a (m, size) array."""
     rows = np.asarray(rows, dtype=float)
     if w.space.kind == KIND_C01:
-        if not w.atoms:
-            return np.zeros(rows.shape[0])
-        idx = np.array(w.atom_indices, dtype=int)
-        return rows[:, idx] @ w.atom_weights
+        idx = np.flatnonzero(w.values)
+        return rows[:, idx] @ w.values[idx]
     return rows @ w.values
 
 
@@ -428,41 +354,24 @@ def duality_map(v: PrimalVector) -> DualVector:
         raise ValueError("duality_map is defined on Lp spaces")
     p = v.space.p
     if p == 2.0:
-        return DualVector(v.space, values=v.values.copy())
+        return DualVector(v.space, v.values.copy())
     nv = norm(v)
     if nv == 0.0:
         return DualVector.zero(v.space)
     vals = np.abs(v.values) ** (p - 1.0) * np.sign(v.values) / nv ** (p - 2.0)
-    return DualVector(v.space, values=vals)
+    return DualVector(v.space, vals)
 
 
-@dataclass(frozen=True)
-class L1DualitySelection:
-    """One selection of the set-valued l_1 duality mapping.
-
-    ``degenerate`` is True only for the zero vector, where every selection
-    rule is arbitrary and the dual origin is returned.
-    """
-
-    functional: DualVector
-    degenerate: bool
-
-
-def duality_map_l1_selection(v: PrimalVector) -> L1DualitySelection:
+def duality_map_l1_selection(v: PrimalVector) -> DualVector:
     """Selection j(v)_i = ||v||_1 * sign(v_i) with sign(0) := 0.
 
-    Satisfies <j(v), v> = ||v||_1^2 and ||j(v)||_inf = ||v||_1 for v != 0.
-    sign(0) := 0 is the symmetric choice among the admissible values in
-    [-||v||_1, ||v||_1].
+    Satisfies <j(v), v> = ||v||_1^2 and ||j(v)||_inf = ||v||_1. sign(0) := 0
+    is the symmetric choice among the admissible values in
+    [-||v||_1, ||v||_1]; the zero vector maps to the dual origin.
     """
     if v.space.kind != KIND_L1:
         raise ValueError("the l_1 selection is defined on L1 spaces")
-    nv = norm(v)
-    if nv == 0.0:
-        return L1DualitySelection(DualVector.zero(v.space), degenerate=True)
-    return L1DualitySelection(
-        DualVector(v.space, values=nv * np.sign(v.values)), degenerate=False
-    )
+    return DualVector(v.space, norm(v) * np.sign(v.values))
 
 
 def duality_map_inverse(w: DualVector) -> PrimalVector:
@@ -501,7 +410,6 @@ def norming_direction(w: DualVector) -> PrimalVector:
         vals = np.zeros(w.space.size)
         vals[n] = np.sign(w.values[n])
         return PrimalVector(w.space, vals)
-    locs = np.array([loc for loc, _ in w.atoms])
-    signs = np.sign(w.atom_weights)
-    vals = np.interp(w.space.grid, locs, signs)
+    idx = np.flatnonzero(w.values)
+    vals = np.interp(w.space.grid, w.space.grid[idx], np.sign(w.values[idx]))
     return PrimalVector(w.space, vals)

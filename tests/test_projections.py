@@ -82,7 +82,7 @@ def test_l1_selection_variational_inequality(rng):
     x = primal(sp, [2.0, 1.0, 0.5, 0.25])
     r = 1.0
     sel = l1_ball_projection_map(sp, r).value(x)
-    jx = duality_map_l1_selection(x).functional
+    jx = duality_map_l1_selection(x)
     for _ in range(100):
         y = rng.normal(size=4)
         y = primal(sp, r * rng.uniform(0, 1) * y / np.sum(np.abs(y)))

@@ -21,6 +21,7 @@ from projderiv.spaces import (
     norm_rows,
     norming_direction,
     pairing,
+    pairing_rows,
     primal,
 )
 
@@ -92,13 +93,11 @@ def test_duality_map_origin():
 def test_l1_selection_examples():
     sp = l1_space(3)
     sel = duality_map_l1_selection(primal(sp, [2, 1, 0]))
-    assert not sel.degenerate
-    assert np.array_equal(sel.functional.values, [3, 3, 0])
+    assert dual_norm(sel) != 0.0
+    assert np.array_equal(sel.values, [3, 3, 0])
     sel2 = duality_map_l1_selection(primal(l1_space(2), [-1, 0]))
-    assert np.array_equal(sel2.functional.values, [-1, 0])
-    degenerate = duality_map_l1_selection(PrimalVector.zero(sp))
-    assert degenerate.degenerate
-    assert dual_norm(degenerate.functional) == 0.0
+    assert np.array_equal(sel2.values, [-1, 0])
+    assert dual_norm(duality_map_l1_selection(PrimalVector.zero(sp))) == 0.0
 
 
 def test_duality_map_inverse_examples():
@@ -141,8 +140,8 @@ def test_l1_selection_identities(vals):
     assume(nv > 1e-6)
     sel = duality_map_l1_selection(v)
     scale = max(1.0, nv**2)
-    assert abs(pairing(sel.functional, v) - nv**2) <= 1e-12 * scale
-    assert abs(dual_norm(sel.functional) - nv) <= 1e-12 * max(1.0, nv)
+    assert abs(pairing(sel, v) - nv**2) <= 1e-12 * scale
+    assert abs(dual_norm(sel) - nv) <= 1e-12 * max(1.0, nv)
 
 
 @given(
@@ -184,8 +183,9 @@ def test_norming_direction_l1_and_atoms():
 
 def test_atoms_snap_and_reject_duplicates():
     mu = atomic_measure(C101, [(0.2501, 1.0)])
-    assert mu.atoms[0][0] == 0.25
-    assert mu.snap_distance <= 0.005
+    (node,) = np.flatnonzero(mu.values)
+    assert C101.grid[node] == 0.25
+    assert abs(C101.grid[node] - 0.2501) <= 0.005
     with pytest.raises(ValueError):
         atomic_measure(C101, [(0.25, 1.0), (0.2501, 2.0)])
     with pytest.raises(ValueError):
@@ -221,5 +221,31 @@ def test_dual_arithmetic_atoms():
     a = atomic_measure(C101, [(0.0, 1.0), (1.0, 2.0)])
     b = atomic_measure(C101, [(1.0, 2.0)])
     diff = a - b
-    assert diff.atoms == ((0.0, 1.0),)
+    nodes = np.flatnonzero(diff.values)
+    assert list(zip(C101.grid[nodes], diff.values[nodes])) == [(0.0, 1.0)]
     assert dual_norm(2.0 * a) == 6.0
+
+
+def test_atomic_measure_is_node_weights():
+    mu = atomic_measure(C101, [(0.8, -0.5), (0.3049, 2.0), (0.0, 0.25)])
+    nodes = np.flatnonzero(mu.values)
+    assert nodes.tolist() == [0, 30, 80]
+    assert mu.values[nodes].tolist() == [0.25, 2.0, -0.5]
+    # dyadic entries keep every atom sum exact in any summation order
+    f = primal(C101, 0.5 * np.arange(101))
+    atom_sum = 0.25 * f.values[0] + 2.0 * f.values[30] + -0.5 * f.values[80]
+    assert pairing(mu, f) == atom_sum == 10.0
+    rows = np.stack([f.values, np.arange(101.0) ** 2])
+    assert pairing_rows(mu, rows).tolist() == [atom_sum, 2.0 * 900.0 + -0.5 * 6400.0]
+    assert dual_norm(mu) == 0.25 + 2.0 + 0.5
+
+
+def test_primal_and_dual_do_not_mix():
+    v = primal(L23, [1.0, 2.0])
+    w = dual(L23, [1.0, 2.0])
+    with pytest.raises(SpaceMismatchError):
+        v + w
+    with pytest.raises(SpaceMismatchError):
+        w - v
+    with pytest.raises(SpaceMismatchError):
+        w + dual(lp_space(2.0, 3), [1.0, 2.0, 3.0])
