@@ -173,7 +173,11 @@ def quotient_forms_spread(
     """Largest pairwise difference of the three algebraically equal quotient
     forms of the fixed-point criterion at each sample (us[i], vs[i]): pairing
     the increments separately, pairing their difference, and pairing the
-    residual shift."""
+    residual shift (u - v) - (x - y).
+
+    The shift is formed from the error-free differences of u - v and x - y.
+    Rounded plainly, it would carry an absolute error of about eps |x - y|,
+    which the small denominators near an exterior base blow up."""
     du = us - base.x.values[None, :]
     dv = vs - base.y.values[None, :]
     den = norm_rows(base.x.space, du) + norm_rows(base.x.space, dv)
@@ -181,8 +185,20 @@ def quotient_forms_spread(
         raise ZeroDivisionError("sample coincides with the base point")
     f1 = (pairing_rows(ystar, du) - pairing_rows(ystar, dv)) / den
     f2 = pairing_rows(ystar, du - dv) / den
-    f3 = pairing_rows(ystar, (us - vs) - (base.x.values - base.y.values)[None, :]) / den
+    a, ea = _two_diff(us, vs)
+    b, eb = _two_diff(base.x.values, base.y.values)
+    f3 = pairing_rows(ystar, (a - b[None, :]) + (ea - eb[None, :])) / den
     return np.maximum(np.maximum(np.abs(f1 - f2), np.abs(f1 - f3)), np.abs(f2 - f3))
+
+
+def _two_diff(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's TwoDiff: s = fl(a - b) and the rounding error e, with
+    s + e = a - b exactly (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26,
+    2005)."""
+    s = a - b
+    bv = s - a
+    av = s - bv
+    return s, (a - av) - (b + bv)
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,7 @@ entry = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
     st.lists(entry, min_size=4, max_size=4),
 )
 @example(wv=[0.0] * 4, uv=[0.0, 0.0, 0.0, 1.829338305192498e-240], noise=[0.0] * 4)
+@example(wv=[1.0, 0.0, 0.0, 0.0], uv=[0.0, 0.0, 0.0, 1e-4], noise=[0.0] * 4)
 def test_quotient_forms_agree(wv, uv, noise):
     ballm = ball_projection_map(L24, 1.0)
     base = GraphPoint.at_point(ballm, primal(L24, [2.0, 0.3, 0, 0]))
@@ -193,6 +194,26 @@ def test_quotient_forms_agree(wv, uv, noise):
         return
     w = dual(L24, wv)
     assert np.all(quotient_forms_spread(w, base, us, ballm.value_batch(us)) <= 1e-12)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("levels", [15, 30, 39])
+def test_quotient_forms_agree_at_the_finest_radius_of_an_exterior_base(levels, p):
+    # the radius the audit of `is_fixed_point` samples at with K levels; with
+    # ||x|| > 2r, u - v rounds (no Sterbenz exactness), and the shift
+    # (u - v) - (x - y) must not keep that error of order eps |x - y|
+    space = lp_space(p, 4)
+    ballm = ball_projection_map(space, 1.0)
+    base = GraphPoint.at_point(ballm, primal(space, [2.6, -1.2, 0.7, 0.4]))
+    radius = SamplingSchedule().r0 * 2.0 ** (-(levels - 1))
+    rng = np.random.default_rng(levels)
+    dirs = rng.standard_normal((8, 4))
+    us = base.x.values[None, :] + (radius / np.max(np.abs(dirs), axis=1))[:, None] * dirs
+    vs = ballm.value_batch(us)
+    for _ in range(10):
+        w = dual(space, rng.uniform(-1.0, 1.0, size=4))
+        spread = quotient_forms_spread(w, base, us, vs)
+        assert np.all(spread <= 1e-12 * (1.0 + dual_norm(w)))
 
 
 def test_quotient_forms_spread_raises_on_a_row_at_the_base():
