@@ -187,7 +187,7 @@ def quotient_forms_spread(
     f2 = pairing_rows(ystar, du - dv) / den
     a, ea = _two_diff(us, vs)
     b, eb = _two_diff(base.x.values, base.y.values)
-    f3 = pairing_rows(ystar, (a - b[None, :]) + (ea - eb[None, :])) / den
+    f3 = pairing_rows(ystar, (a - b) + (ea - eb)) / den
     return np.maximum(np.maximum(np.abs(f1 - f2), np.abs(f1 - f3)), np.abs(f2 - f3))
 
 

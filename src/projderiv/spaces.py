@@ -160,10 +160,10 @@ class _Vector:
         object.__setattr__(self, "values", arr)
 
     @classmethod
-    def zero(cls, space: SpaceSpec):
+    def zero(cls, space: SpaceSpec) -> _Vector:
         return cls(space, np.zeros(space.size))
 
-    def _same_space(self, other: "_Vector") -> None:
+    def _same_space(self, other: _Vector) -> None:
         if type(other) is not type(self):
             raise SpaceMismatchError(
                 f"cannot combine a {type(self).__name__} with a {type(other).__name__}"
@@ -171,23 +171,25 @@ class _Vector:
         if self.space != other.space:
             raise SpaceMismatchError(f"{type(self).__name__}s live in different spaces")
 
-    def __add__(self, other):
+    def __add__(self, other: _Vector) -> _Vector:
         self._same_space(other)
         return type(self)(self.space, self.values + other.values)
 
-    def __sub__(self, other):
+    def __sub__(self, other: _Vector) -> _Vector:
         self._same_space(other)
         return type(self)(self.space, self.values - other.values)
 
-    def __mul__(self, scalar: float):
+    def __mul__(self, scalar: float) -> _Vector:
         return type(self)(self.space, self.values * float(scalar))
 
     __rmul__ = __mul__
 
-    def __neg__(self):
+    def __neg__(self) -> _Vector:
         return type(self)(self.space, -self.values)
 
 
+# Each subclass is a dataclass of its own, so each has its own __init__
+# (perfbench's tracer counts the builds of each class separately).
 @dataclass(frozen=True, eq=False)
 class PrimalVector(_Vector):
     """An element of a model space: coordinates for Lp/L1, grid samples
