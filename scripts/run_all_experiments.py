@@ -4,7 +4,10 @@
 Usage:
     python scripts/run_all_experiments.py [--out-dir reports] [--seed 7]
 
-Exit status is 0 only if every experiment passes.
+Prints one line per experiment with its wall time and a closing line with
+the total wall time. An experiment whose config is rejected or whose
+quotient-form audit fails counts as failed, and the remaining experiments
+still run. Exit status is 0 only if every experiment passes.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ import time
 from pathlib import Path
 
 from projderiv.experiments import (
+    ConfigError,
     experiment_ids,
     report_to_json,
     resolve_config,
     run_experiment,
 )
+from projderiv.fixed_points import FixedPointAuditError
 
 
 def main() -> int:
@@ -33,16 +38,22 @@ def main() -> int:
     overrides = {"seed": args.seed} if args.seed is not None else {}
 
     failures = []
+    total_started = time.perf_counter()
     for name in experiment_ids():
-        started = time.time()
-        config = resolve_config(name, overrides=overrides)
-        report = run_experiment(config)
+        started = time.perf_counter()
+        try:
+            report = run_experiment(resolve_config(name, overrides=overrides))
+        except (ConfigError, FixedPointAuditError) as exc:
+            print(f"FAIL  {name:32s} {time.perf_counter() - started:6.2f}s  {type(exc).__name__}: {exc}")
+            failures.append(name)
+            continue
         path = out_dir / f"{name}_report.json"
         path.write_text(report_to_json(report))
         status = "PASS" if report.passed else "FAIL"
-        print(f"{status}  {name:32s} {time.time() - started:6.2f}s  -> {path}")
+        print(f"{status}  {name:32s} {time.perf_counter() - started:6.2f}s  -> {path}")
         if not report.passed:
             failures.append(name)
+    print(f"total wall time {time.perf_counter() - total_started:.2f}s")
     if failures:
         print(f"failing experiments: {', '.join(failures)}", file=sys.stderr)
         return 1

@@ -56,14 +56,17 @@ from .limsup_oracle import (
     Verdict,
     GraphPoint,
     SamplingSchedule,
+    SamplePass,
     LimsupEstimate,
     quotient,
+    sample_base,
     estimate_limsup,
     directed_ray_limit,
     membership_test,
 )
 from .fixed_points import (
     FixedPointQuery,
+    BaseSamples,
     FixedPointCharacterization,
     characterize,
     is_fixed_point,

@@ -423,9 +423,10 @@ def remez(f: PrimalVector, n: int, max_iterations: int = 100) -> RemezResult:
             break
         candidates = _alternating_extrema(residual)
         if len(candidates) < n + 2:
-            raise RemezConvergenceError(
-                "residual lost its alternation structure", tuple(history)
-            )
+            # too few sign runs for a multi-point exchange; the single
+            # exchange needs only the global peak
+            ref_idx = _single_exchange(ref_idx, residual)
+            continue
         new_idx = _trim_reference(candidates, residual, n + 2)
         if new_idx == ref_idx:
             break

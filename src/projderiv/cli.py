@@ -82,6 +82,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        reason = str(exc) or "MemoryError"
+        print(f"config error: the configuration does not fit in memory: {reason}", file=sys.stderr)
+        return 2
     except FixedPointAuditError as exc:
         print(f"FAIL {config.experiment}: {exc}", file=sys.stderr)
         return 1

@@ -164,10 +164,11 @@ def _exp_ball_fixed_points(config: ExperimentConfig) -> list[CheckResult]:
         for i in range(20):
             x = _primal_with_norm(space, rng, 0.1 * config.r, 0.8 * config.r)
             base = lo.GraphPoint.at_point(mapd, x)
+            samples = fp.BaseSamples(mapd, base, sched)
             for j in range(20):
                 cand = _dual_with_norm(space, rng, 0.3, 1.5)
                 verdict = fp.is_fixed_point(
-                    fp.FixedPointQuery(mapd, base, cand), sched, mode="oracle"
+                    fp.FixedPointQuery(mapd, base, cand), sched, mode="oracle", samples=samples
                 )
                 interior_ok += verdict == lo.Verdict.MEMBER
                 indeterminate += verdict == lo.Verdict.INDETERMINATE
@@ -177,16 +178,17 @@ def _exp_ball_fixed_points(config: ExperimentConfig) -> list[CheckResult]:
         for i in range(20):
             x = _primal_with_norm(space, rng, 1.5 * config.r, 2.2 * config.r)
             base = lo.GraphPoint.at_point(mapd, x)
+            samples = fp.BaseSamples(mapd, base, sched)
             theta = DualVector.zero(space)
             verdict = fp.is_fixed_point(
-                fp.FixedPointQuery(mapd, base, theta), sched, mode="oracle"
+                fp.FixedPointQuery(mapd, base, theta), sched, mode="oracle", samples=samples
             )
             theta_ok += verdict == lo.Verdict.MEMBER
             indeterminate += verdict == lo.Verdict.INDETERMINATE
             for j in range(20):
                 cand = _dual_with_norm(space, rng, 0.5, 1.0)
                 verdict = fp.is_fixed_point(
-                    fp.FixedPointQuery(mapd, base, cand), sched, mode="oracle"
+                    fp.FixedPointQuery(mapd, base, cand), sched, mode="oracle", samples=samples
                 )
                 exterior_ok += verdict == lo.Verdict.NON_MEMBER
                 indeterminate += verdict == lo.Verdict.INDETERMINATE
@@ -209,13 +211,14 @@ def _exp_ball_coderivative(config: ExperimentConfig) -> list[CheckResult]:
         ystar = _dual_with_norm(space, rng, 0.5, 1.5)
         base = lo.GraphPoint.at_point(mapd, x)
         sched = config.schedule()
+        samples = lo.sample_base(mapd, base, sched)
         image = cd.coderiv_ball_lp(x, config.r, ystar).point
         rays = fp.registry_rays(mapd, base, image, ystar)
-        est = lo.membership_test(mapd, base, image, ystar, sched, rays)
+        est = lo.membership_test(mapd, base, image, ystar, sched, rays, samples=samples)
         member_ok += est.verdict == lo.Verdict.MEMBER
         perturbed = image + 0.1 * _unit_dual(space, rng)
         rays_p = fp.registry_rays(mapd, base, perturbed, ystar)
-        est_p = lo.membership_test(mapd, base, perturbed, ystar, sched, rays_p)
+        est_p = lo.membership_test(mapd, base, perturbed, ystar, sched, rays_p, samples=samples)
         reject_ok += est_p.verdict == lo.Verdict.NON_MEMBER
         collapse = cd.coderiv_ball_lp(x, config.r, duality_map(x)).point
         worst_collapse = max(worst_collapse, dual_norm(collapse))
@@ -298,6 +301,7 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
     off = sorted(m_set.complement.members)
     rng = _rng(config, 40)
     sched = config.schedule()
+    samples = fp.BaseSamples(mapd, base, sched)
 
     char = fp.characterize(mapd, base)
     _check(
@@ -314,7 +318,7 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
         for j in off:
             y[j - 1] = rng.uniform(0.0, 2.0)
         yd = dual(space, y)
-        verdict = fp.is_fixed_point(fp.FixedPointQuery(mapd, base, yd), sched, mode="oracle")
+        verdict = fp.is_fixed_point(fp.FixedPointQuery(mapd, base, yd), sched, mode="oracle", samples=samples)
         member_ok += verdict == lo.Verdict.MEMBER
     _check(checks, "members accepted", member_ok == 30, member_ok, 30)
 
@@ -325,7 +329,7 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
             y[j - 1] = rng.uniform(0.0, 2.0)
         y[int(rng.choice(off)) - 1] = -rng.uniform(0.3, 2.0)
         yd = dual(space, y)
-        verdict = fp.is_fixed_point(fp.FixedPointQuery(mapd, base, yd), sched, mode="oracle")
+        verdict = fp.is_fixed_point(fp.FixedPointQuery(mapd, base, yd), sched, mode="oracle", samples=samples)
         reject_ok += verdict == lo.Verdict.NON_MEMBER
     _check(checks, "negative off-support coordinates rejected", reject_ok == 30, reject_ok, 30)
 
@@ -346,7 +350,7 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
         else:
             z[int(rng.choice(sorted(m_set.members))) - 1] += rng.uniform(0.3, 1.0)
         zd = dual(space, z)
-        est = lo.membership_test(mapd, base, zd, anchor, sched)
+        est = lo.membership_test(mapd, base, zd, anchor, sched, samples=samples.oracle)
         closed = slice_set.membership(zd)
         agree += (est.verdict != lo.Verdict.INDETERMINATE) and (
             closed == (est.verdict == lo.Verdict.MEMBER)
@@ -376,13 +380,14 @@ def _exp_cone_lp(config: ExperimentConfig) -> list[CheckResult]:
 
     theta = PrimalVector.zero(space)
     base0 = lo.GraphPoint.at_point(mapd, theta)
+    samples0 = lo.sample_base(mapd, base0, sched)
     psi_ok = 0
     for i in range(20):
         mask = rng.random(config.N) > 0.3
         if not mask.any():
             mask[0] = True
         psi = dual(space, rng.uniform(0.3, 1.5, size=config.N) * mask)
-        est = lo.membership_test(mapd, base0, psi, psi, sched)
+        est = lo.membership_test(mapd, base0, psi, psi, sched, samples=samples0)
         psi_ok += est.verdict == lo.Verdict.MEMBER
     _check(checks, "nonnegative duals at the origin are fixed points", psi_ok == 20, psi_ok, 20)
 
@@ -440,8 +445,10 @@ def _exp_l1_cases(config: ExperimentConfig) -> list[CheckResult]:
             f"{limit:.5f}",
             f"{target} +- 5%",
         )
+    sched = config.schedule()
+    samples = lo.sample_base(mapd, base, sched)
     theta = DualVector.zero(space)
-    est = lo.estimate_limsup(mapd, base, theta, theta, config.schedule())
+    est = lo.estimate_limsup(mapd, base, theta, theta, sched, samples=samples)
     _check(
         checks,
         "dual origin is a fixed point with exact zero quotients",
@@ -457,7 +464,7 @@ def _exp_l1_cases(config: ExperimentConfig) -> list[CheckResult]:
         if not np.any(vals):
             vals[0] = 0.5
         phi = dual(space, vals)
-        est = lo.membership_test(mapd, base, phi, phi, config.schedule())
+        est = lo.membership_test(mapd, base, phi, phi, sched, samples=samples)
         reject_ok += est.verdict == lo.Verdict.NON_MEMBER
     _check(checks, "nonzero duals are not fixed points", reject_ok == 20, reject_ok, 20)
     return checks

@@ -10,6 +10,7 @@ audit mode both run and a contradiction fails loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +27,12 @@ from .coderivatives import (
 from .limsup_oracle import (
     GraphPoint,
     LimsupEstimate,
+    SamplePass,
     SamplingSchedule,
     Verdict,
     estimate_limsup,
     membership_test,
+    sample_base,
     tolerance_pair,
 )
 from .spaces import (
@@ -48,6 +51,7 @@ from .spaces import (
 
 __all__ = [
     "FixedPointQuery",
+    "BaseSamples",
     "FixedPointCharacterization",
     "FixedPointAuditError",
     "ConvexityProbeReport",
@@ -77,6 +81,27 @@ class FixedPointQuery:
     map: MapDescriptor
     base: GraphPoint
     candidate: DualVector
+
+
+@dataclass(frozen=True, eq=False)
+class BaseSamples:
+    """The candidate-independent rows of every fixed-point query at one base
+    and schedule: the oracle's sample pass and the (us, vs) rows of the
+    quotient-form audit. Each is drawn on first use, so a base whose queries
+    the registry settles draws nothing; once drawn, every array is read
+    only."""
+
+    map: MapDescriptor
+    base: GraphPoint
+    schedule: SamplingSchedule
+
+    @cached_property
+    def oracle(self) -> SamplePass:
+        return sample_base(self.map, self.base, self.schedule)
+
+    @cached_property
+    def audit(self) -> tuple[np.ndarray, np.ndarray]:
+        return _audit_rows(self.map, self.base, self.schedule)
 
 
 def characterize(mapd: MapDescriptor, base: GraphPoint) -> FixedPointCharacterization:
@@ -122,22 +147,32 @@ def is_fixed_point(
     query: FixedPointQuery,
     schedule: SamplingSchedule | None = None,
     mode: str = "registry",
+    *,
+    samples: BaseSamples | None = None,
 ) -> Verdict:
     """Membership of the candidate in its own derivative-operator value.
 
     mode "registry": closed forms first, oracle as fallback. mode "oracle":
     sampling only (registry still aims rejection rays). mode "audit": run
-    both and raise `FixedPointAuditError` on contradiction.
+    both and raise `FixedPointAuditError` on contradiction. `samples` shares
+    the sampled rows of one base among its queries; samples drawn for
+    another map, base or schedule are a ValueError.
     """
     if mode not in ("registry", "oracle", "audit"):
         raise ValueError(f"unknown mode {mode!r}")
     schedule = schedule or SamplingSchedule()
-    exact = registry_verdict(query)
+    if samples is None:
+        samples = BaseSamples(query.map, query.base, schedule)
+    elif samples.map is not query.map or samples.base is not query.base or samples.schedule != schedule:
+        raise ValueError("the base samples were drawn for another map, base or schedule")
+    exact = None if mode == "oracle" else registry_verdict(query)
     if mode == "registry" and exact is not None:
         return exact
-    _check_quotient_forms(query.map, query.base, query.candidate, schedule)
+    _check_quotient_forms(query.base, query.candidate, *samples.audit)
     rays = registry_rays(query.map, query.base, query.candidate, query.candidate)
-    estimate = membership_test(query.map, query.base, query.candidate, query.candidate, schedule, rays)
+    estimate = membership_test(
+        query.map, query.base, query.candidate, query.candidate, schedule, rays, samples=samples.oracle
+    )
     if mode == "audit" and exact is not None:
         opposite = {Verdict.MEMBER: Verdict.NON_MEMBER, Verdict.NON_MEMBER: Verdict.MEMBER}
         if estimate.verdict == opposite[exact]:
@@ -149,20 +184,30 @@ def is_fixed_point(
     return estimate.verdict
 
 
-def _check_quotient_forms(
-    mapd: MapDescriptor, base: GraphPoint, candidate: DualVector, schedule: SamplingSchedule
-) -> None:
-    """The three equal quotient forms must agree to 1e-12 scale on sampled
-    graph points; a violation means the pairing arithmetic broke."""
+def _audit_rows(
+    mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedule
+) -> tuple[np.ndarray, np.ndarray]:
+    """The eight graph points (us, vs) of the quotient-form audit, at
+    max-norm distance the schedule's finest radius from x; read only."""
     rng = np.random.default_rng([schedule.seed, 555])
-    space = mapd.space
     radius = schedule.r0 * 2.0 ** (-(schedule.levels - 1))
-    scale = 1.0 + dual_norm(candidate)
-    dirs = rng.standard_normal((8, space.size))
+    dirs = rng.standard_normal((8, mapd.space.size))
     peaks = np.max(np.abs(dirs), axis=1)
     dirs, peaks = dirs[peaks > 0.0], peaks[peaks > 0.0]
     us = base.x.values[None, :] + (radius / peaks)[:, None] * dirs
-    spread = float(np.max(quotient_forms_spread(candidate, base, us, mapd.value_batch(us))))
+    vs = mapd.value_batch(us)
+    us.flags.writeable = vs.flags.writeable = False
+    return us, vs
+
+
+def _check_quotient_forms(
+    base: GraphPoint, candidate: DualVector, us: np.ndarray, vs: np.ndarray
+) -> None:
+    """The three equal quotient forms must agree to 1e-12 scale on the
+    sampled graph points (us, vs); a violation means the pairing arithmetic
+    broke."""
+    scale = 1.0 + dual_norm(candidate)
+    spread = float(np.max(quotient_forms_spread(candidate, base, us, vs)))
     if spread > 1e-12 * scale:
         raise FixedPointAuditError(f"quotient forms disagree by {spread:.3e} at scale {scale:.3e}")
 
@@ -223,6 +268,7 @@ def convexity_closedness_probe(
     limit, must stay members."""
     if len(members) < 2:
         raise ValueError("need at least two members to combine")
+    samples = BaseSamples(mapd, base, schedule or SamplingSchedule())
     rng = np.random.default_rng(seed)
     violations: list[str] = []
     weights = (0.25, 0.5, 0.75)
@@ -231,23 +277,26 @@ def convexity_closedness_probe(
         i, j = rng.integers(0, len(members), size=2)
         t = weights[trial % len(weights)]
         combo = t * members[int(i)] + (1.0 - t) * members[int(j)]
-        verdict = is_fixed_point(FixedPointQuery(mapd, base, combo), schedule, mode=mode)
+        query = FixedPointQuery(mapd, base, combo)
+        verdict = is_fixed_point(query, samples.schedule, mode=mode, samples=samples)
         combos += 1
         if verdict != Verdict.MEMBER:
             violations.append(f"combination trial {trial}: {verdict.value}")
-    return _probe_sequence(mapd, base, members, schedule, mode, combos, violations)
+    return _probe_sequence(mapd, base, members, samples, mode, combos, violations)
 
 
-def _probe_sequence(mapd, base, members, schedule, mode, combos, violations):
+def _probe_sequence(mapd, base, members, samples, mode, combos, violations):
     target, other = members[0], members[-1]
     seq_checked = 0
     for k in range(1, 7):
         z = target + (2.0**-k) * (other - target)
-        verdict = is_fixed_point(FixedPointQuery(mapd, base, z), schedule, mode=mode)
+        query = FixedPointQuery(mapd, base, z)
+        verdict = is_fixed_point(query, samples.schedule, mode=mode, samples=samples)
         seq_checked += 1
         if verdict != Verdict.MEMBER:
             violations.append(f"sequence step {k}: {verdict.value}")
-    limit_verdict = is_fixed_point(FixedPointQuery(mapd, base, target), schedule, mode=mode)
+    query = FixedPointQuery(mapd, base, target)
+    limit_verdict = is_fixed_point(query, samples.schedule, mode=mode, samples=samples)
     seq_checked += 1
     if limit_verdict != Verdict.MEMBER:
         violations.append(f"sequence limit: {limit_verdict.value}")

@@ -17,7 +17,13 @@ are one sided; non-membership stays conclusive there.
 
 Direction draws within a level are independent, and results do not depend on
 evaluation order: the supremum is order insensitive and the trace is indexed
-by level and row. The module holds no shared mutable state.
+by level and row.
+
+The sampled rows depend on the map, the base and the schedule, never on the
+duals, so `sample_base` draws them once as a `SamplePass` that every
+candidate queried at that base can share (`samples=`); only the numerators
+are per candidate. A pass is immutable and its arrays are read only, so
+sharing it cannot leak state from one estimate into another.
 """
 
 from __future__ import annotations
@@ -43,10 +49,12 @@ __all__ = [
     "Verdict",
     "GraphPoint",
     "SamplingSchedule",
+    "SamplePass",
     "QuotientTrace",
     "LimsupEstimate",
     "tolerance_pair",
     "quotient",
+    "sample_base",
     "estimate_limsup",
     "directed_ray_limit",
     "membership_test",
@@ -106,10 +114,28 @@ class SamplingSchedule:
 
 
 @dataclass(frozen=True, eq=False)
+class SamplePass:
+    """The candidate-independent rows of an estimate at one base, indexed
+    [level, row]: the radius of each level, the sampled points u and values
+    v (shape (levels, rows, size)) and the denominators ||u - x|| + ||v - y||
+    (shape (levels, rows)). Built by `sample_base`; every array is read
+    only."""
+
+    map: MapDescriptor
+    base: GraphPoint
+    schedule: SamplingSchedule
+    radii: np.ndarray
+    us: np.ndarray
+    vs: np.ndarray
+    dens: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class QuotientTrace:
     """Every sampled quotient of one estimate, indexed [level, row]: the
     radius of each level, the sampled points u and values v (shape
-    (levels, rows, size)), and the quotients (shape (levels, rows))."""
+    (levels, rows, size)), and the quotients (shape (levels, rows)). The
+    radii, us and vs are those of the shared `SamplePass`."""
 
     radii: np.ndarray
     us: np.ndarray
@@ -165,7 +191,7 @@ def _row_quotients(
     nums = pairing_rows(xstar, du) - pairing_rows(ystar, dv)
     if dens is None:
         dens = norm_rows(base.x.space, du) + norm_rows(base.x.space, dv)
-    if not np.all(dens):
+    if not dens.all():
         raise ZeroDivisionError("sample coincides with the base point")
     return nums / dens
 
@@ -178,44 +204,64 @@ def _verdict(value: float, tol_accept: float, tol_reject: float) -> Verdict:
     return Verdict.INDETERMINATE
 
 
-def estimate_limsup(
-    mapd: MapDescriptor,
-    base: GraphPoint,
-    xstar: DualVector,
-    ystar: DualVector,
-    schedule: SamplingSchedule,
-) -> LimsupEstimate:
-    """Per-level suprema of the quotient over sampled directions, with the
-    max of the two finest levels as the extrapolated limsup value.
-    Deterministic for a fixed seed, bit for bit on the trace."""
+def sample_base(mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedule) -> SamplePass:
+    """The sampled rows of every estimate at this base and schedule: per
+    level, the seeded unit directions plus the normalized extra rays, scaled
+    to the level radius around x, with the map's values and the quotient
+    denominators there."""
     space = mapd.space
     dim = space.size
-    x = base.x.values
+    x, y = base.x.values, base.y.values
     extra = np.empty((0, dim))
     if schedule.extra_rays:
         extra = np.stack([ray.values for ray in schedule.extra_rays])
         extra_norms = norm_rows(space, extra)
         extra = extra / np.where(extra_norms == 0.0, 1.0, extra_norms)[:, None]
     levels, rows = schedule.levels, schedule.dirs_per_level + len(extra)
-    trace = QuotientTrace(
-        radii=np.empty(levels),
-        us=np.empty((levels, rows, dim)),
-        vs=np.empty((levels, rows, dim)),
-        quotients=np.empty((levels, rows)),
-    )
+    radii = np.empty(levels)
+    us = np.empty((levels, rows, dim))
+    vs = np.empty((levels, rows, dim))
+    dens = np.empty((levels, rows))
     for level in range(levels):
         radius = schedule.r0 * 2.0 ** (-level)
         rng = np.random.default_rng([schedule.seed, level])
         dirs = rng.standard_normal((schedule.dirs_per_level, dim))
         dir_norms = norm_rows(space, dirs)
         dirs = dirs / np.where(dir_norms == 0.0, 1.0, dir_norms)[:, None]
-        us = x[None, :] + radius * np.vstack([dirs, extra])
-        vs = mapd.value_batch(us)
-        trace.radii[level] = radius
-        trace.us[level] = us
-        trace.vs[level] = vs
-        trace.quotients[level] = _row_quotients(base, us, vs, xstar, ystar)
-    sups = trace.quotients.max(axis=1).tolist()
+        radii[level] = radius
+        us[level] = x[None, :] + radius * np.vstack([dirs, extra])
+        vs[level] = mapd.value_batch(us[level])
+        dens[level] = norm_rows(space, us[level] - x[None, :]) + norm_rows(space, vs[level] - y[None, :])
+    for array in (radii, us, vs, dens):
+        array.flags.writeable = False
+    return SamplePass(mapd, base, schedule, radii, us, vs, dens)
+
+
+def estimate_limsup(
+    mapd: MapDescriptor,
+    base: GraphPoint,
+    xstar: DualVector,
+    ystar: DualVector,
+    schedule: SamplingSchedule,
+    *,
+    samples: SamplePass | None = None,
+) -> LimsupEstimate:
+    """Per-level suprema of the quotient over sampled directions, with the
+    max of the two finest levels as the extrapolated limsup value.
+    Deterministic for a fixed seed, bit for bit on the trace, and the same
+    whether `samples` is shared or drawn for this call. A pass drawn for
+    another map, base or schedule is a ValueError."""
+    if samples is None:
+        samples = sample_base(mapd, base, schedule)
+    elif samples.map is not mapd or samples.base is not base or samples.schedule != schedule:
+        raise ValueError("the sample pass was drawn for another map, base or schedule")
+    quotients = np.empty(samples.dens.shape)
+    for level in range(schedule.levels):
+        quotients[level] = _row_quotients(
+            base, samples.us[level], samples.vs[level], xstar, ystar, samples.dens[level]
+        )
+    trace = QuotientTrace(radii=samples.radii, us=samples.us, vs=samples.vs, quotients=quotients)
+    sups = quotients.max(axis=1).tolist()
     extrapolated = max(sups[-2:])
     tol_accept, tol_reject = tolerance_pair(ystar)
     return LimsupEstimate(
@@ -300,6 +346,8 @@ def membership_test(
     ystar: DualVector,
     schedule: SamplingSchedule,
     extra_ray_dirs: tuple[PrimalVector, ...] = (),
+    *,
+    samples: SamplePass | None = None,
 ) -> LimsupEstimate:
     """Three-way membership verdict for x* in the derivative operator value
     at y*.
@@ -307,9 +355,10 @@ def membership_test(
     Wraps `estimate_limsup` and additionally extrapolates directed rays
     (norming-direction rays plus kink-aligned basis rays and any caller
     supplied ones); rays can only certify fresh non-membership, never flip a
-    true member, since every ray limit lower-bounds the limsup.
+    true member, since every ray limit lower-bounds the limsup. `samples`
+    is the shared sample pass of the base, as in `estimate_limsup`.
     """
-    est = estimate_limsup(mapd, base, xstar, ystar, schedule)
+    est = estimate_limsup(mapd, base, xstar, ystar, schedule, samples=samples)
     combined = est.extrapolated
     for ray in list(_default_rays(mapd, base, xstar, ystar)) + list(extra_ray_dirs):
         if norm(ray) == 0.0:

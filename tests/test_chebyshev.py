@@ -21,7 +21,7 @@ from projderiv.chebyshev import (
     remez,
     sample_value,
 )
-from projderiv.projections import brute_force_project, poly_subspace
+from projderiv.projections import _minimax_lp, brute_force_project, poly_subspace
 from projderiv.spaces import PrimalVector, c01_space, norm, primal
 
 C513 = c01_space(513)
@@ -191,6 +191,25 @@ def test_remez_nonconvergence_surfaces_trace():
         remez(f, 2, max_iterations=1)
     assert len(err.value.trace) == 1
     assert err.value.trace[0] > 0
+
+
+TARGETS_WITH_FEW_SIGN_RUNS = {
+    "runge": lambda t: 1.0 / (1.0 + 25.0 * (2.0 * t - 1.0) ** 2),
+    "vee": lambda t: np.abs(t - 0.5),
+}
+
+
+@pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
+@pytest.mark.parametrize("target", sorted(TARGETS_WITH_FEW_SIGN_RUNS))
+def test_remez_matches_the_minimax_lp_when_the_residual_has_few_sign_runs(target, n):
+    # early residuals of these targets can have fewer than n + 2 sign runs,
+    # where the exchange has to fall back to the single exchange
+    grid = C513.grid
+    values = TARGETS_WITH_FEW_SIGN_RUNS[target](grid)
+    res = remez(primal(C513, values), n)
+    vander = grid[:, None] ** np.arange(n + 1)[None, :]
+    lp_error = float(np.max(np.abs(values - vander @ _minimax_lp(vander, values, None))))
+    assert abs(res.error - lp_error) <= 1e-4
 
 
 def test_sample_value_exact_at_nodes():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from projderiv import fixed_points, spaces
+from projderiv import cli, fixed_points, spaces
 from projderiv.cli import main
 from projderiv.experiments import (
     ConfigError,
@@ -136,6 +136,23 @@ def test_quotient_form_audit_failure_exits_1_without_a_traceback(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("FAIL ball_theorem_4_1: quotient forms disagree")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_out_of_memory_is_a_one_line_config_error(command, tmp_path, capsys, monkeypatch):
+    # a config too large for memory (say ball_theorem_4_1 at N = S = 100000)
+    # raises numpy's ArrayMemoryError, a MemoryError, from inside the run
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 596. GiB for an array with shape (8, 100000, 100000)")
+
+    monkeypatch.setattr(cli, "run_experiment", exhausted)
+    monkeypatch.setattr(cli, "experiment_trace", exhausted)
+    argv = [command, "--experiment", "ball_theorem_4_1"]
+    assert main(argv + (["--out", str(tmp_path / "r.json")] if command == "run" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the configuration does not fit in memory: Unable to allocate")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "experiment"]

@@ -9,7 +9,9 @@ from projderiv.coderivatives import (
     coderiv_l1ball,
     cone_projection_map,
     l1_ball_projection_map,
+    poly_projection_map,
 )
+from projderiv.fixed_points import BaseSamples, FixedPointQuery, is_fixed_point
 from projderiv.limsup_oracle import (
     RAY_RATIO,
     RAY_STEPS,
@@ -21,12 +23,14 @@ from projderiv.limsup_oracle import (
     estimate_limsup,
     membership_test,
     quotient,
+    sample_base,
     tolerance_pair,
     trace_to_csv,
 )
 from projderiv.spaces import (
     DualVector,
     PrimalVector,
+    c01_space,
     dual,
     dual_norm,
     duality_map_inverse,
@@ -149,6 +153,105 @@ def test_trace_columns_hold_every_sample():
         for u, v, q in zip(trace.us[k], trace.vs[k], trace.quotients[k]):
             expected = quotient(mapd, base, primal(L24, u), primal(L24, v), xs, ys)
             assert abs(q - expected) <= 1e-12 * max(abs(expected), 1e-300)
+
+
+def _shared_pass_bases():
+    l34 = lp_space(3.0, 4)
+    l1 = l1_space(4)
+    c33 = c01_space(33)
+    grid = c33.grid
+    f = primal(c33, grid**2)
+    poly_rays = (f, primal(c33, np.ones(33)), primal(c33, grid), primal(c33, np.sin(np.pi * grid)))
+    ball2, ball3 = ball_projection_map(L24, 1.0), ball_projection_map(l34, 1.0)
+    cone, l1ball = cone_projection_map(L24), l1_ball_projection_map(l1, 1.0)
+    affine, poly = _translation(L24, 2.0), poly_projection_map(c33, 1)
+    return {
+        "ball p=2 exterior": (ball2, primal(L24, [2.0, 0.5, 0.0, -0.3]), SamplingSchedule(seed=3)),
+        "ball p=2 interior": (ball2, primal(L24, [0.2, 0.1, 0.0, 0.3]), SamplingSchedule(seed=4)),
+        "ball p=3 exterior": (ball3, primal(l34, [1.2, -0.8, 0.5, 0.3]), SamplingSchedule(seed=5)),
+        "cone": (cone, primal(L24, [1.0, -2.0, 0.0, 0.5]), SamplingSchedule(seed=6, levels=5)),
+        "l1 exterior": (l1ball, primal(l1, [2.0, 0.0, 0.0, 0.0]), SamplingSchedule(seed=7)),
+        "affine": (affine, primal(L24, [0.1, 0.4, -0.2, 0.0]), SamplingSchedule(seed=8, dirs_per_level=16)),
+        "poly with extra rays": (poly, f, SamplingSchedule(levels=4, dirs_per_level=16, extra_rays=poly_rays, seed=9)),
+    }
+
+
+SHARED_PASS_BASES = _shared_pass_bases()
+
+
+def _same_estimate(a, b):
+    assert np.array_equal(a.per_level_sup, b.per_level_sup)
+    assert np.array_equal(a.extrapolated, b.extrapolated)
+    assert a.verdict == b.verdict
+    for field in ("radii", "us", "vs", "quotients"):
+        assert np.array_equal(getattr(a.trace, field), getattr(b.trace, field))
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_PASS_BASES))
+def test_a_shared_pass_gives_every_candidate_its_fresh_estimate(name):
+    mapd, x, sched = SHARED_PASS_BASES[name]
+    base = GraphPoint.at_point(mapd, x)
+    rng = np.random.default_rng(sorted(SHARED_PASS_BASES).index(name))
+    size = mapd.space.size
+    # sparse duals keep the C[0, 1] candidates to a few atoms
+    cands = [dual(mapd.space, rng.normal(size=size) * (rng.random(size) < min(1.0, 6.0 / size)))
+             for _ in range(4)]
+    samples = sample_base(mapd, base, sched)
+    shared = [estimate_limsup(mapd, base, c, c, sched, samples=samples) for c in cands]
+    shared += [estimate_limsup(mapd, base, cands[0], c, sched, samples=samples) for c in cands[1:]]
+    fresh = [estimate_limsup(mapd, base, c, c, sched) for c in cands]
+    fresh += [estimate_limsup(mapd, base, cands[0], c, sched) for c in cands[1:]]
+    for a, b in zip(shared, fresh):
+        _same_estimate(a, b)
+        # the trace shares the pass's rows instead of copying them
+        assert a.trace.us is samples.us and a.trace.vs is samples.vs
+    for c in cands[:2]:
+        _same_estimate(membership_test(mapd, base, c, c, sched, samples=samples),
+                       membership_test(mapd, base, c, c, sched))
+
+
+def test_shared_base_samples_give_every_query_its_fresh_verdict():
+    mapd, x, sched = SHARED_PASS_BASES["ball p=3 exterior"]
+    base = GraphPoint.at_point(mapd, x)
+    samples = BaseSamples(mapd, base, sched)
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        cand = dual(mapd.space, rng.uniform(-1.0, 1.0, size=4))
+        query = FixedPointQuery(mapd, base, cand)
+        for mode in ("oracle", "audit", "registry"):
+            assert is_fixed_point(query, sched, mode=mode, samples=samples) == is_fixed_point(query, sched, mode=mode)
+
+
+def test_shared_pass_is_read_only_and_bound_to_its_base_and_schedule():
+    mapd, x, sched = SHARED_PASS_BASES["ball p=2 exterior"]
+    base = GraphPoint.at_point(mapd, x)
+    samples = sample_base(mapd, base, sched)
+    for field in ("radii", "us", "vs", "dens"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(samples, field).flat[0] = 0.0
+    w = dual(L24, [1.0, 0.0, 0.0, 0.0])
+    est = estimate_limsup(mapd, base, w, w, sched, samples=samples)
+    with pytest.raises(ValueError, match="read-only"):
+        est.trace.us[0, 0, 0] = 0.0
+    other_base = GraphPoint.at_point(mapd, primal(L24, x.values))
+    with pytest.raises(ValueError, match="another map, base or schedule"):
+        estimate_limsup(mapd, other_base, w, w, sched, samples=samples)
+    with pytest.raises(ValueError, match="another map, base or schedule"):
+        membership_test(mapd, base, w, w, SamplingSchedule(seed=sched.seed + 1), samples=samples)
+    with pytest.raises(ValueError, match="another map, base or schedule"):
+        estimate_limsup(ball_projection_map(L24, 1.0), base, w, w, sched, samples=samples)
+    # an equal schedule built anew is the same schedule
+    assert estimate_limsup(mapd, base, w, w, SamplingSchedule(seed=sched.seed), samples=samples).extrapolated \
+        == estimate_limsup(mapd, base, w, w, sched).extrapolated
+
+    query_samples = BaseSamples(mapd, base, sched)
+    for array in query_samples.audit:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+    with pytest.raises(ValueError, match="another map, base or schedule"):
+        is_fixed_point(FixedPointQuery(mapd, other_base, w), sched, mode="oracle", samples=query_samples)
+    with pytest.raises(ValueError, match="another map, base or schedule"):
+        is_fixed_point(FixedPointQuery(mapd, base, w), SamplingSchedule(seed=1), mode="oracle", samples=query_samples)
 
 
 def test_monotone_refinement_nested_directions():
