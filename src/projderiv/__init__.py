@@ -65,10 +65,8 @@ from .limsup_oracle import (
     membership_test,
 )
 from .fixed_points import (
-    FixedPointQuery,
     BaseSamples,
     FixedPointCharacterization,
-    characterize,
     is_fixed_point,
     convexity_closedness_probe,
     poly_annihilator,

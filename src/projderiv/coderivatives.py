@@ -10,6 +10,7 @@ oracle can resolve raise `OracleOnlyError` instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -166,7 +167,7 @@ class MapDescriptor:
     def _side(self, x: PrimalVector):
         return _sphere_side(norm(x), self.radius)
 
-    @property
+    @cached_property
     def kink_rays(self) -> tuple[PrimalVector, ...]:
         """Signed basis rays, aligned with the coordinate kinks of the cone
         and l_1 maps; none for the other kinds."""

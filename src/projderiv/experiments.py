@@ -167,9 +167,7 @@ def _exp_ball_fixed_points(config: ExperimentConfig) -> list[CheckResult]:
             samples = fp.BaseSamples(mapd, base, sched)
             for j in range(20):
                 cand = _dual_with_norm(space, rng, 0.3, 1.5)
-                verdict = fp.is_fixed_point(
-                    fp.FixedPointQuery(mapd, base, cand), sched, mode="oracle", samples=samples
-                )
+                verdict = fp.is_fixed_point(samples, cand, mode="oracle")
                 interior_ok += verdict == lo.Verdict.MEMBER
                 indeterminate += verdict == lo.Verdict.INDETERMINATE
         _check(checks, f"p={p} interior members", interior_ok == 400, interior_ok, 400)
@@ -180,16 +178,12 @@ def _exp_ball_fixed_points(config: ExperimentConfig) -> list[CheckResult]:
             base = lo.GraphPoint.at_point(mapd, x)
             samples = fp.BaseSamples(mapd, base, sched)
             theta = DualVector.zero(space)
-            verdict = fp.is_fixed_point(
-                fp.FixedPointQuery(mapd, base, theta), sched, mode="oracle", samples=samples
-            )
+            verdict = fp.is_fixed_point(samples, theta, mode="oracle")
             theta_ok += verdict == lo.Verdict.MEMBER
             indeterminate += verdict == lo.Verdict.INDETERMINATE
             for j in range(20):
                 cand = _dual_with_norm(space, rng, 0.5, 1.0)
-                verdict = fp.is_fixed_point(
-                    fp.FixedPointQuery(mapd, base, cand), sched, mode="oracle", samples=samples
-                )
+                verdict = fp.is_fixed_point(samples, cand, mode="oracle")
                 exterior_ok += verdict == lo.Verdict.NON_MEMBER
                 indeterminate += verdict == lo.Verdict.INDETERMINATE
         _check(checks, f"p={p} exterior origin members", theta_ok == 20, theta_ok, 20)
@@ -276,9 +270,9 @@ def _exp_affine(config: ExperimentConfig) -> list[CheckResult]:
             f"{limit:.5f}",
             "1/3 +- 10%",
         )
-        char = fp.characterize(mapd, base2)
+        char = mapd.fixed_point_set(base2)
         _check(checks, f"{name} fixed points pin the origin", char.kind == fp.ORIGIN_ONLY, char.kind, fp.ORIGIN_ONLY)
-    char_t = fp.characterize(translation, base)
+    char_t = translation.fixed_point_set(base)
     _check(checks, "translation fixed points fill the dual", char_t.kind == fp.WHOLE_DUAL, char_t.kind, fp.WHOLE_DUAL)
     return checks
 
@@ -303,7 +297,7 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
     sched = config.schedule()
     samples = fp.BaseSamples(mapd, base, sched)
 
-    char = fp.characterize(mapd, base)
+    char = mapd.fixed_point_set(base)
     _check(
         checks,
         "characterization is the off-support nonnegativity cone",
@@ -318,7 +312,7 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
         for j in off:
             y[j - 1] = rng.uniform(0.0, 2.0)
         yd = dual(space, y)
-        verdict = fp.is_fixed_point(fp.FixedPointQuery(mapd, base, yd), sched, mode="oracle", samples=samples)
+        verdict = fp.is_fixed_point(samples, yd, mode="oracle")
         member_ok += verdict == lo.Verdict.MEMBER
     _check(checks, "members accepted", member_ok == 30, member_ok, 30)
 
@@ -329,7 +323,7 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
             y[j - 1] = rng.uniform(0.0, 2.0)
         y[int(rng.choice(off)) - 1] = -rng.uniform(0.3, 2.0)
         yd = dual(space, y)
-        verdict = fp.is_fixed_point(fp.FixedPointQuery(mapd, base, yd), sched, mode="oracle", samples=samples)
+        verdict = fp.is_fixed_point(samples, yd, mode="oracle")
         reject_ok += verdict == lo.Verdict.NON_MEMBER
     _check(checks, "negative off-support coordinates rejected", reject_ok == 30, reject_ok, 30)
 
@@ -699,19 +693,17 @@ def _exp_structural(config: ExperimentConfig) -> list[CheckResult]:
         # product rounds like a scalar dot where a multi-row one does not
         size = mapd.space.size
         for u, v in zip(est.trace.us.reshape(-1, size), est.trace.vs.reshape(-1, size)):
-            spread = fp.quotient_forms_spread(ystar, base, u[None, :], v[None, :])
+            spread = fp.quotient_forms_spread(ystar, fp.AuditRows.at(base, u[None, :], v[None, :]))
             spread_worst = max(spread_worst, float(spread[0]))
     _check(checks, "the three quotient forms agree", spread_worst <= 1e-12, f"{spread_worst:.3e}", "<= 1e-12")
 
-    cone_baseg = lo.GraphPoint.at_point(cone_map, cone_base)
+    cone_samples = fp.BaseSamples(cone_map, lo.GraphPoint.at_point(cone_map, cone_base), sched)
     members = []
     for i in range(5):
         y = rng.normal(size=6) * 2.0
         y[2:] = np.abs(y[2:])
         members.append(dual(cone_space, y))
-    probe = fp.convexity_closedness_probe(
-        cone_map, cone_baseg, tuple(members), trials=100, schedule=sched, seed=config.seed
-    )
+    probe = fp.convexity_closedness_probe(cone_samples, tuple(members), trials=100, seed=config.seed)
     _check(
         checks,
         "convexity and closedness probe has no violations",
@@ -720,8 +712,7 @@ def _exp_structural(config: ExperimentConfig) -> list[CheckResult]:
         "[]",
     )
     audit_probe = fp.convexity_closedness_probe(
-        cone_map, cone_baseg, tuple(members[:2]), trials=10, schedule=sched,
-        seed=config.seed, mode="audit",
+        cone_samples, tuple(members[:2]), trials=10, seed=config.seed, mode="audit"
     )
     _check(
         checks,

@@ -5,6 +5,10 @@ A registry of closed-form characterizations answers queries exactly where a
 characterization applies (whole dual space, origin only, or a nonnegativity
 cone over an index set); everything else goes to the sampling oracle. In
 audit mode both run and a contradiction fails loudly.
+
+A query is one candidate asked at one `BaseSamples`: the map, the base, the
+schedule and every candidate-independent row of the oracle and of the
+quotient-form audit, shared by all candidates asked there.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ from .spaces import (
 )
 
 __all__ = [
-    "FixedPointQuery",
     "BaseSamples",
+    "AuditRows",
     "FixedPointCharacterization",
     "FixedPointAuditError",
     "ConvexityProbeReport",
@@ -60,7 +64,6 @@ __all__ = [
     "ORIGIN_ONLY",
     "POSITIVE_CONE_DUAL",
     "ORACLE_ONLY",
-    "characterize",
     "registry_rays",
     "registry_verdict",
     "is_fixed_point",
@@ -77,19 +80,44 @@ class FixedPointAuditError(AssertionError):
 
 
 @dataclass(frozen=True, eq=False)
-class FixedPointQuery:
-    map: MapDescriptor
-    base: GraphPoint
-    candidate: DualVector
+class AuditRows:
+    """The candidate-independent arrays of the three quotient forms at
+    sample rows (us, vs) around a base: the increments du = u - x and
+    dv = v - y, the denominators ||du|| + ||dv||, du - dv, and the residual
+    shift (u - v) - (x - y). Built by `at`; every array is read only."""
+
+    du: np.ndarray
+    dv: np.ndarray
+    den: np.ndarray
+    du_minus_dv: np.ndarray
+    shift: np.ndarray
+
+    @classmethod
+    def at(cls, base: GraphPoint, us: np.ndarray, vs: np.ndarray) -> "AuditRows":
+        """The audit arrays of the rows (us, vs) around the base; a row at
+        the base is a ZeroDivisionError. The shift is formed from the
+        error-free differences of u - v and x - y. Rounded plainly, it would
+        carry an absolute error of about eps |x - y|, which the small
+        denominators near an exterior base blow up."""
+        du = us - base.x.values[None, :]
+        dv = vs - base.y.values[None, :]
+        den = norm_rows(base.x.space, du) + norm_rows(base.x.space, dv)
+        if not np.all(den):
+            raise ZeroDivisionError("sample coincides with the base point")
+        a, ea = _two_diff(us, vs)
+        b, eb = _two_diff(base.x.values, base.y.values)
+        rows = cls(du, dv, den, du - dv, (a - b) + (ea - eb))
+        for array in vars(rows).values():
+            array.flags.writeable = False
+        return rows
 
 
 @dataclass(frozen=True, eq=False)
 class BaseSamples:
     """The candidate-independent rows of every fixed-point query at one base
-    and schedule: the oracle's sample pass and the (us, vs) rows of the
-    quotient-form audit. Each is drawn on first use, so a base whose queries
-    the registry settles draws nothing; once drawn, every array is read
-    only."""
+    and schedule: the oracle's sample pass and the quotient-form audit rows.
+    Each is built on first use, so a base whose queries the registry settles
+    draws nothing; once built, every array is read only."""
 
     map: MapDescriptor
     base: GraphPoint
@@ -100,14 +128,16 @@ class BaseSamples:
         return sample_base(self.map, self.base, self.schedule)
 
     @cached_property
-    def audit(self) -> tuple[np.ndarray, np.ndarray]:
-        return _audit_rows(self.map, self.base, self.schedule)
-
-
-def characterize(mapd: MapDescriptor, base: GraphPoint) -> FixedPointCharacterization:
-    """Closed-form fixed-point set of the derivative operator at the base
-    (see `MapDescriptor.fixed_point_set`)."""
-    return mapd.fixed_point_set(base)
+    def audit(self) -> AuditRows:
+        """The audit rows of eight graph points at max-norm distance the
+        schedule's finest radius from x."""
+        rng = np.random.default_rng([self.schedule.seed, 555])
+        radius = self.schedule.r0 * 2.0 ** (-(self.schedule.levels - 1))
+        dirs = rng.standard_normal((8, self.map.space.size))
+        peaks = np.max(np.abs(dirs), axis=1)
+        dirs, peaks = dirs[peaks > 0.0], peaks[peaks > 0.0]
+        us = self.base.x.values[None, :] + (radius / peaks)[:, None] * dirs
+        return AuditRows.at(self.base, us, self.map.value_batch(us))
 
 
 def registry_rays(
@@ -125,53 +155,41 @@ def registry_rays(
     return tuple(rays)
 
 
-def registry_verdict(query: FixedPointQuery) -> Verdict | None:
+def registry_verdict(mapd: MapDescriptor, base: GraphPoint, candidate: DualVector) -> Verdict | None:
     """Exact verdict when a theorem in the registry settles the query,
     otherwise None.
 
-    Beyond the full characterizations this knows the partial cone facts: the
-    duality image of a nonnegative base is always a fixed point, and at the
-    origin every nonnegative dual is one. The dual origin is a fixed point of
-    every operator.
+    Beyond the full characterizations (`MapDescriptor.fixed_point_set`) this
+    knows the partial cone facts: the duality image of a nonnegative base is
+    always a fixed point, and at the origin every nonnegative dual is one.
+    The dual origin is a fixed point of every operator.
     """
-    mapd, base, cand = query.map, query.base, query.candidate
-    if dual_norm(cand) == 0.0:
+    if dual_norm(candidate) == 0.0:
         return Verdict.MEMBER
-    char = characterize(mapd, base)
+    char = mapd.fixed_point_set(base)
     if char.kind != ORACLE_ONLY:
-        return Verdict.MEMBER if char.membership(cand) else Verdict.NON_MEMBER
-    return Verdict.MEMBER if mapd.known_member(base, cand) else None
+        return Verdict.MEMBER if char.membership(candidate) else Verdict.NON_MEMBER
+    return Verdict.MEMBER if mapd.known_member(base, candidate) else None
 
 
-def is_fixed_point(
-    query: FixedPointQuery,
-    schedule: SamplingSchedule | None = None,
-    mode: str = "registry",
-    *,
-    samples: BaseSamples | None = None,
-) -> Verdict:
-    """Membership of the candidate in its own derivative-operator value.
+def is_fixed_point(samples: BaseSamples, candidate: DualVector, mode: str = "registry") -> Verdict:
+    """Membership of the candidate in its own derivative-operator value at
+    the base of `samples`.
 
     mode "registry": closed forms first, oracle as fallback. mode "oracle":
     sampling only (registry still aims rejection rays). mode "audit": run
-    both and raise `FixedPointAuditError` on contradiction. `samples` shares
-    the sampled rows of one base among its queries; samples drawn for
-    another map, base or schedule are a ValueError.
+    both and raise `FixedPointAuditError` on contradiction.
     """
     if mode not in ("registry", "oracle", "audit"):
         raise ValueError(f"unknown mode {mode!r}")
-    schedule = schedule or SamplingSchedule()
-    if samples is None:
-        samples = BaseSamples(query.map, query.base, schedule)
-    elif samples.map is not query.map or samples.base is not query.base or samples.schedule != schedule:
-        raise ValueError("the base samples were drawn for another map, base or schedule")
-    exact = None if mode == "oracle" else registry_verdict(query)
+    mapd, base = samples.map, samples.base
+    exact = None if mode == "oracle" else registry_verdict(mapd, base, candidate)
     if mode == "registry" and exact is not None:
         return exact
-    _check_quotient_forms(query.base, query.candidate, *samples.audit)
-    rays = registry_rays(query.map, query.base, query.candidate, query.candidate)
+    _check_quotient_forms(candidate, samples.audit)
+    rays = registry_rays(mapd, base, candidate, candidate)
     estimate = membership_test(
-        query.map, query.base, query.candidate, query.candidate, schedule, rays, samples=samples.oracle
+        mapd, base, candidate, candidate, samples.schedule, rays, samples=samples.oracle
     )
     if mode == "audit" and exact is not None:
         opposite = {Verdict.MEMBER: Verdict.NON_MEMBER, Verdict.NON_MEMBER: Verdict.MEMBER}
@@ -184,55 +202,23 @@ def is_fixed_point(
     return estimate.verdict
 
 
-def _audit_rows(
-    mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedule
-) -> tuple[np.ndarray, np.ndarray]:
-    """The eight graph points (us, vs) of the quotient-form audit, at
-    max-norm distance the schedule's finest radius from x; read only."""
-    rng = np.random.default_rng([schedule.seed, 555])
-    radius = schedule.r0 * 2.0 ** (-(schedule.levels - 1))
-    dirs = rng.standard_normal((8, mapd.space.size))
-    peaks = np.max(np.abs(dirs), axis=1)
-    dirs, peaks = dirs[peaks > 0.0], peaks[peaks > 0.0]
-    us = base.x.values[None, :] + (radius / peaks)[:, None] * dirs
-    vs = mapd.value_batch(us)
-    us.flags.writeable = vs.flags.writeable = False
-    return us, vs
-
-
-def _check_quotient_forms(
-    base: GraphPoint, candidate: DualVector, us: np.ndarray, vs: np.ndarray
-) -> None:
-    """The three equal quotient forms must agree to 1e-12 scale on the
-    sampled graph points (us, vs); a violation means the pairing arithmetic
-    broke."""
+def _check_quotient_forms(candidate: DualVector, rows: AuditRows) -> None:
+    """The three equal quotient forms must agree to 1e-12 scale on the audit
+    rows; a violation means the pairing arithmetic broke."""
     scale = 1.0 + dual_norm(candidate)
-    spread = float(np.max(quotient_forms_spread(candidate, base, us, vs)))
+    spread = float(np.max(quotient_forms_spread(candidate, rows)))
     if spread > 1e-12 * scale:
         raise FixedPointAuditError(f"quotient forms disagree by {spread:.3e} at scale {scale:.3e}")
 
 
-def quotient_forms_spread(
-    ystar: DualVector, base: GraphPoint, us: np.ndarray, vs: np.ndarray
-) -> np.ndarray:
+def quotient_forms_spread(ystar: DualVector, rows: AuditRows) -> np.ndarray:
     """Largest pairwise difference of the three algebraically equal quotient
-    forms of the fixed-point criterion at each sample (us[i], vs[i]): pairing
-    the increments separately, pairing their difference, and pairing the
-    residual shift (u - v) - (x - y).
-
-    The shift is formed from the error-free differences of u - v and x - y.
-    Rounded plainly, it would carry an absolute error of about eps |x - y|,
-    which the small denominators near an exterior base blow up."""
-    du = us - base.x.values[None, :]
-    dv = vs - base.y.values[None, :]
-    den = norm_rows(base.x.space, du) + norm_rows(base.x.space, dv)
-    if not np.all(den):
-        raise ZeroDivisionError("sample coincides with the base point")
-    f1 = (pairing_rows(ystar, du) - pairing_rows(ystar, dv)) / den
-    f2 = pairing_rows(ystar, du - dv) / den
-    a, ea = _two_diff(us, vs)
-    b, eb = _two_diff(base.x.values, base.y.values)
-    f3 = pairing_rows(ystar, (a - b) + (ea - eb)) / den
+    forms of the fixed-point criterion at each audit row: pairing the
+    increments separately, pairing their difference, and pairing the
+    residual shift (u - v) - (x - y)."""
+    f1 = (pairing_rows(ystar, rows.du) - pairing_rows(ystar, rows.dv)) / rows.den
+    f2 = pairing_rows(ystar, rows.du_minus_dv) / rows.den
+    f3 = pairing_rows(ystar, rows.shift) / rows.den
     return np.maximum(np.maximum(np.abs(f1 - f2), np.abs(f1 - f3)), np.abs(f2 - f3))
 
 
@@ -254,21 +240,18 @@ class ConvexityProbeReport:
 
 
 def convexity_closedness_probe(
-    mapd: MapDescriptor,
-    base: GraphPoint,
+    samples: BaseSamples,
     members: tuple[DualVector, ...],
     trials: int = 100,
-    schedule: SamplingSchedule | None = None,
     seed: int = 0,
     mode: str = "registry",
 ) -> ConvexityProbeReport:
-    """Convexity and closedness probe of the fixed-point set: convex
-    combinations of members at t in {0.25, 0.5, 0.75} must stay members, and
-    a geometric interpolation sequence toward a member, together with its
-    limit, must stay members."""
+    """Convexity and closedness probe of the fixed-point set at the base of
+    `samples`: convex combinations of members at t in {0.25, 0.5, 0.75} must
+    stay members, and a geometric interpolation sequence toward a member,
+    together with its limit, must stay members."""
     if len(members) < 2:
         raise ValueError("need at least two members to combine")
-    samples = BaseSamples(mapd, base, schedule or SamplingSchedule())
     rng = np.random.default_rng(seed)
     violations: list[str] = []
     weights = (0.25, 0.5, 0.75)
@@ -277,26 +260,23 @@ def convexity_closedness_probe(
         i, j = rng.integers(0, len(members), size=2)
         t = weights[trial % len(weights)]
         combo = t * members[int(i)] + (1.0 - t) * members[int(j)]
-        query = FixedPointQuery(mapd, base, combo)
-        verdict = is_fixed_point(query, samples.schedule, mode=mode, samples=samples)
+        verdict = is_fixed_point(samples, combo, mode=mode)
         combos += 1
         if verdict != Verdict.MEMBER:
             violations.append(f"combination trial {trial}: {verdict.value}")
-    return _probe_sequence(mapd, base, members, samples, mode, combos, violations)
+    return _probe_sequence(samples, members, mode, combos, violations)
 
 
-def _probe_sequence(mapd, base, members, samples, mode, combos, violations):
+def _probe_sequence(samples, members, mode, combos, violations):
     target, other = members[0], members[-1]
     seq_checked = 0
     for k in range(1, 7):
         z = target + (2.0**-k) * (other - target)
-        query = FixedPointQuery(mapd, base, z)
-        verdict = is_fixed_point(query, samples.schedule, mode=mode, samples=samples)
+        verdict = is_fixed_point(samples, z, mode=mode)
         seq_checked += 1
         if verdict != Verdict.MEMBER:
             violations.append(f"sequence step {k}: {verdict.value}")
-    query = FixedPointQuery(mapd, base, target)
-    limit_verdict = is_fixed_point(query, samples.schedule, mode=mode, samples=samples)
+    limit_verdict = is_fixed_point(samples, target, mode=mode)
     seq_checked += 1
     if limit_verdict != Verdict.MEMBER:
         violations.append(f"sequence limit: {limit_verdict.value}")
@@ -305,7 +285,6 @@ def _probe_sequence(mapd, base, members, samples, mode, combos, violations):
         sequence_checked=seq_checked,
         violations=tuple(violations),
     )
-
 
 # ---------------------------------------------------------------------------
 # polynomial projection fixed points
@@ -329,11 +308,17 @@ def poly_annihilator(space: SpaceSpec, degree: int) -> DualVector:
     return atomic_measure(space, tuple(zip(pts.tolist(), weights.tolist())))
 
 
+# The polynomial quotient samples POLY_LEVELS radii from POLY_R0 down, with
+# POLY_DIRS random directions per level next to its polynomial and smooth rays.
+POLY_R0 = 0.5
+POLY_LEVELS = 5
+POLY_DIRS = 16
+
+
 def poly_fixed_point_quotient(
     f: PrimalVector,
     degree: int,
     candidate: DualVector,
-    schedule: SamplingSchedule | None = None,
     seed: int = 0,
 ) -> LimsupEstimate:
     """Fixed-point quotient estimate for the polynomial projection at f, with
@@ -342,10 +327,9 @@ def poly_fixed_point_quotient(
     denominators vanish together along every sampled path)."""
     if f.space.kind != KIND_C01:
         raise ValueError("needs a C01 grid function")
-    schedule = schedule or SamplingSchedule(levels=5, dirs_per_level=16, seed=seed)
     mapd = poly_projection_map(f.space, degree)
     grid = f.space.grid
-    rng = np.random.default_rng([schedule.seed, 977])
+    rng = np.random.default_rng([seed, 977])
     rays: list[PrimalVector] = [f]
     for k in range(degree + 2):
         rays.append(PrimalVector(f.space, grid**k))
@@ -355,11 +339,7 @@ def poly_fixed_point_quotient(
             vals += rng.normal() * np.sin(np.pi * k * grid) / k
         rays.append(PrimalVector(f.space, vals))
     sched = SamplingSchedule(
-        r0=schedule.r0,
-        levels=schedule.levels,
-        dirs_per_level=schedule.dirs_per_level,
-        extra_rays=tuple(rays),
-        seed=schedule.seed,
+        r0=POLY_R0, levels=POLY_LEVELS, dirs_per_level=POLY_DIRS, extra_rays=tuple(rays), seed=seed
     )
     base = GraphPoint.at_point(mapd, f)
     return estimate_limsup(mapd, base, candidate, candidate, sched)

@@ -29,6 +29,7 @@ sharing it cannot leak state from one estimate into another.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -105,8 +106,8 @@ class SamplingSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.r0 <= 0:
-            raise ValueError("r0 must be positive")
+        if not 0.0 < self.r0 < math.inf:
+            raise ValueError("r0 must be positive and finite")
         if self.levels < 4:
             raise ValueError("need at least 4 radius levels")
         if self.dirs_per_level < 16:

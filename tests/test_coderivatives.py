@@ -18,7 +18,7 @@ from projderiv.coderivatives import (
     poly_projection_map,
     zm_index_set,
 )
-from projderiv.fixed_points import ORACLE_ONLY, characterize
+from projderiv.fixed_points import ORACLE_ONLY
 from projderiv.limsup_oracle import (
     GraphPoint,
     SamplingSchedule,
@@ -126,7 +126,7 @@ def test_points_near_the_sphere_count_as_on_it(family, radius, offset):
     assert np.array_equal(mapd.value(x).values, x.values)
     assert mapd.same_branch(x, 0.5 * x)
     assert mapd.same_branch(0.5 * x, x)
-    assert characterize(mapd, GraphPoint.at_point(mapd, x)).kind == ORACLE_ONLY
+    assert mapd.fixed_point_set(GraphPoint.at_point(mapd, x)).kind == ORACLE_ONLY
     with pytest.raises(BoundaryCaseError):
         coderiv(x, radius, dual(space, [1.0, 0.0, 0.0]))
 
@@ -251,6 +251,17 @@ def test_map_descriptor_values_and_graph(rng):
             assert np.allclose(batch[i], single.values, atol=1e-14)
             assert mapd.graph_contains(x, single)
             assert not mapd.graph_contains(x, single + primal(space, [0.3, 0, 0]))
+
+
+def test_kink_rays_are_built_once_per_map():
+    cone = cone_projection_map(lp_space(2.0, 3))
+    rays = cone.kink_rays
+    assert cone.kink_rays is rays
+    assert [r.values.tolist() for r in rays] == [
+        [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]
+    ]
+    ballm = ball_projection_map(lp_space(2.0, 3), 1.0)
+    assert ballm.kink_rays == () and ballm.kink_rays is ballm.kink_rays
 
 
 def test_poly_map_descriptor():

@@ -15,8 +15,8 @@ from projderiv.fixed_points import (
     ORIGIN_ONLY,
     POSITIVE_CONE_DUAL,
     WHOLE_DUAL,
-    FixedPointQuery,
-    characterize,
+    AuditRows,
+    BaseSamples,
     convexity_closedness_probe,
     is_fixed_point,
     poly_annihilator,
@@ -48,47 +48,47 @@ def test_characterize_branches():
     shift = primal(L24, [0.3, 0, 0, 0])
     translation = affine_map(L24, shift, 1.0)
     base = GraphPoint.at_point(translation, PrimalVector.zero(L24))
-    assert characterize(translation, base).kind == WHOLE_DUAL
+    assert translation.fixed_point_set(base).kind == WHOLE_DUAL
 
     scaling = affine_map(L24, shift, 2.0)
     base_s = GraphPoint.at_point(scaling, PrimalVector.zero(L24))
-    assert characterize(scaling, base_s).kind == ORIGIN_ONLY
+    assert scaling.fixed_point_set(base_s).kind == ORIGIN_ONLY
 
     pure_scaling = affine_map(L24, PrimalVector.zero(L24), 2.0)
     base_p = GraphPoint.at_point(pure_scaling, primal(L24, [0.1, 0, 0, 0]))
-    assert characterize(pure_scaling, base_p).kind == ORACLE_ONLY
+    assert pure_scaling.fixed_point_set(base_p).kind == ORACLE_ONLY
 
     ballm = ball_projection_map(L24, 1.0)
     inner = GraphPoint.at_point(ballm, primal(L24, [0.1, 0.1, 0, 0]))
     outer = GraphPoint.at_point(ballm, primal(L24, [2, 0, 0, 0]))
     boundary = GraphPoint.at_point(ballm, primal(L24, [1, 0, 0, 0]))
-    assert characterize(ballm, inner).kind == WHOLE_DUAL
-    assert characterize(ballm, outer).kind == ORIGIN_ONLY
-    assert characterize(ballm, boundary).kind == ORACLE_ONLY
+    assert ballm.fixed_point_set(inner).kind == WHOLE_DUAL
+    assert ballm.fixed_point_set(outer).kind == ORIGIN_ONLY
+    assert ballm.fixed_point_set(boundary).kind == ORACLE_ONLY
 
     cone = cone_projection_map(lp_space(2.0, 4))
     zbase = GraphPoint.at_point(cone, primal(lp_space(2.0, 4), [1, 2, 0, 0]))
-    char = characterize(cone, zbase)
+    char = cone.fixed_point_set(zbase)
     assert char.kind == POSITIVE_CONE_DUAL
     assert char.index_set.members == frozenset({3, 4})
     mixed = GraphPoint.at_point(cone, primal(lp_space(2.0, 4), [1, -1, 0, 0]))
-    assert characterize(cone, mixed).kind == ORACLE_ONLY
+    assert cone.fixed_point_set(mixed).kind == ORACLE_ONLY
     cone3 = cone_projection_map(lp_space(3.0, 4))
     zbase3 = GraphPoint.at_point(cone3, primal(lp_space(3.0, 4), [1, 2, 0, 0]))
-    assert characterize(cone3, zbase3).kind == ORACLE_ONLY
+    assert cone3.fixed_point_set(zbase3).kind == ORACLE_ONLY
 
     l1sp = l1_space(4)
     l1m = l1_ball_projection_map(l1sp, 1.0)
-    assert characterize(l1m, GraphPoint.at_point(l1m, primal(l1sp, [0.2, 0, 0, 0]))).kind == WHOLE_DUAL
-    assert characterize(l1m, GraphPoint.at_point(l1m, primal(l1sp, [2, 0, 0, 0]))).kind == ORIGIN_ONLY
+    assert l1m.fixed_point_set(GraphPoint.at_point(l1m, primal(l1sp, [0.2, 0, 0, 0]))).kind == WHOLE_DUAL
+    assert l1m.fixed_point_set(GraphPoint.at_point(l1m, primal(l1sp, [2, 0, 0, 0]))).kind == ORIGIN_ONLY
     off_selection = GraphPoint.checked(
         l1m, primal(l1sp, [2, 1, 0, 0]), primal(l1sp, [1, 0, 0, 0])
     )
-    assert characterize(l1m, off_selection).kind == ORACLE_ONLY
+    assert l1m.fixed_point_set(off_selection).kind == ORACLE_ONLY
 
     polym = poly_projection_map(C513, 1)
     pbase = GraphPoint.at_point(polym, primal(C513, C513.grid**2))
-    assert characterize(polym, pbase).kind == ORACLE_ONLY
+    assert polym.fixed_point_set(pbase).kind == ORACLE_ONLY
 
 
 def test_registry_theta_and_cone_facts():
@@ -96,13 +96,13 @@ def test_registry_theta_and_cone_facts():
     f = primal(lp_space(3.0, 4), [1, 0.5, 0, 0])
     base = GraphPoint.at_point(cone3, f)
     theta = DualVector.zero(lp_space(3.0, 4))
-    assert registry_verdict(FixedPointQuery(cone3, base, theta)) == Verdict.MEMBER
-    assert registry_verdict(FixedPointQuery(cone3, base, duality_map(f))) == Verdict.MEMBER
+    assert registry_verdict(cone3, base, theta) == Verdict.MEMBER
+    assert registry_verdict(cone3, base, duality_map(f)) == Verdict.MEMBER
     origin = GraphPoint.at_point(cone3, PrimalVector.zero(lp_space(3.0, 4)))
     psi = dual(lp_space(3.0, 4), [1, 2, 0, 0.5])
-    assert registry_verdict(FixedPointQuery(cone3, origin, psi)) == Verdict.MEMBER
+    assert registry_verdict(cone3, origin, psi) == Verdict.MEMBER
     unknown = dual(lp_space(3.0, 4), [1, -1, 0, 0])
-    assert registry_verdict(FixedPointQuery(cone3, base, unknown)) is None
+    assert registry_verdict(cone3, base, unknown) is None
 
 
 def test_cone_lp_registry_matches_oracle(rng):
@@ -117,17 +117,15 @@ def test_cone_lp_registry_matches_oracle(rng):
             mask[0] = True
         f = primal(sp, rng.uniform(0.3, 1.5, size=6) * mask)
         base = GraphPoint.at_point(cone, f)
-        verdict = is_fixed_point(
-            FixedPointQuery(cone, base, duality_map(f)), sched, mode="oracle"
-        )
+        verdict = is_fixed_point(BaseSamples(cone, base, sched), duality_map(f), mode="oracle")
         assert verdict == Verdict.MEMBER
-    origin = GraphPoint.at_point(cone, PrimalVector.zero(sp))
+    origin = BaseSamples(cone, GraphPoint.at_point(cone, PrimalVector.zero(sp)), sched)
     for i in range(20):
         mask = rng.random(6) > 0.3
         if not mask.any():
             mask[0] = True
         psi = dual(sp, rng.uniform(0.3, 1.5, size=6) * mask)
-        verdict = is_fixed_point(FixedPointQuery(cone, origin, psi), sched, mode="oracle")
+        verdict = is_fixed_point(origin, psi, mode="oracle")
         assert verdict == Verdict.MEMBER
 
 
@@ -145,8 +143,9 @@ def test_registry_and_oracle_never_disagree(rng):
     cbase = GraphPoint.at_point(cone, primal(lp_space(2.0, 6), [1, 2, 0, 0, 0, 0]))
     instances.append((cone, cbase, 0.5, 1.5))
     for mapd, base, lo_n, hi_n in instances:
-        char = characterize(mapd, base)
+        char = mapd.fixed_point_set(base)
         assert char.kind != ORACLE_ONLY
+        samples = BaseSamples(mapd, base, sched)
         for i in range(50):
             w = dual(mapd.space, rng.normal(size=mapd.space.size))
             w = (rng.uniform(lo_n, hi_n) / dual_norm(w)) * w
@@ -158,7 +157,7 @@ def test_registry_and_oracle_never_disagree(rng):
                     # so give the non-member a visible margin
                     vals[2 + i % 4] = -rng.uniform(0.3, 1.5)
                 w = dual(mapd.space, vals)
-            verdict = is_fixed_point(FixedPointQuery(mapd, base, w), sched, mode="oracle")
+            verdict = is_fixed_point(samples, w, mode="oracle")
             expected = Verdict.MEMBER if char.membership(w) else Verdict.NON_MEMBER
             assert verdict == expected
 
@@ -166,14 +165,14 @@ def test_registry_and_oracle_never_disagree(rng):
 def test_audit_mode_runs_clean(rng):
     ballm = ball_projection_map(L24, 1.0)
     base = GraphPoint.at_point(ballm, primal(L24, [2.0, 0.0, 0, 0]))
-    sched = SamplingSchedule(seed=7)
+    samples = BaseSamples(ballm, base, SamplingSchedule(seed=7))
     for _ in range(5):
         w = dual(L24, rng.normal(size=4))
         w = (rng.uniform(0.5, 1.0) / dual_norm(w)) * w
-        verdict = is_fixed_point(FixedPointQuery(ballm, base, w), sched, mode="audit")
+        verdict = is_fixed_point(samples, w, mode="audit")
         assert verdict == Verdict.NON_MEMBER
     with pytest.raises(ValueError):
-        is_fixed_point(FixedPointQuery(ballm, base, w), sched, mode="bogus")
+        is_fixed_point(samples, w, mode="bogus")
 
 
 entry = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -193,7 +192,7 @@ def test_quotient_forms_agree(wv, uv, noise):
     if np.array_equal(us[0], base.x.values):
         return
     w = dual(L24, wv)
-    assert np.all(quotient_forms_spread(w, base, us, ballm.value_batch(us)) <= 1e-12)
+    assert np.all(quotient_forms_spread(w, AuditRows.at(base, us, ballm.value_batch(us))) <= 1e-12)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -209,10 +208,10 @@ def test_quotient_forms_agree_at_the_finest_radius_of_an_exterior_base(levels, p
     rng = np.random.default_rng(levels)
     dirs = rng.standard_normal((8, 4))
     us = base.x.values[None, :] + (radius / np.max(np.abs(dirs), axis=1))[:, None] * dirs
-    vs = ballm.value_batch(us)
+    rows = AuditRows.at(base, us, ballm.value_batch(us))
     for _ in range(10):
         w = dual(space, rng.uniform(-1.0, 1.0, size=4))
-        spread = quotient_forms_spread(w, base, us, vs)
+        spread = quotient_forms_spread(w, rows)
         assert np.all(spread <= 1e-12 * (1.0 + dual_norm(w)))
 
 
@@ -221,22 +220,21 @@ def test_quotient_forms_spread_raises_on_a_row_at_the_base():
     base = GraphPoint.at_point(ballm, primal(L24, [2.0, 0.3, 0, 0]))
     us = base.x.values[None, :] + np.array([[0.01, 0.0, 0.02, 0.0], [0.0, 0.0, 0.0, 0.0]])
     w = dual(L24, [1.0, 0.5, 0.0, 0.0])
-    assert quotient_forms_spread(w, base, us[:1], ballm.value_batch(us[:1]))[0] <= 1e-12
+    assert quotient_forms_spread(w, AuditRows.at(base, us[:1], ballm.value_batch(us[:1])))[0] <= 1e-12
     with pytest.raises(ZeroDivisionError):
-        quotient_forms_spread(w, base, us, ballm.value_batch(us))
+        AuditRows.at(base, us, ballm.value_batch(us))
 
 
 def test_convexity_probe_whole_dual(rng):
     ballm = ball_projection_map(L24, 1.0)
     base = GraphPoint.at_point(ballm, primal(L24, [0.1, 0.2, 0, 0]))
     members = tuple(dual(L24, rng.normal(size=4)) for _ in range(4))
-    report = convexity_closedness_probe(
-        ballm, base, members, trials=30, schedule=SamplingSchedule(seed=3), seed=0
-    )
+    samples = BaseSamples(ballm, base, SamplingSchedule(seed=3))
+    report = convexity_closedness_probe(samples, members, trials=30, seed=0)
     assert report.violations == ()
     assert report.combinations_checked == 30
     with pytest.raises(ValueError):
-        convexity_closedness_probe(ballm, base, members[:1], trials=5)
+        convexity_closedness_probe(samples, members[:1], trials=5)
 
 
 def test_poly_annihilator_structure():

@@ -11,7 +11,7 @@ from projderiv.coderivatives import (
     l1_ball_projection_map,
     poly_projection_map,
 )
-from projderiv.fixed_points import BaseSamples, FixedPointQuery, is_fixed_point
+from projderiv.fixed_points import BaseSamples, is_fixed_point, quotient_forms_spread
 from projderiv.limsup_oracle import (
     RAY_RATIO,
     RAY_STEPS,
@@ -37,8 +37,10 @@ from projderiv.spaces import (
     l1_space,
     lp_space,
     norm,
+    norm_rows,
     norming_direction,
     pairing,
+    pairing_rows,
     primal,
 )
 
@@ -117,6 +119,9 @@ def test_schedule_validation():
         SamplingSchedule(dirs_per_level=8)
     with pytest.raises(ValueError):
         SamplingSchedule(r0=0.0)
+    for r0 in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="r0 must be positive and finite"):
+            SamplingSchedule(r0=r0)
 
 
 def test_determinism_bit_for_bit():
@@ -217,9 +222,50 @@ def test_shared_base_samples_give_every_query_its_fresh_verdict():
     rng = np.random.default_rng(11)
     for _ in range(6):
         cand = dual(mapd.space, rng.uniform(-1.0, 1.0, size=4))
-        query = FixedPointQuery(mapd, base, cand)
         for mode in ("oracle", "audit", "registry"):
-            assert is_fixed_point(query, sched, mode=mode, samples=samples) == is_fixed_point(query, sched, mode=mode)
+            fresh = BaseSamples(mapd, base, sched)
+            assert is_fixed_point(samples, cand, mode=mode) == is_fixed_point(fresh, cand, mode=mode)
+
+
+def _two_diff(a, b):
+    s = a - b
+    bv = s - a
+    av = s - bv
+    return s, (a - av) - (b + bv)
+
+
+def _audit_spread_per_candidate(mapd, base, sched, ystar):
+    # reference: the audit spread computed from scratch for one candidate,
+    # drawing the eight rows and then pairing the increments, their
+    # difference and the TwoDiff shift
+    rng = np.random.default_rng([sched.seed, 555])
+    radius = sched.r0 * 2.0 ** (-(sched.levels - 1))
+    dirs = rng.standard_normal((8, mapd.space.size))
+    peaks = np.max(np.abs(dirs), axis=1)
+    dirs, peaks = dirs[peaks > 0.0], peaks[peaks > 0.0]
+    us = base.x.values[None, :] + (radius / peaks)[:, None] * dirs
+    vs = mapd.value_batch(us)
+    du = us - base.x.values[None, :]
+    dv = vs - base.y.values[None, :]
+    den = norm_rows(base.x.space, du) + norm_rows(base.x.space, dv)
+    f1 = (pairing_rows(ystar, du) - pairing_rows(ystar, dv)) / den
+    f2 = pairing_rows(ystar, du - dv) / den
+    a, ea = _two_diff(us, vs)
+    b, eb = _two_diff(base.x.values, base.y.values)
+    f3 = pairing_rows(ystar, (a - b) + (ea - eb)) / den
+    return np.maximum(np.maximum(np.abs(f1 - f2), np.abs(f1 - f3)), np.abs(f2 - f3))
+
+
+@pytest.mark.parametrize("name", ["ball p=2 exterior", "ball p=3 exterior", "cone", "l1 exterior", "affine"])
+def test_shared_audit_rows_give_every_candidate_its_per_candidate_spread(name):
+    mapd, x, sched = SHARED_PASS_BASES[name]
+    base = GraphPoint.at_point(mapd, x)
+    rows = BaseSamples(mapd, base, sched).audit
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        ystar = dual(mapd.space, rng.uniform(-1.5, 1.5, size=mapd.space.size))
+        assert np.array_equal(quotient_forms_spread(ystar, rows),
+                              _audit_spread_per_candidate(mapd, base, sched, ystar))
 
 
 def test_shared_pass_is_read_only_and_bound_to_its_base_and_schedule():
@@ -244,14 +290,9 @@ def test_shared_pass_is_read_only_and_bound_to_its_base_and_schedule():
     assert estimate_limsup(mapd, base, w, w, SamplingSchedule(seed=sched.seed), samples=samples).extrapolated \
         == estimate_limsup(mapd, base, w, w, sched).extrapolated
 
-    query_samples = BaseSamples(mapd, base, sched)
-    for array in query_samples.audit:
+    for array in vars(BaseSamples(mapd, base, sched).audit).values():
         with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 0.0
-    with pytest.raises(ValueError, match="another map, base or schedule"):
-        is_fixed_point(FixedPointQuery(mapd, other_base, w), sched, mode="oracle", samples=query_samples)
-    with pytest.raises(ValueError, match="another map, base or schedule"):
-        is_fixed_point(FixedPointQuery(mapd, base, w), SamplingSchedule(seed=1), mode="oracle", samples=query_samples)
+            array.flat[0] = 0.0
 
 
 def test_monotone_refinement_nested_directions():
