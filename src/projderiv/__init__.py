@@ -65,7 +65,6 @@ from .limsup_oracle import (
     membership_test,
 )
 from .fixed_points import (
-    BaseSamples,
     FixedPointCharacterization,
     is_fixed_point,
     convexity_closedness_probe,

@@ -164,7 +164,7 @@ def _exp_ball_fixed_points(config: ExperimentConfig) -> list[CheckResult]:
         for i in range(20):
             x = _primal_with_norm(space, rng, 0.1 * config.r, 0.8 * config.r)
             base = lo.GraphPoint.at_point(mapd, x)
-            samples = fp.BaseSamples(mapd, base, sched)
+            samples = lo.sample_base(mapd, base, sched)
             for j in range(20):
                 cand = _dual_with_norm(space, rng, 0.3, 1.5)
                 verdict = fp.is_fixed_point(samples, cand, mode="oracle")
@@ -176,7 +176,7 @@ def _exp_ball_fixed_points(config: ExperimentConfig) -> list[CheckResult]:
         for i in range(20):
             x = _primal_with_norm(space, rng, 1.5 * config.r, 2.2 * config.r)
             base = lo.GraphPoint.at_point(mapd, x)
-            samples = fp.BaseSamples(mapd, base, sched)
+            samples = lo.sample_base(mapd, base, sched)
             theta = DualVector.zero(space)
             verdict = fp.is_fixed_point(samples, theta, mode="oracle")
             theta_ok += verdict == lo.Verdict.MEMBER
@@ -295,7 +295,7 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
     off = sorted(m_set.complement.members)
     rng = _rng(config, 40)
     sched = config.schedule()
-    samples = fp.BaseSamples(mapd, base, sched)
+    samples = lo.sample_base(mapd, base, sched)
 
     char = mapd.fixed_point_set(base)
     _check(
@@ -344,7 +344,7 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
         else:
             z[int(rng.choice(sorted(m_set.members))) - 1] += rng.uniform(0.3, 1.0)
         zd = dual(space, z)
-        est = lo.membership_test(mapd, base, zd, anchor, sched, samples=samples.oracle)
+        est = lo.membership_test(mapd, base, zd, anchor, sched, samples=samples)
         closed = slice_set.membership(zd)
         agree += (est.verdict != lo.Verdict.INDETERMINATE) and (
             closed == (est.verdict == lo.Verdict.MEMBER)
@@ -693,11 +693,11 @@ def _exp_structural(config: ExperimentConfig) -> list[CheckResult]:
         # product rounds like a scalar dot where a multi-row one does not
         size = mapd.space.size
         for u, v in zip(est.trace.us.reshape(-1, size), est.trace.vs.reshape(-1, size)):
-            spread = fp.quotient_forms_spread(ystar, fp.AuditRows.at(base, u[None, :], v[None, :]))
+            spread = fp.quotient_forms_spread(ystar, lo.AuditRows.at(base, u[None, :], v[None, :]))
             spread_worst = max(spread_worst, float(spread[0]))
     _check(checks, "the three quotient forms agree", spread_worst <= 1e-12, f"{spread_worst:.3e}", "<= 1e-12")
 
-    cone_samples = fp.BaseSamples(cone_map, lo.GraphPoint.at_point(cone_map, cone_base), sched)
+    cone_samples = lo.sample_base(cone_map, lo.GraphPoint.at_point(cone_map, cone_base), sched)
     members = []
     for i in range(5):
         y = rng.normal(size=6) * 2.0
@@ -800,7 +800,10 @@ EXPERIMENT_REQUIREMENTS: dict[str, tuple] = {
         _M_INSIDE,
         (lambda c: 0 < len(set(c.M)) < c.N, "M and its complement in 1..N must be nonempty"),
     ),
-    "l1_cases": ((lambda c: c.N >= 2, "N >= 2 required"),),
+    "l1_cases": (
+        (lambda c: c.N >= 2, "N >= 2 required"),
+        (lambda c: c.r == 1.0, "r = 1 required: the case targets are the r = 1 limits at the base 2 e_1"),
+    ),
     "remez_theorem_5_4": (_G_FITS_CUBICS,),
     "remez_continuity_theorem_4_8": (_G_FITS_CUBICS,),
     "poly_theorem_4_11": (

@@ -6,15 +6,15 @@ characterization applies (whole dual space, origin only, or a nonnegativity
 cone over an index set); everything else goes to the sampling oracle. In
 audit mode both run and a contradiction fails loudly.
 
-A query is one candidate asked at one `BaseSamples`: the map, the base, the
-schedule and every candidate-independent row of the oracle and of the
-quotient-form audit, shared by all candidates asked there.
+A query is one candidate asked at one `SamplePass` of the oracle: the map,
+the base, the schedule and every candidate-independent row, shared by all
+candidates asked there. The quotient-form audit checks the pass's finest
+level (`SamplePass.audit`), so it sees the rows the oracle judges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .coderivatives import (
     poly_projection_map,
 )
 from .limsup_oracle import (
+    AuditRows,
     GraphPoint,
     LimsupEstimate,
     SamplePass,
@@ -36,7 +37,6 @@ from .limsup_oracle import (
     Verdict,
     estimate_limsup,
     membership_test,
-    sample_base,
     tolerance_pair,
 )
 from .spaces import (
@@ -47,15 +47,12 @@ from .spaces import (
     atomic_measure,
     dual_norm,
     norm,
-    norm_rows,
     norming_direction,
     pairing,
     pairing_rows,
 )
 
 __all__ = [
-    "BaseSamples",
-    "AuditRows",
     "FixedPointCharacterization",
     "FixedPointAuditError",
     "ConvexityProbeReport",
@@ -77,67 +74,6 @@ __all__ = [
 
 class FixedPointAuditError(AssertionError):
     """The oracle contradicted a closed-form characterization."""
-
-
-@dataclass(frozen=True, eq=False)
-class AuditRows:
-    """The candidate-independent arrays of the three quotient forms at
-    sample rows (us, vs) around a base: the increments du = u - x and
-    dv = v - y, the denominators ||du|| + ||dv||, du - dv, and the residual
-    shift (u - v) - (x - y). Built by `at`; every array is read only."""
-
-    du: np.ndarray
-    dv: np.ndarray
-    den: np.ndarray
-    du_minus_dv: np.ndarray
-    shift: np.ndarray
-
-    @classmethod
-    def at(cls, base: GraphPoint, us: np.ndarray, vs: np.ndarray) -> "AuditRows":
-        """The audit arrays of the rows (us, vs) around the base; a row at
-        the base is a ZeroDivisionError. The shift is formed from the
-        error-free differences of u - v and x - y. Rounded plainly, it would
-        carry an absolute error of about eps |x - y|, which the small
-        denominators near an exterior base blow up."""
-        du = us - base.x.values[None, :]
-        dv = vs - base.y.values[None, :]
-        den = norm_rows(base.x.space, du) + norm_rows(base.x.space, dv)
-        if not np.all(den):
-            raise ZeroDivisionError("sample coincides with the base point")
-        a, ea = _two_diff(us, vs)
-        b, eb = _two_diff(base.x.values, base.y.values)
-        rows = cls(du, dv, den, du - dv, (a - b) + (ea - eb))
-        for array in vars(rows).values():
-            array.flags.writeable = False
-        return rows
-
-
-@dataclass(frozen=True, eq=False)
-class BaseSamples:
-    """The candidate-independent rows of every fixed-point query at one base
-    and schedule: the oracle's sample pass and the quotient-form audit rows.
-    Each is built on first use, so a base whose queries the registry settles
-    draws nothing; once built, every array is read only."""
-
-    map: MapDescriptor
-    base: GraphPoint
-    schedule: SamplingSchedule
-
-    @cached_property
-    def oracle(self) -> SamplePass:
-        return sample_base(self.map, self.base, self.schedule)
-
-    @cached_property
-    def audit(self) -> AuditRows:
-        """The audit rows of eight graph points at max-norm distance the
-        schedule's finest radius from x."""
-        rng = np.random.default_rng([self.schedule.seed, 555])
-        radius = self.schedule.r0 * 2.0 ** (-(self.schedule.levels - 1))
-        dirs = rng.standard_normal((8, self.map.space.size))
-        peaks = np.max(np.abs(dirs), axis=1)
-        dirs, peaks = dirs[peaks > 0.0], peaks[peaks > 0.0]
-        us = self.base.x.values[None, :] + (radius / peaks)[:, None] * dirs
-        return AuditRows.at(self.base, us, self.map.value_batch(us))
 
 
 def registry_rays(
@@ -172,7 +108,7 @@ def registry_verdict(mapd: MapDescriptor, base: GraphPoint, candidate: DualVecto
     return Verdict.MEMBER if mapd.known_member(base, candidate) else None
 
 
-def is_fixed_point(samples: BaseSamples, candidate: DualVector, mode: str = "registry") -> Verdict:
+def is_fixed_point(samples: SamplePass, candidate: DualVector, mode: str = "registry") -> Verdict:
     """Membership of the candidate in its own derivative-operator value at
     the base of `samples`.
 
@@ -188,9 +124,7 @@ def is_fixed_point(samples: BaseSamples, candidate: DualVector, mode: str = "reg
         return exact
     _check_quotient_forms(candidate, samples.audit)
     rays = registry_rays(mapd, base, candidate, candidate)
-    estimate = membership_test(
-        mapd, base, candidate, candidate, samples.schedule, rays, samples=samples.oracle
-    )
+    estimate = membership_test(mapd, base, candidate, candidate, samples.schedule, rays, samples=samples)
     if mode == "audit" and exact is not None:
         opposite = {Verdict.MEMBER: Verdict.NON_MEMBER, Verdict.NON_MEMBER: Verdict.MEMBER}
         if estimate.verdict == opposite[exact]:
@@ -222,16 +156,6 @@ def quotient_forms_spread(ystar: DualVector, rows: AuditRows) -> np.ndarray:
     return np.maximum(np.maximum(np.abs(f1 - f2), np.abs(f1 - f3)), np.abs(f2 - f3))
 
 
-def _two_diff(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Knuth's TwoDiff: s = fl(a - b) and the rounding error e, with
-    s + e = a - b exactly (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26,
-    2005)."""
-    s = a - b
-    bv = s - a
-    av = s - bv
-    return s, (a - av) - (b + bv)
-
-
 @dataclass(frozen=True)
 class ConvexityProbeReport:
     combinations_checked: int
@@ -240,7 +164,7 @@ class ConvexityProbeReport:
 
 
 def convexity_closedness_probe(
-    samples: BaseSamples,
+    samples: SamplePass,
     members: tuple[DualVector, ...],
     trials: int = 100,
     seed: int = 0,

@@ -22,8 +22,10 @@ by level and row.
 The sampled rows depend on the map, the base and the schedule, never on the
 duals, so `sample_base` draws them once as a `SamplePass` that every
 candidate queried at that base can share (`samples=`); only the numerators
-are per candidate. A pass is immutable and its arrays are read only, so
-sharing it cannot leak state from one estimate into another.
+are per candidate. The quotient-form audit of `fixed_points` checks the same
+pass: its rows are the finest level's (`SamplePass.audit`). A pass is
+immutable and its arrays are read only, so sharing it cannot leak state from
+one estimate into another.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +54,7 @@ __all__ = [
     "GraphPoint",
     "SamplingSchedule",
     "SamplePass",
+    "AuditRows",
     "QuotientTrace",
     "LimsupEstimate",
     "tolerance_pair",
@@ -129,6 +133,55 @@ class SamplePass:
     us: np.ndarray
     vs: np.ndarray
     dens: np.ndarray
+
+    @cached_property
+    def audit(self) -> AuditRows:
+        """The quotient-form audit rows of the finest level, built on first
+        use."""
+        return AuditRows.at(self.base, self.us[-1], self.vs[-1])
+
+
+@dataclass(frozen=True, eq=False)
+class AuditRows:
+    """The candidate-independent arrays of the three quotient forms at
+    sample rows (us, vs) around a base: the increments du = u - x and
+    dv = v - y, the denominators ||du|| + ||dv||, du - dv, and the residual
+    shift (u - v) - (x - y). Built by `at`; every array is read only."""
+
+    du: np.ndarray
+    dv: np.ndarray
+    den: np.ndarray
+    du_minus_dv: np.ndarray
+    shift: np.ndarray
+
+    @classmethod
+    def at(cls, base: GraphPoint, us: np.ndarray, vs: np.ndarray) -> "AuditRows":
+        """The audit arrays of the rows (us, vs) around the base; a row at
+        the base is a ZeroDivisionError. The shift is formed from the
+        error-free differences of u - v and x - y. Rounded plainly, it would
+        carry an absolute error of about eps |x - y|, which the small
+        denominators near an exterior base blow up."""
+        du = us - base.x.values[None, :]
+        dv = vs - base.y.values[None, :]
+        den = norm_rows(base.x.space, du) + norm_rows(base.x.space, dv)
+        if not np.all(den):
+            raise ZeroDivisionError("sample coincides with the base point")
+        a, ea = _two_diff(us, vs)
+        b, eb = _two_diff(base.x.values, base.y.values)
+        rows = cls(du, dv, den, du - dv, (a - b) + (ea - eb))
+        for array in vars(rows).values():
+            array.flags.writeable = False
+        return rows
+
+
+def _two_diff(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's TwoDiff: s = fl(a - b) and the rounding error e, with
+    s + e = a - b exactly (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26,
+    2005)."""
+    s = a - b
+    bv = s - a
+    av = s - bv
+    return s, (a - av) - (b + bv)
 
 
 @dataclass(frozen=True, eq=False)

@@ -99,6 +99,8 @@ def test_run_experiment_rejects_unknown():
     "argv",
     [
         ["run", "--experiment", "l1_cases", "--N", "1"],
+        ["run", "--experiment", "l1_cases", "--r", "0.5"],
+        ["run", "--experiment", "l1_cases", "--r", "3"],
         ["run", "--experiment", "cone_l2_theorem_4_3", "--M", "9"],
         ["run", "--experiment", "cone_l2_theorem_4_3", "--M", "0"],
         ["run", "--experiment", "cone_l2_theorem_4_3", "--M", "1,2,3,4,5,6"],

@@ -15,8 +15,6 @@ from projderiv.fixed_points import (
     ORIGIN_ONLY,
     POSITIVE_CONE_DUAL,
     WHOLE_DUAL,
-    AuditRows,
-    BaseSamples,
     convexity_closedness_probe,
     is_fixed_point,
     poly_annihilator,
@@ -25,7 +23,7 @@ from projderiv.fixed_points import (
     registry_verdict,
     scaling_direction_report,
 )
-from projderiv.limsup_oracle import GraphPoint, SamplingSchedule, Verdict
+from projderiv.limsup_oracle import AuditRows, GraphPoint, SamplingSchedule, Verdict, sample_base
 from projderiv.spaces import (
     DualVector,
     PrimalVector,
@@ -117,9 +115,9 @@ def test_cone_lp_registry_matches_oracle(rng):
             mask[0] = True
         f = primal(sp, rng.uniform(0.3, 1.5, size=6) * mask)
         base = GraphPoint.at_point(cone, f)
-        verdict = is_fixed_point(BaseSamples(cone, base, sched), duality_map(f), mode="oracle")
+        verdict = is_fixed_point(sample_base(cone, base, sched), duality_map(f), mode="oracle")
         assert verdict == Verdict.MEMBER
-    origin = BaseSamples(cone, GraphPoint.at_point(cone, PrimalVector.zero(sp)), sched)
+    origin = sample_base(cone, GraphPoint.at_point(cone, PrimalVector.zero(sp)), sched)
     for i in range(20):
         mask = rng.random(6) > 0.3
         if not mask.any():
@@ -145,7 +143,7 @@ def test_registry_and_oracle_never_disagree(rng):
     for mapd, base, lo_n, hi_n in instances:
         char = mapd.fixed_point_set(base)
         assert char.kind != ORACLE_ONLY
-        samples = BaseSamples(mapd, base, sched)
+        samples = sample_base(mapd, base, sched)
         for i in range(50):
             w = dual(mapd.space, rng.normal(size=mapd.space.size))
             w = (rng.uniform(lo_n, hi_n) / dual_norm(w)) * w
@@ -165,7 +163,7 @@ def test_registry_and_oracle_never_disagree(rng):
 def test_audit_mode_runs_clean(rng):
     ballm = ball_projection_map(L24, 1.0)
     base = GraphPoint.at_point(ballm, primal(L24, [2.0, 0.0, 0, 0]))
-    samples = BaseSamples(ballm, base, SamplingSchedule(seed=7))
+    samples = sample_base(ballm, base, SamplingSchedule(seed=7))
     for _ in range(5):
         w = dual(L24, rng.normal(size=4))
         w = (rng.uniform(0.5, 1.0) / dual_norm(w)) * w
@@ -229,7 +227,7 @@ def test_convexity_probe_whole_dual(rng):
     ballm = ball_projection_map(L24, 1.0)
     base = GraphPoint.at_point(ballm, primal(L24, [0.1, 0.2, 0, 0]))
     members = tuple(dual(L24, rng.normal(size=4)) for _ in range(4))
-    samples = BaseSamples(ballm, base, SamplingSchedule(seed=3))
+    samples = sample_base(ballm, base, SamplingSchedule(seed=3))
     report = convexity_closedness_probe(samples, members, trials=30, seed=0)
     assert report.violations == ()
     assert report.combinations_checked == 30

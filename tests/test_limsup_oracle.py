@@ -11,7 +11,7 @@ from projderiv.coderivatives import (
     l1_ball_projection_map,
     poly_projection_map,
 )
-from projderiv.fixed_points import BaseSamples, is_fixed_point, quotient_forms_spread
+from projderiv.fixed_points import is_fixed_point, quotient_forms_spread
 from projderiv.limsup_oracle import (
     RAY_RATIO,
     RAY_STEPS,
@@ -218,12 +218,12 @@ def test_a_shared_pass_gives_every_candidate_its_fresh_estimate(name):
 def test_shared_base_samples_give_every_query_its_fresh_verdict():
     mapd, x, sched = SHARED_PASS_BASES["ball p=3 exterior"]
     base = GraphPoint.at_point(mapd, x)
-    samples = BaseSamples(mapd, base, sched)
+    samples = sample_base(mapd, base, sched)
     rng = np.random.default_rng(11)
     for _ in range(6):
         cand = dual(mapd.space, rng.uniform(-1.0, 1.0, size=4))
         for mode in ("oracle", "audit", "registry"):
-            fresh = BaseSamples(mapd, base, sched)
+            fresh = sample_base(mapd, base, sched)
             assert is_fixed_point(samples, cand, mode=mode) == is_fixed_point(fresh, cand, mode=mode)
 
 
@@ -236,15 +236,10 @@ def _two_diff(a, b):
 
 def _audit_spread_per_candidate(mapd, base, sched, ystar):
     # reference: the audit spread computed from scratch for one candidate,
-    # drawing the eight rows and then pairing the increments, their
+    # on the finest level of a fresh pass, pairing the increments, their
     # difference and the TwoDiff shift
-    rng = np.random.default_rng([sched.seed, 555])
-    radius = sched.r0 * 2.0 ** (-(sched.levels - 1))
-    dirs = rng.standard_normal((8, mapd.space.size))
-    peaks = np.max(np.abs(dirs), axis=1)
-    dirs, peaks = dirs[peaks > 0.0], peaks[peaks > 0.0]
-    us = base.x.values[None, :] + (radius / peaks)[:, None] * dirs
-    vs = mapd.value_batch(us)
+    fresh = sample_base(mapd, base, sched)
+    us, vs = fresh.us[-1], fresh.vs[-1]
     du = us - base.x.values[None, :]
     dv = vs - base.y.values[None, :]
     den = norm_rows(base.x.space, du) + norm_rows(base.x.space, dv)
@@ -260,7 +255,7 @@ def _audit_spread_per_candidate(mapd, base, sched, ystar):
 def test_shared_audit_rows_give_every_candidate_its_per_candidate_spread(name):
     mapd, x, sched = SHARED_PASS_BASES[name]
     base = GraphPoint.at_point(mapd, x)
-    rows = BaseSamples(mapd, base, sched).audit
+    rows = sample_base(mapd, base, sched).audit
     rng = np.random.default_rng(23)
     for _ in range(5):
         ystar = dual(mapd.space, rng.uniform(-1.5, 1.5, size=mapd.space.size))
@@ -290,7 +285,19 @@ def test_shared_pass_is_read_only_and_bound_to_its_base_and_schedule():
     assert estimate_limsup(mapd, base, w, w, SamplingSchedule(seed=sched.seed), samples=samples).extrapolated \
         == estimate_limsup(mapd, base, w, w, sched).extrapolated
 
-    for array in vars(BaseSamples(mapd, base, sched).audit).values():
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_PASS_BASES))
+def test_the_audit_rows_are_the_finest_level_of_the_pass(name):
+    mapd, x, sched = SHARED_PASS_BASES[name]
+    base = GraphPoint.at_point(mapd, x)
+    samples = sample_base(mapd, base, sched)
+    rows = samples.audit
+    assert samples.audit is rows
+    assert np.array_equal(rows.du, samples.us[-1] - x.values[None, :])
+    assert np.array_equal(rows.dv, samples.vs[-1] - base.y.values[None, :])
+    assert np.array_equal(rows.den, samples.dens[-1])
+    for array in vars(rows).values():
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0.0
 
