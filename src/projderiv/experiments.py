@@ -196,6 +196,7 @@ def _exp_ball_coderivative(config: ExperimentConfig) -> list[CheckResult]:
     checks: list[CheckResult] = []
     member_ok = reject_ok = 0
     worst_collapse = 0.0
+    sched = config.schedule()
     for i in range(50):
         p = 2.0 if i % 2 == 0 else 3.0
         space = lp_space(p, config.N)
@@ -204,16 +205,16 @@ def _exp_ball_coderivative(config: ExperimentConfig) -> list[CheckResult]:
         x = _primal_with_norm(space, rng, 2.5 * config.r, 3.5 * config.r)
         ystar = _dual_with_norm(space, rng, 0.5, 1.5)
         base = lo.GraphPoint.at_point(mapd, x)
-        sched = config.schedule()
         samples = lo.sample_base(mapd, base, sched)
         image = cd.coderiv_ball_lp(x, config.r, ystar).point
         rays = fp.registry_rays(mapd, base, image, ystar)
-        est = lo.membership_test(mapd, base, image, ystar, sched, rays, samples=samples)
-        member_ok += est.verdict == lo.Verdict.MEMBER
+        verdict = lo.membership_test(mapd, base, image, ystar, sched, rays, samples=samples).verdict
+        member_ok += verdict == lo.Verdict.MEMBER
         perturbed = image + 0.1 * _unit_dual(space, rng)
         rays_p = fp.registry_rays(mapd, base, perturbed, ystar)
-        est_p = lo.membership_test(mapd, base, perturbed, ystar, sched, rays_p, samples=samples)
-        reject_ok += est_p.verdict == lo.Verdict.NON_MEMBER
+        verdict_p = lo.membership_test(mapd, base, perturbed, ystar, sched, rays_p, samples=samples).verdict
+        reject_ok += verdict_p == lo.Verdict.NON_MEMBER
+        del samples  # release this base's pass before the next base draws its own
         collapse = cd.coderiv_ball_lp(x, config.r, duality_map(x)).point
         worst_collapse = max(worst_collapse, dual_norm(collapse))
     _check(checks, "closed-form images accepted", member_ok == 50, member_ok, 50)
@@ -368,8 +369,8 @@ def _exp_cone_lp(config: ExperimentConfig) -> list[CheckResult]:
         f = primal(space, rng.uniform(0.3, 1.5, size=config.N) * mask)
         jf = duality_map(f)
         base = lo.GraphPoint.at_point(mapd, f)
-        est = lo.membership_test(mapd, base, jf, jf, sched)
-        j_ok += est.verdict == lo.Verdict.MEMBER
+        verdict = lo.membership_test(mapd, base, jf, jf, sched).verdict
+        j_ok += verdict == lo.Verdict.MEMBER
     _check(checks, "duality images are fixed points", j_ok == 20, j_ok, 20)
 
     theta = PrimalVector.zero(space)
@@ -381,8 +382,8 @@ def _exp_cone_lp(config: ExperimentConfig) -> list[CheckResult]:
         if not mask.any():
             mask[0] = True
         psi = dual(space, rng.uniform(0.3, 1.5, size=config.N) * mask)
-        est = lo.membership_test(mapd, base0, psi, psi, sched, samples=samples0)
-        psi_ok += est.verdict == lo.Verdict.MEMBER
+        verdict = lo.membership_test(mapd, base0, psi, psi, sched, samples=samples0).verdict
+        psi_ok += verdict == lo.Verdict.MEMBER
     _check(checks, "nonnegative duals at the origin are fixed points", psi_ok == 20, psi_ok, 20)
 
     match = 0
@@ -400,9 +401,9 @@ def _exp_cone_lp(config: ExperimentConfig) -> list[CheckResult]:
         phi = dual(space, pv)
         predicate = cd.coderiv_cone_lp_theta_membership(f, phi)
         base = lo.GraphPoint.at_point(mapd, f)
-        est = lo.membership_test(mapd, base, DualVector.zero(space), phi, sched)
-        match += (predicate and est.verdict == lo.Verdict.MEMBER) or (
-            not predicate and est.verdict == lo.Verdict.NON_MEMBER
+        verdict = lo.membership_test(mapd, base, DualVector.zero(space), phi, sched).verdict
+        match += (predicate and verdict == lo.Verdict.MEMBER) or (
+            not predicate and verdict == lo.Verdict.NON_MEMBER
         )
     _check(checks, "dual-origin membership predicate matches the oracle", match == 40, match, 40)
     return checks

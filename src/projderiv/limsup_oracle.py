@@ -22,10 +22,14 @@ by level and row.
 The sampled rows depend on the map, the base and the schedule, never on the
 duals, so `sample_base` draws them once as a `SamplePass` that every
 candidate queried at that base can share (`samples=`); only the numerators
-are per candidate. The quotient-form audit of `fixed_points` checks the same
-pass: its rows are the finest level's (`SamplePass.audit`). A pass is
-immutable and its arrays are read only, so sharing it cannot leak state from
-one estimate into another.
+are per candidate. The raw normal draws behind the directions do not depend
+on the space either, so passes with the same seed, levels, rows and
+dimension share one read-only block of them (the last block drawn is kept),
+each normalizing it in its own norm. A query's directed rays are evaluated
+together, as one stacked array of rows. The quotient-form audit of
+`fixed_points` checks the same pass: its rows are the finest level's
+(`SamplePass.audit`). A pass is immutable and its arrays are read only, so
+sharing it cannot leak state from one estimate into another.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -237,9 +241,9 @@ def _row_quotients(
     ystar: DualVector,
     dens: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The defining ratio at each sampled graph point (us[i], vs[i]), the one
-    quotient formula; `dens` replaces the plain denominators
-    ||u - x|| + ||v - y||."""
+    """The defining ratio at each sampled graph point, a row of `us` and the
+    same row of `vs` (arrays of shape (..., size)), the one quotient formula;
+    `dens` replaces the plain denominators ||u - x|| + ||v - y||."""
     du = us - base.x.values[None, :]
     dv = vs - base.y.values[None, :]
     nums = pairing_rows(xstar, du) - pairing_rows(ystar, dv)
@@ -258,6 +262,20 @@ def _verdict(value: float, tol_accept: float, tol_reject: float) -> Verdict:
     return Verdict.INDETERMINATE
 
 
+@lru_cache(maxsize=1)
+def _normal_draws(seed: int, levels: int, dirs_per_level: int, dim: int) -> np.ndarray:
+    """The raw standard normal draws of a schedule, shape (levels,
+    dirs_per_level, dim), from one `default_rng([seed, level])` stream per
+    level; read only. They do not depend on the space, so every pass with the
+    same seed, levels, rows and dimension shares one block and normalizes it
+    in its own norm."""
+    draws = np.empty((levels, dirs_per_level, dim))
+    for level in range(levels):
+        draws[level] = np.random.default_rng([seed, level]).standard_normal((dirs_per_level, dim))
+    draws.flags.writeable = False
+    return draws
+
+
 def sample_base(mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedule) -> SamplePass:
     """The sampled rows of every estimate at this base and schedule: per
     level, the seeded unit directions plus the normalized extra rays, scaled
@@ -271,19 +289,20 @@ def sample_base(mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedul
         extra = np.stack([ray.values for ray in schedule.extra_rays])
         extra_norms = norm_rows(space, extra)
         extra = extra / np.where(extra_norms == 0.0, 1.0, extra_norms)[:, None]
-    levels, rows = schedule.levels, schedule.dirs_per_level + len(extra)
+    levels, dirs = schedule.levels, schedule.dirs_per_level
+    draws = _normal_draws(schedule.seed, levels, dirs, dim)
     radii = np.empty(levels)
-    us = np.empty((levels, rows, dim))
-    vs = np.empty((levels, rows, dim))
-    dens = np.empty((levels, rows))
+    us = np.empty((levels, dirs + len(extra), dim))
+    vs = np.empty_like(us)
+    dens = np.empty(us.shape[:2])
     for level in range(levels):
-        radius = schedule.r0 * 2.0 ** (-level)
-        rng = np.random.default_rng([schedule.seed, level])
-        dirs = rng.standard_normal((schedule.dirs_per_level, dim))
-        dir_norms = norm_rows(space, dirs)
-        dirs = dirs / np.where(dir_norms == 0.0, 1.0, dir_norms)[:, None]
-        radii[level] = radius
-        us[level] = x[None, :] + radius * np.vstack([dirs, extra])
+        radii[level] = schedule.r0 * 2.0 ** (-level)
+        # u = x + r * d, built in place
+        dir_norms = norm_rows(space, draws[level])
+        np.divide(draws[level], np.where(dir_norms == 0.0, 1.0, dir_norms)[:, None], out=us[level, :dirs])
+        us[level, dirs:] = extra
+        us[level] *= radii[level]
+        us[level] += x
         vs[level] = mapd.value_batch(us[level])
         dens[level] = norm_rows(space, us[level] - x[None, :]) + norm_rows(space, vs[level] - y[None, :])
     for array in (radii, us, vs, dens):
@@ -352,21 +371,43 @@ def directed_ray_limit(
     """
     if norm(direction) == 0.0:
         raise ValueError("direction must be nonzero")
+    t_start = _ray_start(mapd, base, direction)
+    if split_l1_denominator and mapd.kind != L1_BALL_PROJ:
+        raise ValueError("the split denominator applies to the l_1 ball projection")
+    limits = _ray_limits(
+        mapd, base, xstar, ystar, np.array([t_start]), direction.values[None, :], split_l1_denominator
+    )
+    return float(limits[0])
+
+
+def _ray_start(mapd: MapDescriptor, base: GraphPoint, direction: PrimalVector) -> float:
+    """The first halving of RAY_T0 at which the ray is still in the base
+    branch; a ValueError if it leaves the branch at every tested scale."""
     t_start = RAY_T0
     for _ in range(60):
         probe = base.x + t_start * direction
         if mapd.same_branch(base.x, probe):
-            break
+            return t_start
         t_start *= 0.5
-    else:
-        raise ValueError("ray leaves the base branch at every tested scale")
+    raise ValueError("ray leaves the base branch at every tested scale")
 
-    if split_l1_denominator and mapd.kind != L1_BALL_PROJ:
-        raise ValueError("the split denominator applies to the l_1 ball projection")
 
-    ts = t_start * RAY_RATIO ** np.arange(RAY_STEPS)
-    offsets = ts[:, None] * direction.values[None, :]
-    us = base.x.values[None, :] + offsets
+def _ray_limits(
+    mapd: MapDescriptor,
+    base: GraphPoint,
+    xstar: DualVector,
+    ystar: DualVector,
+    t_starts: np.ndarray,
+    directions: np.ndarray,
+    split_l1_denominator: bool = False,
+) -> np.ndarray:
+    """`directed_ray_limit` of each (t_starts[i], directions[i]) ray, all
+    rays in one stacked pass: rows indexed [ray, step], one `value_batch`
+    over every row, and numerators as one stacked product, which rounds like
+    the per-ray product (a flattened one would not)."""
+    ts = t_starts[:, None] * RAY_RATIO ** np.arange(RAY_STEPS)
+    offsets = ts[:, :, None] * directions[:, None, :]
+    us = base.x.values + offsets
     dens = None
     if split_l1_denominator:
         # the selection move split into its ray part and its rescaling part
@@ -374,12 +415,13 @@ def directed_ray_limit(
         # case analysis is built on; never smaller than the plain denominator
         space, r = mapd.space, mapd.radius
         scales = r / norm_rows(space, us)
-        ray_parts = (scales * ts)[:, None] * direction.values[None, :]
-        rescale_parts = (scales - r / norm(base.x))[:, None] * base.x.values[None, :]
+        ray_parts = (scales * ts)[:, :, None] * directions[:, None, :]
+        rescale_parts = (scales - r / norm(base.x))[:, :, None] * base.x.values
         dens = norm_rows(space, offsets) + norm_rows(space, ray_parts) + norm_rows(space, rescale_parts)
-    qs = _row_quotients(base, us, mapd.value_batch(us), xstar, ystar, dens)
+    vs = mapd.value_batch(us.reshape(-1, us.shape[-1])).reshape(us.shape)
+    qs = _row_quotients(base, us, vs, xstar, ystar, dens)
     # Richardson step for q(t) = L + c t + O(t^2) on a geometric sequence
-    return float((qs[-1] - RAY_RATIO * qs[-2]) / (1.0 - RAY_RATIO))
+    return (qs[:, -1] - RAY_RATIO * qs[:, -2]) / (1.0 - RAY_RATIO)
 
 
 def _default_rays(
@@ -408,20 +450,28 @@ def membership_test(
 
     Wraps `estimate_limsup` and additionally extrapolates directed rays
     (norming-direction rays plus kink-aligned basis rays and any caller
-    supplied ones); rays can only certify fresh non-membership, never flip a
-    true member, since every ray limit lower-bounds the limsup. `samples`
-    is the shared sample pass of the base, as in `estimate_limsup`.
+    supplied ones) in one stacked pass; zero rays and rays that leave the
+    base branch at every scale are skipped. Rays can only certify fresh
+    non-membership, never flip a true member, since every ray limit
+    lower-bounds the limsup. `samples` is the shared sample pass of the base,
+    as in `estimate_limsup`.
     """
     est = estimate_limsup(mapd, base, xstar, ystar, schedule, samples=samples)
-    combined = est.extrapolated
-    for ray in list(_default_rays(mapd, base, xstar, ystar)) + list(extra_ray_dirs):
+    t_starts: list[float] = []
+    directions: list[np.ndarray] = []
+    for ray in [*_default_rays(mapd, base, xstar, ystar), *extra_ray_dirs]:
         if norm(ray) == 0.0:
             continue
         try:
-            limit = directed_ray_limit(mapd, base, xstar, ystar, ray)
+            t_starts.append(_ray_start(mapd, base, ray))
         except ValueError:
             continue
-        combined = max(combined, limit)
+        directions.append(ray.values)
+    combined = est.extrapolated
+    if directions:
+        limits = _ray_limits(mapd, base, xstar, ystar, np.array(t_starts), np.stack(directions))
+        # Python's left-to-right max: a NaN limit never replaces the estimate
+        combined = max([combined, *limits.tolist()])
     return replace(
         est,
         extrapolated=float(combined),

@@ -282,7 +282,11 @@ def _lp_rescaled(mags: np.ndarray, p: float) -> np.ndarray:
 def _lp_scalar(values: np.ndarray, p: float) -> float:
     mags = np.abs(values)
     n = float(_lp(mags, p))
-    return n if 0.0 < n < math.inf else float(_lp_rescaled(mags, p))
+    if 0.0 < n < math.inf:
+        return n
+    if not mags.any():
+        return 0.0
+    return float(_lp_rescaled(mags, p))
 
 
 def norm(v: PrimalVector) -> float:
@@ -296,7 +300,8 @@ def norm(v: PrimalVector) -> float:
 
 
 def norm_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
-    """Primal norm of each row of a (m, size) array."""
+    """Primal norm of each row of a (..., size) array, reduced over the last
+    axis."""
     rows = np.asarray(rows, dtype=float)
     if space.kind == KIND_LP:
         mags = np.abs(rows)
@@ -305,8 +310,8 @@ def norm_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
             return norms
         return np.where((norms > 0.0) & (norms < np.inf), norms, _lp_rescaled(mags, space.p))
     if space.kind == KIND_L1:
-        return np.sum(np.abs(rows), axis=1)
-    return np.max(np.abs(rows), axis=1)
+        return np.sum(np.abs(rows), axis=-1)
+    return np.max(np.abs(rows), axis=-1)
 
 
 def dual_norm(w: DualVector) -> float:
@@ -333,11 +338,12 @@ def pairing(w: DualVector, v: PrimalVector) -> float:
 
 
 def pairing_rows(w: DualVector, rows: np.ndarray) -> np.ndarray:
-    """Pairing of one dual vector against each row of a (m, size) array."""
+    """Pairing of one dual vector against each row of a (..., size) array,
+    reduced over the last axis."""
     rows = np.asarray(rows, dtype=float)
     if w.space.kind == KIND_C01:
         idx = np.flatnonzero(w.values)
-        return rows[:, idx] @ w.values[idx]
+        return rows[..., idx] @ w.values[idx]
     return rows @ w.values
 
 

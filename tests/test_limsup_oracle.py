@@ -11,7 +11,8 @@ from projderiv.coderivatives import (
     l1_ball_projection_map,
     poly_projection_map,
 )
-from projderiv.fixed_points import is_fixed_point, quotient_forms_spread
+from projderiv import limsup_oracle
+from projderiv.fixed_points import is_fixed_point, quotient_forms_spread, registry_rays
 from projderiv.limsup_oracle import (
     RAY_RATIO,
     RAY_STEPS,
@@ -300,6 +301,109 @@ def test_the_audit_rows_are_the_finest_level_of_the_pass(name):
     for array in vars(rows).values():
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0.0
+
+
+def test_passes_from_the_shared_draw_block_equal_fresh_passes():
+    # two bases and two spaces on one schedule share one block of normal
+    # draws; each pass equals one drawn after the block is dropped
+    l2, l3 = lp_space(2.0, 16), lp_space(3.0, 16)
+    extra = (primal(l2, np.arange(16.0)),)
+    cases = [
+        (ball_projection_map(l2, 1.0), primal(l2, np.linspace(-1.0, 2.0, 16)), extra),
+        (ball_projection_map(l2, 1.0), primal(l2, np.linspace(0.3, -0.1, 16)), extra),
+        (ball_projection_map(l3, 1.0), primal(l3, np.linspace(-1.0, 2.0, 16)), ()),
+    ]
+    draws = limsup_oracle._normal_draws
+    draws.cache_clear()
+    shared = []
+    for mapd, x, rays in cases:
+        sched = SamplingSchedule(seed=12, levels=5, dirs_per_level=32, extra_rays=rays)
+        shared.append(sample_base(mapd, GraphPoint.at_point(mapd, x), sched))
+    assert draws.cache_info().hits == 2 and draws.cache_info().misses == 1
+    block = draws(12, 5, 32, 16)
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0, 0] = 0.0
+    for samples in shared:
+        draws.cache_clear()
+        fresh = sample_base(samples.map, samples.base, samples.schedule)
+        for field in ("radii", "us", "vs", "dens"):
+            assert np.array_equal(getattr(samples, field), getattr(fresh, field))
+    # the in-place rows are the plain u = x + r * d of each level
+    samples = shared[0]
+    space, x = samples.map.space, samples.base.x.values
+    unit_extra = extra[0].values / norm(extra[0])
+    for level, radius in enumerate(samples.radii.tolist()):
+        dirs = np.random.default_rng([12, level]).standard_normal((32, 16))
+        dirs = dirs / norm_rows(space, dirs)[:, None]
+        assert np.array_equal(samples.us[level], x[None, :] + radius * np.vstack([dirs, unit_extra]))
+
+
+def _membership_by_ray(mapd, base, xstar, ystar, sched, extra_rays, samples):
+    # reference: the sampled estimate folded with each ray's own
+    # directed_ray_limit, one call per ray
+    combined = estimate_limsup(mapd, base, xstar, ystar, sched, samples=samples).extrapolated
+    for ray in [*limsup_oracle._default_rays(mapd, base, xstar, ystar), *extra_rays]:
+        if norm(ray) == 0.0:
+            continue
+        try:
+            limit = directed_ray_limit(mapd, base, xstar, ystar, ray)
+        except ValueError:
+            continue
+        combined = max(combined, limit)
+    return combined
+
+
+def _stacked_ray_cases():
+    rng = np.random.default_rng(31)
+    cases = []
+    for p in (2.0, 3.0):
+        space = lp_space(p, 16)
+        mapd = ball_projection_map(space, 1.0)
+        x = primal(space, rng.normal(size=16))
+        x = (3.0 / norm(x)) * x
+        ystar = dual(space, rng.uniform(-1.0, 1.0, size=16))
+        image = coderiv_ball_lp(x, 1.0, ystar).point
+        for xstar in (image, image + dual(space, 0.1 * rng.normal(size=16))):
+            cases.append((f"ball p={p:g}", mapd, x, xstar, ystar))
+    l3 = lp_space(3.0, 16)
+    cone = cone_projection_map(l3)
+    f = rng.uniform(0.3, 1.5, size=16) * rng.choice([-1.0, 0.0, 1.0], size=16)
+    f[3] = 1e-300  # the ray -e_4 leaves this branch at every tested scale
+    for _ in range(3):
+        phi = rng.uniform(-1.0, 1.0, size=16)
+        phi[3] = -5.0  # would dominate, were that ray not skipped
+        phi = dual(l3, phi)
+        cases.append(("cone p=3", cone, primal(l3, f), DualVector.zero(l3), phi))
+        cases.append(("cone p=3", cone, primal(l3, f), phi, phi))
+    l1 = l1_space(8)
+    l1ball = l1_ball_projection_map(l1, 1.0)
+    for phi in (dual(l1, np.eye(8)[1]), dual(l1, rng.uniform(-1.0, 1.0, size=8))):
+        cases.append(("l1 exterior", l1ball, primal(l1, 2.0 * np.eye(8)[0]), phi, phi))
+    affine = _translation(L24, 2.0)
+    for _ in range(2):
+        xs = dual(L24, rng.normal(size=4))
+        cases.append(("affine", affine, primal(L24, [0.1, 0.4, -0.2, 0.0]), xs, xs))
+        cases.append(("affine", affine, primal(L24, [0.1, 0.4, -0.2, 0.0]), xs, dual(L24, rng.normal(size=4))))
+    return cases
+
+
+def test_the_stacked_rays_give_the_per_ray_limit_bit_for_bit():
+    sched = SamplingSchedule(seed=14, dirs_per_level=32)
+    raised = 0
+    for name, mapd, x, xstar, ystar in _stacked_ray_cases():
+        base = GraphPoint.at_point(mapd, x)
+        samples = sample_base(mapd, base, sched)
+        rays = registry_rays(mapd, base, xstar, ystar) + (PrimalVector.zero(mapd.space),)
+        est = membership_test(mapd, base, xstar, ystar, sched, rays, samples=samples)
+        reference = _membership_by_ray(mapd, base, xstar, ystar, sched, rays, samples)
+        assert np.array_equal(est.extrapolated, reference), name
+        sampled = estimate_limsup(mapd, base, xstar, ystar, sched, samples=samples).extrapolated
+        raised += est.extrapolated > sampled
+        if name == "cone p=3":
+            with pytest.raises(ValueError, match="every tested scale"):
+                directed_ray_limit(mapd, base, xstar, ystar, primal(mapd.space, -np.eye(16)[3]))
+    # the rays raise some of these estimates
+    assert raised >= 4
 
 
 def test_monotone_refinement_nested_directions():

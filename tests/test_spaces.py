@@ -53,6 +53,39 @@ def test_lp_norms_outside_the_power_range(p, peak):
     assert rows[2] == pytest.approx(expected, rel=1e-12)
     assert rows[1] == 0.0
     assert rows[0] == np.sum(np.abs(plain[0]) ** p) ** (1.0 / p)
+    assert norm(PrimalVector.zero(space)) == dual_norm(DualVector.zero(space)) == 0.0
+
+
+def _stack_spaces():
+    rng = np.random.default_rng(17)
+    c33 = c01_space(33)
+    atoms = atomic_measure(c33, [(0.0, 1.5), (0.25, -2.0), (0.5, 0.75), (1.0, -0.5)])
+    cases = []
+    for space, w in (
+        (lp_space(2.0, 16), None),
+        (lp_space(3.0, 6), None),
+        (l1_space(16), None),
+        (c33, atoms),
+    ):
+        if w is None:
+            w = dual(space, rng.normal(size=space.size))
+        cases.append((space, w))
+    return cases
+
+
+@pytest.mark.parametrize("space, w", _stack_spaces(), ids=["Lp p=2", "Lp p=3", "L1", "C01 atoms"])
+@pytest.mark.parametrize("k, m", [(1, 10), (3, 10), (5, 7), (2, 64)])
+def test_row_functions_reduce_over_the_last_axis_of_a_stack(space, w, k, m):
+    # a (k, m, size) stack gives each 2-D slice's result, bit for bit
+    stack = np.random.default_rng(k * 100 + m).normal(size=(k, m, space.size))
+    stack[0, 0] = 0.0
+    if space.kind == "Lp":
+        stack[-1, -1] *= 1e-200  # the rescaled branch of the p-norm
+    norms, pairs = norm_rows(space, stack), pairing_rows(w, stack)
+    assert norms.shape == pairs.shape == (k, m)
+    assert np.array_equal(norms, np.stack([norm_rows(space, rows) for rows in stack]))
+    assert np.array_equal(pairs, np.stack([pairing_rows(w, rows) for rows in stack]))
+    assert norms[0, 0] == 0.0 and norms[-1, -1] > 0.0
 
 
 def test_dual_norm_examples():
