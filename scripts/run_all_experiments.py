@@ -7,7 +7,8 @@ Usage:
 Prints one line per experiment with its wall time and a closing line with
 the total wall time. An experiment whose config is rejected or whose
 quotient-form audit fails counts as failed, and the remaining experiments
-still run. Exit status is 0 only if every experiment passes.
+still run. Exit status is 0 only if every experiment passes, and 2, before
+any experiment runs, if the report directory cannot be made.
 """
 
 from __future__ import annotations
@@ -34,7 +35,11 @@ def main() -> int:
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot make the report directory {str(out_dir)!r}: {exc.strerror}", file=sys.stderr)
+        return 2
     overrides = {"seed": args.seed} if args.seed is not None else {}
 
     failures = []

@@ -11,10 +11,13 @@ order; traces are CSV on stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import os
 import sys
 
 from .experiments import (
     ConfigError,
+    ExperimentConfig,
     describe_experiments,
     experiment_trace,
     load_config_file,
@@ -24,8 +27,6 @@ from .experiments import (
 )
 from .fixed_points import FixedPointAuditError
 from .limsup_oracle import trace_to_csv
-
-_OVERRIDE_KEYS = ("p", "N", "G", "r", "n", "M", "r0", "K", "S", "seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,8 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--experiment", required=True, help="experiment id (see `list`)")
         p.add_argument("--config", help="flat key=value config file")
-        for key in _OVERRIDE_KEYS:
-            p.add_argument(f"--{key}", default=None, help=f"override config key {key}")
+        for field in dataclasses.fields(ExperimentConfig):
+            if field.name not in ("experiment", "out"):  # these two have flags of their own
+                p.add_argument(f"--{field.name}", default=None, help=f"override config key {field.name}")
 
     run_p = sub.add_parser("run", help="run one experiment and write its JSON report")
     add_common(run_p)
@@ -51,12 +53,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> "ExperimentConfig":
-    file_values = load_config_file(args.config) if args.config else {}
-    overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS}
-    if getattr(args, "out", None) is not None:
-        overrides["out"] = args.out
-    return resolve_config(args.experiment, file_values, overrides)
+def _report_path(config: ExperimentConfig) -> str:
+    """Where `run` writes the report, checked before the run."""
+    path = config.out or f"{config.experiment}_report.json"
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError(f"cannot write the report to {path!r}: not a file in a writable folder")
+    return path
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,7 +72,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        config = _config_from_args(args)
+        file_values = load_config_file(args.config) if args.config else {}
+        overrides = {field.name: getattr(args, field.name, None) for field in dataclasses.fields(ExperimentConfig)}
+        config = resolve_config(args.experiment, file_values, overrides)
+        out_path = _report_path(config) if args.command == "run" else None
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -89,7 +95,6 @@ def main(argv: list[str] | None = None) -> int:
     except FixedPointAuditError as exc:
         print(f"FAIL {config.experiment}: {exc}", file=sys.stderr)
         return 1
-    out_path = config.out or f"{config.experiment}_report.json"
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write(report_to_json(report))
     for check in report.checks:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -42,6 +43,7 @@ __all__ = [
     "ExperimentConfig",
     "CheckResult",
     "ExperimentReport",
+    "Experiment",
     "EXPERIMENTS",
     "experiment_ids",
     "describe_experiments",
@@ -92,9 +94,8 @@ class ExperimentConfig:
             raise ConfigError("the finest radius r0 * 2^-(K-1) must be >= 1e-12 * max(1, r)")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        for holds, message in EXPERIMENT_REQUIREMENTS.get(self.experiment, ()):
-            if not holds(self):
-                raise ConfigError(f"{self.experiment}: {message}")
+        if self.experiment in EXPERIMENTS:
+            _require(self, EXPERIMENTS[self.experiment].requires)
 
     def schedule(self, extra_rays: tuple[PrimalVector, ...] = ()) -> lo.SamplingSchedule:
         return lo.SamplingSchedule(
@@ -126,6 +127,12 @@ class ExperimentReport:
 
 def _check(checks: list[CheckResult], name: str, passed: bool, observed, expected) -> None:
     checks.append(CheckResult(name, bool(passed), str(observed), str(expected)))
+
+
+def _require(config: ExperimentConfig, requirements) -> None:
+    for holds, message in requirements:
+        if not holds(config):
+            raise ConfigError(f"{config.experiment}: {message}")
 
 
 def _rng(config: ExperimentConfig, tag: int) -> np.random.Generator:
@@ -229,6 +236,17 @@ def _exp_ball_coderivative(config: ExperimentConfig) -> list[CheckResult]:
     return checks
 
 
+def _ball_trace(config: ExperimentConfig) -> lo.LimsupEstimate:
+    space = lp_space(config.p, config.N)
+    mapd = cd.ball_projection_map(space, config.r)
+    vals = np.zeros(config.N)
+    vals[0] = 2.0 * config.r
+    base = lo.GraphPoint.at_point(mapd, primal(space, vals))
+    ystar = dual(space, np.eye(config.N)[min(1, config.N - 1)])
+    image = cd.coderiv_ball_lp(base.x, config.r, ystar).point
+    return lo.estimate_limsup(mapd, base, image, ystar, config.schedule())
+
+
 def _exp_affine(config: ExperimentConfig) -> list[CheckResult]:
     checks: list[CheckResult] = []
     space = lp_space(2.0, config.N)
@@ -272,14 +290,23 @@ def _exp_affine(config: ExperimentConfig) -> list[CheckResult]:
             "1/3 +- 10%",
         )
         char = mapd.fixed_point_set(base2)
-        _check(checks, f"{name} fixed points pin the origin", char.kind == fp.ORIGIN_ONLY, char.kind, fp.ORIGIN_ONLY)
+        _check(checks, f"{name} fixed points pin the origin", char.kind == cd.ORIGIN_ONLY, char.kind, cd.ORIGIN_ONLY)
     char_t = translation.fixed_point_set(base)
-    _check(checks, "translation fixed points fill the dual", char_t.kind == fp.WHOLE_DUAL, char_t.kind, fp.WHOLE_DUAL)
+    _check(checks, "translation fixed points fill the dual", char_t.kind == cd.WHOLE_DUAL, char_t.kind, cd.WHOLE_DUAL)
     return checks
 
 
-def _cone_l2_setup(config: ExperimentConfig):
+def _translation_trace(config: ExperimentConfig) -> lo.LimsupEstimate:
     space = lp_space(2.0, config.N)
+    shift = primal(space, np.linspace(0.5, -0.3, config.N))
+    mapd = cd.affine_map(space, shift, 1.0)
+    base = lo.GraphPoint.at_point(mapd, PrimalVector.zero(space))
+    xs = dual(space, np.eye(config.N)[0])
+    return lo.estimate_limsup(mapd, base, xs, xs, config.schedule())
+
+
+def _cone_setup(config: ExperimentConfig, p: float):
+    space = lp_space(p, config.N)
     vals = np.zeros(config.N)
     for k, i in enumerate(sorted(config.M)):
         vals[i - 1] = float(k + 1)
@@ -290,9 +317,16 @@ def _cone_l2_setup(config: ExperimentConfig):
     return space, mapd, base, xbar, m_set
 
 
+def _cone_trace(config: ExperimentConfig, p: float) -> lo.LimsupEstimate:
+    _require(config, (_M_INSIDE,))  # the cone_lp run itself does not use M
+    space, mapd, base, _, _ = _cone_setup(config, p)
+    y = dual(space, np.ones(config.N))
+    return lo.estimate_limsup(mapd, base, y, y, config.schedule())
+
+
 def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
     checks: list[CheckResult] = []
-    space, mapd, base, xbar, m_set = _cone_l2_setup(config)
+    space, mapd, base, xbar, m_set = _cone_setup(config, 2.0)
     off = sorted(m_set.complement.members)
     rng = _rng(config, 40)
     sched = config.schedule()
@@ -302,9 +336,9 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
     _check(
         checks,
         "characterization is the off-support nonnegativity cone",
-        char.kind == fp.POSITIVE_CONE_DUAL and char.index_set.members == m_set.complement.members,
+        char.kind == cd.POSITIVE_CONE_DUAL and char.index_set.members == m_set.complement.members,
         f"{char.kind} on {sorted(char.index_set.members)}",
-        f"{fp.POSITIVE_CONE_DUAL} on {off}",
+        f"{cd.POSITIVE_CONE_DUAL} on {off}",
     )
 
     member_ok = 0
@@ -417,6 +451,12 @@ def _l1_setup(config: ExperimentConfig):
     mapd = cd.l1_ball_projection_map(space, config.r)
     base = lo.GraphPoint.at_point(mapd, x)
     return space, mapd, base
+
+
+def _l1_trace(config: ExperimentConfig) -> lo.LimsupEstimate:
+    space, mapd, base = _l1_setup(config)
+    phi = dual(space, np.eye(config.N)[0])
+    return lo.estimate_limsup(mapd, base, phi, phi, config.schedule())
 
 
 def _exp_l1_cases(config: ExperimentConfig) -> list[CheckResult]:
@@ -610,11 +650,20 @@ def _exp_continuity(config: ExperimentConfig) -> list[CheckResult]:
     return checks
 
 
-def _exp_poly_exclusions(config: ExperimentConfig) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _poly_setup(config: ExperimentConfig):
     space = c01_space(config.G)
     f = primal(space, space.grid**2)
-    gamma = fp.poly_annihilator(space, config.n)
+    return space, f, fp.poly_annihilator(space, config.n)
+
+
+def _poly_trace(config: ExperimentConfig) -> lo.LimsupEstimate:
+    _, f, gamma = _poly_setup(config)
+    return fp.poly_fixed_point_quotient(f, config.n, gamma, seed=config.seed)
+
+
+def _exp_poly_exclusions(config: ExperimentConfig) -> list[CheckResult]:
+    checks: list[CheckResult] = []
+    space, f, gamma = _poly_setup(config)
     mu = atomic_measure(space, [(1.0, 1.0)])
     report = fp.scaling_direction_report(f, config.n, mu, gamma)
     target = 8.0 / 15.0
@@ -729,90 +778,88 @@ def _exp_structural(config: ExperimentConfig) -> list[CheckResult]:
 # registry, configs, reports
 # ---------------------------------------------------------------------------
 
-EXPERIMENTS: dict[str, tuple] = {
-    "ball_theorem_4_1": (
-        _exp_ball_fixed_points,
-        "ball projection: fixed points fill the dual space at interior bases and pin the origin at exterior bases",
-    ),
-    "ball_coderiv_theorem_3_1": (
-        _exp_ball_coderivative,
-        "exterior ball projection: closed-form derivative images vs the sampling oracle, with the duality-image collapse",
-    ),
-    "affine_props_3_3_3_5": (
-        _exp_affine,
-        "affine maps: translations give the identity dual operator; scalings pin the origin, with directed-ray limit values",
-    ),
-    "cone_l2_theorem_4_3": (
-        _exp_cone_l2,
-        "Hilbert positive cone: fixed points are the duals nonnegative off the support, and slice membership matches the oracle",
-    ),
-    "cone_lp_theorem_4_2": (
-        _exp_cone_lp,
-        "p-norm positive cone: duality images and nonnegative duals at the origin are fixed points; dual-origin predicate vs oracle",
-    ),
-    "l1_cases": (
-        _exp_l1_cases,
-        "set-valued l1 ball projection at an exterior base: the three directed case limits and origin-only fixed points",
-    ),
-    "determinants_lemma_4_5": (
-        _exp_determinants,
-        "power-matrix determinants: direct vs factorized evaluation, nonvanishing on (0,1), exact rational value at 1/2",
-    ),
-    "coefficient_bounds_prop_4_6": (
-        _exp_coefficient_bounds,
-        "coefficient and derivative sup-norm bounds for norm-bounded polynomials",
-    ),
-    "remez_theorem_5_4": (
-        _exp_remez,
-        "best uniform approximation: equioscillation, exactness on polynomials, equivariances, box-search agreement",
-    ),
-    "remez_continuity_theorem_4_8": (
-        _exp_continuity,
-        "continuity of the polynomial projection along shrinking perturbations",
-    ),
-    "poly_theorem_4_11": (
-        _exp_poly_exclusions,
-        "polynomial projection: scaling-direction limit and the non-membership exclusions it certifies",
-    ),
-    "structural_prop_3_2": (
-        _exp_structural,
-        "structural facts: the dual origin is always a fixed point, fixed-point sets are convex and closed, quotient forms agree",
-    ),
-}
-
-EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "ball_coderiv_theorem_3_1": {"K": 10},
-    "cone_l2_theorem_4_3": {"N": 6},
-    "cone_lp_theorem_4_2": {"p": 3.0, "N": 6},
-    "l1_cases": {"N": 6},
-    "poly_theorem_4_11": {"n": 1},
-}
-
-
 # a degree-n Remez fit on the grid needs n + 2 nodes
 _G_FITS_N = (lambda c: c.G >= c.n + 2, "G >= n + 2 required")
 _G_FITS_CUBICS = (lambda c: c.G >= 5, "G >= 5 required (degrees up to 3)")
 _M_INSIDE = (lambda c: all(1 <= m <= c.N for m in c.M), "M must lie inside 1..N")
 
-# What each experiment needs of its config beyond the general checks in
-# `ExperimentConfig.validate`, as (predicate, message) pairs.
-EXPERIMENT_REQUIREMENTS: dict[str, tuple] = {
-    "cone_l2_theorem_4_3": (
-        _M_INSIDE,
-        (lambda c: 0 < len(set(c.M)) < c.N, "M and its complement in 1..N must be nonempty"),
+
+@dataclass(frozen=True)
+class Experiment:
+    """A registered experiment: what it checks, its runner, the config values
+    it changes from the `ExperimentConfig` defaults, what it needs of its
+    config beyond `ExperimentConfig.validate` as (predicate, message) pairs,
+    and its representative quotient trace (None for the algebraic ones)."""
+
+    description: str
+    run: Callable[[ExperimentConfig], list[CheckResult]]
+    defaults: dict = dataclasses.field(default_factory=dict)
+    requires: tuple = ()
+    trace: Callable[[ExperimentConfig], lo.LimsupEstimate] | None = None
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "ball_theorem_4_1": Experiment(
+        "ball projection: fixed points fill the dual space at interior bases and pin the origin at exterior bases",
+        _exp_ball_fixed_points, trace=_ball_trace,
     ),
-    "l1_cases": (
-        (lambda c: c.N >= 2, "N >= 2 required"),
-        (lambda c: c.r == 1.0, "r = 1 required: the case targets are the r = 1 limits at the base 2 e_1"),
+    "ball_coderiv_theorem_3_1": Experiment(
+        "exterior ball projection: closed-form derivative images vs the sampling oracle, with the duality-image collapse",
+        _exp_ball_coderivative, defaults={"K": 10}, trace=_ball_trace,
     ),
-    "remez_theorem_5_4": (_G_FITS_CUBICS,),
-    "remez_continuity_theorem_4_8": (_G_FITS_CUBICS,),
-    "poly_theorem_4_11": (
-        (lambda c: c.n == 1, "n = 1 required: the 8/15 target is the best-line value"),
-        _G_FITS_N,
+    "affine_props_3_3_3_5": Experiment(
+        "affine maps: translations give the identity dual operator; scalings pin the origin, with directed-ray limit values",
+        _exp_affine, trace=_translation_trace,
     ),
-    "structural_prop_3_2": (_G_FITS_N,),
+    "cone_l2_theorem_4_3": Experiment(
+        "Hilbert positive cone: fixed points are the duals nonnegative off the support, and slice membership matches the oracle",
+        _exp_cone_l2, defaults={"N": 6}, trace=lambda c: _cone_trace(c, 2.0),
+        requires=(_M_INSIDE, (lambda c: 0 < len(set(c.M)) < c.N, "M and its complement in 1..N must be nonempty")),
+    ),
+    "cone_lp_theorem_4_2": Experiment(
+        "p-norm positive cone: duality images and nonnegative duals at the origin are fixed points; dual-origin predicate vs oracle",
+        _exp_cone_lp, defaults={"p": 3.0, "N": 6}, trace=lambda c: _cone_trace(c, c.p),
+    ),
+    "l1_cases": Experiment(
+        "set-valued l1 ball projection at an exterior base: the three directed case limits and origin-only fixed points",
+        _exp_l1_cases, defaults={"N": 6}, trace=_l1_trace,
+        requires=(
+            (lambda c: c.N >= 2, "N >= 2 required"),
+            (lambda c: c.r == 1.0, "r = 1 required: the case targets are the r = 1 limits at the base 2 e_1"),
+        ),
+    ),
+    "determinants_lemma_4_5": Experiment(
+        "power-matrix determinants: direct vs factorized evaluation, nonvanishing on (0,1), exact rational value at 1/2",
+        _exp_determinants,
+    ),
+    "coefficient_bounds_prop_4_6": Experiment(
+        "coefficient and derivative sup-norm bounds for norm-bounded polynomials",
+        _exp_coefficient_bounds,
+    ),
+    "remez_theorem_5_4": Experiment(
+        "best uniform approximation: equioscillation, exactness on polynomials, equivariances, box-search agreement",
+        _exp_remez, requires=(_G_FITS_CUBICS,),
+    ),
+    "remez_continuity_theorem_4_8": Experiment(
+        "continuity of the polynomial projection along shrinking perturbations",
+        _exp_continuity, requires=(_G_FITS_CUBICS,),
+    ),
+    "poly_theorem_4_11": Experiment(
+        "polynomial projection: scaling-direction limit and the non-membership exclusions it certifies",
+        _exp_poly_exclusions, trace=_poly_trace,
+        requires=((lambda c: c.n == 1, "n = 1 required: the 8/15 target is the best-line value"), _G_FITS_N),
+    ),
+    "structural_prop_3_2": Experiment(
+        "structural facts: the dual origin is always a fixed point, fixed-point sets are convex and closed, quotient forms agree",
+        _exp_structural, requires=(_G_FITS_N,), trace=_translation_trace,
+    ),
 }
+
+
+def _experiment(name: str) -> Experiment:
+    if name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}")
+    return EXPERIMENTS[name]
 
 
 def experiment_ids() -> list[str]:
@@ -820,7 +867,7 @@ def experiment_ids() -> list[str]:
 
 
 def describe_experiments() -> list[tuple[str, str]]:
-    return [(name, desc) for name, (_, desc) in EXPERIMENTS.items()]
+    return [(name, record.description) for name, record in EXPERIMENTS.items()]
 
 
 def load_config_file(path: str) -> dict:
@@ -838,37 +885,30 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-_INT_KEYS = {"N", "G", "n", "K", "S", "seed"}
-_FLOAT_KEYS = {"p", "r", "r0"}
+# a value converts to the type of its key's default: int, float, or for M a
+# tuple of ints, given as a comma list in text
+_KEY_TYPES = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)}
 
 
 def resolve_config(experiment: str, file_values: dict | None = None, overrides: dict | None = None) -> ExperimentConfig:
     """Defaults, then per-experiment defaults, then the config file, then
     command-line overrides."""
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
-    merged: dict = dict(EXPERIMENT_DEFAULTS.get(experiment, {}))
+    merged: dict = dict(_experiment(experiment).defaults)
     for source in (file_values or {}, overrides or {}):
-        for key, value in source.items():
-            if value is None:
-                continue
-            merged[key] = value
+        merged.update((key, value) for key, value in source.items() if value is not None)
     config = ExperimentConfig(experiment=experiment)
     try:
         for key, value in merged.items():
             if key == "experiment":
                 continue
-            if not hasattr(config, key):
+            if key not in _KEY_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
-            if key == "M":
-                if isinstance(value, str):
-                    value = tuple(int(tok) for tok in value.split(",") if tok.strip())
-                else:
-                    value = tuple(int(v) for v in value)
-            elif key in _INT_KEYS:
-                value = int(value)
-            elif key in _FLOAT_KEYS:
-                value = float(value)
+            kind = _KEY_TYPES[key]
+            if kind is tuple:
+                tokens = value.split(",") if isinstance(value, str) else value
+                value = tuple(int(tok) for tok in tokens if str(tok).strip())
+            elif kind in (int, float):
+                value = kind(value)
             setattr(config, key, value)
         config.validate()
     except ConfigError:
@@ -879,10 +919,8 @@ def resolve_config(experiment: str, file_values: dict | None = None, overrides: 
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    if config.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {config.experiment!r}")
-    runner, description = EXPERIMENTS[config.experiment]
-    checks = runner(config)
+    record = _experiment(config.experiment)
+    checks = record.run(config)
     echo = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in dataclasses.asdict(config).items()
@@ -890,7 +928,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     }
     return ExperimentReport(
         experiment=config.experiment,
-        description=description,
+        description=record.description,
         passed=all(c.passed for c in checks),
         checks=checks,
         config=echo,
@@ -905,43 +943,7 @@ def report_to_json(report: ExperimentReport) -> str:
 def experiment_trace(config: ExperimentConfig) -> lo.LimsupEstimate:
     """A representative quotient trace for experiments built on the sampling
     oracle; raises ConfigError for the purely algebraic ones."""
-    name = config.experiment
-    if name == "ball_theorem_4_1" or name == "ball_coderiv_theorem_3_1":
-        space = lp_space(config.p, config.N)
-        mapd = cd.ball_projection_map(space, config.r)
-        vals = np.zeros(config.N)
-        vals[0] = 2.0 * config.r
-        base = lo.GraphPoint.at_point(mapd, primal(space, vals))
-        ystar = dual(space, np.eye(config.N)[min(1, config.N - 1)])
-        image = cd.coderiv_ball_lp(base.x, config.r, ystar).point
-        return lo.estimate_limsup(mapd, base, image, ystar, config.schedule())
-    if name == "affine_props_3_3_3_5" or name == "structural_prop_3_2":
-        space = lp_space(2.0, config.N)
-        shift = primal(space, np.linspace(0.5, -0.3, config.N))
-        mapd = cd.affine_map(space, shift, 1.0)
-        base = lo.GraphPoint.at_point(mapd, PrimalVector.zero(space))
-        xs = dual(space, np.eye(config.N)[0])
-        return lo.estimate_limsup(mapd, base, xs, xs, config.schedule())
-    if name == "cone_l2_theorem_4_3" or name == "cone_lp_theorem_4_2":
-        holds, message = _M_INSIDE  # the cone_lp run itself does not use M
-        if not holds(config):
-            raise ConfigError(f"{name}: {message}")
-        p = 2.0 if name == "cone_l2_theorem_4_3" else config.p
-        space = lp_space(p, config.N)
-        vals = np.zeros(config.N)
-        for k, i in enumerate(sorted(config.M)):
-            vals[i - 1] = float(k + 1)
-        mapd = cd.cone_projection_map(space)
-        base = lo.GraphPoint.at_point(mapd, primal(space, vals))
-        y = dual(space, np.ones(config.N))
-        return lo.estimate_limsup(mapd, base, y, y, config.schedule())
-    if name == "l1_cases":
-        space, mapd, base = _l1_setup(config)
-        phi = dual(space, np.eye(config.N)[0])
-        return lo.estimate_limsup(mapd, base, phi, phi, config.schedule())
-    if name == "poly_theorem_4_11":
-        space = c01_space(config.G)
-        f = primal(space, space.grid**2)
-        gamma = fp.poly_annihilator(space, config.n)
-        return fp.poly_fixed_point_quotient(f, config.n, gamma, seed=config.seed)
-    raise ConfigError(f"experiment {name!r} has no quotient trace")
+    record = EXPERIMENTS.get(config.experiment)
+    if record is None or record.trace is None:
+        raise ConfigError(f"experiment {config.experiment!r} has no quotient trace")
+    return record.trace(config)

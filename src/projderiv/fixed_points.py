@@ -21,9 +21,6 @@ import numpy as np
 from . import chebyshev
 from .coderivatives import (
     ORACLE_ONLY,
-    ORIGIN_ONLY,
-    POSITIVE_CONE_DUAL,
-    WHOLE_DUAL,
     FixedPointCharacterization,
     MapDescriptor,
     poly_projection_map,
@@ -57,10 +54,6 @@ __all__ = [
     "FixedPointAuditError",
     "ConvexityProbeReport",
     "ScalingDirectionReport",
-    "WHOLE_DUAL",
-    "ORIGIN_ONLY",
-    "POSITIVE_CONE_DUAL",
-    "ORACLE_ONLY",
     "registry_rays",
     "registry_verdict",
     "is_fixed_point",

@@ -19,6 +19,7 @@ import json
 import pathlib
 
 from projderiv.experiments import (
+    EXPERIMENTS,
     experiment_ids,
     experiment_trace,
     report_to_json,
@@ -29,16 +30,7 @@ from projderiv.limsup_oracle import trace_to_csv
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
-TRACED = (
-    "ball_theorem_4_1",
-    "ball_coderiv_theorem_3_1",
-    "affine_props_3_3_3_5",
-    "cone_l2_theorem_4_3",
-    "cone_lp_theorem_4_2",
-    "l1_cases",
-    "poly_theorem_4_11",
-    "structural_prop_3_2",
-)
+TRACED = tuple(name for name, record in EXPERIMENTS.items() if record.trace is not None)
 
 
 def _overrides(seed: int | None) -> dict:

@@ -72,6 +72,8 @@ def test_config_file_and_flag_precedence(tmp_path):
         resolve_config("l1_cases", {"bogus_key": "1"})
     with pytest.raises(ConfigError):
         resolve_config("l1_cases", {"K": "2"})
+    with pytest.raises(ConfigError):  # a method of the config is not a key
+        resolve_config("l1_cases", {"validate": "1"})
 
 
 def test_trace_csv_and_no_trace(capsys):
@@ -81,6 +83,41 @@ def test_trace_csv_and_no_trace(capsys):
     assert lines[0] == "level,radius,direction_index,quotient"
     assert len(lines) > 100
     assert main(["trace", "--experiment", "determinants_lemma_4_5"]) == 2
+
+
+# the purely algebraic experiments sample no quotient, so they have no trace
+ALGEBRAIC = ("determinants_lemma_4_5", "coefficient_bounds_prop_4_6", "remez_theorem_5_4", "remez_continuity_theorem_4_8")
+
+
+@pytest.mark.parametrize("experiment", experiment_ids())
+def test_every_sampling_experiment_has_a_trace(experiment, capsys):
+    code = main(["trace", "--experiment", experiment])
+    out, err = capsys.readouterr()
+    if experiment in ALGEBRAIC:
+        assert code == 2 and "has no quotient trace" in err
+    else:
+        assert code == 0 and out.split("\n", 1)[0] == "level,radius,direction_index,quotient"
+
+
+def test_overrides_keep_their_types_in_the_config_echo(tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["run", "--experiment", "determinants_lemma_4_5", "--p", "3", "--N", "5", "--r0", "0.25",
+            "--M", "1,3", "--K", "9", "--out", str(out)]
+    assert main(argv) == 0
+    echo = json.loads(out.read_text())["config"]
+    assert {key: (echo[key], type(echo[key])) for key in ("p", "N", "r0", "M", "K")} == {
+        "p": (3.0, float), "N": (5, int), "r0": (0.25, float), "M": ([1, 3], list), "K": (9, int)
+    }
+
+
+@pytest.mark.parametrize("out", ["missing/r.json", ".", "file/r.json"])
+def test_unwritable_report_path_is_a_config_error_before_the_run(out, tmp_path, capsys, monkeypatch):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the experiment ran"))
+    assert main(["run", "--experiment", "determinants_lemma_4_5", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write the report to") and err.count("\n") == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
 
 def test_every_experiment_registered_once():
@@ -113,6 +150,8 @@ def test_run_experiment_rejects_unknown():
         ["run", "--experiment", "ball_theorem_4_1", "--r0", "nan"],
         ["run", "--experiment", "ball_theorem_4_1", "--r", "inf"],
         ["run", "--experiment", "determinants_lemma_4_5", "--seed", "-1"],
+        ["run", "--experiment", "determinants_lemma_4_5", "--N", "5.0"],
+        ["run", "--experiment", "determinants_lemma_4_5", "--M", "1,x"],
         ["run", "--experiment", "ball_theorem_4_1", "--r0", "1e-300"],
         ["run", "--experiment", "ball_theorem_4_1", "--r0", "1e-20"],
         ["run", "--experiment", "ball_theorem_4_1", "--K", "45"],

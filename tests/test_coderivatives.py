@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from projderiv.coderivatives import (
+    ORACLE_ONLY,
     BoundaryCaseError,
     CoderivativeSet,
     OracleOnlyError,
@@ -18,7 +19,6 @@ from projderiv.coderivatives import (
     poly_projection_map,
     zm_index_set,
 )
-from projderiv.fixed_points import ORACLE_ONLY
 from projderiv.limsup_oracle import (
     GraphPoint,
     SamplingSchedule,

@@ -4,6 +4,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from projderiv.coderivatives import (
+    ORACLE_ONLY,
+    ORIGIN_ONLY,
+    POSITIVE_CONE_DUAL,
+    WHOLE_DUAL,
     affine_map,
     ball_projection_map,
     cone_projection_map,
@@ -11,10 +15,6 @@ from projderiv.coderivatives import (
     poly_projection_map,
 )
 from projderiv.fixed_points import (
-    ORACLE_ONLY,
-    ORIGIN_ONLY,
-    POSITIVE_CONE_DUAL,
-    WHOLE_DUAL,
     convexity_closedness_probe,
     is_fixed_point,
     poly_annihilator,

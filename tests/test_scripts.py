@@ -1,6 +1,8 @@
 import importlib.util
 import pathlib
 
+import pytest
+
 from projderiv.experiments import ConfigError
 from projderiv.fixed_points import FixedPointAuditError
 
@@ -39,3 +41,16 @@ def test_run_all_records_config_and_audit_errors_as_failures(tmp_path, capsys, m
     assert "total wall time" in out
     assert err == "failing experiments: ball_theorem_4_1, l1_cases\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["affine_props_3_3_3_5_report.json"]
+
+
+@pytest.mark.parametrize("out_dir", ["file", "file/reports"])
+def test_run_all_refuses_a_report_directory_it_cannot_make(out_dir, tmp_path, capsys, monkeypatch):
+    script = _load_script()
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(script, "run_experiment", lambda config: pytest.fail("an experiment ran"))
+    monkeypatch.setattr("sys.argv", ["run_all_experiments.py", "--out-dir", str(tmp_path / out_dir)])
+    assert script.main() == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: cannot make the report directory") and err.count("\n") == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
