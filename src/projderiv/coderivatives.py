@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import chebyshev, projections
+from . import chebyshev
 from .spaces import (
     KIND_C01,
     KIND_L1,
@@ -47,6 +47,7 @@ __all__ = [
     "cone_projection_map",
     "l1_ball_projection_map",
     "poly_projection_map",
+    "l1_projection_set_contains",
     "coderiv_affine",
     "coderiv_ball_lp",
     "coderiv_cone_l2",
@@ -149,7 +150,7 @@ class MapDescriptor:
         if x.space != self.space or y.space != self.space:
             return False
         if self.kind == L1_BALL_PROJ:
-            return projections.l1_projection_set_contains(x, self.radius, y, tol=max(tol, 1e-12))
+            return l1_projection_set_contains(x, self.radius, y, tol=max(tol, 1e-12))
         scale = 1.0 + norm(x)
         return norm(y - self.value(x)) <= tol * scale
 
@@ -236,6 +237,18 @@ def _sphere_side(norms, radius: float):
     sphere (within SPHERE_BAND * max(1, radius) of it), +1 outside."""
     gap = np.asarray(norms) - radius
     return np.where(np.abs(gap) <= SPHERE_BAND * max(1.0, radius), 0.0, np.sign(gap))
+
+
+def l1_projection_set_contains(
+    x: PrimalVector, r: float, y: PrimalVector, tol: float = 1e-12
+) -> bool:
+    """Membership in the full (set-valued) l_1 ball projection: y is feasible
+    and attains the distance max(||x||_1 - r, 0)."""
+    scale = 1.0 + norm(x) + abs(r)
+    if norm(y) > r + tol * scale:
+        return False
+    dist = max(norm(x) - r, 0.0)
+    return abs(norm(x - y) - dist) <= tol * scale
 
 
 def affine_map(space: SpaceSpec, shift: PrimalVector, scale: float = 1.0) -> MapDescriptor:
@@ -464,12 +477,10 @@ def coderiv_l1ball(x: PrimalVector, r: float, phi: DualVector) -> CoderivativeSe
         raise BoundaryCaseError("base point on the sphere ||x||_1 = r is uncovered")
     if side < 0:
         return CoderivativeSet(SINGLETON, x.space, point=phi)
-    if dual_norm(phi) == 0.0:
-        if not np.all(x.values > 0.0):
-            raise OracleOnlyError("the exterior closed forms assume strictly positive x")
-        return CoderivativeSet(SINGLETON, x.space, point=DualVector.zero(x.space))
     if not np.all(x.values > 0.0):
         raise OracleOnlyError("the exterior closed forms assume strictly positive x")
+    if dual_norm(phi) == 0.0:
+        return CoderivativeSet(SINGLETON, x.space, point=DualVector.zero(x.space))
     jx = duality_map_l1_selection(x)
     if dual_norm(phi - jx) <= 1e-12 * (1.0 + dual_norm(jx)):
         return CoderivativeSet(EMPTY, x.space)

@@ -626,7 +626,7 @@ def _exp_remez(config: ExperimentConfig) -> list[CheckResult]:
     for n in (0, 1, 2):
         f = _random_smooth(space, _rng(config, 91 + n))
         res = chebyshev.remez(f, n)
-        oracle = pj.brute_force_project(f, pj.poly_subspace(space, n), resolution=11)
+        oracle = pj.brute_force_project(f, cd.poly_projection_map(space, n), resolution=11)
         brute_err = float(np.max(np.abs(f.values - oracle.values)))
         brute_worst = max(brute_worst, abs(res.error - brute_err))
     _check(checks, "exchange error matches the box-search oracle", brute_worst <= 1e-3, f"{brute_worst:.3e}", "<= 1e-3")
@@ -781,6 +781,9 @@ def _exp_structural(config: ExperimentConfig) -> list[CheckResult]:
 # a degree-n Remez fit on the grid needs n + 2 nodes
 _G_FITS_N = (lambda c: c.G >= c.n + 2, "G >= n + 2 required")
 _G_FITS_CUBICS = (lambda c: c.G >= 5, "G >= 5 required (degrees up to 3)")
+# structural_prop_3_2's exterior ball base linspace(1, 2, N) is on the sphere
+# at N = 1, and l1_cases aims rays at a second coordinate
+_N_TWO_OR_MORE = (lambda c: c.N >= 2, "N >= 2 required")
 _M_INSIDE = (lambda c: all(1 <= m <= c.N for m in c.M), "M must lie inside 1..N")
 
 
@@ -824,7 +827,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         "set-valued l1 ball projection at an exterior base: the three directed case limits and origin-only fixed points",
         _exp_l1_cases, defaults={"N": 6}, trace=_l1_trace,
         requires=(
-            (lambda c: c.N >= 2, "N >= 2 required"),
+            _N_TWO_OR_MORE,
             (lambda c: c.r == 1.0, "r = 1 required: the case targets are the r = 1 limits at the base 2 e_1"),
         ),
     ),
@@ -851,7 +854,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     ),
     "structural_prop_3_2": Experiment(
         "structural facts: the dual origin is always a fixed point, fixed-point sets are convex and closed, quotient forms agree",
-        _exp_structural, requires=(_G_FITS_N,), trace=_translation_trace,
+        _exp_structural, requires=(_N_TWO_OR_MORE, _G_FITS_N), trace=_translation_trace,
     ),
 }
 

@@ -1,44 +1,23 @@
-"""The four families of closed convex sets the derivative operators project
-onto: p-norm balls, positive cones, l_1 balls, and polynomial classes in
-C[0, 1], with membership in the set-valued l_1 ball projection.
+"""Independent nearest-point oracle for the closed convex sets the
+projection maps target: p-norm balls, positive cones, l_1 balls, and
+polynomial classes in C[0, 1].
 
-The closed-form projections live in `MapDescriptor.value_batch`. A
-grid-seeded multi-start descent (`brute_force_project`) serves as an
-independent oracle for them; it shares none of their code.
+`brute_force_project` takes the `MapDescriptor` of the projection it checks
+and reads only the set it names (kind, space, radius, degree). It never
+calls the map's value formulas or any closed form: grid-seeded multi-start
+descent finds the nearest point of a ball or cone, and a coefficient box
+search refined by an exact grid linear program finds the nearest polynomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import chebyshev
-from .spaces import (
-    KIND_C01,
-    KIND_L1,
-    KIND_LP,
-    PrimalVector,
-    SpaceSpec,
-    norm,
-    norm_rows,
-)
+from .coderivatives import AFFINE, CONE_PROJ, POLY_PROJ, MapDescriptor
+from .spaces import PrimalVector, norm_rows
 
-__all__ = [
-    "ConvexSet",
-    "ball",
-    "positive_cone",
-    "l1_ball",
-    "poly_subspace",
-    "l1_projection_set_contains",
-    "brute_force_project",
-    "INSIDE_SLACK",
-]
-
-BALL = "ball"
-POSITIVE_CONE = "positive_cone"
-L1_BALL = "l1_ball"
-POLY_SUBSPACE = "poly_subspace"
+__all__ = ["brute_force_project", "INSIDE_SLACK"]
 
 # Points with norm within this relative slack of the radius count as inside
 # the ball; the oracle's own feasibility slack, kept apart from the maps'
@@ -49,90 +28,17 @@ INSIDE_SLACK = 1e-12
 # box search; bounds its temporaries to MESH_CHUNK x grid size floats.
 MESH_CHUNK = 128
 
-
-@dataclass(frozen=True)
-class ConvexSet:
-    """Descriptor of a closed convex target set."""
-
-    kind: str
-    space: SpaceSpec
-    radius: float | None = None
-    degree: int | None = None
-
-    def __post_init__(self):
-        if self.kind == BALL:
-            if self.space.kind != KIND_LP:
-                raise ValueError("norm balls with single-valued projection need an Lp space")
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("ball radius must be positive")
-        elif self.kind == L1_BALL:
-            if self.space.kind != KIND_L1:
-                raise ValueError("l1 balls live in L1 spaces")
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("ball radius must be positive")
-        elif self.kind == POSITIVE_CONE:
-            if self.space.kind not in (KIND_LP, KIND_L1):
-                raise ValueError("the positive cone is used in Lp and L1 spaces")
-        elif self.kind == POLY_SUBSPACE:
-            if self.space.kind != KIND_C01:
-                raise ValueError("polynomial classes live in C01")
-            if self.degree is None or self.degree < 0:
-                raise ValueError("polynomial degree must be nonnegative")
-        else:
-            raise ValueError(f"unknown convex set kind {self.kind!r}")
-
-    def contains(self, v: PrimalVector, tol: float = 0.0) -> bool:
-        if v.space != self.space:
-            return False
-        if self.kind in (BALL, L1_BALL):
-            return norm(v) <= self.radius * (1.0 + INSIDE_SLACK) + tol
-        if self.kind == POSITIVE_CONE:
-            return bool(np.all(v.values >= -tol))
-        grid = self.space.grid
-        vander = grid[:, None] ** np.arange(self.degree + 1)[None, :]
-        coef, *_ = np.linalg.lstsq(vander, v.values, rcond=None)
-        return bool(np.max(np.abs(v.values - vander @ coef)) <= max(tol, 1e-9))
-
-
-def ball(space: SpaceSpec, radius: float) -> ConvexSet:
-    return ConvexSet(BALL, space, radius=float(radius))
-
-
-def positive_cone(space: SpaceSpec) -> ConvexSet:
-    return ConvexSet(POSITIVE_CONE, space)
-
-
-def l1_ball(space: SpaceSpec, radius: float) -> ConvexSet:
-    return ConvexSet(L1_BALL, space, radius=float(radius))
-
-
-def poly_subspace(space: SpaceSpec, degree: int) -> ConvexSet:
-    return ConvexSet(POLY_SUBSPACE, space, degree=int(degree))
-
-
-# ---------------------------------------------------------------------------
-# set-valued l_1 projection
-# ---------------------------------------------------------------------------
-
-def l1_projection_set_contains(
-    x: PrimalVector, r: float, y: PrimalVector, tol: float = 1e-12
-) -> bool:
-    """Membership in the full (set-valued) l_1 ball projection: y is feasible
-    and attains the distance max(||x||_1 - r, 0)."""
-    scale = 1.0 + norm(x) + abs(r)
-    if norm(y) > r + tol * scale:
-        return False
-    dist = max(norm(x) - r, 0.0)
-    return abs(norm(x - y) - dist) <= tol * scale
-
-
-# ---------------------------------------------------------------------------
-# independent oracle
-# ---------------------------------------------------------------------------
-
 PATTERN_ITERS = 600  # rounds of the 2 * dim axis steps plus the random steps
 PATTERN_RANDOM_DIRS = 10  # random unit steps per round
 PATTERN_PATIENCE = 2  # rounds without improvement before the step halves
+
+
+def _inside(mapd: MapDescriptor, rows: np.ndarray):
+    """Membership of each row of a (..., size) array in the ball or cone that
+    `mapd` projects onto."""
+    if mapd.kind == CONE_PROJ:
+        return np.all(rows >= 0.0, axis=-1)
+    return norm_rows(mapd.space, rows) <= mapd.radius * (1.0 + INSIDE_SLACK)
 
 
 def _pattern_search(objective, feasible, start, step, rng):
@@ -170,24 +76,24 @@ def _pattern_search(objective, feasible, start, step, rng):
     return y, best
 
 
-def _brute_force_sequence(x: PrimalVector, cset: ConvexSet, resolution: int, seed: int):
+def _brute_force_sequence(x: PrimalVector, mapd: MapDescriptor, resolution: int, seed: int):
     space = x.space
     dim = space.size
     if dim > 4:
         raise ValueError("grid search supports dim <= 4")
     per_axis = min(resolution, 12 if dim >= 4 else resolution) + 1
+    r = mapd.radius
 
-    if cset.kind in (BALL, L1_BALL):
-        lo = np.full(dim, -cset.radius)
-        hi = np.full(dim, cset.radius)
-    else:
+    if mapd.kind == CONE_PROJ:
         lo = np.zeros(dim)
         hi = np.maximum(x.values, 0.0) + 0.5
+    else:
+        lo = np.full(dim, -r)
+        hi = np.full(dim, r)
 
     axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(dim)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-    if cset.kind in (BALL, L1_BALL):
-        mesh = mesh[norm_rows(space, mesh) <= cset.radius * (1 + INSIDE_SLACK)]
+    mesh = mesh[_inside(mapd, mesh)]
     objective_rows = norm_rows(space, mesh - x.values)
     order = np.argsort(objective_rows)
     seeds = mesh[order[:8]]
@@ -196,11 +102,10 @@ def _brute_force_sequence(x: PrimalVector, cset: ConvexSet, resolution: int, see
     cell = float(np.max((hi - lo) / max(per_axis - 1, 1)))
     best_y, best_val = None, np.inf
 
-    if cset.kind in (BALL, L1_BALL):
+    if mapd.kind != CONE_PROJ:
         # x is outside (the inside case returned early), so the nearest point
         # lies on the sphere; search its radial parametrization z -> r z/||z||
         # unconstrained, which sidesteps the feasible-cone stall entirely
-        r = cset.radius
 
         def to_sphere(z):
             nz = norm_rows(space, z[None, :])[0]
@@ -224,7 +129,7 @@ def _brute_force_sequence(x: PrimalVector, cset: ConvexSet, resolution: int, see
             return float(norm_rows(space, y[None, :] - x.values)[0])
 
         def feasible(y):
-            return cset.contains(PrimalVector(space, y))
+            return bool(_inside(mapd, y))
 
         for s in seeds:
             y, val = _pattern_search(objective, feasible, s, cell, rng)
@@ -233,14 +138,15 @@ def _brute_force_sequence(x: PrimalVector, cset: ConvexSet, resolution: int, see
     return PrimalVector(space, best_y)
 
 
-def _brute_force_poly(x: PrimalVector, cset: ConvexSet, resolution: int):
-    n = cset.degree
-    if n > 2:
-        raise ValueError("coefficient box search supports degree <= 2")
+def _brute_force_poly(x: PrimalVector, n: int, resolution: int):
     grid = x.space.grid
     vander = grid[:, None] ** np.arange(n + 1)[None, :]
     center, *_ = np.linalg.lstsq(vander, x.values, rcond=None)
     resid = float(np.max(np.abs(x.values - vander @ center)))
+    if resid <= 1e-9:  # x is in the class
+        return x
+    if n > 2:
+        raise ValueError("coefficient box search supports degree <= 2")
     # any minimax optimum q satisfies ||q - LS fit|| <= 2 * resid, which the
     # coefficient bound converts to a box in coefficient space (a constant is
     # its own coefficient, so degree 0 needs no determinant)
@@ -299,18 +205,23 @@ def _minimax_lp(vander: np.ndarray, values: np.ndarray, fallback: np.ndarray):
 
 
 def brute_force_project(
-    x: PrimalVector, cset: ConvexSet, resolution: int = 40, seed: int = 0
+    x: PrimalVector, mapd: MapDescriptor, resolution: int = 40, seed: int = 0
 ) -> PrimalVector:
-    """Independent nearest-point oracle: feasible grid seeding refined by
-    multi-start descent (coefficient box search for polynomial classes).
+    """Independent nearest-point oracle for the set that the projection map
+    `mapd` projects onto: feasible grid seeding refined by multi-start
+    descent (coefficient box search for polynomial classes). A point of the
+    set is returned as is.
 
-    Never evaluates the closed-form projections; feasibility and objective
-    use only norms.
+    Reads only the map's kind, space, radius and degree, never its value
+    formulas; feasibility and objective use only norms. Affine maps have no
+    set behind them and raise.
     """
-    if x.space != cset.space:
+    if x.space != mapd.space:
         raise ValueError("point and set live in different spaces")
-    if cset.contains(x):
+    if mapd.kind == AFFINE:
+        raise ValueError("an affine map is not the projection onto a set")
+    if mapd.kind == POLY_PROJ:
+        return _brute_force_poly(x, mapd.degree, resolution)
+    if _inside(mapd, x.values):
         return x
-    if cset.kind == POLY_SUBSPACE:
-        return _brute_force_poly(x, cset, resolution)
-    return _brute_force_sequence(x, cset, resolution, seed)
+    return _brute_force_sequence(x, mapd, resolution, seed)

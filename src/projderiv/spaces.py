@@ -265,15 +265,18 @@ class IndexSet:
 # ---------------------------------------------------------------------------
 
 def _lp(mags: np.ndarray, p: float) -> np.ndarray:
-    """sum(m^p)^(1/p) over the last axis of the magnitudes m = |v|."""
-    return np.sum(mags**p, axis=-1) ** (1.0 / p)
+    """sum(m^p)^(1/p) over the last axis of the magnitudes m = |v|. The
+    array method skips `np.sum`'s dispatch (same reduction, same bits), which
+    pays for the errstate its callers enter."""
+    return (mags**p).sum(axis=-1) ** (1.0 / p)
 
 
 def _lp_rescaled(mags: np.ndarray, p: float) -> np.ndarray:
     """`_lp` with each vector first divided by its largest magnitude. Used
     only where the plain power sum underflows to 0 or overflows on a nonzero
     vector (largest magnitude below about 1e-154 or above 1e154 at p = 2), so
-    every other norm keeps the bits of the plain formula."""
+    every other norm keeps the bits of the plain formula. Its callers silence
+    numpy's overflow warning around the plain sum, whose inf they replace."""
     peaks = np.max(mags, axis=-1)
     peaks = np.where(peaks > 0.0, peaks, 1.0)
     return peaks * _lp(mags / peaks[..., None], p)
@@ -281,7 +284,8 @@ def _lp_rescaled(mags: np.ndarray, p: float) -> np.ndarray:
 
 def _lp_scalar(values: np.ndarray, p: float) -> float:
     mags = np.abs(values)
-    n = float(_lp(mags, p))
+    with np.errstate(over="ignore"):
+        n = float(_lp(mags, p))
     if 0.0 < n < math.inf:
         return n
     if not mags.any():
@@ -305,7 +309,8 @@ def norm_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if space.kind == KIND_LP:
         mags = np.abs(rows)
-        norms = _lp(mags, space.p)
+        with np.errstate(over="ignore"):
+            norms = _lp(mags, space.p)
         if norms.all() and math.isfinite(norms.sum()):
             return norms
         return np.where((norms > 0.0) & (norms < np.inf), norms, _lp_rescaled(mags, space.p))
@@ -351,6 +356,26 @@ def pairing_rows(w: DualVector, rows: np.ndarray) -> np.ndarray:
 # duality mappings
 # ---------------------------------------------------------------------------
 
+_NORMAL_MIN = np.finfo(float).tiny  # smallest normal float
+
+
+def _duality_values(values: np.ndarray, nv: float, p: float) -> np.ndarray:
+    """|v_i|^(p-1) sign(v_i) / ||v||^(p-2) for a vector of p-norm nv > 0.
+
+    The plain formula's bits are kept wherever it is finite and ||v||^(p-2)
+    is a normal float. Where its powers overflow or that scale leaves the
+    normal range (p far from 2), the rescaled
+    ||v|| sign(v_i) (|v_i| / ||v||)^(p-1) takes its place.
+    """
+    with np.errstate(over="ignore"):
+        scale = np.float64(nv) ** (p - 2.0)
+        if _NORMAL_MIN <= scale < math.inf:
+            vals = np.abs(values) ** (p - 1.0) * np.sign(values) / scale
+            if np.isfinite(vals).all():
+                return vals
+    return nv * np.sign(values) * (np.abs(values) / nv) ** (p - 1.0)
+
+
 def duality_map(v: PrimalVector) -> DualVector:
     """Normalized duality mapping on an Lp truncation.
 
@@ -366,8 +391,7 @@ def duality_map(v: PrimalVector) -> DualVector:
     nv = norm(v)
     if nv == 0.0:
         return DualVector.zero(v.space)
-    vals = np.abs(v.values) ** (p - 1.0) * np.sign(v.values) / nv ** (p - 2.0)
-    return DualVector(v.space, vals)
+    return DualVector(v.space, _duality_values(v.values, nv, p))
 
 
 def duality_map_l1_selection(v: PrimalVector) -> DualVector:
@@ -393,8 +417,7 @@ def duality_map_inverse(w: DualVector) -> PrimalVector:
     nw = dual_norm(w)
     if nw == 0.0:
         return PrimalVector.zero(w.space)
-    vals = np.abs(w.values) ** (q - 1.0) * np.sign(w.values) / nw ** (q - 2.0)
-    return PrimalVector(w.space, vals)
+    return PrimalVector(w.space, _duality_values(w.values, nw, q))
 
 
 def norming_direction(w: DualVector) -> PrimalVector:

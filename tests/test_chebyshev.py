@@ -21,7 +21,8 @@ from projderiv.chebyshev import (
     remez,
     sample_value,
 )
-from projderiv.projections import _minimax_lp, brute_force_project, poly_subspace
+from projderiv.coderivatives import poly_projection_map
+from projderiv.projections import _minimax_lp, brute_force_project
 from projderiv.spaces import PrimalVector, c01_space, norm, primal
 
 C513 = c01_space(513)
@@ -180,7 +181,7 @@ def test_remez_matches_box_search(rng):
     for n in (0, 1, 2):
         f = _random_smooth(rng)
         res = remez(f, n)
-        oracle = brute_force_project(f, poly_subspace(C513, n), resolution=11)
+        oracle = brute_force_project(f, poly_projection_map(C513, n), resolution=11)
         oracle_err = float(np.max(np.abs(f.values - oracle.values)))
         assert abs(res.error - oracle_err) <= 1e-3
 

@@ -145,6 +145,7 @@ def test_run_experiment_rejects_unknown():
         ["run", "--experiment", "remez_theorem_5_4", "--G", "3"],
         ["run", "--experiment", "remez_continuity_theorem_4_8", "--G", "4"],
         ["run", "--experiment", "structural_prop_3_2", "--G", "3", "--n", "2"],
+        ["run", "--experiment", "structural_prop_3_2", "--N", "1"],
         ["run", "--experiment", "poly_theorem_4_11", "--G", "2"],
         ["run", "--experiment", "poly_theorem_4_11", "--n", "2"],
         ["run", "--experiment", "ball_theorem_4_1", "--r0", "nan"],
@@ -164,6 +165,14 @@ def test_run_experiment_rejects_unknown():
 def test_invalid_config_exits_2(argv, tmp_path, capsys):
     assert main(argv + (["--out", str(tmp_path / "r.json")] if argv[0] == "run" else [])) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["5000", "1.0001"])
+def test_duality_maps_at_extreme_p_end_without_a_traceback(p, tmp_path, capsys):
+    # the plain duality formula overflows at p = 5000 and at q = 10001
+    argv = ["run", "--experiment", "cone_lp_theorem_4_2", "--p", p, "--out", str(tmp_path / "r.json")]
+    assert main(argv) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_quotient_form_audit_failure_exits_1_without_a_traceback(tmp_path, capsys, monkeypatch):

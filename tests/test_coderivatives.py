@@ -228,6 +228,8 @@ def test_l1_ball_coderivative_cases():
     not_positive = primal(sp, [2.0, 0, 0, 0])
     with pytest.raises(OracleOnlyError):
         coderiv_l1ball(not_positive, 1.0, jx)
+    with pytest.raises(OracleOnlyError):
+        coderiv_l1ball(not_positive, 1.0, DualVector.zero(sp))
     with pytest.raises(BoundaryCaseError):
         coderiv_l1ball(primal(sp, [0.5, 0.5, 0, 0]), 1.0, phi)
 

@@ -6,20 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from projderiv.coderivatives import (
+    MapDescriptor,
+    affine_map,
     ball_projection_map,
     cone_projection_map,
     l1_ball_projection_map,
+    l1_projection_set_contains,
     poly_projection_map,
 )
-from projderiv.projections import (
-    _mesh_errors,
-    ball,
-    brute_force_project,
-    l1_ball,
-    l1_projection_set_contains,
-    poly_subspace,
-    positive_cone,
-)
+from projderiv.projections import _mesh_errors, brute_force_project
 from projderiv.spaces import (
     c01_space,
     dual,
@@ -171,11 +166,11 @@ def test_brute_force_matches_closed_forms(rng):
         if not assume_outside:
             continue
         cf = ball_projection_map(sp, 1.0).value(x)
-        bf = brute_force_project(x, ball(sp, 1.0), resolution=40, seed=trial)
+        bf = brute_force_project(x, ball_projection_map(sp, 1.0), resolution=40, seed=trial)
         assert norm(bf - cf) <= 2 / 40
         xc = primal(sp, rng.normal(size=d) * 1.5)
         cfc = cone_projection_map(sp).value(xc)
-        bfc = brute_force_project(xc, positive_cone(sp), resolution=40, seed=trial)
+        bfc = brute_force_project(xc, cone_projection_map(sp), resolution=40, seed=trial)
         assert norm(bfc - cfc) <= 2 / 40
 
 
@@ -183,7 +178,7 @@ def test_brute_force_l1_matches_distance(rng):
     sp = l1_space(3)
     for trial in range(4):
         x = primal(sp, rng.normal(size=3) * 1.5)
-        bf = brute_force_project(x, l1_ball(sp, 1.0), resolution=30, seed=trial)
+        bf = brute_force_project(x, l1_ball_projection_map(sp, 1.0), resolution=30, seed=trial)
         expected = max(norm(x) - 1.0, 0.0)
         assert abs(norm(x - bf) - expected) <= 1e-4
 
@@ -203,28 +198,63 @@ def test_chunked_mesh_errors_equal_the_one_shot_expression(n, per_axis):
 def test_brute_force_inside_returns_input():
     sp = lp_space(2.0, 2)
     x = primal(sp, [0.3, -0.2])
-    assert brute_force_project(x, ball(sp, 1.0)) is x
+    assert brute_force_project(x, ball_projection_map(sp, 1.0)) is x
 
 
 def test_brute_force_dimension_guard():
     sp = lp_space(2.0, 5)
     with pytest.raises(ValueError):
-        brute_force_project(primal(sp, np.ones(5) * 2), ball(sp, 1.0))
+        brute_force_project(primal(sp, np.ones(5) * 2), ball_projection_map(sp, 1.0))
     with pytest.raises(ValueError):
         brute_force_project(
-            primal(C513, C513.grid**4), poly_subspace(C513, 3), resolution=9
+            primal(C513, C513.grid**4), poly_projection_map(C513, 3), resolution=9
         )
 
 
-def test_convex_set_validation():
+def test_projection_map_validation():
     with pytest.raises(ValueError):
-        ball(l1_space(3), 1.0)
+        ball_projection_map(l1_space(3), 1.0)
     with pytest.raises(ValueError):
-        l1_ball(lp_space(2, 3), 1.0)
+        l1_ball_projection_map(lp_space(2, 3), 1.0)
     with pytest.raises(ValueError):
-        ball(lp_space(2, 3), -1.0)
+        ball_projection_map(lp_space(2, 3), -1.0)
     with pytest.raises(ValueError):
-        poly_subspace(lp_space(2, 3), 1)
-    cone = positive_cone(l1_space(3))
-    assert cone.contains(primal(l1_space(3), [0, 1, 2]))
-    assert not cone.contains(primal(l1_space(3), [0, -1, 2]))
+        poly_projection_map(lp_space(2, 3), 1)
+    # members of the cone are their own nearest point
+    cone = cone_projection_map(l1_space(3))
+    member = primal(l1_space(3), [0, 1, 2])
+    assert brute_force_project(member, cone) is member
+    outside = primal(l1_space(3), [0, -1, 2])
+    assert not np.array_equal(brute_force_project(outside, cone, resolution=8).values, outside.values)
+    # an affine map projects onto no set
+    sp = lp_space(2, 3)
+    with pytest.raises(ValueError):
+        brute_force_project(primal(sp, [2, 0, 0]), affine_map(sp, primal(sp, [0, 0, 0])))
+
+
+ORACLE_CASES = [
+    *[
+        pytest.param(ball_projection_map(lp_space(p, 3), 1.0), [1.2, -0.9, 0.4], id=f"ball-p{p}")
+        for p in (1.5, 2.0, 3.0)
+    ],
+    pytest.param(cone_projection_map(lp_space(3.0, 3)), [0.7, -1.1, 0.2], id="cone-Lp"),
+    pytest.param(cone_projection_map(l1_space(3)), [-0.3, 0.8, -1.4], id="cone-L1"),
+    pytest.param(l1_ball_projection_map(l1_space(3), 1.0), [1.1, -0.6, 0.3], id="l1_ball"),
+    *[
+        pytest.param(poly_projection_map(C513, n), np.sin(3 * C513.grid) + C513.grid**3, id=f"poly{n}")
+        for n in (0, 1, 2)
+    ],
+]
+
+
+@pytest.mark.parametrize("mapd, values", ORACLE_CASES)
+def test_brute_force_never_evaluates_the_map(mapd, values, monkeypatch):
+    x = primal(mapd.space, values)
+    expected = brute_force_project(x, mapd, resolution=8, seed=3)
+
+    def closed_form(*args):
+        raise AssertionError("the oracle evaluated the map's closed form")
+
+    monkeypatch.setattr(MapDescriptor, "value", closed_form)
+    monkeypatch.setattr(MapDescriptor, "value_batch", closed_form)
+    assert np.array_equal(brute_force_project(x, mapd, resolution=8, seed=3).values, expected.values)

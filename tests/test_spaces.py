@@ -36,7 +36,6 @@ def test_norm_examples():
     assert norm(f) == 1.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
 @pytest.mark.parametrize("p", [2.0, 3.0])
 @pytest.mark.parametrize("peak", [1.8e-240, 1e-160, 1e160, 1e250])
 def test_lp_norms_outside_the_power_range(p, peak):
@@ -163,6 +162,23 @@ def test_duality_inverse_roundtrip(p, vals):
     assume(nv > 1e-3)
     back = duality_map_inverse(duality_map(v))
     assert norm(back - v) <= 1e-9 * max(1.0, nv)
+
+
+@pytest.mark.parametrize("p", [5000.0, 1.0001])
+@pytest.mark.parametrize("scale", [1e-3, 0.5, 1.0, 3.0, 1e3])
+def test_duality_maps_at_extreme_exponents(p, scale):
+    # |v_i|^(p-1) and ||v||^(p-2) over- or underflow at these p (and their
+    # conjugates); both maps must keep their two defining identities
+    space = lp_space(p, 4)
+    vals = np.array([0.3, -1.2, 0.0, 0.7]) * scale
+    v = primal(space, vals)
+    j = duality_map(v)
+    assert pairing(j, v) == pytest.approx(norm(v) ** 2, rel=1e-9)
+    assert dual_norm(j) == pytest.approx(norm(v), rel=1e-9)
+    w = dual(space, vals)
+    k = duality_map_inverse(w)
+    assert pairing(w, k) == pytest.approx(dual_norm(w) ** 2, rel=1e-9)
+    assert norm(k) == pytest.approx(dual_norm(w), rel=1e-9)
 
 
 @given(st.lists(finite_entry, min_size=4, max_size=4))
