@@ -368,6 +368,11 @@ def remez(f: PrimalVector, n: int, max_iterations: int = 100) -> RemezResult:
     """Best uniform approximation of a grid function by a polynomial of
     degree <= n, by discrete multi-point exchange plus one off-grid polish.
 
+    A multi-point exchange is taken only when its trial levelled solve does
+    not lower the level; an accepted trial's solve is reused as the next
+    iteration's, and a polish that moves no point reuses the last discrete
+    solve, so neither reference is solved again.
+
     A function already in the polynomial class short-circuits to error 0
     with a canonical Chebyshev-point reference, avoiding a degenerate
     levelling step.
@@ -381,7 +386,7 @@ def remez(f: PrimalVector, n: int, max_iterations: int = 100) -> RemezResult:
     fv = f.values
     scale = 1.0 + float(np.max(np.abs(fv)))
 
-    vander = grid[:, None] ** np.arange(n + 1)[None, :]
+    vander = f.space.power_matrix(n)
     ls_coef, *_ = np.linalg.lstsq(vander, fv, rcond=None)
     ls_resid = fv - vander @ ls_coef
     if np.max(np.abs(ls_resid)) <= 1e-12 * scale:
@@ -413,9 +418,10 @@ def remez(f: PrimalVector, n: int, max_iterations: int = 100) -> RemezResult:
     history: list[float] = []
     poly = None
     level = 0.0
+    solved = None  # the levelled solve of ref_idx, kept from an accepted trial
     for iteration in range(1, max_iterations + 1):
-        pts = grid[ref_idx]
-        poly, level = _leveled_solve(pts, fv[ref_idx], n)
+        poly, level = solved or _leveled_solve(grid[ref_idx], fv[ref_idx], n)
+        solved = None
         history.append(abs(level))
         residual = fv - poly(grid)
         max_resid = float(np.max(np.abs(residual)))
@@ -432,9 +438,9 @@ def remez(f: PrimalVector, n: int, max_iterations: int = 100) -> RemezResult:
             break
         # take the multi-point exchange only when it does not lower the
         # level; otherwise fall back to the monotone single exchange
-        _, new_level = _leveled_solve(grid[new_idx], fv[new_idx], n)
-        if abs(new_level) >= abs(level) - 1e-14 * scale:
-            ref_idx = new_idx
+        trial = _leveled_solve(grid[new_idx], fv[new_idx], n)
+        if abs(trial[1]) >= abs(level) - 1e-14 * scale:
+            ref_idx, solved = new_idx, trial
         else:
             ref_idx = _single_exchange(ref_idx, residual)
     else:
@@ -461,7 +467,12 @@ def remez(f: PrimalVector, n: int, max_iterations: int = 100) -> RemezResult:
     polished_pts = [polished_pts[i] for i in order]
     polished_vals = [polished_vals[i] for i in order]
     if len(set(polished_pts)) == n + 2:
-        poly2, level2 = _leveled_solve(np.array(polished_pts), np.array(polished_vals), n)
+        polished = np.array([polished_pts, polished_vals])
+        if polished.tobytes() == np.array([ref_pts, ref_vals]).tobytes():
+            # nothing moved, bit for bit: the last discrete solve is this solve
+            poly2, level2 = poly, level
+        else:
+            poly2, level2 = _leveled_solve(polished[0], polished[1], n)
         # the polish may only sharpen the certificate, never degrade it
         if abs(level2) >= abs(level) - REMEZ_TOL * max(1.0, abs(level)):
             poly, level = poly2, abs(level2)

@@ -5,8 +5,9 @@ polynomial classes in C[0, 1].
 `brute_force_project` takes the `MapDescriptor` of the projection it checks
 and reads only the set it names (kind, space, radius, degree). It never
 calls the map's value formulas or any closed form: grid-seeded multi-start
-descent finds the nearest point of a ball or cone, and a coefficient box
-search refined by an exact grid linear program finds the nearest polynomial.
+descent finds the nearest point of a ball or cone, and the exact grid linear
+program finds the nearest polynomial. A coefficient box search takes its
+place only when the linear program fails.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ __all__ = ["brute_force_project", "INSIDE_SLACK"]
 INSIDE_SLACK = 1e-12
 
 # Coefficient-mesh rows evaluated against the grid at once by the polynomial
-# box search; bounds its temporaries to MESH_CHUNK x grid size floats.
+# box search, which runs only when the grid linear program fails; bounds its
+# temporaries to MESH_CHUNK x grid size floats.
 MESH_CHUNK = 128
 
 PATTERN_ITERS = 600  # rounds of the 2 * dim axis steps plus the random steps
@@ -139,14 +141,27 @@ def _brute_force_sequence(x: PrimalVector, mapd: MapDescriptor, resolution: int,
 
 
 def _brute_force_poly(x: PrimalVector, n: int, resolution: int):
-    grid = x.space.grid
-    vander = grid[:, None] ** np.arange(n + 1)[None, :]
+    vander = x.space.power_matrix(n)
     center, *_ = np.linalg.lstsq(vander, x.values, rcond=None)
     resid = float(np.max(np.abs(x.values - vander @ center)))
     if resid <= 1e-9:  # x is in the class
         return x
     if n > 2:
         raise ValueError("coefficient box search supports degree <= 2")
+    # the grid problem solved exactly as the linear program
+    # min eps subject to |f - V c| <= eps (independent of any exchange logic)
+    best = _minimax_lp(vander, x.values)
+    if best is None:
+        best = _box_search(vander, x.values, center, resid, n, resolution)
+    return PrimalVector(x.space, vander @ best)
+
+
+def _box_search(
+    vander: np.ndarray, values: np.ndarray, center: np.ndarray, resid: float, n: int, resolution: int
+) -> np.ndarray:
+    """Coefficients of the best point of a coefficient mesh, halved and
+    recentred on its best point up to six times from the least-squares fit
+    `center`; the fallback when the grid linear program fails."""
     # any minimax optimum q satisfies ||q - LS fit|| <= 2 * resid, which the
     # coefficient bound converts to a box in coefficient space (a constant is
     # its own coefficient, so degree 0 needs no determinant)
@@ -159,18 +174,11 @@ def _brute_force_poly(x: PrimalVector, n: int, resolution: int):
     for _ in range(6):
         axes = [np.linspace(c - half, c + half, per_axis) for c in best]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n + 1)
-        best = mesh[int(np.argmin(_mesh_errors(mesh, vander, x.values)))]
+        best = mesh[int(np.argmin(_mesh_errors(mesh, vander, values)))]
         half /= 2.0
         if half < 1e-4:
             break
-
-    # direction-based descent stalls in the flat valleys of the max residual,
-    # so the refinement solves the grid problem exactly as the linear program
-    # min eps subject to |f - V c| <= eps (independent of any exchange logic)
-    refined = _minimax_lp(vander, x.values, best)
-    if refined is not None:
-        best = refined
-    return PrimalVector(x.space, vander @ best)
+    return best
 
 
 def _mesh_errors(mesh: np.ndarray, vander: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -182,7 +190,9 @@ def _mesh_errors(mesh: np.ndarray, vander: np.ndarray, values: np.ndarray) -> np
     ])
 
 
-def _minimax_lp(vander: np.ndarray, values: np.ndarray, fallback: np.ndarray):
+def _minimax_lp(vander: np.ndarray, values: np.ndarray):
+    """Coefficients c minimizing max |values - vander @ c|, or None when the
+    solver reports failure."""
     from scipy.optimize import linprog
 
     m, k = vander.shape
@@ -209,8 +219,9 @@ def brute_force_project(
 ) -> PrimalVector:
     """Independent nearest-point oracle for the set that the projection map
     `mapd` projects onto: feasible grid seeding refined by multi-start
-    descent (coefficient box search for polynomial classes). A point of the
-    set is returned as is.
+    descent for balls and cones; for polynomial classes the exact grid
+    linear program, with a coefficient box search as the fallback when the
+    program fails. A point of the set is returned as is.
 
     Reads only the map's kind, space, radius and degree, never its value
     formulas; feasibility and objective use only norms. Affine maps have no

@@ -17,6 +17,7 @@ which makes the module safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -109,14 +110,25 @@ class SpaceSpec:
     def size(self) -> int:
         return self.grid_size if self.kind == KIND_C01 else self.dim
 
-    @property
+    @functools.cached_property
     def grid(self) -> np.ndarray:
-        """Uniform nodes 0 = t_1 < ... < t_G = 1 (C01 only)."""
+        """Uniform nodes 0 = t_1 < ... < t_G = 1 (C01 only), built once per
+        spec and read-only. The cache sits in the instance dict, outside the
+        fields, so equality and hashing are unchanged."""
         if self.kind != KIND_C01:
             raise ValueError("only C01 spaces carry a grid")
         g = np.linspace(0.0, 1.0, self.grid_size)
         g.setflags(write=False)
         return g
+
+    @functools.lru_cache(maxsize=16)
+    def power_matrix(self, n: int) -> np.ndarray:
+        """Read-only G x (n+1) matrix of the powers t^j, j = 0..n, of the
+        grid nodes (C01 only): the basis of the polynomials of degree <= n
+        on the grid. Built once per (spec, n); equal specs share it."""
+        vander = self.grid[:, None] ** np.arange(n + 1)[None, :]
+        vander.setflags(write=False)
+        return vander
 
 
 def lp_space(p: float, dim: int) -> SpaceSpec:

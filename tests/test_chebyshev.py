@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from projderiv import chebyshev
 from projderiv.chebyshev import (
     Polynomial,
     RemezConvergenceError,
@@ -146,13 +147,13 @@ def test_remez_shift_by_constant():
     assert np.max(np.abs(shifted - (base + 0.7))) <= 1e-9
 
 
-def _random_smooth(rng, scale=1.0):
-    grid = C513.grid
+def _random_smooth(rng, scale=1.0, space=C513):
+    grid = space.grid
     vals = rng.normal() * grid + rng.normal()
     for k in range(1, 6):
         vals = vals + rng.normal() * np.sin(np.pi * k * grid) / k
     peak = np.max(np.abs(vals))
-    return primal(C513, vals * (scale / peak))
+    return primal(space, vals * (scale / peak))
 
 
 def test_equioscillation_certificate(rng):
@@ -209,7 +210,7 @@ def test_remez_matches_the_minimax_lp_when_the_residual_has_few_sign_runs(target
     values = TARGETS_WITH_FEW_SIGN_RUNS[target](grid)
     res = remez(primal(C513, values), n)
     vander = grid[:, None] ** np.arange(n + 1)[None, :]
-    lp_error = float(np.max(np.abs(values - vander @ _minimax_lp(vander, values, None))))
+    lp_error = float(np.max(np.abs(values - vander @ _minimax_lp(vander, values))))
     assert abs(res.error - lp_error) <= 1e-4
 
 
@@ -324,3 +325,57 @@ def test_remez_certificate_with_hundreds_of_sign_runs():
         assert np.all(np.abs(np.abs(resid) - res.error) <= 1e-9 * (1 + res.error))
         signs = np.sign(resid)
         assert all(signs[i] == -signs[i + 1] for i in range(n + 1))
+
+
+@pytest.mark.parametrize("grid_size", [513, 4097])
+@pytest.mark.parametrize(
+    "target, degrees",
+    [("squared_ramp", (0, 1)), ("random_smooth", (1, 2, 3))],
+    ids=["squared_ramp", "random_smooth"],
+)
+def test_remez_solves_each_reference_once(target, degrees, grid_size, monkeypatch):
+    space = c01_space(grid_size)
+    rng = np.random.default_rng(grid_size)
+    leveled_solve = chebyshev._leveled_solve
+    solved = []
+
+    def counted(points, values, n):
+        solved.append(tuple(points))
+        return leveled_solve(points, values, n)
+
+    monkeypatch.setattr(chebyshev, "_leveled_solve", counted)
+    for n in degrees:
+        f = primal(space, space.grid**2) if target == "squared_ramp" else _random_smooth(rng, space=space)
+        solved.clear()
+        res = remez(f, n)
+        assert solved, "the exchange made no levelled solve"
+        assert len(set(solved)) == len(solved), "a reference was solved twice"
+        assert res.iterations == len(res.level_history)
+
+
+def test_grid_is_built_once_and_read_only():
+    space = c01_space(1025)
+    grid = space.grid
+    assert space.grid is grid
+    assert not grid.flags.writeable
+    assert grid.tobytes() == np.linspace(0.0, 1.0, 1025).tobytes()
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+
+
+def test_equal_specs_stay_equal_after_one_builds_its_grid():
+    built, fresh = c01_space(257), c01_space(257)
+    built.grid
+    assert built == fresh
+    assert hash(built) == hash(fresh)
+    assert len({built, fresh}) == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_power_matrix_is_the_grid_power_expression_built_once(n):
+    space = c01_space(513)
+    vander = space.power_matrix(n)
+    assert vander is c01_space(513).power_matrix(n)
+    assert not vander.flags.writeable
+    expected = space.grid[:, None] ** np.arange(n + 1)[None, :]
+    assert vander.tobytes() == expected.tobytes()
