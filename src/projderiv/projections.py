@@ -6,15 +6,14 @@ polynomial classes in C[0, 1].
 and reads only the set it names (kind, space, radius, degree). It never
 calls the map's value formulas or any closed form: grid-seeded multi-start
 descent finds the nearest point of a ball or cone, and the exact grid linear
-program finds the nearest polynomial. A coefficient box search takes its
-place only when the linear program fails.
+program, the only polynomial solver, finds the nearest polynomial; a failure
+of that program raises.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import chebyshev
 from .coderivatives import AFFINE, CONE_PROJ, POLY_PROJ, MapDescriptor
 from .spaces import PrimalVector, norm_rows
 
@@ -24,11 +23,6 @@ __all__ = ["brute_force_project", "INSIDE_SLACK"]
 # the ball; the oracle's own feasibility slack, kept apart from the maps'
 # sphere band.
 INSIDE_SLACK = 1e-12
-
-# Coefficient-mesh rows evaluated against the grid at once by the polynomial
-# box search, which runs only when the grid linear program fails; bounds its
-# temporaries to MESH_CHUNK x grid size floats.
-MESH_CHUNK = 128
 
 PATTERN_ITERS = 600  # rounds of the 2 * dim axis steps plus the random steps
 PATTERN_RANDOM_DIRS = 10  # random unit steps per round
@@ -140,59 +134,20 @@ def _brute_force_sequence(x: PrimalVector, mapd: MapDescriptor, resolution: int,
     return PrimalVector(space, best_y)
 
 
-def _brute_force_poly(x: PrimalVector, n: int, resolution: int):
+def _brute_force_poly(x: PrimalVector, n: int):
     vander = x.space.power_matrix(n)
     center, *_ = np.linalg.lstsq(vander, x.values, rcond=None)
     resid = float(np.max(np.abs(x.values - vander @ center)))
     if resid <= 1e-9:  # x is in the class
         return x
-    if n > 2:
-        raise ValueError("coefficient box search supports degree <= 2")
     # the grid problem solved exactly as the linear program
     # min eps subject to |f - V c| <= eps (independent of any exchange logic)
-    best = _minimax_lp(vander, x.values)
-    if best is None:
-        best = _box_search(vander, x.values, center, resid, n, resolution)
-    return PrimalVector(x.space, vander @ best)
+    return PrimalVector(x.space, vander @ _minimax_lp(vander, x.values))
 
 
-def _box_search(
-    vander: np.ndarray, values: np.ndarray, center: np.ndarray, resid: float, n: int, resolution: int
-) -> np.ndarray:
-    """Coefficients of the best point of a coefficient mesh, halved and
-    recentred on its best point up to six times from the least-squares fit
-    `center`; the fallback when the grid linear program fails."""
-    # any minimax optimum q satisfies ||q - LS fit|| <= 2 * resid, which the
-    # coefficient bound converts to a box in coefficient space (a constant is
-    # its own coefficient, so degree 0 needs no determinant)
-    if n == 0:
-        half = max(2.0 * resid, 1e-12)
-    else:
-        half = chebyshev.coefficient_bound(max(2.0 * resid, 1e-12), n)
-    per_axis = min(max(resolution, 5), 13)
-    best = center
-    for _ in range(6):
-        axes = [np.linspace(c - half, c + half, per_axis) for c in best]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n + 1)
-        best = mesh[int(np.argmin(_mesh_errors(mesh, vander, values)))]
-        half /= 2.0
-        if half < 1e-4:
-            break
-    return best
-
-
-def _mesh_errors(mesh: np.ndarray, vander: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Sup-norm error on the grid of each coefficient row of the mesh,
-    MESH_CHUNK rows at a time."""
-    return np.concatenate([
-        np.max(np.abs(mesh[start : start + MESH_CHUNK] @ vander.T - values[None, :]), axis=1)
-        for start in range(0, len(mesh), MESH_CHUNK)
-    ])
-
-
-def _minimax_lp(vander: np.ndarray, values: np.ndarray):
-    """Coefficients c minimizing max |values - vander @ c|, or None when the
-    solver reports failure."""
+def _minimax_lp(vander: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Coefficients c minimizing max |values - vander @ c|; raises
+    RuntimeError with the solver's message when it reports failure."""
     from scipy.optimize import linprog
 
     m, k = vander.shape
@@ -210,7 +165,7 @@ def _minimax_lp(vander: np.ndarray, values: np.ndarray):
         method="highs",
     )
     if not result.success:
-        return None
+        raise RuntimeError(f"grid minimax linear program failed: {result.message}")
     return result.x[:-1]
 
 
@@ -220,8 +175,9 @@ def brute_force_project(
     """Independent nearest-point oracle for the set that the projection map
     `mapd` projects onto: feasible grid seeding refined by multi-start
     descent for balls and cones; for polynomial classes the exact grid
-    linear program, with a coefficient box search as the fallback when the
-    program fails. A point of the set is returned as is.
+    linear program alone, whose failure raises RuntimeError. A point of the
+    set is returned as is. `resolution` and `seed` shape only the ball and
+    cone search.
 
     Reads only the map's kind, space, radius and degree, never its value
     formulas; feasibility and objective use only norms. Affine maps have no
@@ -232,7 +188,7 @@ def brute_force_project(
     if mapd.kind == AFFINE:
         raise ValueError("an affine map is not the projection onto a set")
     if mapd.kind == POLY_PROJ:
-        return _brute_force_poly(x, mapd.degree, resolution)
+        return _brute_force_poly(x, mapd.degree)
     if _inside(mapd, x.values):
         return x
     return _brute_force_sequence(x, mapd, resolution, seed)

@@ -188,6 +188,15 @@ def test_quotient_form_audit_failure_exits_1_without_a_traceback(tmp_path, capsy
     assert "Traceback" not in err
 
 
+def test_remez_convergence_failure_exits_1_without_a_traceback(tmp_path, capsys):
+    # at degree 25 the exchange does not level within its iteration budget
+    argv = ["run", "--experiment", "structural_prop_3_2", "--n", "25", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "FAIL structural_prop_3_2: no convergence in 100 iterations\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "trace"])
 def test_out_of_memory_is_a_one_line_config_error(command, tmp_path, capsys, monkeypatch):
     # a config too large for memory (say ball_theorem_4_1 at N = S = 100000)

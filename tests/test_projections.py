@@ -2,10 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
-from projderiv import projections
 from projderiv.coderivatives import (
     MapDescriptor,
     affine_map,
@@ -15,7 +15,7 @@ from projderiv.coderivatives import (
     l1_projection_set_contains,
     poly_projection_map,
 )
-from projderiv.projections import _mesh_errors, brute_force_project
+from projderiv.projections import brute_force_project
 from projderiv.spaces import (
     c01_space,
     dual,
@@ -184,18 +184,6 @@ def test_brute_force_l1_matches_distance(rng):
         assert abs(norm(x - bf) - expected) <= 1e-4
 
 
-@pytest.mark.parametrize("n, per_axis", [(0, 13), (1, 11), (1, 13), (2, 5), (2, 11), (2, 13)])
-def test_chunked_mesh_errors_equal_the_one_shot_expression(n, per_axis):
-    rng = np.random.default_rng(per_axis + 17 * n)
-    grid = c01_space(4097).grid
-    vander = grid[:, None] ** np.arange(n + 1)[None, :]
-    values = np.sin(3 * grid) + 0.1 * rng.standard_normal(grid.size)
-    axes = [np.linspace(c - 0.3, c + 0.3, per_axis) for c in rng.normal(size=n + 1)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n + 1)
-    one_shot = np.max(np.abs(mesh @ vander.T - values[None, :]), axis=1)
-    assert np.array_equal(_mesh_errors(mesh, vander, values), one_shot)
-
-
 def test_brute_force_inside_returns_input():
     sp = lp_space(2.0, 2)
     x = primal(sp, [0.3, -0.2])
@@ -206,10 +194,6 @@ def test_brute_force_dimension_guard():
     sp = lp_space(2.0, 5)
     with pytest.raises(ValueError):
         brute_force_project(primal(sp, np.ones(5) * 2), ball_projection_map(sp, 1.0))
-    with pytest.raises(ValueError):
-        brute_force_project(
-            primal(C513, C513.grid**4), poly_projection_map(C513, 3), resolution=9
-        )
 
 
 def test_projection_map_validation():
@@ -265,31 +249,10 @@ POLY_CASES = [case for case in ORACLE_CASES if case.id.startswith("poly")]
 
 
 @pytest.mark.parametrize("mapd, values", POLY_CASES)
-def test_poly_oracle_solves_the_grid_lp_without_the_box_search(mapd, values, monkeypatch):
-    x = primal(mapd.space, values)
-    expected = brute_force_project(x, mapd, resolution=11)
+def test_poly_oracle_raises_when_the_lp_fails(mapd, values, monkeypatch):
+    def failed(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(success=False, status=4, message="numerical difficulties")
 
-    def box_search(*args):
-        raise AssertionError("the box search ran although the linear program succeeded")
-
-    monkeypatch.setattr(projections, "_mesh_errors", box_search)
-    assert np.array_equal(brute_force_project(x, mapd, resolution=11).values, expected.values)
-
-
-@pytest.mark.parametrize("mapd, values", POLY_CASES)
-def test_poly_oracle_falls_back_to_the_box_search_when_the_lp_fails(mapd, values, monkeypatch):
-    x = primal(mapd.space, values)
-    lp_error = norm(x - brute_force_project(x, mapd, resolution=11))
-    mesh_calls = []
-
-    def counted(*args):
-        mesh_calls.append(1)
-        return _mesh_errors(*args)
-
-    monkeypatch.setattr(projections, "_minimax_lp", lambda vander, values: None)
-    monkeypatch.setattr(projections, "_mesh_errors", counted)
-    box_error = norm(x - brute_force_project(x, mapd, resolution=11))
-    assert mesh_calls
-    # the LP is optimal on the grid; the six-round box search alone lands
-    # 1.4e-3 to 1.8e-3 above it on these cases, coarser than the LP
-    assert lp_error <= box_error <= lp_error + 2e-3
+    monkeypatch.setattr(scipy.optimize, "linprog", failed)
+    with pytest.raises(RuntimeError, match="numerical difficulties"):
+        brute_force_project(primal(mapd.space, values), mapd)
