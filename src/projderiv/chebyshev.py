@@ -35,6 +35,7 @@ __all__ = [
     "derivative_coefficient_bound",
     "chebyshev_points",
     "sample_value",
+    "annihilator",
     "remez",
     "continuity_experiment",
 ]
@@ -87,6 +88,12 @@ class RemezResult:
     attains +-``error`` with alternating signs; ``reference_values`` are the
     sampled function values used at those points (exact grid samples, or the
     three-point parabolic interpolant for polished off-grid points).
+
+    ``discrete_reference`` holds the n+2 increasing grid indices of the
+    reference that ends the discrete exchange, and ``discrete_polynomial`` is
+    the levelled solve there: the grid solution before the off-grid polish.
+    For a function already in the class they are the nodes nearest to n+2
+    Chebyshev points and the least-squares fit.
     """
 
     polynomial: Polynomial
@@ -96,6 +103,8 @@ class RemezResult:
     residual_signs: tuple[int, ...]
     iterations: int
     level_history: tuple[float, ...]
+    discrete_reference: tuple[int, ...]
+    discrete_polynomial: Polynomial
 
 
 @dataclass(frozen=True)
@@ -247,6 +256,20 @@ def sample_value(f: PrimalVector, t: float) -> float:
     return float(f0 * l0 + f1 * l1 + f2 * l2)
 
 
+def annihilator(points: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """Weights w on n + 2 points that annihilate every polynomial of degree
+    <= n: the null vector of the moment matrix [t_i^k], scaled to total
+    variation 1 with a positive first weight. Also returns the annihilation
+    residual max_k |sum_i w_i t_i^k|, which is zero in exact arithmetic."""
+    moments = points[None, :] ** np.arange(n + 1)[:, None]
+    _, _, vt = np.linalg.svd(moments)
+    weights = vt[-1]
+    if weights[0] < 0:
+        weights = -weights
+    weights = weights / np.sum(np.abs(weights))
+    return weights, float(np.max(np.abs(moments @ weights)))
+
+
 def _leveled_solve(points: np.ndarray, values: np.ndarray, n: int):
     """Solve  p(t_i) + (-1)^i h = f(t_i)  for the coefficients of p and the
     level h."""
@@ -386,25 +409,8 @@ def remez(f: PrimalVector, n: int, max_iterations: int = 100) -> RemezResult:
     fv = f.values
     scale = 1.0 + float(np.max(np.abs(fv)))
 
-    vander = f.space.power_matrix(n)
-    ls_coef, *_ = np.linalg.lstsq(vander, fv, rcond=None)
-    ls_resid = fv - vander @ ls_coef
-    if np.max(np.abs(ls_resid)) <= 1e-12 * scale:
-        ref = chebyshev_points(n + 2)
-        poly = Polynomial(tuple(ls_coef))
-        signs = tuple(int(s) for s in (-1.0) ** np.arange(n + 2))
-        ref_vals = tuple(sample_value(f, t) for t in ref)
-        return RemezResult(
-            polynomial=poly,
-            error=float(np.max(np.abs(ls_resid))),
-            reference=tuple(float(t) for t in ref),
-            reference_values=ref_vals,
-            residual_signs=signs,
-            iterations=0,
-            level_history=(),
-        )
-
-    # phase 1: discrete exchange on the grid
+    # the nodes nearest to the Chebyshev points: phase 1's first reference,
+    # and the discrete reference of a function already in the class
     ref_idx = sorted(
         {int(round(t * (g - 1))) for t in chebyshev_points(n + 2)}
     )
@@ -415,6 +421,31 @@ def remez(f: PrimalVector, n: int, max_iterations: int = 100) -> RemezResult:
             ref_idx.sort()
         k += 1
 
+    # the projection onto the orthonormal basis is only a cheap prefilter:
+    # lstsq and its 1e-12 test decide, for inputs that pass it
+    basis = f.space.power_basis(n)
+    if np.max(np.abs(fv - basis @ (basis.T @ fv))) <= 1e-9 * scale:
+        vander = f.space.power_matrix(n)
+        ls_coef, *_ = np.linalg.lstsq(vander, fv, rcond=None)
+        ls_resid = fv - vander @ ls_coef
+        if np.max(np.abs(ls_resid)) <= 1e-12 * scale:
+            ref = chebyshev_points(n + 2)
+            poly = Polynomial(tuple(ls_coef))
+            signs = tuple(int(s) for s in (-1.0) ** np.arange(n + 2))
+            ref_vals = tuple(sample_value(f, t) for t in ref)
+            return RemezResult(
+                polynomial=poly,
+                error=float(np.max(np.abs(ls_resid))),
+                reference=tuple(float(t) for t in ref),
+                reference_values=ref_vals,
+                residual_signs=signs,
+                iterations=0,
+                level_history=(),
+                discrete_reference=tuple(ref_idx),
+                discrete_polynomial=poly,
+            )
+
+    # phase 1: discrete exchange on the grid
     history: list[float] = []
     poly = None
     level = 0.0
@@ -448,6 +479,7 @@ def remez(f: PrimalVector, n: int, max_iterations: int = 100) -> RemezResult:
             f"no convergence in {max_iterations} iterations", tuple(history)
         )
 
+    discrete_reference, discrete_polynomial = tuple(ref_idx), poly
     ref_pts = [float(grid[j]) for j in ref_idx]
     ref_vals = [float(fv[j]) for j in ref_idx]
 
@@ -490,6 +522,8 @@ def remez(f: PrimalVector, n: int, max_iterations: int = 100) -> RemezResult:
         residual_signs=signs,
         iterations=len(history),
         level_history=tuple(history),
+        discrete_reference=discrete_reference,
+        discrete_polynomial=discrete_polynomial,
     )
 
 

@@ -616,15 +616,26 @@ def _exp_remez(config: ExperimentConfig) -> list[CheckResult]:
         )
     _check(checks, "scaling and shift equivariance", equi_worst <= 1e-8, f"{equi_worst:.3e}", "<= 1e-8")
 
-    brute_worst = 0.0
+    # the certified bracket lb <= E_grid <= ub at the discrete solution: it
+    # must close, and the polish, which may only sharpen, must not fall below lb
+    gap_worst, polish_margin = 0.0, np.inf
     for n in (0, 1, 2):
         f = _random_smooth(space, _rng(config, 91 + n))
         res = chebyshev.remez(f, n)
-        oracle = pj.brute_force_project(f, cd.poly_projection_map(space, n))
-        brute_err = float(np.max(np.abs(f.values - oracle.values)))
-        brute_worst = max(brute_worst, abs(res.error - brute_err))
-    # the oracle is the grid LP; the golden reports pin the older "box-search" name
-    _check(checks, "exchange error matches the box-search oracle", brute_worst <= 1e-3, f"{brute_worst:.3e}", "<= 1e-3")
+        lb, ub = pj.poly_bracket(
+            f, cd.poly_projection_map(space, n), res.discrete_reference, res.discrete_polynomial
+        )
+        gap_worst = max(gap_worst, (ub - lb) / max(1.0, lb))
+        polish_margin = min(polish_margin, (res.error - lb) / max(1.0, lb))
+    tol = chebyshev.REMEZ_TOL
+    _check(checks, "discrete bracket closes", gap_worst <= tol, f"{gap_worst:.3e}", f"<= {tol:.0e}")
+    _check(
+        checks,
+        "polished error is at least the certified lower bound",
+        polish_margin >= -tol,
+        f"{polish_margin:.3e}",
+        f">= -{tol:.0e}",
+    )
     return checks
 
 
@@ -835,8 +846,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         _exp_coefficient_bounds,
     ),
     "remez_theorem_5_4": Experiment(
-        # "box-search agreement" is the grid-LP check; the golden reports pin the name
-        "best uniform approximation: equioscillation, exactness on polynomials, equivariances, box-search agreement",
+        "best uniform approximation: equioscillation, exactness on polynomials, equivariances, certified discrete bracket",
         _exp_remez, requires=(_G_FITS_CUBICS,),
     ),
     "remez_continuity_theorem_4_8": Experiment(

@@ -216,12 +216,7 @@ def poly_annihilator(space: SpaceSpec, degree: int) -> DualVector:
     the annihilation by up to 4e-4 for degrees 3 to 5."""
     last = space.grid_size - 1
     pts = space.grid[[int(round(t * last)) for t in chebyshev.chebyshev_points(degree + 2)]]
-    moments = pts[None, :] ** np.arange(degree + 1)[:, None]
-    _, _, vt = np.linalg.svd(moments)
-    weights = vt[-1]
-    if weights[0] < 0:
-        weights = -weights
-    weights = weights / np.sum(np.abs(weights))
+    weights, _ = chebyshev.annihilator(pts, degree)
     return atomic_measure(space, tuple(zip(pts.tolist(), weights.tolist())))
 
 

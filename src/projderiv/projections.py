@@ -1,23 +1,24 @@
-"""Independent nearest-point oracle for the closed convex sets the
-projection maps target: p-norm balls, positive cones, l_1 balls, and
-polynomial classes in C[0, 1].
+"""Independent checks of the projection maps onto closed convex sets:
+p-norm balls, positive cones, l_1 balls, and polynomial classes in C[0, 1].
 
 `brute_force_project` takes the `MapDescriptor` of the projection it checks
-and reads only the set it names (kind, space, radius, degree). It never
-calls the map's value formulas or any closed form: grid-seeded multi-start
-descent finds the nearest point of a ball or cone, and the exact grid linear
-program, the only polynomial solver, finds the nearest polynomial; a failure
-of that program raises.
+and reads only the set it names (kind, space, radius). It never calls the
+map's value formulas or any closed form: grid-seeded multi-start descent
+finds the nearest point of a ball or cone. A polynomial class is not
+searched: `poly_bracket` certifies a candidate instead, with the de la
+Vallee Poussin lower bound from an annihilating measure on n + 2 grid nodes
+and the candidate's sup error on the grid as the upper bound.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import chebyshev
 from .coderivatives import AFFINE, CONE_PROJ, POLY_PROJ, MapDescriptor
 from .spaces import PrimalVector, norm_rows
 
-__all__ = ["brute_force_project", "INSIDE_SLACK"]
+__all__ = ["brute_force_project", "poly_bracket", "INSIDE_SLACK"]
 
 # Points with norm within this relative slack of the radius count as inside
 # the ball; the oracle's own feasibility slack, kept apart from the maps'
@@ -134,61 +135,64 @@ def _brute_force_sequence(x: PrimalVector, mapd: MapDescriptor, resolution: int,
     return PrimalVector(space, best_y)
 
 
-def _brute_force_poly(x: PrimalVector, n: int):
-    vander = x.space.power_matrix(n)
-    center, *_ = np.linalg.lstsq(vander, x.values, rcond=None)
-    resid = float(np.max(np.abs(x.values - vander @ center)))
-    if resid <= 1e-9:  # x is in the class
-        return x
-    # the grid problem solved exactly as the linear program
-    # min eps subject to |f - V c| <= eps (independent of any exchange logic)
-    return PrimalVector(x.space, vander @ _minimax_lp(vander, x.values))
+def poly_bracket(
+    f: PrimalVector, mapd: MapDescriptor, nodes, polynomial: chebyshev.Polynomial
+) -> tuple[float, float]:
+    """Bracket (lb, ub) on the grid best error E = min_q max_grid |f - q|
+    over the polynomials q of degree <= n that `mapd` projects onto.
 
-
-def _minimax_lp(vander: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Coefficients c minimizing max |values - vander @ c|; raises
-    RuntimeError with the solver's message when it reports failure."""
-    from scipy.optimize import linprog
-
-    m, k = vander.shape
-    # variables (c_0..c_{k-1}, eps)
-    cost = np.zeros(k + 1)
-    cost[-1] = 1.0
-    ones = np.ones((m, 1))
-    a_ub = np.block([[vander, -ones], [-vander, -ones]])
-    b_ub = np.concatenate([values, -values])
-    result = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(None, None)] * k + [(0, None)],
-        method="highs",
-    )
-    if not result.success:
-        raise RuntimeError(f"grid minimax linear program failed: {result.message}")
-    return result.x[:-1]
+    ub = max_grid |f - p| for the given polynomial p, so ub >= E. Let w be
+    the measure of total variation 1 on the n + 2 grid `nodes` (increasing
+    indices) that annihilates degree <= n. Then |<w, f>| = |<w, f - q>| <=
+    max_grid |f - q| for every such q (de la Vallee Poussin), so
+    lb = |<w, f>| - residual * ||c||_1 - rounding <= E, where the
+    annihilation residual of the computed w is charged against the
+    coefficients c of p, standing in for those of the best q, and the
+    rounding term bounds the floating-point error of the pairing.
+    Alternating nodes and the best p close the bracket. Reads only grid
+    values, the degree and the weights, never the map's value formulas or an
+    error reported by whatever produced the nodes.
+    """
+    if mapd.kind != POLY_PROJ:
+        raise ValueError("a bracket needs the projection onto a polynomial class")
+    if f.space != mapd.space:
+        raise ValueError("function and class live in different spaces")
+    n = mapd.degree
+    idx = np.asarray(nodes, dtype=int)
+    if idx.shape != (n + 2,) or idx[0] < 0 or idx[-1] >= f.space.grid_size or np.any(np.diff(idx) <= 0):
+        raise ValueError(f"need {n + 2} increasing grid node indices")
+    if polynomial.degree > n:
+        raise ValueError(f"the polynomial has degree above {n}")
+    grid = f.space.grid
+    ub = float(np.max(np.abs(f.values - polynomial(grid))))
+    weights, residual = chebyshev.annihilator(grid[idx], n)
+    values = f.values[idx]
+    # (n + 2) eps of sum |w_i f_i| covers the rounding of the pairing and of
+    # the total variation; without it lb can exceed E by an ulp
+    slack = residual * float(np.sum(np.abs(polynomial.coefficients)))
+    slack += (n + 2) * np.finfo(float).eps * float(np.abs(weights) @ np.abs(values))
+    return abs(float(weights @ values)) - slack, ub
 
 
 def brute_force_project(
     x: PrimalVector, mapd: MapDescriptor, resolution: int = 40, seed: int = 0
 ) -> PrimalVector:
-    """Independent nearest-point oracle for the set that the projection map
+    """Independent nearest-point oracle for the ball, cone or l_1 ball that
     `mapd` projects onto: feasible grid seeding refined by multi-start
-    descent for balls and cones; for polynomial classes the exact grid
-    linear program alone, whose failure raises RuntimeError. A point of the
-    set is returned as is. `resolution` and `seed` shape only the ball and
-    cone search.
+    descent. A point of the set is returned as is. `resolution` and `seed`
+    shape the grid and the descent.
 
-    Reads only the map's kind, space, radius and degree, never its value
-    formulas; feasibility and objective use only norms. Affine maps have no
-    set behind them and raise.
+    Reads only the map's kind, space and radius, never its value formulas;
+    feasibility and objective use only norms. Affine maps have no set behind
+    them and raise ValueError; so do polynomial classes, which `poly_bracket`
+    certifies instead.
     """
     if x.space != mapd.space:
         raise ValueError("point and set live in different spaces")
     if mapd.kind == AFFINE:
         raise ValueError("an affine map is not the projection onto a set")
     if mapd.kind == POLY_PROJ:
-        return _brute_force_poly(x, mapd.degree)
+        raise ValueError("a polynomial class is certified by poly_bracket, not searched")
     if _inside(mapd, x.values):
         return x
     return _brute_force_sequence(x, mapd, resolution, seed)

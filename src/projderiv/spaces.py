@@ -130,6 +130,14 @@ class SpaceSpec:
         vander.setflags(write=False)
         return vander
 
+    @functools.lru_cache(maxsize=16)
+    def power_basis(self, n: int) -> np.ndarray:
+        """Read-only orthonormal G x (n+1) basis of the same column space as
+        `power_matrix(n)` (its thin QR factor), built once per (spec, n)."""
+        basis = np.linalg.qr(self.power_matrix(n))[0]
+        basis.setflags(write=False)
+        return basis
+
 
 def lp_space(p: float, dim: int) -> SpaceSpec:
     return SpaceSpec(kind=KIND_LP, p=float(p), dim=int(dim))

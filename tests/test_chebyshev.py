@@ -22,8 +22,7 @@ from projderiv.chebyshev import (
     remez,
     sample_value,
 )
-from projderiv.coderivatives import poly_projection_map
-from projderiv.projections import _minimax_lp, brute_force_project
+from grid_lp import lp_error
 from projderiv.spaces import PrimalVector, c01_space, norm, primal
 
 C513 = c01_space(513)
@@ -182,9 +181,7 @@ def test_remez_matches_the_grid_lp_oracle(rng):
     for n in range(9):
         f = _random_smooth(rng)
         res = remez(f, n)
-        oracle = brute_force_project(f, poly_projection_map(C513, n))
-        oracle_err = float(np.max(np.abs(f.values - oracle.values)))
-        assert abs(res.error - oracle_err) <= 1e-3
+        assert abs(res.error - lp_error(C513.power_matrix(n), f.values)) <= 1e-3
 
 
 def test_remez_nonconvergence_surfaces_trace():
@@ -209,9 +206,7 @@ def test_remez_matches_the_minimax_lp_when_the_residual_has_few_sign_runs(target
     grid = C513.grid
     values = TARGETS_WITH_FEW_SIGN_RUNS[target](grid)
     res = remez(primal(C513, values), n)
-    vander = grid[:, None] ** np.arange(n + 1)[None, :]
-    lp_error = float(np.max(np.abs(values - vander @ _minimax_lp(vander, values))))
-    assert abs(res.error - lp_error) <= 1e-4
+    assert abs(res.error - lp_error(C513.power_matrix(n), values)) <= 1e-4
 
 
 def test_sample_value_exact_at_nodes():
@@ -379,3 +374,46 @@ def test_power_matrix_is_the_grid_power_expression_built_once(n):
     assert not vander.flags.writeable
     expected = space.grid[:, None] ** np.arange(n + 1)[None, :]
     assert vander.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_power_basis_is_an_orthonormal_basis_of_the_power_matrix_built_once(n):
+    space = c01_space(513)
+    basis = space.power_basis(n)
+    assert basis is c01_space(513).power_basis(n)
+    assert not basis.flags.writeable
+    assert np.max(np.abs(basis.T @ basis - np.eye(n + 1))) <= 1e-12
+    vander = space.power_matrix(n)
+    assert np.max(np.abs(vander - basis @ (basis.T @ vander))) <= 1e-12
+
+
+def test_remez_runs_lstsq_only_for_inputs_near_the_class(rng, monkeypatch):
+    lstsq = np.linalg.lstsq
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    for n in (0, 2, 4):
+        remez(_random_smooth(rng), n)
+    assert calls == []
+    res = remez(Polynomial((0.3, -1.2, 0.7)).on_grid(C513), 2)
+    assert res.iterations == 0 and calls == [(513, 3)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_remez_exposes_its_discrete_grid_solution(n, rng):
+    f = _random_smooth(rng)
+    res = remez(f, n)
+    idx = np.array(res.discrete_reference)
+    assert idx.size == n + 2 and np.all(np.diff(idx) > 0)
+    assert res.discrete_polynomial.degree == n
+    # the discrete polynomial levels the residual on its reference, with
+    # alternating signs, at the grid sup of the residual
+    resid = f.values[idx] - res.discrete_polynomial(C513.grid[idx])
+    level = np.max(np.abs(f.values - res.discrete_polynomial(C513.grid)))
+    assert np.all(np.abs(np.abs(resid) - level) <= 1e-9 * (1 + level))
+    assert np.all(np.sign(resid[1:]) == -np.sign(resid[:-1]))
+    assert res.error >= level - chebyshev.REMEZ_TOL * max(1.0, level)

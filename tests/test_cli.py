@@ -233,3 +233,15 @@ def test_config_text_resolves_or_is_config_error(experiment, overrides):
     except ConfigError:
         return
     config.validate()
+
+
+@pytest.mark.parametrize("grid_size, seeds", [(33, range(1, 31)), (65, [9])], ids=["G33-seeds1-30", "G65-seed9"])
+def test_remez_theorem_passes_on_coarse_grids(grid_size, seeds, tmp_path, capsys):
+    failed = [
+        seed
+        for seed in seeds
+        if main(["run", "--experiment", "remez_theorem_5_4", "--G", str(grid_size),
+                 "--seed", str(seed), "--out", str(tmp_path / "r.json")]) != 0
+    ]
+    out = capsys.readouterr().out
+    assert failed == [], "\n".join(line for line in out.splitlines() if line.startswith("FAIL"))

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,6 +7,8 @@ import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
+import grid_lp
+from projderiv import chebyshev
 from projderiv.coderivatives import (
     MapDescriptor,
     affine_map,
@@ -15,7 +18,8 @@ from projderiv.coderivatives import (
     l1_projection_set_contains,
     poly_projection_map,
 )
-from projderiv.projections import brute_force_project
+from projderiv.experiments import _random_smooth, resolve_config, run_experiment
+from projderiv.projections import brute_force_project, poly_bracket
 from projderiv.spaces import (
     c01_space,
     dual,
@@ -225,34 +229,126 @@ ORACLE_CASES = [
     pytest.param(cone_projection_map(lp_space(3.0, 3)), [0.7, -1.1, 0.2], id="cone-Lp"),
     pytest.param(cone_projection_map(l1_space(3)), [-0.3, 0.8, -1.4], id="cone-L1"),
     pytest.param(l1_ball_projection_map(l1_space(3), 1.0), [1.1, -0.6, 0.3], id="l1_ball"),
-    *[
-        pytest.param(poly_projection_map(C513, n), np.sin(3 * C513.grid) + C513.grid**3, id=f"poly{n}")
-        for n in (0, 1, 2)
-    ],
 ]
+
+POLY_CASES = [
+    pytest.param(poly_projection_map(C513, n), np.sin(3 * C513.grid) + C513.grid**3, id=f"poly{n}")
+    for n in (0, 1, 2)
+]
+
+
+def _forbid_the_closed_forms(monkeypatch):
+    def closed_form(*args):
+        raise AssertionError("the oracle evaluated the map's closed form")
+
+    monkeypatch.setattr(MapDescriptor, "value", closed_form)
+    monkeypatch.setattr(MapDescriptor, "value_batch", closed_form)
 
 
 @pytest.mark.parametrize("mapd, values", ORACLE_CASES)
 def test_brute_force_never_evaluates_the_map(mapd, values, monkeypatch):
     x = primal(mapd.space, values)
     expected = brute_force_project(x, mapd, resolution=8, seed=3)
-
-    def closed_form(*args):
-        raise AssertionError("the oracle evaluated the map's closed form")
-
-    monkeypatch.setattr(MapDescriptor, "value", closed_form)
-    monkeypatch.setattr(MapDescriptor, "value_batch", closed_form)
+    _forbid_the_closed_forms(monkeypatch)
     assert np.array_equal(brute_force_project(x, mapd, resolution=8, seed=3).values, expected.values)
 
 
-POLY_CASES = [case for case in ORACLE_CASES if case.id.startswith("poly")]
+@pytest.mark.parametrize("mapd, values", POLY_CASES)
+def test_poly_bracket_never_evaluates_the_map(mapd, values, monkeypatch):
+    f = primal(mapd.space, values)
+    res = chebyshev.remez(f, mapd.degree)
+    expected = poly_bracket(f, mapd, res.discrete_reference, res.discrete_polynomial)
+    _forbid_the_closed_forms(monkeypatch)
+    assert poly_bracket(f, mapd, res.discrete_reference, res.discrete_polynomial) == expected
 
 
 @pytest.mark.parametrize("mapd, values", POLY_CASES)
 def test_poly_oracle_raises_when_the_lp_fails(mapd, values, monkeypatch):
+    # the polynomial oracle of the tests is the grid linear program
     def failed(*args, **kwargs):
         return scipy.optimize.OptimizeResult(success=False, status=4, message="numerical difficulties")
 
     monkeypatch.setattr(scipy.optimize, "linprog", failed)
     with pytest.raises(RuntimeError, match="numerical difficulties"):
-        brute_force_project(primal(mapd.space, values), mapd)
+        grid_lp.minimax_lp(mapd.space.power_matrix(mapd.degree), values)
+
+
+def test_brute_force_refuses_a_polynomial_class():
+    with pytest.raises(ValueError, match="poly_bracket"):
+        brute_force_project(primal(C513, C513.grid**3), poly_projection_map(C513, 2))
+
+
+def _bracket(f, n):
+    res = chebyshev.remez(f, n)
+    return res, poly_bracket(f, poly_projection_map(f.space, n), res.discrete_reference, res.discrete_polynomial)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_poly_bracket_lower_bound_is_below_the_grid_lp(n):
+    # weak duality: the linear program's polynomial is feasible, so its
+    # error is at least the grid optimum, which lb bounds from below
+    rng = np.random.default_rng([n, 513])
+    vander = C513.power_matrix(n)
+    for _ in range(10):
+        f = _random_smooth(C513, rng)
+        _, (lb, ub) = _bracket(f, n)
+        assert lb <= grid_lp.lp_error(vander, f.values)
+        assert (ub - lb) / max(1.0, lb) <= chebyshev.REMEZ_TOL
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_poly_bracket_opens_when_one_coefficient_moves(n):
+    f = _random_smooth(C513, np.random.default_rng([n, 7]))
+    res, (lb, ub) = _bracket(f, n)
+    assert (ub - lb) / max(1.0, lb) <= chebyshev.REMEZ_TOL
+    mapd = poly_projection_map(C513, n)
+    for k in range(n + 1):
+        for delta in (1e-6, -1e-6):
+            coeffs = list(res.discrete_polynomial.coefficients)
+            coeffs[k] += delta
+            lb2, ub2 = poly_bracket(f, mapd, res.discrete_reference, chebyshev.Polynomial(tuple(coeffs)))
+            assert (ub2 - lb2) / max(1.0, lb2) > chebyshev.REMEZ_TOL
+
+
+def test_the_bracket_check_fails_when_the_discrete_polynomial_moves(monkeypatch):
+    remez = chebyshev.remez
+
+    def moved(f, n, **kwargs):
+        res = remez(f, n, **kwargs)
+        coeffs = (res.discrete_polynomial.coefficients[0] + 1e-6,) + res.discrete_polynomial.coefficients[1:]
+        return dataclasses.replace(res, discrete_polynomial=chebyshev.Polynomial(coeffs))
+
+    monkeypatch.setattr(chebyshev, "remez", moved)
+    report = run_experiment(resolve_config("remez_theorem_5_4"))
+    assert [c.name for c in report.checks if not c.passed] == ["discrete bracket closes"]
+
+
+@pytest.mark.parametrize("n", [0, 2, 5])
+def test_poly_bracket_of_a_polynomial_is_zero_up_to_rounding(n):
+    space = c01_space(513)
+    mapd = poly_projection_map(space, n)
+    f = chebyshev.Polynomial(tuple(np.random.default_rng(n).normal(size=n + 1))).on_grid(space)
+    res, (lb, ub) = _bracket(f, n)
+    assert res.iterations == 0
+    assert ub <= 1e-12 * (1.0 + np.max(np.abs(f.values)))  # the class test's bound
+    weights, residual = chebyshev.annihilator(space.grid[list(res.discrete_reference)], n)
+    assert lb <= residual * np.sum(np.abs(res.discrete_polynomial.coefficients))
+    zero = primal(space, np.zeros(space.grid_size))
+    assert _bracket(zero, n)[1] == (0.0, 0.0)
+    assert poly_bracket(zero, mapd, res.discrete_reference, chebyshev.Polynomial((0.0,))) == (0.0, 0.0)
+
+
+def test_poly_bracket_rejects_bad_input():
+    mapd = poly_projection_map(C513, 1)
+    f = primal(C513, C513.grid**2)
+    line = chebyshev.Polynomial((0.0, 1.0))
+    for nodes in ([0, 256], [0, 256, 256], [0, 300, 200], [-1, 5, 9], [0, 5, 513]):
+        with pytest.raises(ValueError):
+            poly_bracket(f, mapd, nodes, line)
+    with pytest.raises(ValueError):
+        poly_bracket(f, mapd, [0, 256, 512], chebyshev.Polynomial((0.0, 0.0, 1.0)))
+    with pytest.raises(ValueError):
+        poly_bracket(f, ball_projection_map(L24, 1.0), [0, 256, 512], line)
+    with pytest.raises(ValueError):
+        poly_bracket(f, poly_projection_map(c01_space(33), 1), [0, 16, 32], line)
+    assert poly_bracket(f, mapd, [0, 256, 512], line) == pytest.approx((0.125, 0.25))

@@ -1,5 +1,8 @@
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -54,3 +57,18 @@ def test_run_all_refuses_a_report_directory_it_cannot_make(out_dir, tmp_path, ca
     assert out == ""
     assert err.startswith("config error: cannot make the report directory") and err.count("\n") == 1
     assert [path.name for path in tmp_path.iterdir()] == ["file"]
+
+
+def test_all_experiments_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: with its import blocked, every
+    # registered experiment still runs and passes
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import runpy, sys; sys.modules['scipy'] = None; "
+        f"sys.argv = ['run_all_experiments.py', '--out-dir', {str(tmp_path)!r}]; "
+        f"runpy.run_path({str(SCRIPT)!r}, run_name='__main__')"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert len(list(tmp_path.glob("*_report.json"))) == 12
