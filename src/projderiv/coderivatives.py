@@ -47,7 +47,8 @@ __all__ = [
     "cone_projection_map",
     "l1_ball_projection_map",
     "poly_projection_map",
-    "l1_projection_set_contains",
+    "projection_gap",
+    "INSIDE_SLACK",
     "coderiv_affine",
     "coderiv_ball_lp",
     "coderiv_cone_l2",
@@ -149,9 +150,9 @@ class MapDescriptor:
     def graph_contains(self, x: PrimalVector, y: PrimalVector, tol: float = 1e-9) -> bool:
         if x.space != self.space or y.space != self.space:
             return False
-        if self.kind == L1_BALL_PROJ:
-            return l1_projection_set_contains(x, self.radius, y, tol=max(tol, 1e-12))
         scale = 1.0 + norm(x)
+        if self.kind == L1_BALL_PROJ:
+            return projection_gap(self, x, y) <= tol * scale
         return norm(y - self.value(x)) <= tol * scale
 
     def same_branch(self, x: PrimalVector, u: PrimalVector) -> bool:
@@ -239,16 +240,60 @@ def _sphere_side(norms, radius: float):
     return np.where(np.abs(gap) <= SPHERE_BAND * max(1.0, radius), 0.0, np.sign(gap))
 
 
-def l1_projection_set_contains(
-    x: PrimalVector, r: float, y: PrimalVector, tol: float = 1e-12
-) -> bool:
-    """Membership in the full (set-valued) l_1 ball projection: y is feasible
-    and attains the distance max(||x||_1 - r, 0)."""
-    scale = 1.0 + norm(x) + abs(r)
-    if norm(y) > r + tol * scale:
-        return False
-    dist = max(norm(x) - r, 0.0)
-    return abs(norm(x - y) - dist) <= tol * scale
+# Points with norm within this relative slack of the radius count as inside
+# the ball; the certificate's own feasibility slack, kept apart from the maps'
+# sphere band.
+INSIDE_SLACK = 1e-12
+
+
+def _inside(mapd: MapDescriptor, rows: np.ndarray):
+    """Membership of each row of a (..., size) array in the ball or cone that
+    `mapd` projects onto."""
+    if mapd.kind == CONE_PROJ:
+        return np.all(rows >= 0.0, axis=-1)
+    return norm_rows(mapd.space, rows) <= mapd.radius * (1.0 + INSIDE_SLACK)
+
+
+def _unit_functional(v: PrimalVector) -> DualVector:
+    """A dual w with ||w||_* = 1 and <w, v> = ||v||; the dual origin at v = 0."""
+    nv = norm(v)
+    if nv == 0.0:
+        return DualVector.zero(v.space)
+    j = duality_map_l1_selection(v) if v.space.kind == KIND_L1 else duality_map(v)
+    return j * (1.0 / nv)
+
+
+def projection_gap(mapd: MapDescriptor, x: PrimalVector, y: PrimalVector) -> float:
+    """Fenchel gap ||x - y|| - max(<w, x> - sigma_C(w), 0) of y as a nearest
+    point of x in the ball, cone or l_1 ball C that `mapd` projects onto, and
+    +inf when y is not in C.
+
+    Every dual w with ||w||_* <= 1 gives dist(x, C) >= <w, x> - sigma_C(w),
+    with sigma_C the support function of C (weak duality), so a gap <= eps
+    certifies that ||x - y|| is within eps of dist(x, C), whatever produced
+    y. For a ball w is the unit functional of x: sigma_C(w) = r, so the bound
+    is ||x|| - r in every norm, evaluated as such. Taking w from x rather than
+    x - y keeps every member of the set-valued l_1 ball projection at gap 0.
+    For the cone w is the unit functional of x - y with its positive entries
+    set to 0, so sigma_C(w) = 0. Reads only the map's kind, space and radius,
+    never its value formulas. Affine maps have no set behind them and raise
+    ValueError; so do polynomial classes, which `projections.poly_bracket`
+    certifies.
+    """
+    if mapd.kind == AFFINE:
+        raise ValueError("an affine map is not the projection onto a set")
+    if mapd.kind == POLY_PROJ:
+        raise ValueError("a polynomial class is certified by projections.poly_bracket")
+    if x.space != mapd.space or y.space != mapd.space:
+        raise ValueError("point and set live in different spaces")
+    if not _inside(mapd, y.values):
+        return np.inf
+    if mapd.kind == CONE_PROJ:
+        w = _unit_functional(x - y)
+        bound = pairing(DualVector(mapd.space, np.minimum(w.values, 0.0)), x)
+    else:
+        bound = norm(x) - mapd.radius
+    return norm(x - y) - max(bound, 0.0)
 
 
 def affine_map(space: SpaceSpec, shift: PrimalVector, scale: float = 1.0) -> MapDescriptor:

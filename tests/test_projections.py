@@ -15,11 +15,11 @@ from projderiv.coderivatives import (
     ball_projection_map,
     cone_projection_map,
     l1_ball_projection_map,
-    l1_projection_set_contains,
     poly_projection_map,
+    projection_gap,
 )
 from projderiv.experiments import _random_smooth, resolve_config, run_experiment
-from projderiv.projections import brute_force_project, poly_bracket
+from projderiv.projections import poly_bracket
 from projderiv.spaces import (
     c01_space,
     dual,
@@ -70,11 +70,11 @@ def test_l1_selection_examples():
     x = primal(sp, [2, 1, 0])
     assert np.allclose(proj.value(x).values, [2 / 3, 1 / 3, 0])
     # exterior: the selection is one member of a larger projection set
-    assert l1_projection_set_contains(x, 1.0, primal(sp, [1.0, 0.0, 0.0]))
+    assert proj.graph_contains(x, primal(sp, [1.0, 0.0, 0.0]), tol=1e-12)
     inside = primal(sp, [0.2, -0.3, 0.1])
     assert np.array_equal(proj.value(inside).values, inside.values)
     # interior: the projection set is the point itself
-    assert not l1_projection_set_contains(inside, 1.0, primal(sp, [0.2, -0.3, 0.0]))
+    assert not proj.graph_contains(inside, primal(sp, [0.2, -0.3, 0.0]), tol=1e-12)
 
 
 def test_l1_selection_variational_inequality(rng):
@@ -91,10 +91,11 @@ def test_l1_selection_variational_inequality(rng):
 
 def test_l1_projection_set_membership():
     sp = l1_space(3)
+    proj = l1_ball_projection_map(sp, 1.0)
     x = primal(sp, [2.0, 1.0, 0.0])
-    assert l1_projection_set_contains(x, 1.0, primal(sp, [2 / 3, 1 / 3, 0.0]))
-    assert l1_projection_set_contains(x, 1.0, primal(sp, [1.0, 0.0, 0.0]))
-    assert not l1_projection_set_contains(x, 1.0, primal(sp, [0.0, 0.0, 1.0]))
+    assert proj.graph_contains(x, primal(sp, [2 / 3, 1 / 3, 0.0]), tol=1e-12)
+    assert proj.graph_contains(x, primal(sp, [1.0, 0.0, 0.0]), tol=1e-12)
+    assert not proj.graph_contains(x, primal(sp, [0.0, 0.0, 1.0]), tol=1e-12)
 
 
 def test_project_poly_examples():
@@ -161,43 +162,107 @@ def test_hilbert_nonexpansive_and_variational(rng):
         assert pairing(residual, z - px) <= 1e-9
 
 
-def test_brute_force_matches_closed_forms(rng):
-    for trial in range(8):
-        p = (2.0, 3.0, 1.5)[trial % 3]
-        d = 2 + trial % 2
-        sp = lp_space(p, d)
-        x = primal(sp, rng.normal(size=d) * 1.6)
-        assume_outside = norm(x) > 1.1
-        if not assume_outside:
-            continue
-        cf = ball_projection_map(sp, 1.0).value(x)
-        bf = brute_force_project(x, ball_projection_map(sp, 1.0), resolution=40, seed=trial)
-        assert norm(bf - cf) <= 2 / 40
-        xc = primal(sp, rng.normal(size=d) * 1.5)
-        cfc = cone_projection_map(sp).value(xc)
-        bfc = brute_force_project(xc, cone_projection_map(sp), resolution=40, seed=trial)
-        assert norm(bfc - cfc) <= 2 / 40
+def _certified(mapd, x, y):
+    return projection_gap(mapd, x, y) <= 1e-12 * max(1.0, norm(x))
 
 
-def test_brute_force_l1_matches_distance(rng):
-    sp = l1_space(3)
-    for trial in range(4):
-        x = primal(sp, rng.normal(size=3) * 1.5)
-        bf = brute_force_project(x, l1_ball_projection_map(sp, 1.0), resolution=30, seed=trial)
-        expected = max(norm(x) - 1.0, 0.0)
-        assert abs(norm(x - bf) - expected) <= 1e-4
+def test_projection_gap_certifies_the_closed_forms(rng):
+    maps = [
+        make(lp_space(p, d))
+        for p in (1.5, 2.0, 3.0, 6.0)
+        for d in (2, 3, 16, 64)
+        for make in (lambda sp: ball_projection_map(sp, 1.0), cone_projection_map)
+    ]
+    maps += [make(l1_space(d)) for d in (2, 3, 16, 64)
+             for make in (cone_projection_map, lambda sp: l1_ball_projection_map(sp, 1.0))]
+    for mapd in maps:
+        d = mapd.space.size
+        xs = rng.normal(size=(12, d)) * rng.uniform(0.05, 3.0, size=(12, 1))
+        for x, y in zip(xs, mapd.value_batch(xs)):
+            assert _certified(mapd, primal(mapd.space, x), primal(mapd.space, y))
 
 
-def test_brute_force_inside_returns_input():
-    sp = lp_space(2.0, 2)
-    x = primal(sp, [0.3, -0.2])
-    assert brute_force_project(x, ball_projection_map(sp, 1.0)) is x
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_projection_gap_rejects_a_ball_value_moved_along_the_sphere(p):
+    rng = np.random.default_rng([16, int(2 * p)])
+    sp = lp_space(p, 16)
+    mapd = ball_projection_map(sp, 1.0)
+    for _ in range(20):
+        x = primal(sp, rng.normal(size=16) * 3.0)
+        y = mapd.value(x)
+        step = primal(sp, rng.normal(size=16))
+        moved = y + (1e-4 / norm(step)) * step
+        moved = (1.0 / norm(moved)) * moved
+        assert _certified(mapd, x, y)
+        assert not _certified(mapd, x, moved)
 
 
-def test_brute_force_dimension_guard():
-    sp = lp_space(2.0, 5)
-    with pytest.raises(ValueError):
-        brute_force_project(primal(sp, np.ones(5) * 2), ball_projection_map(sp, 1.0))
+@pytest.mark.parametrize("sp", [lp_space(1.5, 16), lp_space(3.0, 16), l1_space(16)], ids=["Lp1.5", "Lp3", "L1"])
+def test_projection_gap_rejects_a_raised_cone_coordinate(sp):
+    rng = np.random.default_rng(16)
+    mapd = cone_projection_map(sp)
+    for _ in range(20):
+        x = primal(sp, rng.normal(size=16))
+        y = mapd.value(x)
+        for i in np.flatnonzero(y.values == 0.0):
+            raised = y.values.copy()
+            raised[i] = 1e-4
+            assert not _certified(mapd, x, primal(sp, raised))
+
+
+def test_projection_gap_rejects_an_l1_ball_value_moved_off_its_face():
+    rng = np.random.default_rng(17)
+    sp = l1_space(16)
+    mapd = l1_ball_projection_map(sp, 1.0)
+    for _ in range(20):
+        vals = rng.normal(size=16) * 3.0
+        vals[-1] = 0.0
+        x = primal(sp, vals)
+        y = mapd.value(x)
+        # move mass 1e-4 from the first coordinate to the last, which is off
+        # the face of the sign pattern of x: the value stays on the sphere
+        moved = y.values.copy()
+        moved[0] -= np.sign(moved[0]) * 1e-4
+        moved[-1] = 1e-4
+        assert _certified(mapd, x, y)
+        assert not _certified(mapd, x, primal(sp, moved))
+
+
+GAP_MAPS = [ball_projection_map(lp_space(p, 4), 1.0) for p in (1.5, 2.0, 3.0, 6.0)] + [
+    cone_projection_map(lp_space(3.0, 4)),
+    cone_projection_map(l1_space(4)),
+    l1_ball_projection_map(l1_space(4), 1.0),
+]
+
+
+@given(
+    st.sampled_from(GAP_MAPS),
+    st.lists(entry, min_size=4, max_size=4),
+    st.lists(entry, min_size=4, max_size=4),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_projection_gap_never_certifies_more_than_the_distance(mapd, xvals, yvals, shrink):
+    # weak duality: the bound the gap subtracts is at most dist(x, C), so the
+    # gap of any member y is at least ||x - y|| - dist(x, C)
+    x = primal(mapd.space, xvals)
+    y = primal(mapd.space, np.abs(yvals) if mapd.radius is None else yvals)
+    if mapd.radius is not None and norm(y) > 0.0:
+        y = (shrink * mapd.radius / norm(y)) * y
+    dist = norm(x - mapd.value(x))
+    assert projection_gap(mapd, x, y) >= norm(x - y) - dist - 1e-15 * max(1.0, norm(x))
+
+
+def test_a_member_has_gap_zero():
+    members = [
+        (ball_projection_map(L24, 1.0), [0.3, -0.2]),
+        (ball_projection_map(lp_space(3.0, 3), 2.0), [1.0, -1.2, 0.5]),
+        (cone_projection_map(lp_space(1.5, 3)), [0.0, 1.0, 2.0]),
+        (cone_projection_map(l1_space(3)), [0.0, 1.0, 2.0]),
+        (l1_ball_projection_map(l1_space(3), 1.0), [0.2, -0.3, 0.1]),
+    ]
+    for mapd, values in members:
+        x = primal(mapd.space, values)
+        assert projection_gap(mapd, x, x) == 0.0
 
 
 def test_projection_map_validation():
@@ -209,16 +274,14 @@ def test_projection_map_validation():
         ball_projection_map(lp_space(2, 3), -1.0)
     with pytest.raises(ValueError):
         poly_projection_map(lp_space(2, 3), 1)
-    # members of the cone are their own nearest point
+    # a point off the cone is no candidate for its own nearest point
     cone = cone_projection_map(l1_space(3))
-    member = primal(l1_space(3), [0, 1, 2])
-    assert brute_force_project(member, cone) is member
     outside = primal(l1_space(3), [0, -1, 2])
-    assert not np.array_equal(brute_force_project(outside, cone, resolution=8).values, outside.values)
+    assert projection_gap(cone, outside, outside) == np.inf
     # an affine map projects onto no set
     sp = lp_space(2, 3)
-    with pytest.raises(ValueError):
-        brute_force_project(primal(sp, [2, 0, 0]), affine_map(sp, primal(sp, [0, 0, 0])))
+    with pytest.raises(ValueError, match="affine"):
+        projection_gap(affine_map(sp, primal(sp, [0, 0, 0])), primal(sp, [2, 0, 0]), primal(sp, [1, 0, 0]))
 
 
 ORACLE_CASES = [
@@ -246,11 +309,12 @@ def _forbid_the_closed_forms(monkeypatch):
 
 
 @pytest.mark.parametrize("mapd, values", ORACLE_CASES)
-def test_brute_force_never_evaluates_the_map(mapd, values, monkeypatch):
+def test_projection_gap_never_evaluates_the_map(mapd, values, monkeypatch):
     x = primal(mapd.space, values)
-    expected = brute_force_project(x, mapd, resolution=8, seed=3)
+    y = mapd.value(x)
+    expected = projection_gap(mapd, x, y)
     _forbid_the_closed_forms(monkeypatch)
-    assert np.array_equal(brute_force_project(x, mapd, resolution=8, seed=3).values, expected.values)
+    assert projection_gap(mapd, x, y) == expected
 
 
 @pytest.mark.parametrize("mapd, values", POLY_CASES)
@@ -273,9 +337,10 @@ def test_poly_oracle_raises_when_the_lp_fails(mapd, values, monkeypatch):
         grid_lp.minimax_lp(mapd.space.power_matrix(mapd.degree), values)
 
 
-def test_brute_force_refuses_a_polynomial_class():
+def test_projection_gap_refuses_a_polynomial_class():
+    f = primal(C513, C513.grid**3)
     with pytest.raises(ValueError, match="poly_bracket"):
-        brute_force_project(primal(C513, C513.grid**3), poly_projection_map(C513, 2))
+        projection_gap(poly_projection_map(C513, 2), f, f)
 
 
 def _bracket(f, n):
