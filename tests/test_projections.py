@@ -166,20 +166,47 @@ def _certified(mapd, x, y):
     return projection_gap(mapd, x, y) <= 1e-12 * max(1.0, norm(x))
 
 
-def test_projection_gap_certifies_the_closed_forms(rng):
-    maps = [
-        make(lp_space(p, d))
-        for p in (1.5, 2.0, 3.0, 6.0)
-        for d in (2, 3, 16, 64)
-        for make in (lambda sp: ball_projection_map(sp, 1.0), cone_projection_map)
-    ]
-    maps += [make(l1_space(d)) for d in (2, 3, 16, 64)
-             for make in (cone_projection_map, lambda sp: l1_ball_projection_map(sp, 1.0))]
-    for mapd in maps:
-        d = mapd.space.size
-        xs = rng.normal(size=(12, d)) * rng.uniform(0.05, 3.0, size=(12, 1))
-        for x, y in zip(xs, mapd.value_batch(xs)):
-            assert _certified(mapd, primal(mapd.space, x), primal(mapd.space, y))
+def _sampled_members(mapd, rng, count):
+    # members of the set drawn without its projection formula: random rows
+    # scaled into the ball, or folded into the cone
+    rows = rng.normal(size=(count, mapd.space.size)) * rng.uniform(0.05, 3.0, size=(count, 1))
+    if mapd.radius is None:
+        return [primal(mapd.space, np.abs(row)) for row in rows]
+    members = [primal(mapd.space, row) for row in rows]
+    return [(rng.uniform(0.0, mapd.radius) / norm(y)) * y for y in members]
+
+
+def _certify_against_samples(mapd, rng):
+    # every closed-form value has gap <= 1e-12 relative, and no sampled member
+    # of the set is nearer to x than the closed form by more than rounding
+    d = mapd.space.size
+    xs = rng.normal(size=(12, d)) * rng.uniform(0.05, 3.0, size=(12, 1))
+    samples = _sampled_members(mapd, rng, 16)
+    for x, y in zip(xs, mapd.value_batch(xs)):
+        x, y = primal(mapd.space, x), primal(mapd.space, y)
+        assert _certified(mapd, x, y)
+        dist = norm(x - y)
+        assert all(norm(x - z) >= dist - 1e-12 * max(1.0, norm(x)) for z in samples)
+
+
+def test_brute_force_matches_closed_forms(rng):
+    for p in (1.5, 2.0, 3.0, 6.0):
+        for d in (2, 3, 16, 64):
+            sp = lp_space(p, d)
+            _certify_against_samples(ball_projection_map(sp, 1.0), rng)
+            _certify_against_samples(cone_projection_map(sp), rng)
+
+
+def test_brute_force_l1_matches_distance(rng):
+    for d in (2, 3, 16, 64):
+        sp = l1_space(d)
+        _certify_against_samples(cone_projection_map(sp), rng)
+        l1ball = l1_ball_projection_map(sp, 1.0)
+        _certify_against_samples(l1ball, rng)
+        for _ in range(4):
+            x = primal(sp, rng.normal(size=d) * 1.5)
+            expected = max(norm(x) - 1.0, 0.0)
+            assert abs(norm(x - l1ball.value(x)) - expected) <= 1e-12 * max(1.0, norm(x))
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
