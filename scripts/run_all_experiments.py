@@ -5,9 +5,9 @@ Usage:
     python scripts/run_all_experiments.py [--out-dir reports] [--seed 7]
 
 Prints one line per experiment with its wall time and a closing line with
-the total wall time. An experiment whose config is rejected or whose
-quotient-form audit fails counts as failed, and the remaining experiments
-still run. Exit status is 0 only if every experiment passes, and 2, before
+the total wall time. An experiment whose config is rejected, whose
+quotient-form audit fails or whose Remez exchange does not converge counts as
+failed, and the remaining experiments still run. Exit status is 0 only if every experiment passes, and 2, before
 any experiment runs, if the report directory cannot be made.
 """
 
@@ -18,6 +18,7 @@ import sys
 import time
 from pathlib import Path
 
+from projderiv.chebyshev import RemezConvergenceError
 from projderiv.experiments import (
     ConfigError,
     experiment_ids,
@@ -48,7 +49,7 @@ def main() -> int:
         started = time.perf_counter()
         try:
             report = run_experiment(resolve_config(name, overrides=overrides))
-        except (ConfigError, FixedPointAuditError) as exc:
+        except (ConfigError, FixedPointAuditError, RemezConvergenceError) as exc:
             print(f"FAIL  {name:32s} {time.perf_counter() - started:6.2f}s  {type(exc).__name__}: {exc}")
             failures.append(name)
             continue

@@ -9,6 +9,7 @@ oracle can resolve raise `OracleOnlyError` instead of guessing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -235,9 +236,14 @@ class MapDescriptor:
 
 def _sphere_side(norms, radius: float):
     """Side of the sphere ||x|| = radius for each norm: -1 inside, 0 on the
-    sphere (within SPHERE_BAND * max(1, radius) of it), +1 outside."""
+    sphere (within SPHERE_BAND * max(1, radius) of it), +1 outside. A float
+    norm gives a float, an array of norms an array."""
+    band = SPHERE_BAND * max(1.0, radius)
+    if isinstance(norms, float):
+        gap = norms - radius
+        return 0.0 if abs(gap) <= band else math.copysign(1.0, gap)
     gap = np.asarray(norms) - radius
-    return np.where(np.abs(gap) <= SPHERE_BAND * max(1.0, radius), 0.0, np.sign(gap))
+    return np.where(np.abs(gap) <= band, 0.0, np.sign(gap))
 
 
 # Points with norm within this relative slack of the radius count as inside

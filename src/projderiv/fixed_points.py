@@ -107,7 +107,8 @@ def is_fixed_point(samples: SamplePass, candidate: DualVector, mode: str = "regi
 
     mode "registry": closed forms first, oracle as fallback. mode "oracle":
     sampling only (registry still aims rejection rays). mode "audit": run
-    both and raise `FixedPointAuditError` on contradiction.
+    both, raise `FixedPointAuditError` on contradiction, and return the
+    oracle's verdict, so an indeterminate one shows.
     """
     if mode not in ("registry", "oracle", "audit"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -125,7 +126,6 @@ def is_fixed_point(samples: SamplePass, candidate: DualVector, mode: str = "regi
                 f"oracle verdict {estimate.verdict.value} contradicts the "
                 f"closed form {exact.value} (extrapolated {estimate.extrapolated:.3e})"
             )
-        return exact
     return estimate.verdict
 
 

@@ -22,8 +22,11 @@ by level and row.
 The sampled rows depend on the map, the base and the schedule, never on the
 duals, so `sample_base` draws them once as a `SamplePass` that every
 candidate queried at that base can share (`samples=`); only the numerators
-are per candidate. The raw normal draws behind the directions do not depend
-on the space either, so passes with the same seed, levels, rows and
+are per candidate, evaluated over blocks of consecutive levels of at most
+`QUOTIENT_BLOCK` entries (one level where a level alone is larger): a
+stacked product rounds like the per-level one, so the quotients do not
+depend on the blocking. The raw normal draws behind the directions do not
+depend on the space either, so passes with the same seed, levels, rows and
 dimension share one read-only block of them (the last block drawn is kept),
 each normalizing it in its own norm. A query's directed rays are evaluated
 together, as one stacked array of rows. The quotient-form audit of
@@ -310,6 +313,12 @@ def sample_base(mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedul
     return SamplePass(mapd, base, schedule, radii, us, vs, dens)
 
 
+# Largest stacked block of sample entries (levels x rows x size) whose
+# quotients `estimate_limsup` evaluates in one call; a larger block would
+# raise the peak memory of the wide and fine-grid passes.
+QUOTIENT_BLOCK = 2**14
+
+
 def estimate_limsup(
     mapd: MapDescriptor,
     base: GraphPoint,
@@ -329,9 +338,11 @@ def estimate_limsup(
     elif samples.map is not mapd or samples.base is not base or samples.schedule != schedule:
         raise ValueError("the sample pass was drawn for another map, base or schedule")
     quotients = np.empty(samples.dens.shape)
-    for level in range(schedule.levels):
-        quotients[level] = _row_quotients(
-            base, samples.us[level], samples.vs[level], xstar, ystar, samples.dens[level]
+    step = max(1, QUOTIENT_BLOCK // samples.us[0].size)
+    for lo in range(0, schedule.levels, step):
+        block = slice(lo, lo + step)
+        quotients[block] = _row_quotients(
+            base, samples.us[block], samples.vs[block], xstar, ystar, samples.dens[block]
         )
     trace = QuotientTrace(radii=samples.radii, us=samples.us, vs=samples.vs, quotients=quotients)
     sups = quotients.max(axis=1).tolist()

@@ -12,7 +12,9 @@ Primal and dual vectors alike are a space plus a frozen array of
 ``space.size`` entries.
 
 All values are immutable after construction and every operation is pure,
-which makes the module safe for unrestricted concurrent use.
+which makes the module safe for unrestricted concurrent use. A vector's norm
+and dual norm are each computed on first use and kept with the vector: its
+values never change, so a kept norm cannot go stale.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def _freeze(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError("vector values must be one dimensional")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("vector entries must be finite")
     arr = arr.copy()
     arr.setflags(write=False)
@@ -206,6 +208,27 @@ class _Vector:
 
     def __neg__(self) -> _Vector:
         return type(self)(self.space, -self.values)
+
+    # `norm` and `dual_norm` read these; a cached_property writes the value
+    # into the instance dict, outside the frozen fields, on first use
+    @functools.cached_property
+    def _norm(self) -> float:
+        kind = self.space.kind
+        if kind == KIND_LP:
+            return _lp_scalar(self.values, self.space.p)
+        if kind == KIND_L1:
+            return float(np.sum(np.abs(self.values)))
+        return float(np.max(np.abs(self.values)))
+
+    @functools.cached_property
+    def _dual_norm(self) -> float:
+        kind = self.space.kind
+        if kind == KIND_LP:
+            return _lp_scalar(self.values, self.space.q)
+        if kind == KIND_L1:
+            return float(np.max(np.abs(self.values)))
+        idx = np.flatnonzero(self.values)
+        return float(np.sum(np.abs(self.values[idx])))
 
 
 # Each subclass is a dataclass of its own, so each has its own __init__
@@ -314,13 +337,9 @@ def _lp_scalar(values: np.ndarray, p: float) -> float:
 
 
 def norm(v: PrimalVector) -> float:
-    """Primal norm: p-norm (Lp), 1-norm (L1), grid max (C01)."""
-    kind = v.space.kind
-    if kind == KIND_LP:
-        return _lp_scalar(v.values, v.space.p)
-    if kind == KIND_L1:
-        return float(np.sum(np.abs(v.values)))
-    return float(np.max(np.abs(v.values)))
+    """Primal norm: p-norm (Lp), 1-norm (L1), grid max (C01). Computed once
+    per vector."""
+    return v._norm
 
 
 def norm_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
@@ -341,14 +360,8 @@ def norm_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
 
 def dual_norm(w: DualVector) -> float:
     """Dual norm: q-norm (Lp primal), max norm (L1 primal), total variation
-    (atomic measures)."""
-    kind = w.space.kind
-    if kind == KIND_LP:
-        return _lp_scalar(w.values, w.space.q)
-    if kind == KIND_L1:
-        return float(np.max(np.abs(w.values)))
-    idx = np.flatnonzero(w.values)
-    return float(np.sum(np.abs(w.values[idx])))
+    (atomic measures). Computed once per vector, apart from its `norm`."""
+    return w._dual_norm
 
 
 def pairing(w: DualVector, v: PrimalVector) -> float:

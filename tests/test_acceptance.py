@@ -41,3 +41,11 @@ def test_acceptance_criterion(number, experiment):
 
 def test_trace_digests_match_golden():
     assert trace_digests() == (GOLDEN_DIR / "traces.sha256").read_text()
+
+
+def test_a_second_run_in_one_process_repeats_the_report():
+    # norms kept with vectors, and anything else kept between runs, must not
+    # leak from one run into the next
+    config = resolve_config("ball_theorem_4_1")
+    first, second = (report_text(run_experiment(config)) for _ in range(2))
+    assert first == second == (GOLDEN_DIR / "ball_theorem_4_1.json").read_text()

@@ -14,7 +14,9 @@ from projderiv.coderivatives import (
     l1_ball_projection_map,
     poly_projection_map,
 )
+from projderiv import fixed_points
 from projderiv.fixed_points import (
+    FixedPointAuditError,
     convexity_closedness_probe,
     is_fixed_point,
     poly_annihilator,
@@ -171,6 +173,32 @@ def test_audit_mode_runs_clean(rng):
         assert verdict == Verdict.NON_MEMBER
     with pytest.raises(ValueError):
         is_fixed_point(samples, w, mode="bogus")
+
+
+def _exterior_ball_samples():
+    ballm = ball_projection_map(L24, 1.0)
+    base = GraphPoint.at_point(ballm, primal(L24, [2.0, 0.0, 0, 0]))
+    return sample_base(ballm, base, SamplingSchedule(seed=7))
+
+
+def test_audit_mode_returns_an_indeterminate_oracle_verdict():
+    # only the origin is a fixed point at an exterior base, and the radial
+    # ray pins the limsup of w = c e_1 at c: at c = 3e-3 it lies between the
+    # oracle's thresholds 1e-3 (1 + c) and 1e-2 (1 + c)
+    samples = _exterior_ball_samples()
+    w = dual(L24, [3e-3, 0.0, 0.0, 0.0])
+    assert registry_verdict(samples.map, samples.base, w) == Verdict.NON_MEMBER
+    assert is_fixed_point(samples, w, mode="registry") == Verdict.NON_MEMBER
+    assert is_fixed_point(samples, w, mode="audit") == Verdict.INDETERMINATE
+
+
+def test_audit_mode_raises_when_the_oracle_contradicts_the_registry(monkeypatch):
+    samples = _exterior_ball_samples()
+    w = dual(L24, [1.0, 0.0, 0.0, 0.0])
+    assert is_fixed_point(samples, w, mode="audit") == Verdict.NON_MEMBER
+    monkeypatch.setattr(fixed_points, "registry_verdict", lambda mapd, base, candidate: Verdict.MEMBER)
+    with pytest.raises(FixedPointAuditError, match="contradicts the closed form member"):
+        is_fixed_point(samples, w, mode="audit")
 
 
 entry = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)

@@ -31,6 +31,7 @@ from projderiv.limsup_oracle import (
 from projderiv.spaces import (
     DualVector,
     PrimalVector,
+    atomic_measure,
     c01_space,
     dual,
     dual_norm,
@@ -336,6 +337,53 @@ def test_passes_from_the_shared_draw_block_equal_fresh_passes():
         dirs = np.random.default_rng([12, level]).standard_normal((32, 16))
         dirs = dirs / norm_rows(space, dirs)[:, None]
         assert np.array_equal(samples.us[level], x[None, :] + radius * np.vstack([dirs, unit_extra]))
+
+
+def _block_cases():
+    """(map, base point, schedule, x*, y*, quotient calls): one pass below
+    the block, and three above it."""
+    rng = np.random.default_rng(41)
+    l16, c513 = lp_space(2.0, 16), c01_space(513)
+    ball4, ball16 = ball_projection_map(L24, 1.0), ball_projection_map(l16, 1.0)
+    atoms = atomic_measure(c513, [(0.0, 1.0), (0.3, -0.5), (0.8, 0.25)])
+    return {
+        "N=4 S=64 K=8": (ball4, primal(L24, [2.0, 0.5, 0.0, -0.3]), SamplingSchedule(seed=3),
+                         dual(L24, rng.normal(size=4)), dual(L24, rng.normal(size=4)), 1),
+        "N=16 S=256 K=6": (ball16, primal(l16, np.linspace(-1.0, 2.0, 16)),
+                           SamplingSchedule(seed=4, levels=6, dirs_per_level=256),
+                           dual(l16, rng.normal(size=16)), dual(l16, rng.normal(size=16)), 2),
+        "N=16 S=1024 K=8": (ball16, primal(l16, np.linspace(0.3, -0.1, 16)),
+                            SamplingSchedule(seed=5, dirs_per_level=1024),
+                            dual(l16, rng.normal(size=16)), dual(l16, rng.normal(size=16)), 8),
+        "C01 G=513": (_translation(c513, 2.0), primal(c513, c513.grid**2),
+                      SamplingSchedule(seed=6, levels=5, dirs_per_level=16), atoms, 0.5 * atoms, 5),
+    }
+
+
+BLOCK_CASES = _block_cases()
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_the_blocked_pass_gives_the_per_level_quotients_bit_for_bit(name, monkeypatch):
+    mapd, x, sched, xstar, ystar, calls = BLOCK_CASES[name]
+    base = GraphPoint.at_point(mapd, x)
+    samples = sample_base(mapd, base, sched)
+    per_level = limsup_oracle._row_quotients
+    sizes = []
+
+    def counted(base, us, vs, *args):
+        sizes.append(us.size)
+        return per_level(base, us, vs, *args)
+
+    monkeypatch.setattr(limsup_oracle, "_row_quotients", counted)
+    est = estimate_limsup(mapd, base, xstar, ystar, sched, samples=samples)
+    reference = np.stack([
+        per_level(base, samples.us[k], samples.vs[k], xstar, ystar, samples.dens[k])
+        for k in range(sched.levels)
+    ])
+    assert np.array_equal(est.trace.quotients, reference)
+    assert len(sizes) == calls and sum(sizes) == samples.us.size
+    assert max(sizes) <= max(limsup_oracle.QUOTIENT_BLOCK, samples.us[0].size)
 
 
 def _membership_by_ray(mapd, base, xstar, ystar, sched, extra_rays, samples):

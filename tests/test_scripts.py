@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from projderiv.chebyshev import RemezConvergenceError
 from projderiv.experiments import ConfigError
 from projderiv.fixed_points import FixedPointAuditError
 
@@ -29,20 +30,24 @@ def test_run_all_records_config_and_audit_errors_as_failures(tmp_path, capsys, m
             raise FixedPointAuditError("quotient forms disagree")
         if config.experiment == "l1_cases":
             raise ConfigError("N must be at least 2")
+        if config.experiment == "remez_theorem_5_4":
+            raise RemezConvergenceError("no levelled error after 60 iterations", (1.0, 0.5))
         return real_run(config)
 
+    ids = ["ball_theorem_4_1", "l1_cases", "remez_theorem_5_4", "affine_props_3_3_3_5"]
     real_run = script.run_experiment
     monkeypatch.setattr(script, "run_experiment", fake_run)
-    monkeypatch.setattr(script, "experiment_ids", lambda: ["ball_theorem_4_1", "l1_cases", "affine_props_3_3_3_5"])
+    monkeypatch.setattr(script, "experiment_ids", lambda: ids)
     monkeypatch.setattr("sys.argv", ["run_all_experiments.py", "--out-dir", str(tmp_path)])
     assert script.main() == 1
     out, err = capsys.readouterr()
-    assert ran == ["ball_theorem_4_1", "l1_cases", "affine_props_3_3_3_5"]
+    assert ran == ids
     assert "FAIL  ball_theorem_4_1" in out and "FixedPointAuditError: quotient forms disagree" in out
     assert "FAIL  l1_cases" in out and "ConfigError: N must be at least 2" in out
+    assert "FAIL  remez_theorem_5_4" in out and "RemezConvergenceError: no levelled error" in out
     assert "PASS  affine_props_3_3_3_5" in out
     assert "total wall time" in out
-    assert err == "failing experiments: ball_theorem_4_1, l1_cases\n"
+    assert err == "failing experiments: ball_theorem_4_1, l1_cases, remez_theorem_5_4\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["affine_props_3_3_3_5_report.json"]
 
 

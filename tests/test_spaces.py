@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from projderiv import spaces
 from projderiv.spaces import (
     DualVector,
     IndexSet,
@@ -85,6 +86,35 @@ def test_row_functions_reduce_over_the_last_axis_of_a_stack(space, w, k, m):
     assert np.array_equal(norms, np.stack([norm_rows(space, rows) for rows in stack]))
     assert np.array_equal(pairs, np.stack([pairing_rows(w, rows) for rows in stack]))
     assert norms[0, 0] == 0.0 and norms[-1, -1] > 0.0
+
+
+def _norm_formulas(space, vals):
+    """The primal and dual norm formulas, evaluated afresh."""
+    mags = np.abs(vals)
+    if space.kind == "Lp":
+        return spaces._lp_scalar(vals, space.p), spaces._lp_scalar(vals, space.q)
+    if space.kind == "L1":
+        return float(np.sum(mags)), float(np.max(mags))
+    return float(np.max(mags)), float(np.sum(mags[np.flatnonzero(vals)]))
+
+
+NORM_SPACES = [lp_space(p, 5) for p in (1.5, 2.0, 3.0, 6.0)] + [l1_space(5), c01_space(5)]
+
+
+@pytest.mark.parametrize("space", NORM_SPACES, ids=lambda s: f"{s.kind} p={s.p}")
+@pytest.mark.parametrize("peak", [0.0, 1.0, 1e-200, 1e200, 1e-310])
+def test_norms_are_computed_once_per_vector_and_keep_the_formula_bits(space, peak):
+    # 1e-200, 1e200 and 1e-310 reach the rescaled branch of the p-norm for
+    # some p; 0.0 is the origin
+    vals = np.array([0.5, -1.0, 0.0, 0.25, -0.75]) * peak
+    primal_formula, dual_formula = _norm_formulas(space, vals)
+    v, w = primal(space, vals), dual(space, vals)
+    assert norm(v) == primal_formula and dual_norm(w) == dual_formula
+    assert norm(v) is norm(v) and dual_norm(w) is dual_norm(w)
+    # each norm keeps its own value, on the same vector too
+    assert norm(w) == primal_formula and dual_norm(v) == dual_formula
+    if space.kind == "Lp" and space.p != 2.0 and peak == 1.0:
+        assert norm(v) != dual_norm(v)
 
 
 def test_dual_norm_examples():
