@@ -156,16 +156,20 @@ class MapDescriptor:
             return projection_gap(self, x, y) <= tol * scale
         return norm(y - self.value(x)) <= tol * scale
 
-    def same_branch(self, x: PrimalVector, u: PrimalVector) -> bool:
-        """Whether u lies in the same smooth piece of the map as x (used to
-        keep directed rays away from branch crossings)."""
+    def same_branch(self, x: PrimalVector, rows: np.ndarray) -> np.ndarray:
+        """Whether each row of a (..., size) array lies in the same smooth
+        piece of the map as x, one bool per row; the one branch test (it
+        keeps directed rays away from branch crossings). The rows' sphere
+        side is taken from their row norms."""
+        rows = np.asarray(rows, dtype=float)
         if self.kind in (BALL_PROJ, L1_BALL_PROJ):
-            return bool((self._side(x) <= 0) == (self._side(u) <= 0))
+            inside = _sphere_side(norm_rows(self.space, rows), self.radius) <= 0
+            return inside == (self._side(x) <= 0)
         if self.kind == CONE_PROJ:
-            sx, su = np.sign(x.values), np.sign(u.values)
+            sx = np.sign(x.values)
             active = sx != 0
-            return bool(np.all(sx[active] == su[active]))
-        return True
+            return np.all(np.sign(rows[..., active]) == sx[active], axis=-1)
+        return np.ones(rows.shape[:-1], dtype=bool)
 
     def _side(self, x: PrimalVector):
         return _sphere_side(norm(x), self.radius)

@@ -27,9 +27,12 @@ are per candidate, evaluated over blocks of consecutive levels of at most
 stacked product rounds like the per-level one, so the quotients do not
 depend on the blocking. The raw normal draws behind the directions do not
 depend on the space either, so passes with the same seed, levels, rows and
-dimension share one read-only block of them (the last block drawn is kept),
-each normalizing it in its own norm. A query's directed rays are evaluated
-together, as one stacked array of rows. The quotient-form audit of
+dimension share one read-only block of them (the last block drawn is kept).
+Their norms do, and a schedule keeps them per space it has sampled, so each
+pass only divides the block by them, scales and shifts. A query's directed
+rays are evaluated together: one halving loop finds every ray's start,
+probing as rows only the rays not yet in the base branch, and their limits
+are one stacked array of rows. The quotient-form audit of
 `fixed_points` checks the same pass: its rows are the finest level's
 (`SamplePass.audit`). A pass is immutable and its arrays are read only, so
 sharing it cannot leak state from one estimate into another.
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -49,6 +52,7 @@ from .coderivatives import L1_BALL_PROJ, MapDescriptor
 from .spaces import (
     DualVector,
     PrimalVector,
+    SpaceSpec,
     dual_norm,
     norm,
     norm_rows,
@@ -108,6 +112,12 @@ class SamplingSchedule:
 
     Direction streams are seeded per level, and doubling `dirs_per_level`
     extends a stream instead of reshuffling it, so refinement is nested.
+
+    A schedule keeps the norms of its direction draws in each space it has
+    sampled (`_direction_draws`), so the bases that share a schedule and a
+    space normalize their draws with norms computed once. They live as long
+    as the schedule does, and are no part of its value: equal schedules are
+    equal whatever they have kept.
     """
 
     r0: float = 0.5
@@ -115,6 +125,7 @@ class SamplingSchedule:
     dirs_per_level: int = 64
     extra_rays: tuple[PrimalVector, ...] = ()
     seed: int = 0
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.r0 < math.inf:
@@ -123,6 +134,23 @@ class SamplingSchedule:
             raise ValueError("need at least 4 radius levels")
         if self.dirs_per_level < 16:
             raise ValueError("need at least 16 directions per level")
+
+    def _direction_draws(self, space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+        """The raw normal draws of this schedule in the dimension of `space`
+        (`_normal_draws`), and the norm in `space` of each of their rows,
+        shape (levels, dirs_per_level), with a zero norm replaced by 1. The
+        norms are computed once per space and are read only; the unit
+        directions are not kept, each pass builds them in its own rows."""
+        draws = _normal_draws(self.seed, self.levels, self.dirs_per_level, space.size)
+        norms = self._norms.get(space)
+        if norms is None:
+            norms = np.empty(draws.shape[:2])
+            for level in range(self.levels):
+                norms[level] = norm_rows(space, draws[level])
+            norms[norms == 0.0] = 1.0
+            norms.flags.writeable = False
+            self._norms[space] = norms
+        return draws, norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,8 +298,8 @@ def _normal_draws(seed: int, levels: int, dirs_per_level: int, dim: int) -> np.n
     """The raw standard normal draws of a schedule, shape (levels,
     dirs_per_level, dim), from one `default_rng([seed, level])` stream per
     level; read only. They do not depend on the space, so every pass with the
-    same seed, levels, rows and dimension shares one block and normalizes it
-    in its own norm."""
+    same seed, levels, rows and dimension shares one block and divides it by
+    its schedule's norms of it in its own space."""
     draws = np.empty((levels, dirs_per_level, dim))
     for level in range(levels):
         draws[level] = np.random.default_rng([seed, level]).standard_normal((dirs_per_level, dim))
@@ -293,7 +321,7 @@ def sample_base(mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedul
         extra_norms = norm_rows(space, extra)
         extra = extra / np.where(extra_norms == 0.0, 1.0, extra_norms)[:, None]
     levels, dirs = schedule.levels, schedule.dirs_per_level
-    draws = _normal_draws(schedule.seed, levels, dirs, dim)
+    draws, dir_norms = schedule._direction_draws(space)
     radii = np.empty(levels)
     us = np.empty((levels, dirs + len(extra), dim))
     vs = np.empty_like(us)
@@ -301,8 +329,7 @@ def sample_base(mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedul
     for level in range(levels):
         radii[level] = schedule.r0 * 2.0 ** (-level)
         # u = x + r * d, built in place
-        dir_norms = norm_rows(space, draws[level])
-        np.divide(draws[level], np.where(dir_norms == 0.0, 1.0, dir_norms)[:, None], out=us[level, :dirs])
+        np.divide(draws[level], dir_norms[level][:, None], out=us[level, :dirs])
         us[level, dirs:] = extra
         us[level] *= radii[level]
         us[level] += x
@@ -359,8 +386,10 @@ def estimate_limsup(
 
 
 # Directed rays start at t = RAY_T0 (or the first halving of it that stays
-# in the base branch) and take RAY_STEPS steps shrinking by RAY_RATIO.
+# in the base branch, tried RAY_HALVINGS times) and take RAY_STEPS steps
+# shrinking by RAY_RATIO.
 RAY_T0 = 1e-2
+RAY_HALVINGS = 60
 RAY_STEPS = 10
 RAY_RATIO = 0.5
 
@@ -382,25 +411,39 @@ def directed_ray_limit(
     """
     if norm(direction) == 0.0:
         raise ValueError("direction must be nonzero")
-    t_start = _ray_start(mapd, base, direction)
+    directions = direction.values[None, :]
+    t_starts = _ray_starts(mapd, base, directions)
+    if np.isnan(t_starts[0]):
+        raise ValueError("ray leaves the base branch at every tested scale, or its probe is not finite")
     if split_l1_denominator and mapd.kind != L1_BALL_PROJ:
         raise ValueError("the split denominator applies to the l_1 ball projection")
-    limits = _ray_limits(
-        mapd, base, xstar, ystar, np.array([t_start]), direction.values[None, :], split_l1_denominator
-    )
+    limits = _ray_limits(mapd, base, xstar, ystar, t_starts, directions, split_l1_denominator)
     return float(limits[0])
 
 
-def _ray_start(mapd: MapDescriptor, base: GraphPoint, direction: PrimalVector) -> float:
-    """The first halving of RAY_T0 at which the ray is still in the base
-    branch; a ValueError if it leaves the branch at every tested scale."""
-    t_start = RAY_T0
-    for _ in range(60):
-        probe = base.x + t_start * direction
-        if mapd.same_branch(base.x, probe):
-            return t_start
-        t_start *= 0.5
-    raise ValueError("ray leaves the base branch at every tested scale")
+def _ray_starts(mapd: MapDescriptor, base: GraphPoint, directions: np.ndarray) -> np.ndarray:
+    """The start of the ray along each row of `directions`: the first
+    halving of RAY_T0 at which the probe x + t * direction is in the base
+    branch. All rays share one halving loop, which probes only the rows not
+    yet in the branch. NaN where the ray leaves the branch at every tested
+    scale, or where a probe is not finite (only the first probe can be: the
+    later ones lie between it and x)."""
+    x = base.x.values
+    starts = np.full(len(directions), np.nan)
+    pending = np.arange(len(directions))
+    t = RAY_T0
+    for _ in range(RAY_HALVINGS):
+        with np.errstate(over="ignore"):
+            probes = x + t * directions[pending]
+        finite = np.isfinite(probes).all(axis=-1)
+        pending, probes = pending[finite], probes[finite]
+        inside = mapd.same_branch(base.x, probes)
+        starts[pending[inside]] = t
+        pending = pending[~inside]
+        if not pending.size:
+            break
+        t *= 0.5
+    return starts
 
 
 def _ray_limits(
@@ -461,28 +504,25 @@ def membership_test(
 
     Wraps `estimate_limsup` and additionally extrapolates directed rays
     (norming-direction rays plus kink-aligned basis rays and any caller
-    supplied ones) in one stacked pass; zero rays and rays that leave the
-    base branch at every scale are skipped. Rays can only certify fresh
-    non-membership, never flip a true member, since every ray limit
-    lower-bounds the limsup. `samples` is the shared sample pass of the base,
-    as in `estimate_limsup`.
+    supplied ones) in one stacked pass, after one halving loop has found
+    every ray's start; zero rays, rays that leave the base branch at every
+    scale and rays whose probe is not finite are skipped. Rays can only
+    certify fresh non-membership, never flip a true member, since every ray
+    limit lower-bounds the limsup. `samples` is the shared sample pass of the
+    base, as in `estimate_limsup`.
     """
     est = estimate_limsup(mapd, base, xstar, ystar, schedule, samples=samples)
-    t_starts: list[float] = []
-    directions: list[np.ndarray] = []
-    for ray in [*_default_rays(mapd, base, xstar, ystar), *extra_ray_dirs]:
-        if norm(ray) == 0.0:
-            continue
-        try:
-            t_starts.append(_ray_start(mapd, base, ray))
-        except ValueError:
-            continue
-        directions.append(ray.values)
+    rays = [*_default_rays(mapd, base, xstar, ystar), *extra_ray_dirs]
+    nonzero = [ray.values for ray in rays if norm(ray) != 0.0]
     combined = est.extrapolated
-    if directions:
-        limits = _ray_limits(mapd, base, xstar, ystar, np.array(t_starts), np.stack(directions))
-        # Python's left-to-right max: a NaN limit never replaces the estimate
-        combined = max([combined, *limits.tolist()])
+    if nonzero:
+        directions = np.stack(nonzero)
+        t_starts = _ray_starts(mapd, base, directions)
+        kept = ~np.isnan(t_starts)
+        if kept.any():
+            limits = _ray_limits(mapd, base, xstar, ystar, t_starts[kept], directions[kept])
+            # Python's left-to-right max: a NaN limit never replaces the estimate
+            combined = max([combined, *limits.tolist()])
     return replace(
         est,
         extrapolated=float(combined),

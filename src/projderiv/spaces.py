@@ -347,12 +347,16 @@ def norm_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     axis."""
     rows = np.asarray(rows, dtype=float)
     if space.kind == KIND_LP:
-        mags = np.abs(rows)
+        p = space.p
+        # `_lp` with the fresh magnitudes raised in place (same power, same
+        # bits), which saves one temporary of the size of `rows`
+        powers = np.abs(rows)
         with np.errstate(over="ignore"):
-            norms = _lp(mags, space.p)
+            powers **= p
+            norms = powers.sum(axis=-1) ** (1.0 / p)
         if norms.all() and math.isfinite(norms.sum()):
             return norms
-        return np.where((norms > 0.0) & (norms < np.inf), norms, _lp_rescaled(mags, space.p))
+        return np.where((norms > 0.0) & (norms < np.inf), norms, _lp_rescaled(np.abs(rows), p))
     if space.kind == KIND_L1:
         return np.sum(np.abs(rows), axis=-1)
     return np.max(np.abs(rows), axis=-1)

@@ -1,3 +1,7 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -304,29 +308,47 @@ def test_the_audit_rows_are_the_finest_level_of_the_pass(name):
             array.flat[0] = 0.0
 
 
-def test_passes_from_the_shared_draw_block_equal_fresh_passes():
-    # two bases and two spaces on one schedule share one block of normal
-    # draws; each pass equals one drawn after the block is dropped
+def test_passes_from_the_shared_draw_block_equal_fresh_passes(monkeypatch):
+    # three bases in a p = 2, 3, 2 order on one schedule share one block of
+    # normal draws, and the schedule computes its norms once per space; each
+    # pass equals one drawn on a fresh schedule after the block is dropped
     l2, l3 = lp_space(2.0, 16), lp_space(3.0, 16)
-    extra = (primal(l2, np.arange(16.0)),)
     cases = [
-        (ball_projection_map(l2, 1.0), primal(l2, np.linspace(-1.0, 2.0, 16)), extra),
-        (ball_projection_map(l2, 1.0), primal(l2, np.linspace(0.3, -0.1, 16)), extra),
-        (ball_projection_map(l3, 1.0), primal(l3, np.linspace(-1.0, 2.0, 16)), ()),
+        (ball_projection_map(l2, 1.0), primal(l2, np.linspace(-1.0, 2.0, 16))),
+        (ball_projection_map(l3, 1.0), primal(l3, np.linspace(-1.0, 2.0, 16))),
+        (ball_projection_map(lp_space(2.0, 16), 1.0), primal(l2, np.linspace(0.3, -0.1, 16))),
     ]
+    extra = (primal(l2, np.arange(16.0)),)
+    sched = SamplingSchedule(seed=12, levels=5, dirs_per_level=32, extra_rays=extra)
+    normed = []
+
+    def counted(space, rows):
+        normed.append(rows)
+        return norm_rows(space, rows)
+
+    monkeypatch.setattr(limsup_oracle, "norm_rows", counted)
     draws = limsup_oracle._normal_draws
     draws.cache_clear()
-    shared = []
-    for mapd, x, rays in cases:
-        sched = SamplingSchedule(seed=12, levels=5, dirs_per_level=32, extra_rays=rays)
-        shared.append(sample_base(mapd, GraphPoint.at_point(mapd, x), sched))
+    shared = [sample_base(mapd, GraphPoint.at_point(mapd, x), sched) for mapd, x in cases]
     assert draws.cache_info().hits == 2 and draws.cache_info().misses == 1
     block = draws(12, 5, 32, 16)
     with pytest.raises(ValueError, match="read-only"):
         block[0, 0, 0] = 0.0
+    # one norm_rows call per level and space reads the block
+    assert sum(np.shares_memory(rows, block) for rows in normed) == 2 * 5
+    # the schedule keeps one read-only (levels, rows) array per space
+    kept = sched._norms
+    assert sorted(space.p for space in kept) == [2.0, 3.0]
+    for space, norms in kept.items():
+        assert sched._direction_draws(space)[1] is norms
+        assert norms.shape == (5, 32)
+        with pytest.raises(ValueError, match="read-only"):
+            norms[0, 0] = 1.0
     for samples in shared:
         draws.cache_clear()
-        fresh = sample_base(samples.map, samples.base, samples.schedule)
+        fresh_schedule = replace(samples.schedule)
+        assert fresh_schedule == samples.schedule and not fresh_schedule._norms
+        fresh = sample_base(samples.map, samples.base, fresh_schedule)
         for field in ("radii", "us", "vs", "dens"):
             assert np.array_equal(getattr(samples, field), getattr(fresh, field))
     # the in-place rows are the plain u = x + r * d of each level
@@ -337,6 +359,11 @@ def test_passes_from_the_shared_draw_block_equal_fresh_passes():
         dirs = np.random.default_rng([12, level]).standard_normal((32, 16))
         dirs = dirs / norm_rows(space, dirs)[:, None]
         assert np.array_equal(samples.us[level], x[None, :] + radius * np.vstack([dirs, unit_extra]))
+    # the kept norms go with the schedule
+    kept_refs = [weakref.ref(norms) for norms in kept.values()]
+    del kept, norms, sched, shared, samples, fresh
+    gc.collect()
+    assert [ref() for ref in kept_refs] == [None, None]
 
 
 def _block_cases():
@@ -452,6 +479,90 @@ def test_the_stacked_rays_give_the_per_ray_limit_bit_for_bit():
                 directed_ray_limit(mapd, base, xstar, ystar, primal(mapd.space, -np.eye(16)[3]))
     # the rays raise some of these estimates
     assert raised >= 4
+
+
+def _ray_start_by_halving(mapd, base, direction):
+    # reference: one ray at a time, each probe built as a vector and tested
+    # alone; None where the ray leaves the branch at every tested scale or a
+    # probe is not finite
+    t = RAY_T0
+    for _ in range(60):
+        with np.errstate(over="ignore"):
+            try:
+                probe = base.x + t * direction
+            except ValueError:
+                return None
+        if mapd.same_branch(base.x, probe.values[None, :])[0]:
+            return t
+        t *= 0.5
+    return None
+
+
+def _ray_start_cases():
+    """(name, map, base point, rays), each with rays that start at RAY_T0
+    and rays that need halvings."""
+    rng = np.random.default_rng(43)
+    cases = []
+    for p in (2.0, 3.0):
+        space = lp_space(p, 6)
+        mapd = ball_projection_map(space, 1.0)
+        unit = primal(space, rng.normal(size=6))
+        unit = (1.0 / norm(unit)) * unit
+        random = [primal(space, rng.normal(size=6)) for _ in range(4)]
+        for radius in (0.5, 3.0, 1.0 - 1e-3, 1.0 + 1e-3):
+            cases.append((f"ball p={p:g} |x|={radius}", mapd, radius * unit, [unit, -unit, *random]))
+    for p in (2.0, 3.0):
+        space = lp_space(p, 6)
+        x = primal(space, [3e-3, -2e-3, 0.0, 1.5, 4e-4, -0.7])
+        basis = [primal(space, sign * row) for row in np.eye(6) for sign in (1.0, -1.0)]
+        rays = [*basis, primal(space, rng.normal(size=6))]
+        cases.append((f"cone p={p:g}", cone_projection_map(space), x, rays))
+    l1 = l1_space(5)
+    mapd = l1_ball_projection_map(l1, 1.0)
+    for x in ([0.2, -0.1, 0.0, 0.15, 0.05], [0.6, -0.2, 0.0, 0.2, 4e-3], [2.0, 0.0, -0.5, 0.0, 0.0]):
+        x = primal(l1, x)
+        rays = [-x, x, *(primal(l1, rng.normal(size=5)) for _ in range(3))]
+        cases.append((f"l1 |x|={norm(x)}", mapd, x, rays))
+    return cases
+
+
+def test_the_batched_ray_starts_equal_a_per_ray_halving_loop():
+    halved = 0
+    for name, mapd, x, rays in _ray_start_cases():
+        base = GraphPoint.at_point(mapd, x)
+        starts = limsup_oracle._ray_starts(mapd, base, np.stack([ray.values for ray in rays]))
+        reference = [_ray_start_by_halving(mapd, base, ray) for ray in rays]
+        assert [None if np.isnan(t) else t for t in starts.tolist()] == reference, name
+        halved += sum(t < RAY_T0 for t in reference)
+    # the near-sphere balls, the small cone coordinates and the l_1 ball at
+    # 1.004 start rays below RAY_T0
+    assert halved >= 10
+
+
+def test_rays_that_never_start_are_skipped_and_raise_alone():
+    # -e_2 leaves the cone's branch at 1e-300 at every tested scale, and the
+    # first probe along 1e308 e_1 from 1.79e308 e_1 overflows
+    space = lp_space(3.0, 4)
+    cone, translation = cone_projection_map(space), _translation(space)
+    phi = dual(space, [0.2, -5.0, 0.3, 0.4])
+    good = primal(space, [0.0, 1.0, -1.0, 1.0])
+    sched = SamplingSchedule(seed=5, dirs_per_level=16)
+    for mapd, x, never in (
+        (cone, [1.0, 1e-300, 0.5, -0.5], -np.eye(4)[1]),
+        (translation, [1.79e308, 0.5, 0.0, 0.0], 1e308 * np.eye(4)[0]),
+    ):
+        base = GraphPoint.at_point(mapd, primal(space, x))
+        never = primal(space, never)
+        starts = limsup_oracle._ray_starts(mapd, base, np.stack([never.values, good.values]))
+        assert np.isnan(starts[0]) and starts[1] == RAY_T0
+        assert _ray_start_by_halving(mapd, base, never) is None
+        samples = sample_base(mapd, base, sched)
+        skipped = membership_test(mapd, base, phi, phi, sched, (never, good), samples=samples)
+        alone = membership_test(mapd, base, phi, phi, sched, (good,), samples=samples)
+        assert skipped.extrapolated == alone.extrapolated
+        with pytest.raises(ValueError, match="every tested scale"):
+            directed_ray_limit(mapd, base, phi, phi, never)
+        assert np.isfinite(directed_ray_limit(mapd, base, phi, phi, good))
 
 
 def test_monotone_refinement_nested_directions():

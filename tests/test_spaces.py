@@ -88,6 +88,40 @@ def test_row_functions_reduce_over_the_last_axis_of_a_stack(space, w, k, m):
     assert norms[0, 0] == 0.0 and norms[-1, -1] > 0.0
 
 
+def _row_norm_formula(rows, p):
+    """The row p-norm as an out-of-place power sum, and where that sum is 0
+    or not finite, the same sum of the rows divided by their peak."""
+    mags = np.abs(rows)
+    with np.errstate(over="ignore"):
+        norms = (mags**p).sum(axis=-1) ** (1.0 / p)
+    peaks = np.max(mags, axis=-1)
+    peaks = np.where(peaks > 0.0, peaks, 1.0)
+    rescaled = peaks * ((mags / peaks[..., None]) ** p).sum(axis=-1) ** (1.0 / p)
+    return np.where((norms > 0.0) & (norms < np.inf), norms, rescaled)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
+def test_row_norms_keep_the_bits_of_the_power_sum_and_its_rescaled_fallback(p):
+    # peaks 0, 1e-310 and 1e-200 underflow the power sum and 1e200 overflows
+    # it for some p, so each dimension of input reaches the fallback; the
+    # power is raised in place on a fresh array, never on the input
+    space = lp_space(p, 5)
+    vals = np.array([0.5, -1.0, 0.0, 0.25, -0.75])
+    peaks = [0.0, 1e-310, 1e-200, 1e200, 1.0, 3.0]
+    rows = np.stack([peak * np.roll(vals, k) for k, peak in enumerate(peaks)])
+    inputs = [*rows, rows, rows.reshape(2, 3, 5)]
+    for array in inputs:
+        before = array.copy()
+        array.flags.writeable = False
+        norms = norm_rows(space, array)
+        reference = _row_norm_formula(before, p)
+        assert norms.shape == reference.shape == array.shape[:-1]
+        assert np.array_equal(norms, reference)
+        assert np.array_equal(array, before)
+    norms = norm_rows(space, rows)
+    assert norms[0] == 0.0 and norms[1] > 0.0
+
+
 def _norm_formulas(space, vals):
     """The primal and dual norm formulas, evaluated afresh."""
     mags = np.abs(vals)
