@@ -426,23 +426,31 @@ def _ray_starts(mapd: MapDescriptor, base: GraphPoint, directions: np.ndarray) -
     halving of RAY_T0 at which the probe x + t * direction is in the base
     branch. All rays share one halving loop, which probes only the rows not
     yet in the branch. NaN where the ray leaves the branch at every tested
-    scale, or where a probe is not finite (only the first probe can be: the
-    later ones lie between it and x)."""
+    scale, or where its first probe is not finite (a later probe lies
+    between x and the first, so it is finite).
+
+    A ball or l_1 probe's sphere side comes from its row norm
+    (`MapDescriptor.same_branch`), which can differ in the last bit from the
+    scalar `norm` of the same point. A probe whose norm lies within that bit
+    of the SPHERE_BAND edge can therefore take another side than a scalar
+    branch test gives it, and its start move by one halving.
+    """
     x = base.x.values
     starts = np.full(len(directions), np.nan)
-    pending = np.arange(len(directions))
     t = RAY_T0
-    for _ in range(RAY_HALVINGS):
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
+        probes = x + t * directions
+    pending = np.flatnonzero(np.isfinite(probes).all(axis=-1))
+    probes = probes[pending]
+    for halving in range(RAY_HALVINGS):
+        if halving:
+            t *= 0.5
             probes = x + t * directions[pending]
-        finite = np.isfinite(probes).all(axis=-1)
-        pending, probes = pending[finite], probes[finite]
         inside = mapd.same_branch(base.x, probes)
         starts[pending[inside]] = t
         pending = pending[~inside]
         if not pending.size:
             break
-        t *= 0.5
     return starts
 
 

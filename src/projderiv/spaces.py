@@ -308,10 +308,12 @@ class IndexSet:
 # ---------------------------------------------------------------------------
 
 def _lp(mags: np.ndarray, p: float) -> np.ndarray:
-    """sum(m^p)^(1/p) over the last axis of the magnitudes m = |v|. The
-    array method skips `np.sum`'s dispatch (same reduction, same bits), which
-    pays for the errstate its callers enter."""
-    return (mags**p).sum(axis=-1) ** (1.0 / p)
+    """sum(m^p)^(1/p) over the last axis of the magnitudes m = |v|. Raises
+    `mags` to the power p in place (same power, same bits), so its callers
+    pass a fresh array. The array method skips `np.sum`'s dispatch (same
+    reduction, same bits), which pays for the errstate its callers enter."""
+    mags **= p
+    return mags.sum(axis=-1) ** (1.0 / p)
 
 
 def _lp_rescaled(mags: np.ndarray, p: float) -> np.ndarray:
@@ -326,14 +328,13 @@ def _lp_rescaled(mags: np.ndarray, p: float) -> np.ndarray:
 
 
 def _lp_scalar(values: np.ndarray, p: float) -> float:
-    mags = np.abs(values)
     with np.errstate(over="ignore"):
-        n = float(_lp(mags, p))
+        n = float(_lp(np.abs(values), p))
     if 0.0 < n < math.inf:
         return n
-    if not mags.any():
+    if not values.any():
         return 0.0
-    return float(_lp_rescaled(mags, p))
+    return float(_lp_rescaled(np.abs(values), p))
 
 
 def norm(v: PrimalVector) -> float:
@@ -347,16 +348,11 @@ def norm_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     axis."""
     rows = np.asarray(rows, dtype=float)
     if space.kind == KIND_LP:
-        p = space.p
-        # `_lp` with the fresh magnitudes raised in place (same power, same
-        # bits), which saves one temporary of the size of `rows`
-        powers = np.abs(rows)
         with np.errstate(over="ignore"):
-            powers **= p
-            norms = powers.sum(axis=-1) ** (1.0 / p)
+            norms = _lp(np.abs(rows), space.p)
         if norms.all() and math.isfinite(norms.sum()):
             return norms
-        return np.where((norms > 0.0) & (norms < np.inf), norms, _lp_rescaled(np.abs(rows), p))
+        return np.where((norms > 0.0) & (norms < np.inf), norms, _lp_rescaled(np.abs(rows), space.p))
     if space.kind == KIND_L1:
         return np.sum(np.abs(rows), axis=-1)
     return np.max(np.abs(rows), axis=-1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from projderiv.coderivatives import (
+    SPHERE_BAND,
     affine_map,
     ball_projection_map,
     coderiv_affine,
@@ -309,48 +310,37 @@ def test_the_audit_rows_are_the_finest_level_of_the_pass(name):
 
 
 def test_passes_from_the_shared_draw_block_equal_fresh_passes(monkeypatch):
-    # three bases in a p = 2, 3, 2 order on one schedule share one block of
-    # normal draws, and the schedule computes its norms once per space; each
-    # pass equals one drawn on a fresh schedule after the block is dropped
+    # two bases and two spaces on three schedules share one block of normal
+    # draws; each pass equals one drawn on a fresh schedule after the block
+    # is dropped
     l2, l3 = lp_space(2.0, 16), lp_space(3.0, 16)
-    cases = [
-        (ball_projection_map(l2, 1.0), primal(l2, np.linspace(-1.0, 2.0, 16))),
-        (ball_projection_map(l3, 1.0), primal(l3, np.linspace(-1.0, 2.0, 16))),
-        (ball_projection_map(lp_space(2.0, 16), 1.0), primal(l2, np.linspace(0.3, -0.1, 16))),
-    ]
     extra = (primal(l2, np.arange(16.0)),)
-    sched = SamplingSchedule(seed=12, levels=5, dirs_per_level=32, extra_rays=extra)
-    normed = []
-
-    def counted(space, rows):
-        normed.append(rows)
-        return norm_rows(space, rows)
-
-    monkeypatch.setattr(limsup_oracle, "norm_rows", counted)
+    cases = [
+        (ball_projection_map(l2, 1.0), primal(l2, np.linspace(-1.0, 2.0, 16)), extra),
+        (ball_projection_map(l2, 1.0), primal(l2, np.linspace(0.3, -0.1, 16)), extra),
+        (ball_projection_map(l3, 1.0), primal(l3, np.linspace(-1.0, 2.0, 16)), ()),
+    ]
     draws = limsup_oracle._normal_draws
     draws.cache_clear()
-    shared = [sample_base(mapd, GraphPoint.at_point(mapd, x), sched) for mapd, x in cases]
+    shared = []
+    for mapd, x, rays in cases:
+        sched = SamplingSchedule(seed=12, levels=5, dirs_per_level=32, extra_rays=rays)
+        shared.append(sample_base(mapd, GraphPoint.at_point(mapd, x), sched))
     assert draws.cache_info().hits == 2 and draws.cache_info().misses == 1
     block = draws(12, 5, 32, 16)
     with pytest.raises(ValueError, match="read-only"):
         block[0, 0, 0] = 0.0
-    # one norm_rows call per level and space reads the block
-    assert sum(np.shares_memory(rows, block) for rows in normed) == 2 * 5
-    # the schedule keeps one read-only (levels, rows) array per space
-    kept = sched._norms
-    assert sorted(space.p for space in kept) == [2.0, 3.0]
-    for space, norms in kept.items():
-        assert sched._direction_draws(space)[1] is norms
-        assert norms.shape == (5, 32)
-        with pytest.raises(ValueError, match="read-only"):
-            norms[0, 0] = 1.0
-    for samples in shared:
-        draws.cache_clear()
-        fresh_schedule = replace(samples.schedule)
-        assert fresh_schedule == samples.schedule and not fresh_schedule._norms
-        fresh = sample_base(samples.map, samples.base, fresh_schedule)
-        for field in ("radii", "us", "vs", "dens"):
-            assert np.array_equal(getattr(samples, field), getattr(fresh, field))
+
+    def equal_fresh(passes):
+        for samples in passes:
+            draws.cache_clear()
+            fresh_schedule = replace(samples.schedule)
+            assert fresh_schedule == samples.schedule and not fresh_schedule._norms
+            fresh = sample_base(samples.map, samples.base, fresh_schedule)
+            for field in ("radii", "us", "vs", "dens"):
+                assert np.array_equal(getattr(samples, field), getattr(fresh, field))
+
+    equal_fresh(shared)
     # the in-place rows are the plain u = x + r * d of each level
     samples = shared[0]
     space, x = samples.map.space, samples.base.x.values
@@ -359,9 +349,33 @@ def test_passes_from_the_shared_draw_block_equal_fresh_passes(monkeypatch):
         dirs = np.random.default_rng([12, level]).standard_normal((32, 16))
         dirs = dirs / norm_rows(space, dirs)[:, None]
         assert np.array_equal(samples.us[level], x[None, :] + radius * np.vstack([dirs, unit_extra]))
-    # the kept norms go with the schedule
+
+    # bases in a p = 2, 3, 2 order on one schedule: it computes the norms of
+    # the block once per space, one norm_rows call per level
+    normed = []
+
+    def counted(space, rows):
+        normed.append((space, rows))
+        return norm_rows(space, rows)
+
+    monkeypatch.setattr(limsup_oracle, "norm_rows", counted)
+    sched = SamplingSchedule(seed=12, levels=5, dirs_per_level=32, extra_rays=extra)
+    order = [cases[0], cases[2], cases[1]]
+    shared = [sample_base(mapd, GraphPoint.at_point(mapd, x), sched) for mapd, x, _ in order]
+    block = draws(12, 5, 32, 16)
+    assert [space.p for space, rows in normed if np.shares_memory(rows, block)] == [2.0] * 5 + [3.0] * 5
+    # the schedule keeps one read-only (levels, rows) array per space
+    kept = sched._norms
+    assert sorted(space.p for space in kept) == [2.0, 3.0]
+    for space, norms in kept.items():
+        assert sched._direction_draws(space)[1] is norms
+        assert norms.shape == (5, 32)
+        with pytest.raises(ValueError, match="read-only"):
+            norms[0, 0] = 1.0
+    equal_fresh(shared)
+    # the kept norms go with the schedule, so no more than its spaces are kept
     kept_refs = [weakref.ref(norms) for norms in kept.values()]
-    del kept, norms, sched, shared, samples, fresh
+    del kept, norms, sched, shared
     gc.collect()
     assert [ref() for ref in kept_refs] == [None, None]
 
@@ -537,6 +551,36 @@ def test_the_batched_ray_starts_equal_a_per_ray_halving_loop():
     # the near-sphere balls, the small cone coordinates and the l_1 ball at
     # 1.004 start rays below RAY_T0
     assert halved >= 10
+
+
+def test_a_ball_probe_on_the_band_edge_takes_the_side_of_its_row_norm():
+    # the row and scalar p-norms of one probe can differ in the last bit;
+    # with the band edge between them, the start follows the row norm and is
+    # one halving away from the start a scalar branch test gives
+    space = lp_space(3.0, 5)
+    x = primal(space, [0.1, -0.2, 0.05, 0.0, 0.15])
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        d = primal(space, 40.0 * rng.normal(size=5))
+        probe = x + RAY_T0 * d
+        scalar, row = norm(probe), norm_rows(space, probe.values[None, :])[0]
+        if scalar != row:
+            break
+    assert scalar > row and scalar < 1.0
+    # the one radius below 1 whose band edge lies between the two norms
+    radius = row - SPHERE_BAND
+    while not row - radius <= SPHERE_BAND:
+        radius = np.nextafter(radius, np.inf)
+    while not SPHERE_BAND < scalar - radius:
+        radius = np.nextafter(radius, -np.inf)
+    assert row - radius <= SPHERE_BAND < scalar - radius
+    mapd = ball_projection_map(space, float(radius))
+    base = GraphPoint.at_point(mapd, x)
+    assert limsup_oracle._ray_starts(mapd, base, d.values[None, :]).tolist() == [RAY_T0]
+    t = RAY_T0
+    while norm(x + t * d) - radius > SPHERE_BAND:
+        t *= 0.5
+    assert t == 0.5 * RAY_T0
 
 
 def test_rays_that_never_start_are_skipped_and_raise_alone():
