@@ -7,14 +7,17 @@ refinement of the residual extrema) sharpens the equioscillation certificate
 at coarse grids.
 
 The module also provides the power-matrix determinants A_n(t) = det[t^(i*j)]
-(nonzero on (0, 1)), their product factorization, and the coefficient bounds
-they imply for norm-bounded polynomials.
+(nonzero on (0, 1)), computed exactly by integer Bareiss elimination and
+rounded once, their product factorization, and the coefficient bounds they
+imply for norm-bounded polynomials.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -136,33 +139,48 @@ class ContinuityReport:
 def an_determinant(t, n: int):
     """Determinant of the (n+1)x(n+1) matrix with entries t^(i*j), i, j = 0..n.
 
-    Gaussian elimination with partial pivoting in exact rational arithmetic:
-    a float argument (itself an exact binary rational) is promoted to a
-    Fraction and the result rounded once at the end, so the value keeps full
-    relative accuracy even where the matrix is nearly singular. A Fraction
-    argument returns the exact Fraction.
+    Exact for every real t: t is taken as the exact ratio a/b of its
+    ``as_integer_ratio()`` (a binary float is a rational), and scaling row i
+    by b^(i*n) turns the matrix into the integers a^(ij) b^(i(n-j)). Integer
+    Bareiss elimination gives their determinant, which over
+    b^(n^2 (n+1)/2) is A_n(t). A float of any type (numpy's included) gets
+    that rational rounded once to the nearest float, so the value keeps full
+    relative accuracy even where the matrix is nearly singular; an int or a
+    Fraction gets the exact Fraction.
     """
     if not 1 <= n <= MAX_DETERMINANT_DEGREE:
         raise ValueError(f"direct evaluation supports 1 <= n <= {MAX_DETERMINANT_DEGREE}")
-    if isinstance(t, float):
-        from fractions import Fraction
+    exact = not isinstance(t, (float, np.floating))
+    a, b = (int(k) for k in (Fraction(t) if exact else t).as_integer_ratio())
+    det = _bareiss_determinant(
+        [[a ** (i * j) * b ** (i * (n - j)) for j in range(n + 1)] for i in range(n + 1)]
+    )
+    scale = b ** (n * n * (n + 1) // 2)
+    return Fraction(det, scale) if exact else det / scale  # int / int rounds once
 
-        return float(an_determinant(Fraction(t), n))
-    m = [[t ** (i * j) for j in range(n + 1)] for i in range(n + 1)]
-    det = t ** 0  # multiplicative identity of t's numeric type
-    size = n + 1
-    for col in range(size):
-        piv = max(range(col, size), key=lambda r: abs(m[r][col]))
-        if m[piv][col] == 0:
-            return det * 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col]
-        for r in range(col + 1, size):
-            factor = m[r][col] / m[col][col]
-            m[r] = [m[r][j] - factor * m[col][j] for j in range(size)]
-    return det
+
+def _bareiss_determinant(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination, in place: each step divides exactly by the previous pivot,
+    so every entry stays an integer, and rows are swapped only at a zero
+    pivot."""
+    size = len(m)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if m[r][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        row_k = m[k]
+        pivot = row_k[k]
+        tail = row_k[k + 1 :]
+        for row in m[k + 1 :]:
+            lead = row[k]
+            row[k + 1 :] = [(x * pivot - lead * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = pivot
+    return sign * m[-1][-1]
 
 
 def an_recursive(t, n: int):
@@ -270,13 +288,23 @@ def annihilator(points: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     return weights, float(np.max(np.abs(moments @ weights)))
 
 
+@functools.lru_cache(maxsize=None)
+def _level_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents 0..n of the power columns and the alternating signs
+    (-1)^i, i = 0..n+1, of the levelled system, built once per degree."""
+    exponents = np.arange(n + 1)
+    alternating = (-1.0) ** np.arange(n + 2)
+    exponents.flags.writeable = alternating.flags.writeable = False
+    return exponents, alternating
+
+
 def _leveled_solve(points: np.ndarray, values: np.ndarray, n: int):
-    """Solve  p(t_i) + (-1)^i h = f(t_i)  for the coefficients of p and the
-    level h."""
-    count = points.size
-    system = np.zeros((count, count))
-    system[:, : n + 1] = points[:, None] ** np.arange(n + 1)[None, :]
-    system[:, n + 1] = (-1.0) ** np.arange(count)
+    """Solve  p(t_i) + (-1)^i h = f(t_i)  at n + 2 points for the
+    coefficients of p and the level h."""
+    exponents, alternating = _level_columns(n)
+    system = np.empty((n + 2, n + 2))
+    system[:, : n + 1] = points[:, None] ** exponents
+    system[:, n + 1] = alternating
     sol = np.linalg.solve(system, values)
     return Polynomial(tuple(sol[: n + 1])), float(sol[n + 1])
 
@@ -287,14 +315,19 @@ def _alternating_extrema(residual: np.ndarray) -> list[int]:
     the previous nonzero sign (+1 before the first one), and a tie within a
     run goes to its first index, as with np.argmax."""
     signs = np.sign(residual)
-    # index of the last nonzero sign at or before each point, -1 before any
-    last = np.maximum.accumulate(np.where(signs != 0.0, np.arange(signs.size), -1))
-    carried = np.where(last >= 0, signs[np.maximum(last, 0)], 1.0)
-    starts = np.flatnonzero(np.diff(carried, prepend=0.0))  # carried is +-1
-    run = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, signs.size]))
+    if not signs.all():
+        # index of the last nonzero sign at or before each point, -1 before any
+        last = np.maximum.accumulate(np.where(signs != 0.0, np.arange(signs.size), -1))
+        signs = np.where(last >= 0, signs[np.maximum(last, 0)], 1.0)
+    # run boundaries: 0, each index where the sign changes, and the end
+    edges = np.concatenate(([0], np.flatnonzero(signs[1:] != signs[:-1]) + 1, [signs.size]))
+    starts = edges[:-1]
     mags = np.abs(residual)
-    hits = np.flatnonzero(mags == np.maximum.reduceat(mags, starts)[run])
-    return hits[np.diff(run[hits], prepend=-1) != 0].tolist()  # first hit per run
+    # every run has a point not below its peak (a NaN is a run of its own),
+    # so the first such point at or after each start is that run's argmax
+    peaks = np.repeat(np.maximum.reduceat(mags, starts), edges[1:] - starts)
+    hits = np.flatnonzero(~(mags < peaks))
+    return hits[np.searchsorted(hits, starts)].tolist()
 
 
 def _trim_reference(candidates: list[int], residual: np.ndarray, target: int) -> list[int]:

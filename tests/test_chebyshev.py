@@ -10,6 +10,8 @@ from projderiv.chebyshev import (
     Polynomial,
     RemezConvergenceError,
     _alternating_extrema,
+    _bareiss_determinant,
+    _leveled_solve,
     _trim_reference,
     an_determinant,
     an_recursive,
@@ -73,6 +75,91 @@ def test_direct_vs_recursive_property(n, t):
     r = an_recursive(t, n)
     assert abs(d - r) <= 1e-9 * max(abs(d), abs(r))
     assert d != 0.0
+
+
+# Gaussian elimination with partial pivoting in Fraction arithmetic, the
+# determinant before integer Bareiss elimination, kept as the reference that
+# an_determinant must reproduce exactly: a float is promoted to a Fraction
+# and the exact value rounded once.
+def _partial_pivot_determinant(m):
+    det = m[0][0] ** 0
+    size = len(m)
+    for col in range(size):
+        piv = max(range(col, size), key=lambda r: abs(m[r][col]))
+        if m[piv][col] == 0:
+            return det * 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det = det * m[col][col]
+        for r in range(col + 1, size):
+            factor = m[r][col] / m[col][col]
+            m[r] = [m[r][j] - factor * m[col][j] for j in range(size)]
+    return det
+
+
+def _an_determinant_fractions(t, n):
+    if isinstance(t, float):
+        return float(_an_determinant_fractions(Fraction(t), n))
+    return _partial_pivot_determinant([[t ** (i * j) for j in range(n + 1)] for i in range(n + 1)])
+
+
+EXACT_DETERMINANT_POINTS = [0.0, 1.0, 0.5, -0.7, 1.3, 1e-300, 5e-324]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integer_elimination_matches_the_fraction_elimination_bit_for_bit(n, rng):
+    floats = (
+        EXACT_DETERMINANT_POINTS
+        + np.linspace(0.01, 0.99, 100).tolist()
+        + rng.uniform(-1.5, 1.5, size=16).tolist()
+    )
+    for t in floats:
+        value = an_determinant(t, n)
+        assert type(value) is float
+        assert value == _an_determinant_fractions(t, n), t
+    for t in (Fraction(1, 2), Fraction(3, 10)):
+        value = an_determinant(t, n)
+        assert type(value) is Fraction
+        assert value == _an_determinant_fractions(t, n)
+
+
+def test_every_real_type_is_evaluated_exactly():
+    # a float32 is promoted exactly and rounded once, not eliminated in float32
+    t32 = np.float32(0.3)
+    value = an_determinant(t32, 3)
+    assert type(value) is float
+    assert value == float(_an_determinant_fractions(Fraction(*t32.as_integer_ratio()), 3))
+    assert abs(value - 0.0022385912526) <= 1e-13
+    assert an_determinant(np.float64(0.3), 3) == _an_determinant_fractions(0.3, 3)
+    # an integer gives the exact Fraction, not a float division
+    for t in (2, np.int64(2)):
+        value = an_determinant(t, 2)
+        assert type(value) is Fraction
+        assert value == _an_determinant_fractions(Fraction(2), 2) == an_recursive(Fraction(2), 2)
+
+
+def test_bareiss_swaps_rows_at_a_zero_pivot():
+    # the leading pivot is zero, then the second after one step of elimination
+    for m in ([[0, 1], [1, 0]], [[0, 2, 1], [3, 1, 4], [1, 5, 9]], [[1, 2, 3], [2, 4, 7], [1, 3, 5]]):
+        expected = _partial_pivot_determinant([[Fraction(x) for x in row] for row in m])
+        assert _bareiss_determinant([list(row) for row in m]) == expected
+    assert _bareiss_determinant([[1, 2, 3], [2, 4, 7], [1, 3, 5]]) == -1
+    assert _bareiss_determinant([[0, 1], [0, 2]]) == 0  # no nonzero pivot below
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda size: st.lists(
+            st.lists(st.integers(-2, 2), min_size=size, max_size=size),
+            min_size=size,
+            max_size=size,
+        )
+    )
+)
+def test_bareiss_matches_the_fraction_elimination_on_small_integer_matrices(m):
+    expected = _partial_pivot_determinant([[Fraction(x) for x in row] for row in m])
+    assert _bareiss_determinant([list(row) for row in m]) == expected
 
 
 def test_coeffs_from_values_examples():
@@ -305,6 +392,34 @@ def test_run_split_and_trim_match_the_loop_versions(leading_zeros, values):
         assert _trim_reference(candidates, residual, target) == _trim_reference_loop(
             candidates, residual, target
         )
+
+
+# The levelled system as built before its columns were kept per degree: the
+# reference that _leveled_solve must reproduce exactly at any degree.
+def _leveled_solve_rebuilt(points, values, n):
+    count = points.size
+    system = np.zeros((count, count))
+    system[:, : n + 1] = points[:, None] ** np.arange(n + 1)[None, :]
+    system[:, n + 1] = (-1.0) ** np.arange(count)
+    sol = np.linalg.solve(system, values)
+    return Polynomial(tuple(sol[: n + 1])), float(sol[n + 1])
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 40, 70])
+def test_leveled_solve_matches_the_rebuilt_system_bit_for_bit(n, rng):
+    chebyshev._level_columns.cache_clear()
+    nodes = chebyshev_points(n + 2)
+    spread = np.sort(rng.uniform(0.0, 1.0, size=n + 2))
+    for points in (nodes, spread, nodes):  # the last call reads the kept columns
+        values = np.sin(3.0 * points) + points**2
+        poly, level = _leveled_solve(points, values, n)
+        ref_poly, ref_level = _leveled_solve_rebuilt(points, values, n)
+        assert poly.degree == n
+        assert np.array(poly.coefficients).tobytes() == np.array(ref_poly.coefficients).tobytes()
+        assert np.float64(level).tobytes() == np.float64(ref_level).tobytes()
+    exponents, alternating = chebyshev._level_columns(n)
+    assert exponents.size == n + 1 and alternating.size == n + 2
+    assert not exponents.flags.writeable and not alternating.flags.writeable
 
 
 def test_remez_certificate_with_hundreds_of_sign_runs():
