@@ -160,10 +160,8 @@ class MapDescriptor:
         """Whether each row of a (..., size) array lies in the same smooth
         piece of the map as x, one bool per row; the one branch test (it
         keeps directed rays away from branch crossings). The rows' sphere
-        side is taken from their row norms (`norm_rows`), which can differ in
-        the last bit from the scalar `norm` of the same point: a row whose
-        norm lies within that bit of the SPHERE_BAND edge can be given
-        another side than a scalar test would give it."""
+        side is taken from their row norms (`norm_rows`), bit for bit the
+        `norm` of the same points."""
         rows = np.asarray(rows, dtype=float)
         if self.kind in (BALL_PROJ, L1_BALL_PROJ):
             inside = _sphere_side(norm_rows(self.space, rows), self.radius) <= 0

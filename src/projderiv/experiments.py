@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -149,6 +150,23 @@ def _primal_with_norm(space, rng, lo_norm, hi_norm) -> PrimalVector:
     return (rng.uniform(lo_norm, hi_norm) / norm(v)) * v
 
 
+MEMBER, NON_MEMBER = lo.Verdict.MEMBER, lo.Verdict.NON_MEMBER
+
+
+def _ask(cases, config: ExperimentConfig) -> tuple[Counter, int]:
+    """Asks the queries of (check name, query, expected verdict) cases in
+    order, as one list (`fp.ask`). Returns, per check name, how many verdicts
+    were the expected one, and how many verdicts were indeterminate."""
+    names, queries, expected = zip(*cases)
+    verdicts = fp.ask(queries, config.schedule())
+    hits = Counter(name for name, want, got in zip(names, expected, verdicts) if got == want)
+    return hits, verdicts.count(lo.Verdict.INDETERMINATE)
+
+
+def _check_hits(checks: list[CheckResult], hits: Counter, name: str, total: int) -> None:
+    _check(checks, name, hits[name] == total, hits[name], total)
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -160,44 +178,36 @@ def _exp_ball_fixed_points(config: ExperimentConfig) -> list[CheckResult]:
         space = lp_space(p, config.N)
         mapd = cd.ball_projection_map(space, config.r)
         rng = _rng(config, 10 + tag)
-        sched = config.schedule()
-        interior_ok = 0
+        interior, theta, exterior = (
+            f"p={p} interior members", f"p={p} exterior origin members", f"p={p} exterior rejections"
+        )
+        cases = []
         for i in range(20):
             x = _primal_with_norm(space, rng, 0.1 * config.r, 0.8 * config.r)
             base = lo.GraphPoint.at_point(mapd, x)
-            samples = lo.sample_base(mapd, base, sched)
             for j in range(20):
                 cand = _dual_with_norm(space, rng, 0.3, 1.5)
-                verdict = fp.is_fixed_point(samples, cand, mode="oracle")
-                interior_ok += verdict == lo.Verdict.MEMBER
-                indeterminate += verdict == lo.Verdict.INDETERMINATE
-        _check(checks, f"p={p} interior members", interior_ok == 400, interior_ok, 400)
-        theta_ok = 0
-        exterior_ok = 0
+                cases.append((interior, fp.Query(mapd, base, cand, mode="oracle"), MEMBER))
         for i in range(20):
             x = _primal_with_norm(space, rng, 1.5 * config.r, 2.2 * config.r)
             base = lo.GraphPoint.at_point(mapd, x)
-            samples = lo.sample_base(mapd, base, sched)
-            theta = DualVector.zero(space)
-            verdict = fp.is_fixed_point(samples, theta, mode="oracle")
-            theta_ok += verdict == lo.Verdict.MEMBER
-            indeterminate += verdict == lo.Verdict.INDETERMINATE
+            cases.append((theta, fp.Query(mapd, base, DualVector.zero(space), mode="oracle"), MEMBER))
             for j in range(20):
                 cand = _dual_with_norm(space, rng, 0.5, 1.0)
-                verdict = fp.is_fixed_point(samples, cand, mode="oracle")
-                exterior_ok += verdict == lo.Verdict.NON_MEMBER
-                indeterminate += verdict == lo.Verdict.INDETERMINATE
-        _check(checks, f"p={p} exterior origin members", theta_ok == 20, theta_ok, 20)
-        _check(checks, f"p={p} exterior rejections", exterior_ok == 400, exterior_ok, 400)
+                cases.append((exterior, fp.Query(mapd, base, cand, mode="oracle"), NON_MEMBER))
+        hits, undecided = _ask(cases, config)
+        indeterminate += undecided
+        for name, total in ((interior, 400), (theta, 20), (exterior, 400)):
+            _check_hits(checks, hits, name, total)
     _check(checks, "indeterminate verdicts", indeterminate == 0, indeterminate, 0)
     return checks
 
 
 def _exp_ball_coderivative(config: ExperimentConfig) -> list[CheckResult]:
     checks: list[CheckResult] = []
-    member_ok = reject_ok = 0
+    accepted, rejected = "closed-form images accepted", "perturbed images rejected"
+    cases = []
     worst_collapse = 0.0
-    sched = config.schedule()
     for i in range(50):
         p = 2.0 if i % 2 == 0 else 3.0
         space = lp_space(p, config.N)
@@ -206,20 +216,15 @@ def _exp_ball_coderivative(config: ExperimentConfig) -> list[CheckResult]:
         x = _primal_with_norm(space, rng, 2.5 * config.r, 3.5 * config.r)
         ystar = _dual_with_norm(space, rng, 0.5, 1.5)
         base = lo.GraphPoint.at_point(mapd, x)
-        samples = lo.sample_base(mapd, base, sched)
         image = cd.coderiv_ball_lp(x, config.r, ystar).point
-        rays = fp.registry_rays(mapd, base, image, ystar)
-        verdict = lo.membership_test(mapd, base, image, ystar, sched, rays, samples=samples).verdict
-        member_ok += verdict == lo.Verdict.MEMBER
+        cases.append((accepted, fp.Query(mapd, base, image, ystar), MEMBER))
         perturbed = image + 0.1 * _unit_dual(space, rng)
-        rays_p = fp.registry_rays(mapd, base, perturbed, ystar)
-        verdict_p = lo.membership_test(mapd, base, perturbed, ystar, sched, rays_p, samples=samples).verdict
-        reject_ok += verdict_p == lo.Verdict.NON_MEMBER
-        del samples  # release this base's pass before the next base draws its own
+        cases.append((rejected, fp.Query(mapd, base, perturbed, ystar), NON_MEMBER))
         collapse = cd.coderiv_ball_lp(x, config.r, duality_map(x)).point
         worst_collapse = max(worst_collapse, dual_norm(collapse))
-    _check(checks, "closed-form images accepted", member_ok == 50, member_ok, 50)
-    _check(checks, "perturbed images rejected", reject_ok == 50, reject_ok, 50)
+    hits, _ = _ask(cases, config)
+    _check_hits(checks, hits, accepted, 50)
+    _check_hits(checks, hits, rejected, 50)
     _check(
         checks,
         "duality image collapses to the dual origin",
@@ -323,8 +328,6 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
     space, mapd, base, xbar, m_set = _cone_setup(config, 2.0)
     off = sorted(m_set.complement.members)
     rng = _rng(config, 40)
-    sched = config.schedule()
-    samples = lo.sample_base(mapd, base, sched)
 
     char = mapd.fixed_point_set(base)
     _check(
@@ -335,33 +338,26 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
         f"{cd.POSITIVE_CONE_DUAL} on {off}",
     )
 
-    member_ok = 0
+    accepted, rejected = "members accepted", "negative off-support coordinates rejected"
+    sliced = "slice membership matches the oracle"
+    cases = []
     for i in range(30):
         y = rng.normal(size=config.N) * 2.0
         for j in off:
             y[j - 1] = rng.uniform(0.0, 2.0)
-        yd = dual(space, y)
-        verdict = fp.is_fixed_point(samples, yd, mode="oracle")
-        member_ok += verdict == lo.Verdict.MEMBER
-    _check(checks, "members accepted", member_ok == 30, member_ok, 30)
-
-    reject_ok = 0
+        cases.append((accepted, fp.Query(mapd, base, dual(space, y), mode="oracle"), MEMBER))
     for i in range(30):
         y = rng.normal(size=config.N) * 2.0
         for j in off:
             y[j - 1] = rng.uniform(0.0, 2.0)
         y[int(rng.choice(off)) - 1] = -rng.uniform(0.3, 2.0)
-        yd = dual(space, y)
-        verdict = fp.is_fixed_point(samples, yd, mode="oracle")
-        reject_ok += verdict == lo.Verdict.NON_MEMBER
-    _check(checks, "negative off-support coordinates rejected", reject_ok == 30, reject_ok, 30)
+        cases.append((rejected, fp.Query(mapd, base, dual(space, y), mode="oracle"), NON_MEMBER))
 
     anchor_vals = rng.normal(size=config.N) * 2.0
     for j in off:
         anchor_vals[j - 1] = rng.uniform(0.5, 2.0)
     anchor = dual(space, anchor_vals)
     slice_set = cd.coderiv_cone_l2(xbar, m_set, anchor)
-    agree = 0
     for i in range(30):
         z = np.array(anchor.values)
         mode = i % 3
@@ -373,12 +369,12 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
         else:
             z[int(rng.choice(sorted(m_set.members))) - 1] += rng.uniform(0.3, 1.0)
         zd = dual(space, z)
-        est = lo.membership_test(mapd, base, zd, anchor, sched, samples=samples)
-        closed = slice_set.membership(zd)
-        agree += (est.verdict != lo.Verdict.INDETERMINATE) and (
-            closed == (est.verdict == lo.Verdict.MEMBER)
-        )
-    _check(checks, "slice membership matches the oracle", agree == 30, agree, 30)
+        expected = MEMBER if slice_set.membership(zd) else NON_MEMBER
+        cases.append((sliced, fp.Query(mapd, base, zd, anchor), expected))
+    hits, _ = _ask(cases, config)
+    _check_hits(checks, hits, accepted, 30)
+    _check_hits(checks, hits, rejected, 30)
+    _check_hits(checks, hits, sliced, 30)
     return checks
 
 
@@ -387,9 +383,9 @@ def _exp_cone_lp(config: ExperimentConfig) -> list[CheckResult]:
     space = lp_space(config.p, config.N)
     mapd = cd.cone_projection_map(space)
     rng = _rng(config, 50)
-    sched = config.schedule()
-
-    j_ok = 0
+    images, origin = "duality images are fixed points", "nonnegative duals at the origin are fixed points"
+    matched = "dual-origin membership predicate matches the oracle"
+    cases = []
     for i in range(20):
         mask = rng.random(config.N) > 0.3
         if not mask.any():
@@ -397,24 +393,16 @@ def _exp_cone_lp(config: ExperimentConfig) -> list[CheckResult]:
         f = primal(space, rng.uniform(0.3, 1.5, size=config.N) * mask)
         jf = duality_map(f)
         base = lo.GraphPoint.at_point(mapd, f)
-        verdict = lo.membership_test(mapd, base, jf, jf, sched).verdict
-        j_ok += verdict == lo.Verdict.MEMBER
-    _check(checks, "duality images are fixed points", j_ok == 20, j_ok, 20)
+        cases.append((images, fp.Query(mapd, base, jf, jf), MEMBER))
 
-    theta = PrimalVector.zero(space)
-    base0 = lo.GraphPoint.at_point(mapd, theta)
-    samples0 = lo.sample_base(mapd, base0, sched)
-    psi_ok = 0
+    base0 = lo.GraphPoint.at_point(mapd, PrimalVector.zero(space))
     for i in range(20):
         mask = rng.random(config.N) > 0.3
         if not mask.any():
             mask[0] = True
         psi = dual(space, rng.uniform(0.3, 1.5, size=config.N) * mask)
-        verdict = lo.membership_test(mapd, base0, psi, psi, sched, samples=samples0).verdict
-        psi_ok += verdict == lo.Verdict.MEMBER
-    _check(checks, "nonnegative duals at the origin are fixed points", psi_ok == 20, psi_ok, 20)
+        cases.append((origin, fp.Query(mapd, base0, psi, psi), MEMBER))
 
-    match = 0
     for i in range(40):
         fv = rng.uniform(0.3, 1.5, size=config.N) * rng.choice(
             [-1.0, 0.0, 1.0], size=config.N, p=[0.35, 0.3, 0.35]
@@ -427,13 +415,13 @@ def _exp_cone_lp(config: ExperimentConfig) -> list[CheckResult]:
         pv[(fv < 0.0) & (pv < 0.0)] = 0.0
         f = primal(space, fv)
         phi = dual(space, pv)
-        predicate = cd.coderiv_cone_lp_theta_membership(f, phi)
+        expected = MEMBER if cd.coderiv_cone_lp_theta_membership(f, phi) else NON_MEMBER
         base = lo.GraphPoint.at_point(mapd, f)
-        verdict = lo.membership_test(mapd, base, DualVector.zero(space), phi, sched).verdict
-        match += (predicate and verdict == lo.Verdict.MEMBER) or (
-            not predicate and verdict == lo.Verdict.NON_MEMBER
-        )
-    _check(checks, "dual-origin membership predicate matches the oracle", match == 40, match, 40)
+        cases.append((matched, fp.Query(mapd, base, DualVector.zero(space), phi), expected))
+    hits, _ = _ask(cases, config)
+    _check_hits(checks, hits, images, 20)
+    _check_hits(checks, hits, origin, 20)
+    _check_hits(checks, hits, matched, 40)
     return checks
 
 
@@ -474,10 +462,8 @@ def _exp_l1_cases(config: ExperimentConfig) -> list[CheckResult]:
             f"{limit:.5f}",
             f"{target} +- 5%",
         )
-    sched = config.schedule()
-    samples = lo.sample_base(mapd, base, sched)
     theta = DualVector.zero(space)
-    est = lo.estimate_limsup(mapd, base, theta, theta, sched, samples=samples)
+    est = lo.estimate_limsup(mapd, base, theta, theta, config.schedule())
     _check(
         checks,
         "dual origin is a fixed point with exact zero quotients",
@@ -485,17 +471,19 @@ def _exp_l1_cases(config: ExperimentConfig) -> list[CheckResult]:
         f"{est.verdict.value}, sup {est.extrapolated}",
         "member, sup 0.0",
     )
+    del est  # its trace holds its pass; the queries below draw their own
+    rejected = "nonzero duals are not fixed points"
     rng = _rng(config, 60)
-    reject_ok = 0
+    cases = []
     for i in range(20):
         vals = rng.uniform(0.3, 1.2, size=config.N) * rng.choice([-1.0, 1.0], size=config.N)
         vals *= rng.random(config.N) > 0.4
         if not np.any(vals):
             vals[0] = 0.5
         phi = dual(space, vals)
-        est = lo.membership_test(mapd, base, phi, phi, sched, samples=samples)
-        reject_ok += est.verdict == lo.Verdict.NON_MEMBER
-    _check(checks, "nonzero duals are not fixed points", reject_ok == 20, reject_ok, 20)
+        cases.append((rejected, fp.Query(mapd, base, phi, phi), NON_MEMBER))
+    hits, _ = _ask(cases, config)
+    _check_hits(checks, hits, rejected, 20)
     return checks
 
 
@@ -753,30 +741,24 @@ def _exp_structural(config: ExperimentConfig) -> list[CheckResult]:
             spread_worst = max(spread_worst, float(spread[0]))
     _check(checks, "the three quotient forms agree", spread_worst <= 1e-12, f"{spread_worst:.3e}", "<= 1e-12")
 
-    cone_samples = lo.sample_base(cone_map, lo.GraphPoint.at_point(cone_map, cone_base), sched)
+    cone_point = lo.GraphPoint.at_point(cone_map, cone_base)
     members = []
     for i in range(5):
         y = rng.normal(size=6) * 2.0
         y[2:] = np.abs(y[2:])
         members.append(dual(cone_space, y))
-    probe = fp.convexity_closedness_probe(cone_samples, tuple(members), trials=100, seed=config.seed)
-    _check(
-        checks,
-        "convexity and closedness probe has no violations",
-        not probe.violations,
-        list(probe.violations),
-        "[]",
-    )
-    audit_probe = fp.convexity_closedness_probe(
-        cone_samples, tuple(members[:2]), trials=10, seed=config.seed, mode="audit"
-    )
-    _check(
-        checks,
-        "audited combinations stay members",
-        not audit_probe.violations,
-        list(audit_probe.violations),
-        "[]",
-    )
+    # both probes are one list at the one cone base, so they share one pass
+    registry = fp.convexity_candidates(members, trials=100, seed=config.seed)
+    audit = fp.convexity_candidates(members[:2], trials=10, seed=config.seed)
+    queries = [fp.Query(cone_map, cone_point, cand) for _, cand in registry]
+    queries += [fp.Query(cone_map, cone_point, cand, mode="audit") for _, cand in audit]
+    verdicts = fp.ask(queries, sched)
+    for name, labelled, asked in (
+        ("convexity and closedness probe has no violations", registry, verdicts[: len(registry)]),
+        ("audited combinations stay members", audit, verdicts[len(registry) :]),
+    ):
+        violations = [f"{label}: {v.value}" for (label, _), v in zip(labelled, asked) if v != MEMBER]
+        _check(checks, name, not violations, violations, "[]")
     return checks
 
 

@@ -6,14 +6,18 @@ characterization applies (whole dual space, origin only, or a nonnegativity
 cone over an index set); everything else goes to the sampling oracle. In
 audit mode both run and a contradiction fails loudly.
 
-A query is one candidate asked at one `SamplePass` of the oracle: the map,
-the base, the schedule and every candidate-independent row, shared by all
-candidates asked there. The quotient-form audit checks the pass's finest
-level (`SamplePass.audit`), so it sees the rows the oracle judges.
+A `Query` names a map, a base and the duals to ask about there; `ask` answers
+a list of them, drawing one `SamplePass` of the oracle (the map, the base, the
+schedule and every candidate-independent row) for each run of queries at one
+base and sharing it across that run. The quotient-form audit checks the
+pass's finest level (`SamplePass.audit`), so it sees the rows the oracle
+judges. `convexity_candidates` builds the labelled candidates of the
+convexity and closedness probe, which are asked like any other query.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,7 @@ from .limsup_oracle import (
     Verdict,
     estimate_limsup,
     membership_test,
+    sample_base,
     tolerance_pair,
 )
 from .spaces import (
@@ -52,13 +57,14 @@ from .spaces import (
 __all__ = [
     "FixedPointCharacterization",
     "FixedPointAuditError",
-    "ConvexityProbeReport",
+    "Query",
     "ScalingDirectionReport",
     "registry_rays",
     "registry_verdict",
     "is_fixed_point",
     "quotient_forms_spread",
-    "convexity_closedness_probe",
+    "ask",
+    "convexity_candidates",
     "poly_annihilator",
     "poly_fixed_point_quotient",
     "scaling_direction_report",
@@ -149,59 +155,64 @@ def quotient_forms_spread(ystar: DualVector, rows: AuditRows) -> np.ndarray:
     return np.maximum(np.maximum(np.abs(f1 - f2), np.abs(f1 - f3)), np.abs(f2 - f3))
 
 
-@dataclass(frozen=True)
-class ConvexityProbeReport:
-    combinations_checked: int
-    sequence_checked: int
-    violations: tuple[str, ...]
+@dataclass(frozen=True, eq=False)
+class Query:
+    """One oracle question at a graph point of a map. Without y* it asks
+    whether x* is a fixed point (`is_fixed_point` in `mode`); with y* it asks
+    whether x* lies in the derivative operator's value at y*
+    (`membership_test`, with the registry's rejection rays)."""
+
+    map: MapDescriptor
+    base: GraphPoint
+    xstar: DualVector
+    ystar: DualVector | None = None
+    mode: str = "registry"
 
 
-def convexity_closedness_probe(
-    samples: SamplePass,
-    members: tuple[DualVector, ...],
-    trials: int = 100,
-    seed: int = 0,
-    mode: str = "registry",
-) -> ConvexityProbeReport:
-    """Convexity and closedness probe of the fixed-point set at the base of
-    `samples`: convex combinations of members at t in {0.25, 0.5, 0.75} must
-    stay members, and a geometric interpolation sequence toward a member,
-    together with its limit, must stay members."""
+def ask(queries: Iterable[Query], schedule: SamplingSchedule) -> list[Verdict]:
+    """The verdict of each query, in order. Each run of consecutive queries
+    at one map and base shares one `SamplePass`, drawn when the run starts,
+    after the previous run's pass is released; only verdicts are kept, so no
+    estimate holds on to a pass either."""
+    verdicts: list[Verdict] = []
+    samples = None
+    for q in queries:
+        if samples is None or samples.map is not q.map or samples.base is not q.base:
+            samples = None  # release the previous pass before drawing this one
+            samples = sample_base(q.map, q.base, schedule)
+        if q.ystar is None:
+            verdicts.append(is_fixed_point(samples, q.xstar, q.mode))
+        else:
+            rays = registry_rays(q.map, q.base, q.xstar, q.ystar)
+            # keep the verdict alone: an estimate's trace holds the pass's rows
+            verdicts.append(
+                membership_test(q.map, q.base, q.xstar, q.ystar, schedule, rays, samples=samples).verdict
+            )
+    return verdicts
+
+
+def convexity_candidates(
+    members: Sequence[DualVector], trials: int = 100, seed: int = 0
+) -> list[tuple[str, DualVector]]:
+    """Labelled candidates of the convexity and closedness probe of a
+    fixed-point set that holds `members`: convex combinations of random
+    member pairs at t in {0.25, 0.5, 0.75}, then a geometric interpolation
+    sequence toward the first member, and that member as its limit. Each
+    must be a fixed point too."""
     if len(members) < 2:
         raise ValueError("need at least two members to combine")
     rng = np.random.default_rng(seed)
-    violations: list[str] = []
     weights = (0.25, 0.5, 0.75)
-    combos = 0
+    candidates = []
     for trial in range(trials):
         i, j = rng.integers(0, len(members), size=2)
         t = weights[trial % len(weights)]
         combo = t * members[int(i)] + (1.0 - t) * members[int(j)]
-        verdict = is_fixed_point(samples, combo, mode=mode)
-        combos += 1
-        if verdict != Verdict.MEMBER:
-            violations.append(f"combination trial {trial}: {verdict.value}")
-    return _probe_sequence(samples, members, mode, combos, violations)
-
-
-def _probe_sequence(samples, members, mode, combos, violations):
+        candidates.append((f"combination trial {trial}", combo))
     target, other = members[0], members[-1]
-    seq_checked = 0
-    for k in range(1, 7):
-        z = target + (2.0**-k) * (other - target)
-        verdict = is_fixed_point(samples, z, mode=mode)
-        seq_checked += 1
-        if verdict != Verdict.MEMBER:
-            violations.append(f"sequence step {k}: {verdict.value}")
-    limit_verdict = is_fixed_point(samples, target, mode=mode)
-    seq_checked += 1
-    if limit_verdict != Verdict.MEMBER:
-        violations.append(f"sequence limit: {limit_verdict.value}")
-    return ConvexityProbeReport(
-        combinations_checked=combos,
-        sequence_checked=seq_checked,
-        violations=tuple(violations),
-    )
+    candidates += [(f"sequence step {k}", target + (2.0**-k) * (other - target)) for k in range(1, 7)]
+    candidates.append(("sequence limit", target))
+    return candidates
 
 # ---------------------------------------------------------------------------
 # polynomial projection fixed points

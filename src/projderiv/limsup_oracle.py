@@ -428,12 +428,6 @@ def _ray_starts(mapd: MapDescriptor, base: GraphPoint, directions: np.ndarray) -
     yet in the branch. NaN where the ray leaves the branch at every tested
     scale, or where its first probe is not finite (a later probe lies
     between x and the first, so it is finite).
-
-    A ball or l_1 probe's sphere side comes from its row norm
-    (`MapDescriptor.same_branch`), which can differ in the last bit from the
-    scalar `norm` of the same point. A probe whose norm lies within that bit
-    of the SPHERE_BAND edge can therefore take another side than a scalar
-    branch test gives it, and its start move by one halving.
     """
     x = base.x.values
     starts = np.full(len(directions), np.nan)

@@ -215,7 +215,7 @@ class _Vector:
     def _norm(self) -> float:
         kind = self.space.kind
         if kind == KIND_LP:
-            return _lp_scalar(self.values, self.space.p)
+            return _lp_norms(self.values[None, :], self.space.p).item()
         if kind == KIND_L1:
             return float(np.sum(np.abs(self.values)))
         return float(np.max(np.abs(self.values)))
@@ -224,7 +224,7 @@ class _Vector:
     def _dual_norm(self) -> float:
         kind = self.space.kind
         if kind == KIND_LP:
-            return _lp_scalar(self.values, self.space.q)
+            return _lp_norms(self.values[None, :], self.space.q).item()
         if kind == KIND_L1:
             return float(np.max(np.abs(self.values)))
         idx = np.flatnonzero(self.values)
@@ -327,14 +327,21 @@ def _lp_rescaled(mags: np.ndarray, p: float) -> np.ndarray:
     return peaks * _lp(mags / peaks[..., None], p)
 
 
-def _lp_scalar(values: np.ndarray, p: float) -> float:
+def _lp_norms(rows: np.ndarray, p: float) -> np.ndarray:
+    """The p-norm of each row of a (..., size) array: the plain power sum,
+    or `_lp_rescaled` for the rows where it underflows to 0 or overflows.
+    The one p-norm formula; a vector's norm is this on a row of one, so a
+    point has the same norm as a vector and as a row."""
     with np.errstate(over="ignore"):
-        n = float(_lp(np.abs(values), p))
-    if 0.0 < n < math.inf:
-        return n
-    if not values.any():
-        return 0.0
-    return float(_lp_rescaled(np.abs(values), p))
+        norms = _lp(np.abs(rows), p)
+    # a vector's norm, often that of a zero vector, is checked without a reduction
+    if norms.size == 1:
+        plain = 0.0 < norms.item() < math.inf or not rows.any()
+    else:
+        plain = norms.all() and math.isfinite(norms.sum())
+    if plain:
+        return norms
+    return np.where((norms > 0.0) & (norms < np.inf), norms, _lp_rescaled(np.abs(rows), p))
 
 
 def norm(v: PrimalVector) -> float:
@@ -348,11 +355,7 @@ def norm_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
     axis."""
     rows = np.asarray(rows, dtype=float)
     if space.kind == KIND_LP:
-        with np.errstate(over="ignore"):
-            norms = _lp(np.abs(rows), space.p)
-        if norms.all() and math.isfinite(norms.sum()):
-            return norms
-        return np.where((norms > 0.0) & (norms < np.inf), norms, _lp_rescaled(np.abs(rows), space.p))
+        return _lp_norms(rows, space.p)
     if space.kind == KIND_L1:
         return np.sum(np.abs(rows), axis=-1)
     return np.max(np.abs(rows), axis=-1)

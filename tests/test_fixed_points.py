@@ -1,15 +1,20 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from projderiv.coderivatives import (
+    CONE_PROJ,
     ORACLE_ONLY,
     ORIGIN_ONLY,
     POSITIVE_CONE_DUAL,
     WHOLE_DUAL,
+    MapDescriptor,
     affine_map,
     ball_projection_map,
+    coderiv_ball_lp,
     cone_projection_map,
     l1_ball_projection_map,
     poly_projection_map,
@@ -17,15 +22,25 @@ from projderiv.coderivatives import (
 from projderiv import fixed_points
 from projderiv.fixed_points import (
     FixedPointAuditError,
-    convexity_closedness_probe,
+    Query,
+    ask,
+    convexity_candidates,
     is_fixed_point,
     poly_annihilator,
     poly_fixed_point_quotient,
     quotient_forms_spread,
+    registry_rays,
     registry_verdict,
     scaling_direction_report,
 )
-from projderiv.limsup_oracle import AuditRows, GraphPoint, SamplingSchedule, Verdict, sample_base
+from projderiv.limsup_oracle import (
+    AuditRows,
+    GraphPoint,
+    SamplingSchedule,
+    Verdict,
+    membership_test,
+    sample_base,
+)
 from projderiv.spaces import (
     DualVector,
     PrimalVector,
@@ -36,6 +51,7 @@ from projderiv.spaces import (
     duality_map,
     l1_space,
     lp_space,
+    norm,
     pairing,
     primal,
 )
@@ -255,12 +271,90 @@ def test_convexity_probe_whole_dual(rng):
     ballm = ball_projection_map(L24, 1.0)
     base = GraphPoint.at_point(ballm, primal(L24, [0.1, 0.2, 0, 0]))
     members = tuple(dual(L24, rng.normal(size=4)) for _ in range(4))
-    samples = sample_base(ballm, base, SamplingSchedule(seed=3))
-    report = convexity_closedness_probe(samples, members, trials=30, seed=0)
-    assert report.violations == ()
-    assert report.combinations_checked == 30
+    labelled = convexity_candidates(members, trials=30, seed=0)
+    labels = [label for label, _ in labelled]
+    steps = [f"sequence step {k}" for k in range(1, 7)]
+    assert labels == [*(f"combination trial {t}" for t in range(30)), *steps, "sequence limit"]
+    assert labelled[-1][1] is members[0]
+    for mode in ("registry", "oracle"):
+        queries = [Query(ballm, base, cand, mode=mode) for _, cand in labelled]
+        assert ask(queries, SamplingSchedule(seed=3)) == [Verdict.MEMBER] * 37
     with pytest.raises(ValueError):
-        convexity_closedness_probe(samples, members[:1], trials=5)
+        convexity_candidates(members[:1], trials=5)
+
+
+def _runner_queries():
+    """One mixed list over two bases and back: fixed-point queries in the
+    registry, oracle and audit modes, and membership queries with y*."""
+    ballm = ball_projection_map(L24, 1.0)
+    exterior = GraphPoint.at_point(ballm, primal(L24, [2.0, 0.5, 0, 0]))
+    cone = cone_projection_map(L24)
+    positive = GraphPoint.at_point(cone, primal(L24, [1.0, 2.0, 0, 0]))
+    ystar = dual(L24, [0.3, -0.2, 0.5, 0.1])
+    image = coderiv_ball_lp(exterior.x, 1.0, ystar).point
+    off_support = dual(L24, [0.5, -0.3, 0.2, 0.7])
+    return [
+        Query(ballm, exterior, dual(L24, [0.4, 0.1, 0, 0]), mode="oracle"),
+        Query(ballm, exterior, image, ystar),
+        Query(ballm, exterior, image + dual(L24, [0.02, 0.0, 0.0, 0.0]), ystar),
+        Query(ballm, exterior, DualVector.zero(L24), mode="audit"),
+        Query(cone, positive, off_support),
+        Query(cone, positive, dual(L24, [0.5, -0.3, -0.4, 0.7]), mode="audit"),
+        Query(cone, positive, off_support, off_support),
+        Query(ballm, exterior, dual(L24, [-0.6, 0.2, 0.1, 0]), mode="registry"),
+    ]
+
+
+def test_ask_matches_direct_calls_and_draws_one_pass_per_base_run(monkeypatch):
+    sched = SamplingSchedule(seed=11, dirs_per_level=16)
+    queries = _runner_queries()
+    direct = []
+    for q in queries:
+        if q.ystar is None:
+            direct.append(is_fixed_point(sample_base(q.map, q.base, sched), q.xstar, q.mode))
+        else:
+            rays = registry_rays(q.map, q.base, q.xstar, q.ystar)
+            direct.append(membership_test(q.map, q.base, q.xstar, q.ystar, sched, rays).verdict)
+    assert {Verdict.MEMBER, Verdict.NON_MEMBER} <= set(direct)
+    # the registry's ray rejects the perturbed image; sampling alone cannot
+    near = queries[2]
+    assert direct[2] == Verdict.NON_MEMBER
+    assert membership_test(near.map, near.base, near.xstar, near.ystar, sched).verdict == Verdict.INDETERMINATE
+    # each pass, and the rows an estimate's trace shares with it, must be
+    # gone when the next pass is drawn
+    drawn = []
+
+    def tracked(mapd, base, schedule):
+        assert all(ref() is None for ref in drawn)
+        samples = sample_base(mapd, base, schedule)
+        drawn.extend((weakref.ref(samples), weakref.ref(samples.us)))
+        return samples
+
+    monkeypatch.setattr(fixed_points, "sample_base", tracked)
+    assert ask(queries, sched) == direct
+    assert len(drawn) == 2 * 3  # the exterior ball base, the cone base, the ball base again
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_an_audit_at_the_cone_origin_sees_the_sign_of_a_dual(p, monkeypatch):
+    # the registry calls a dual at the cone origin a fixed point only if it
+    # is nonnegative; a mixed-sign one goes to the oracle, which rejects it.
+    # A registry that forgets the sign condition contradicts the oracle.
+    space = lp_space(p, 4)
+    cone = cone_projection_map(space)
+    origin = GraphPoint.at_point(cone, PrimalVector.zero(space))
+    query = Query(cone, origin, dual(space, [0.5, -0.7, 0.2, 0.0]), mode="audit")
+    sched = SamplingSchedule(seed=7)
+    assert ask([query], sched) == [Verdict.NON_MEMBER]
+    known_member = MapDescriptor.known_member
+
+    def without_the_sign_condition(self, base, cand):
+        at_origin = self.kind == CONE_PROJ and self.space.kind == "Lp" and norm(base.x) == 0.0
+        return known_member(self, base, cand) or at_origin
+
+    monkeypatch.setattr(MapDescriptor, "known_member", without_the_sign_condition)
+    with pytest.raises(FixedPointAuditError, match="contradicts the closed form member"):
+        ask([query], sched)
 
 
 def test_poly_annihilator_structure():

@@ -554,33 +554,36 @@ def test_the_batched_ray_starts_equal_a_per_ray_halving_loop():
 
 
 def test_a_ball_probe_on_the_band_edge_takes_the_side_of_its_row_norm():
-    # the row and scalar p-norms of one probe can differ in the last bit;
-    # with the band edge between them, the start follows the row norm and is
-    # one halving away from the start a scalar branch test gives
+    # a point's norm is the row norm of a row of one, so the two agree bit
+    # for bit; with the band edge just at or just past a probe's norm, the
+    # row branch test, the scalar side and a scalar halving loop agree
     space = lp_space(3.0, 5)
     x = primal(space, [0.1, -0.2, 0.05, 0.0, 0.15])
     rng = np.random.default_rng(0)
+    probes = []
     for _ in range(100):
         d = primal(space, 40.0 * rng.normal(size=5))
         probe = x + RAY_T0 * d
-        scalar, row = norm(probe), norm_rows(space, probe.values[None, :])[0]
-        if scalar != row:
-            break
-    assert scalar > row and scalar < 1.0
-    # the one radius below 1 whose band edge lies between the two norms
-    radius = row - SPHERE_BAND
-    while not row - radius <= SPHERE_BAND:
+        assert norm(probe) == norm_rows(space, probe.values[None, :])[0]
+        probes.append((d, probe))
+    d, probe = next((d, probe) for d, probe in probes if 0.5 < norm(probe) < 1.0)
+    n = norm(probe)
+    # the smallest radius below 1 whose band holds the probe's norm
+    radius = n - SPHERE_BAND
+    while not n - radius <= SPHERE_BAND:
         radius = np.nextafter(radius, np.inf)
-    while not SPHERE_BAND < scalar - radius:
+    while n - np.nextafter(radius, -np.inf) <= SPHERE_BAND:
         radius = np.nextafter(radius, -np.inf)
-    assert row - radius <= SPHERE_BAND < scalar - radius
-    mapd = ball_projection_map(space, float(radius))
-    base = GraphPoint.at_point(mapd, x)
-    assert limsup_oracle._ray_starts(mapd, base, d.values[None, :]).tolist() == [RAY_T0]
-    t = RAY_T0
-    while norm(x + t * d) - radius > SPHERE_BAND:
-        t *= 0.5
-    assert t == 0.5 * RAY_T0
+    for r, on_sphere in ((radius, True), (np.nextafter(radius, -np.inf), False)):
+        mapd = ball_projection_map(space, float(r))
+        assert (mapd._side(probe) <= 0) == on_sphere
+        assert mapd.same_branch(x, probe.values[None, :]).tolist() == [on_sphere]
+        t = RAY_T0
+        while mapd._side(x + t * d) > 0:
+            t *= 0.5
+        assert t == (RAY_T0 if on_sphere else 0.5 * RAY_T0)
+        base = GraphPoint.at_point(mapd, x)
+        assert limsup_oracle._ray_starts(mapd, base, d.values[None, :]).tolist() == [t]
 
 
 def test_rays_that_never_start_are_skipped_and_raise_alone():
