@@ -271,7 +271,10 @@ def _unit_functional(v: PrimalVector) -> DualVector:
     if nv == 0.0:
         return DualVector.zero(v.space)
     j = duality_map_l1_selection(v) if v.space.kind == KIND_L1 else duality_map(v)
-    return j * (1.0 / nv)
+    scale = 1.0 / nv
+    if scale == math.inf:  # a subnormal norm, whose reciprocal overflows
+        return DualVector(v.space, j.values / nv)
+    return j * scale
 
 
 def projection_gap(mapd: MapDescriptor, x: PrimalVector, y: PrimalVector) -> float:

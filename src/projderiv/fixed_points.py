@@ -9,16 +9,25 @@ audit mode both run and a contradiction fails loudly.
 A `Query` names a map, a base and the duals to ask about there; `ask` answers
 a list of them, drawing one `SamplePass` of the oracle (the map, the base, the
 schedule and every candidate-independent row) for each run of queries at one
-base and sharing it across that run. The quotient-form audit checks the
-pass's finest level (`SamplePass.audit`), so it sees the rows the oracle
-judges. `convexity_candidates` builds the labelled candidates of the
-convexity and closedness probe, which are asked like any other query.
+base and sharing it across that run. The oracle answers a run in array
+passes over its stacked candidates (`_oracle_pass` for the fixed-point
+queries, `limsup_oracle.membership_batch` for the others), bit for bit what
+each candidate gets when asked alone; each fixed-point query is then settled
+by its own `is_fixed_point` call, in order. The quotient-form audit checks
+the pass's finest level (`SamplePass.audit`), so it sees the rows the oracle
+judges, with the stacked pairing `spaces.pairing_stack`. The registry's
+rejection rays are built per candidate by the vector functions: a row form
+of `spaces._duality_values` would have to keep its scalar power per row, as
+numpy's scalar and array `**` round differently. `convexity_candidates`
+builds the labelled candidates of the convexity and closedness probe, which
+are asked like any other query.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -30,6 +39,7 @@ from .coderivatives import (
     poly_projection_map,
 )
 from .limsup_oracle import (
+    Answer,
     AuditRows,
     GraphPoint,
     LimsupEstimate,
@@ -37,7 +47,8 @@ from .limsup_oracle import (
     SamplingSchedule,
     Verdict,
     estimate_limsup,
-    membership_test,
+    membership_batch,
+    membership_test,  # not called here; the benchmark's tracer wraps this binding too
     sample_base,
     tolerance_pair,
 )
@@ -52,6 +63,7 @@ from .spaces import (
     norming_direction,
     pairing,
     pairing_rows,
+    pairing_stack,
 )
 
 __all__ = [
@@ -107,7 +119,13 @@ def registry_verdict(mapd: MapDescriptor, base: GraphPoint, candidate: DualVecto
     return Verdict.MEMBER if mapd.known_member(base, candidate) else None
 
 
-def is_fixed_point(samples: SamplePass, candidate: DualVector, mode: str = "registry") -> Verdict:
+def is_fixed_point(
+    samples: SamplePass,
+    candidate: DualVector,
+    mode: str = "registry",
+    *,
+    oracle: tuple[float, Answer] | None = None,
+) -> Verdict:
     """Membership of the candidate in its own derivative-operator value at
     the base of `samples`.
 
@@ -115,33 +133,46 @@ def is_fixed_point(samples: SamplePass, candidate: DualVector, mode: str = "regi
     sampling only (registry still aims rejection rays). mode "audit": run
     both, raise `FixedPointAuditError` on contradiction, and return the
     oracle's verdict, so an indeterminate one shows.
+
+    `oracle` is the candidate's entry of `_oracle_pass` over its run of
+    queries (`ask`): its largest quotient-form spread and its oracle answer.
+    Without it, a query that needs the oracle is a batch of one.
     """
     if mode not in ("registry", "oracle", "audit"):
         raise ValueError(f"unknown mode {mode!r}")
-    mapd, base = samples.map, samples.base
-    exact = None if mode == "oracle" else registry_verdict(mapd, base, candidate)
+    exact = None if mode == "oracle" else registry_verdict(samples.map, samples.base, candidate)
     if mode == "registry" and exact is not None:
         return exact
-    _check_quotient_forms(candidate, samples.audit)
-    rays = registry_rays(mapd, base, candidate, candidate)
-    estimate = membership_test(mapd, base, candidate, candidate, samples.schedule, rays, samples=samples)
-    if mode == "audit" and exact is not None:
-        opposite = {Verdict.MEMBER: Verdict.NON_MEMBER, Verdict.NON_MEMBER: Verdict.MEMBER}
-        if estimate.verdict == opposite[exact]:
-            raise FixedPointAuditError(
-                f"oracle verdict {estimate.verdict.value} contradicts the "
-                f"closed form {exact.value} (extrapolated {estimate.extrapolated:.3e})"
-            )
-    return estimate.verdict
-
-
-def _check_quotient_forms(candidate: DualVector, rows: AuditRows) -> None:
-    """The three equal quotient forms must agree to 1e-12 scale on the audit
-    rows; a violation means the pairing arithmetic broke."""
+    spread, answer = oracle or _oracle_pass(samples, [candidate])[0]
     scale = 1.0 + dual_norm(candidate)
-    spread = float(np.max(quotient_forms_spread(candidate, rows)))
     if spread > 1e-12 * scale:
         raise FixedPointAuditError(f"quotient forms disagree by {spread:.3e} at scale {scale:.3e}")
+    if mode == "audit" and exact is not None:
+        opposite = {Verdict.MEMBER: Verdict.NON_MEMBER, Verdict.NON_MEMBER: Verdict.MEMBER}
+        if answer.verdict == opposite[exact]:
+            raise FixedPointAuditError(
+                f"oracle verdict {answer.verdict.value} contradicts the "
+                f"closed form {exact.value} (extrapolated {answer.extrapolated:.3e})"
+            )
+    return answer.verdict
+
+
+def _oracle_pass(samples: SamplePass, candidates: Sequence[DualVector]) -> list[tuple[float, Answer]]:
+    """What the oracle says about each candidate as a fixed point at the
+    base of `samples`, in one array pass over the candidates: the largest
+    spread of its three quotient forms on the audit rows (`SamplePass.audit`;
+    more than 1e-12 scale means the pairing arithmetic broke), and its
+    `membership_batch` answer with the registry's rejection rays."""
+    if not candidates:
+        return []
+    mapd, base = samples.map, samples.base
+    stacked = np.stack([w.values for w in candidates])
+    # every candidate's spreads at once, each row bit for bit its own
+    # `quotient_forms_spread` (`pairing_stack`)
+    spreads = _forms_spread(lambda rows: pairing_stack(mapd.space, stacked, rows[None]), samples.audit)
+    rays = [registry_rays(mapd, base, w, w) for w in candidates]
+    answers = membership_batch(samples, candidates, candidates, rays)
+    return list(zip(spreads.max(axis=-1).tolist(), answers))
 
 
 def quotient_forms_spread(ystar: DualVector, rows: AuditRows) -> np.ndarray:
@@ -149,9 +180,15 @@ def quotient_forms_spread(ystar: DualVector, rows: AuditRows) -> np.ndarray:
     forms of the fixed-point criterion at each audit row: pairing the
     increments separately, pairing their difference, and pairing the
     residual shift (u - v) - (x - y)."""
-    f1 = (pairing_rows(ystar, rows.du) - pairing_rows(ystar, rows.dv)) / rows.den
-    f2 = pairing_rows(ystar, rows.du_minus_dv) / rows.den
-    f3 = pairing_rows(ystar, rows.shift) / rows.den
+    return _forms_spread(lambda increments: pairing_rows(ystar, increments), rows)
+
+
+def _forms_spread(pair, rows: AuditRows) -> np.ndarray:
+    """`quotient_forms_spread` with the pairing `pair` of the audit rows'
+    increments: one dual's, or a stack of duals' (one leading axis more)."""
+    f1 = (pair(rows.du) - pair(rows.dv)) / rows.den
+    f2 = pair(rows.du_minus_dv) / rows.den
+    f3 = pair(rows.shift) / rows.den
     return np.maximum(np.maximum(np.abs(f1 - f2), np.abs(f1 - f3)), np.abs(f2 - f3))
 
 
@@ -173,22 +210,45 @@ def ask(queries: Iterable[Query], schedule: SamplingSchedule) -> list[Verdict]:
     """The verdict of each query, in order. Each run of consecutive queries
     at one map and base shares one `SamplePass`, drawn when the run starts,
     after the previous run's pass is released; only verdicts are kept, so no
-    estimate holds on to a pass either."""
+    estimate holds on to a pass either.
+
+    The oracle answers a run in array passes over its candidates, one for
+    the fixed-point queries that need it (`_oracle_pass`) and one for the
+    membership queries (`membership_batch`). Each fixed-point query is then
+    settled by its own `is_fixed_point` call, in order, so the first query
+    that fails raises.
+    """
     verdicts: list[Verdict] = []
     samples = None
-    for q in queries:
-        if samples is None or samples.map is not q.map or samples.base is not q.base:
-            samples = None  # release the previous pass before drawing this one
-            samples = sample_base(q.map, q.base, schedule)
-        if q.ystar is None:
-            verdicts.append(is_fixed_point(samples, q.xstar, q.mode))
-        else:
-            rays = registry_rays(q.map, q.base, q.xstar, q.ystar)
-            # keep the verdict alone: an estimate's trace holds the pass's rows
-            verdicts.append(
-                membership_test(q.map, q.base, q.xstar, q.ystar, schedule, rays, samples=samples).verdict
-            )
+    for (mapd, base), run in groupby(queries, key=lambda q: (q.map, q.base)):
+        samples = None  # release the previous pass before drawing this one
+        samples = sample_base(mapd, base, schedule)
+        verdicts += _ask_run(samples, list(run))
     return verdicts
+
+
+def _ask_run(samples: SamplePass, run: list[Query]) -> list[Verdict]:
+    """The verdicts of a run of queries at the base of `samples`, in order."""
+    mapd, base = samples.map, samples.base
+    fixed = [q for q in run if q.ystar is None and _needs_oracle(q)]
+    checked = dict(zip(fixed, _oracle_pass(samples, [q.xstar for q in fixed])))
+    members = [q for q in run if q.ystar is not None]
+    rays = [registry_rays(mapd, base, q.xstar, q.ystar) for q in members]
+    answers = membership_batch(samples, [q.xstar for q in members], [q.ystar for q in members], rays)
+    answered = dict(zip(members, answers))
+    return [
+        answered[q].verdict if q.ystar is not None
+        else is_fixed_point(samples, q.xstar, q.mode, oracle=checked.get(q))
+        for q in run
+    ]
+
+
+def _needs_oracle(query: Query) -> bool:
+    """Whether a fixed-point query needs the oracle: in the oracle and audit
+    modes always, in the registry mode where no closed form settles it."""
+    if query.mode == "registry":
+        return registry_verdict(query.map, query.base, query.xstar) is None
+    return query.mode in ("oracle", "audit")
 
 
 def convexity_candidates(

@@ -32,19 +32,35 @@ Their norms do, and a schedule keeps them per space it has sampled, so each
 pass only divides the block by them, scales and shifts. A query's directed
 rays are evaluated together: one halving loop finds every ray's start,
 probing as rows only the rays not yet in the base branch, and their limits
-are one stacked array of rows. The quotient-form audit of
-`fixed_points` checks the same pass: its rows are the finest level's
-(`SamplePass.audit`). A pass is immutable and its arrays are read only, so
-sharing it cannot leak state from one estimate into another.
+are one stacked array of rows. The kink rays do not depend on the duals
+either, so a pass builds their rows once (`SamplePass.kink_rows`). The
+quotient-form audit of `fixed_points` checks the same pass: its rows are the
+finest level's (`SamplePass.audit`). A pass is immutable and its arrays are
+read only, so sharing it cannot leak state from one estimate into another.
+
+`membership_batch` answers many candidates at one pass in one array pass:
+their duals are stacked into (m, size) arrays, each block of levels keeps
+only every candidate's per-level suprema (the `QUOTIENT_BLOCK` bound holds
+on the candidate axis too), and the rays of every candidate share one
+halving loop and one stacked pass of rows. `estimate_limsup`,
+`membership_test` and `directed_ray_limit` are batches of one through the
+same code (`_quotients`, `_fold_rays`), so a batch gives each candidate its
+one-call numbers bit for bit. That rests on two rules. Products are
+`spaces.pairing_stack`, a stacked matmul whose slices are the per-dual
+matrix-vector products; a gemm over the candidates rounds differently. And
+the folding of ray limits keeps Python's left-to-right max per candidate,
+with its rays in their one-call order.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +73,8 @@ from .spaces import (
     norm,
     norm_rows,
     norming_direction,
-    pairing_rows,
+    pairing_rows,  # not called here; the benchmark's tracer wraps this binding too
+    pairing_stack,
 )
 
 __all__ = [
@@ -74,6 +91,8 @@ __all__ = [
     "estimate_limsup",
     "directed_ray_limit",
     "membership_test",
+    "Answer",
+    "membership_batch",
     "trace_to_csv",
 ]
 
@@ -175,6 +194,18 @@ class SamplePass:
         use."""
         return AuditRows.at(self.base, self.us[-1], self.vs[-1])
 
+    @cached_property
+    def kink_rows(self) -> _RayRows:
+        """The rows of the map's kink rays (`MapDescriptor.kink_rays`) that
+        start in the base branch, in their order, built on first use. Like
+        the sampled rows they do not depend on the candidate; only the
+        numerators do. Defined for maps with kink rays only."""
+        directions = np.stack([ray.values for ray in self.map.kink_rays])
+        rows = _started_rays(self.map, self.base, directions)[1]
+        for array in rows:
+            array.flags.writeable = False
+        return rows
+
 
 @dataclass(frozen=True, eq=False)
 class AuditRows:
@@ -272,16 +303,45 @@ def _row_quotients(
     ystar: DualVector,
     dens: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The defining ratio at each sampled graph point, a row of `us` and the
-    same row of `vs` (arrays of shape (..., size)), the one quotient formula;
-    `dens` replaces the plain denominators ||u - x|| + ||v - y||."""
-    du = us - base.x.values[None, :]
-    dv = vs - base.y.values[None, :]
-    nums = pairing_rows(xstar, du) - pairing_rows(ystar, dv)
+    """The defining ratio of one candidate at each sampled graph point, a row
+    of `us` and the same row of `vs` (arrays of shape (..., size)): a batch
+    of one of `_quotients`. `dens` replaces the plain denominators
+    ||u - x|| + ||v - y||."""
+    du, dv, dens = _increments(base, us, vs, dens)
+    return _quotients(base.x.space, xstar.values[None], ystar.values[None], du[None], dv[None], dens)[0]
+
+
+def _increments(
+    base: GraphPoint, us: np.ndarray, vs: np.ndarray, dens: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate-independent parts of the quotient at sampled graph
+    points (us, vs): the increments du = u - x and dv = v - y, and the
+    denominators, ||du|| + ||dv|| unless `dens` is given. A row at the base
+    is a ZeroDivisionError."""
+    du = us - base.x.values
+    dv = vs - base.y.values
     if dens is None:
         dens = norm_rows(base.x.space, du) + norm_rows(base.x.space, dv)
     if not dens.all():
         raise ZeroDivisionError("sample coincides with the base point")
+    return du, dv, dens
+
+
+def _quotients(
+    space: SpaceSpec,
+    xstars: np.ndarray,
+    ystars: np.ndarray,
+    du: np.ndarray,
+    dv: np.ndarray,
+    dens: np.ndarray,
+) -> np.ndarray:
+    """The defining ratio ( <x*, du> - <y*, dv> ) / den of m candidates, the
+    rows of the (m, size) arrays `xstars` and `ystars`, at increment rows of
+    shape (k, ..., size) shared by all of them (k = 1) or one block per
+    candidate (k = m): shape (m, ...). The one quotient formula; its
+    products are `pairing_stack`, so each candidate's quotients are those of
+    a batch of one, bit for bit."""
+    nums = pairing_stack(space, xstars, du) - pairing_stack(space, ystars, dv)
     return nums / dens
 
 
@@ -340,10 +400,32 @@ def sample_base(mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedul
     return SamplePass(mapd, base, schedule, radii, us, vs, dens)
 
 
-# Largest stacked block of sample entries (levels x rows x size) whose
-# quotients `estimate_limsup` evaluates in one call; a larger block would
-# raise the peak memory of the wide and fine-grid passes.
+# Largest stacked block of sample entries (levels x rows x size), and of
+# quotients (candidates x levels x rows), that the sampled estimates evaluate
+# in one call; a larger block would raise the peak memory of the wide and
+# fine-grid passes.
 QUOTIENT_BLOCK = 2**14
+
+
+def _level_blocks(samples: SamplePass, candidates: int) -> list[slice]:
+    """Runs of consecutive levels whose sample entries, and whose quotients
+    of `candidates` candidates, stay within QUOTIENT_BLOCK; one level where a
+    level alone is larger."""
+    levels, rows, size = samples.us.shape
+    step = max(1, QUOTIENT_BLOCK // (rows * max(size, candidates)))
+    return [slice(lo, lo + step) for lo in range(0, levels, step)]
+
+
+def _checked_pass(
+    mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedule, samples: SamplePass | None
+) -> SamplePass:
+    """`samples`, or a pass drawn for this call; a pass drawn for another
+    map, base or schedule is a ValueError."""
+    if samples is None:
+        return sample_base(mapd, base, schedule)
+    if samples.map is not mapd or samples.base is not base or samples.schedule != schedule:
+        raise ValueError("the sample pass was drawn for another map, base or schedule")
+    return samples
 
 
 def estimate_limsup(
@@ -360,14 +442,9 @@ def estimate_limsup(
     Deterministic for a fixed seed, bit for bit on the trace, and the same
     whether `samples` is shared or drawn for this call. A pass drawn for
     another map, base or schedule is a ValueError."""
-    if samples is None:
-        samples = sample_base(mapd, base, schedule)
-    elif samples.map is not mapd or samples.base is not base or samples.schedule != schedule:
-        raise ValueError("the sample pass was drawn for another map, base or schedule")
+    samples = _checked_pass(mapd, base, schedule, samples)
     quotients = np.empty(samples.dens.shape)
-    step = max(1, QUOTIENT_BLOCK // samples.us[0].size)
-    for lo in range(0, schedule.levels, step):
-        block = slice(lo, lo + step)
+    for block in _level_blocks(samples, 1):
         quotients[block] = _row_quotients(
             base, samples.us[block], samples.vs[block], xstar, ystar, samples.dens[block]
         )
@@ -383,6 +460,19 @@ def estimate_limsup(
         tol_accept=tol_accept,
         tol_reject=tol_reject,
     )
+
+
+def _sampled_limsups(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray) -> np.ndarray:
+    """`estimate_limsup(...).extrapolated` of each candidate, the rows of the
+    (m, size) arrays `xstars` and `ystars`, without the trace: the quotients
+    are reduced to per-level suprema one block of levels at a time."""
+    space, base = samples.map.space, samples.base
+    sups = np.empty((len(xstars), samples.schedule.levels))
+    for block in _level_blocks(samples, len(xstars)):
+        du, dv, dens = _increments(base, samples.us[block], samples.vs[block], samples.dens[block])
+        sups[:, block] = _quotients(space, xstars, ystars, du[None], dv[None], dens).max(axis=-1)
+    # Python's max(sups[-2:]): the finest level only where it is larger
+    return np.where(sups[:, -1] > sups[:, -2], sups[:, -1], sups[:, -2])
 
 
 # Directed rays start at t = RAY_T0 (or the first halving of it that stays
@@ -417,8 +507,8 @@ def directed_ray_limit(
         raise ValueError("ray leaves the base branch at every tested scale, or its probe is not finite")
     if split_l1_denominator and mapd.kind != L1_BALL_PROJ:
         raise ValueError("the split denominator applies to the l_1 ball projection")
-    limits = _ray_limits(mapd, base, xstar, ystar, t_starts, directions, split_l1_denominator)
-    return float(limits[0])
+    rows = _ray_rows(mapd, base, t_starts, directions, split_l1_denominator)
+    return float(_richardson(_quotients(mapd.space, xstar.values[None], ystar.values[None], *rows))[0])
 
 
 def _ray_starts(mapd: MapDescriptor, base: GraphPoint, directions: np.ndarray) -> np.ndarray:
@@ -448,19 +538,26 @@ def _ray_starts(mapd: MapDescriptor, base: GraphPoint, directions: np.ndarray) -
     return starts
 
 
-def _ray_limits(
+class _RayRows(NamedTuple):
+    """The candidate-independent rows of directed rays, indexed [ray, step]:
+    the increments du = u - x and dv = v - y (shape (rays, RAY_STEPS, size))
+    and the quotient denominators (shape (rays, RAY_STEPS))."""
+
+    du: np.ndarray
+    dv: np.ndarray
+    dens: np.ndarray
+
+
+def _ray_rows(
     mapd: MapDescriptor,
     base: GraphPoint,
-    xstar: DualVector,
-    ystar: DualVector,
     t_starts: np.ndarray,
     directions: np.ndarray,
     split_l1_denominator: bool = False,
-) -> np.ndarray:
-    """`directed_ray_limit` of each (t_starts[i], directions[i]) ray, all
-    rays in one stacked pass: rows indexed [ray, step], one `value_batch`
-    over every row, and numerators as one stacked product, which rounds like
-    the per-ray product (a flattened one would not)."""
+) -> _RayRows:
+    """The rows of each (t_starts[i], directions[i]) ray: RAY_STEPS points
+    from its start, shrinking by RAY_RATIO, all rays in one stacked pass with
+    one `value_batch` over every row."""
     ts = t_starts[:, None] * RAY_RATIO ** np.arange(RAY_STEPS)
     offsets = ts[:, :, None] * directions[:, None, :]
     us = base.x.values + offsets
@@ -475,20 +572,80 @@ def _ray_limits(
         rescale_parts = (scales - r / norm(base.x))[:, :, None] * base.x.values
         dens = norm_rows(space, offsets) + norm_rows(space, ray_parts) + norm_rows(space, rescale_parts)
     vs = mapd.value_batch(us.reshape(-1, us.shape[-1])).reshape(us.shape)
-    qs = _row_quotients(base, us, vs, xstar, ystar, dens)
-    # Richardson step for q(t) = L + c t + O(t^2) on a geometric sequence
-    return (qs[:, -1] - RAY_RATIO * qs[:, -2]) / (1.0 - RAY_RATIO)
+    return _RayRows(*_increments(base, us, vs, dens))
 
 
-def _default_rays(
-    mapd: MapDescriptor, base: GraphPoint, xstar: DualVector, ystar: DualVector
-) -> list[PrimalVector]:
-    rays: list[PrimalVector] = []
+def _started_rays(
+    mapd: MapDescriptor, base: GraphPoint, directions: np.ndarray
+) -> tuple[np.ndarray, _RayRows]:
+    """Which rays along the rows of `directions` start in the base branch
+    (`_ray_starts`), and the rows of those that do."""
+    t_starts = _ray_starts(mapd, base, directions)
+    started = ~np.isnan(t_starts)
+    return started, _ray_rows(mapd, base, t_starts[started], directions[started])
+
+
+def _richardson(qs: np.ndarray) -> np.ndarray:
+    """The limit of the quotients along each ray, from its last two steps
+    (the last axis of `qs`): a Richardson step for q(t) = L + c t + O(t^2)
+    on a geometric sequence."""
+    return (qs[..., -1] - RAY_RATIO * qs[..., -2]) / (1.0 - RAY_RATIO)
+
+
+def _norming_rays(xstar: DualVector, ystar: DualVector) -> list[PrimalVector]:
+    """The norming direction of x* - y*, unless x* = y* to 1e-12 scale."""
+    if xstar is ystar:
+        return []
     diff = xstar - ystar
     if dual_norm(diff) > 1e-12 * (1.0 + dual_norm(ystar)):
-        rays.append(norming_direction(diff))
-    rays.extend(mapd.kink_rays)
-    return rays
+        return [norming_direction(diff)]
+    return []
+
+
+def _fold_rays(
+    samples: SamplePass,
+    xstars: Sequence[DualVector],
+    ystars: Sequence[DualVector],
+    extra_rays: Sequence[Sequence[PrimalVector]],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    values: np.ndarray,
+) -> np.ndarray:
+    """Each candidate's entry of `values` folded with its directed ray
+    limits by Python's left-to-right max, rays in order: the norming ray of
+    x* - y*, the map's kink rays, then the candidate's extra rays. `xs` and
+    `ys` are the stacked values of `xstars` and `ystars`.
+
+    Zero rays, and rays that leave the base branch at every scale or whose
+    probe is not finite, are skipped, and a NaN limit never replaces a
+    value. The kink rays' rows are the pass's (`SamplePass.kink_rows`); the
+    other rays of every candidate share one halving loop and one stacked
+    pass of rows.
+    """
+    mapd, base, space = samples.map, samples.base, samples.map.space
+    # column 0 of `own` is the norming ray, column 1 + j the j-th extra ray
+    own = np.full((len(values), 1 + max(map(len, extra_rays))), np.nan)
+    owners, columns, directions = [], [], []
+    for i, (xstar, ystar, extra) in enumerate(zip(xstars, ystars, extra_rays)):
+        rays = [(0, ray) for ray in _norming_rays(xstar, ystar)] + list(enumerate(extra, 1))
+        for column, ray in rays:
+            owners.append(i)
+            columns.append(column)
+            directions.append(ray.values)
+    if directions:
+        directions = np.stack(directions)
+        nonzero = directions.any(axis=-1)  # a ray's norm is 0 exactly when its values are
+        started, rows = _started_rays(mapd, base, directions[nonzero])
+        owners = np.array(owners)[nonzero][started]
+        columns = np.array(columns)[nonzero][started]
+        own[owners, columns] = _richardson(_quotients(space, xs[owners], ys[owners], *rows))
+    kinks = np.empty((len(values), 0))
+    if mapd.kink_rays:
+        du, dv, dens = samples.kink_rows
+        kinks = _richardson(_quotients(space, xs, ys, du[None], dv[None], dens))
+    for limits in (own[:, 0], *kinks.T, *own[:, 1:].T):
+        values = np.where(limits > values, limits, values)
+    return values
 
 
 def membership_test(
@@ -511,25 +668,53 @@ def membership_test(
     scale and rays whose probe is not finite are skipped. Rays can only
     certify fresh non-membership, never flip a true member, since every ray
     limit lower-bounds the limsup. `samples` is the shared sample pass of the
-    base, as in `estimate_limsup`.
+    base, as in `estimate_limsup`. The rays are those of `membership_batch`,
+    for a batch of one.
     """
+    samples = _checked_pass(mapd, base, schedule, samples)
     est = estimate_limsup(mapd, base, xstar, ystar, schedule, samples=samples)
-    rays = [*_default_rays(mapd, base, xstar, ystar), *extra_ray_dirs]
-    nonzero = [ray.values for ray in rays if norm(ray) != 0.0]
-    combined = est.extrapolated
-    if nonzero:
-        directions = np.stack(nonzero)
-        t_starts = _ray_starts(mapd, base, directions)
-        kept = ~np.isnan(t_starts)
-        if kept.any():
-            limits = _ray_limits(mapd, base, xstar, ystar, t_starts[kept], directions[kept])
-            # Python's left-to-right max: a NaN limit never replaces the estimate
-            combined = max([combined, *limits.tolist()])
-    return replace(
-        est,
-        extrapolated=float(combined),
-        verdict=_verdict(combined, est.tol_accept, est.tol_reject),
-    )
+    xs, ys = xstar.values[None], ystar.values[None]
+    estimates = np.array([est.extrapolated])
+    combined = _fold_rays(samples, [xstar], [ystar], [extra_ray_dirs], xs, ys, estimates).item()
+    return replace(est, extrapolated=combined, verdict=_verdict(combined, est.tol_accept, est.tol_reject))
+
+
+@dataclass(frozen=True)
+class Answer:
+    """The oracle's answer about one candidate of `membership_batch`: the
+    extrapolated value and verdict of its `membership_test`."""
+
+    extrapolated: float
+    verdict: Verdict
+
+
+def membership_batch(
+    samples: SamplePass,
+    xstars: Sequence[DualVector],
+    ystars: Sequence[DualVector],
+    extra_rays: Sequence[Sequence[PrimalVector]],
+) -> list[Answer]:
+    """`membership_test` of each candidate (xstars[i], ystars[i]) with the
+    extra rays extra_rays[i] at the base of `samples`, in one array pass
+    over the candidates, without the traces: the same extrapolated values,
+    bit for bit, and the same verdicts. Pass `ystars` as `xstars` itself to
+    ask whether each x* is a fixed point.
+
+    The candidates are stacked into (m, size) arrays. Each block of levels
+    evaluates every candidate's quotients in one stacked product and keeps
+    only their per-level suprema, and the rays of all candidates are one
+    stacked pass (`_fold_rays`).
+    """
+    if not xstars:
+        return []
+    xs = np.stack([w.values for w in xstars])
+    ys = xs if ystars is xstars else np.stack([w.values for w in ystars])
+    values = _fold_rays(samples, xstars, ystars, extra_rays, xs, ys, _sampled_limsups(samples, xs, ys))
+    answers = []
+    for value, ystar in zip(values.tolist(), ystars):
+        tol_accept, tol_reject = tolerance_pair(ystar)
+        answers.append(Answer(value, _verdict(value, tol_accept, tol_reject)))
+    return answers
 
 
 def trace_to_csv(estimate: LimsupEstimate) -> str:

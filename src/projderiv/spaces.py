@@ -54,6 +54,7 @@ __all__ = [
     "norming_direction",
     "norm_rows",
     "pairing_rows",
+    "pairing_stack",
 ]
 
 
@@ -329,19 +330,23 @@ def _lp_rescaled(mags: np.ndarray, p: float) -> np.ndarray:
 
 def _lp_norms(rows: np.ndarray, p: float) -> np.ndarray:
     """The p-norm of each row of a (..., size) array: the plain power sum,
-    or `_lp_rescaled` for the rows where it underflows to 0 or overflows.
-    The one p-norm formula; a vector's norm is this on a row of one, so a
-    point has the same norm as a vector and as a row."""
+    or `_lp_rescaled` for the nonzero rows where it underflows to 0 and the
+    rows where it overflows. The one p-norm formula; a vector's norm is this
+    on a row of one, so a point has the same norm as a vector and as a row."""
     with np.errstate(over="ignore"):
         norms = _lp(np.abs(rows), p)
     # a vector's norm, often that of a zero vector, is checked without a reduction
     if norms.size == 1:
-        plain = 0.0 < norms.item() < math.inf or not rows.any()
-    else:
-        plain = norms.all() and math.isfinite(norms.sum())
-    if plain:
+        if 0.0 < norms.item() < math.inf or not rows.any():
+            return norms
+        return _lp_rescaled(np.abs(rows), p)
+    if norms.all() and math.isfinite(norms.sum()):
         return norms
-    return np.where((norms > 0.0) & (norms < np.inf), norms, _lp_rescaled(np.abs(rows), p))
+    # an all-zero row's plain norm is exact, so it is not rescaled
+    redo = (norms == math.inf) | ((norms == 0.0) & rows.any(axis=-1))
+    if redo.any():
+        norms[redo] = _lp_rescaled(np.abs(rows[redo]), p)
+    return norms
 
 
 def norm(v: PrimalVector) -> float:
@@ -386,6 +391,29 @@ def pairing_rows(w: DualVector, rows: np.ndarray) -> np.ndarray:
         idx = np.flatnonzero(w.values)
         return rows[..., idx] @ w.values[idx]
     return rows @ w.values
+
+
+def pairing_stack(space: SpaceSpec, duals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Pairing of each of m duals, the rows of an (m, size) array, against
+    the rows of a (k, ..., n, size) array with k = 1 (one block shared by
+    every dual) or k = m (one block per dual): shape (m, ..., n).
+
+    Bit for bit `pairing_rows` of each dual against its block. The products
+    are one stacked matmul, each of whose slices is the per-dual
+    matrix-vector product; a gemm `rows @ duals.T`, or a flattened product,
+    rounds differently. A measure pairs over its own atoms only, as in
+    `pairing_rows`, so C01 duals take one product each: pairing a run of
+    them over a shared support would change the bits.
+    """
+    m, size = duals.shape
+    if space.kind == KIND_C01:
+        blocks = np.broadcast_to(rows, (m, *rows.shape[1:]))
+        out = np.empty(blocks.shape[:-1])
+        for i, w in enumerate(duals):
+            idx = np.flatnonzero(w)
+            out[i] = blocks[i][..., idx] @ w[idx]
+        return out
+    return np.matmul(rows, duals.reshape(m, *(1,) * (rows.ndim - 3), size, 1))[..., 0]
 
 
 # ---------------------------------------------------------------------------

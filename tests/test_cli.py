@@ -179,7 +179,7 @@ def test_quotient_form_audit_failure_exits_1_without_a_traceback(tmp_path, capsy
     # a pairing off by a constant is not linear: the form that pairs the two
     # increments separately cancels the offset, the other two forms keep it
     monkeypatch.setattr(
-        fixed_points, "pairing_rows", lambda w, rows: spaces.pairing_rows(w, rows) + 1e-9
+        fixed_points, "pairing_stack", lambda space, duals, rows: spaces.pairing_stack(space, duals, rows) + 1e-9
     )
     argv = ["run", "--experiment", "ball_theorem_4_1", "--out", str(tmp_path / "r.json")]
     assert main(argv) == 1

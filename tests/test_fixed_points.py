@@ -38,6 +38,7 @@ from projderiv.limsup_oracle import (
     GraphPoint,
     SamplingSchedule,
     Verdict,
+    membership_batch,
     membership_test,
     sample_base,
 )
@@ -333,6 +334,101 @@ def test_ask_matches_direct_calls_and_draws_one_pass_per_base_run(monkeypatch):
     monkeypatch.setattr(fixed_points, "sample_base", tracked)
     assert ask(queries, sched) == direct
     assert len(drawn) == 2 * 3  # the exterior ball base, the cone base, the ball base again
+
+
+def _batch_instances(d):
+    """(name, map, base) at dimension d: the affine maps, the ball interior
+    and exterior at p = 2 and 3, the Lp cone at its origin and off it, the
+    L1 cone, and the l_1 ball interior and exterior."""
+    lp2, lp3, l1 = lp_space(2.0, d), lp_space(3.0, d), l1_space(d)
+    ramp = np.linspace(1.0, -0.5, d) if d > 1 else np.ones(1)
+    mixed = ramp * (np.arange(d) % 3 != 2)  # a sign change and zeros off d = 1
+    instances = []
+    for scale in (1.0, 2.0):
+        mapd = affine_map(lp2, primal(lp2, 0.3 * ramp), scale)
+        instances.append((f"affine scale {scale:g}", mapd, primal(lp2, 0.2 * ramp)))
+    for space in (lp2, lp3):
+        ballm = ball_projection_map(space, 1.0)
+        for name, radius in (("interior", 0.5), ("exterior", 2.0)):
+            x = primal(space, ramp)
+            instances.append((f"ball p={space.p:g} {name}", ballm, (radius / norm(x)) * x))
+    cone = cone_projection_map(lp3)
+    instances.append(("cone p=3 origin", cone, PrimalVector.zero(lp3)))
+    instances.append(("cone p=3", cone, primal(lp3, mixed)))
+    instances.append(("cone L1", cone_projection_map(l1), primal(l1, mixed)))
+    l1ball = l1_ball_projection_map(l1, 1.0)
+    for name, radius in (("interior", 0.5), ("exterior", 2.0)):
+        x = primal(l1, np.abs(ramp))
+        instances.append((f"l1 ball {name}", l1ball, (radius / norm(x)) * x))
+    return [(name, mapd, GraphPoint.at_point(mapd, x)) for name, mapd, x in instances]
+
+
+def _one_at_a_time(samples, query):
+    """The verdict of one query asked alone."""
+    if query.ystar is None:
+        return is_fixed_point(samples, query.xstar, query.mode)
+    rays = registry_rays(query.map, query.base, query.xstar, query.ystar)
+    return membership_test(
+        query.map, query.base, query.xstar, query.ystar, samples.schedule, rays, samples=samples
+    ).verdict
+
+
+@pytest.mark.parametrize("shift, d", [(0, 1), (1, 4), (2, 16)])
+def test_a_batch_pass_answers_each_query_as_a_batch_of_one(shift, d):
+    # every candidate of a run, stacked, gets the verdict, extrapolated value
+    # and quotient-form spread it gets when asked alone, bit for bit; the
+    # first candidate is the dual origin, and each instance takes a
+    # different candidate count at each dimension
+    sched = SamplingSchedule(seed=17, dirs_per_level=16)
+    rng = np.random.default_rng(d)
+    for k, (name, mapd, base) in enumerate(_batch_instances(d)):
+        space = mapd.space
+        m = (1, 7, 9, 21)[(k + shift) % 4]
+        cands = [DualVector.zero(space)]
+        while len(cands) < m:
+            w = dual(space, rng.normal(size=d))
+            cands.append((rng.uniform(0.3, 1.5) / dual_norm(w)) * w)
+        ystars = [dual(space, rng.normal(size=d)) for _ in cands]
+        samples = sample_base(mapd, base, sched)
+        # the fixed-point pass and the membership pass of `ask`
+        checked = fixed_points._oracle_pass(samples, cands)
+        rays = [registry_rays(mapd, base, w, y) for w, y in zip(cands, ystars)]
+        answers = membership_batch(samples, cands, ystars, rays)
+        for w, y, extra, (spread, fixed), answer in zip(cands, ystars, rays, checked, answers):
+            alone = membership_test(mapd, base, w, w, sched, registry_rays(mapd, base, w, w), samples=samples)
+            assert (fixed.verdict, fixed.extrapolated.hex()) == (alone.verdict, alone.extrapolated.hex()), name
+            assert spread == np.max(quotient_forms_spread(w, samples.audit)), name
+            alone = membership_test(mapd, base, w, y, sched, extra, samples=samples)
+            assert (answer.verdict, answer.extrapolated.hex()) == (alone.verdict, alone.extrapolated.hex()), name
+        queries = [Query(mapd, base, w, mode=mode) for mode in ("registry", "oracle", "audit") for w in cands]
+        queries += [Query(mapd, base, w, y) for w, y in zip(cands, ystars)]
+        assert ask(queries, sched) == [_one_at_a_time(samples, q) for q in queries], name
+
+
+def test_the_first_failing_query_of_a_run_raises(monkeypatch):
+    # two audit contradictions (each message names its own extrapolated
+    # value) and an unknown mode in one run: whichever comes first in the
+    # list raises, though the oracle answers the whole run at once
+    samples = _exterior_ball_samples()
+    ballm, base, sched = samples.map, samples.base, samples.schedule
+    w = dual(L24, [1.0, 0.0, 0.0, 0.0])
+    ok = [Query(ballm, base, dual(L24, [0.0, 0.7, 0.1, 0.0]), mode="oracle"), Query(ballm, base, w, w)]
+    first, second = (Query(ballm, base, c * w, mode="audit") for c in (1.0, 2.0))
+    unknown = Query(ballm, base, w, mode="bogus")
+    assert ask([*ok, first, second], sched) == [_one_at_a_time(samples, q) for q in (*ok, first, second)]
+    monkeypatch.setattr(fixed_points, "registry_verdict", lambda mapd, base, candidate: Verdict.MEMBER)
+    messages = []
+    for q in (first, second):
+        with pytest.raises(FixedPointAuditError, match="contradicts the closed form member") as raised:
+            _one_at_a_time(samples, q)
+        messages.append(str(raised.value))
+    assert messages[0] != messages[1]
+    for run, message in (([first, second], messages[0]), ([second, first], messages[1])):
+        with pytest.raises(FixedPointAuditError) as raised:
+            ask([ok[0], run[0], ok[1], run[1], unknown], sched)
+        assert str(raised.value) == message
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        ask([ok[0], unknown, ok[1], first], sched)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])

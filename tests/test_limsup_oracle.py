@@ -429,9 +429,12 @@ def test_the_blocked_pass_gives_the_per_level_quotients_bit_for_bit(name, monkey
 
 def _membership_by_ray(mapd, base, xstar, ystar, sched, extra_rays, samples):
     # reference: the sampled estimate folded with each ray's own
-    # directed_ray_limit, one call per ray
+    # directed_ray_limit, one call per ray, in membership_test's order: the
+    # norming ray of x* - y*, the kink rays, then the extra rays
     combined = estimate_limsup(mapd, base, xstar, ystar, sched, samples=samples).extrapolated
-    for ray in [*limsup_oracle._default_rays(mapd, base, xstar, ystar), *extra_rays]:
+    diff = xstar - ystar
+    norming = [norming_direction(diff)] if dual_norm(diff) > 1e-12 * (1.0 + dual_norm(ystar)) else []
+    for ray in [*norming, *mapd.kink_rays, *extra_rays]:
         if norm(ray) == 0.0:
             continue
         try:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import grid_lp
@@ -268,6 +268,8 @@ GAP_MAPS = [ball_projection_map(lp_space(p, 4), 1.0) for p in (1.5, 2.0, 3.0, 6.
     st.lists(entry, min_size=4, max_size=4),
     st.floats(min_value=0.0, max_value=1.0),
 )
+# x - y has a subnormal norm, whose reciprocal overflows
+@example(mapd=GAP_MAPS[4], xvals=[0.0] * 4, yvals=[0.0, 0.0, 0.0, 2.225073858507203e-309], shrink=0.0)
 def test_projection_gap_never_certifies_more_than_the_distance(mapd, xvals, yvals, shrink):
     # weak duality: the bound the gap subtracts is at most dist(x, C), so the
     # gap of any member y is at least ||x - y|| - dist(x, C)

@@ -22,6 +22,7 @@ from projderiv.spaces import (
     norming_direction,
     pairing,
     pairing_rows,
+    pairing_stack,
     primal,
 )
 
@@ -87,6 +88,32 @@ def test_row_functions_reduce_over_the_last_axis_of_a_stack(space, w, k, m):
     assert norms[0, 0] == 0.0 and norms[-1, -1] > 0.0
 
 
+@pytest.mark.parametrize("space, w", _stack_spaces(), ids=["Lp p=2", "Lp p=3", "L1", "C01 atoms"])
+@pytest.mark.parametrize("m", [1, 7, 9, 21])
+def test_stacked_pairings_are_the_per_dual_pairings_bit_for_bit(space, w, m):
+    """`pairing_stack` of m duals equals `pairing_rows` of each dual against
+    its block, bit for bit: on (levels, rows, size) sample blocks shared by
+    every dual, and on (rays, steps, size) ray blocks, shared or one per
+    dual. C01 duals pair over their own atoms only, so a run of them must
+    not be paired over a shared support; each takes its own product."""
+    rng = np.random.default_rng(m)
+    duals = [w] + [dual(space, rng.normal(size=space.size) * (w.values != 0)) for _ in range(m - 1)]
+    if m > 1:
+        duals[1] = DualVector.zero(space)
+    stacked = np.stack([v.values for v in duals])
+    for shape in ((8, 64), (1, 1), (5, 3), (12, 10)):
+        shared = rng.normal(size=(*shape, space.size))
+        pairs = pairing_stack(space, stacked, shared[None])
+        assert pairs.shape == (m, *shape)
+        for v, got in zip(duals, pairs):
+            assert np.array_equal(got, pairing_rows(v, shared))
+        own = rng.normal(size=(m, *shape, space.size))
+        pairs = pairing_stack(space, stacked, own)
+        assert pairs.shape == (m, *shape)
+        for v, block, got in zip(duals, own, pairs):
+            assert np.array_equal(got, pairing_rows(v, block))
+
+
 def _row_norm_formula(rows, p):
     """The row p-norm as an out-of-place power sum, and where that sum is 0
     or not finite, the same sum of the rows divided by their peak."""
@@ -109,6 +136,12 @@ def test_row_norms_keep_the_bits_of_the_power_sum_and_its_rescaled_fallback(p):
     peaks = [0.0, 1e-310, 1e-200, 1e200, 1.0, 3.0]
     rows = np.stack([peak * np.roll(vals, k) for k, peak in enumerate(peaks)])
     inputs = [*rows, rows, rows.reshape(2, 3, 5)]
+    # arrays that mix zero rows with rows that do and do not need rescaling:
+    # only the latter are rescaled, and each row keeps its own bits
+    mixed = [0.0, 1e-310, 1.0, 1e200, 0.0, 1.0]
+    for order in (mixed, mixed[::-1], [0.0, 1.0, 0.0, 1.0, 1e-310, 1e200]):
+        stack = np.stack([peak * np.roll(vals, k) for k, peak in enumerate(order)])
+        inputs += [stack, stack.reshape(3, 2, 5), stack[[0, 2, 4]]]
     for array in inputs:
         before = array.copy()
         array.flags.writeable = False
@@ -117,6 +150,9 @@ def test_row_norms_keep_the_bits_of_the_power_sum_and_its_rescaled_fallback(p):
         assert norms.shape == reference.shape == array.shape[:-1]
         assert np.array_equal(norms, reference)
         assert np.array_equal(array, before)
+        if array.ndim > 1:
+            single = [norm_rows(space, row[None])[0] for row in before.reshape(-1, 5)]
+            assert np.array_equal(norms.reshape(-1), single)
     norms = norm_rows(space, rows)
     assert norms[0] == 0.0 and norms[1] > 0.0
 
