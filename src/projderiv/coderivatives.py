@@ -23,6 +23,7 @@ from .spaces import (
     DualVector,
     IndexSet,
     PrimalVector,
+    SpaceMismatchError,
     SpaceSpec,
     dual_norm,
     duality_map,
@@ -30,6 +31,7 @@ from .spaces import (
     norm,
     norm_rows,
     pairing,
+    pairing_stack,
 )
 
 __all__ = [
@@ -214,15 +216,17 @@ class MapDescriptor:
                 kind, index_set = POSITIVE_CONE_DUAL, m_set.complement
         return FixedPointCharacterization(kind, self.space, index_set=index_set)
 
-    def expected_image(self, base, ystar: DualVector) -> DualVector | None:
-        """Closed-form image of y* under the derivative operator at `base`
-        when it is a singleton, used to aim rejection rays; otherwise None."""
+    def expected_image(self, base, ystars: np.ndarray) -> np.ndarray | None:
+        """Closed-form image under the derivative operator at `base` of each
+        y*, a row of the (m, size) array `ystars`, when it is a singleton,
+        used to aim rejection rays; otherwise None. Each row is bit for bit
+        the image of that y* alone."""
         if self.kind == AFFINE:
-            return self.scale * ystar
+            return ystars * self.scale
         if self.kind == BALL_PROJ and self._side(base.x) != 0:
-            return coderiv_ball_lp(base.x, self.radius, ystar).point
+            return _ball_images(base.x, self.radius, ystars)
         if self.kind == L1_BALL_PROJ and self._side(base.x) < 0:
-            return ystar
+            return ystars
         return None
 
     def known_member(self, base, cand: DualVector) -> bool:
@@ -440,20 +444,30 @@ def coderiv_ball_lp(x: PrimalVector, r: float, w: DualVector) -> CoderivativeSet
     Interior base: {w}. Exterior base:
     {(r/||x||) (w - (<w, x>/||x||^2) J(x))}, which collapses to {0} at
     w = J(x) and to {(r/||x||) w} when <w, x> = 0. Boundary base points are
-    not covered and raise.
+    not covered and raise. `_ball_images` of a row of one.
     """
     if x.space.kind != KIND_LP:
         raise ValueError("coderiv_ball_lp needs an Lp space")
+    if w.space != x.space:
+        raise SpaceMismatchError("coderiv_ball_lp needs the dual of the base point's space")
+    image = _ball_images(x, r, w.values[None, :])[0]
+    return CoderivativeSet(SINGLETON, x.space, point=DualVector(x.space, image))
+
+
+def _ball_images(x: PrimalVector, r: float, ws: np.ndarray) -> np.ndarray:
+    """The Lp ball's derivative image (Theorem 3.1) at the base x of each
+    dual w, a row of the (m, size) array `ws`: `ws` itself at an interior
+    base, (r/||x||) (w - (<w, x>/||x||^2) J(x)) at an exterior one. A base
+    on the sphere raises. ||x|| and J(x) are taken once; each <w, x> is one
+    slice of a stacked product (`pairing_stack`), bit for bit `pairing`."""
     nx = norm(x)
     side = _sphere_side(nx, r)
     if side == 0:
         raise BoundaryCaseError("base point on the sphere ||x|| = r is uncovered")
     if side < 0:
-        return CoderivativeSet(SINGLETON, x.space, point=w)
-    jx = duality_map(x)
-    coeff = pairing(w, x) / nx**2
-    image = (r / nx) * (w - coeff * jx)
-    return CoderivativeSet(SINGLETON, x.space, point=image)
+        return ws
+    coeffs = pairing_stack(x.space, ws, x.values[None, None, :]) / nx**2
+    return (r / nx) * (ws - coeffs * duality_map(x).values)
 
 
 def zm_index_set(xbar: PrimalVector, threshold: float = ZM_POSITIVITY_THRESHOLD) -> IndexSet | None:

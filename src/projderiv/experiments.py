@@ -30,6 +30,7 @@ from .spaces import (
     c01_space,
     dual,
     dual_norm,
+    dual_norm_rows,
     duality_map,
     duality_map_inverse,
     l1_space,
@@ -134,14 +135,15 @@ def _rng(config: ExperimentConfig, tag: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, tag])
 
 
-def _unit_dual(space: SpaceSpec, rng: np.random.Generator) -> DualVector:
+def _unit_values(space: SpaceSpec, rng: np.random.Generator) -> np.ndarray:
     vals = rng.normal(size=space.size)
-    w = dual(space, vals)
-    return (1.0 / dual_norm(w)) * w
+    return vals * (1.0 / dual_norm_rows(space, vals[None, :])[0])
 
 
 def _dual_with_norm(space, rng, lo_norm, hi_norm) -> DualVector:
-    return rng.uniform(lo_norm, hi_norm) * _unit_dual(space, rng)
+    # the scale is drawn before the direction
+    scale = rng.uniform(lo_norm, hi_norm)
+    return dual(space, _unit_values(space, rng) * scale)
 
 
 def _primal_with_norm(space, rng, lo_norm, hi_norm) -> PrimalVector:
@@ -218,7 +220,7 @@ def _exp_ball_coderivative(config: ExperimentConfig) -> list[CheckResult]:
         base = lo.GraphPoint.at_point(mapd, x)
         image = cd.coderiv_ball_lp(x, config.r, ystar).point
         cases.append((accepted, fp.Query(mapd, base, image, ystar), MEMBER))
-        perturbed = image + 0.1 * _unit_dual(space, rng)
+        perturbed = image + dual(space, 0.1 * _unit_values(space, rng))
         cases.append((rejected, fp.Query(mapd, base, perturbed, ystar), NON_MEMBER))
         collapse = cd.coderiv_ball_lp(x, config.r, duality_map(x)).point
         worst_collapse = max(worst_collapse, dual_norm(collapse))

@@ -15,12 +15,13 @@ queries, `limsup_oracle.membership_batch` for the others), bit for bit what
 each candidate gets when asked alone; each fixed-point query is then settled
 by its own `is_fixed_point` call, in order. The quotient-form audit checks
 the pass's finest level (`SamplePass.audit`), so it sees the rows the oracle
-judges, with the stacked pairing `spaces.pairing_stack`. The registry's
-rejection rays are built per candidate by the vector functions: a row form
-of `spaces._duality_values` would have to keep its scalar power per row, as
-numpy's scalar and array `**` round differently. `convexity_candidates`
-builds the labelled candidates of the convexity and closedness probe, which
-are asked like any other query.
+judges, with the stacked pairing `spaces.pairing_stack`. The closed-form
+side of a run is rows as well: the base's fixed-point set is taken once, and
+the registry's rejection rays of all candidates are one (m, size) array
+(`registry_rays`, from `MapDescriptor.expected_image` and
+`spaces.norming_rows`), each row bit for bit the ray of its candidate alone.
+`convexity_candidates` builds the labelled candidates of the convexity and
+closedness probe, which are asked like any other query.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .limsup_oracle import (
     estimate_limsup,
     membership_batch,
     membership_test,  # not called here; the benchmark's tracer wraps this binding too
+    norming_rays,
     sample_base,
     tolerance_pair,
 )
@@ -59,8 +61,8 @@ from .spaces import (
     SpaceSpec,
     atomic_measure,
     dual_norm,
+    dual_norm_rows,
     norm,
-    norming_direction,
     pairing,
     pairing_rows,
     pairing_stack,
@@ -87,33 +89,38 @@ class FixedPointAuditError(AssertionError):
     """The oracle contradicted a closed-form characterization."""
 
 
-def registry_rays(
-    mapd: MapDescriptor, base: GraphPoint, xstar: DualVector, ystar: DualVector
-) -> tuple[PrimalVector, ...]:
-    """Rejection rays aimed by the closed forms: the norming direction of
-    x* minus its expected image. Safe to add for members, whose ray limits
-    are nonpositive."""
-    rays: list[PrimalVector] = []
-    expected = mapd.expected_image(base, ystar)
-    if expected is not None:
-        diff = xstar - expected
-        if dual_norm(diff) > 1e-12 * (1.0 + dual_norm(ystar)):
-            rays.append(norming_direction(diff))
-    return tuple(rays)
+def registry_rays(mapd: MapDescriptor, base: GraphPoint, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Rejection rays aimed by the closed forms, one row per candidate
+    (x*, y*), the rows of the (m, size) arrays `xs` and `ys`: the norming
+    direction of x* minus its expected image (`MapDescriptor.expected_image`),
+    and a zero row where there is no expected image or x* is it to 1e-12
+    scale (`limsup_oracle.norming_rays`). Safe to add for members, whose ray
+    limits are nonpositive."""
+    expected = mapd.expected_image(base, ys)
+    if expected is None:
+        return np.zeros(xs.shape)
+    return norming_rays(mapd.space, xs - expected, ys)
 
 
-def registry_verdict(mapd: MapDescriptor, base: GraphPoint, candidate: DualVector) -> Verdict | None:
+def registry_verdict(
+    mapd: MapDescriptor,
+    base: GraphPoint,
+    candidate: DualVector,
+    char: FixedPointCharacterization | None = None,
+) -> Verdict | None:
     """Exact verdict when a theorem in the registry settles the query,
     otherwise None.
 
-    Beyond the full characterizations (`MapDescriptor.fixed_point_set`) this
-    knows the partial cone facts: the duality image of a nonnegative base is
-    always a fixed point, and at the origin every nonnegative dual is one.
-    The dual origin is a fixed point of every operator.
+    Beyond the full characterizations (`MapDescriptor.fixed_point_set`, or
+    `char` where the caller has taken it already) this knows the partial
+    cone facts: the duality image of a nonnegative base is always a fixed
+    point, and at the origin every nonnegative dual is one. The dual origin
+    is a fixed point of every operator.
     """
     if dual_norm(candidate) == 0.0:
         return Verdict.MEMBER
-    char = mapd.fixed_point_set(base)
+    if char is None:
+        char = mapd.fixed_point_set(base)
     if char.kind != ORACLE_ONLY:
         return Verdict.MEMBER if char.membership(candidate) else Verdict.NON_MEMBER
     return Verdict.MEMBER if mapd.known_member(base, candidate) else None
@@ -124,7 +131,7 @@ def is_fixed_point(
     candidate: DualVector,
     mode: str = "registry",
     *,
-    oracle: tuple[float, Answer] | None = None,
+    batch: tuple[Verdict | None, tuple[float, float, Answer] | None] | None = None,
 ) -> Verdict:
     """Membership of the candidate in its own derivative-operator value at
     the base of `samples`.
@@ -134,17 +141,20 @@ def is_fixed_point(
     both, raise `FixedPointAuditError` on contradiction, and return the
     oracle's verdict, so an indeterminate one shows.
 
-    `oracle` is the candidate's entry of `_oracle_pass` over its run of
-    queries (`ask`): its largest quotient-form spread and its oracle answer.
-    Without it, a query that needs the oracle is a batch of one.
+    `batch` is the candidate's entry of its run of queries in `ask`: its
+    registry verdict (None in the oracle mode), and where it needs the
+    oracle its `_oracle_pass` entry. Without it the registry is asked here,
+    and a query that needs the oracle is a batch of one.
     """
     if mode not in ("registry", "oracle", "audit"):
         raise ValueError(f"unknown mode {mode!r}")
-    exact = None if mode == "oracle" else registry_verdict(samples.map, samples.base, candidate)
+    exact, oracle = batch or (
+        None if mode == "oracle" else registry_verdict(samples.map, samples.base, candidate),
+        None,
+    )
     if mode == "registry" and exact is not None:
         return exact
-    spread, answer = oracle or _oracle_pass(samples, [candidate])[0]
-    scale = 1.0 + dual_norm(candidate)
+    spread, scale, answer = oracle or _oracle_pass(samples, [candidate])[0]
     if spread > 1e-12 * scale:
         raise FixedPointAuditError(f"quotient forms disagree by {spread:.3e} at scale {scale:.3e}")
     if mode == "audit" and exact is not None:
@@ -157,12 +167,13 @@ def is_fixed_point(
     return answer.verdict
 
 
-def _oracle_pass(samples: SamplePass, candidates: Sequence[DualVector]) -> list[tuple[float, Answer]]:
+def _oracle_pass(samples: SamplePass, candidates: Sequence[DualVector]) -> list[tuple[float, float, Answer]]:
     """What the oracle says about each candidate as a fixed point at the
     base of `samples`, in one array pass over the candidates: the largest
     spread of its three quotient forms on the audit rows (`SamplePass.audit`;
-    more than 1e-12 scale means the pairing arithmetic broke), and its
-    `membership_batch` answer with the registry's rejection rays."""
+    more than 1e-12 times its scale means the pairing arithmetic broke), its
+    scale 1 + ||w||_*, and its `membership_batch` answer with the registry's
+    rejection rays."""
     if not candidates:
         return []
     mapd, base = samples.map, samples.base
@@ -170,9 +181,10 @@ def _oracle_pass(samples: SamplePass, candidates: Sequence[DualVector]) -> list[
     # every candidate's spreads at once, each row bit for bit its own
     # `quotient_forms_spread` (`pairing_stack`)
     spreads = _forms_spread(lambda rows: pairing_stack(mapd.space, stacked, rows[None]), samples.audit)
-    rays = [registry_rays(mapd, base, w, w) for w in candidates]
-    answers = membership_batch(samples, candidates, candidates, rays)
-    return list(zip(spreads.max(axis=-1).tolist(), answers))
+    scales = 1.0 + dual_norm_rows(mapd.space, stacked)
+    rays = registry_rays(mapd, base, stacked, stacked)
+    answers = membership_batch(samples, stacked, stacked, rays[:, None])
+    return list(zip(spreads.max(axis=-1).tolist(), scales.tolist(), answers))
 
 
 def quotient_forms_spread(ystar: DualVector, rows: AuditRows) -> np.ndarray:
@@ -228,27 +240,31 @@ def ask(queries: Iterable[Query], schedule: SamplingSchedule) -> list[Verdict]:
 
 
 def _ask_run(samples: SamplePass, run: list[Query]) -> list[Verdict]:
-    """The verdicts of a run of queries at the base of `samples`, in order."""
+    """The verdicts of a run of queries at the base of `samples`, in order.
+    Each fixed-point query in the registry and audit modes asks the registry
+    once, with the base's closed-form fixed-point set taken once for all of
+    them."""
     mapd, base = samples.map, samples.base
-    fixed = [q for q in run if q.ystar is None and _needs_oracle(q)]
-    checked = dict(zip(fixed, _oracle_pass(samples, [q.xstar for q in fixed])))
+    fixed = [q for q in run if q.ystar is None]
+    asked = [q for q in fixed if q.mode in ("registry", "audit")]
+    char = mapd.fixed_point_set(base) if asked else None
+    exact = {q: registry_verdict(mapd, base, q.xstar, char) for q in asked}
+    # the oracle mode always asks the oracle, the registry mode where no
+    # closed form settles the query, and the audit mode always
+    needed = [q for q in fixed if q.mode in ("oracle", "audit") or (q in exact and exact[q] is None)]
+    checked = dict(zip(needed, _oracle_pass(samples, [q.xstar for q in needed])))
     members = [q for q in run if q.ystar is not None]
-    rays = [registry_rays(mapd, base, q.xstar, q.ystar) for q in members]
-    answers = membership_batch(samples, [q.xstar for q in members], [q.ystar for q in members], rays)
-    answered = dict(zip(members, answers))
+    answered = {}
+    if members:
+        xs = np.stack([q.xstar.values for q in members])
+        ys = np.stack([q.ystar.values for q in members])
+        rays = registry_rays(mapd, base, xs, ys)
+        answered = dict(zip(members, membership_batch(samples, xs, ys, rays[:, None])))
     return [
         answered[q].verdict if q.ystar is not None
-        else is_fixed_point(samples, q.xstar, q.mode, oracle=checked.get(q))
+        else is_fixed_point(samples, q.xstar, q.mode, batch=(exact.get(q), checked.get(q)))
         for q in run
     ]
-
-
-def _needs_oracle(query: Query) -> bool:
-    """Whether a fixed-point query needs the oracle: in the oracle and audit
-    modes always, in the registry mode where no closed form settles it."""
-    if query.mode == "registry":
-        return registry_verdict(query.map, query.base, query.xstar) is None
-    return query.mode in ("oracle", "audit")
 
 
 def convexity_candidates(

@@ -39,13 +39,14 @@ finest level's (`SamplePass.audit`). A pass is immutable and its arrays are
 read only, so sharing it cannot leak state from one estimate into another.
 
 `membership_batch` answers many candidates at one pass in one array pass:
-their duals are stacked into (m, size) arrays, each block of levels keeps
+it takes their duals and extra rays as arrays, each block of levels keeps
 only every candidate's per-level suprema (the `QUOTIENT_BLOCK` bound holds
-on the candidate axis too), and the rays of every candidate share one
-halving loop and one stacked pass of rows. `estimate_limsup`,
-`membership_test` and `directed_ray_limit` are batches of one through the
-same code (`_quotients`, `_fold_rays`), so a batch gives each candidate its
-one-call numbers bit for bit. That rests on two rules. Products are
+on the candidate axis too), the norming rays of x* - y* are rows
+(`norming_rays`), and the rays of every candidate share one halving loop
+and one stacked pass of rows. `estimate_limsup`, `membership_test` and
+`directed_ray_limit` are batches of one through the same code
+(`_quotients`, `_fold_rays`), so a batch gives each candidate its one-call
+numbers bit for bit. That rests on two rules. Products are
 `spaces.pairing_stack`, a stacked matmul whose slices are the per-dual
 matrix-vector products; a gemm over the candidates rounds differently. And
 the folding of ray limits keeps Python's left-to-right max per candidate,
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import io
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -70,9 +70,10 @@ from .spaces import (
     PrimalVector,
     SpaceSpec,
     dual_norm,
+    dual_norm_rows,
     norm,
     norm_rows,
-    norming_direction,
+    norming_rows,
     pairing_rows,  # not called here; the benchmark's tracer wraps this binding too
     pairing_stack,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "QuotientTrace",
     "LimsupEstimate",
     "tolerance_pair",
+    "norming_rays",
     "quotient",
     "sample_base",
     "estimate_limsup",
@@ -279,7 +281,13 @@ class LimsupEstimate:
 def tolerance_pair(ystar: DualVector) -> tuple[float, float]:
     """Scale-aware accept/reject thresholds; the gap between them is the
     indeterminate band."""
-    scale = 1.0 + dual_norm(ystar)
+    return _tolerances(dual_norm(ystar))
+
+
+def _tolerances(dual_norms):
+    """`tolerance_pair` of the duals with these dual norms, a float or an
+    array of them."""
+    scale = 1.0 + dual_norms
     return 1e-3 * scale, 1e-2 * scale
 
 
@@ -592,29 +600,24 @@ def _richardson(qs: np.ndarray) -> np.ndarray:
     return (qs[..., -1] - RAY_RATIO * qs[..., -2]) / (1.0 - RAY_RATIO)
 
 
-def _norming_rays(xstar: DualVector, ystar: DualVector) -> list[PrimalVector]:
-    """The norming direction of x* - y*, unless x* = y* to 1e-12 scale."""
-    if xstar is ystar:
-        return []
-    diff = xstar - ystar
-    if dual_norm(diff) > 1e-12 * (1.0 + dual_norm(ystar)):
-        return [norming_direction(diff)]
-    return []
+def norming_rays(space: SpaceSpec, diffs: np.ndarray, ystars: np.ndarray) -> np.ndarray:
+    """The norming direction of each row d of the (m, size) array `diffs`
+    (`spaces.norming_rows`), and a zero row where ||d||_* is at most 1e-12
+    (1 + ||y*||_*), with y* the same row of `ystars`: d is then x* - y*, or
+    x* less its expected image, to rounding."""
+    norms = dual_norm_rows(space, diffs)
+    aimed = norms > 1e-12 * (1.0 + dual_norm_rows(space, ystars))
+    return norming_rows(space, diffs, np.where(aimed, norms, 0.0))
 
 
 def _fold_rays(
-    samples: SamplePass,
-    xstars: Sequence[DualVector],
-    ystars: Sequence[DualVector],
-    extra_rays: Sequence[Sequence[PrimalVector]],
-    xs: np.ndarray,
-    ys: np.ndarray,
-    values: np.ndarray,
+    samples: SamplePass, xs: np.ndarray, ys: np.ndarray, extra_rays: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
     """Each candidate's entry of `values` folded with its directed ray
     limits by Python's left-to-right max, rays in order: the norming ray of
-    x* - y*, the map's kink rays, then the candidate's extra rays. `xs` and
-    `ys` are the stacked values of `xstars` and `ystars`.
+    x* - y* (none where `ys` is `xs`), the map's kink rays, then the
+    candidate's extra rays. `xs` and `ys` are the candidates' (m, size)
+    duals and `extra_rays` their (m, k, size) extra rays, k per candidate.
 
     Zero rays, and rays that leave the base branch at every scale or whose
     probe is not finite, are skipped, and a NaN limit never replaces a
@@ -623,21 +626,15 @@ def _fold_rays(
     pass of rows.
     """
     mapd, base, space = samples.map, samples.base, samples.map.space
+    norming = np.zeros(xs.shape) if ys is xs else norming_rays(space, xs - ys, ys)
     # column 0 of `own` is the norming ray, column 1 + j the j-th extra ray
-    own = np.full((len(values), 1 + max(map(len, extra_rays))), np.nan)
-    owners, columns, directions = [], [], []
-    for i, (xstar, ystar, extra) in enumerate(zip(xstars, ystars, extra_rays)):
-        rays = [(0, ray) for ray in _norming_rays(xstar, ystar)] + list(enumerate(extra, 1))
-        for column, ray in rays:
-            owners.append(i)
-            columns.append(column)
-            directions.append(ray.values)
-    if directions:
-        directions = np.stack(directions)
-        nonzero = directions.any(axis=-1)  # a ray's norm is 0 exactly when its values are
+    directions = np.concatenate([norming[:, None], extra_rays], axis=1)
+    own = np.full(directions.shape[:2], np.nan)
+    directions = directions.reshape(-1, space.size)
+    nonzero = np.flatnonzero(directions.any(axis=-1))  # a ray's norm is 0 exactly when its values are
+    if nonzero.size:
         started, rows = _started_rays(mapd, base, directions[nonzero])
-        owners = np.array(owners)[nonzero][started]
-        columns = np.array(columns)[nonzero][started]
+        owners, columns = np.divmod(nonzero[started], own.shape[1])
         own[owners, columns] = _richardson(_quotients(space, xs[owners], ys[owners], *rows))
     kinks = np.empty((len(values), 0))
     if mapd.kink_rays:
@@ -654,7 +651,7 @@ def membership_test(
     xstar: DualVector,
     ystar: DualVector,
     schedule: SamplingSchedule,
-    extra_ray_dirs: tuple[PrimalVector, ...] = (),
+    extra_ray_dirs: np.ndarray = (),
     *,
     samples: SamplePass | None = None,
 ) -> LimsupEstimate:
@@ -663,9 +660,10 @@ def membership_test(
 
     Wraps `estimate_limsup` and additionally extrapolates directed rays
     (norming-direction rays plus kink-aligned basis rays and any caller
-    supplied ones) in one stacked pass, after one halving loop has found
-    every ray's start; zero rays, rays that leave the base branch at every
-    scale and rays whose probe is not finite are skipped. Rays can only
+    supplied ones, the rows of the (k, size) array `extra_ray_dirs`) in one
+    stacked pass, after one halving loop has found every ray's start; zero
+    rays, rays that leave the base branch at every scale and rays whose
+    probe is not finite are skipped. Rays can only
     certify fresh non-membership, never flip a true member, since every ray
     limit lower-bounds the limsup. `samples` is the shared sample pass of the
     base, as in `estimate_limsup`. The rays are those of `membership_batch`,
@@ -673,9 +671,10 @@ def membership_test(
     """
     samples = _checked_pass(mapd, base, schedule, samples)
     est = estimate_limsup(mapd, base, xstar, ystar, schedule, samples=samples)
-    xs, ys = xstar.values[None], ystar.values[None]
-    estimates = np.array([est.extrapolated])
-    combined = _fold_rays(samples, [xstar], [ystar], [extra_ray_dirs], xs, ys, estimates).item()
+    xs = xstar.values[None]
+    ys = xs if ystar is xstar else ystar.values[None]
+    extra = np.reshape(np.asarray(extra_ray_dirs, dtype=float), (1, -1, mapd.space.size))
+    combined = _fold_rays(samples, xs, ys, extra, np.array([est.extrapolated])).item()
     return replace(est, extrapolated=combined, verdict=_verdict(combined, est.tol_accept, est.tol_reject))
 
 
@@ -689,32 +688,28 @@ class Answer:
 
 
 def membership_batch(
-    samples: SamplePass,
-    xstars: Sequence[DualVector],
-    ystars: Sequence[DualVector],
-    extra_rays: Sequence[Sequence[PrimalVector]],
+    samples: SamplePass, xs: np.ndarray, ys: np.ndarray, extra_rays: np.ndarray
 ) -> list[Answer]:
-    """`membership_test` of each candidate (xstars[i], ystars[i]) with the
-    extra rays extra_rays[i] at the base of `samples`, in one array pass
-    over the candidates, without the traces: the same extrapolated values,
-    bit for bit, and the same verdicts. Pass `ystars` as `xstars` itself to
-    ask whether each x* is a fixed point.
+    """`membership_test` of each candidate (xs[i], ys[i]), rows of (m, size)
+    arrays of dual values, with the extra rays extra_rays[i] (an (m, k, size)
+    array) at the base of `samples`, in one array pass over the candidates,
+    without the traces: the same extrapolated values, bit for bit, and the
+    same verdicts. Pass `ys` as `xs` itself to ask whether each x* is a
+    fixed point.
 
-    The candidates are stacked into (m, size) arrays. Each block of levels
-    evaluates every candidate's quotients in one stacked product and keeps
-    only their per-level suprema, and the rays of all candidates are one
-    stacked pass (`_fold_rays`).
+    Each block of levels evaluates every candidate's quotients in one
+    stacked product and keeps only their per-level suprema, the rays of all
+    candidates are one stacked pass (`_fold_rays`), and the tolerances are
+    those of the rows' dual norms (`spaces.dual_norm_rows`).
     """
-    if not xstars:
+    if not len(xs):
         return []
-    xs = np.stack([w.values for w in xstars])
-    ys = xs if ystars is xstars else np.stack([w.values for w in ystars])
-    values = _fold_rays(samples, xstars, ystars, extra_rays, xs, ys, _sampled_limsups(samples, xs, ys))
-    answers = []
-    for value, ystar in zip(values.tolist(), ystars):
-        tol_accept, tol_reject = tolerance_pair(ystar)
-        answers.append(Answer(value, _verdict(value, tol_accept, tol_reject)))
-    return answers
+    values = _fold_rays(samples, xs, ys, extra_rays, _sampled_limsups(samples, xs, ys))
+    accepts, rejects = _tolerances(dual_norm_rows(samples.map.space, ys))
+    return [
+        Answer(value, _verdict(value, accept, reject))
+        for value, accept, reject in zip(values.tolist(), accepts.tolist(), rejects.tolist())
+    ]
 
 
 def trace_to_csv(estimate: LimsupEstimate) -> str:

@@ -53,6 +53,8 @@ __all__ = [
     "duality_map_inverse",
     "norming_direction",
     "norm_rows",
+    "dual_norm_rows",
+    "norming_rows",
     "pairing_rows",
     "pairing_stack",
 ]
@@ -223,13 +225,7 @@ class _Vector:
 
     @functools.cached_property
     def _dual_norm(self) -> float:
-        kind = self.space.kind
-        if kind == KIND_LP:
-            return _lp_norms(self.values[None, :], self.space.q).item()
-        if kind == KIND_L1:
-            return float(np.max(np.abs(self.values)))
-        idx = np.flatnonzero(self.values)
-        return float(np.sum(np.abs(self.values[idx])))
+        return dual_norm_rows(self.space, self.values[None, :]).item()
 
 
 # Each subclass is a dataclass of its own, so each has its own __init__
@@ -332,7 +328,12 @@ def _lp_norms(rows: np.ndarray, p: float) -> np.ndarray:
     """The p-norm of each row of a (..., size) array: the plain power sum,
     or `_lp_rescaled` for the nonzero rows where it underflows to 0 and the
     rows where it overflows. The one p-norm formula; a vector's norm is this
-    on a row of one, so a point has the same norm as a vector and as a row."""
+    on a row of one, and so is the norm of a one-dimensional (size,) input,
+    so a point has the same norm as a vector and as a row of any array."""
+    if rows.ndim == 1:
+        # reduced alone it would end in a numpy scalar, whose `**` rounds
+        # differently from the array `**` of every row of an array
+        return _lp_norms(rows[None, :], p)[0]
     with np.errstate(over="ignore"):
         norms = _lp(np.abs(rows), p)
     # a vector's norm, often that of a zero vector, is checked without a reduction
@@ -368,8 +369,22 @@ def norm_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
 
 def dual_norm(w: DualVector) -> float:
     """Dual norm: q-norm (Lp primal), max norm (L1 primal), total variation
-    (atomic measures). Computed once per vector, apart from its `norm`."""
+    (atomic measures). Computed once per vector, apart from its `norm`, as
+    `dual_norm_rows` of a row of one."""
     return w._dual_norm
+
+
+def dual_norm_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
+    """Dual norm of each row of an (m, size) array of dual values, bit for
+    bit `dual_norm` of each row as a vector. A measure's total variation is
+    summed over its own atoms, one row at a time: summing its zero weights
+    too would change the pairwise sum's bits."""
+    rows = np.asarray(rows, dtype=float)
+    if space.kind == KIND_LP:
+        return _lp_norms(rows, space.q)
+    if space.kind == KIND_L1:
+        return np.max(np.abs(rows), axis=-1)
+    return np.array([np.sum(np.abs(row[np.flatnonzero(row)])) for row in rows])
 
 
 def pairing(w: DualVector, v: PrimalVector) -> float:
@@ -423,21 +438,27 @@ def pairing_stack(space: SpaceSpec, duals: np.ndarray, rows: np.ndarray) -> np.n
 _NORMAL_MIN = np.finfo(float).tiny  # smallest normal float
 
 
-def _duality_values(values: np.ndarray, nv: float, p: float) -> np.ndarray:
-    """|v_i|^(p-1) sign(v_i) / ||v||^(p-2) for a vector of p-norm nv > 0.
+def _duality_rows(rows: np.ndarray, norms: np.ndarray, p: float) -> np.ndarray:
+    """|v_i|^(p-1) sign(v_i) / ||v||^(p-2) for each row v of an (m, size)
+    array, with norms[i] = ||rows[i]|| > 0.
 
     The plain formula's bits are kept wherever it is finite and ||v||^(p-2)
     is a normal float. Where its powers overflow or that scale leaves the
     normal range (p far from 2), the rescaled
-    ||v|| sign(v_i) (|v_i| / ||v||)^(p-1) takes its place.
+    ||v|| sign(v_i) (|v_i| / ||v||)^(p-1) takes its place. Each row's scale
+    is its own scalar `np.float64 **`, as for a vector alone: numpy's array
+    `**` rounds differently from the scalar one.
     """
     with np.errstate(over="ignore"):
-        scale = np.float64(nv) ** (p - 2.0)
-        if _NORMAL_MIN <= scale < math.inf:
-            vals = np.abs(values) ** (p - 1.0) * np.sign(values) / scale
-            if np.isfinite(vals).all():
-                return vals
-    return nv * np.sign(values) * (np.abs(values) / nv) ** (p - 1.0)
+        scales = np.array([np.float64(nv) ** (p - 2.0) for nv in norms.tolist()])
+        plain = (_NORMAL_MIN <= scales) & (scales < math.inf)
+        vals = np.empty_like(rows)
+        vals[plain] = np.abs(rows[plain]) ** (p - 1.0) * np.sign(rows[plain]) / scales[plain, None]
+    redo = ~(plain & np.isfinite(vals).all(axis=-1))
+    if redo.any():
+        nv = norms[redo, None]
+        vals[redo] = nv * np.sign(rows[redo]) * (np.abs(rows[redo]) / nv) ** (p - 1.0)
+    return vals
 
 
 def duality_map(v: PrimalVector) -> DualVector:
@@ -455,7 +476,7 @@ def duality_map(v: PrimalVector) -> DualVector:
     nv = norm(v)
     if nv == 0.0:
         return DualVector.zero(v.space)
-    return DualVector(v.space, _duality_values(v.values, nv, p))
+    return DualVector(v.space, _duality_rows(v.values[None, :], np.array([nv]), p)[0])
 
 
 def duality_map_l1_selection(v: PrimalVector) -> DualVector:
@@ -481,30 +502,38 @@ def duality_map_inverse(w: DualVector) -> PrimalVector:
     nw = dual_norm(w)
     if nw == 0.0:
         return PrimalVector.zero(w.space)
-    return PrimalVector(w.space, _duality_values(w.values, nw, q))
+    return PrimalVector(w.space, _duality_rows(w.values[None, :], np.array([nw]), q)[0])
 
 
 def norming_direction(w: DualVector) -> PrimalVector:
     """A unit-norm primal direction g with <w, g> = ||w||_* (a norming
     vector for the functional). Returns the origin when w is the dual
-    origin.
-
-    Lp: the normalized inverse duality map. L1: a signed basis vector at the
-    largest coordinate. C01: the piecewise-linear interpolant of the atom
-    signs, extended flat beyond the support.
+    origin. `norming_rows` of a row of one.
     """
-    nw = dual_norm(w)
-    if nw == 0.0:
-        return PrimalVector.zero(w.space)
-    kind = w.space.kind
-    if kind == KIND_LP:
-        j = duality_map_inverse(w)
-        return PrimalVector(w.space, j.values / nw)
-    if kind == KIND_L1:
-        n = int(np.argmax(np.abs(w.values)))
-        vals = np.zeros(w.space.size)
-        vals[n] = np.sign(w.values[n])
-        return PrimalVector(w.space, vals)
-    idx = np.flatnonzero(w.values)
-    vals = np.interp(w.space.grid, w.space.grid[idx], np.sign(w.values[idx]))
-    return PrimalVector(w.space, vals)
+    return PrimalVector(w.space, norming_rows(w.space, w.values[None, :], np.array([dual_norm(w)]))[0])
+
+
+def norming_rows(space: SpaceSpec, duals: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The norming direction of each row of an (m, size) array of dual
+    values, given their dual norms (`dual_norm_rows`): a unit-norm primal
+    row g with <w, g> = ||w||_*, and a zero row where the norm is 0.
+
+    Lp: the normalized inverse duality map (`_duality_rows`, one scalar
+    power per row). L1: a signed basis row at the first largest coordinate.
+    C01: the piecewise-linear interpolant of the atom signs, extended flat
+    beyond the support.
+    """
+    out = np.zeros(duals.shape)
+    on = np.flatnonzero(norms)
+    ws, nws = duals[on], norms[on]
+    if space.kind == KIND_LP:
+        q = space.q
+        out[on] = (ws if q == 2.0 else _duality_rows(ws, nws, q)) / nws[:, None]
+    elif space.kind == KIND_L1:
+        peaks = np.argmax(np.abs(ws), axis=-1)
+        out[on, peaks] = np.sign(ws[np.arange(len(on)), peaks])
+    else:
+        for i, w in zip(on, ws):
+            idx = np.flatnonzero(w)
+            out[i] = np.interp(space.grid, space.grid[idx], np.sign(w[idx]))
+    return out

@@ -213,7 +213,7 @@ def test_audit_mode_raises_when_the_oracle_contradicts_the_registry(monkeypatch)
     samples = _exterior_ball_samples()
     w = dual(L24, [1.0, 0.0, 0.0, 0.0])
     assert is_fixed_point(samples, w, mode="audit") == Verdict.NON_MEMBER
-    monkeypatch.setattr(fixed_points, "registry_verdict", lambda mapd, base, candidate: Verdict.MEMBER)
+    monkeypatch.setattr(fixed_points, "registry_verdict", lambda mapd, base, candidate, char=None: Verdict.MEMBER)
     with pytest.raises(FixedPointAuditError, match="contradicts the closed form member"):
         is_fixed_point(samples, w, mode="audit")
 
@@ -314,7 +314,7 @@ def test_ask_matches_direct_calls_and_draws_one_pass_per_base_run(monkeypatch):
         if q.ystar is None:
             direct.append(is_fixed_point(sample_base(q.map, q.base, sched), q.xstar, q.mode))
         else:
-            rays = registry_rays(q.map, q.base, q.xstar, q.ystar)
+            rays = registry_rays(q.map, q.base, q.xstar.values[None], q.ystar.values[None])
             direct.append(membership_test(q.map, q.base, q.xstar, q.ystar, sched, rays).verdict)
     assert {Verdict.MEMBER, Verdict.NON_MEMBER} <= set(direct)
     # the registry's ray rejects the perturbed image; sampling alone cannot
@@ -334,6 +334,45 @@ def test_ask_matches_direct_calls_and_draws_one_pass_per_base_run(monkeypatch):
     monkeypatch.setattr(fixed_points, "sample_base", tracked)
     assert ask(queries, sched) == direct
     assert len(drawn) == 2 * 3  # the exterior ball base, the cone base, the ball base again
+
+
+def test_a_registry_run_takes_the_fixed_point_set_once_per_base_and_the_registry_once_per_query(monkeypatch):
+    # the exterior ball pins the origin (every query settled), the p = 3
+    # cone has no closed form (its duality image is a known member, the
+    # other duals go to the oracle); membership queries ask neither
+    sched = SamplingSchedule(seed=5, dirs_per_level=16)
+    ballm = ball_projection_map(L24, 1.0)
+    exterior = GraphPoint.at_point(ballm, primal(L24, [2.0, 0.5, 0, 0]))
+    l34 = lp_space(3.0, 4)
+    cone = cone_projection_map(l34)
+    positive = GraphPoint.at_point(cone, primal(l34, [1.0, 2.0, 0, 0]))
+    ystar = dual(L24, [0.3, -0.2, 0.5, 0.1])
+    queries = [
+        Query(ballm, exterior, dual(L24, [0.4, 0.1, 0, 0])),
+        Query(ballm, exterior, DualVector.zero(L24)),
+        Query(ballm, exterior, coderiv_ball_lp(exterior.x, 1.0, ystar).point, ystar),
+        Query(ballm, exterior, dual(L24, [-0.6, 0.2, 0.1, 0])),
+        Query(cone, positive, duality_map(positive.x)),
+        Query(cone, positive, dual(l34, [0.5, -0.3, 0.2, 0.7])),
+        Query(cone, positive, dual(l34, [0.0, 0.0, 0.2, 0.7])),
+    ]
+    expected = ask(queries, sched)
+    sets, verdicts = [], []
+    fixed_point_set, registry = MapDescriptor.fixed_point_set, fixed_points.registry_verdict
+
+    def counted_set(self, base):
+        sets.append(base)
+        return fixed_point_set(self, base)
+
+    def counted_verdict(*args):
+        verdicts.append(args[2])
+        return registry(*args)
+
+    monkeypatch.setattr(MapDescriptor, "fixed_point_set", counted_set)
+    monkeypatch.setattr(fixed_points, "registry_verdict", counted_verdict)
+    assert ask(queries, sched) == expected
+    assert sets == [exterior, positive]
+    assert verdicts == [q.xstar for q in queries if q.ystar is None]
 
 
 def _batch_instances(d):
@@ -367,7 +406,7 @@ def _one_at_a_time(samples, query):
     """The verdict of one query asked alone."""
     if query.ystar is None:
         return is_fixed_point(samples, query.xstar, query.mode)
-    rays = registry_rays(query.map, query.base, query.xstar, query.ystar)
+    rays = registry_rays(query.map, query.base, query.xstar.values[None], query.ystar.values[None])
     return membership_test(
         query.map, query.base, query.xstar, query.ystar, samples.schedule, rays, samples=samples
     ).verdict
@@ -392,13 +431,16 @@ def test_a_batch_pass_answers_each_query_as_a_batch_of_one(shift, d):
         samples = sample_base(mapd, base, sched)
         # the fixed-point pass and the membership pass of `ask`
         checked = fixed_points._oracle_pass(samples, cands)
-        rays = [registry_rays(mapd, base, w, y) for w, y in zip(cands, ystars)]
-        answers = membership_batch(samples, cands, ystars, rays)
-        for w, y, extra, (spread, fixed), answer in zip(cands, ystars, rays, checked, answers):
-            alone = membership_test(mapd, base, w, w, sched, registry_rays(mapd, base, w, w), samples=samples)
+        xs, ys = np.stack([w.values for w in cands]), np.stack([y.values for y in ystars])
+        rays = registry_rays(mapd, base, xs, ys)
+        answers = membership_batch(samples, xs, ys, rays[:, None])
+        for w, y, extra, (spread, scale, fixed), answer in zip(cands, ystars, rays, checked, answers):
+            own = registry_rays(mapd, base, w.values[None], w.values[None])
+            alone = membership_test(mapd, base, w, w, sched, own, samples=samples)
             assert (fixed.verdict, fixed.extrapolated.hex()) == (alone.verdict, alone.extrapolated.hex()), name
             assert spread == np.max(quotient_forms_spread(w, samples.audit)), name
-            alone = membership_test(mapd, base, w, y, sched, extra, samples=samples)
+            assert scale == 1.0 + dual_norm(w), name
+            alone = membership_test(mapd, base, w, y, sched, extra[None], samples=samples)
             assert (answer.verdict, answer.extrapolated.hex()) == (alone.verdict, alone.extrapolated.hex()), name
         queries = [Query(mapd, base, w, mode=mode) for mode in ("registry", "oracle", "audit") for w in cands]
         queries += [Query(mapd, base, w, y) for w, y in zip(cands, ystars)]
@@ -416,7 +458,7 @@ def test_the_first_failing_query_of_a_run_raises(monkeypatch):
     first, second = (Query(ballm, base, c * w, mode="audit") for c in (1.0, 2.0))
     unknown = Query(ballm, base, w, mode="bogus")
     assert ask([*ok, first, second], sched) == [_one_at_a_time(samples, q) for q in (*ok, first, second)]
-    monkeypatch.setattr(fixed_points, "registry_verdict", lambda mapd, base, candidate: Verdict.MEMBER)
+    monkeypatch.setattr(fixed_points, "registry_verdict", lambda mapd, base, candidate, char=None: Verdict.MEMBER)
     messages = []
     for q in (first, second):
         with pytest.raises(FixedPointAuditError, match="contradicts the closed form member") as raised:

@@ -434,7 +434,7 @@ def _membership_by_ray(mapd, base, xstar, ystar, sched, extra_rays, samples):
     combined = estimate_limsup(mapd, base, xstar, ystar, sched, samples=samples).extrapolated
     diff = xstar - ystar
     norming = [norming_direction(diff)] if dual_norm(diff) > 1e-12 * (1.0 + dual_norm(ystar)) else []
-    for ray in [*norming, *mapd.kink_rays, *extra_rays]:
+    for ray in [*norming, *mapd.kink_rays, *(primal(mapd.space, row) for row in extra_rays)]:
         if norm(ray) == 0.0:
             continue
         try:
@@ -485,7 +485,8 @@ def test_the_stacked_rays_give_the_per_ray_limit_bit_for_bit():
     for name, mapd, x, xstar, ystar in _stacked_ray_cases():
         base = GraphPoint.at_point(mapd, x)
         samples = sample_base(mapd, base, sched)
-        rays = registry_rays(mapd, base, xstar, ystar) + (PrimalVector.zero(mapd.space),)
+        rays = registry_rays(mapd, base, xstar.values[None], ystar.values[None])
+        rays = np.vstack([rays, np.zeros(mapd.space.size)])  # a zero ray is skipped
         est = membership_test(mapd, base, xstar, ystar, sched, rays, samples=samples)
         reference = _membership_by_ray(mapd, base, xstar, ystar, sched, rays, samples)
         assert np.array_equal(est.extrapolated, reference), name
@@ -607,8 +608,9 @@ def test_rays_that_never_start_are_skipped_and_raise_alone():
         assert np.isnan(starts[0]) and starts[1] == RAY_T0
         assert _ray_start_by_halving(mapd, base, never) is None
         samples = sample_base(mapd, base, sched)
-        skipped = membership_test(mapd, base, phi, phi, sched, (never, good), samples=samples)
-        alone = membership_test(mapd, base, phi, phi, sched, (good,), samples=samples)
+        both = np.stack([never.values, good.values])
+        skipped = membership_test(mapd, base, phi, phi, sched, both, samples=samples)
+        alone = membership_test(mapd, base, phi, phi, sched, good.values[None], samples=samples)
         assert skipped.extrapolated == alone.extrapolated
         with pytest.raises(ValueError, match="every tested scale"):
             directed_ray_limit(mapd, base, phi, phi, never)

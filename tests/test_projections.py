@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import grid_lp
 from projderiv import chebyshev
 from projderiv.coderivatives import (
+    INSIDE_SLACK,
     MapDescriptor,
     affine_map,
     ball_projection_map,
@@ -253,6 +254,25 @@ def test_projection_gap_rejects_an_l1_ball_value_moved_off_its_face():
         moved[-1] = 1e-4
         assert _certified(mapd, x, y)
         assert not _certified(mapd, x, primal(sp, moved))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
+def test_projection_gap_reads_the_norm_of_a_point_as_a_vector(p):
+    # the ball's feasibility test takes the row norm of y's values, a
+    # one-dimensional row; at a radius whose slack ends exactly at the
+    # vector norm of y, y is inside, so its gap is finite
+    sp = lp_space(p, 5)
+    for peak in (1e-200, 1.0, 1e200):
+        y = primal(sp, peak * np.array([0.25, -0.75, 0.5, -1.0, 0.0]))
+        ny = norm(y)
+        radius = ny / (1.0 + INSIDE_SLACK)
+        while radius * (1.0 + INSIDE_SLACK) > ny:
+            radius = np.nextafter(radius, 0.0)
+        while np.nextafter(radius, np.inf) * (1.0 + INSIDE_SLACK) <= ny:
+            radius = np.nextafter(radius, np.inf)
+        mapd = ball_projection_map(sp, float(radius))
+        assert projection_gap(mapd, y, y) < np.inf
+        assert projection_gap(ball_projection_map(sp, ny / 2.0), y, y) == np.inf
 
 
 GAP_MAPS = [ball_projection_map(lp_space(p, 4), 1.0) for p in (1.5, 2.0, 3.0, 6.0)] + [

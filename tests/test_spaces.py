@@ -116,7 +116,10 @@ def test_stacked_pairings_are_the_per_dual_pairings_bit_for_bit(space, w, m):
 
 def _row_norm_formula(rows, p):
     """The row p-norm as an out-of-place power sum, and where that sum is 0
-    or not finite, the same sum of the rows divided by their peak."""
+    or not finite, the same sum of the rows divided by their peak. A
+    one-dimensional input is a row of one."""
+    if rows.ndim == 1:
+        return _row_norm_formula(rows[None, :], p)[0]
     mags = np.abs(rows)
     with np.errstate(over="ignore"):
         norms = (mags**p).sum(axis=-1) ** (1.0 / p)
@@ -155,6 +158,21 @@ def test_row_norms_keep_the_bits_of_the_power_sum_and_its_rescaled_fallback(p):
             assert np.array_equal(norms.reshape(-1), single)
     norms = norm_rows(space, rows)
     assert norms[0] == 0.0 and norms[1] > 0.0
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
+def test_a_one_dimensional_row_has_the_norm_of_its_vector(p):
+    # reduced on its own, a (size,) row would end in a numpy scalar, whose
+    # `**` rounds differently from the array `**` of a row of an array: at
+    # p = 3 the 1e-200 row below read 1.1603972084031948e-200 that way,
+    # against ...946e-200 as a vector and as a row of a (1, 5) array
+    space = lp_space(p, 5)
+    for peak in (0.0, 1e-310, 1e-200, 1.0, 1e200):
+        vals = peak * np.array([0.25, -0.75, 0.5, -1.0, 0.0])
+        flat = norm_rows(space, vals)
+        assert np.shape(flat) == ()
+        assert flat == norm_rows(space, vals[None, :])[0] == norm(primal(space, vals))
+        assert flat == _row_norm_formula(vals[None, :], p)[0]
 
 
 def _norm_formulas(space, vals):
