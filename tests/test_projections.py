@@ -290,6 +290,8 @@ GAP_MAPS = [ball_projection_map(lp_space(p, 4), 1.0) for p in (1.5, 2.0, 3.0, 6.
 )
 # x - y has a subnormal norm, whose reciprocal overflows
 @example(mapd=GAP_MAPS[4], xvals=[0.0] * 4, yvals=[0.0, 0.0, 0.0, 2.225073858507203e-309], shrink=0.0)
+# x lies outside the l_1 ball but inside its sphere band, where value(x) is x
+@example(mapd=GAP_MAPS[6], xvals=[1.0 / 3.0] * 3 + [8.001170540235475e-13], yvals=[0.0] * 4, shrink=0.0)
 def test_projection_gap_never_certifies_more_than_the_distance(mapd, xvals, yvals, shrink):
     # weak duality: the bound the gap subtracts is at most dist(x, C), so the
     # gap of any member y is at least ||x - y|| - dist(x, C)
@@ -297,7 +299,12 @@ def test_projection_gap_never_certifies_more_than_the_distance(mapd, xvals, yval
     y = primal(mapd.space, np.abs(yvals) if mapd.radius is None else yvals)
     if mapd.radius is not None and norm(y) > 0.0:
         y = (shrink * mapd.radius / norm(y)) * y
-    dist = norm(x - mapd.value(x))
+    nearest = mapd.value(x)
+    if mapd.radius is not None and norm(x) > mapd.radius:
+        # the radial point (r / ||x||) x is a nearest point of a ball in every
+        # norm; the maps' sphere band keeps x itself within SPHERE_BAND of it
+        nearest = (mapd.radius / norm(x)) * x
+    dist = norm(x - nearest)
     assert projection_gap(mapd, x, y) >= norm(x - y) - dist - 1e-15 * max(1.0, norm(x))
 
 
