@@ -140,10 +140,13 @@ def _unit_values(space: SpaceSpec, rng: np.random.Generator) -> np.ndarray:
     return vals * (1.0 / dual_norm_rows(space, vals[None, :])[0])
 
 
-def _dual_with_norm(space, rng, lo_norm, hi_norm) -> DualVector:
-    # the scale is drawn before the direction
-    scale = rng.uniform(lo_norm, hi_norm)
-    return dual(space, _unit_values(space, rng) * scale)
+def _duals_with_norm(space, rng, lo_norm, hi_norm, count) -> list[DualVector]:
+    # each dual's scale is drawn before its direction; the directions are
+    # normalized as one block, each row bit for bit `_unit_values`
+    scales, draws = zip(*[(rng.uniform(lo_norm, hi_norm), rng.normal(size=space.size)) for _ in range(count)])
+    vals = np.stack(draws)
+    units = vals * (1.0 / dual_norm_rows(space, vals))[:, None]
+    return [dual(space, row) for row in units * np.array(scales)[:, None]]
 
 
 def _primal_with_norm(space, rng, lo_norm, hi_norm) -> PrimalVector:
@@ -187,15 +190,13 @@ def _exp_ball_fixed_points(config: ExperimentConfig) -> list[CheckResult]:
         for i in range(20):
             x = _primal_with_norm(space, rng, 0.1 * config.r, 0.8 * config.r)
             base = lo.GraphPoint.at_point(mapd, x)
-            for j in range(20):
-                cand = _dual_with_norm(space, rng, 0.3, 1.5)
+            for cand in _duals_with_norm(space, rng, 0.3, 1.5, 20):
                 cases.append((interior, fp.Query(mapd, base, cand, mode="oracle"), MEMBER))
         for i in range(20):
             x = _primal_with_norm(space, rng, 1.5 * config.r, 2.2 * config.r)
             base = lo.GraphPoint.at_point(mapd, x)
             cases.append((theta, fp.Query(mapd, base, DualVector.zero(space), mode="oracle"), MEMBER))
-            for j in range(20):
-                cand = _dual_with_norm(space, rng, 0.5, 1.0)
+            for cand in _duals_with_norm(space, rng, 0.5, 1.0, 20):
                 cases.append((exterior, fp.Query(mapd, base, cand, mode="oracle"), NON_MEMBER))
         hits, undecided = _ask(cases, config)
         indeterminate += undecided
@@ -216,7 +217,7 @@ def _exp_ball_coderivative(config: ExperimentConfig) -> list[CheckResult]:
         mapd = cd.ball_projection_map(space, config.r)
         rng = _rng(config, 20 + i)
         x = _primal_with_norm(space, rng, 2.5 * config.r, 3.5 * config.r)
-        ystar = _dual_with_norm(space, rng, 0.5, 1.5)
+        ystar = _duals_with_norm(space, rng, 0.5, 1.5, 1)[0]
         base = lo.GraphPoint.at_point(mapd, x)
         image = cd.coderiv_ball_lp(x, config.r, ystar).point
         cases.append((accepted, fp.Query(mapd, base, image, ystar), MEMBER))
@@ -256,7 +257,7 @@ def _exp_affine(config: ExperimentConfig) -> list[CheckResult]:
     translation = cd.affine_map(space, shift, 1.0)
     base = lo.GraphPoint.at_point(translation, _primal_with_norm(space, rng, 0.2, 1.0))
 
-    xs = _dual_with_norm(space, rng, 0.5, 1.5)
+    xs = _duals_with_norm(space, rng, 0.5, 1.5, 1)[0]
     est = lo.estimate_limsup(translation, base, xs, xs, config.schedule())
     _check(
         checks,
@@ -268,8 +269,7 @@ def _exp_affine(config: ExperimentConfig) -> list[CheckResult]:
 
     ray_ok = 0
     for i in range(5):
-        a = _dual_with_norm(space, rng, 0.5, 1.5)
-        b = _dual_with_norm(space, rng, 0.5, 1.5)
+        a, b = _duals_with_norm(space, rng, 0.5, 1.5, 2)
         limit = lo.directed_ray_limit(translation, base, a, b, norming_direction(a - b))
         target = dual_norm(a - b) / 2.0
         ray_ok += abs(limit - target) <= 0.1 * target
@@ -733,7 +733,7 @@ def _exp_structural(config: ExperimentConfig) -> list[CheckResult]:
     rng = _rng(config, 110)
     spread_worst = 0.0
     for name, mapd, base in instances[:3]:
-        ystar = _dual_with_norm(mapd.space, rng, 0.5, 1.5)
+        ystar = _duals_with_norm(mapd.space, rng, 0.5, 1.5, 1)[0]
         est = lo.estimate_limsup(mapd, base, ystar, ystar, sched)
         # one row per call: the golden report pins this spread, and a one-row
         # product rounds like a scalar dot where a multi-row one does not

@@ -9,11 +9,12 @@ audit mode both run and a contradiction fails loudly.
 A `Query` names a map, a base and the duals to ask about there; `ask` answers
 a list of them, drawing one `SamplePass` of the oracle (the map, the base, the
 schedule and every candidate-independent row) for each run of queries at one
-base and sharing it across that run. The oracle answers a run in array
-passes over its stacked candidates (`_oracle_pass` for the fixed-point
-queries, `limsup_oracle.membership_batch` for the others), bit for bit what
-each candidate gets when asked alone; each fixed-point query is then settled
-by its own `is_fixed_point` call, in order. The quotient-form audit checks
+base and sharing it across that run. The oracle answers every query of a
+run that needs it in one array pass over their stacked candidates
+(`_oracle_pass`, one `limsup_oracle.membership_batch`; a fixed-point query
+is the membership query with y* = x*), bit for bit what each candidate gets
+when asked alone; each fixed-point query is then settled by its own
+`is_fixed_point` call, in order. The quotient-form audit checks
 the pass's finest level (`SamplePass.audit`), so it sees the rows the oracle
 judges, with the stacked pairing `spaces.pairing_stack`. The closed-form
 side of a run is rows as well: the base's fixed-point set is taken once, and
@@ -144,7 +145,7 @@ def is_fixed_point(
     `batch` is the candidate's entry of its run of queries in `ask`: its
     registry verdict (None in the oracle mode), and where it needs the
     oracle its `_oracle_pass` entry. Without it the registry is asked here,
-    and a query that needs the oracle is a batch of one.
+    and a query that needs the oracle is a run of one.
     """
     if mode not in ("registry", "oracle", "audit"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -154,7 +155,7 @@ def is_fixed_point(
     )
     if mode == "registry" and exact is not None:
         return exact
-    spread, scale, answer = oracle or _oracle_pass(samples, [candidate])[0]
+    spread, scale, answer = oracle or _oracle_pass(samples, [Query(samples.map, samples.base, candidate)])[0]
     if spread > 1e-12 * scale:
         raise FixedPointAuditError(f"quotient forms disagree by {spread:.3e} at scale {scale:.3e}")
     if mode == "audit" and exact is not None:
@@ -167,24 +168,29 @@ def is_fixed_point(
     return answer.verdict
 
 
-def _oracle_pass(samples: SamplePass, candidates: Sequence[DualVector]) -> list[tuple[float, float, Answer]]:
-    """What the oracle says about each candidate as a fixed point at the
-    base of `samples`, in one array pass over the candidates: the largest
-    spread of its three quotient forms on the audit rows (`SamplePass.audit`;
-    more than 1e-12 times its scale means the pairing arithmetic broke), its
-    scale 1 + ||w||_*, and its `membership_batch` answer with the registry's
-    rejection rays."""
-    if not candidates:
-        return []
+def _oracle_pass(samples: SamplePass, queries: Sequence[Query]) -> list[tuple[float, float, Answer]]:
+    """What the oracle says about each query at the base of `samples`, in
+    one `membership_batch` over the stacked candidates, a fixed-point query
+    asked with y* = x*, each with the registry's rejection rays: the largest
+    spread of the query's three quotient forms on the audit rows
+    (`SamplePass.audit`; more than 1e-12 times its scale means the pairing
+    arithmetic broke, and a membership query, which has no audit, reads
+    0.0), its scale 1 + ||y*||_*, and its answer."""
     mapd, base = samples.map, samples.base
-    stacked = np.stack([w.values for w in candidates])
-    # every candidate's spreads at once, each row bit for bit its own
-    # `quotient_forms_spread` (`pairing_stack`)
-    spreads = _forms_spread(lambda rows: pairing_stack(mapd.space, stacked, rows[None]), samples.audit)
-    scales = 1.0 + dual_norm_rows(mapd.space, stacked)
-    rays = registry_rays(mapd, base, stacked, stacked)
-    answers = membership_batch(samples, stacked, stacked, rays[:, None])
-    return list(zip(spreads.max(axis=-1).tolist(), scales.tolist(), answers))
+    xs = np.stack([q.xstar.values for q in queries])
+    ys = np.stack([(q.xstar if q.ystar is None else q.ystar).values for q in queries])
+    answers = membership_batch(samples, xs, ys, registry_rays(mapd, base, xs, ys)[:, None])
+    fixed = np.array([q.ystar is None for q in queries])
+    spreads = np.zeros(len(queries))
+    if fixed.any():
+        # every fixed-point candidate's spreads at once, each row bit for bit
+        # its own `quotient_forms_spread` (`pairing_stack`)
+        duals = xs[fixed]
+        spreads[fixed] = _forms_spread(
+            lambda rows: pairing_stack(mapd.space, duals, rows[None]), samples.audit
+        ).max(axis=-1)
+    scales = 1.0 + dual_norm_rows(mapd.space, ys)
+    return list(zip(spreads.tolist(), scales.tolist(), answers))
 
 
 def quotient_forms_spread(ystar: DualVector, rows: AuditRows) -> np.ndarray:
@@ -224,11 +230,10 @@ def ask(queries: Iterable[Query], schedule: SamplingSchedule) -> list[Verdict]:
     after the previous run's pass is released; only verdicts are kept, so no
     estimate holds on to a pass either.
 
-    The oracle answers a run in array passes over its candidates, one for
-    the fixed-point queries that need it (`_oracle_pass`) and one for the
-    membership queries (`membership_batch`). Each fixed-point query is then
-    settled by its own `is_fixed_point` call, in order, so the first query
-    that fails raises.
+    The oracle answers every query of a run that needs it in one array pass
+    over their candidates (`_oracle_pass`, one `membership_batch`). Each
+    fixed-point query is then settled by its own `is_fixed_point` call, in
+    order, so the first query that fails raises.
     """
     verdicts: list[Verdict] = []
     samples = None
@@ -243,25 +248,19 @@ def _ask_run(samples: SamplePass, run: list[Query]) -> list[Verdict]:
     """The verdicts of a run of queries at the base of `samples`, in order.
     Each fixed-point query in the registry and audit modes asks the registry
     once, with the base's closed-form fixed-point set taken once for all of
-    them."""
+    them; every query that needs the oracle is answered by one
+    `_oracle_pass`."""
     mapd, base = samples.map, samples.base
-    fixed = [q for q in run if q.ystar is None]
-    asked = [q for q in fixed if q.mode in ("registry", "audit")]
+    asked = [q for q in run if q.ystar is None and q.mode in ("registry", "audit")]
     char = mapd.fixed_point_set(base) if asked else None
     exact = {q: registry_verdict(mapd, base, q.xstar, char) for q in asked}
-    # the oracle mode always asks the oracle, the registry mode where no
-    # closed form settles the query, and the audit mode always
-    needed = [q for q in fixed if q.mode in ("oracle", "audit") or (q in exact and exact[q] is None)]
-    checked = dict(zip(needed, _oracle_pass(samples, [q.xstar for q in needed])))
-    members = [q for q in run if q.ystar is not None]
-    answered = {}
-    if members:
-        xs = np.stack([q.xstar.values for q in members])
-        ys = np.stack([q.ystar.values for q in members])
-        rays = registry_rays(mapd, base, xs, ys)
-        answered = dict(zip(members, membership_batch(samples, xs, ys, rays[:, None])))
+    # membership queries and the oracle and audit modes ask the oracle, the
+    # registry mode only where no closed form settles the query
+    needed = [q for q in run if q.ystar is not None or q.mode in ("oracle", "audit")
+              or (q in exact and exact[q] is None)]
+    checked = dict(zip(needed, _oracle_pass(samples, needed))) if needed else {}
     return [
-        answered[q].verdict if q.ystar is not None
+        checked[q][2].verdict if q.ystar is not None
         else is_fixed_point(samples, q.xstar, q.mode, batch=(exact.get(q), checked.get(q)))
         for q in run
     ]

@@ -22,10 +22,14 @@ by level and row.
 The sampled rows depend on the map, the base and the schedule, never on the
 duals, so `sample_base` draws them once as a `SamplePass` that every
 candidate queried at that base can share (`samples=`); only the numerators
-are per candidate, evaluated over blocks of consecutive levels of at most
-`QUOTIENT_BLOCK` entries (one level where a level alone is larger): a
-stacked product rounds like the per-level one, so the quotients do not
-depend on the blocking. The raw normal draws behind the directions do not
+are per candidate. Every walk over the levels of a pass goes by the same
+blocks of consecutive levels of at most `QUOTIENT_BLOCK` entries (one level
+where a level alone is larger, `_level_blocks`): `sample_base` builds each
+block's values and denominators with one `value_batch`, and one generator
+(`_block_quotients`) gives each block's quotients, which `estimate_limsup`
+keeps as its trace and `membership_batch` reduces to per-level suprema. A
+stacked array rounds like the per-level ones, so nothing depends on the
+blocking. The raw normal draws behind the directions do not
 depend on the space either, so passes with the same seed, levels, rows and
 dimension share one read-only block of them (the last block drawn is kept).
 Their norms do, and a schedule keeps them per space it has sampled, so each
@@ -39,10 +43,11 @@ finest level's (`SamplePass.audit`). A pass is immutable and its arrays are
 read only, so sharing it cannot leak state from one estimate into another.
 
 `membership_batch` answers many candidates at one pass in one array pass:
-it takes their duals and extra rays as arrays, each block of levels keeps
-only every candidate's per-level suprema (the `QUOTIENT_BLOCK` bound holds
-on the candidate axis too), the norming rays of x* - y* are rows
-(`norming_rays`), and the rays of every candidate share one halving loop
+it takes their duals and extra rays as arrays (a fixed-point candidate has
+y* = x*), each block of levels keeps only every candidate's per-level
+suprema (the `QUOTIENT_BLOCK` bound holds on the candidate axis too), the
+norming rays of x* - y* are rows (`norming_rays`, a zero ray where
+y* = x*), and the rays of every candidate share one halving loop
 and one stacked pass of rows. `estimate_limsup`, `membership_test` and
 `directed_ray_limit` are batches of one through the same code
 (`_quotients`, `_fold_rays`), so a batch gives each candidate its one-call
@@ -160,14 +165,14 @@ class SamplingSchedule:
         """The raw normal draws of this schedule in the dimension of `space`
         (`_normal_draws`), and the norm in `space` of each of their rows,
         shape (levels, dirs_per_level), with a zero norm replaced by 1. The
-        norms are computed once per space and are read only; the unit
-        directions are not kept, each pass builds them in its own rows."""
+        norms are computed once per space, by blocks of levels, and are read
+        only; the unit directions are not kept, each pass builds them."""
         draws = _normal_draws(self.seed, self.levels, self.dirs_per_level, space.size)
         norms = self._norms.get(space)
         if norms is None:
             norms = np.empty(draws.shape[:2])
-            for level in range(self.levels):
-                norms[level] = norm_rows(space, draws[level])
+            for block in _level_blocks(draws.shape, 1):
+                norms[block] = norm_rows(space, draws[block])
             norms[norms == 0.0] = 1.0
             norms.flags.writeable = False
             self._norms[space] = norms
@@ -229,11 +234,7 @@ class AuditRows:
         error-free differences of u - v and x - y. Rounded plainly, it would
         carry an absolute error of about eps |x - y|, which the small
         denominators near an exterior base blow up."""
-        du = us - base.x.values[None, :]
-        dv = vs - base.y.values[None, :]
-        den = norm_rows(base.x.space, du) + norm_rows(base.x.space, dv)
-        if not np.all(den):
-            raise ZeroDivisionError("sample coincides with the base point")
+        du, dv, den = _increments(base, us, vs)
         a, ea = _two_diff(us, vs)
         b, eb = _two_diff(base.x.values, base.y.values)
         rows = cls(du, dv, den, du - dv, (a - b) + (ea - eb))
@@ -299,33 +300,19 @@ def quotient(
     xstar: DualVector,
     ystar: DualVector,
 ) -> float:
-    """The defining ratio at one sampled graph point (u, v) != (x, y)."""
-    return float(_row_quotients(base, u.values[None, :], v.values[None, :], xstar, ystar)[0])
-
-
-def _row_quotients(
-    base: GraphPoint,
-    us: np.ndarray,
-    vs: np.ndarray,
-    xstar: DualVector,
-    ystar: DualVector,
-    dens: np.ndarray | None = None,
-) -> np.ndarray:
-    """The defining ratio of one candidate at each sampled graph point, a row
-    of `us` and the same row of `vs` (arrays of shape (..., size)): a batch
-    of one of `_quotients`. `dens` replaces the plain denominators
-    ||u - x|| + ||v - y||."""
-    du, dv, dens = _increments(base, us, vs, dens)
-    return _quotients(base.x.space, xstar.values[None], ystar.values[None], du[None], dv[None], dens)[0]
+    """The defining ratio at one sampled graph point (u, v) != (x, y):
+    `_quotients` on a row of one."""
+    du, dv, dens = _increments(base, u.values[None], v.values[None])
+    return float(_quotients(base.x.space, xstar.values[None], ystar.values[None], du[None], dv[None], dens)[0, 0])
 
 
 def _increments(
     base: GraphPoint, us: np.ndarray, vs: np.ndarray, dens: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The candidate-independent parts of the quotient at sampled graph
-    points (us, vs): the increments du = u - x and dv = v - y, and the
-    denominators, ||du|| + ||dv|| unless `dens` is given. A row at the base
-    is a ZeroDivisionError."""
+    points (us, vs), arrays of shape (..., size): the increments du = u - x
+    and dv = v - y, and the denominators, ||du|| + ||dv|| unless `dens` is
+    given. A row at the base is a ZeroDivisionError."""
     du = us - base.x.values
     dv = vs - base.y.values
     if dens is None:
@@ -379,10 +366,10 @@ def sample_base(mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedul
     """The sampled rows of every estimate at this base and schedule: per
     level, the seeded unit directions plus the normalized extra rays, scaled
     to the level radius around x, with the map's values and the quotient
-    denominators there."""
+    denominators there, one `value_batch` per block of levels
+    (`_level_blocks`)."""
     space = mapd.space
     dim = space.size
-    x, y = base.x.values, base.y.values
     extra = np.empty((0, dim))
     if schedule.extra_rays:
         extra = np.stack([ray.values for ray in schedule.extra_rays])
@@ -390,19 +377,19 @@ def sample_base(mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedul
         extra = extra / np.where(extra_norms == 0.0, 1.0, extra_norms)[:, None]
     levels, dirs = schedule.levels, schedule.dirs_per_level
     draws, dir_norms = schedule._direction_draws(space)
-    radii = np.empty(levels)
+    radii = np.array([schedule.r0 * 2.0 ** (-level) for level in range(levels)])
+    # u = x + r * d, built in place
     us = np.empty((levels, dirs + len(extra), dim))
+    np.divide(draws, dir_norms[:, :, None], out=us[:, :dirs])
+    us[:, dirs:] = extra
+    us *= radii[:, None, None]
+    us += base.x.values
     vs = np.empty_like(us)
     dens = np.empty(us.shape[:2])
-    for level in range(levels):
-        radii[level] = schedule.r0 * 2.0 ** (-level)
-        # u = x + r * d, built in place
-        np.divide(draws[level], dir_norms[level][:, None], out=us[level, :dirs])
-        us[level, dirs:] = extra
-        us[level] *= radii[level]
-        us[level] += x
-        vs[level] = mapd.value_batch(us[level])
-        dens[level] = norm_rows(space, us[level] - x[None, :]) + norm_rows(space, vs[level] - y[None, :])
+    for block in _level_blocks(us.shape, 1):
+        vs[block] = mapd.value_batch(us[block].reshape(-1, dim)).reshape(us[block].shape)
+        # `_increments`' denominators, without holding du and dv at once
+        dens[block] = norm_rows(space, us[block] - base.x.values) + norm_rows(space, vs[block] - base.y.values)
     for array in (radii, us, vs, dens):
         array.flags.writeable = False
     return SamplePass(mapd, base, schedule, radii, us, vs, dens)
@@ -415,13 +402,25 @@ def sample_base(mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedul
 QUOTIENT_BLOCK = 2**14
 
 
-def _level_blocks(samples: SamplePass, candidates: int) -> list[slice]:
-    """Runs of consecutive levels whose sample entries, and whose quotients
-    of `candidates` candidates, stay within QUOTIENT_BLOCK; one level where a
-    level alone is larger."""
-    levels, rows, size = samples.us.shape
+def _level_blocks(shape: tuple[int, int, int], candidates: int) -> list[slice]:
+    """Runs of consecutive levels of a (levels, rows, size) array whose
+    entries, and whose quotients of `candidates` candidates, stay within
+    QUOTIENT_BLOCK; one level where a level alone is larger. Every walk over
+    the levels of a pass, or of its direction draws, takes these blocks."""
+    levels, rows, size = shape
     step = max(1, QUOTIENT_BLOCK // (rows * max(size, candidates)))
     return [slice(lo, lo + step) for lo in range(0, levels, step)]
+
+
+def _block_quotients(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray):
+    """The quotients of m candidates, the rows of the (m, size) arrays
+    `xstars` and `ystars`, over the pass, one block of levels at a time:
+    shape (m, levels in the block, rows)."""
+    for block in _level_blocks(samples.us.shape, len(xstars)):
+        du, dv, dens = _increments(samples.base, samples.us[block], samples.vs[block], samples.dens[block])
+        quotients = _quotients(samples.map.space, xstars, ystars, du[None], dv[None], dens)
+        del du, dv  # a block's increments go before the next block's are built
+        yield quotients
 
 
 def _checked_pass(
@@ -451,11 +450,7 @@ def estimate_limsup(
     whether `samples` is shared or drawn for this call. A pass drawn for
     another map, base or schedule is a ValueError."""
     samples = _checked_pass(mapd, base, schedule, samples)
-    quotients = np.empty(samples.dens.shape)
-    for block in _level_blocks(samples, 1):
-        quotients[block] = _row_quotients(
-            base, samples.us[block], samples.vs[block], xstar, ystar, samples.dens[block]
-        )
+    quotients = np.concatenate([q[0] for q in _block_quotients(samples, xstar.values[None], ystar.values[None])])
     trace = QuotientTrace(radii=samples.radii, us=samples.us, vs=samples.vs, quotients=quotients)
     sups = quotients.max(axis=1).tolist()
     extrapolated = max(sups[-2:])
@@ -472,13 +467,9 @@ def estimate_limsup(
 
 def _sampled_limsups(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray) -> np.ndarray:
     """`estimate_limsup(...).extrapolated` of each candidate, the rows of the
-    (m, size) arrays `xstars` and `ystars`, without the trace: the quotients
-    are reduced to per-level suprema one block of levels at a time."""
-    space, base = samples.map.space, samples.base
-    sups = np.empty((len(xstars), samples.schedule.levels))
-    for block in _level_blocks(samples, len(xstars)):
-        du, dv, dens = _increments(base, samples.us[block], samples.vs[block], samples.dens[block])
-        sups[:, block] = _quotients(space, xstars, ystars, du[None], dv[None], dens).max(axis=-1)
+    (m, size) arrays `xstars` and `ystars`, without the trace: each block's
+    quotients are reduced to per-level suprema."""
+    sups = np.concatenate([q.max(axis=-1) for q in _block_quotients(samples, xstars, ystars)], axis=1)
     # Python's max(sups[-2:]): the finest level only where it is larger
     return np.where(sups[:, -1] > sups[:, -2], sups[:, -1], sups[:, -2])
 
@@ -615,7 +606,7 @@ def _fold_rays(
 ) -> np.ndarray:
     """Each candidate's entry of `values` folded with its directed ray
     limits by Python's left-to-right max, rays in order: the norming ray of
-    x* - y* (none where `ys` is `xs`), the map's kink rays, then the
+    x* - y* (a zero ray where y* = x*), the map's kink rays, then the
     candidate's extra rays. `xs` and `ys` are the candidates' (m, size)
     duals and `extra_rays` their (m, k, size) extra rays, k per candidate.
 
@@ -626,7 +617,7 @@ def _fold_rays(
     pass of rows.
     """
     mapd, base, space = samples.map, samples.base, samples.map.space
-    norming = np.zeros(xs.shape) if ys is xs else norming_rays(space, xs - ys, ys)
+    norming = norming_rays(space, xs - ys, ys)
     # column 0 of `own` is the norming ray, column 1 + j the j-th extra ray
     directions = np.concatenate([norming[:, None], extra_rays], axis=1)
     own = np.full(directions.shape[:2], np.nan)
@@ -671,8 +662,7 @@ def membership_test(
     """
     samples = _checked_pass(mapd, base, schedule, samples)
     est = estimate_limsup(mapd, base, xstar, ystar, schedule, samples=samples)
-    xs = xstar.values[None]
-    ys = xs if ystar is xstar else ystar.values[None]
+    xs, ys = xstar.values[None], ystar.values[None]
     extra = np.reshape(np.asarray(extra_ray_dirs, dtype=float), (1, -1, mapd.space.size))
     combined = _fold_rays(samples, xs, ys, extra, np.array([est.extrapolated])).item()
     return replace(est, extrapolated=combined, verdict=_verdict(combined, est.tol_accept, est.tol_reject))
@@ -694,8 +684,8 @@ def membership_batch(
     arrays of dual values, with the extra rays extra_rays[i] (an (m, k, size)
     array) at the base of `samples`, in one array pass over the candidates,
     without the traces: the same extrapolated values, bit for bit, and the
-    same verdicts. Pass `ys` as `xs` itself to ask whether each x* is a
-    fixed point.
+    same verdicts. A candidate with y* = x* asks whether x* is a fixed
+    point.
 
     Each block of levels evaluates every candidate's quotients in one
     stacked product and keeps only their per-level suprema, the rays of all

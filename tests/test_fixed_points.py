@@ -20,6 +20,7 @@ from projderiv.coderivatives import (
     poly_projection_map,
 )
 from projderiv import fixed_points
+from projderiv.experiments import _cone_setup, resolve_config
 from projderiv.fixed_points import (
     FixedPointAuditError,
     Query,
@@ -429,11 +430,13 @@ def test_a_batch_pass_answers_each_query_as_a_batch_of_one(shift, d):
             cands.append((rng.uniform(0.3, 1.5) / dual_norm(w)) * w)
         ystars = [dual(space, rng.normal(size=d)) for _ in cands]
         samples = sample_base(mapd, base, sched)
-        # the fixed-point pass and the membership pass of `ask`
-        checked = fixed_points._oracle_pass(samples, cands)
+        # the one oracle pass of `ask`, over the fixed-point queries and then
+        # the membership queries
+        asked = [Query(mapd, base, w) for w in cands] + [Query(mapd, base, w, y) for w, y in zip(cands, ystars)]
+        checked = fixed_points._oracle_pass(samples, asked)
         xs, ys = np.stack([w.values for w in cands]), np.stack([y.values for y in ystars])
         rays = registry_rays(mapd, base, xs, ys)
-        answers = membership_batch(samples, xs, ys, rays[:, None])
+        answers = [answer for _, _, answer in checked[m:]]
         for w, y, extra, (spread, scale, fixed), answer in zip(cands, ystars, rays, checked, answers):
             own = registry_rays(mapd, base, w.values[None], w.values[None])
             alone = membership_test(mapd, base, w, w, sched, own, samples=samples)
@@ -445,6 +448,43 @@ def test_a_batch_pass_answers_each_query_as_a_batch_of_one(shift, d):
         queries = [Query(mapd, base, w, mode=mode) for mode in ("registry", "oracle", "audit") for w in cands]
         queries += [Query(mapd, base, w, y) for w, y in zip(cands, ystars)]
         assert ask(queries, sched) == [_one_at_a_time(samples, q) for q in queries], name
+
+
+def test_a_mixed_run_asks_the_oracle_once_and_gives_each_query_its_lone_verdict(monkeypatch):
+    # at the base of cone_l2_theorem_4_3 (N = 6 and M = {1, 2}, so
+    # coordinates 3 to 6 are off the support): fixed-point queries in the registry, oracle and
+    # audit modes, and membership queries at a nonnegative anchor, in one run
+    config = resolve_config("cone_l2_theorem_4_3")
+    space, mapd, base, _, _ = _cone_setup(config, 2.0)
+    sched = config.schedule()
+    member = dual(space, [1.5, -0.8, 0.4, 1.2, 0.0, 0.7])
+    outside = dual(space, [0.3, 0.9, 0.2, 0.5, -0.7, 1.0])
+    anchor = dual(space, [-0.6, 1.1, 0.9, 1.4, 0.5, 0.8])
+    queries = [
+        Query(mapd, base, member, mode="registry"),
+        Query(mapd, base, member, anchor),
+        Query(mapd, base, outside, mode="oracle"),
+        Query(mapd, base, anchor, anchor),
+        Query(mapd, base, outside, mode="audit"),
+        Query(mapd, base, outside, mode="registry"),
+        Query(mapd, base, member, mode="oracle"),
+        Query(mapd, base, outside, anchor),
+        Query(mapd, base, DualVector.zero(space), mode="audit"),
+        Query(mapd, base, member, mode="audit"),
+    ]
+    samples = sample_base(mapd, base, sched)
+    alone = [_one_at_a_time(samples, q) for q in queries]
+    assert {Verdict.MEMBER, Verdict.NON_MEMBER} <= set(alone)
+    calls = []
+
+    def counted(samples, xs, ys, extra_rays):
+        calls.append(len(xs))
+        return membership_batch(samples, xs, ys, extra_rays)
+
+    monkeypatch.setattr(fixed_points, "membership_batch", counted)
+    assert ask(queries, sched) == alone
+    # the registry-mode queries are settled by the closed form
+    assert calls == [len(queries) - 2]
 
 
 def test_the_first_failing_query_of_a_run_raises(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from projderiv.coderivatives import (
     SPHERE_BAND,
+    MapDescriptor,
     affine_map,
     ball_projection_map,
     coderiv_affine,
@@ -351,7 +352,8 @@ def test_passes_from_the_shared_draw_block_equal_fresh_passes(monkeypatch):
         assert np.array_equal(samples.us[level], x[None, :] + radius * np.vstack([dirs, unit_extra]))
 
     # bases in a p = 2, 3, 2 order on one schedule: it computes the norms of
-    # the block once per space, one norm_rows call per level
+    # the block once per space, one norm_rows call per block of levels (one
+    # block here)
     normed = []
 
     def counted(space, rows):
@@ -363,7 +365,8 @@ def test_passes_from_the_shared_draw_block_equal_fresh_passes(monkeypatch):
     order = [cases[0], cases[2], cases[1]]
     shared = [sample_base(mapd, GraphPoint.at_point(mapd, x), sched) for mapd, x, _ in order]
     block = draws(12, 5, 32, 16)
-    assert [space.p for space, rows in normed if np.shares_memory(rows, block)] == [2.0] * 5 + [3.0] * 5
+    assert limsup_oracle._level_blocks(block.shape, 1) == [slice(0, 32)]
+    assert [space.p for space, rows in normed if np.shares_memory(rows, block)] == [2.0, 3.0]
     # the schedule keeps one read-only (levels, rows) array per space
     kept = sched._norms
     assert sorted(space.p for space in kept) == [2.0, 3.0]
@@ -409,22 +412,101 @@ def test_the_blocked_pass_gives_the_per_level_quotients_bit_for_bit(name, monkey
     mapd, x, sched, xstar, ystar, calls = BLOCK_CASES[name]
     base = GraphPoint.at_point(mapd, x)
     samples = sample_base(mapd, base, sched)
-    per_level = limsup_oracle._row_quotients
+    quotients = limsup_oracle._quotients
     sizes = []
 
-    def counted(base, us, vs, *args):
-        sizes.append(us.size)
-        return per_level(base, us, vs, *args)
+    def counted(space, xstars, ystars, du, dv, dens):
+        sizes.append(du.size)
+        return quotients(space, xstars, ystars, du, dv, dens)
 
-    monkeypatch.setattr(limsup_oracle, "_row_quotients", counted)
+    def per_level(k):
+        du, dv, dens = limsup_oracle._increments(base, samples.us[k], samples.vs[k], samples.dens[k])
+        return quotients(mapd.space, xstar.values[None], ystar.values[None], du[None], dv[None], dens)[0]
+
+    monkeypatch.setattr(limsup_oracle, "_quotients", counted)
     est = estimate_limsup(mapd, base, xstar, ystar, sched, samples=samples)
-    reference = np.stack([
-        per_level(base, samples.us[k], samples.vs[k], xstar, ystar, samples.dens[k])
-        for k in range(sched.levels)
-    ])
+    reference = np.stack([per_level(k) for k in range(sched.levels)])
     assert np.array_equal(est.trace.quotients, reference)
     assert len(sizes) == calls and sum(sizes) == samples.us.size
     assert max(sizes) <= max(limsup_oracle.QUOTIENT_BLOCK, samples.us[0].size)
+
+
+def _per_level_pass(mapd, base, schedule):
+    """Reference: the rows of a pass built one level at a time, each level's
+    direction norms, values and denominators from its own rows."""
+    space, dim = mapd.space, mapd.space.size
+    x, y = base.x.values, base.y.values
+    extra = np.empty((0, dim))
+    if schedule.extra_rays:
+        extra = np.stack([ray.values for ray in schedule.extra_rays])
+        extra_norms = norm_rows(space, extra)
+        extra = extra / np.where(extra_norms == 0.0, 1.0, extra_norms)[:, None]
+    levels, dirs = schedule.levels, schedule.dirs_per_level
+    radii = np.empty(levels)
+    us = np.empty((levels, dirs + len(extra), dim))
+    vs = np.empty_like(us)
+    dens = np.empty(us.shape[:2])
+    for level in range(levels):
+        draws = np.random.default_rng([schedule.seed, level]).standard_normal((dirs, dim))
+        dir_norms = norm_rows(space, draws)
+        dir_norms[dir_norms == 0.0] = 1.0
+        radii[level] = schedule.r0 * 2.0 ** (-level)
+        np.divide(draws, dir_norms[:, None], out=us[level, :dirs])
+        us[level, dirs:] = extra
+        us[level] *= radii[level]
+        us[level] += x
+        vs[level] = mapd.value_batch(us[level])
+        dens[level] = norm_rows(space, us[level] - x[None, :]) + norm_rows(space, vs[level] - y[None, :])
+    return radii, us, vs, dens
+
+
+def _pass_cases():
+    """(map, base point, schedule): Lp balls and cones at p = 1.5, 2 and 3
+    and the l_1 ball at the default shape and at N = 16, S = 1024, and the
+    C[0, 1] polynomial projection with extra rays at G = 513 and 4097."""
+    cases = {}
+    for n, schedule in ((4, SamplingSchedule(seed=8)), (16, SamplingSchedule(seed=9, dirs_per_level=1024))):
+        ramp = np.linspace(-0.7, 1.3, n)
+        for p in (1.5, 2.0, 3.0):
+            space = lp_space(p, n)
+            cases[f"ball p={p:g} N={n}"] = (ball_projection_map(space, 1.0), primal(space, 2.0 * ramp), schedule)
+            cases[f"cone p={p:g} N={n}"] = (cone_projection_map(space), primal(space, ramp), schedule)
+        l1 = l1_space(n)
+        cases[f"l1 ball N={n}"] = (l1_ball_projection_map(l1, 1.0), primal(l1, ramp), schedule)
+    for g in (513, 4097):
+        space = c01_space(g)
+        f = primal(space, space.grid**2)
+        rays = (f, primal(space, space.grid), primal(space, np.sin(np.pi * space.grid)))
+        schedule = SamplingSchedule(levels=5, dirs_per_level=16, extra_rays=rays, seed=10)
+        cases[f"C01 G={g}"] = (poly_projection_map(space, 1), f, schedule)
+    return cases
+
+
+PASS_CASES = _pass_cases()
+
+
+@pytest.mark.parametrize("name", sorted(PASS_CASES))
+def test_the_block_built_pass_gives_the_per_level_rows_bit_for_bit(name, monkeypatch):
+    mapd, x, sched = PASS_CASES[name]
+    base = GraphPoint.at_point(mapd, x)
+    reference = _per_level_pass(mapd, base, sched)
+    value_batch = MapDescriptor.value_batch
+    sizes = []
+
+    def counted(self, rows):
+        sizes.append(rows.size)
+        return value_batch(self, rows)
+
+    monkeypatch.setattr(MapDescriptor, "value_batch", counted)
+    samples = sample_base(mapd, base, replace(sched))
+    for field, expected in zip(("radii", "us", "vs", "dens"), reference):
+        assert np.array_equal(getattr(samples, field), expected), field
+    level = samples.us[0].size
+    assert sum(sizes) == samples.us.size
+    assert max(sizes) <= max(limsup_oracle.QUOTIENT_BLOCK, level)
+    # the whole pass is one block at the default shape; one level at N = 16,
+    # S = 1024 and on these grids
+    assert len(sizes) == (1 if samples.us.size <= limsup_oracle.QUOTIENT_BLOCK else sched.levels)
 
 
 def _membership_by_ray(mapd, base, xstar, ystar, sched, extra_rays, samples):
