@@ -163,7 +163,7 @@ def _ask(cases, config: ExperimentConfig) -> tuple[Counter, int]:
     order, as one list (`fp.ask`). Returns, per check name, how many verdicts
     were the expected one, and how many verdicts were indeterminate."""
     names, queries, expected = zip(*cases)
-    verdicts = fp.ask(queries, config.schedule())
+    verdicts = [answer.verdict for answer in fp.ask(queries, config.schedule())]
     hits = Counter(name for name, want, got in zip(names, expected, verdicts) if got == want)
     return hits, verdicts.count(lo.Verdict.INDETERMINATE)
 
@@ -464,28 +464,27 @@ def _exp_l1_cases(config: ExperimentConfig) -> list[CheckResult]:
             f"{limit:.5f}",
             f"{target} +- 5%",
         )
+    # the origin is a membership query, so the oracle answers it with a value
     theta = DualVector.zero(space)
-    est = lo.estimate_limsup(mapd, base, theta, theta, config.schedule())
-    _check(
-        checks,
-        "dual origin is a fixed point with exact zero quotients",
-        est.verdict == lo.Verdict.MEMBER and est.extrapolated == 0.0,
-        f"{est.verdict.value}, sup {est.extrapolated}",
-        "member, sup 0.0",
-    )
-    del est  # its trace holds its pass; the queries below draw their own
-    rejected = "nonzero duals are not fixed points"
+    queries = [fp.Query(mapd, base, theta, theta)]
     rng = _rng(config, 60)
-    cases = []
     for i in range(20):
         vals = rng.uniform(0.3, 1.2, size=config.N) * rng.choice([-1.0, 1.0], size=config.N)
         vals *= rng.random(config.N) > 0.4
         if not np.any(vals):
             vals[0] = 0.5
         phi = dual(space, vals)
-        cases.append((rejected, fp.Query(mapd, base, phi, phi), NON_MEMBER))
-    hits, _ = _ask(cases, config)
-    _check_hits(checks, hits, rejected, 20)
+        queries.append(fp.Query(mapd, base, phi, phi))
+    origin, *answers = fp.ask(queries, config.schedule())
+    _check(
+        checks,
+        "dual origin is a fixed point with exact zero quotients",
+        origin.verdict == MEMBER and origin.extrapolated == 0.0,
+        f"{origin.verdict.value}, sup {origin.extrapolated}",
+        "member, sup 0.0",
+    )
+    rejected = sum(answer.verdict == NON_MEMBER for answer in answers)
+    _check(checks, "nonzero duals are not fixed points", rejected == 20, rejected, 20)
     return checks
 
 
@@ -719,28 +718,26 @@ def _exp_structural(config: ExperimentConfig) -> list[CheckResult]:
     instances, cone_space, cone_map, cone_base = _structural_instances(config)
     sched = config.schedule()
 
-    theta_ok = True
-    for name, mapd, base in instances:
+    rng = _rng(config, 110)
+    theta_ok, spread_worst = True, 0.0
+    for k, (name, mapd, base) in enumerate(instances):
         theta = DualVector.zero(mapd.space)
         est = lo.estimate_limsup(mapd, base, theta, theta, sched)
         theta_ok = theta_ok and est.verdict == lo.Verdict.MEMBER and est.extrapolated == 0.0
+        if k < 3:
+            ystar = _duals_with_norm(mapd.space, rng, 0.5, 1.5, 1)[0]
+            # the origin estimate's rows, as a stack of one-row blocks: the
+            # golden report pins this spread, and a (1, size) @ (size,)
+            # product rounds like a scalar dot where a multi-row one does not
+            size = mapd.space.size
+            us, vs = est.trace.us.reshape(-1, 1, size), est.trace.vs.reshape(-1, 1, size)
+            spread = fp.quotient_forms_spread(ystar, lo.AuditRows.at(base, us, vs))
+            spread_worst = max(spread_worst, float(spread.max()))
     poly_space = c01_space(config.G)
     fpoly = primal(poly_space, poly_space.grid**2)
     est = fp.poly_fixed_point_quotient(fpoly, config.n, DualVector.zero(poly_space))
     theta_ok = theta_ok and est.verdict == lo.Verdict.MEMBER and est.extrapolated == 0.0
     _check(checks, "dual origin is a fixed point everywhere, quotients exactly zero", theta_ok, theta_ok, True)
-
-    rng = _rng(config, 110)
-    spread_worst = 0.0
-    for name, mapd, base in instances[:3]:
-        ystar = _duals_with_norm(mapd.space, rng, 0.5, 1.5, 1)[0]
-        est = lo.estimate_limsup(mapd, base, ystar, ystar, sched)
-        # one row per call: the golden report pins this spread, and a one-row
-        # product rounds like a scalar dot where a multi-row one does not
-        size = mapd.space.size
-        for u, v in zip(est.trace.us.reshape(-1, size), est.trace.vs.reshape(-1, size)):
-            spread = fp.quotient_forms_spread(ystar, lo.AuditRows.at(base, u[None, :], v[None, :]))
-            spread_worst = max(spread_worst, float(spread[0]))
     _check(checks, "the three quotient forms agree", spread_worst <= 1e-12, f"{spread_worst:.3e}", "<= 1e-12")
 
     cone_point = lo.GraphPoint.at_point(cone_map, cone_base)
@@ -754,7 +751,7 @@ def _exp_structural(config: ExperimentConfig) -> list[CheckResult]:
     audit = fp.convexity_candidates(members[:2], trials=10, seed=config.seed)
     queries = [fp.Query(cone_map, cone_point, cand) for _, cand in registry]
     queries += [fp.Query(cone_map, cone_point, cand, mode="audit") for _, cand in audit]
-    verdicts = fp.ask(queries, sched)
+    verdicts = [answer.verdict for answer in fp.ask(queries, sched)]
     for name, labelled, asked in (
         ("convexity and closedness probe has no violations", registry, verdicts[: len(registry)]),
         ("audited combinations stay members", audit, verdicts[len(registry) :]),

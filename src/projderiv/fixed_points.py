@@ -7,15 +7,16 @@ cone over an index set); everything else goes to the sampling oracle. In
 audit mode both run and a contradiction fails loudly.
 
 A `Query` names a map, a base and the duals to ask about there; `ask` answers
-a list of them, drawing one `SamplePass` of the oracle (the map, the base, the
-schedule and every candidate-independent row) for each run of queries at one
-base and sharing it across that run. The oracle answers every query of a
-run that needs it in one array pass over their stacked candidates
-(`_oracle_pass`, one `limsup_oracle.membership_batch`; a fixed-point query
-is the membership query with y* = x*), bit for bit what each candidate gets
-when asked alone; each fixed-point query is then settled by its own
-`is_fixed_point` call, in order. The quotient-form audit checks
-the pass's finest level (`SamplePass.audit`), so it sees the rows the oracle
+a list of them, one `limsup_oracle.Answer` each (the oracle's value and
+verdict, or a closed form's verdict with no value), drawing one `SamplePass`
+of the oracle (the map, the base, the schedule and every candidate-independent
+row) for each run of queries at one base and sharing it across that run. The
+oracle answers every query of a run that needs it in one array pass over their
+stacked candidates (`_oracle_pass`, one `limsup_oracle.membership_batch`; a
+fixed-point query is the membership query with y* = x*), bit for bit what each
+candidate gets when asked alone; each fixed-point query is then settled by its
+own `is_fixed_point` call, in order. The quotient-form audit checks the pass's
+finest level (`SamplePass.audit`), so it sees the rows the oracle
 judges, with the stacked pairing `spaces.pairing_stack`. The closed-form
 side of a run is rows as well: the base's fixed-point set is taken once, and
 the registry's rejection rays of all candidates are one (m, size) array
@@ -224,28 +225,30 @@ class Query:
     mode: str = "registry"
 
 
-def ask(queries: Iterable[Query], schedule: SamplingSchedule) -> list[Verdict]:
-    """The verdict of each query, in order. Each run of consecutive queries
-    at one map and base shares one `SamplePass`, drawn when the run starts,
-    after the previous run's pass is released; only verdicts are kept, so no
-    estimate holds on to a pass either.
+def ask(queries: Iterable[Query], schedule: SamplingSchedule) -> list[Answer]:
+    """The answer of each query, in order: the oracle's `Answer` where the
+    oracle settled it, and the registry's verdict without a value
+    (`extrapolated` None) where a closed form did. Each run of consecutive
+    queries at one map and base shares one `SamplePass`, drawn when the run
+    starts, after the previous run's pass is released; an answer holds no
+    trace, so nothing holds on to a pass.
 
     The oracle answers every query of a run that needs it in one array pass
     over their candidates (`_oracle_pass`, one `membership_batch`). Each
     fixed-point query is then settled by its own `is_fixed_point` call, in
     order, so the first query that fails raises.
     """
-    verdicts: list[Verdict] = []
+    answers: list[Answer] = []
     samples = None
     for (mapd, base), run in groupby(queries, key=lambda q: (q.map, q.base)):
         samples = None  # release the previous pass before drawing this one
         samples = sample_base(mapd, base, schedule)
-        verdicts += _ask_run(samples, list(run))
-    return verdicts
+        answers += _ask_run(samples, list(run))
+    return answers
 
 
-def _ask_run(samples: SamplePass, run: list[Query]) -> list[Verdict]:
-    """The verdicts of a run of queries at the base of `samples`, in order.
+def _ask_run(samples: SamplePass, run: list[Query]) -> list[Answer]:
+    """The answers of a run of queries at the base of `samples`, in order.
     Each fixed-point query in the registry and audit modes asks the registry
     once, with the base's closed-form fixed-point set taken once for all of
     them; every query that needs the oracle is answered by one
@@ -259,11 +262,9 @@ def _ask_run(samples: SamplePass, run: list[Query]) -> list[Verdict]:
     needed = [q for q in run if q.ystar is not None or q.mode in ("oracle", "audit")
               or (q in exact and exact[q] is None)]
     checked = dict(zip(needed, _oracle_pass(samples, needed))) if needed else {}
-    return [
-        checked[q][2].verdict if q.ystar is not None
-        else is_fixed_point(samples, q.xstar, q.mode, batch=(exact.get(q), checked.get(q)))
-        for q in run
-    ]
+    settled = {q: is_fixed_point(samples, q.xstar, q.mode, batch=(exact.get(q), checked.get(q)))
+               for q in run if q.ystar is None}
+    return [checked[q][2] if q in checked else Answer(None, settled[q]) for q in run]
 
 
 def convexity_candidates(

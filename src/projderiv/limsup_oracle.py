@@ -671,9 +671,11 @@ def membership_test(
 @dataclass(frozen=True)
 class Answer:
     """The oracle's answer about one candidate of `membership_batch`: the
-    extrapolated value and verdict of its `membership_test`."""
+    extrapolated value and verdict of its `membership_test`. `fixed_points.ask`
+    answers a query that a closed form settles with the closed form's
+    verdict and no value (`extrapolated` None)."""
 
-    extrapolated: float
+    extrapolated: float | None
     verdict: Verdict
 
 

@@ -216,12 +216,7 @@ class _Vector:
     # into the instance dict, outside the frozen fields, on first use
     @functools.cached_property
     def _norm(self) -> float:
-        kind = self.space.kind
-        if kind == KIND_LP:
-            return _lp_norms(self.values[None, :], self.space.p).item()
-        if kind == KIND_L1:
-            return float(np.sum(np.abs(self.values)))
-        return float(np.max(np.abs(self.values)))
+        return norm_rows(self.space, self.values[None, :]).item()
 
     @functools.cached_property
     def _dual_norm(self) -> float:
@@ -352,7 +347,7 @@ def _lp_norms(rows: np.ndarray, p: float) -> np.ndarray:
 
 def norm(v: PrimalVector) -> float:
     """Primal norm: p-norm (Lp), 1-norm (L1), grid max (C01). Computed once
-    per vector."""
+    per vector, as `norm_rows` of a row of one."""
     return v._norm
 
 

@@ -19,8 +19,8 @@ from projderiv.coderivatives import (
     l1_ball_projection_map,
     poly_projection_map,
 )
-from projderiv import fixed_points
-from projderiv.experiments import _cone_setup, resolve_config
+from projderiv import fixed_points, limsup_oracle
+from projderiv.experiments import EXPERIMENTS, _cone_setup, resolve_config
 from projderiv.fixed_points import (
     FixedPointAuditError,
     Query,
@@ -35,6 +35,7 @@ from projderiv.fixed_points import (
     scaling_direction_report,
 )
 from projderiv.limsup_oracle import (
+    Answer,
     AuditRows,
     GraphPoint,
     SamplingSchedule,
@@ -280,9 +281,14 @@ def test_convexity_probe_whole_dual(rng):
     assert labelled[-1][1] is members[0]
     for mode in ("registry", "oracle"):
         queries = [Query(ballm, base, cand, mode=mode) for _, cand in labelled]
-        assert ask(queries, SamplingSchedule(seed=3)) == [Verdict.MEMBER] * 37
+        assert _verdicts(queries, SamplingSchedule(seed=3)) == [Verdict.MEMBER] * 37
     with pytest.raises(ValueError):
         convexity_candidates(members[:1], trials=5)
+
+
+def _verdicts(queries, schedule):
+    """The verdicts of `ask`'s answers."""
+    return [answer.verdict for answer in ask(queries, schedule)]
 
 
 def _runner_queries():
@@ -333,7 +339,7 @@ def test_ask_matches_direct_calls_and_draws_one_pass_per_base_run(monkeypatch):
         return samples
 
     monkeypatch.setattr(fixed_points, "sample_base", tracked)
-    assert ask(queries, sched) == direct
+    assert _verdicts(queries, sched) == direct
     assert len(drawn) == 2 * 3  # the exterior ball base, the cone base, the ball base again
 
 
@@ -447,7 +453,7 @@ def test_a_batch_pass_answers_each_query_as_a_batch_of_one(shift, d):
             assert (answer.verdict, answer.extrapolated.hex()) == (alone.verdict, alone.extrapolated.hex()), name
         queries = [Query(mapd, base, w, mode=mode) for mode in ("registry", "oracle", "audit") for w in cands]
         queries += [Query(mapd, base, w, y) for w, y in zip(cands, ystars)]
-        assert ask(queries, sched) == [_one_at_a_time(samples, q) for q in queries], name
+        assert _verdicts(queries, sched) == [_one_at_a_time(samples, q) for q in queries], name
 
 
 def test_a_mixed_run_asks_the_oracle_once_and_gives_each_query_its_lone_verdict(monkeypatch):
@@ -482,7 +488,7 @@ def test_a_mixed_run_asks_the_oracle_once_and_gives_each_query_its_lone_verdict(
         return membership_batch(samples, xs, ys, extra_rays)
 
     monkeypatch.setattr(fixed_points, "membership_batch", counted)
-    assert ask(queries, sched) == alone
+    assert _verdicts(queries, sched) == alone
     # the registry-mode queries are settled by the closed form
     assert calls == [len(queries) - 2]
 
@@ -497,7 +503,7 @@ def test_the_first_failing_query_of_a_run_raises(monkeypatch):
     ok = [Query(ballm, base, dual(L24, [0.0, 0.7, 0.1, 0.0]), mode="oracle"), Query(ballm, base, w, w)]
     first, second = (Query(ballm, base, c * w, mode="audit") for c in (1.0, 2.0))
     unknown = Query(ballm, base, w, mode="bogus")
-    assert ask([*ok, first, second], sched) == [_one_at_a_time(samples, q) for q in (*ok, first, second)]
+    assert _verdicts([*ok, first, second], sched) == [_one_at_a_time(samples, q) for q in (*ok, first, second)]
     monkeypatch.setattr(fixed_points, "registry_verdict", lambda mapd, base, candidate, char=None: Verdict.MEMBER)
     messages = []
     for q in (first, second):
@@ -523,7 +529,7 @@ def test_an_audit_at_the_cone_origin_sees_the_sign_of_a_dual(p, monkeypatch):
     origin = GraphPoint.at_point(cone, PrimalVector.zero(space))
     query = Query(cone, origin, dual(space, [0.5, -0.7, 0.2, 0.0]), mode="audit")
     sched = SamplingSchedule(seed=7)
-    assert ask([query], sched) == [Verdict.NON_MEMBER]
+    assert _verdicts([query], sched) == [Verdict.NON_MEMBER]
     known_member = MapDescriptor.known_member
 
     def without_the_sign_condition(self, base, cand):
@@ -533,6 +539,87 @@ def test_an_audit_at_the_cone_origin_sees_the_sign_of_a_dual(p, monkeypatch):
     monkeypatch.setattr(MapDescriptor, "known_member", without_the_sign_condition)
     with pytest.raises(FixedPointAuditError, match="contradicts the closed form member"):
         ask([query], sched)
+
+
+def test_ask_answers_with_the_oracle_value_or_a_closed_form_verdict_without_one():
+    # a membership query and an oracle-mode fixed-point query carry their
+    # `membership_batch` answer alone, value bits and verdict; a query that
+    # the exterior ball's closed form settles carries no value
+    samples = _exterior_ball_samples()
+    ballm, base, sched = samples.map, samples.base, samples.schedule
+    ystar = dual(L24, [0.3, -0.2, 0.5, 0.1])
+    w = dual(L24, [0.4, 0.1, 0.0, 0.0])
+    asked = [
+        Query(ballm, base, coderiv_ball_lp(base.x, 1.0, ystar).point, ystar),
+        Query(ballm, base, w, mode="oracle"),
+        Query(ballm, base, w),
+    ]
+    answers = ask(asked, sched)
+    for q, answer in zip(asked[:2], answers):
+        xs = q.xstar.values[None]
+        ys = xs if q.ystar is None else q.ystar.values[None]
+        (alone,) = membership_batch(samples, xs, ys, registry_rays(ballm, base, xs, ys)[:, None])
+        assert (answer.verdict, answer.extrapolated.hex()) == (alone.verdict, alone.extrapolated.hex())
+    assert answers[2] == Answer(None, registry_verdict(ballm, base, w)) == Answer(None, Verdict.NON_MEMBER)
+
+
+def _spread_calls(monkeypatch):
+    """Records each `quotient_forms_spread` call as (y*, base, us, vs,
+    spreads), with the sample rows that its audit rows were built from."""
+    built, calls = {}, []
+    at, spread = AuditRows.at.__func__, fixed_points.quotient_forms_spread
+
+    def recorded_at(cls, base, us, vs):
+        rows = at(cls, base, us, vs)
+        built[id(rows)] = (rows, base, us, vs)
+        return rows
+
+    def recorded_spread(ystar, rows):
+        result = spread(ystar, rows)
+        calls.append((ystar, *built[id(rows)][1:], result))
+        return result
+
+    monkeypatch.setattr(AuditRows, "at", classmethod(recorded_at))
+    monkeypatch.setattr(fixed_points, "quotient_forms_spread", recorded_spread)
+    return calls
+
+
+@pytest.mark.parametrize("S", [16, 64, 1024])
+@pytest.mark.parametrize("N", [2, 4, 16])
+def test_structural_audits_each_instance_in_one_call_as_one_call_per_row(N, S, monkeypatch):
+    # each (1, size) block of the stack pairs like a row of its own, so the
+    # one call gives every row the spread of a call on that row alone (the
+    # fewest levels, K = 4, keep the per-row reference loop short)
+    calls = _spread_calls(monkeypatch)
+    config = resolve_config("structural_prop_3_2", overrides={"N": str(N), "S": str(S), "K": "4"})
+    checks = EXPERIMENTS["structural_prop_3_2"].run(config)
+    monkeypatch.undo()
+    assert all(check.passed for check in checks)
+    assert len(calls) == 3
+    for ystar, base, us, vs, spreads in calls:
+        assert us.shape == vs.shape == (config.K * S, 1, ystar.space.size)
+        alone = [quotient_forms_spread(ystar, AuditRows.at(base, u, v)) for u, v in zip(us, vs)]
+        assert spreads.shape == (config.K * S, 1)
+        assert spreads.tobytes() == np.stack(alone).tobytes()
+
+
+def test_structural_and_l1_cases_sample_each_base_once(monkeypatch):
+    # structural_prop_3_2: five origin estimates, the polynomial quotient
+    # and the cone probe's one run; l1_cases: its 21 queries at one base
+    draws = []
+
+    def counted(mapd, base, schedule):
+        draws.append(base)
+        return sample_base(mapd, base, schedule)
+
+    monkeypatch.setattr(limsup_oracle, "sample_base", counted)
+    monkeypatch.setattr(fixed_points, "sample_base", counted)
+    calls = _spread_calls(monkeypatch)
+    for experiment, passes, spreads in (("structural_prop_3_2", 7, 3), ("l1_cases", 1, 0)):
+        draws.clear()
+        calls.clear()
+        assert all(check.passed for check in EXPERIMENTS[experiment].run(resolve_config(experiment)))
+        assert (len(draws), len(calls)) == (passes, spreads), experiment
 
 
 def test_poly_annihilator_structure():

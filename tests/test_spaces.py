@@ -160,19 +160,27 @@ def test_row_norms_keep_the_bits_of_the_power_sum_and_its_rescaled_fallback(p):
     assert norms[0] == 0.0 and norms[1] > 0.0
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
-def test_a_one_dimensional_row_has_the_norm_of_its_vector(p):
+@pytest.mark.parametrize(
+    "space",
+    [pytest.param(lp_space(p, 5), id=str(p)) for p in (1.5, 2.0, 3.0, 6.0)]
+    + [pytest.param(l1_space(5), id="L1"), pytest.param(c01_space(5), id="C01")],
+)
+def test_a_one_dimensional_row_has_the_norm_of_its_vector(space):
     # reduced on its own, a (size,) row would end in a numpy scalar, whose
     # `**` rounds differently from the array `**` of a row of an array: at
     # p = 3 the 1e-200 row below read 1.1603972084031948e-200 that way,
-    # against ...946e-200 as a vector and as a row of a (1, 5) array
-    space = lp_space(p, 5)
+    # against ...946e-200 as a vector and as a row of a (1, 5) array. A
+    # vector's norm is the row norm of a row of one in every space, and it
+    # keeps the bits of the one-vector formula.
     for peak in (0.0, 1e-310, 1e-200, 1.0, 1e200):
         vals = peak * np.array([0.25, -0.75, 0.5, -1.0, 0.0])
         flat = norm_rows(space, vals)
         assert np.shape(flat) == ()
         assert flat == norm_rows(space, vals[None, :])[0] == norm(primal(space, vals))
-        assert flat == _row_norm_formula(vals[None, :], p)[0]
+        if space.kind == "Lp":
+            assert flat == _row_norm_formula(vals[None, :], space.p)[0]
+        else:
+            assert flat == _norm_formulas(space, vals)[0]
 
 
 def _norm_formulas(space, vals):
