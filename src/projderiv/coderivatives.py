@@ -144,11 +144,8 @@ class MapDescriptor:
             inside = _sphere_side(norms, self.radius) <= 0
             factors = np.where(inside, 1.0, self.radius / np.where(inside, 1.0, norms))
             return rows * factors[:, None]
-        out = np.empty_like(rows)
-        for i, row in enumerate(rows):
-            fit = chebyshev.remez(PrimalVector(self.space, row), self.degree)
-            out[i] = fit.polynomial(self.space.grid)
-        return out
+        fits = chebyshev.remez_rows(self.space, rows, self.degree)
+        return chebyshev.fits_on_grid(self.space, fits)
 
     def graph_contains(self, x: PrimalVector, y: PrimalVector, tol: float = 1e-9) -> bool:
         if x.space != self.space or y.space != self.space:

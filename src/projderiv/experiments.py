@@ -589,20 +589,29 @@ def _exp_remez(config: ExperimentConfig) -> list[CheckResult]:
         )
     _check(checks, "polynomials project to themselves", ident_worst <= 1e-12, f"{ident_worst:.3e}", "<= 1e-12")
 
-    equi_worst = 0.0
-    for i in range(50):
-        n = (1, 2)[i % 2]
+    # the draws f, beta, q of each of the 50 trials, in trial order; then the
+    # base, scaled and shifted rows of each degree as one batch
+    degrees = [(1, 2)[i % 2] for i in range(50)]
+    draws = []
+    for n in degrees:
         f = _random_smooth(space, rng)
-        base_fit = chebyshev.remez(f, n).polynomial(grid)
         beta = rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0])
-        scaled = chebyshev.remez(primal(space, beta * f.values), n).polynomial(grid)
+        draws.append((f.values, beta, chebyshev.Polynomial(tuple(rng.normal(size=n + 1)))))
+    fits = {}
+    for n in (1, 2):
+        trials = [i for i, d in enumerate(degrees) if d == n]
+        rows = np.empty((3, len(trials), grid.size))
+        for k, i in enumerate(trials):
+            f, beta, qpoly = draws[i]
+            rows[:, k] = f, beta * f, f + qpoly(grid)
+        batch = chebyshev.remez_rows(space, rows.reshape(-1, grid.size), n)
+        del rows  # so that the two degrees' rows are never held at once
+        fits.update((i, batch[k :: len(trials)]) for k, i in enumerate(trials))
+    equi_worst = 0.0
+    for i, (_, beta, qpoly) in enumerate(draws):
+        base_fit, scaled, shifted = chebyshev.fits_on_grid(space, fits[i])
         equi_worst = max(equi_worst, float(np.max(np.abs(scaled - beta * base_fit))))
-        qcoef = rng.normal(size=n + 1)
-        qpoly = chebyshev.Polynomial(tuple(qcoef))
-        shifted = chebyshev.remez(primal(space, f.values + qpoly(grid)), n).polynomial(grid)
-        equi_worst = max(
-            equi_worst, float(np.max(np.abs(shifted - (base_fit + qpoly(grid)))))
-        )
+        equi_worst = max(equi_worst, float(np.max(np.abs(shifted - (base_fit + qpoly(grid))))))
     _check(checks, "scaling and shift equivariance", equi_worst <= 1e-8, f"{equi_worst:.3e}", "<= 1e-8")
 
     # the certified bracket lb <= E_grid <= ub at the discrete solution: it

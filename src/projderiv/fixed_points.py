@@ -389,13 +389,14 @@ def scaling_direction_report(
     for k in range(degree + 1):
         if abs(pairing(gamma, PrimalVector(f.space, grid**k))) > 1e-10:
             raise ValueError("gamma must annihilate the polynomial class")
-    base_fit = chebyshev.remez(f, degree)
-    p_grid = base_fit.polynomial(grid)
     lams = [SCALING_LAM0 * SCALING_RATIO**j for j in range(SCALING_STEPS)]
+    # the base and the path's fits as one batch
+    rows = np.array([f.values] + [(1.0 + lam) * f.values for lam in lams])
+    fitted_rows = chebyshev.fits_on_grid(f.space, chebyshev.remez_rows(f.space, rows, degree))
+    p_grid = fitted_rows[0]
     quotients = []
-    for lam in lams:
-        g = PrimalVector(f.space, (1.0 + lam) * f.values)
-        q_grid = chebyshev.remez(g, degree).polynomial(grid)
+    for g_values, q_grid in zip(rows[1:], fitted_rows[1:]):
+        g = PrimalVector(f.space, g_values)
         num = pairing(mu, g - f) - pairing(gamma, PrimalVector(f.space, q_grid - p_grid))
         den = float(np.max(np.abs(g.values - f.values)) + np.max(np.abs(q_grid - p_grid)))
         quotients.append(num / den)

@@ -11,7 +11,7 @@ from projderiv.chebyshev import (
     RemezConvergenceError,
     _alternating_extrema,
     _bareiss_determinant,
-    _leveled_solve,
+    _leveled_solves,
     _trim_reference,
     an_determinant,
     an_recursive,
@@ -22,6 +22,7 @@ from projderiv.chebyshev import (
     continuity_experiment,
     derivative_coefficient_bound,
     remez,
+    remez_rows,
     sample_value,
 )
 from grid_lp import lp_error
@@ -302,6 +303,24 @@ def test_sample_value_exact_at_nodes():
         assert sample_value(f, float(C513.grid[j])) == f.values[j]
 
 
+@pytest.mark.parametrize("grid_size", [2, 3, 5, 513])
+def test_sample_value_is_exact_at_every_node(grid_size):
+    space = c01_space(grid_size)
+    values = np.sin(3 * space.grid) + 0.25
+    f = PrimalVector(space, values)
+    for j, t in enumerate(space.grid):
+        assert sample_value(f, float(t)) == values[j]
+
+
+def test_a_constant_on_two_nodes_reports_its_own_values():
+    res = remez(primal(c01_space(2), [0.7, 0.7]), 0)
+    assert res.iterations == 0
+    assert res.reference == (0.0, 1.0)
+    assert res.reference_values == (0.7, 0.7)
+    assert res.residual_signs == (1, -1)
+    assert res.polynomial.coefficients[0] == pytest.approx(0.7, abs=1e-15)
+
+
 def test_continuity_zero_direction():
     f = primal(C513, C513.grid**2)
     report = continuity_experiment(f, 1, perturbations=6, g=PrimalVector.zero(C513))
@@ -394,8 +413,9 @@ def test_run_split_and_trim_match_the_loop_versions(leading_zeros, values):
         )
 
 
-# The levelled system as built before its columns were kept per degree: the
-# reference that _leveled_solve must reproduce exactly at any degree.
+# The levelled system as built before its columns were kept per degree and
+# its rows stacked: the reference that each row of _leveled_solves must
+# reproduce exactly at any degree.
 def _leveled_solve_rebuilt(points, values, n):
     count = points.size
     system = np.zeros((count, count))
@@ -410,16 +430,31 @@ def test_leveled_solve_matches_the_rebuilt_system_bit_for_bit(n, rng):
     chebyshev._level_columns.cache_clear()
     nodes = chebyshev_points(n + 2)
     spread = np.sort(rng.uniform(0.0, 1.0, size=n + 2))
-    for points in (nodes, spread, nodes):  # the last call reads the kept columns
+    for stack in ([nodes], [spread, nodes], [nodes, spread, nodes]):  # later stacks read the kept columns
+        points = np.array(stack)
         values = np.sin(3.0 * points) + points**2
-        poly, level = _leveled_solve(points, values, n)
-        ref_poly, ref_level = _leveled_solve_rebuilt(points, values, n)
-        assert poly.degree == n
-        assert np.array(poly.coefficients).tobytes() == np.array(ref_poly.coefficients).tobytes()
-        assert np.float64(level).tobytes() == np.float64(ref_level).tobytes()
+        coefs, levels, errors = _leveled_solves(points, values, n)
+        assert coefs.shape == (len(stack), n + 1) and levels.shape == (len(stack),) and not errors
+        for row, (coef, level) in enumerate(zip(coefs, levels)):
+            ref_poly, ref_level = _leveled_solve_rebuilt(points[row], values[row], n)
+            assert coef.tobytes() == np.array(ref_poly.coefficients).tobytes()
+            assert np.float64(level).tobytes() == np.float64(ref_level).tobytes()
     exponents, alternating = chebyshev._level_columns(n)
     assert exponents.size == n + 1 and alternating.size == n + 2
     assert not exponents.flags.writeable and not alternating.flags.writeable
+
+
+def test_a_singular_system_fails_only_its_own_row():
+    # the first and last equation of the middle system are the same
+    points = np.array([[0.0, 0.5, 1.0], [0.5, 0.5, 0.5], [0.1, 0.4, 0.9]])
+    values = points**2
+    coefs, levels, errors = _leveled_solves(points, values, 1)
+    assert list(errors) == [1] and isinstance(errors[1], np.linalg.LinAlgError)
+    assert np.isnan(coefs[1]).all() and np.isnan(levels[1])
+    for row in (0, 2):
+        ref_poly, ref_level = _leveled_solve_rebuilt(points[row], values[row], 1)
+        assert coefs[row].tobytes() == np.array(ref_poly.coefficients).tobytes()
+        assert levels[row] == ref_level
 
 
 def test_remez_certificate_with_hundreds_of_sign_runs():
@@ -444,23 +479,29 @@ def test_remez_certificate_with_hundreds_of_sign_runs():
     ids=["squared_ramp", "random_smooth"],
 )
 def test_remez_solves_each_reference_once(target, degrees, grid_size, monkeypatch):
+    # each stacked system is keyed by its points and values; the values tell
+    # the rows of a batch apart, so a repeated key is a row that solved one
+    # reference twice
     space = c01_space(grid_size)
     rng = np.random.default_rng(grid_size)
-    leveled_solve = chebyshev._leveled_solve
+    leveled_solves = chebyshev._leveled_solves
     solved = []
 
     def counted(points, values, n):
-        solved.append(tuple(points))
-        return leveled_solve(points, values, n)
+        solved.extend((p.tobytes(), v.tobytes()) for p, v in zip(points, values))
+        return leveled_solves(points, values, n)
 
-    monkeypatch.setattr(chebyshev, "_leveled_solve", counted)
+    monkeypatch.setattr(chebyshev, "_leveled_solves", counted)
     for n in degrees:
-        f = primal(space, space.grid**2) if target == "squared_ramp" else _random_smooth(rng, space=space)
+        if target == "squared_ramp":
+            rows = [space.grid**2, space.grid**2 + 0.5 * space.grid**3]
+        else:
+            rows = [_random_smooth(rng, space=space).values for _ in range(3)]
         solved.clear()
-        res = remez(f, n)
+        fits = remez_rows(space, np.array(rows), n)
         assert solved, "the exchange made no levelled solve"
         assert len(set(solved)) == len(solved), "a reference was solved twice"
-        assert res.iterations == len(res.level_history)
+        assert all(fit.iterations == len(fit.level_history) for fit in fits)
 
 
 def test_grid_is_built_once_and_read_only():
