@@ -7,8 +7,9 @@ Usage:
 Prints one line per experiment with its wall time and a closing line with
 the total wall time. An experiment whose config is rejected, whose
 quotient-form audit fails or whose Remez exchange does not converge counts as
-failed, and the remaining experiments still run. Exit status is 0 only if every experiment passes, and 2, before
-any experiment runs, if the report directory cannot be made.
+failed, and the remaining experiments still run. Exit status is 0 only if
+every experiment passes, and 2, before any experiment runs, if the seed is
+invalid or the report directory cannot be made.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 from projderiv.chebyshev import RemezConvergenceError
 from projderiv.experiments import (
     ConfigError,
+    ExperimentConfig,
     experiment_ids,
     report_to_json,
     resolve_config,
@@ -35,13 +37,19 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
 
+    overrides = {"seed": args.seed} if args.seed is not None else {}
+    try:
+        # the seed is every experiment's, so a bad one is one config error
+        ExperimentConfig(**overrides).validate()
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"config error: cannot make the report directory {str(out_dir)!r}: {exc.strerror}", file=sys.stderr)
         return 2
-    overrides = {"seed": args.seed} if args.seed is not None else {}
 
     failures = []
     total_started = time.perf_counter()

@@ -14,6 +14,9 @@ from one row's residual (the sign-run split, the trim, the trial acceptance,
 the single exchange and the polish) stay per row, so each row keeps the bits
 of an exchange of that row alone.
 
+The monomial basis lives here only: every system and fit takes its powers
+from `_powers`, and `horner_rows` is the one polynomial evaluator.
+
 The module also provides the power-matrix determinants A_n(t) = det[t^(i*j)]
 (nonzero on (0, 1)), computed exactly by integer Bareiss elimination and
 rounded once, their product factorization, and the coefficient bounds they
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .spaces import KIND_C01, PrimalVector, SpaceSpec, norm
 
@@ -45,6 +47,7 @@ __all__ = [
     "coefficient_bound",
     "derivative_coefficient_bound",
     "chebyshev_points",
+    "chebyshev_nodes",
     "sample_value",
     "annihilator",
     "remez",
@@ -74,12 +77,15 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, t):
-        return npoly.polyval(t, self.coefficients)
+        """Values at t, of any shape, by `horner_rows`."""
+        t = np.asarray(t, dtype=float)
+        return horner_rows(np.array([self.coefficients]), t.ravel())[0].reshape(t.shape)[()]
 
     def derivative(self) -> "Polynomial":
+        """The coefficients j a_j, j = 1..n (a constant has derivative 0)."""
         if self.degree == 0:
             return Polynomial((0.0,))
-        return Polynomial(tuple(npoly.polyder(self.coefficients)))
+        return Polynomial(tuple(np.arange(1, self.degree + 1) * np.array(self.coefficients[1:])))
 
     def on_grid(self, space: SpaceSpec) -> PrimalVector:
         return PrimalVector(space, self(space.grid))
@@ -231,9 +237,7 @@ def coeffs_from_values(values) -> Polynomial:
     n = b.size - 1
     if not 0 <= n <= MAX_DETERMINANT_DEGREE:
         raise ValueError(f"supported for degree <= {MAX_DETERMINANT_DEGREE}")
-    nodes = 0.5 ** np.arange(n + 1)
-    system = nodes[:, None] ** np.arange(n + 1)[None, :]
-    coeffs = np.linalg.solve(system, b)
+    coeffs = np.linalg.solve(_powers(0.5 ** np.arange(n + 1), n), b)
     return Polynomial(tuple(coeffs))
 
 
@@ -257,6 +261,24 @@ def derivative_coefficient_bound(b: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 # Remez exchange
 # ---------------------------------------------------------------------------
+
+def _powers(t: np.ndarray, n: int) -> np.ndarray:
+    """The powers t^0..t^n of each entry of t, along a new last axis: the
+    monomial basis of every system and fit of this module."""
+    return t[..., None] ** np.arange(n + 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_powers(space: SpaceSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only G x (n+1) matrix of the powers t^0..t^n of the grid
+    nodes (C01 only), the basis of the polynomials of degree <= n on the
+    grid, and an orthonormal basis of its column space (its thin QR factor).
+    Built once per (space, n); equal specs share them."""
+    vander = _powers(space.grid, n)
+    basis = np.linalg.qr(vander)[0]
+    vander.flags.writeable = basis.flags.writeable = False
+    return vander, basis
+
 
 def chebyshev_points(count: int) -> np.ndarray:
     """Chebyshev points of the second kind mapped to [0, 1], increasing."""
@@ -297,7 +319,7 @@ def annihilator(points: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     <= n: the null vector of the moment matrix [t_i^k], scaled to total
     variation 1 with a positive first weight. Also returns the annihilation
     residual max_k |sum_i w_i t_i^k|, which is zero in exact arithmetic."""
-    moments = points[None, :] ** np.arange(n + 1)[:, None]
+    moments = np.ascontiguousarray(_powers(points, n).T)
     _, _, vt = np.linalg.svd(moments)
     weights = vt[-1]
     if weights[0] < 0:
@@ -306,26 +328,15 @@ def annihilator(points: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     return weights, float(np.max(np.abs(moments @ weights)))
 
 
-@functools.lru_cache(maxsize=None)
-def _level_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exponents 0..n of the power columns and the alternating signs
-    (-1)^i, i = 0..n+1, of the levelled system, built once per degree."""
-    exponents = np.arange(n + 1)
-    alternating = (-1.0) ** np.arange(n + 2)
-    exponents.flags.writeable = alternating.flags.writeable = False
-    return exponents, alternating
-
-
 def _leveled_solves(points: np.ndarray, values: np.ndarray, n: int):
     """Solve  p(t_i) + (-1)^i h = f(t_i)  at the n + 2 points of each row of
     two (k, n + 2) arrays, as one stacked solve: the coefficients (k, n + 1)
     of each p, the levels h (k,), and the LinAlgError of each row whose
     system is singular, by row. A singular system fails the whole stack, so
     the rows are then solved one at a time, and a failing row reads NaN."""
-    exponents, alternating = _level_columns(n)
     systems = np.empty((points.shape[0], n + 2, n + 2))
-    systems[:, :, : n + 1] = points[:, :, None] ** exponents
-    systems[:, :, n + 1] = alternating
+    systems[:, :, : n + 1] = _powers(points, n)
+    systems[:, :, n + 1] = (-1.0) ** np.arange(n + 2)
     errors: dict[int, np.linalg.LinAlgError] = {}
     try:
         sol = np.linalg.solve(systems, values[:, :, None])[:, :, 0]
@@ -342,9 +353,10 @@ def _leveled_solves(points: np.ndarray, values: np.ndarray, n: int):
 def horner_rows(coefficients: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Values at t, (size,) or (k, size), of the k polynomials whose
     coefficients a_0..a_n are the rows of a (k, n + 1) array: one batched
-    Horner, elementwise the operations of `npoly.polyval` in its order, so
-    row i is bit for bit `Polynomial(coefficients[i])(t)`. It works in place
-    on its output, so a batch of fine-grid rows needs no second array."""
+    Horner, elementwise the operations of numpy's `polyval` in its order:
+    the one polynomial evaluator (`Polynomial.__call__` is a row of one). It
+    works in place on its output, so a batch of fine-grid rows needs no
+    second array."""
     values = coefficients[:, -1:] + t * 0
     for i in range(2, coefficients.shape[1] + 1):
         values *= t
@@ -462,19 +474,23 @@ def _polish_point(grid: np.ndarray, residual: np.ndarray, j: int):
 # the exchange stops, and the polish may lower the level, within REMEZ_TOL * max(1, level)
 REMEZ_TOL = 1e-10
 
+# The exchange of a row that has not converged after REMEZ_MAX_ITERATIONS
+# iterations fails with a RemezConvergenceError.
+REMEZ_MAX_ITERATIONS = 100
+
 # Largest stack of grid values (rows x G) that `remez_rows` exchanges at
 # once, the budget of limsup_oracle.QUOTIENT_BLOCK: a larger stack of
 # fine-grid rows would raise the peak memory.
 REMEZ_BLOCK = 2**14
 
 
-def remez(f: PrimalVector, n: int, max_iterations: int = 100) -> RemezResult:
+def remez(f: PrimalVector, n: int) -> RemezResult:
     """Best uniform approximation of a grid function by a polynomial of
     degree <= n: `remez_rows` over a batch of one row."""
-    return remez_rows(f.space, f.values[None, :], n, max_iterations)[0]
+    return remez_rows(f.space, f.values[None, :], n)[0]
 
 
-def remez_rows(space: SpaceSpec, values, n: int, max_iterations: int = 100) -> list[RemezResult]:
+def remez_rows(space: SpaceSpec, values, n: int) -> list[RemezResult]:
     """Best uniform approximation by a polynomial of degree <= n of each row
     of an (m, G) array of grid values, by discrete multi-point exchange plus
     one off-grid polish; one `RemezResult` per row, bit for bit the result
@@ -501,7 +517,7 @@ def remez_rows(space: SpaceSpec, values, n: int, max_iterations: int = 100) -> l
     levelling step.
 
     A row that fails (a non-finite value, a singular system, or no
-    convergence within `max_iterations`) fails the call with the error of
+    convergence within REMEZ_MAX_ITERATIONS) fails the call with the error of
     the first failing row, as exchanging the rows one by one would.
     """
     if space.kind != KIND_C01:
@@ -515,7 +531,7 @@ def remez_rows(space: SpaceSpec, values, n: int, max_iterations: int = 100) -> l
     step = max(1, REMEZ_BLOCK // g)
     results: list[RemezResult] = []
     for lo in range(0, values.shape[0], step):
-        results += _remez_block(space, values[lo : lo + step], n, max_iterations)
+        results += _remez_block(space, values[lo : lo + step], n)
     return results
 
 
@@ -527,10 +543,12 @@ def fits_on_grid(space: SpaceSpec, fits: list[RemezResult]) -> np.ndarray:
     return horner_rows(np.array([fit.polynomial.coefficients for fit in fits]), space.grid)
 
 
-def _first_reference(g: int, n: int) -> list[int]:
-    """The nodes nearest to the n + 2 Chebyshev points: phase 1's first
-    reference, and the discrete reference of a function already in the
-    class."""
+def chebyshev_nodes(g: int, n: int) -> list[int]:
+    """The n + 2 increasing indices of the nodes of a G-node grid nearest to
+    the n + 2 Chebyshev points; where two points share a node, the smallest
+    free indices make up the count. The first reference of the exchange,
+    the discrete reference of a function already in the class, and the
+    atoms of `fixed_points.poly_annihilator`."""
     ref_idx = sorted({int(round(t * (g - 1))) for t in chebyshev_points(n + 2)})
     k = 0
     while len(ref_idx) < n + 2:  # collisions only at tiny grids
@@ -544,7 +562,7 @@ def _first_reference(g: int, n: int) -> list[int]:
 def _in_class_fit(space: SpaceSpec, fv: np.ndarray, n: int, scale: float, ref_idx: list[int]):
     """The short-circuit result of a row that lstsq fits within 1e-12 *
     scale, or None."""
-    vander = space.power_matrix(n)
+    vander = _grid_powers(space, n)[0]
     ls_coef, *_ = np.linalg.lstsq(vander, fv, rcond=None)
     ls_resid = fv - vander @ ls_coef
     if np.max(np.abs(ls_resid)) <= 1e-12 * scale:
@@ -580,7 +598,7 @@ def _polished_reference(grid: np.ndarray, fv: np.ndarray, ref_idx: list[int], re
     return [points[i] for i in order], [samples[i] for i in order]
 
 
-def _remez_block(space: SpaceSpec, fv: np.ndarray, n: int, max_iterations: int) -> list[RemezResult]:
+def _remez_block(space: SpaceSpec, fv: np.ndarray, n: int) -> list[RemezResult]:
     """`remez_rows` over the rows of one block."""
     grid = space.grid
     count = fv.shape[0]
@@ -592,11 +610,11 @@ def _remez_block(space: SpaceSpec, fv: np.ndarray, n: int, max_iterations: int) 
         errors[i] = ValueError("vector entries must be finite")
     live = np.flatnonzero(finite)
     scale = 1.0 + np.max(np.abs(fv), axis=1)
-    ref0 = _first_reference(grid.size, n)
+    ref0 = chebyshev_nodes(grid.size, n)
 
     # the projection onto the orthonormal basis is only a cheap prefilter:
     # lstsq and its 1e-12 test decide, for rows that pass it
-    basis = space.power_basis(n)
+    basis = _grid_powers(space, n)[1]
     rows = fv[live]
     near = np.max(np.abs(rows - (rows @ basis) @ basis.T), axis=1) <= 1e-9 * scale[live]
     for i in live[near].tolist():
@@ -613,7 +631,7 @@ def _remez_block(space: SpaceSpec, fv: np.ndarray, n: int, max_iterations: int) 
     level = np.empty(count)
     kept = np.zeros(count, dtype=bool)  # the levelled solve of refs[i] is kept from an accepted trial
     final_residual: dict[int, np.ndarray] = {}
-    for _ in range(max_iterations):
+    for _ in range(REMEZ_MAX_ITERATIONS):
         fresh = [i for i in active if not kept[i]]
         if fresh:
             idx = np.array([refs[i] for i in fresh])
@@ -663,9 +681,8 @@ def _remez_block(space: SpaceSpec, fv: np.ndarray, n: int, max_iterations: int) 
                 going.append(i)
         active = sorted(going)
     for i in active:
-        errors.setdefault(
-            i, RemezConvergenceError(f"no convergence in {max_iterations} iterations", tuple(history[i]))
-        )
+        message = f"no convergence in {REMEZ_MAX_ITERATIONS} iterations"
+        errors.setdefault(i, RemezConvergenceError(message, tuple(history[i])))
 
     # phase 2: move each reference point to its nearby off-grid extremum
     finished = sorted(i for i in final_residual if i < min(errors, default=count))

@@ -296,13 +296,13 @@ def convexity_candidates(
 
 def poly_annihilator(space: SpaceSpec, degree: int) -> DualVector:
     """An atomic measure annihilating every polynomial of degree <= degree:
-    atoms at the grid nodes nearest to degree + 2 Chebyshev points, weights
-    spanning the null space of the moment matrix at those nodes, normalized
-    to total variation 1 with a positive first weight. The weights are solved
-    at the nodes themselves, since snapping the atoms after solving breaks
-    the annihilation by up to 4e-4 for degrees 3 to 5."""
-    last = space.grid_size - 1
-    pts = space.grid[[int(round(t * last)) for t in chebyshev.chebyshev_points(degree + 2)]]
+    atoms at the degree + 2 grid nodes of `chebyshev.chebyshev_nodes` (the
+    Remez exchange's first reference), weights spanning the null space of
+    the moment matrix at those nodes, normalized to total variation 1 with a
+    positive first weight. The weights are solved at the nodes themselves,
+    since snapping the atoms after solving breaks the annihilation by up to
+    4e-4 for degrees 3 to 5."""
+    pts = space.grid[chebyshev.chebyshev_nodes(space.grid_size, degree)]
     weights, _ = chebyshev.annihilator(pts, degree)
     return atomic_measure(space, tuple(zip(pts.tolist(), weights.tolist())))
 

@@ -21,10 +21,10 @@ by level and row.
 
 The sampled rows depend on the map, the base and the schedule, never on the
 duals, so `sample_base` draws them once as a `SamplePass` that every
-candidate queried at that base can share (`samples=`); only the numerators
-are per candidate. Every walk over the levels of a pass goes by the same
-blocks of consecutive levels of at most `QUOTIENT_BLOCK` entries (one level
-where a level alone is larger, `_level_blocks`): `sample_base` builds each
+candidate queried at that base shares (`membership_batch`); only the
+numerators are per candidate. Every walk over the levels of a pass goes by
+the same blocks of consecutive levels of at most `QUOTIENT_BLOCK` entries
+(one level where a level alone is larger, `_level_blocks`): `sample_base` builds each
 block's values and denominators with one `value_batch`, and one generator
 (`_block_quotients`) gives each block's quotients, which `estimate_limsup`
 keeps as its trace and `membership_batch` reduces to per-level suprema. A
@@ -423,33 +423,21 @@ def _block_quotients(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray
         yield quotients
 
 
-def _checked_pass(
-    mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedule, samples: SamplePass | None
-) -> SamplePass:
-    """`samples`, or a pass drawn for this call; a pass drawn for another
-    map, base or schedule is a ValueError."""
-    if samples is None:
-        return sample_base(mapd, base, schedule)
-    if samples.map is not mapd or samples.base is not base or samples.schedule != schedule:
-        raise ValueError("the sample pass was drawn for another map, base or schedule")
-    return samples
-
-
 def estimate_limsup(
     mapd: MapDescriptor,
     base: GraphPoint,
     xstar: DualVector,
     ystar: DualVector,
     schedule: SamplingSchedule,
-    *,
-    samples: SamplePass | None = None,
 ) -> LimsupEstimate:
     """Per-level suprema of the quotient over sampled directions, with the
     max of the two finest levels as the extrapolated limsup value.
-    Deterministic for a fixed seed, bit for bit on the trace, and the same
-    whether `samples` is shared or drawn for this call. A pass drawn for
-    another map, base or schedule is a ValueError."""
-    samples = _checked_pass(mapd, base, schedule, samples)
+    Deterministic for a fixed seed, bit for bit on the trace."""
+    return _estimate(sample_base(mapd, base, schedule), xstar, ystar)
+
+
+def _estimate(samples: SamplePass, xstar: DualVector, ystar: DualVector) -> LimsupEstimate:
+    """`estimate_limsup` at the base of `samples`, with the trace."""
     quotients = np.concatenate([q[0] for q in _block_quotients(samples, xstar.values[None], ystar.values[None])])
     trace = QuotientTrace(radii=samples.radii, us=samples.us, vs=samples.vs, quotients=quotients)
     sups = quotients.max(axis=1).tolist()
@@ -643,8 +631,6 @@ def membership_test(
     ystar: DualVector,
     schedule: SamplingSchedule,
     extra_ray_dirs: np.ndarray = (),
-    *,
-    samples: SamplePass | None = None,
 ) -> LimsupEstimate:
     """Three-way membership verdict for x* in the derivative operator value
     at y*.
@@ -656,12 +642,11 @@ def membership_test(
     rays, rays that leave the base branch at every scale and rays whose
     probe is not finite are skipped. Rays can only
     certify fresh non-membership, never flip a true member, since every ray
-    limit lower-bounds the limsup. `samples` is the shared sample pass of the
-    base, as in `estimate_limsup`. The rays are those of `membership_batch`,
+    limit lower-bounds the limsup. The rays are those of `membership_batch`,
     for a batch of one.
     """
-    samples = _checked_pass(mapd, base, schedule, samples)
-    est = estimate_limsup(mapd, base, xstar, ystar, schedule, samples=samples)
+    samples = sample_base(mapd, base, schedule)
+    est = _estimate(samples, xstar, ystar)
     xs, ys = xstar.values[None], ystar.values[None]
     extra = np.reshape(np.asarray(extra_ray_dirs, dtype=float), (1, -1, mapd.space.size))
     combined = _fold_rays(samples, xs, ys, extra, np.array([est.extrapolated])).item()

@@ -126,23 +126,6 @@ class SpaceSpec:
         g.setflags(write=False)
         return g
 
-    @functools.lru_cache(maxsize=16)
-    def power_matrix(self, n: int) -> np.ndarray:
-        """Read-only G x (n+1) matrix of the powers t^j, j = 0..n, of the
-        grid nodes (C01 only): the basis of the polynomials of degree <= n
-        on the grid. Built once per (spec, n); equal specs share it."""
-        vander = self.grid[:, None] ** np.arange(n + 1)[None, :]
-        vander.setflags(write=False)
-        return vander
-
-    @functools.lru_cache(maxsize=16)
-    def power_basis(self, n: int) -> np.ndarray:
-        """Read-only orthonormal G x (n+1) basis of the same column space as
-        `power_matrix(n)` (its thin QR factor), built once per (spec, n)."""
-        basis = np.linalg.qr(self.power_matrix(n))[0]
-        basis.setflags(write=False)
-        return basis
-
 
 def lp_space(p: float, dim: int) -> SpaceSpec:
     return SpaceSpec(kind=KIND_LP, p=float(p), dim=int(dim))
@@ -384,23 +367,19 @@ def dual_norm_rows(space: SpaceSpec, rows: np.ndarray) -> np.ndarray:
 
 def pairing(w: DualVector, v: PrimalVector) -> float:
     """Canonical pairing <w, v>: coordinate dot product, or for C01 the
-    atomic sum  sum_i w(t_i) v(t_i)  over the atoms in node order."""
+    atomic sum  sum_i w(t_i) v(t_i)  over the atoms in node order.
+    `pairing_rows` of one row."""
     if w.space != v.space:
         raise SpaceMismatchError("pairing needs matching spaces")
-    if w.space.kind == KIND_C01:
-        idx = np.flatnonzero(w.values)
-        return float(np.dot(w.values[idx], v.values[idx]))
-    return float(np.dot(w.values, v.values))
+    return float(pairing_rows(w, v.values))
 
 
 def pairing_rows(w: DualVector, rows: np.ndarray) -> np.ndarray:
     """Pairing of one dual vector against each row of a (..., size) array,
-    reduced over the last axis."""
+    reduced over the last axis: `pairing_stack` of one dual."""
     rows = np.asarray(rows, dtype=float)
-    if w.space.kind == KIND_C01:
-        idx = np.flatnonzero(w.values)
-        return rows[..., idx] @ w.values[idx]
-    return rows @ w.values
+    block = rows[None] if rows.ndim > 1 else rows[None, None]  # a vector is one row
+    return pairing_stack(w.space, w.values[None, :], block).reshape(rows.shape[:-1])
 
 
 def pairing_stack(space: SpaceSpec, duals: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -408,20 +387,20 @@ def pairing_stack(space: SpaceSpec, duals: np.ndarray, rows: np.ndarray) -> np.n
     the rows of a (k, ..., n, size) array with k = 1 (one block shared by
     every dual) or k = m (one block per dual): shape (m, ..., n).
 
-    Bit for bit `pairing_rows` of each dual against its block. The products
-    are one stacked matmul, each of whose slices is the per-dual
-    matrix-vector product; a gemm `rows @ duals.T`, or a flattened product,
-    rounds differently. A measure pairs over its own atoms only, as in
-    `pairing_rows`, so C01 duals take one product each: pairing a run of
-    them over a shared support would change the bits.
+    The one pairing formula: `pairing_rows` and `pairing` are its slices
+    for one dual. The products are one stacked matmul, each of whose slices
+    is the per-dual matrix-vector product, so each dual gets the bits of a
+    stack of that dual alone; a gemm `rows @ duals.T`, or a flattened
+    product, rounds differently. A measure pairs over its own atoms only,
+    so C01 duals take one product each: pairing a run of them over a shared
+    support would change the bits.
     """
     m, size = duals.shape
     if space.kind == KIND_C01:
-        blocks = np.broadcast_to(rows, (m, *rows.shape[1:]))
-        out = np.empty(blocks.shape[:-1])
+        out = np.empty((m, *rows.shape[1:-1]))
         for i, w in enumerate(duals):
             idx = np.flatnonzero(w)
-            out[i] = blocks[i][..., idx] @ w[idx]
+            out[i] = rows[i if len(rows) > 1 else 0][..., idx] @ w[idx]
         return out
     return np.matmul(rows, duals.reshape(m, *(1,) * (rows.ndim - 3), size, 1))[..., 0]
 

@@ -2,10 +2,12 @@
 
     min eps  subject to  |values - vander @ c| <= eps  on every grid node
 
-solved by scipy's HiGHS. It shares no code with `chebyshev.remez` or
-`projections.poly_bracket`, so it cross-checks both, but only at its own
-accuracy: its solution can sit up to about 1.4e-5 above the grid optimum at
-degrees 3 to 8, so the tests compare it at 1e-3 and degree <= 8.
+with `vander` the grid's power matrix (`chebyshev._grid_powers`), solved by
+scipy's HiGHS. Apart from that matrix it shares no code with
+`chebyshev.remez` or `projections.poly_bracket`, so it cross-checks both,
+but only at its own accuracy: its solution can sit up to about 1.4e-5 above
+the grid optimum at degrees 3 to 8, so the tests compare it at 1e-3 and
+degree <= 8.
 """
 
 from __future__ import annotations
@@ -13,10 +15,15 @@ from __future__ import annotations
 import numpy as np
 import scipy.optimize
 
+from projderiv.chebyshev import _grid_powers
+from projderiv.spaces import SpaceSpec
 
-def minimax_lp(vander: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Coefficients c minimizing max |values - vander @ c|; raises
-    RuntimeError with the solver's message when it reports failure."""
+
+def minimax_lp(space: SpaceSpec, n: int, values: np.ndarray) -> np.ndarray:
+    """Coefficients c of degree <= n minimizing max |values - vander @ c| on
+    the grid of `space`; raises RuntimeError with the solver's message when
+    it reports failure."""
+    vander = _grid_powers(space, n)[0]
     m, k = vander.shape
     # variables (c_0..c_{k-1}, eps)
     cost = np.zeros(k + 1)
@@ -36,6 +43,7 @@ def minimax_lp(vander: np.ndarray, values: np.ndarray) -> np.ndarray:
     return result.x[:-1]
 
 
-def lp_error(vander: np.ndarray, values: np.ndarray) -> float:
+def lp_error(space: SpaceSpec, n: int, values: np.ndarray) -> float:
     """Grid sup error of the linear program's polynomial."""
-    return float(np.max(np.abs(values - vander @ minimax_lp(vander, values))))
+    vander = _grid_powers(space, n)[0]
+    return float(np.max(np.abs(values - vander @ minimax_lp(space, n, values))))

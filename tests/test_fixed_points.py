@@ -19,7 +19,7 @@ from projderiv.coderivatives import (
     l1_ball_projection_map,
     poly_projection_map,
 )
-from projderiv import fixed_points, limsup_oracle
+from projderiv import chebyshev, fixed_points, limsup_oracle
 from projderiv.experiments import EXPERIMENTS, _cone_setup, resolve_config
 from projderiv.fixed_points import (
     FixedPointAuditError,
@@ -415,7 +415,7 @@ def _one_at_a_time(samples, query):
         return is_fixed_point(samples, query.xstar, query.mode)
     rays = registry_rays(query.map, query.base, query.xstar.values[None], query.ystar.values[None])
     return membership_test(
-        query.map, query.base, query.xstar, query.ystar, samples.schedule, rays, samples=samples
+        query.map, query.base, query.xstar, query.ystar, samples.schedule, rays
     ).verdict
 
 
@@ -445,11 +445,11 @@ def test_a_batch_pass_answers_each_query_as_a_batch_of_one(shift, d):
         answers = [answer for _, _, answer in checked[m:]]
         for w, y, extra, (spread, scale, fixed), answer in zip(cands, ystars, rays, checked, answers):
             own = registry_rays(mapd, base, w.values[None], w.values[None])
-            alone = membership_test(mapd, base, w, w, sched, own, samples=samples)
+            alone = membership_test(mapd, base, w, w, sched, own)
             assert (fixed.verdict, fixed.extrapolated.hex()) == (alone.verdict, alone.extrapolated.hex()), name
             assert spread == np.max(quotient_forms_spread(w, samples.audit)), name
             assert scale == 1.0 + dual_norm(w), name
-            alone = membership_test(mapd, base, w, y, sched, extra[None], samples=samples)
+            alone = membership_test(mapd, base, w, y, sched, extra[None])
             assert (answer.verdict, answer.extrapolated.hex()) == (alone.verdict, alone.extrapolated.hex()), name
         queries = [Query(mapd, base, w, mode=mode) for mode in ("registry", "oracle", "audit") for w in cands]
         queries += [Query(mapd, base, w, y) for w, y in zip(cands, ystars)]
@@ -643,6 +643,35 @@ def test_poly_annihilator_annihilates_on_the_grid(degree, grid_size):
     assert abs(dual_norm(gamma) - 1.0) <= 1e-12
     for k in range(degree + 1):
         assert abs(pairing(gamma, primal(space, space.grid**k))) <= 1e-14
+
+
+@pytest.mark.parametrize("grid_size", [6, 7, 8, 9, 10, 11, 12, 13])
+def test_poly_annihilator_on_a_grid_where_chebyshev_points_share_a_node(grid_size):
+    # n + 2 = G: two of the Chebyshev points round to one node, and the
+    # atoms are the exchange's first reference, which fills in free nodes
+    space, degree = c01_space(grid_size), grid_size - 2
+    last = grid_size - 1
+    assert len({round(t * last) for t in chebyshev.chebyshev_points(degree + 2)}) < degree + 2
+    gamma = poly_annihilator(space, degree)
+    atoms = np.flatnonzero(gamma.values)
+    assert atoms.tolist() == chebyshev.chebyshev_nodes(grid_size, degree)
+    assert atoms.size == degree + 2
+    assert abs(dual_norm(gamma) - 1.0) <= 1e-12
+    for k in range(degree + 1):
+        assert abs(pairing(gamma, primal(space, space.grid**k))) <= 1e-12
+
+
+@pytest.mark.parametrize("grid_size", [33, 513, 4097])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_poly_annihilator_keeps_its_atoms_and_weights_where_no_points_collide(degree, grid_size):
+    # reference: the selection before the annihilator shared the exchange's
+    # first reference, each Chebyshev point rounded to its nearest node
+    space = c01_space(grid_size)
+    last = grid_size - 1
+    pts = space.grid[[int(round(t * last)) for t in chebyshev.chebyshev_points(degree + 2)]]
+    weights, _ = chebyshev.annihilator(pts, degree)
+    expected = atomic_measure(space, tuple(zip(pts.tolist(), weights.tolist())))
+    assert poly_annihilator(space, degree).values.tobytes() == expected.values.tobytes()
 
 
 def test_poly_fixed_point_quotient_theta_and_regression():

@@ -210,8 +210,8 @@ def test_a_shared_pass_gives_every_candidate_its_fresh_estimate(name):
     cands = [dual(mapd.space, rng.normal(size=size) * (rng.random(size) < min(1.0, 6.0 / size)))
              for _ in range(4)]
     samples = sample_base(mapd, base, sched)
-    shared = [estimate_limsup(mapd, base, c, c, sched, samples=samples) for c in cands]
-    shared += [estimate_limsup(mapd, base, cands[0], c, sched, samples=samples) for c in cands[1:]]
+    shared = [limsup_oracle._estimate(samples, c, c) for c in cands]
+    shared += [limsup_oracle._estimate(samples, cands[0], c) for c in cands[1:]]
     fresh = [estimate_limsup(mapd, base, c, c, sched) for c in cands]
     fresh += [estimate_limsup(mapd, base, cands[0], c, sched) for c in cands[1:]]
     for a, b in zip(shared, fresh):
@@ -219,8 +219,7 @@ def test_a_shared_pass_gives_every_candidate_its_fresh_estimate(name):
         # the trace shares the pass's rows instead of copying them
         assert a.trace.us is samples.us and a.trace.vs is samples.vs
     for c in cands[:2]:
-        _same_estimate(membership_test(mapd, base, c, c, sched, samples=samples),
-                       membership_test(mapd, base, c, c, sched))
+        _same_estimate(membership_test(mapd, base, c, c, sched), membership_test(mapd, base, c, c, sched))
 
 
 def test_shared_base_samples_give_every_query_its_fresh_verdict():
@@ -271,7 +270,7 @@ def test_shared_audit_rows_give_every_candidate_its_per_candidate_spread(name):
                               _audit_spread_per_candidate(mapd, base, sched, ystar))
 
 
-def test_shared_pass_is_read_only_and_bound_to_its_base_and_schedule():
+def test_a_shared_pass_and_its_trace_are_read_only():
     mapd, x, sched = SHARED_PASS_BASES["ball p=2 exterior"]
     base = GraphPoint.at_point(mapd, x)
     samples = sample_base(mapd, base, sched)
@@ -279,19 +278,9 @@ def test_shared_pass_is_read_only_and_bound_to_its_base_and_schedule():
         with pytest.raises(ValueError, match="read-only"):
             getattr(samples, field).flat[0] = 0.0
     w = dual(L24, [1.0, 0.0, 0.0, 0.0])
-    est = estimate_limsup(mapd, base, w, w, sched, samples=samples)
+    est = estimate_limsup(mapd, base, w, w, sched)
     with pytest.raises(ValueError, match="read-only"):
         est.trace.us[0, 0, 0] = 0.0
-    other_base = GraphPoint.at_point(mapd, primal(L24, x.values))
-    with pytest.raises(ValueError, match="another map, base or schedule"):
-        estimate_limsup(mapd, other_base, w, w, sched, samples=samples)
-    with pytest.raises(ValueError, match="another map, base or schedule"):
-        membership_test(mapd, base, w, w, SamplingSchedule(seed=sched.seed + 1), samples=samples)
-    with pytest.raises(ValueError, match="another map, base or schedule"):
-        estimate_limsup(ball_projection_map(L24, 1.0), base, w, w, sched, samples=samples)
-    # an equal schedule built anew is the same schedule
-    assert estimate_limsup(mapd, base, w, w, SamplingSchedule(seed=sched.seed), samples=samples).extrapolated \
-        == estimate_limsup(mapd, base, w, w, sched).extrapolated
 
 
 
@@ -424,7 +413,7 @@ def test_the_blocked_pass_gives_the_per_level_quotients_bit_for_bit(name, monkey
         return quotients(mapd.space, xstar.values[None], ystar.values[None], du[None], dv[None], dens)[0]
 
     monkeypatch.setattr(limsup_oracle, "_quotients", counted)
-    est = estimate_limsup(mapd, base, xstar, ystar, sched, samples=samples)
+    est = estimate_limsup(mapd, base, xstar, ystar, sched)
     reference = np.stack([per_level(k) for k in range(sched.levels)])
     assert np.array_equal(est.trace.quotients, reference)
     assert len(sizes) == calls and sum(sizes) == samples.us.size
@@ -509,11 +498,11 @@ def test_the_block_built_pass_gives_the_per_level_rows_bit_for_bit(name, monkeyp
     assert len(sizes) == (1 if samples.us.size <= limsup_oracle.QUOTIENT_BLOCK else sched.levels)
 
 
-def _membership_by_ray(mapd, base, xstar, ystar, sched, extra_rays, samples):
+def _membership_by_ray(mapd, base, xstar, ystar, sched, extra_rays):
     # reference: the sampled estimate folded with each ray's own
     # directed_ray_limit, one call per ray, in membership_test's order: the
     # norming ray of x* - y*, the kink rays, then the extra rays
-    combined = estimate_limsup(mapd, base, xstar, ystar, sched, samples=samples).extrapolated
+    combined = estimate_limsup(mapd, base, xstar, ystar, sched).extrapolated
     diff = xstar - ystar
     norming = [norming_direction(diff)] if dual_norm(diff) > 1e-12 * (1.0 + dual_norm(ystar)) else []
     for ray in [*norming, *mapd.kink_rays, *(primal(mapd.space, row) for row in extra_rays)]:
@@ -566,13 +555,12 @@ def test_the_stacked_rays_give_the_per_ray_limit_bit_for_bit():
     raised = 0
     for name, mapd, x, xstar, ystar in _stacked_ray_cases():
         base = GraphPoint.at_point(mapd, x)
-        samples = sample_base(mapd, base, sched)
         rays = registry_rays(mapd, base, xstar.values[None], ystar.values[None])
         rays = np.vstack([rays, np.zeros(mapd.space.size)])  # a zero ray is skipped
-        est = membership_test(mapd, base, xstar, ystar, sched, rays, samples=samples)
-        reference = _membership_by_ray(mapd, base, xstar, ystar, sched, rays, samples)
+        est = membership_test(mapd, base, xstar, ystar, sched, rays)
+        reference = _membership_by_ray(mapd, base, xstar, ystar, sched, rays)
         assert np.array_equal(est.extrapolated, reference), name
-        sampled = estimate_limsup(mapd, base, xstar, ystar, sched, samples=samples).extrapolated
+        sampled = estimate_limsup(mapd, base, xstar, ystar, sched).extrapolated
         raised += est.extrapolated > sampled
         if name == "cone p=3":
             with pytest.raises(ValueError, match="every tested scale"):
@@ -689,10 +677,9 @@ def test_rays_that_never_start_are_skipped_and_raise_alone():
         starts = limsup_oracle._ray_starts(mapd, base, np.stack([never.values, good.values]))
         assert np.isnan(starts[0]) and starts[1] == RAY_T0
         assert _ray_start_by_halving(mapd, base, never) is None
-        samples = sample_base(mapd, base, sched)
         both = np.stack([never.values, good.values])
-        skipped = membership_test(mapd, base, phi, phi, sched, both, samples=samples)
-        alone = membership_test(mapd, base, phi, phi, sched, good.values[None], samples=samples)
+        skipped = membership_test(mapd, base, phi, phi, sched, both)
+        alone = membership_test(mapd, base, phi, phi, sched, good.values[None])
         assert skipped.extrapolated == alone.extrapolated
         with pytest.raises(ValueError, match="every tested scale"):
             directed_ray_limit(mapd, base, phi, phi, never)

@@ -64,6 +64,19 @@ def test_run_all_refuses_a_report_directory_it_cannot_make(out_dir, tmp_path, ca
     assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
 
+def test_run_all_refuses_a_negative_seed_once(tmp_path, capsys, monkeypatch):
+    # the seed is shared by every experiment: one config error, not a
+    # failure of each experiment
+    script = _load_script()
+    monkeypatch.setattr(script, "run_experiment", lambda config: pytest.fail("an experiment ran"))
+    monkeypatch.setattr("sys.argv", ["run_all_experiments.py", "--seed", "-1", "--out-dir", str(tmp_path / "reports")])
+    assert script.main() == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: seed must be >= 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_all_experiments_run_without_scipy(tmp_path):
     # scipy is a test dependency only: with its import blocked, every
     # registered experiment still runs and passes

@@ -114,6 +114,40 @@ def test_stacked_pairings_are_the_per_dual_pairings_bit_for_bit(space, w, m):
             assert np.array_equal(got, pairing_rows(v, block))
 
 
+def _sweep_spaces():
+    return [lp_space(p, d) for d in (1, 2, 7, 64, 100) for p in (1.5, 2.0, 3.0)] + [
+        l1_space(d) for d in (1, 16, 100)
+    ] + [c01_space(g) for g in (33, 513, 4097)]
+
+
+@pytest.mark.parametrize("space", _sweep_spaces(), ids=lambda s: f"{s.kind} size={s.size} p={s.p}")
+def test_pairing_and_pairing_rows_are_slices_of_pairing_stack(space):
+    # one pairing formula: a vector pairing and the rows of any leading
+    # shape are the one-dual `pairing_stack`, bit for bit, and so are the
+    # products they replaced (np.dot and a matrix-vector product, over the
+    # atoms of a measure)
+    rng = np.random.default_rng(space.size)
+    for _ in range(20):
+        if space.kind == "C01":
+            w = np.zeros(space.size)
+            atoms = rng.choice(space.size, size=int(rng.integers(1, 9)), replace=False)
+            w[atoms] = rng.normal(size=atoms.size)
+        else:
+            w = rng.normal(size=space.size) * 10.0 ** rng.uniform(-3, 3)
+        idx = np.flatnonzero(w) if space.kind == "C01" else slice(None)
+        v = rng.normal(size=space.size)
+        got = pairing(dual(space, w), primal(space, v))
+        assert np.float64(got).tobytes() == pairing_stack(space, w[None], v[None, None])[0, 0].tobytes()
+        assert np.float64(got).tobytes() == np.dot(w[idx], v[idx]).tobytes()
+        for shape in ((), (1,), (5,), (3, 4), (2, 1, 6)):
+            rows = rng.normal(size=(*shape, space.size))
+            block = rows.reshape(1, -1, space.size) if len(shape) < 2 else rows[None]
+            got = pairing_rows(dual(space, w), rows)
+            assert got.shape == shape
+            assert got.tobytes() == pairing_stack(space, w[None], block)[0].tobytes()
+            assert got.tobytes() == (rows[..., idx] @ w[idx]).tobytes()
+
+
 def _row_norm_formula(rows, p):
     """The row p-norm as an out-of-place power sum, and where that sum is 0
     or not finite, the same sum of the rows divided by their peak. A
