@@ -10,6 +10,7 @@ oracle can resolve raise `OracleOnlyError` instead of guessing.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -155,20 +156,21 @@ class MapDescriptor:
             return projection_gap(self, x, y) <= tol * scale
         return norm(y - self.value(x)) <= tol * scale
 
-    def same_branch(self, x: PrimalVector, rows: np.ndarray) -> np.ndarray:
+    def same_branch(self, xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Whether each row of a (..., size) array lies in the same smooth
-        piece of the map as x, one bool per row; the one branch test (it
-        keeps directed rays away from branch crossings). The rows' sphere
-        side is taken from their row norms (`norm_rows`), bit for bit the
-        `norm` of the same points."""
+        piece of the map as its base point, the matching row of `xs` (an
+        array that broadcasts against `rows`, one (size,) point for all of
+        them), one bool per row; the one branch test (it keeps directed rays
+        away from branch crossings). Sphere sides are taken from row norms
+        (`norm_rows`), bit for bit the `norm` of the same points, and a sign
+        pattern from the signs of the base point's nonzero entries."""
         rows = np.asarray(rows, dtype=float)
         if self.kind in (BALL_PROJ, L1_BALL_PROJ):
             inside = _sphere_side(norm_rows(self.space, rows), self.radius) <= 0
-            return inside == (self._side(x) <= 0)
+            return inside == (_sphere_side(norm_rows(self.space, xs), self.radius) <= 0)
         if self.kind == CONE_PROJ:
-            sx = np.sign(x.values)
-            active = sx != 0
-            return np.all(np.sign(rows[..., active]) == sx[active], axis=-1)
+            signs = np.sign(xs)
+            return np.all((np.sign(rows) == signs) | (signs == 0), axis=-1)
         return np.ones(rows.shape[:-1], dtype=bool)
 
     def _side(self, x: PrimalVector):
@@ -213,18 +215,28 @@ class MapDescriptor:
                 kind, index_set = POSITIVE_CONE_DUAL, m_set.complement
         return FixedPointCharacterization(kind, self.space, index_set=index_set)
 
-    def expected_image(self, base, ystars: np.ndarray) -> np.ndarray | None:
-        """Closed-form image under the derivative operator at `base` of each
-        y*, a row of the (m, size) array `ystars`, when it is a singleton,
-        used to aim rejection rays; otherwise None. Each row is bit for bit
-        the image of that y* alone."""
+    def expected_image(self, bases, ystars: np.ndarray) -> np.ndarray | None:
+        """Closed-form image under the derivative operator of each y*, a row
+        of the (bases, m, size) array `ystars`, at the graph point bases[b]
+        of its block, where it is a singleton, used to aim rejection rays: a
+        NaN block at a base without one, and None where no base has one.
+        Each row is bit for bit the image of that y* alone at its base."""
         if self.kind == AFFINE:
             return ystars * self.scale
-        if self.kind == BALL_PROJ and self._side(base.x) != 0:
-            return _ball_images(base.x, self.radius, ystars)
-        if self.kind == L1_BALL_PROJ and self._side(base.x) < 0:
-            return ystars
-        return None
+        if self.kind not in (BALL_PROJ, L1_BALL_PROJ):
+            return None
+        sides = np.array([self._side(base.x) for base in bases])
+        imaged = sides != 0 if self.kind == BALL_PROJ else sides < 0
+        if not imaged.any():
+            return None
+        found = ystars[imaged]
+        if self.kind == BALL_PROJ:
+            found = _ball_images([base.x for base, on in zip(bases, imaged) if on], self.radius, found)
+        if imaged.all():
+            return found
+        images = np.full(ystars.shape, np.nan)
+        images[imaged] = found
+        return images
 
     def known_member(self, base, cand: DualVector) -> bool:
         """Partial fixed-point facts of the Lp cone beyond `fixed_point_set`:
@@ -447,24 +459,33 @@ def coderiv_ball_lp(x: PrimalVector, r: float, w: DualVector) -> CoderivativeSet
         raise ValueError("coderiv_ball_lp needs an Lp space")
     if w.space != x.space:
         raise SpaceMismatchError("coderiv_ball_lp needs the dual of the base point's space")
-    image = _ball_images(x, r, w.values[None, :])[0]
+    image = _ball_images([x], r, w.values[None, None, :])[0, 0]
     return CoderivativeSet(SINGLETON, x.space, point=DualVector(x.space, image))
 
 
-def _ball_images(x: PrimalVector, r: float, ws: np.ndarray) -> np.ndarray:
-    """The Lp ball's derivative image (Theorem 3.1) at the base x of each
-    dual w, a row of the (m, size) array `ws`: `ws` itself at an interior
-    base, (r/||x||) (w - (<w, x>/||x||^2) J(x)) at an exterior one. A base
-    on the sphere raises. ||x|| and J(x) are taken once; each <w, x> is one
-    slice of a stacked product (`pairing_stack`), bit for bit `pairing`."""
-    nx = norm(x)
-    side = _sphere_side(nx, r)
-    if side == 0:
+def _ball_images(points: Sequence[PrimalVector], r: float, ws: np.ndarray) -> np.ndarray:
+    """The Lp ball's derivative image (Theorem 3.1) of each dual w, a row of
+    the (bases, m, size) array `ws`, at the base point x = points[b] of its
+    block: w itself at an interior base, (r/||x||) (w - (<w, x>/||x||^2) J(x))
+    at an exterior one. A base on the sphere raises. Each base's ||x||,
+    ||x||^2 and J(x) are its own scalars and vector, as for that base alone;
+    each <w, x> is one slice of a stacked product (`pairing_stack`), bit for
+    bit `pairing`."""
+    norms = [norm(x) for x in points]
+    sides = [_sphere_side(nx, r) for nx in norms]
+    if 0.0 in sides:
         raise BoundaryCaseError("base point on the sphere ||x|| = r is uncovered")
-    if side < 0:
+    outside = [b for b, side in enumerate(sides) if side > 0]
+    if not outside:
         return ws
-    coeffs = pairing_stack(x.space, ws, x.values[None, None, :]) / nx**2
-    return (r / nx) * (ws - coeffs * duality_map(x).values)
+    xs = np.stack([points[b].values for b in outside])
+    nxs = np.array([norms[b] for b in outside])[:, None, None]
+    squares = np.array([norms[b] ** 2 for b in outside])[:, None, None]
+    duality = np.stack([duality_map(points[b]).values for b in outside])
+    coeffs = pairing_stack(points[0].space, ws[outside], xs[:, None, None, :]) / squares
+    images = ws.copy()
+    images[outside] = (r / nxs) * (ws[outside] - coeffs * duality[:, None, :])
+    return images
 
 
 def zm_index_set(xbar: PrimalVector, threshold: float = ZM_POSITIVITY_THRESHOLD) -> IndexSet | None:

@@ -211,10 +211,11 @@ def _exp_ball_coderivative(config: ExperimentConfig) -> list[CheckResult]:
     accepted, rejected = "closed-form images accepted", "perturbed images rejected"
     cases = []
     worst_collapse = 0.0
+    # one map per p, so that the bases at each map are asked as stacks
+    maps = [cd.ball_projection_map(lp_space(p, config.N), config.r) for p in (2.0, 3.0)]
     for i in range(50):
-        p = 2.0 if i % 2 == 0 else 3.0
-        space = lp_space(p, config.N)
-        mapd = cd.ball_projection_map(space, config.r)
+        mapd = maps[i % 2]
+        space = mapd.space
         rng = _rng(config, 20 + i)
         x = _primal_with_norm(space, rng, 2.5 * config.r, 3.5 * config.r)
         ystar = _duals_with_norm(space, rng, 0.5, 1.5, 1)[0]

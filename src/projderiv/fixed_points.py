@@ -8,22 +8,26 @@ audit mode both run and a contradiction fails loudly.
 
 A `Query` names a map, a base and the duals to ask about there; `ask` answers
 a list of them, one `limsup_oracle.Answer` each (the oracle's value and
-verdict, or a closed form's verdict with no value), drawing one `SamplePass`
-of the oracle (the map, the base, the schedule and every candidate-independent
-row) for each run of queries at one base and sharing it across that run. The
-oracle answers every query of a run that needs it in one array pass over their
-stacked candidates (`_oracle_pass`, one `limsup_oracle.membership_batch`; a
-fixed-point query is the membership query with y* = x*), bit for bit what each
-candidate gets when asked alone; each fixed-point query is then settled by its
-own `is_fixed_point` call, in order. The quotient-form audit checks the pass's
-finest level (`SamplePass.audit`), so it sees the rows the oracle
-judges, with the stacked pairing `spaces.pairing_stack`. The closed-form
-side of a run is rows as well: the base's fixed-point set is taken once, and
-the registry's rejection rays of all candidates are one (m, size) array
-(`registry_rays`, from `MapDescriptor.expected_image` and
-`spaces.norming_rows`), each row bit for bit the ray of its candidate alone.
-`convexity_candidates` builds the labelled candidates of the convexity and
-closedness probe, which are asked like any other query.
+verdict, or a closed form's verdict with no value). A run is a set of
+consecutive queries at one base. The registry is asked first, run by run;
+then the runs at one map that need the oracle for equally many queries are
+stacked, wherever they sit in the list and within the memory budget of
+`SamplingSchedule.stack_size`, and each stack is one `SamplePass` of the
+oracle (the map, the bases, the schedule and every candidate-independent
+row, with a leading base axis) answered in one array pass over the stacked
+candidates (`_oracle_pass`, one `limsup_oracle.membership_batch`; a
+fixed-point query is the membership query with y* = x*), bit for bit what
+each candidate gets when asked alone at its base. Each fixed-point query is
+then settled by its own `is_fixed_point` call, in list order. The
+quotient-form audit checks each base's finest level (`SamplePass.audit`), so
+it sees the rows the oracle judges, with the stacked pairing
+`spaces.pairing_stack`. The closed-form side of a stack is rows as well: each
+base's fixed-point set is taken once, and the registry's rejection rays of
+all candidates are one (bases, m, size) array (`registry_rays`, from
+`MapDescriptor.expected_image` and `spaces.norming_rows`), each row bit for
+bit the ray of its candidate alone. `convexity_candidates` builds the
+labelled candidates of the convexity and closedness probe, which are asked
+like any other query.
 """
 
 from __future__ import annotations
@@ -91,17 +95,19 @@ class FixedPointAuditError(AssertionError):
     """The oracle contradicted a closed-form characterization."""
 
 
-def registry_rays(mapd: MapDescriptor, base: GraphPoint, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def registry_rays(mapd: MapDescriptor, bases: Sequence[GraphPoint], xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Rejection rays aimed by the closed forms, one row per candidate
-    (x*, y*), the rows of the (m, size) arrays `xs` and `ys`: the norming
-    direction of x* minus its expected image (`MapDescriptor.expected_image`),
-    and a zero row where there is no expected image or x* is it to 1e-12
-    scale (`limsup_oracle.norming_rays`). Safe to add for members, whose ray
-    limits are nonpositive."""
-    expected = mapd.expected_image(base, ys)
+    (x*, y*), the rows of the (bases, m, size) arrays `xs` and `ys`, block
+    b at the graph point bases[b]: the norming direction of x* minus its
+    expected image (`MapDescriptor.expected_image`), and a zero row where
+    there is no expected image (a NaN image aims no ray) or x* is it to
+    1e-12 scale (`limsup_oracle.norming_rays`). Safe to add for members,
+    whose ray limits are nonpositive."""
+    expected = mapd.expected_image(bases, ys)
     if expected is None:
         return np.zeros(xs.shape)
-    return norming_rays(mapd.space, xs - expected, ys)
+    size = xs.shape[-1]
+    return norming_rays(mapd.space, (xs - expected).reshape(-1, size), ys.reshape(-1, size)).reshape(xs.shape)
 
 
 def registry_verdict(
@@ -129,14 +135,14 @@ def registry_verdict(
 
 
 def is_fixed_point(
-    samples: SamplePass,
+    samples: SamplePass | None,
     candidate: DualVector,
     mode: str = "registry",
     *,
     batch: tuple[Verdict | None, tuple[float, float, Answer] | None] | None = None,
 ) -> Verdict:
     """Membership of the candidate in its own derivative-operator value at
-    the base of `samples`.
+    the base of `samples`, a stack of one.
 
     mode "registry": closed forms first, oracle as fallback. mode "oracle":
     sampling only (registry still aims rejection rays). mode "audit": run
@@ -145,8 +151,10 @@ def is_fixed_point(
 
     `batch` is the candidate's entry of its run of queries in `ask`: its
     registry verdict (None in the oracle mode), and where it needs the
-    oracle its `_oracle_pass` entry. Without it the registry is asked here,
-    and a query that needs the oracle is a run of one.
+    oracle its `_oracle_pass` entry. With it `samples` is not read, and
+    `ask` passes None: the pass that answered the query is released by then.
+    Without it the registry is asked here, and a query that needs the oracle
+    is a run of one.
     """
     if mode not in ("registry", "oracle", "audit"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -156,7 +164,7 @@ def is_fixed_point(
     )
     if mode == "registry" and exact is not None:
         return exact
-    spread, scale, answer = oracle or _oracle_pass(samples, [Query(samples.map, samples.base, candidate)])[0]
+    spread, scale, answer = oracle or _oracle_pass(samples, [[Query(samples.map, samples.base, candidate)]])[0][0]
     if spread > 1e-12 * scale:
         raise FixedPointAuditError(f"quotient forms disagree by {spread:.3e} at scale {scale:.3e}")
     if mode == "audit" and exact is not None:
@@ -169,29 +177,31 @@ def is_fixed_point(
     return answer.verdict
 
 
-def _oracle_pass(samples: SamplePass, queries: Sequence[Query]) -> list[tuple[float, float, Answer]]:
-    """What the oracle says about each query at the base of `samples`, in
-    one `membership_batch` over the stacked candidates, a fixed-point query
-    asked with y* = x*, each with the registry's rejection rays: the largest
-    spread of the query's three quotient forms on the audit rows
-    (`SamplePass.audit`; more than 1e-12 times its scale means the pairing
-    arithmetic broke, and a membership query, which has no audit, reads
-    0.0), its scale 1 + ||y*||_*, and its answer."""
-    mapd, base = samples.map, samples.base
-    xs = np.stack([q.xstar.values for q in queries])
-    ys = np.stack([(q.xstar if q.ystar is None else q.ystar).values for q in queries])
-    answers = membership_batch(samples, xs, ys, registry_rays(mapd, base, xs, ys)[:, None])
-    fixed = np.array([q.ystar is None for q in queries])
-    spreads = np.zeros(len(queries))
+def _oracle_pass(samples: SamplePass, runs: Sequence[Sequence[Query]]) -> list[list[tuple[float, float, Answer]]]:
+    """What the oracle says about each query of each run, the run at each
+    base of `samples` (m queries each), in one `membership_batch` over the
+    stacked candidates, a fixed-point query asked with y* = x*, each with
+    the registry's rejection rays: the largest spread of the query's three
+    quotient forms on its base's audit rows (`SamplePass.audit`; more than
+    1e-12 times its scale means the pairing arithmetic broke, and a
+    membership query, which has no audit, reads 0.0), its scale
+    1 + ||y*||_*, and its answer; one list per run."""
+    mapd, space = samples.map, samples.map.space
+    xs = np.array([[q.xstar.values for q in run] for run in runs])
+    ys = np.array([[(q.xstar if q.ystar is None else q.ystar).values for q in run] for run in runs])
+    answers = membership_batch(samples, xs, ys, registry_rays(mapd, samples.bases, xs, ys)[:, :, None])
+    fixed = np.array([[q.ystar is None for q in run] for run in runs])
+    spreads = np.zeros(fixed.shape)
     if fixed.any():
-        # every fixed-point candidate's spreads at once, each row bit for bit
-        # its own `quotient_forms_spread` (`pairing_stack`)
-        duals = xs[fixed]
+        # every candidate's spreads at once, each row bit for bit its own
+        # `quotient_forms_spread` (`pairing_stack`); a membership query's are
+        # dropped
+        audit = samples.audit
         spreads[fixed] = _forms_spread(
-            lambda rows: pairing_stack(mapd.space, duals, rows[None]), samples.audit
-        ).max(axis=-1)
-    scales = 1.0 + dual_norm_rows(mapd.space, ys)
-    return list(zip(spreads.tolist(), scales.tolist(), answers))
+            lambda rows: pairing_stack(space, xs, rows[:, None]), audit, audit.den[:, None]
+        ).max(axis=-1)[fixed]
+    scales = 1.0 + dual_norm_rows(space, ys.reshape(-1, space.size)).reshape(fixed.shape)
+    return [list(zip(*columns)) for columns in zip(spreads.tolist(), scales.tolist(), answers)]
 
 
 def quotient_forms_spread(ystar: DualVector, rows: AuditRows) -> np.ndarray:
@@ -199,15 +209,16 @@ def quotient_forms_spread(ystar: DualVector, rows: AuditRows) -> np.ndarray:
     forms of the fixed-point criterion at each audit row: pairing the
     increments separately, pairing their difference, and pairing the
     residual shift (u - v) - (x - y)."""
-    return _forms_spread(lambda increments: pairing_rows(ystar, increments), rows)
+    return _forms_spread(lambda increments: pairing_rows(ystar, increments), rows, rows.den)
 
 
-def _forms_spread(pair, rows: AuditRows) -> np.ndarray:
+def _forms_spread(pair, rows: AuditRows, den: np.ndarray) -> np.ndarray:
     """`quotient_forms_spread` with the pairing `pair` of the audit rows'
-    increments: one dual's, or a stack of duals' (one leading axis more)."""
-    f1 = (pair(rows.du) - pair(rows.dv)) / rows.den
-    f2 = pair(rows.du_minus_dv) / rows.den
-    f3 = pair(rows.shift) / rows.den
+    increments (one dual's, or those of a stack of duals) over the
+    denominators `den`, the rows' shaped to the pairings."""
+    f1 = (pair(rows.du) - pair(rows.dv)) / den
+    f2 = pair(rows.du_minus_dv) / den
+    f3 = pair(rows.shift) / den
     return np.maximum(np.maximum(np.abs(f1 - f2), np.abs(f1 - f3)), np.abs(f2 - f3))
 
 
@@ -228,41 +239,70 @@ class Query:
 def ask(queries: Iterable[Query], schedule: SamplingSchedule) -> list[Answer]:
     """The answer of each query, in order: the oracle's `Answer` where the
     oracle settled it, and the registry's verdict without a value
-    (`extrapolated` None) where a closed form did. Each run of consecutive
-    queries at one map and base shares one `SamplePass`, drawn when the run
-    starts, after the previous run's pass is released; an answer holds no
-    trace, so nothing holds on to a pass.
+    (`extrapolated` None) where a closed form did.
 
-    The oracle answers every query of a run that needs it in one array pass
-    over their candidates (`_oracle_pass`, one `membership_batch`). Each
-    fixed-point query is then settled by its own `is_fixed_point` call, in
-    order, so the first query that fails raises.
+    A run is a set of consecutive queries at one map and base. The registry
+    is asked first, run by run, so that what each run needs from the oracle
+    is known (`_oracle_answers`); the runs at one map that need the oracle
+    for equally many queries are then sampled and answered together, as one
+    stacked pass, wherever they sit in the list. Each fixed-point query is
+    then settled by its own `is_fixed_point` call, in list order, so the
+    first query that fails raises.
     """
-    answers: list[Answer] = []
-    samples = None
-    for (mapd, base), run in groupby(queries, key=lambda q: (q.map, q.base)):
-        samples = None  # release the previous pass before drawing this one
-        samples = sample_base(mapd, base, schedule)
-        answers += _ask_run(samples, list(run))
-    return answers
+    runs = [list(run) for _, run in groupby(queries, key=lambda q: (q.map, q.base))]
+    exacts = [_registry_verdicts(run) for run in runs]
+    needed = [[q for q in run if _needs_oracle(q, exact)] for run, exact in zip(runs, exacts)]
+    checked = _oracle_answers(needed, schedule)
+    return [answer for run, exact in zip(runs, exacts) for answer in _ask_run(run, exact, checked)]
 
 
-def _ask_run(samples: SamplePass, run: list[Query]) -> list[Answer]:
-    """The answers of a run of queries at the base of `samples`, in order.
-    Each fixed-point query in the registry and audit modes asks the registry
-    once, with the base's closed-form fixed-point set taken once for all of
-    them; every query that needs the oracle is answered by one
-    `_oracle_pass`."""
-    mapd, base = samples.map, samples.base
+def _registry_verdicts(run: list[Query]) -> dict[Query, Verdict | None]:
+    """The registry's verdict of each fixed-point query of a run in the
+    registry and audit modes (None where no closed form settles it), with
+    the base's closed-form fixed-point set taken once for all of them."""
     asked = [q for q in run if q.ystar is None and q.mode in ("registry", "audit")]
-    char = mapd.fixed_point_set(base) if asked else None
-    exact = {q: registry_verdict(mapd, base, q.xstar, char) for q in asked}
-    # membership queries and the oracle and audit modes ask the oracle, the
-    # registry mode only where no closed form settles the query
-    needed = [q for q in run if q.ystar is not None or q.mode in ("oracle", "audit")
-              or (q in exact and exact[q] is None)]
-    checked = dict(zip(needed, _oracle_pass(samples, needed))) if needed else {}
-    settled = {q: is_fixed_point(samples, q.xstar, q.mode, batch=(exact.get(q), checked.get(q)))
+    if not asked:
+        return {}
+    mapd, base = run[0].map, run[0].base
+    char = mapd.fixed_point_set(base)
+    return {q: registry_verdict(mapd, base, q.xstar, char) for q in asked}
+
+
+def _needs_oracle(query: Query, exact: dict[Query, Verdict | None]) -> bool:
+    """Membership queries and the oracle and audit modes ask the oracle, the
+    registry mode only where no closed form settles the query."""
+    return query.ystar is not None or query.mode in ("oracle", "audit") or (query in exact and exact[query] is None)
+
+
+def _oracle_answers(runs: list[list[Query]], schedule: SamplingSchedule) -> dict[Query, tuple[float, float, Answer]]:
+    """The `_oracle_pass` entry of each query of `runs`, each run the
+    queries of one base that need the oracle. The runs at one map with
+    equally many queries are stacked in list order, at most
+    `SamplingSchedule.stack_size` to a stack, and each stack is one
+    `sample_base` pass answered by one `_oracle_pass`; the stacks go in the
+    order of their first run, and each stack's pass is released before the
+    next is drawn, so the memory bound of one stack holds for the list."""
+    stacks: dict[tuple[MapDescriptor, int], list[list[Query]]] = {}
+    for run in runs:
+        if run:
+            stacks.setdefault((run[0].map, len(run)), []).append(run)
+    checked = {}
+    for (mapd, m), stacked in stacks.items():
+        size = schedule.stack_size(mapd.space, m)
+        for lo in range(0, len(stacked), size):
+            group = stacked[lo : lo + size]
+            samples = None  # release the previous pass before drawing this one
+            samples = sample_base(mapd, [run[0].base for run in group], schedule)
+            for run, entries in zip(group, _oracle_pass(samples, group)):
+                checked.update(zip(run, entries))
+    return checked
+
+
+def _ask_run(run: list[Query], exact: dict[Query, Verdict | None], checked: dict) -> list[Answer]:
+    """The answers of a run of queries at one base, in order, from its
+    registry verdicts and the oracle's entries: each fixed-point query is
+    settled by its own `is_fixed_point` call, in order."""
+    settled = {q: is_fixed_point(None, q.xstar, q.mode, batch=(exact.get(q), checked.get(q)))
                for q in run if q.ystar is None}
     return [checked[q][2] if q in checked else Answer(None, settled[q]) for q in run]
 

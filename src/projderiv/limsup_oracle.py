@@ -21,41 +21,49 @@ by level and row.
 
 The sampled rows depend on the map, the base and the schedule, never on the
 duals, so `sample_base` draws them once as a `SamplePass` that every
-candidate queried at that base shares (`membership_batch`); only the
-numerators are per candidate. Every walk over the levels of a pass goes by
+candidate queried at its bases shares (`membership_batch`); only the
+numerators are per candidate. A pass stacks bases of one map on a leading
+axis, each base's rows around its own graph point, and a pass at one base is
+a stack of one; `SamplingSchedule.stack_size` keeps a stack within
+`QUOTIENT_BLOCK` entries. Every walk over the levels of a pass goes by
 the same blocks of consecutive levels of at most `QUOTIENT_BLOCK` entries
 (one level where a level alone is larger, `_level_blocks`): `sample_base` builds each
 block's values and denominators with one `value_batch`, and one generator
 (`_block_quotients`) gives each block's quotients, which `estimate_limsup`
 keeps as its trace and `membership_batch` reduces to per-level suprema. A
-stacked array rounds like the per-level ones, so nothing depends on the
-blocking. The raw normal draws behind the directions do not
-depend on the space either, so passes with the same seed, levels, rows and
-dimension share one read-only block of them (the last block drawn is kept).
-Their norms do, and a schedule keeps them per space it has sampled, so each
-pass only divides the block by them, scales and shifts. A query's directed
-rays are evaluated together: one halving loop finds every ray's start,
-probing as rows only the rays not yet in the base branch, and their limits
-are one stacked array of rows. The kink rays do not depend on the duals
-either, so a pass builds their rows once (`SamplePass.kink_rows`). The
-quotient-form audit of `fixed_points` checks the same pass: its rows are the
-finest level's (`SamplePass.audit`). A pass is immutable and its arrays are
-read only, so sharing it cannot leak state from one estimate into another.
+stacked array rounds like the per-level and per-base ones, so nothing
+depends on the blocking or the stacking. The raw normal draws behind the
+directions do not depend on the space either, so passes with the same seed,
+levels, rows and dimension share one read-only block of them (the last block
+drawn is kept). Their norms do, and a schedule keeps them per space it has
+sampled, so each pass only divides the block by them, scales and shifts. A
+query's directed rays are evaluated together: one halving loop finds every
+ray's start, probing as rows only the rays not yet in the base branch, and
+their limits are one stacked array of rows. The kink rays do not depend on
+the duals either, so a pass builds their rows once for each of its bases
+(`SamplePass.kink_rows`), a ray that does not start at a base reading NaN
+there. The quotient-form audit of `fixed_points` checks the same pass: its
+rows are each base's finest level's (`SamplePass.audit`). A pass is
+immutable and its arrays are read only, so sharing it cannot leak state from
+one estimate into another.
 
-`membership_batch` answers many candidates at one pass in one array pass:
-it takes their duals and extra rays as arrays (a fixed-point candidate has
-y* = x*), each block of levels keeps only every candidate's per-level
-suprema (the `QUOTIENT_BLOCK` bound holds on the candidate axis too), the
-norming rays of x* - y* are rows (`norming_rays`, a zero ray where
-y* = x*), and the rays of every candidate share one halving loop
-and one stacked pass of rows. `estimate_limsup`, `membership_test` and
-`directed_ray_limit` are batches of one through the same code
+`membership_batch` answers many candidates at every base of a pass in one
+array pass: it takes their duals and extra rays as arrays with a leading
+base axis (a fixed-point candidate has y* = x*), each block of levels keeps
+only every candidate's per-level suprema (the `QUOTIENT_BLOCK` bound holds
+on the candidate axis too), the norming rays of x* - y* are rows
+(`norming_rays`, a zero ray where y* = x*), and the rays of every candidate
+at every base share one halving loop and one stacked pass of rows.
+`estimate_limsup`, `membership_test` and `directed_ray_limit` are batches of
+one through the same code
 (`_quotients`, `_fold_rays`), so a batch gives each candidate its one-call
 numbers bit for bit. That rests on two rules. Products are
 `spaces.pairing_stack`, a stacked matmul whose slices are the per-dual
-matrix-vector products; a gemm over the candidates rounds differently. And
-the folding of ray limits keeps Python's left-to-right max per candidate,
-with its rays in their one-call order.
+matrix-vector products ((bases, 1, levels, rows, size) against (bases, m,
+1, size, 1)); a gemm over the candidates, or a flattened product, rounds
+differently. And the folding of ray limits keeps Python's left-to-right max
+per candidate, with its rays in their one-call order, a NaN limit (a ray
+that does not start) never replacing a value.
 """
 
 from __future__ import annotations
@@ -178,40 +186,70 @@ class SamplingSchedule:
             self._norms[space] = norms
         return draws, norms
 
+    def stack_size(self, space: SpaceSpec, candidates: int) -> int:
+        """How many bases one pass in `space` stacks (`sample_base`) when
+        `candidates` candidates are asked at each: as many as keep the
+        stack's sample entries (bases x levels x rows x size), and one level
+        of its quotients (bases x candidates x rows), within QUOTIENT_BLOCK;
+        one where a single base is larger."""
+        rows = self.dirs_per_level + len(self.extra_rays)
+        return max(1, QUOTIENT_BLOCK // (rows * max(self.levels * space.size, candidates)))
+
 
 @dataclass(frozen=True, eq=False)
 class SamplePass:
-    """The candidate-independent rows of an estimate at one base, indexed
-    [level, row]: the radius of each level, the sampled points u and values
-    v (shape (levels, rows, size)) and the denominators ||u - x|| + ||v - y||
-    (shape (levels, rows)). Built by `sample_base`; every array is read
-    only."""
+    """The candidate-independent rows of the estimates at a stack of bases of
+    one map, indexed [base, level, row]: the graph point (x, y) of each base
+    (rows of (bases, size) arrays), the radius of each level, the sampled
+    points u and values v (shape (bases, levels, rows, size)) and the
+    denominators ||u - x|| + ||v - y|| (shape (bases, levels, rows)), each
+    base's block around its own graph point. A pass at one base is a stack
+    of one. Built by `sample_base`; every array is read only."""
 
     map: MapDescriptor
-    base: GraphPoint
+    bases: tuple[GraphPoint, ...]
     schedule: SamplingSchedule
+    x: np.ndarray
+    y: np.ndarray
     radii: np.ndarray
     us: np.ndarray
     vs: np.ndarray
     dens: np.ndarray
 
+    @property
+    def base(self) -> GraphPoint:
+        """The base of a stack of one."""
+        (base,) = self.bases
+        return base
+
     @cached_property
     def audit(self) -> AuditRows:
-        """The quotient-form audit rows of the finest level, built on first
-        use."""
-        return AuditRows.at(self.base, self.us[-1], self.vs[-1])
+        """The quotient-form audit rows of each base's finest level, shape
+        (bases, rows, ...), built on first use."""
+        x, y = self.x[:, None], self.y[:, None]
+        return AuditRows._around(self.map.space, x, y, self.us[:, -1], self.vs[:, -1], self.dens[:, -1])
 
     @cached_property
     def kink_rows(self) -> _RayRows:
-        """The rows of the map's kink rays (`MapDescriptor.kink_rays`) that
-        start in the base branch, in their order, built on first use. Like
-        the sampled rows they do not depend on the candidate; only the
-        numerators do. Defined for maps with kink rays only."""
+        """The rows of the map's kink rays (`MapDescriptor.kink_rays`) at
+        each base, indexed [base, ray, step], built on first use; the rows
+        of a ray that does not start in its base's branch are NaN, so its
+        limits are NaN, which the fold of `_fold_rays` skips, and every
+        other ray keeps its place. Like the sampled rows they do not depend
+        on the candidate; only the numerators do. Defined for maps with kink
+        rays only."""
         directions = np.stack([ray.values for ray in self.map.kink_rays])
-        rows = _started_rays(self.map, self.base, directions)[1]
+        bases, rays = len(self.bases), len(directions)
+        owners = np.repeat(np.arange(bases), rays)
+        started, rows = _started_rays(self.map, self.x[owners], self.y[owners], np.tile(directions, (bases, 1)))
+        stacked = []
         for array in rows:
-            array.flags.writeable = False
-        return rows
+            full = np.full((bases * rays, *array.shape[1:]), np.nan)
+            full[started] = array
+            full = full.reshape(bases, rays, *array.shape[1:])
+            full.flags.writeable = False
+            stacked.append(full)
+        return _RayRows(*stacked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,9 +272,16 @@ class AuditRows:
         error-free differences of u - v and x - y. Rounded plainly, it would
         carry an absolute error of about eps |x - y|, which the small
         denominators near an exterior base blow up."""
-        du, dv, den = _increments(base, us, vs)
+        return cls._around(base.x.space, base.x.values, base.y.values, us, vs)
+
+    @classmethod
+    def _around(cls, space: SpaceSpec, x, y, us: np.ndarray, vs: np.ndarray, dens=None) -> "AuditRows":
+        """`at` around the graph points x and y, arrays that broadcast
+        against the rows (one base's point, or one per block of a stack),
+        with the denominators `dens` where they are known."""
+        du, dv, den = _increments(space, x, y, us, vs, dens)
         a, ea = _two_diff(us, vs)
-        b, eb = _two_diff(base.x.values, base.y.values)
+        b, eb = _two_diff(x, y)
         rows = cls(du, dv, den, du - dv, (a - b) + (ea - eb))
         for array in vars(rows).values():
             array.flags.writeable = False
@@ -302,21 +347,23 @@ def quotient(
 ) -> float:
     """The defining ratio at one sampled graph point (u, v) != (x, y):
     `_quotients` on a row of one."""
-    du, dv, dens = _increments(base, u.values[None], v.values[None])
+    du, dv, dens = _increments(base.x.space, base.x.values, base.y.values, u.values[None], v.values[None])
     return float(_quotients(base.x.space, xstar.values[None], ystar.values[None], du[None], dv[None], dens)[0, 0])
 
 
 def _increments(
-    base: GraphPoint, us: np.ndarray, vs: np.ndarray, dens: np.ndarray | None = None
+    space: SpaceSpec, x, y, us: np.ndarray, vs: np.ndarray, dens: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The candidate-independent parts of the quotient at sampled graph
-    points (us, vs), arrays of shape (..., size): the increments du = u - x
-    and dv = v - y, and the denominators, ||du|| + ||dv|| unless `dens` is
-    given. A row at the base is a ZeroDivisionError."""
-    du = us - base.x.values
-    dv = vs - base.y.values
+    points (us, vs), arrays of shape (..., size), around the graph points
+    x and y, arrays that broadcast against them (one base's point, or one
+    per row or block): the increments du = u - x and dv = v - y, and the
+    denominators, ||du|| + ||dv|| unless `dens` is given. A row at its
+    base is a ZeroDivisionError."""
+    du = us - x
+    dv = vs - y
     if dens is None:
-        dens = norm_rows(base.x.space, du) + norm_rows(base.x.space, dv)
+        dens = norm_rows(space, du) + norm_rows(space, dv)
     if not dens.all():
         raise ZeroDivisionError("sample coincides with the base point")
     return du, dv, dens
@@ -333,9 +380,11 @@ def _quotients(
     """The defining ratio ( <x*, du> - <y*, dv> ) / den of m candidates, the
     rows of the (m, size) arrays `xstars` and `ystars`, at increment rows of
     shape (k, ..., size) shared by all of them (k = 1) or one block per
-    candidate (k = m): shape (m, ...). The one quotient formula; its
-    products are `pairing_stack`, so each candidate's quotients are those of
-    a batch of one, bit for bit."""
+    candidate (k = m): shape (m, ...); with a leading base axis on all of
+    them, (bases, m, size) candidates at (bases, k, ..., size) rows give
+    (bases, m, ...). The one quotient formula; its products are
+    `pairing_stack`, so each candidate's quotients are those of a batch of
+    one, bit for bit."""
     nums = pairing_stack(space, xstars, du) - pairing_stack(space, ystars, dv)
     return nums / dens
 
@@ -362,12 +411,15 @@ def _normal_draws(seed: int, levels: int, dirs_per_level: int, dim: int) -> np.n
     return draws
 
 
-def sample_base(mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedule) -> SamplePass:
-    """The sampled rows of every estimate at this base and schedule: per
-    level, the seeded unit directions plus the normalized extra rays, scaled
-    to the level radius around x, with the map's values and the quotient
-    denominators there, one `value_batch` per block of levels
-    (`_level_blocks`)."""
+def sample_base(mapd: MapDescriptor, bases, schedule: SamplingSchedule) -> SamplePass:
+    """The sampled rows of every estimate at each of `bases` (a sequence of
+    graph points, stacked in order, or one graph point, a stack of one) and
+    the schedule: per level, the seeded unit directions plus the normalized
+    extra rays, scaled to the level radius around each base's x, with the
+    map's values and the quotient denominators there, one `value_batch` per
+    block of levels of the stack (`_level_blocks`). Each base's rows are
+    bit for bit those of a stack of that base alone."""
+    bases = (bases,) if isinstance(bases, GraphPoint) else tuple(bases)
     space = mapd.space
     dim = space.size
     extra = np.empty((0, dim))
@@ -378,47 +430,53 @@ def sample_base(mapd: MapDescriptor, base: GraphPoint, schedule: SamplingSchedul
     levels, dirs = schedule.levels, schedule.dirs_per_level
     draws, dir_norms = schedule._direction_draws(space)
     radii = np.array([schedule.r0 * 2.0 ** (-level) for level in range(levels)])
+    x = np.stack([base.x.values for base in bases])
+    y = np.stack([base.y.values for base in bases])
     # u = x + r * d, built in place
-    us = np.empty((levels, dirs + len(extra), dim))
-    np.divide(draws, dir_norms[:, :, None], out=us[:, :dirs])
-    us[:, dirs:] = extra
+    us = np.empty((len(bases), levels, dirs + len(extra), dim))
+    np.divide(draws, dir_norms[:, :, None], out=us[:, :, :dirs])
+    us[:, :, dirs:] = extra
     us *= radii[:, None, None]
-    us += base.x.values
+    us += x[:, None, None, :]
     vs = np.empty_like(us)
-    dens = np.empty(us.shape[:2])
+    dens = np.empty(us.shape[:3])
     for block in _level_blocks(us.shape, 1):
-        vs[block] = mapd.value_batch(us[block].reshape(-1, dim)).reshape(us[block].shape)
+        rows = us[:, block]
+        vs[:, block] = mapd.value_batch(rows.reshape(-1, dim)).reshape(rows.shape)
         # `_increments`' denominators, without holding du and dv at once
-        dens[block] = norm_rows(space, us[block] - base.x.values) + norm_rows(space, vs[block] - base.y.values)
-    for array in (radii, us, vs, dens):
+        dens[:, block] = norm_rows(space, rows - x[:, None, None]) + norm_rows(space, vs[:, block] - y[:, None, None])
+    for array in (x, y, radii, us, vs, dens):
         array.flags.writeable = False
-    return SamplePass(mapd, base, schedule, radii, us, vs, dens)
+    return SamplePass(mapd, bases, schedule, x, y, radii, us, vs, dens)
 
 
-# Largest stacked block of sample entries (levels x rows x size), and of
-# quotients (candidates x levels x rows), that the sampled estimates evaluate
-# in one call; a larger block would raise the peak memory of the wide and
-# fine-grid passes.
+# Largest stacked block of sample entries (bases x levels x rows x size), and
+# of quotients (bases x candidates x levels x rows), that the sampled
+# estimates evaluate in one call; a larger block would raise the peak memory
+# of the wide and fine-grid passes.
 QUOTIENT_BLOCK = 2**14
 
 
-def _level_blocks(shape: tuple[int, int, int], candidates: int) -> list[slice]:
-    """Runs of consecutive levels of a (levels, rows, size) array whose
-    entries, and whose quotients of `candidates` candidates, stay within
+def _level_blocks(shape: tuple[int, ...], candidates: int) -> list[slice]:
+    """Runs of consecutive levels of a (bases, levels, rows, size) stack of
+    passes, or of one (levels, rows, size) block of draws, whose entries,
+    and whose quotients of `candidates` candidates at each base, stay within
     QUOTIENT_BLOCK; one level where a level alone is larger. Every walk over
     the levels of a pass, or of its direction draws, takes these blocks."""
-    levels, rows, size = shape
-    step = max(1, QUOTIENT_BLOCK // (rows * max(size, candidates)))
+    *stack, levels, rows, size = shape
+    step = max(1, QUOTIENT_BLOCK // (math.prod(stack) * rows * max(size, candidates)))
     return [slice(lo, lo + step) for lo in range(0, levels, step)]
 
 
 def _block_quotients(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray):
-    """The quotients of m candidates, the rows of the (m, size) arrays
-    `xstars` and `ystars`, over the pass, one block of levels at a time:
-    shape (m, levels in the block, rows)."""
-    for block in _level_blocks(samples.us.shape, len(xstars)):
-        du, dv, dens = _increments(samples.base, samples.us[block], samples.vs[block], samples.dens[block])
-        quotients = _quotients(samples.map.space, xstars, ystars, du[None], dv[None], dens)
+    """The quotients of m candidates at each base, the rows of the
+    (bases, m, size) arrays `xstars` and `ystars`, over the pass, one block
+    of levels at a time: shape (bases, m, levels in the block, rows)."""
+    space = samples.map.space
+    x, y = samples.x[:, None, None], samples.y[:, None, None]
+    for block in _level_blocks(samples.us.shape, xstars.shape[1]):
+        du, dv, dens = _increments(space, x, y, samples.us[:, block], samples.vs[:, block], samples.dens[:, block])
+        quotients = _quotients(space, xstars, ystars, du[:, None], dv[:, None], dens[:, None])
         del du, dv  # a block's increments go before the next block's are built
         yield quotients
 
@@ -437,9 +495,11 @@ def estimate_limsup(
 
 
 def _estimate(samples: SamplePass, xstar: DualVector, ystar: DualVector) -> LimsupEstimate:
-    """`estimate_limsup` at the base of `samples`, with the trace."""
-    quotients = np.concatenate([q[0] for q in _block_quotients(samples, xstar.values[None], ystar.values[None])])
-    trace = QuotientTrace(radii=samples.radii, us=samples.us, vs=samples.vs, quotients=quotients)
+    """`estimate_limsup` at the base of `samples`, a stack of one, with the
+    trace."""
+    xs, ys = xstar.values[None, None], ystar.values[None, None]
+    quotients = np.concatenate([q[0, 0] for q in _block_quotients(samples, xs, ys)])
+    trace = QuotientTrace(radii=samples.radii, us=samples.us[0], vs=samples.vs[0], quotients=quotients)
     sups = quotients.max(axis=1).tolist()
     extrapolated = max(sups[-2:])
     tol_accept, tol_reject = tolerance_pair(ystar)
@@ -454,12 +514,12 @@ def _estimate(samples: SamplePass, xstar: DualVector, ystar: DualVector) -> Lims
 
 
 def _sampled_limsups(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray) -> np.ndarray:
-    """`estimate_limsup(...).extrapolated` of each candidate, the rows of the
-    (m, size) arrays `xstars` and `ystars`, without the trace: each block's
-    quotients are reduced to per-level suprema."""
-    sups = np.concatenate([q.max(axis=-1) for q in _block_quotients(samples, xstars, ystars)], axis=1)
+    """`estimate_limsup(...).extrapolated` of each candidate at each base,
+    the rows of the (bases, m, size) arrays `xstars` and `ystars`, without
+    the trace: each block's quotients are reduced to per-level suprema."""
+    sups = np.concatenate([q.max(axis=-1) for q in _block_quotients(samples, xstars, ystars)], axis=-1)
     # Python's max(sups[-2:]): the finest level only where it is larger
-    return np.where(sups[:, -1] > sups[:, -2], sups[:, -1], sups[:, -2])
+    return np.where(sups[..., -1] > sups[..., -2], sups[..., -1], sups[..., -2])
 
 
 # Directed rays start at t = RAY_T0 (or the first halving of it that stays
@@ -489,24 +549,27 @@ def directed_ray_limit(
     if norm(direction) == 0.0:
         raise ValueError("direction must be nonzero")
     directions = direction.values[None, :]
-    t_starts = _ray_starts(mapd, base, directions)
+    x, y = base.x.values, base.y.values
+    t_starts = _ray_starts(mapd, x, directions)
     if np.isnan(t_starts[0]):
         raise ValueError("ray leaves the base branch at every tested scale, or its probe is not finite")
     if split_l1_denominator and mapd.kind != L1_BALL_PROJ:
         raise ValueError("the split denominator applies to the l_1 ball projection")
-    rows = _ray_rows(mapd, base, t_starts, directions, split_l1_denominator)
+    rows = _ray_rows(mapd, x, y, t_starts, directions, split_l1_denominator)
     return float(_richardson(_quotients(mapd.space, xstar.values[None], ystar.values[None], *rows))[0])
 
 
-def _ray_starts(mapd: MapDescriptor, base: GraphPoint, directions: np.ndarray) -> np.ndarray:
-    """The start of the ray along each row of `directions`: the first
-    halving of RAY_T0 at which the probe x + t * direction is in the base
-    branch. All rays share one halving loop, which probes only the rows not
-    yet in the branch. NaN where the ray leaves the branch at every tested
-    scale, or where its first probe is not finite (a later probe lies
-    between x and the first, so it is finite).
+def _ray_starts(mapd: MapDescriptor, x: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """The start of the ray along each row of `directions` from its base
+    point, the matching row of `x` (an array that broadcasts against
+    `directions`, one (size,) point for all): the first halving of RAY_T0
+    at which the probe x + t * direction is in the base branch. All rays
+    share one halving loop, which probes only the rows not yet in the
+    branch. NaN where the ray leaves the branch at every tested scale, or
+    where its first probe is not finite (a later probe lies between x and
+    the first, so it is finite).
     """
-    x = base.x.values
+    x = np.broadcast_to(x, directions.shape)
     starts = np.full(len(directions), np.nan)
     t = RAY_T0
     with np.errstate(over="ignore"):
@@ -516,8 +579,8 @@ def _ray_starts(mapd: MapDescriptor, base: GraphPoint, directions: np.ndarray) -
     for halving in range(RAY_HALVINGS):
         if halving:
             t *= 0.5
-            probes = x + t * directions[pending]
-        inside = mapd.same_branch(base.x, probes)
+            probes = x[pending] + t * directions[pending]
+        inside = mapd.same_branch(x[pending], probes)
         starts[pending[inside]] = t
         pending = pending[~inside]
         if not pending.size:
@@ -537,17 +600,21 @@ class _RayRows(NamedTuple):
 
 def _ray_rows(
     mapd: MapDescriptor,
-    base: GraphPoint,
+    x: np.ndarray,
+    y: np.ndarray,
     t_starts: np.ndarray,
     directions: np.ndarray,
     split_l1_denominator: bool = False,
 ) -> _RayRows:
-    """The rows of each (t_starts[i], directions[i]) ray: RAY_STEPS points
-    from its start, shrinking by RAY_RATIO, all rays in one stacked pass with
-    one `value_batch` over every row."""
+    """The rows of each (t_starts[i], directions[i]) ray from the graph point
+    (x[i], y[i]) (arrays that broadcast against `directions`, one point for
+    all): RAY_STEPS points from its start, shrinking by RAY_RATIO, all rays
+    in one stacked pass with one `value_batch` over every row."""
     ts = t_starts[:, None] * RAY_RATIO ** np.arange(RAY_STEPS)
     offsets = ts[:, :, None] * directions[:, None, :]
-    us = base.x.values + offsets
+    x = np.broadcast_to(x, directions.shape)[:, None, :]
+    y = np.broadcast_to(y, directions.shape)[:, None, :]
+    us = x + offsets
     dens = None
     if split_l1_denominator:
         # the selection move split into its ray part and its rescaling part
@@ -556,20 +623,22 @@ def _ray_rows(
         space, r = mapd.space, mapd.radius
         scales = r / norm_rows(space, us)
         ray_parts = (scales * ts)[:, :, None] * directions[:, None, :]
-        rescale_parts = (scales - r / norm(base.x))[:, :, None] * base.x.values
+        rescale_parts = (scales - r / norm_rows(space, x))[:, :, None] * x
         dens = norm_rows(space, offsets) + norm_rows(space, ray_parts) + norm_rows(space, rescale_parts)
     vs = mapd.value_batch(us.reshape(-1, us.shape[-1])).reshape(us.shape)
-    return _RayRows(*_increments(base, us, vs, dens))
+    return _RayRows(*_increments(mapd.space, x, y, us, vs, dens))
 
 
 def _started_rays(
-    mapd: MapDescriptor, base: GraphPoint, directions: np.ndarray
+    mapd: MapDescriptor, x: np.ndarray, y: np.ndarray, directions: np.ndarray
 ) -> tuple[np.ndarray, _RayRows]:
-    """Which rays along the rows of `directions` start in the base branch
-    (`_ray_starts`), and the rows of those that do."""
-    t_starts = _ray_starts(mapd, base, directions)
+    """Which rays along the rows of `directions` from the graph points (x, y)
+    (arrays that broadcast against `directions`) start in their base
+    branch (`_ray_starts`), and the rows of those that do."""
+    t_starts = _ray_starts(mapd, x, directions)
     started = ~np.isnan(t_starts)
-    return started, _ray_rows(mapd, base, t_starts[started], directions[started])
+    x, y = np.broadcast_to(x, directions.shape), np.broadcast_to(y, directions.shape)
+    return started, _ray_rows(mapd, x[started], y[started], t_starts[started], directions[started])
 
 
 def _richardson(qs: np.ndarray) -> np.ndarray:
@@ -595,31 +664,37 @@ def _fold_rays(
     """Each candidate's entry of `values` folded with its directed ray
     limits by Python's left-to-right max, rays in order: the norming ray of
     x* - y* (a zero ray where y* = x*), the map's kink rays, then the
-    candidate's extra rays. `xs` and `ys` are the candidates' (m, size)
-    duals and `extra_rays` their (m, k, size) extra rays, k per candidate.
+    candidate's extra rays. `xs` and `ys` are the candidates' (bases, m,
+    size) duals, block b at the base b of `samples`, `extra_rays` their
+    (bases, m, k, size) extra rays, k per candidate, and `values` is
+    (bases, m).
 
     Zero rays, and rays that leave the base branch at every scale or whose
     probe is not finite, are skipped, and a NaN limit never replaces a
     value. The kink rays' rows are the pass's (`SamplePass.kink_rows`); the
-    other rays of every candidate share one halving loop and one stacked
-    pass of rows.
+    other rays of every candidate at every base share one halving loop and
+    one stacked pass of rows.
     """
-    mapd, base, space = samples.map, samples.base, samples.map.space
-    norming = norming_rays(space, xs - ys, ys)
+    mapd, space = samples.map, samples.map.space
+    bases, m, size = xs.shape
+    flat_xs, flat_ys = xs.reshape(-1, size), ys.reshape(-1, size)
+    norming = norming_rays(space, flat_xs - flat_ys, flat_ys).reshape(bases, m, 1, size)
     # column 0 of `own` is the norming ray, column 1 + j the j-th extra ray
-    directions = np.concatenate([norming[:, None], extra_rays], axis=1)
-    own = np.full(directions.shape[:2], np.nan)
-    directions = directions.reshape(-1, space.size)
+    directions = np.concatenate([norming, extra_rays], axis=2)
+    own = np.full(directions.shape[:3], np.nan)
+    directions = directions.reshape(-1, size)
     nonzero = np.flatnonzero(directions.any(axis=-1))  # a ray's norm is 0 exactly when its values are
     if nonzero.size:
-        started, rows = _started_rays(mapd, base, directions[nonzero])
-        owners, columns = np.divmod(nonzero[started], own.shape[1])
-        own[owners, columns] = _richardson(_quotients(space, xs[owners], ys[owners], *rows))
-    kinks = np.empty((len(values), 0))
+        owners = nonzero // own.shape[2]  # the candidate, b * m + i
+        at = owners // m  # its base
+        started, rows = _started_rays(mapd, samples.x[at], samples.y[at], directions[nonzero])
+        owners = owners[started]
+        own.reshape(-1)[nonzero[started]] = _richardson(_quotients(space, flat_xs[owners], flat_ys[owners], *rows))
+    kinks = np.empty((bases, m, 0))
     if mapd.kink_rays:
         du, dv, dens = samples.kink_rows
-        kinks = _richardson(_quotients(space, xs, ys, du[None], dv[None], dens))
-    for limits in (own[:, 0], *kinks.T, *own[:, 1:].T):
+        kinks = _richardson(_quotients(space, xs, ys, du[:, None], dv[:, None], dens[:, None]))
+    for limits in (own[..., 0], *np.moveaxis(kinks, -1, 0), *np.moveaxis(own[..., 1:], -1, 0)):
         values = np.where(limits > values, limits, values)
     return values
 
@@ -647,9 +722,9 @@ def membership_test(
     """
     samples = sample_base(mapd, base, schedule)
     est = _estimate(samples, xstar, ystar)
-    xs, ys = xstar.values[None], ystar.values[None]
-    extra = np.reshape(np.asarray(extra_ray_dirs, dtype=float), (1, -1, mapd.space.size))
-    combined = _fold_rays(samples, xs, ys, extra, np.array([est.extrapolated])).item()
+    xs, ys = xstar.values[None, None], ystar.values[None, None]
+    extra = np.reshape(np.asarray(extra_ray_dirs, dtype=float), (1, 1, -1, mapd.space.size))
+    combined = _fold_rays(samples, xs, ys, extra, np.array([[est.extrapolated]])).item()
     return replace(est, extrapolated=combined, verdict=_verdict(combined, est.tol_accept, est.tol_reject))
 
 
@@ -666,27 +741,30 @@ class Answer:
 
 def membership_batch(
     samples: SamplePass, xs: np.ndarray, ys: np.ndarray, extra_rays: np.ndarray
-) -> list[Answer]:
-    """`membership_test` of each candidate (xs[i], ys[i]), rows of (m, size)
-    arrays of dual values, with the extra rays extra_rays[i] (an (m, k, size)
-    array) at the base of `samples`, in one array pass over the candidates,
-    without the traces: the same extrapolated values, bit for bit, and the
-    same verdicts. A candidate with y* = x* asks whether x* is a fixed
-    point.
+) -> list[list[Answer]]:
+    """`membership_test` of each candidate (xs[b, i], ys[b, i]), rows of
+    (bases, m, size) arrays of dual values, with the extra rays
+    extra_rays[b, i] (a (bases, m, k, size) array) at the base b of
+    `samples`, in one array pass over every candidate at every base, without
+    the traces: the same extrapolated values, bit for bit, and the same
+    verdicts, one list of m answers per base. A candidate with y* = x* asks
+    whether x* is a fixed point.
 
     Each block of levels evaluates every candidate's quotients in one
     stacked product and keeps only their per-level suprema, the rays of all
     candidates are one stacked pass (`_fold_rays`), and the tolerances are
     those of the rows' dual norms (`spaces.dual_norm_rows`).
     """
-    if not len(xs):
-        return []
+    bases, m, size = xs.shape
+    if not m:
+        return [[] for _ in range(bases)]
     values = _fold_rays(samples, xs, ys, extra_rays, _sampled_limsups(samples, xs, ys))
-    accepts, rejects = _tolerances(dual_norm_rows(samples.map.space, ys))
-    return [
+    accepts, rejects = _tolerances(dual_norm_rows(samples.map.space, ys.reshape(-1, size)))
+    answers = [
         Answer(value, _verdict(value, accept, reject))
-        for value, accept, reject in zip(values.tolist(), accepts.tolist(), rejects.tolist())
+        for value, accept, reject in zip(values.reshape(-1).tolist(), accepts.tolist(), rejects.tolist())
     ]
+    return [answers[b * m : (b + 1) * m] for b in range(bases)]
 
 
 def trace_to_csv(estimate: LimsupEstimate) -> str:

@@ -385,7 +385,9 @@ def pairing_rows(w: DualVector, rows: np.ndarray) -> np.ndarray:
 def pairing_stack(space: SpaceSpec, duals: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Pairing of each of m duals, the rows of an (m, size) array, against
     the rows of a (k, ..., n, size) array with k = 1 (one block shared by
-    every dual) or k = m (one block per dual): shape (m, ..., n).
+    every dual) or k = m (one block per dual): shape (m, ..., n). Leading
+    stack axes, the same on both, pair stack by stack: (S..., m, size)
+    duals against (S..., k, ..., n, size) rows give (S..., m, ..., n).
 
     The one pairing formula: `pairing_rows` and `pairing` are its slices
     for one dual. The products are one stacked matmul, each of whose slices
@@ -395,14 +397,17 @@ def pairing_stack(space: SpaceSpec, duals: np.ndarray, rows: np.ndarray) -> np.n
     so C01 duals take one product each: pairing a run of them over a shared
     support would change the bits.
     """
-    m, size = duals.shape
+    *stack, m, size = duals.shape
     if space.kind == KIND_C01:
-        out = np.empty((m, *rows.shape[1:-1]))
-        for i, w in enumerate(duals):
+        shared = rows.shape[len(stack)] == 1
+        out = np.empty((*stack, m, *rows.shape[len(stack) + 1 : -1]))
+        for index in np.ndindex(*stack, m):
+            w = duals[index]
             idx = np.flatnonzero(w)
-            out[i] = rows[i if len(rows) > 1 else 0][..., idx] @ w[idx]
+            out[index] = rows[index[:-1] + (0 if shared else index[-1],)][..., idx] @ w[idx]
         return out
-    return np.matmul(rows, duals.reshape(m, *(1,) * (rows.ndim - 3), size, 1))[..., 0]
+    ones = (1,) * (rows.ndim - len(stack) - 3)
+    return np.matmul(rows, duals.reshape(*stack, m, *ones, size, 1))[..., 0]
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,8 @@ def test_points_near_the_sphere_count_as_on_it(family, radius, offset):
     x = primal(space, [radius + offset, 0.0, 0.0])
     assert abs(norm(x) - radius) <= 5e-13
     assert np.array_equal(mapd.value(x).values, x.values)
-    assert mapd.same_branch(x, 0.5 * x.values[None, :]).tolist() == [True]
-    assert mapd.same_branch(0.5 * x, x.values[None, :]).tolist() == [True]
+    assert mapd.same_branch(x.values, 0.5 * x.values[None, :]).tolist() == [True]
+    assert mapd.same_branch(0.5 * x.values, x.values[None, :]).tolist() == [True]
     assert mapd.fixed_point_set(GraphPoint.at_point(mapd, x)).kind == ORACLE_ONLY
     with pytest.raises(BoundaryCaseError):
         coderiv(x, radius, dual(space, [1.0, 0.0, 0.0]))

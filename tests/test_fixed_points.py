@@ -316,31 +316,43 @@ def _runner_queries():
 def test_ask_matches_direct_calls_and_draws_one_pass_per_base_run(monkeypatch):
     sched = SamplingSchedule(seed=11, dirs_per_level=16)
     queries = _runner_queries()
+    # two more ball bases: an interior one asked as many oracle queries as
+    # the first run, so the two runs stack though the cone's run and the
+    # registry's run sit between them, and one asked a single query
+    ballm, exterior, positive = queries[0].map, queries[0].base, queries[4].base
+    interior = GraphPoint.at_point(ballm, primal(L24, [0.3, -0.2, 0.1, 0.0]))
+    far = GraphPoint.at_point(ballm, primal(L24, [0.0, -3.0, 1.0, 0.5]))
+    queries += [Query(ballm, interior, dual(L24, [0.2 * k, 0.3, -0.2, 0.4]), mode="oracle") for k in range(4)]
+    queries += [Query(ballm, far, dual(L24, [0.0, 0.6, -0.2, 0.1]), mode="audit")]
     direct = []
     for q in queries:
         if q.ystar is None:
             direct.append(is_fixed_point(sample_base(q.map, q.base, sched), q.xstar, q.mode))
         else:
-            rays = registry_rays(q.map, q.base, q.xstar.values[None], q.ystar.values[None])
+            rays = registry_rays(q.map, [q.base], q.xstar.values[None, None], q.ystar.values[None, None])[0]
             direct.append(membership_test(q.map, q.base, q.xstar, q.ystar, sched, rays).verdict)
     assert {Verdict.MEMBER, Verdict.NON_MEMBER} <= set(direct)
     # the registry's ray rejects the perturbed image; sampling alone cannot
     near = queries[2]
     assert direct[2] == Verdict.NON_MEMBER
     assert membership_test(near.map, near.base, near.xstar, near.ystar, sched).verdict == Verdict.INDETERMINATE
-    # each pass, and the rows an estimate's trace shares with it, must be
-    # gone when the next pass is drawn
-    drawn = []
+    # each stack's pass, and the rows an estimate's trace shares with it,
+    # must be gone when the next stack's pass is drawn
+    drawn, stacks = [], []
 
-    def tracked(mapd, base, schedule):
+    def tracked(mapd, bases, schedule):
         assert all(ref() is None for ref in drawn)
-        samples = sample_base(mapd, base, schedule)
+        samples = sample_base(mapd, bases, schedule)
         drawn.extend((weakref.ref(samples), weakref.ref(samples.us)))
+        stacks.append(samples.bases)
         return samples
 
     monkeypatch.setattr(fixed_points, "sample_base", tracked)
     assert _verdicts(queries, sched) == direct
-    assert len(drawn) == 2 * 3  # the exterior ball base, the cone base, the ball base again
+    # the stacks in the order of their first run: the two ball runs of four
+    # oracle queries, the cone run, and the far ball base; the registry
+    # settles the ball run between them, which draws no pass
+    assert stacks == [(exterior, interior), (positive,), (far,)]
 
 
 def test_a_registry_run_takes_the_fixed_point_set_once_per_base_and_the_registry_once_per_query(monkeypatch):
@@ -413,7 +425,7 @@ def _one_at_a_time(samples, query):
     """The verdict of one query asked alone."""
     if query.ystar is None:
         return is_fixed_point(samples, query.xstar, query.mode)
-    rays = registry_rays(query.map, query.base, query.xstar.values[None], query.ystar.values[None])
+    rays = registry_rays(query.map, [query.base], query.xstar.values[None, None], query.ystar.values[None, None])[0]
     return membership_test(
         query.map, query.base, query.xstar, query.ystar, samples.schedule, rays
     ).verdict
@@ -439,12 +451,12 @@ def test_a_batch_pass_answers_each_query_as_a_batch_of_one(shift, d):
         # the one oracle pass of `ask`, over the fixed-point queries and then
         # the membership queries
         asked = [Query(mapd, base, w) for w in cands] + [Query(mapd, base, w, y) for w, y in zip(cands, ystars)]
-        checked = fixed_points._oracle_pass(samples, asked)
+        (checked,) = fixed_points._oracle_pass(samples, [asked])
         xs, ys = np.stack([w.values for w in cands]), np.stack([y.values for y in ystars])
-        rays = registry_rays(mapd, base, xs, ys)
+        (rays,) = registry_rays(mapd, [base], xs[None], ys[None])
         answers = [answer for _, _, answer in checked[m:]]
         for w, y, extra, (spread, scale, fixed), answer in zip(cands, ystars, rays, checked, answers):
-            own = registry_rays(mapd, base, w.values[None], w.values[None])
+            own = registry_rays(mapd, [base], w.values[None, None], w.values[None, None])[0]
             alone = membership_test(mapd, base, w, w, sched, own)
             assert (fixed.verdict, fixed.extrapolated.hex()) == (alone.verdict, alone.extrapolated.hex()), name
             assert spread == np.max(quotient_forms_spread(w, samples.audit)), name
@@ -484,13 +496,14 @@ def test_a_mixed_run_asks_the_oracle_once_and_gives_each_query_its_lone_verdict(
     calls = []
 
     def counted(samples, xs, ys, extra_rays):
-        calls.append(len(xs))
+        calls.append(xs.shape[:2])
         return membership_batch(samples, xs, ys, extra_rays)
 
     monkeypatch.setattr(fixed_points, "membership_batch", counted)
     assert _verdicts(queries, sched) == alone
-    # the registry-mode queries are settled by the closed form
-    assert calls == [len(queries) - 2]
+    # one batch for the run's one stack, a stack of one base; the
+    # registry-mode queries are settled by the closed form
+    assert calls == [(1, len(queries) - 2)]
 
 
 def test_the_first_failing_query_of_a_run_raises(monkeypatch):
@@ -558,7 +571,8 @@ def test_ask_answers_with_the_oracle_value_or_a_closed_form_verdict_without_one(
     for q, answer in zip(asked[:2], answers):
         xs = q.xstar.values[None]
         ys = xs if q.ystar is None else q.ystar.values[None]
-        (alone,) = membership_batch(samples, xs, ys, registry_rays(ballm, base, xs, ys)[:, None])
+        rays = registry_rays(ballm, [base], xs[None], ys[None])
+        ((alone,),) = membership_batch(samples, xs[None], ys[None], rays[:, :, None])
         assert (answer.verdict, answer.extrapolated.hex()) == (alone.verdict, alone.extrapolated.hex())
     assert answers[2] == Answer(None, registry_verdict(ballm, base, w)) == Answer(None, Verdict.NON_MEMBER)
 

@@ -216,8 +216,8 @@ def test_a_shared_pass_gives_every_candidate_its_fresh_estimate(name):
     fresh += [estimate_limsup(mapd, base, cands[0], c, sched) for c in cands[1:]]
     for a, b in zip(shared, fresh):
         _same_estimate(a, b)
-        # the trace shares the pass's rows instead of copying them
-        assert a.trace.us is samples.us and a.trace.vs is samples.vs
+        # the trace shares the pass's rows (its one base's) instead of copying them
+        assert a.trace.us.base is samples.us and a.trace.vs.base is samples.vs
     for c in cands[:2]:
         _same_estimate(membership_test(mapd, base, c, c, sched), membership_test(mapd, base, c, c, sched))
 
@@ -246,7 +246,7 @@ def _audit_spread_per_candidate(mapd, base, sched, ystar):
     # on the finest level of a fresh pass, pairing the increments, their
     # difference and the TwoDiff shift
     fresh = sample_base(mapd, base, sched)
-    us, vs = fresh.us[-1], fresh.vs[-1]
+    us, vs = fresh.us[0, -1], fresh.vs[0, -1]
     du = us - base.x.values[None, :]
     dv = vs - base.y.values[None, :]
     den = norm_rows(base.x.space, du) + norm_rows(base.x.space, dv)
@@ -266,7 +266,7 @@ def test_shared_audit_rows_give_every_candidate_its_per_candidate_spread(name):
     rng = np.random.default_rng(23)
     for _ in range(5):
         ystar = dual(mapd.space, rng.uniform(-1.5, 1.5, size=mapd.space.size))
-        assert np.array_equal(quotient_forms_spread(ystar, rows),
+        assert np.array_equal(quotient_forms_spread(ystar, rows)[0],
                               _audit_spread_per_candidate(mapd, base, sched, ystar))
 
 
@@ -291,9 +291,9 @@ def test_the_audit_rows_are_the_finest_level_of_the_pass(name):
     samples = sample_base(mapd, base, sched)
     rows = samples.audit
     assert samples.audit is rows
-    assert np.array_equal(rows.du, samples.us[-1] - x.values[None, :])
-    assert np.array_equal(rows.dv, samples.vs[-1] - base.y.values[None, :])
-    assert np.array_equal(rows.den, samples.dens[-1])
+    assert np.array_equal(rows.du, samples.us[:, -1] - x.values)
+    assert np.array_equal(rows.dv, samples.vs[:, -1] - base.y.values)
+    assert np.array_equal(rows.den, samples.dens[:, -1])
     for array in vars(rows).values():
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0.0
@@ -338,7 +338,7 @@ def test_passes_from_the_shared_draw_block_equal_fresh_passes(monkeypatch):
     for level, radius in enumerate(samples.radii.tolist()):
         dirs = np.random.default_rng([12, level]).standard_normal((32, 16))
         dirs = dirs / norm_rows(space, dirs)[:, None]
-        assert np.array_equal(samples.us[level], x[None, :] + radius * np.vstack([dirs, unit_extra]))
+        assert np.array_equal(samples.us[0, level], x[None, :] + radius * np.vstack([dirs, unit_extra]))
 
     # bases in a p = 2, 3, 2 order on one schedule: it computes the norms of
     # the block once per space, one norm_rows call per block of levels (one
@@ -409,7 +409,9 @@ def test_the_blocked_pass_gives_the_per_level_quotients_bit_for_bit(name, monkey
         return quotients(space, xstars, ystars, du, dv, dens)
 
     def per_level(k):
-        du, dv, dens = limsup_oracle._increments(base, samples.us[k], samples.vs[k], samples.dens[k])
+        du, dv, dens = limsup_oracle._increments(
+            mapd.space, x.values, base.y.values, samples.us[0, k], samples.vs[0, k], samples.dens[0, k]
+        )
         return quotients(mapd.space, xstar.values[None], ystar.values[None], du[None], dv[None], dens)[0]
 
     monkeypatch.setattr(limsup_oracle, "_quotients", counted)
@@ -417,7 +419,7 @@ def test_the_blocked_pass_gives_the_per_level_quotients_bit_for_bit(name, monkey
     reference = np.stack([per_level(k) for k in range(sched.levels)])
     assert np.array_equal(est.trace.quotients, reference)
     assert len(sizes) == calls and sum(sizes) == samples.us.size
-    assert max(sizes) <= max(limsup_oracle.QUOTIENT_BLOCK, samples.us[0].size)
+    assert max(sizes) <= max(limsup_oracle.QUOTIENT_BLOCK, samples.us[0, 0].size)
 
 
 def _per_level_pass(mapd, base, schedule):
@@ -488,9 +490,10 @@ def test_the_block_built_pass_gives_the_per_level_rows_bit_for_bit(name, monkeyp
 
     monkeypatch.setattr(MapDescriptor, "value_batch", counted)
     samples = sample_base(mapd, base, replace(sched))
-    for field, expected in zip(("radii", "us", "vs", "dens"), reference):
-        assert np.array_equal(getattr(samples, field), expected), field
-    level = samples.us[0].size
+    assert np.array_equal(samples.radii, reference[0])
+    for field, expected in zip(("us", "vs", "dens"), reference[1:]):
+        assert np.array_equal(getattr(samples, field)[0], expected), field
+    level = samples.us[0, 0].size
     assert sum(sizes) == samples.us.size
     assert max(sizes) <= max(limsup_oracle.QUOTIENT_BLOCK, level)
     # the whole pass is one block at the default shape; one level at N = 16,
@@ -555,7 +558,7 @@ def test_the_stacked_rays_give_the_per_ray_limit_bit_for_bit():
     raised = 0
     for name, mapd, x, xstar, ystar in _stacked_ray_cases():
         base = GraphPoint.at_point(mapd, x)
-        rays = registry_rays(mapd, base, xstar.values[None], ystar.values[None])
+        rays = registry_rays(mapd, [base], xstar.values[None, None], ystar.values[None, None])[0]
         rays = np.vstack([rays, np.zeros(mapd.space.size)])  # a zero ray is skipped
         est = membership_test(mapd, base, xstar, ystar, sched, rays)
         reference = _membership_by_ray(mapd, base, xstar, ystar, sched, rays)
@@ -580,7 +583,7 @@ def _ray_start_by_halving(mapd, base, direction):
                 probe = base.x + t * direction
             except ValueError:
                 return None
-        if mapd.same_branch(base.x, probe.values[None, :])[0]:
+        if mapd.same_branch(base.x.values, probe.values[None, :])[0]:
             return t
         t *= 0.5
     return None
@@ -618,7 +621,7 @@ def test_the_batched_ray_starts_equal_a_per_ray_halving_loop():
     halved = 0
     for name, mapd, x, rays in _ray_start_cases():
         base = GraphPoint.at_point(mapd, x)
-        starts = limsup_oracle._ray_starts(mapd, base, np.stack([ray.values for ray in rays]))
+        starts = limsup_oracle._ray_starts(mapd, base.x.values, np.stack([ray.values for ray in rays]))
         reference = [_ray_start_by_halving(mapd, base, ray) for ray in rays]
         assert [None if np.isnan(t) else t for t in starts.tolist()] == reference, name
         halved += sum(t < RAY_T0 for t in reference)
@@ -651,13 +654,13 @@ def test_a_ball_probe_on_the_band_edge_takes_the_side_of_its_row_norm():
     for r, on_sphere in ((radius, True), (np.nextafter(radius, -np.inf), False)):
         mapd = ball_projection_map(space, float(r))
         assert (mapd._side(probe) <= 0) == on_sphere
-        assert mapd.same_branch(x, probe.values[None, :]).tolist() == [on_sphere]
+        assert mapd.same_branch(x.values, probe.values[None, :]).tolist() == [on_sphere]
         t = RAY_T0
         while mapd._side(x + t * d) > 0:
             t *= 0.5
         assert t == (RAY_T0 if on_sphere else 0.5 * RAY_T0)
         base = GraphPoint.at_point(mapd, x)
-        assert limsup_oracle._ray_starts(mapd, base, d.values[None, :]).tolist() == [t]
+        assert limsup_oracle._ray_starts(mapd, base.x.values, d.values[None, :]).tolist() == [t]
 
 
 def test_rays_that_never_start_are_skipped_and_raise_alone():
@@ -674,7 +677,7 @@ def test_rays_that_never_start_are_skipped_and_raise_alone():
     ):
         base = GraphPoint.at_point(mapd, primal(space, x))
         never = primal(space, never)
-        starts = limsup_oracle._ray_starts(mapd, base, np.stack([never.values, good.values]))
+        starts = limsup_oracle._ray_starts(mapd, base.x.values, np.stack([never.values, good.values]))
         assert np.isnan(starts[0]) and starts[1] == RAY_T0
         assert _ray_start_by_halving(mapd, base, never) is None
         both = np.stack([never.values, good.values])

@@ -1,8 +1,9 @@
 """The row forms of the closed-form side of an oracle run against scalar
 references, bit for bit.
 
-`dual_norm_rows`, `norming_rows`, `MapDescriptor.expected_image` and
-`registry_rays` take an (m, size) array of candidates at once. Each must give
+`dual_norm_rows` and `norming_rows` take an (m, size) array of candidates at
+once, and `MapDescriptor.expected_image` and `registry_rays` a (bases, m,
+size) stack of them, here a stack of one base. Each must give
 every row the bits that the one-vector formulas below give it alone: one
 scalar power ||w||^(q-2) per row, and <w, x> as the `np.dot` of one pairing.
 The magnitudes 0, 1e-310, 1e-200, 1 and 1e200 reach the rescaled duality
@@ -188,7 +189,8 @@ def test_expected_images_and_registry_rays_are_the_vector_formulas(space, m):
     for name, mapd, x in _instances(space):
         base = GraphPoint.at_point(mapd, primal(space, x))
         ys = _duals(space, m, rng)
-        images = mapd.expected_image(base, ys)
+        images = mapd.expected_image([base], ys[None])
+        images = images if images is None else images[0]
         want = [_ref_expected_image(mapd, x, y) for y in ys]
         if want[0] is None:
             assert images is None, name
@@ -201,6 +203,6 @@ def test_expected_images_and_registry_rays_are_the_vector_formulas(space, m):
             xs[::3] = images[::3]
             xs[1::3] += images[1::3]
         for xrows, label in ((xs, "x* against y*"), (ys, "x* = y*")):
-            rays = registry_rays(mapd, base, xrows, ys)
+            rays = registry_rays(mapd, [base], xrows[None], ys[None])[0]
             reference = np.stack([_ref_registry_ray(mapd, x, xw, y) for xw, y in zip(xrows, ys)])
             _assert_rows_equal(rays, reference, f"{name}: {label}")
