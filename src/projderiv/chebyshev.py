@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spaces import KIND_C01, PrimalVector, SpaceSpec, norm
+from .spaces import KIND_C01, QUOTIENT_BLOCK, PrimalVector, SpaceSpec, norm
 
 __all__ = [
     "Polynomial",
@@ -478,11 +478,6 @@ REMEZ_TOL = 1e-10
 # iterations fails with a RemezConvergenceError.
 REMEZ_MAX_ITERATIONS = 100
 
-# Largest stack of grid values (rows x G) that `remez_rows` exchanges at
-# once, the budget of limsup_oracle.QUOTIENT_BLOCK: a larger stack of
-# fine-grid rows would raise the peak memory.
-REMEZ_BLOCK = 2**14
-
 
 def remez(f: PrimalVector, n: int) -> RemezResult:
     """Best uniform approximation of a grid function by a polynomial of
@@ -496,8 +491,9 @@ def remez_rows(space: SpaceSpec, values, n: int) -> list[RemezResult]:
     one off-grid polish; one `RemezResult` per row, bit for bit the result
     of exchanging that row alone.
 
-    The rows are exchanged together, in blocks of at most REMEZ_BLOCK grid
-    values. Each iteration solves the levelled systems of the rows that need
+    The rows are exchanged together, in blocks of at most
+    `spaces.QUOTIENT_BLOCK` grid values (rows x G), the oracle's memory
+    budget. Each iteration solves the levelled systems of the rows that need
     one, then the trial systems, as one stacked solve each; it evaluates
     every row's residual by one batched Horner (`horner_rows`) and tests
     convergence as one array comparison, and a row leaves the block as it
@@ -528,7 +524,7 @@ def remez_rows(space: SpaceSpec, values, n: int) -> list[RemezResult]:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != g:
         raise ValueError(f"expected rows of {g} grid values, got shape {values.shape}")
-    step = max(1, REMEZ_BLOCK // g)
+    step = max(1, QUOTIENT_BLOCK // g)
     results: list[RemezResult] = []
     for lo in range(0, values.shape[0], step):
         results += _remez_block(space, values[lo : lo + step], n)

@@ -388,7 +388,8 @@ class CoderivativeSet:
         if self.kind == CONE_SLICE and (self.index_set is None or self.anchor is None):
             raise ValueError("cone slice needs an index set and an anchor")
 
-    def membership(self, w: DualVector, tol: float = 1e-9) -> bool:
+    def membership(self, w: DualVector) -> bool:
+        tol = 1e-9
         if w.space != self.space:
             return False
         if self.kind == EMPTY:
@@ -425,13 +426,13 @@ class FixedPointCharacterization:
     space: SpaceSpec
     index_set: IndexSet | None = None
 
-    def membership(self, w: DualVector, tol: float = 1e-9) -> bool:
+    def membership(self, w: DualVector) -> bool:
         if self.kind == WHOLE_DUAL:
             return True
         if self.kind == ORIGIN_ONLY:
-            return dual_norm(w) <= tol
+            return dual_norm(w) <= 1e-9
         if self.kind == POSITIVE_CONE_DUAL:
-            return bool(np.all(w.values[self.index_set.mask] >= -tol))
+            return bool(np.all(w.values[self.index_set.mask] >= -1e-9))
         raise ValueError("no closed-form membership for oracle-only bases")
 
 
@@ -488,14 +489,14 @@ def _ball_images(points: Sequence[PrimalVector], r: float, ws: np.ndarray) -> np
     return images
 
 
-def zm_index_set(xbar: PrimalVector, threshold: float = ZM_POSITIVITY_THRESHOLD) -> IndexSet | None:
-    """Index set M with xbar strictly positive on M and zero off M, or None
-    when xbar has a negative (or sub-threshold nonzero) coordinate."""
+def zm_index_set(xbar: PrimalVector) -> IndexSet | None:
+    """Index set M with xbar positive on M and zero off M, or None when xbar
+    has a negative coordinate, each beyond ZM_POSITIVITY_THRESHOLD."""
     members = set()
     for i, v in enumerate(xbar.values, start=1):
-        if v > threshold:
+        if v > ZM_POSITIVITY_THRESHOLD:
             members.add(i)
-        elif abs(v) > threshold:
+        elif abs(v) > ZM_POSITIVITY_THRESHOLD:
             return None
     return IndexSet(frozenset(members), xbar.space.size)
 

@@ -46,6 +46,8 @@ from .coderivatives import (
     poly_projection_map,
 )
 from .limsup_oracle import (
+    RAY_RATIO,
+    RAY_STEPS,
     Answer,
     AuditRows,
     GraphPoint,
@@ -53,6 +55,9 @@ from .limsup_oracle import (
     SamplePass,
     SamplingSchedule,
     Verdict,
+    _increments,
+    _quotients,
+    _richardson,
     estimate_limsup,
     membership_batch,
     membership_test,  # not called here; the benchmark's tracer wraps this binding too
@@ -369,9 +374,8 @@ def poly_fixed_point_quotient(
     mapd = poly_projection_map(f.space, degree)
     grid = f.space.grid
     rng = np.random.default_rng([seed, 977])
-    rays: list[PrimalVector] = [f]
-    for k in range(degree + 2):
-        rays.append(PrimalVector(f.space, grid**k))
+    powers = chebyshev._grid_powers(f.space, degree + 1)[0]
+    rays = [f] + [PrimalVector(f.space, column) for column in powers.T]
     for _ in range(4):
         vals = np.zeros(grid.size)
         for k in range(1, 6):
@@ -395,15 +399,11 @@ class ScalingDirectionReport:
     relative_error: float
     candidate_excluded: bool
     fixed_point_excluded: bool | None
-    lambdas: tuple[float, ...]
-    quotients: tuple[float, ...]
 
 
-# The scaling path starts at lambda = SCALING_LAM0 and takes SCALING_STEPS
-# steps shrinking by SCALING_RATIO.
+# The scaling path starts at lambda = SCALING_LAM0 and takes the oracle's ray
+# steps (`limsup_oracle.RAY_STEPS`, shrinking by `RAY_RATIO`).
 SCALING_LAM0 = 0.05
-SCALING_STEPS = 10
-SCALING_RATIO = 0.5
 
 
 def scaling_direction_report(
@@ -419,29 +419,26 @@ def scaling_direction_report(
     Preconditions: <mu, f> != 0 and gamma annihilates all monomials up to the
     degree. Projections along the path are recomputed by the exchange
     algorithm rather than rescaled, so the limit genuinely tests the
-    implementation.
+    implementation. The path is an oracle ray: its rows' increments and
+    denominators, its quotients and its limit are the oracle's
+    (`limsup_oracle._increments`, `_quotients`, `_richardson`).
     """
     if f.space.kind != KIND_C01:
         raise ValueError("needs a C01 grid function")
-    if abs(pairing(mu, f)) <= 1e-12 * (1.0 + dual_norm(mu)):
+    mu_f = pairing(mu, f)
+    if abs(mu_f) <= 1e-12 * (1.0 + dual_norm(mu)):
         raise ValueError("the scaling path needs <mu, f> != 0")
-    grid = f.space.grid
-    for k in range(degree + 1):
-        if abs(pairing(gamma, PrimalVector(f.space, grid**k))) > 1e-10:
-            raise ValueError("gamma must annihilate the polynomial class")
-    lams = [SCALING_LAM0 * SCALING_RATIO**j for j in range(SCALING_STEPS)]
+    if (np.abs(pairing_rows(gamma, chebyshev._grid_powers(f.space, degree)[0].T)) > 1e-10).any():
+        raise ValueError("gamma must annihilate the polynomial class")
+    lams = SCALING_LAM0 * RAY_RATIO ** np.arange(RAY_STEPS)
     # the base and the path's fits as one batch
-    rows = np.array([f.values] + [(1.0 + lam) * f.values for lam in lams])
+    rows = np.concatenate([f.values[None], (1.0 + lams)[:, None] * f.values])
     fitted_rows = chebyshev.fits_on_grid(f.space, chebyshev.remez_rows(f.space, rows, degree))
     p_grid = fitted_rows[0]
-    quotients = []
-    for g_values, q_grid in zip(rows[1:], fitted_rows[1:]):
-        g = PrimalVector(f.space, g_values)
-        num = pairing(mu, g - f) - pairing(gamma, PrimalVector(f.space, q_grid - p_grid))
-        den = float(np.max(np.abs(g.values - f.values)) + np.max(np.abs(q_grid - p_grid)))
-        quotients.append(num / den)
-    limit = float((quotients[-1] - SCALING_RATIO * quotients[-2]) / (1.0 - SCALING_RATIO))
-    predicted = pairing(mu, f) / (norm(f) + float(np.max(np.abs(p_grid))))
+    du, dv, dens = _increments(f.space, f.values, p_grid, rows[1:], fitted_rows[1:])
+    quotients = _quotients(f.space, mu.values[None], gamma.values[None], du[None], dv[None], dens)
+    limit = float(_richardson(quotients)[0])
+    predicted = mu_f / (norm(f) + float(np.max(np.abs(p_grid))))
     rel_err = abs(limit - predicted) / max(abs(predicted), 1e-300)
     _, tol_reject = tolerance_pair(gamma)
     candidate_excluded = limit >= tol_reject
@@ -455,7 +452,4 @@ def scaling_direction_report(
         relative_error=float(rel_err),
         candidate_excluded=bool(candidate_excluded),
         fixed_point_excluded=fixed_point_excluded,
-        lambdas=tuple(lams),
-        quotients=tuple(float(q) for q in quotients),
     )
-

@@ -25,17 +25,18 @@ candidate queried at its bases shares (`membership_batch`); only the
 numerators are per candidate. A pass stacks bases of one map on a leading
 axis, each base's rows around its own graph point, and a pass at one base is
 a stack of one; `SamplingSchedule.stack_size` keeps a stack within
-`QUOTIENT_BLOCK` entries. Every walk over the levels of a pass goes by
-the same blocks of consecutive levels of at most `QUOTIENT_BLOCK` entries
-(one level where a level alone is larger, `_level_blocks`): `sample_base` builds each
-block's values and denominators with one `value_batch`, and one generator
+`QUOTIENT_BLOCK` entries (`spaces.QUOTIENT_BLOCK`, which `chebyshev` keeps
+too). Every walk over the levels of a pass goes by the same blocks of
+consecutive levels of at most `QUOTIENT_BLOCK` entries (one level where a
+level alone is larger, `_level_blocks`): `sample_base` builds each block's
+values and denominators with one `value_batch`, and one generator
 (`_block_quotients`) gives each block's quotients, which `estimate_limsup`
-keeps as its trace and `membership_batch` reduces to per-level suprema. A
-stacked array rounds like the per-level and per-base ones, so nothing
-depends on the blocking or the stacking. The raw normal draws behind the
-directions do not depend on the space either, so passes with the same seed,
-levels, rows and dimension share one read-only block of them (the last block
-drawn is kept). Their norms do, and a schedule keeps them per space it has
+keeps as its trace and `membership_batch` reduces to per-level suprema, both
+taking the limsup by one rule (`_limsup`). A stacked array rounds like the
+per-level and per-base ones, so nothing depends on the blocking or the
+stacking. The raw normal draws behind the directions do not depend on the
+space either, so passes with the same seed, levels, rows and dimension share
+one read-only block of them (the last block drawn is kept). Their norms do, and a schedule keeps them per space it has
 sampled, so each pass only divides the block by them, scales and shifts. A
 query's directed rays are evaluated together: one halving loop finds every
 ray's start, probing as rows only the rays not yet in the base branch, and
@@ -79,6 +80,7 @@ import numpy as np
 
 from .coderivatives import L1_BALL_PROJ, MapDescriptor
 from .spaces import (
+    QUOTIENT_BLOCK,
     DualVector,
     PrimalVector,
     SpaceSpec,
@@ -131,10 +133,9 @@ class GraphPoint:
         return cls(x, mapd.value(x))
 
     @classmethod
-    def checked(
-        cls, mapd: MapDescriptor, x: PrimalVector, y: PrimalVector, tol: float = 1e-12
-    ) -> "GraphPoint":
-        if not mapd.graph_contains(x, y, tol=tol):
+    def checked(cls, mapd: MapDescriptor, x: PrimalVector, y: PrimalVector) -> "GraphPoint":
+        """(x, y), which must be a graph point to 1e-12 scale."""
+        if not mapd.graph_contains(x, y, tol=1e-12):
             raise ValueError("(x, y) is not a graph point of the map")
         return cls(x, y)
 
@@ -450,13 +451,6 @@ def sample_base(mapd: MapDescriptor, bases, schedule: SamplingSchedule) -> Sampl
     return SamplePass(mapd, bases, schedule, x, y, radii, us, vs, dens)
 
 
-# Largest stacked block of sample entries (bases x levels x rows x size), and
-# of quotients (bases x candidates x levels x rows), that the sampled
-# estimates evaluate in one call; a larger block would raise the peak memory
-# of the wide and fine-grid passes.
-QUOTIENT_BLOCK = 2**14
-
-
 def _level_blocks(shape: tuple[int, ...], candidates: int) -> list[slice]:
     """Runs of consecutive levels of a (bases, levels, rows, size) stack of
     passes, or of one (levels, rows, size) block of draws, whose entries,
@@ -500,12 +494,12 @@ def _estimate(samples: SamplePass, xstar: DualVector, ystar: DualVector) -> Lims
     xs, ys = xstar.values[None, None], ystar.values[None, None]
     quotients = np.concatenate([q[0, 0] for q in _block_quotients(samples, xs, ys)])
     trace = QuotientTrace(radii=samples.radii, us=samples.us[0], vs=samples.vs[0], quotients=quotients)
-    sups = quotients.max(axis=1).tolist()
-    extrapolated = max(sups[-2:])
+    sups = quotients.max(axis=1)
+    extrapolated = float(_limsup(sups))
     tol_accept, tol_reject = tolerance_pair(ystar)
     return LimsupEstimate(
-        per_level_sup=tuple(sups),
-        extrapolated=float(extrapolated),
+        per_level_sup=tuple(sups.tolist()),
+        extrapolated=extrapolated,
         verdict=_verdict(extrapolated, tol_accept, tol_reject),
         trace=trace,
         tol_accept=tol_accept,
@@ -518,7 +512,12 @@ def _sampled_limsups(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray
     the rows of the (bases, m, size) arrays `xstars` and `ystars`, without
     the trace: each block's quotients are reduced to per-level suprema."""
     sups = np.concatenate([q.max(axis=-1) for q in _block_quotients(samples, xstars, ystars)], axis=-1)
-    # Python's max(sups[-2:]): the finest level only where it is larger
+    return _limsup(sups)
+
+
+def _limsup(sups: np.ndarray) -> np.ndarray:
+    """The limsup estimate of per-level suprema (the last axis): the max of
+    the two finest as Python's max(sups[-2:]) takes it, the finest if larger."""
     return np.where(sups[..., -1] > sups[..., -2], sups[..., -1], sups[..., -2])
 
 

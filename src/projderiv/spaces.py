@@ -30,6 +30,11 @@ KIND_LP = "Lp"
 KIND_L1 = "L1"
 KIND_C01 = "C01"
 
+# Largest stacked block of entries that one call evaluates: the oracle's sample
+# entries and quotients, and `chebyshev.remez_rows`' grid values; a larger
+# block would raise the peak memory of the wide and fine-grid passes.
+QUOTIENT_BLOCK = 2**14
+
 __all__ = [
     "KIND_LP",
     "KIND_L1",

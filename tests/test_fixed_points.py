@@ -20,7 +20,7 @@ from projderiv.coderivatives import (
     poly_projection_map,
 )
 from projderiv import chebyshev, fixed_points, limsup_oracle
-from projderiv.experiments import EXPERIMENTS, _cone_setup, resolve_config
+from projderiv.experiments import EXPERIMENTS, _cone_setup, _random_smooth, resolve_config
 from projderiv.fixed_points import (
     FixedPointAuditError,
     Query,
@@ -714,6 +714,85 @@ def test_scaling_direction_report_values():
     both = scaling_direction_report(f, 1, gamma, gamma)
     assert both.fixed_point_excluded is True
     assert abs(both.predicted - pairing(gamma, f) / (1.0 + 0.875)) <= 1e-12
+
+
+def _per_step_scaling_report(f, degree, mu, gamma):
+    """The scaling path's report as it was computed step by step: two
+    `pairing` calls per step over its own sup-norm denominator, and its own
+    Richardson step on ten steps from lambda = 0.05, halving. Frozen as the
+    reference of the oracle-ray formulas."""
+    lams = [0.05 * 0.5**j for j in range(10)]
+    rows = np.array([f.values] + [(1.0 + lam) * f.values for lam in lams])
+    fitted_rows = chebyshev.fits_on_grid(f.space, chebyshev.remez_rows(f.space, rows, degree))
+    p_grid = fitted_rows[0]
+    quotients = []
+    for g_values, q_grid in zip(rows[1:], fitted_rows[1:]):
+        g = PrimalVector(f.space, g_values)
+        num = pairing(mu, g - f) - pairing(gamma, PrimalVector(f.space, q_grid - p_grid))
+        den = float(np.max(np.abs(g.values - f.values)) + np.max(np.abs(q_grid - p_grid)))
+        quotients.append(num / den)
+    limit = float((quotients[-1] - 0.5 * quotients[-2]) / (1.0 - 0.5))
+    predicted = pairing(mu, f) / (norm(f) + float(np.max(np.abs(p_grid))))
+    excluded = None
+    if dual_norm(mu - gamma) <= 1e-12 * (1.0 + dual_norm(mu)):
+        excluded = limit >= limsup_oracle.tolerance_pair(mu)[1]
+    return (
+        limit,
+        predicted,
+        abs(limit - predicted) / max(abs(predicted), 1e-300),
+        limit >= limsup_oracle.tolerance_pair(gamma)[1],
+        excluded,
+    )
+
+
+@pytest.mark.parametrize("grid_size", [33, 513, 4097])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_scaling_path_matches_the_per_step_reference(grid_size, degree):
+    """The scaling path as an oracle ray (`_increments`, `_quotients`,
+    `_richardson`) gives every report field of the per-step loop bit for
+    bit, at f = t^2 and at random smooth f, for mu a point mass and for
+    mu = gamma where <gamma, f> != 0."""
+    space = c01_space(grid_size)
+    rng = np.random.default_rng([grid_size, degree])
+    gamma = poly_annihilator(space, degree)
+    mu = atomic_measure(space, [(1.0, 1.0)])
+    for f in [primal(space, space.grid**2), _random_smooth(space, rng), _random_smooth(space, rng)]:
+        for candidate in (mu, gamma):
+            if abs(pairing(candidate, f)) <= 1e-12:
+                continue  # gamma annihilates t^2 from degree 2 on
+            report = scaling_direction_report(f, degree, candidate, gamma)
+            got = (
+                report.limit,
+                report.predicted,
+                report.relative_error,
+                report.candidate_excluded,
+                report.fixed_point_excluded,
+            )
+            expected = _per_step_scaling_report(f, degree, candidate, gamma)
+            assert np.array(got[:3]).tobytes() == np.array(expected[:3]).tobytes()
+            assert got[3:] == expected[3:]
+
+
+@pytest.mark.parametrize("grid_size", [513, 4097])
+def test_poly_quotient_rays_are_the_grid_powers(grid_size, monkeypatch):
+    """The polynomial rays of `poly_fixed_point_quotient` are the columns of
+    the grid's power matrix (`chebyshev._grid_powers`), byte for byte the
+    powers grid**k on these grids, whose nodes are dyadic."""
+    space, degree = c01_space(grid_size), 1
+    schedules = []
+
+    def recording(mapd, base, xstar, ystar, schedule):
+        schedules.append(schedule)
+        return limsup_oracle.estimate_limsup(mapd, base, xstar, ystar, schedule)
+
+    monkeypatch.setattr(fixed_points, "estimate_limsup", recording)
+    f = primal(space, space.grid**2)
+    poly_fixed_point_quotient(f, degree, DualVector.zero(space))
+    (schedule,) = schedules
+    rays = [ray.values.tobytes() for ray in schedule.extra_rays[1 : degree + 3]]
+    powers = chebyshev._grid_powers(space, degree + 1)[0]
+    assert rays == [column.tobytes() for column in powers.T]
+    assert rays == [(space.grid**k).tobytes() for k in range(degree + 2)]
 
 
 def test_scaling_direction_preconditions():
