@@ -9,9 +9,11 @@ at coarse grids.
 The exchange runs over the rows of an array (`remez_rows`; `remez` is a
 batch of one). Per iteration, the rows still exchanging share one stacked
 levelled solve, one stacked trial solve, one batched Horner for their
-residuals (`horner_rows`) and one convergence comparison. The steps decided
-from one row's residual (the sign-run split, the trim, the trial acceptance,
-the single exchange and the polish) stay per row, so each row keeps the bits
+residuals (`horner_rows`), one convergence comparison and one sign-run split
+(`_alternating_extrema`). The trim to the next reference
+(`_trim_reference`) is the closed form of dropping the smallest candidate
+one at a time, and reads only the largest candidates. The trial acceptance,
+the single exchange and the polish stay per row, so each row keeps the bits
 of an exchange of that row alone.
 
 The monomial basis lives here only: every system and fit takes its powers
@@ -25,8 +27,8 @@ imply for norm-bounded polynomials.
 
 from __future__ import annotations
 
+import bisect
 import functools
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -364,67 +366,116 @@ def horner_rows(coefficients: np.ndarray, t: np.ndarray) -> np.ndarray:
     return values
 
 
-def _alternating_extrema(residual: np.ndarray) -> list[int]:
-    """Indices of the per-sign-run argmax of |residual|; one candidate per
-    run, so candidates alternate in sign by construction. Exact zeros carry
-    the previous nonzero sign (+1 before the first one), and a tie within a
-    run goes to its first index, as with np.argmax."""
-    signs = np.sign(residual)
-    if not signs.all():
-        # index of the last nonzero sign at or before each point, -1 before any
-        last = np.maximum.accumulate(np.where(signs != 0.0, np.arange(signs.size), -1))
-        signs = np.where(last >= 0, signs[np.maximum(last, 0)], 1.0)
-    # run boundaries: 0, each index where the sign changes, and the end
-    edges = np.concatenate(([0], np.flatnonzero(signs[1:] != signs[:-1]) + 1, [signs.size]))
+def _alternating_extrema(residual: np.ndarray, mags: np.ndarray) -> list[np.ndarray]:
+    """The candidates of each row of a (k, G) block of residuals, given their
+    magnitudes |residual|: the indices of the per-sign-run argmax of
+    |residual|, one per run, so a row's candidates alternate in sign by
+    construction. Exact zeros carry the previous nonzero sign (+1 before the
+    first one), and a tie within a run goes to its first index.
+
+    The block is split as one flat array: a run starts where `residual > 0`
+    changes and at the start of every row."""
+    rows, g = residual.shape
+    positive = residual > 0
+    if not residual.all():
+        zeros = np.flatnonzero(~residual.all(axis=1))
+        # index of the last nonzero at or before each point, -1 before any
+        last = np.maximum.accumulate(np.where(residual[zeros] != 0, np.arange(g), -1), axis=1)
+        carried = np.take_along_axis(positive[zeros], np.maximum(last, 0), axis=1)
+        positive[zeros] = carried | (last < 0)
+    flat = positive.ravel()
+    # run boundaries: each row's start, each point where the sign changes,
+    # and the end
+    edge = np.empty(flat.size + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=edge[1:-1])
+    edge[:-1:g] = True
+    edge[-1] = True
+    edges = np.flatnonzero(edge)
     starts = edges[:-1]
-    mags = np.abs(residual)
-    # every run has a point not below its peak (a NaN is a run of its own),
+    m = mags.ravel()
+    # every run has a point not below its peak (a run with a NaN included),
     # so the first such point at or after each start is that run's argmax
-    peaks = np.repeat(np.maximum.reduceat(mags, starts), edges[1:] - starts)
-    hits = np.flatnonzero(~(mags < peaks))
-    return hits[np.searchsorted(hits, starts)].tolist()
+    peaks = np.maximum.reduceat(m, starts).repeat(edges[1:] - starts)
+    hits = np.flatnonzero(~(m < peaks))
+    candidates = hits[hits.searchsorted(starts)]
+    bounds = candidates.searchsorted(np.arange(0, rows * g + 1, g)).tolist()
+    return [candidates[lo:hi] - row * g for row, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
-def _trim_reference(candidates: list[int], residual: np.ndarray, target: int) -> list[int]:
-    """Reduce an alternating candidate list to `target` points by repeatedly
-    removing the smallest-magnitude candidate (the first one on a tie);
-    removing an interior one joins two same-sign neighbours, of which the
-    larger is kept (the left one on a tie). The global maximum always
-    survives.
+# the trim sorts this many of the largest candidates first; noisy rows stop
+# within them
+TRIM_HEAD = 128
 
-    Magnitudes never change and positions only drop out, so a heap keyed by
-    (magnitude, position) with lazy deletion finds each minimum, and a
-    doubly linked list over the positions finds its neighbours: O(k log k).
+
+def _descending_keys(cand: np.ndarray):
+    """The positions of `cand` in decreasing (magnitude, position) order: the
+    `TRIM_HEAD` largest (with every tie of the smallest of them) sorted
+    first, the rest only when asked for."""
+    kth = max(cand.size - TRIM_HEAD, 0)
+    head = cand >= np.partition(cand, kth)[kth]
+    for part in (np.flatnonzero(head), np.flatnonzero(~head)):
+        yield from part[np.lexsort((part, cand[part]))[::-1]].tolist()
+
+
+def _run_prefix(cand: np.ndarray, limit: int) -> list[int]:
+    """The positions, increasing, of the longest prefix of the candidates in
+    decreasing (magnitude, position) order that forms at most `limit` runs,
+    a run being consecutive positions that differ by even counts."""
+    kept: list[int] = []
+    runs = 0
+    for p in _descending_keys(cand):
+        at = bisect.bisect(kept, p)
+        if not kept:
+            opened = 1
+        elif at == 0:
+            opened = (kept[0] - p) & 1
+        elif at == len(kept):
+            opened = (p - kept[-1]) & 1
+        else:
+            opened = 2 * ((p - kept[at - 1]) & (kept[at] - p) & 1)
+        if runs + opened > limit:
+            break
+        kept.insert(at, p)
+        runs += opened
+    return kept
+
+
+def _trim_reference(candidates: np.ndarray, mags: np.ndarray, target: int) -> list[int]:
+    """Reduce an alternating candidate list to `target` points, given the
+    row's magnitudes |residual|. The rule: while more than `target + 1`
+    are left, remove the smallest candidate (the first one on a tie), and
+    if it is interior, join its two same-sign neighbours by keeping the
+    larger (the left one on a tie); of `target + 1` left, the smaller end
+    goes (the first one on a tie). The global maximum always survives.
+
+    Its closed form. The removals go in increasing order of the key
+    (magnitude, position), magnitudes never change, and a join keeps the
+    leftmost maximum of the two runs it merges. So after each removal the
+    survivors are the leftmost maximum of each same-sign run of a prefix of
+    the candidates in decreasing key order; as candidates alternate, two of
+    them share a sign exactly when their positions differ by an even count.
+    A longer prefix never forms fewer runs, so the removals stop at the
+    longest prefix that forms at most `target + 1` runs. The prefix is built
+    by inserting positions in key order and counting runs locally; the keys
+    are sorted `TRIM_HEAD` largest first, then the rest if the prefix
+    reaches past them.
     """
-    size = len(candidates)
-    mags = np.abs(residual[candidates]).tolist()
-    # position `size` is a sentinel that closes the list at both ends
-    nxt = list(range(1, size + 1)) + [0]
-    prev = [size] + list(range(size))
-    alive = [True] * size
-
-    def unlink(i: int) -> None:
-        alive[i] = False
-        nxt[prev[i]] = nxt[i]
-        prev[nxt[i]] = prev[i]
-
-    heap = [(m, i) for i, m in enumerate(mags)]
-    heapq.heapify(heap)
-    count = size
-    while count - target > 1:
-        _, k = heapq.heappop(heap)
-        if not alive[k]:
-            continue
-        left, right = prev[k], nxt[k]
-        if left != size and right != size:
-            unlink(right if mags[left] >= mags[right] else left)
-            count -= 1
-        unlink(k)
-        count -= 1
-    if count - target == 1:
-        head, tail = nxt[size], prev[size]
-        unlink(head if mags[head] <= mags[tail] else tail)
-    return [c for c, keep in zip(candidates, alive) if keep]
+    cand = mags[candidates]
+    if cand.size <= target + 1:
+        kept = list(range(cand.size))  # nothing is joined
+    else:
+        kept = _run_prefix(cand, target + 1)
+    mag = cand.tolist()
+    survivors: list[int] = []
+    for p in kept:
+        if survivors and not (p - survivors[-1]) & 1:
+            if mag[p] > mag[survivors[-1]]:
+                survivors[-1] = p
+        else:
+            survivors.append(p)
+    if len(survivors) == target + 1:
+        survivors.pop(0 if mag[survivors[0]] <= mag[survivors[-1]] else -1)
+    return candidates[survivors].tolist()
 
 
 def _single_exchange(ref_idx: list[int], residual: np.ndarray) -> list[int]:
@@ -497,11 +548,11 @@ def remez_rows(space: SpaceSpec, values, n: int) -> list[RemezResult]:
     one, then the trial systems, as one stacked solve each; it evaluates
     every row's residual by one batched Horner (`horner_rows`) and tests
     convergence as one array comparison, and a row leaves the block as it
-    converges. The polish solves are one stacked solve too. What is decided
-    from one row's residual stays per row: the sign-run split and the trim
-    (one flat pass over the block's residuals falls out of cache at fine
-    grids), the trial acceptance, the single-exchange fallback and the
-    polish.
+    converges. The polish solves are one stacked solve too. The sign runs of
+    the block's residuals are split in one flat pass, and each row's trim is
+    the closed form of the one-at-a-time rule (see `_trim_reference`). What
+    is decided from one row's trimmed reference stays per row: the trial
+    acceptance, the single-exchange fallback and the polish.
 
     A multi-point exchange is taken only when its trial levelled solve does
     not lower the level; an accepted trial's solve is reused as the next
@@ -539,12 +590,14 @@ def fits_on_grid(space: SpaceSpec, fits: list[RemezResult]) -> np.ndarray:
     return horner_rows(np.array([fit.polynomial.coefficients for fit in fits]), space.grid)
 
 
-def chebyshev_nodes(g: int, n: int) -> list[int]:
+@functools.lru_cache(maxsize=64)
+def chebyshev_nodes(g: int, n: int) -> tuple[int, ...]:
     """The n + 2 increasing indices of the nodes of a G-node grid nearest to
     the n + 2 Chebyshev points; where two points share a node, the smallest
     free indices make up the count. The first reference of the exchange,
     the discrete reference of a function already in the class, and the
-    atoms of `fixed_points.poly_annihilator`."""
+    atoms of `fixed_points.poly_annihilator`. Built once per (G, n), as a
+    tuple, so no caller can change it."""
     ref_idx = sorted({int(round(t * (g - 1))) for t in chebyshev_points(n + 2)})
     k = 0
     while len(ref_idx) < n + 2:  # collisions only at tiny grids
@@ -552,10 +605,10 @@ def chebyshev_nodes(g: int, n: int) -> list[int]:
             ref_idx.append(k)
             ref_idx.sort()
         k += 1
-    return ref_idx
+    return tuple(ref_idx)
 
 
-def _in_class_fit(space: SpaceSpec, fv: np.ndarray, n: int, scale: float, ref_idx: list[int]):
+def _in_class_fit(space: SpaceSpec, fv: np.ndarray, n: int, scale: float, ref_idx: tuple[int, ...]):
     """The short-circuit result of a row that lstsq fits within 1e-12 *
     scale, or None."""
     vander = _grid_powers(space, n)[0]
@@ -572,7 +625,7 @@ def _in_class_fit(space: SpaceSpec, fv: np.ndarray, n: int, scale: float, ref_id
             residual_signs=tuple(int(s) for s in (-1.0) ** np.arange(n + 2)),
             iterations=0,
             level_history=(),
-            discrete_reference=tuple(ref_idx),
+            discrete_reference=ref_idx,
             discrete_polynomial=poly,
         )
     return None
@@ -641,20 +694,23 @@ def _remez_block(space: SpaceSpec, fv: np.ndarray, n: int) -> list[RemezResult]:
         for i, lv in zip(active, levels.tolist()):
             history[i].append(lv)
         residual = fv[active] - horner_rows(coef[active], grid)
-        done = np.max(np.abs(residual), axis=1) - levels <= REMEZ_TOL * np.maximum(1.0, levels)
+        mags = np.abs(residual)
+        done = np.max(mags, axis=1) - levels <= REMEZ_TOL * np.maximum(1.0, levels)
         going, trials = [], []
-        for i, r, converged in zip(active, residual, done.tolist()):
+        # the converged rows are split with the others, since selecting the
+        # rest would copy the block; a block with no row left is not split
+        split = _alternating_extrema(residual, mags) if not done.all() else [None] * len(active)
+        for i, r, m, candidates, converged in zip(active, residual, mags, split, done.tolist()):
             if converged:
                 final_residual[i] = r.copy()
                 continue
-            candidates = _alternating_extrema(r)
             if len(candidates) < n + 2:
                 # too few sign runs for a multi-point exchange; the single
                 # exchange needs only the global peak
                 refs[i] = _single_exchange(refs[i], r)
                 going.append(i)
                 continue
-            new_idx = _trim_reference(candidates, r, n + 2)
+            new_idx = _trim_reference(candidates, m, n + 2)
             if new_idx == refs[i]:
                 final_residual[i] = r.copy()
                 continue

@@ -347,7 +347,7 @@ def poly_annihilator(space: SpaceSpec, degree: int) -> DualVector:
     positive first weight. The weights are solved at the nodes themselves,
     since snapping the atoms after solving breaks the annihilation by up to
     4e-4 for degrees 3 to 5."""
-    pts = space.grid[chebyshev.chebyshev_nodes(space.grid_size, degree)]
+    pts = space.grid[list(chebyshev.chebyshev_nodes(space.grid_size, degree))]
     weights, _ = chebyshev.annihilator(pts, degree)
     return atomic_measure(space, tuple(zip(pts.tolist(), weights.tolist())))
 

@@ -30,6 +30,7 @@ from projderiv.chebyshev import (
     remez_rows,
     sample_value,
 )
+from frozen_exchange import alternating_extrema_row, trim_reference_heap
 from grid_lp import lp_error
 from projderiv.spaces import PrimalVector, c01_space, norm, primal
 
@@ -381,7 +382,8 @@ def test_chebyshev_points_endpoints():
 
 
 # Loop versions of the exchange helpers, kept as the reference that the
-# vectorized run split and the heap-based trim must reproduce exactly.
+# block run split and the closed-form trim must reproduce exactly, beside
+# the frozen per-row split and heap trim of frozen_exchange.py.
 def _alternating_extrema_loop(residual):
     signs = np.sign(residual)
     last = 1.0
@@ -427,21 +429,46 @@ tie_prone = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
 @settings(max_examples=300)
 @given(
     st.integers(min_value=0, max_value=6),
-    st.lists(st.one_of(tie_prone, st.floats(-3, 3)), min_size=2, max_size=40),
+    st.lists(st.one_of(tie_prone, st.floats(-3, 3)), min_size=2, max_size=400),
 )
 @example(0, [0.0] * 9)  # all zero
 @example(0, [0.5, 2.0, 0.0, 2.0, 1.0])  # one sign, tied peaks
 @example(0, [-1.0, 1.0])  # length 2
 @example(0, [2.0, -2.0])
 @example(4, [-1.0, 1.0, -0.0, 1.0, -1.0])  # leading zero run
+@example(0, [(-1.0) ** k * (1 + k % 3) for k in range(400)])  # ties at the trim's head
+@example(0, [1.0 + k % 7 if k % 2 else -0.5 for k in range(400)])  # a prefix past the head
 def test_run_split_and_trim_match_the_loop_versions(leading_zeros, values):
     residual = np.array([0.0] * leading_zeros + values)
-    candidates = _alternating_extrema(residual)
-    assert candidates == _alternating_extrema_loop(residual)
-    for target in range(1, len(candidates) + 1):
-        assert _trim_reference(candidates, residual, target) == _trim_reference_loop(
-            candidates, residual, target
-        )
+    mags = np.abs(residual)
+    (candidates,) = _alternating_extrema(residual[None, :], mags[None, :])
+    want = _alternating_extrema_loop(residual)
+    assert candidates.tolist() == want
+    # the O(k^2) loop is the reference up to 40 candidates, the heap beyond
+    for target in range(1, len(want) + 1) if len(want) <= 40 else range(1, 13):
+        got = _trim_reference(candidates, mags, target)
+        assert got == trim_reference_heap(want, residual, target)
+        if len(want) <= 40:
+            assert got == _trim_reference_loop(want, residual, target)
+
+
+def test_the_block_split_matches_the_row_split_row_by_row():
+    rng = np.random.default_rng(3)
+    g = 97
+    noise = rng.normal(size=g)
+    rounded = np.round(rng.normal(size=g))  # exact zeros inside runs and between them
+    leading = np.concatenate((np.zeros(6), rng.normal(size=g - 6)))
+    signed = rng.choice([-1.0, -0.0, 0.0, 1.0], size=g)
+    negative_zero_first = np.concatenate(([-0.0, 0.0], -np.abs(rng.normal(size=g - 2))))
+    rising, falling = np.linspace(0.1, 1.0, g), np.linspace(1.0, 0.1, g)  # one run each
+    rows = [noise, rounded, np.zeros(g), leading, rising, falling, signed, -np.zeros(g),
+            negative_zero_first, rising]
+    for block in (np.array(rows), np.array(rows[4:6]), np.array(rows[2:3]), np.array([[0.0, -1.0], [2.0, -0.0]])):
+        got = _alternating_extrema(block, np.abs(block))
+        assert len(got) == len(block)
+        for row, candidates in zip(block, got):
+            assert candidates.tolist() == alternating_extrema_row(row)
+            assert candidates.tolist() == _alternating_extrema_loop(row)
 
 
 # The levelled system as built before its columns were kept per degree and
@@ -490,7 +517,8 @@ def test_remez_certificate_with_hundreds_of_sign_runs():
     f = primal(space, np.sin(3 * space.grid) + 0.5 * rng.standard_normal(space.grid.size))
     for n in (1, 3, 5):
         res = remez(f, n)
-        assert len(_alternating_extrema(f.values - res.polynomial(space.grid))) >= 200
+        residual = (f.values - res.polynomial(space.grid))[None, :]
+        assert len(_alternating_extrema(residual, np.abs(residual))[0]) >= 200
         assert len(res.reference) == n + 2
         assert all(res.reference[i] < res.reference[i + 1] for i in range(n + 1))
         resid = np.array(res.reference_values) - res.polynomial(np.array(res.reference))

@@ -668,7 +668,7 @@ def test_poly_annihilator_on_a_grid_where_chebyshev_points_share_a_node(grid_siz
     assert len({round(t * last) for t in chebyshev.chebyshev_points(degree + 2)}) < degree + 2
     gamma = poly_annihilator(space, degree)
     atoms = np.flatnonzero(gamma.values)
-    assert atoms.tolist() == chebyshev.chebyshev_nodes(grid_size, degree)
+    assert tuple(atoms.tolist()) == chebyshev.chebyshev_nodes(grid_size, degree)
     assert atoms.size == degree + 2
     assert abs(dual_norm(gamma) - 1.0) <= 1e-12
     for k in range(degree + 1):

@@ -10,24 +10,25 @@ from projderiv.chebyshev import (
     Polynomial,
     RemezConvergenceError,
     RemezResult,
-    _alternating_extrema,
     _grid_powers,
     _polish_point,
     _single_exchange,
-    _trim_reference,
     chebyshev_points,
     remez,
     remez_rows,
 )
+from frozen_exchange import alternating_extrema_row, trim_reference_heap
 from projderiv.coderivatives import poly_projection_map
+from projderiv.experiments import resolve_config, run_experiment
 from projderiv.spaces import c01_space, primal
 
 
 # The one-row exchange as it was before the rows were stacked, kept as the
-# reference that remez_rows must reproduce in every field. It shares the
-# per-row helpers (run split, trim, single exchange, polish point), which
-# have loop references of their own in test_chebyshev.py, and it evaluates
-# its polynomials by numpy's polyval.
+# reference that remez_rows must reproduce in every field. It splits the
+# sign runs one row at a time and trims by the heap (the frozen references
+# of frozen_exchange.py), shares the single exchange and the polish point,
+# which have loop references of their own in test_chebyshev.py, and it
+# evaluates its polynomials by numpy's polyval.
 def _leveled_solve_one(points, values, n):
     system = np.empty((n + 2, n + 2))
     system[:, : n + 1] = points[:, None] ** np.arange(n + 1)
@@ -94,11 +95,11 @@ def _remez_one_row(f, n, max_iterations=chebyshev.REMEZ_MAX_ITERATIONS):
         max_resid = float(np.max(np.abs(residual)))
         if max_resid - abs(level) <= chebyshev.REMEZ_TOL * max(1.0, abs(level)):
             break
-        candidates = _alternating_extrema(residual)
+        candidates = alternating_extrema_row(residual)
         if len(candidates) < n + 2:
             ref_idx = _single_exchange(ref_idx, residual)
             continue
-        new_idx = _trim_reference(candidates, residual, n + 2)
+        new_idx = trim_reference_heap(candidates, residual, n + 2)
         if new_idx == ref_idx:
             break
         trial = _leveled_solve_one(grid[new_idx], fv[new_idx], n)
@@ -262,3 +263,22 @@ def test_a_non_finite_row_fails_in_row_order(first, monkeypatch):
     monkeypatch.setattr(chebyshev, "REMEZ_MAX_ITERATIONS", 1)
     with pytest.raises(expected):
         remez_rows(space, rows, 2)
+
+
+@pytest.mark.parametrize("grid_size", [513, 4097])
+def test_the_structural_experiments_trims_match_the_heap(grid_size, monkeypatch):
+    trims = []
+    trim = chebyshev._trim_reference
+
+    def record(candidates, mags, target):
+        kept = trim(candidates, mags, target)
+        trims.append((candidates, mags, target, kept))
+        return kept
+
+    monkeypatch.setattr(chebyshev, "_trim_reference", record)
+    run_experiment(resolve_config("structural_prop_3_2", overrides={"G": str(grid_size)}))
+    # the sampled rows are noisy: most trims drop hundreds of candidates
+    assert len(trims) > 100 and max(len(candidates) for candidates, *_ in trims) > grid_size // 8
+    for candidates, mags, target, kept in trims:
+        # the heap reads only the magnitudes of the residual it is given
+        assert kept == trim_reference_heap(candidates.tolist(), mags, target)
