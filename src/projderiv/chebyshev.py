@@ -20,15 +20,16 @@ The monomial basis lives here only: every system and fit takes its powers
 from `_powers`, and `horner_rows` is the one polynomial evaluator.
 
 The module also provides the power-matrix determinants A_n(t) = det[t^(i*j)]
-(nonzero on (0, 1)), computed exactly by integer Bareiss elimination and
-rounded once, their product factorization, and the coefficient bounds they
-imply for norm-bounded polynomials.
+(nonzero on (0, 1)), computed exactly by one integer Bareiss elimination over
+a batch of points and rounded once, their product factorization, and the
+coefficient bounds they imply for norm-bounded polynomials.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +44,7 @@ __all__ = [
     "DeterminantReport",
     "ContinuityReport",
     "an_determinant",
+    "an_determinants",
     "an_recursive",
     "compare_determinants",
     "coeffs_from_values",
@@ -60,6 +62,11 @@ __all__ = [
 ]
 
 MAX_DETERMINANT_DEGREE = 8  # the power matrix at t=1/2 is ill conditioned beyond this
+# entries per stacked elimination of `an_determinants`. An entry is a Python
+# int of up to n^2 times the bits of t's numerator, so a batch is eliminated
+# in blocks of at most this many entries: its peak memory is one block's,
+# however many points it has, and each step still serves a block at once
+DETERMINANT_BLOCK = 2**10
 
 
 @dataclass(frozen=True)
@@ -156,50 +163,80 @@ class ContinuityReport:
 # ---------------------------------------------------------------------------
 
 def an_determinant(t, n: int):
-    """Determinant of the (n+1)x(n+1) matrix with entries t^(i*j), i, j = 0..n.
+    """Determinant of the (n+1)x(n+1) matrix with entries t^(i*j), i, j = 0..n:
+    `an_determinants` of one point."""
+    return an_determinants([t], n)[0]
 
-    Exact for every real t: t is taken as the exact ratio a/b of its
-    ``as_integer_ratio()`` (a binary float is a rational), and scaling row i
-    by b^(i*n) turns the matrix into the integers a^(ij) b^(i(n-j)). Integer
-    Bareiss elimination gives their determinant, which over
-    b^(n^2 (n+1)/2) is A_n(t). A float of any type (numpy's included) gets
-    that rational rounded once to the nearest float, so the value keeps full
-    relative accuracy even where the matrix is nearly singular; an int or a
-    Fraction gets the exact Fraction.
+
+def an_determinants(points, n: int) -> list:
+    """A_n(t) at every t of a sequence of points, exact for every real t:
+    their integer matrices are eliminated as stacks, each of at most
+    `DETERMINANT_BLOCK` entries.
+
+    Each t is taken as the exact ratio a/b of its ``as_integer_ratio()`` (a
+    binary float is a rational). Scaling row i by b^r_i and column j by b^c_j,
+    with r_i = ceil(i^2/2) and c_j = floor(j^2/2), turns the matrix into the
+    integers a^(ij) b^(r_i + c_j - ij). Every exponent is >= 0: r_i + c_j is
+    at least (i^2 + j^2 - 1)/2, below (i^2 + j^2)/2 >= ij only where i and j
+    differ in parity, and there (i - j)^2 >= 1. The integer determinant over
+    b^(sum r_i + sum c_j) = b^(n(n+1)(2n+1)/6) is A_n(t) exactly. A float of
+    any type (numpy's included) gets that rational rounded once to the
+    nearest float, so the value keeps full relative accuracy even where the
+    matrix is nearly singular; an int or a Fraction gets the exact Fraction.
     """
     if not 1 <= n <= MAX_DETERMINANT_DEGREE:
         raise ValueError(f"direct evaluation supports 1 <= n <= {MAX_DETERMINANT_DEGREE}")
-    exact = not isinstance(t, (float, np.floating))
-    a, b = (int(k) for k in (Fraction(t) if exact else t).as_integer_ratio())
-    det = _bareiss_determinant(
-        [[a ** (i * j) * b ** (i * (n - j)) for j in range(n + 1)] for i in range(n + 1)]
-    )
-    scale = b ** (n * n * (n + 1) // 2)
-    return Fraction(det, scale) if exact else det / scale  # int / int rounds once
+    exact = [not isinstance(t, (float, np.floating)) for t in points]
+    a, b = np.array(
+        [[int(k) for k in (Fraction(t) if e else t).as_integer_ratio()] for t, e in zip(points, exact)],
+        dtype=object,
+    ).reshape(-1, 2).T
+    i = np.arange(n + 1)
+    ij = i[:, None] * i
+    b_exp = ((i * i + 1) // 2)[:, None] + (i * i) // 2 - ij
+    step = DETERMINANT_BLOCK // (n + 1) ** 2
+    dets = []
+    for start in range(0, a.size, step):
+        block = slice(start, start + step)
+        dets += _bareiss_determinant(a[block, None, None] ** ij * b[block, None, None] ** b_exp)
+    scale = b ** (n * (n + 1) * (2 * n + 1) // 6)
+    # int / int rounds once
+    return [Fraction(d, s) if e else d / s for d, s, e in zip(dets, scale, exact)]
 
 
-def _bareiss_determinant(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination, in place: each step divides exactly by the previous pivot,
-    so every entry stays an integer, and rows are swapped only at a zero
-    pivot."""
-    size = len(m)
-    sign, prev = 1, 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, size) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        row_k = m[k]
-        pivot = row_k[k]
-        tail = row_k[k + 1 :]
-        for row in m[k + 1 :]:
-            lead = row[k]
-            row[k + 1 :] = [(x * pivot - lead * y) // prev for x, y in zip(row[k + 1 :], tail)]
+def _bareiss_determinant(stack: np.ndarray) -> list[int]:
+    """Determinants of a (k, s, s) object array of Python ints, which it
+    overwrites, by fraction-free (Bareiss) elimination of all k at once: each
+    step updates the trailing block of every matrix and divides it exactly by
+    that matrix's previous pivot, so every entry stays an integer. A zero
+    pivot swaps rows in its own matrix only; a matrix with no nonzero pivot
+    left reads 0 and leaves the stack."""
+    k, size = stack.shape[0], stack.shape[-1]
+    dets = [0] * k
+    live = np.arange(k)
+    sign = np.ones(k, dtype=object)
+    prev = np.ones(k, dtype=object)
+    for col in range(size - 1):
+        keep = np.ones(live.size, dtype=bool)
+        for m in np.flatnonzero(stack[:, col, col] == 0):
+            below = np.flatnonzero(stack[m, col + 1 :, col] != 0)
+            if below.size == 0:
+                keep[m] = False
+                continue
+            swap = col + 1 + below[0]
+            stack[m, [col, swap]] = stack[m, [swap, col]]
+            sign[m] = -sign[m]
+        if not keep.all():
+            stack, live, sign, prev = stack[keep], live[keep], sign[keep], prev[keep]
+        pivot = stack[:, col, col]
+        block = stack[:, col + 1 :, col + 1 :]
+        block *= pivot[:, None, None]
+        block -= stack[:, col + 1 :, col, None] * stack[:, col, None, col + 1 :]
+        block //= prev[:, None, None]
         prev = pivot
-    return sign * m[-1][-1]
+    for index, det in zip(live, sign * stack[:, -1, -1]):
+        dets[index] = det
+    return dets
 
 
 def an_recursive(t, n: int):
@@ -223,7 +260,7 @@ def an_recursive(t, n: int):
 
 def compare_determinants(n: int, points) -> DeterminantReport:
     pts = tuple(float(t) for t in points)
-    direct = tuple(float(an_determinant(t, n)) for t in pts)
+    direct = tuple(an_determinants(pts, n))
     rec = tuple(float(an_recursive(t, n)) for t in pts)
     rel = max(
         abs(d - r) / max(abs(d), abs(r), 1e-300) for d, r in zip(direct, rec)
@@ -249,8 +286,6 @@ def coefficient_bound(b: float, n: int) -> float:
     power-matrix system at the nodes 2^-k)."""
     if b <= 0:
         raise ValueError("the norm bound must be positive")
-    import math
-
     return math.factorial(n) * b / abs(an_determinant(0.5, n))
 
 

@@ -494,8 +494,8 @@ def _exp_determinants(config: ExperimentConfig) -> list[CheckResult]:
     rng = _rng(config, 70)
     pts20 = rng.uniform(0.02, 0.98, size=20)
     worst = max(
-        abs(chebyshev.an_determinant(t, 2) - (t**5 - 2 * t**4 + 2 * t**2 - t))
-        for t in pts20
+        abs(d - (t**5 - 2 * t**4 + 2 * t**2 - t))
+        for d, t in zip(chebyshev.an_determinants(pts20, 2), pts20)
     )
     _check(checks, "closed quintic matches at 20 points", worst <= 1e-12, f"{worst:.3e}", "<= 1e-12")
 
@@ -525,19 +525,46 @@ def _exp_coefficient_bounds(config: ExperimentConfig) -> list[CheckResult]:
     for n in (1, 2, 3):
         coef_bound = chebyshev.coefficient_bound(1.0, n)
         deriv_bound = chebyshev.derivative_coefficient_bound(1.0, n)
-        coef_viol = deriv_viol = 0
-        for _ in range(200):
-            coeffs = rng.normal(size=n + 1)
-            poly = chebyshev.Polynomial(tuple(coeffs))
-            peak = float(np.max(np.abs(poly(grid))))
-            if peak == 0.0:
-                continue
-            poly = chebyshev.Polynomial(tuple(c * rng.uniform(0.2, 1.0) / peak for c in coeffs))
-            coef_viol += any(abs(c) > coef_bound for c in poly.coefficients)
-            deriv_viol += float(np.max(np.abs(poly.derivative()(grid)))) > deriv_bound
+        coeffs, _ = _unit_polynomials(rng, n, grid, 200)
+        coef_viol, deriv_viol = _bound_violations(coeffs, grid, coef_bound, deriv_bound)
         _check(checks, f"coefficient bound n={n}", coef_viol == 0, coef_viol, 0)
         _check(checks, f"derivative bound n={n}", deriv_viol == 0, deriv_viol, 0)
     return checks
+
+
+def _unit_polynomials(rng: np.random.Generator, n: int, grid: np.ndarray, count: int):
+    """Up to `count` random polynomials of degree <= n: each draws n + 1
+    normal coefficients, then one uniform factor in [0.2, 1] per
+    coefficient, and its coefficients are scaled by those factors over its
+    peak |p| on the grid. A draw whose peak is 0 is skipped before its
+    factors are drawn. Returns the scaled coefficients (m, n + 1) and the
+    peaks (m,), with m <= count.
+
+    The grid starts at 0, where p is a_0, so only a draw with a_0 == 0 can
+    peak at 0: it alone is evaluated inside the draw loop, and the kept draws
+    are evaluated in one `horner_rows` batch after it."""
+    draws, factors = [], []
+    for _ in range(count):
+        coeffs = rng.normal(size=n + 1)
+        if coeffs[0] == 0.0 and np.max(np.abs(chebyshev.horner_rows(coeffs[None], grid))) == 0.0:
+            continue
+        draws.append(coeffs)
+        factors.append(rng.uniform(0.2, 1.0, size=n + 1))
+    coeffs = np.array(draws).reshape(-1, n + 1)
+    peaks = np.max(np.abs(chebyshev.horner_rows(coeffs, grid)), axis=1)
+    return coeffs * np.array(factors).reshape(coeffs.shape) / peaks[:, None], peaks
+
+
+def _bound_violations(coeffs: np.ndarray, grid: np.ndarray, coef_bound: float, deriv_bound: float) -> tuple[int, int]:
+    """How many rows of a (m, n + 1) coefficient array have a coefficient
+    over `coef_bound`, and how many have a derivative (coefficients j a_j,
+    one `horner_rows` batch) whose peak |p'| on the grid is over
+    `deriv_bound`."""
+    derivs = chebyshev.horner_rows(np.arange(1, coeffs.shape[1]) * coeffs[:, 1:], grid)
+    return (
+        int(np.count_nonzero((np.abs(coeffs) > coef_bound).any(axis=1))),
+        int(np.count_nonzero(np.max(np.abs(derivs), axis=1) > deriv_bound)),
+    )
 
 
 def _random_smooth(space: SpaceSpec, rng: np.random.Generator, scale: float = 1.0) -> PrimalVector:

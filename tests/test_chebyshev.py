@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from projderiv.chebyshev import (
     _leveled_solves,
     _trim_reference,
     an_determinant,
+    an_determinants,
     an_recursive,
     chebyshev_points,
     coefficient_bound,
@@ -105,6 +107,9 @@ def _partial_pivot_determinant(m):
     return det
 
 
+# cached by type and value: the subnormal points cost about a second each at
+# n = 8, and two tests ask them
+@functools.lru_cache(maxsize=None, typed=True)
 def _an_determinant_fractions(t, n):
     if isinstance(t, float):
         return float(_an_determinant_fractions(Fraction(t), n))
@@ -131,6 +136,28 @@ def test_integer_elimination_matches_the_fraction_elimination_bit_for_bit(n, rng
         assert value == _an_determinant_fractions(t, n)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_batch_of_mixed_points_matches_each_point_alone(n, monkeypatch):
+    # 0.0 (for n >= 2) and 1.0 run out of nonzero pivots and leave the stack
+    # between and after matrices that must not notice
+    points = [0.0, 0.3, 1.0, -0.7, 0.55, 1.3, 1e-300, 0.9, 5e-324, Fraction(3, 10), 0.5, 1.0]
+    assert len(points) * (n + 1) ** 2 <= chebyshev.DETERMINANT_BLOCK  # one stack
+    values = an_determinants(points, n)
+    assert len(values) == len(points)
+    for t, value in zip(points, values):
+        alone = an_determinant(t, n)
+        assert type(value) is type(alone)
+        assert value == alone == _an_determinant_fractions(t, n), t
+    assert an_determinants([1.0, 0.0, 1.0], n)[::2] == [0.0, 0.0]
+    assert an_determinants([], n) == []
+    # stacks of five points, and stacks of one, of which the second holds
+    # only 1.0
+    monkeypatch.setattr(chebyshev, "DETERMINANT_BLOCK", 5 * (n + 1) ** 2)
+    assert an_determinants(points, n) == values
+    monkeypatch.setattr(chebyshev, "DETERMINANT_BLOCK", (n + 1) ** 2)
+    assert an_determinants(points[1:5], n) == values[1:5]
+
+
 def test_every_real_type_is_evaluated_exactly():
     # a float32 is promoted exactly and rounded once, not eliminated in float32
     t32 = np.float32(0.3)
@@ -150,9 +177,9 @@ def test_bareiss_swaps_rows_at_a_zero_pivot():
     # the leading pivot is zero, then the second after one step of elimination
     for m in ([[0, 1], [1, 0]], [[0, 2, 1], [3, 1, 4], [1, 5, 9]], [[1, 2, 3], [2, 4, 7], [1, 3, 5]]):
         expected = _partial_pivot_determinant([[Fraction(x) for x in row] for row in m])
-        assert _bareiss_determinant([list(row) for row in m]) == expected
-    assert _bareiss_determinant([[1, 2, 3], [2, 4, 7], [1, 3, 5]]) == -1
-    assert _bareiss_determinant([[0, 1], [0, 2]]) == 0  # no nonzero pivot below
+        assert _bareiss_determinant(np.array([m], dtype=object))[0] == expected
+    assert _bareiss_determinant(np.array([[[1, 2, 3], [2, 4, 7], [1, 3, 5]]], dtype=object))[0] == -1
+    assert _bareiss_determinant(np.array([[[0, 1], [0, 2]]], dtype=object))[0] == 0  # no nonzero pivot below
 
 
 @given(
@@ -166,7 +193,26 @@ def test_bareiss_swaps_rows_at_a_zero_pivot():
 )
 def test_bareiss_matches_the_fraction_elimination_on_small_integer_matrices(m):
     expected = _partial_pivot_determinant([[Fraction(x) for x in row] for row in m])
-    assert _bareiss_determinant([list(row) for row in m]) == expected
+    assert _bareiss_determinant(np.array([m], dtype=object))[0] == expected
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda size: st.lists(
+            st.lists(
+                st.lists(st.integers(-2, 2), min_size=size, max_size=size),
+                min_size=size,
+                max_size=size,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+@example([[[0, 1], [0, 2]], [[0, 1], [1, 0]], [[2, 1], [1, 1]], [[0, 0], [0, 0]]])
+def test_bareiss_eliminates_a_stack_as_each_matrix_alone(stack):
+    expected = [_partial_pivot_determinant([[Fraction(x) for x in row] for row in m]) for m in stack]
+    assert _bareiss_determinant(np.array(stack, dtype=object)) == expected
 
 
 def test_coeffs_from_values_examples():
