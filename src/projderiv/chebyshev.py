@@ -7,14 +7,17 @@ refinement of the residual extrema) sharpens the equioscillation certificate
 at coarse grids.
 
 The exchange runs over the rows of an array (`remez_rows`; `remez` is a
-batch of one). Per iteration, the rows still exchanging share one stacked
+batch of one), in blocks of `spaces.QUOTIENT_BLOCK` grid values (3 rows at
+G = 4097). Per iteration, the rows still exchanging share one stacked
 levelled solve, one stacked trial solve, one batched Horner for their
 residuals (`horner_rows`), one convergence comparison and one sign-run split
 (`_alternating_extrema`). The trim to the next reference
 (`_trim_reference`) is the closed form of dropping the smallest candidate
-one at a time, and reads only the largest candidates. The trial acceptance,
-the single exchange and the polish stay per row, so each row keeps the bits
-of an exchange of that row alone.
+one at a time, and reads only the largest candidates. The trial acceptance
+and the single exchange stay per row, so each row keeps the bits of an
+exchange of that row alone. The certificate step (the polish, its re-solve
+and the result) runs once per `remez_rows` call, as arrays over every row
+the blocks finished; `_sample_values` is its one off-grid sampler.
 
 The monomial basis lives here only: every system and fit takes its powers
 from `_powers`, and `horner_rows` is the one polynomial evaluator.
@@ -52,7 +55,6 @@ __all__ = [
     "derivative_coefficient_bound",
     "chebyshev_points",
     "chebyshev_nodes",
-    "sample_value",
     "annihilator",
     "remez",
     "remez_rows",
@@ -325,30 +327,23 @@ def chebyshev_points(count: int) -> np.ndarray:
     return (1.0 - np.cos(np.pi * j / (count - 1))) / 2.0
 
 
-def sample_value(f: PrimalVector, t: float) -> float:
-    """Value of a grid function at an arbitrary point in [0, 1], by the
-    parabola through the three nodes centered at the nearest one (the line
-    through both nodes of a two-node grid). Exact at grid nodes."""
-    return _sample_value(f.space.grid, f.values, t)
-
-
-def _sample_value(grid: np.ndarray, values: np.ndarray, t: float) -> float:
+def _sample_values(grid: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Values of grid functions at points of [0, 1]: `values` (..., G) and
+    `t` (..., p) with the same leading shape. A point is read by the
+    parabola through the three nodes centred at its nearest interior node;
+    a node is read exactly, which is all a two-node grid can be asked."""
     g = grid.size
-    d = float(t)
-    j = int(round(d * (g - 1)))
-    if 0 <= j < g and grid[j] == d:
-        return float(values[j])
-    if g == 2:
-        return float(values[0] * (1.0 - d) + values[1] * d)
     h = 1.0 / (g - 1)
-    j = min(max(j, 1), g - 2)
+    nearest = np.clip(np.rint(t * (g - 1)).astype(np.intp), 0, g - 1)
+    j = np.clip(nearest, 1, g - 2)
     t0, t1, t2 = grid[j - 1], grid[j], grid[j + 1]
-    f0, f1, f2 = values[j - 1], values[j], values[j + 1]
+    f0, f1, f2 = (np.take_along_axis(values, k, axis=-1) for k in (j - 1, j, j + 1))
     # Lagrange on three equispaced nodes
-    l0 = (d - t1) * (d - t2) / (2 * h * h)
-    l1 = -(d - t0) * (d - t2) / (h * h)
-    l2 = (d - t0) * (d - t1) / (2 * h * h)
-    return float(f0 * l0 + f1 * l1 + f2 * l2)
+    l0 = (t - t1) * (t - t2) / (2 * h * h)
+    l1 = -(t - t0) * (t - t2) / (h * h)
+    l2 = (t - t0) * (t - t1) / (2 * h * h)
+    at_node = np.take_along_axis(values, nearest, axis=-1)
+    return np.where(grid[nearest] == t, at_node, f0 * l0 + f1 * l1 + f2 * l2)
 
 
 def annihilator(points: np.ndarray, n: int) -> tuple[np.ndarray, float]:
@@ -541,22 +536,6 @@ def _single_exchange(ref_idx: list[int], residual: np.ndarray) -> list[int]:
     return sorted(ref)
 
 
-def _polish_point(grid: np.ndarray, residual: np.ndarray, j: int):
-    """Vertex of the parabola through three neighbouring residual samples;
-    returns None at the boundary or when the fit is not a proper extremum."""
-    if j <= 0 or j >= grid.size - 1:
-        return None
-    r0, r1, r2 = residual[j - 1], residual[j], residual[j + 1]
-    denom = r0 - 2.0 * r1 + r2
-    if abs(denom) < 1e-300:
-        return None
-    h = grid[1] - grid[0]
-    shift = 0.5 * h * (r0 - r2) / denom
-    if abs(shift) >= h:
-        return None
-    return float(grid[j] + shift)
-
-
 # the exchange stops, and the polish may lower the level, within REMEZ_TOL * max(1, level)
 REMEZ_TOL = 1e-10
 
@@ -578,21 +557,25 @@ def remez_rows(space: SpaceSpec, values, n: int) -> list[RemezResult]:
     of exchanging that row alone.
 
     The rows are exchanged together, in blocks of at most
-    `spaces.QUOTIENT_BLOCK` grid values (rows x G), the oracle's memory
-    budget. Each iteration solves the levelled systems of the rows that need
-    one, then the trial systems, as one stacked solve each; it evaluates
-    every row's residual by one batched Horner (`horner_rows`) and tests
-    convergence as one array comparison, and a row leaves the block as it
-    converges. The polish solves are one stacked solve too. The sign runs of
-    the block's residuals are split in one flat pass, and each row's trim is
-    the closed form of the one-at-a-time rule (see `_trim_reference`). What
-    is decided from one row's trimmed reference stays per row: the trial
-    acceptance, the single-exchange fallback and the polish.
+    `spaces.QUOTIENT_BLOCK` grid values (rows x G, so 3 rows at G = 4097),
+    the oracle's memory budget. Each iteration solves the levelled systems
+    of the rows that need one, then the trial systems, as one stacked solve
+    each; it evaluates every row's residual by one batched Horner
+    (`horner_rows`) and tests convergence as one array comparison, and a row
+    leaves the block as it converges. The sign runs of the block's residuals
+    are split in one flat pass, and each row's trim is the closed form of
+    the one-at-a-time rule (see `_trim_reference`). What is decided from one
+    row's trimmed reference stays per row: the trial acceptance and the
+    single-exchange fallback. A multi-point exchange is taken only when its
+    trial levelled solve does not lower the level, and an accepted trial's
+    solve is reused as the next iteration's.
 
-    A multi-point exchange is taken only when its trial levelled solve does
-    not lower the level; an accepted trial's solve is reused as the next
-    iteration's, and a polish that moves no point reuses the last discrete
-    solve, so neither reference is solved again.
+    The certificate step runs here, once per call, as arrays over every row
+    the blocks finished: the parabolic polish of each reference point (from
+    the residual at the point and its two neighbours, all a block keeps of
+    a finished row), one stacked levelled re-solve of the rows it moved, the
+    test that the polish may only sharpen the level, and the residual signs.
+    A row whose polish moves no point keeps its last discrete solve.
 
     A function already in the polynomial class short-circuits to error 0
     with a canonical Chebyshev-point reference, avoiding a degenerate
@@ -600,20 +583,89 @@ def remez_rows(space: SpaceSpec, values, n: int) -> list[RemezResult]:
 
     A row that fails (a non-finite value, a singular system, or no
     convergence within REMEZ_MAX_ITERATIONS) fails the call with the error of
-    the first failing row, as exchanging the rows one by one would.
+    the first failing row, as exchanging the rows one by one would: the
+    blocks run in order until one has a failing row, the rows finished
+    before the first failing row are certified, and the smallest failing
+    row's error is raised.
     """
     if space.kind != KIND_C01:
         raise ValueError("remez operates on C01 grid functions")
-    g = space.grid.size
+    grid = space.grid
+    g = grid.size
     if n + 2 > g:
         raise ValueError("need n + 2 <= grid_size")
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != g:
         raise ValueError(f"expected rows of {g} grid values, got shape {values.shape}")
+    m = values.shape[0]
+    coef, level = np.empty((m, n + 1)), np.empty(m)
+    ref, around = np.empty((m, n + 2), dtype=np.intp), np.empty((m, 3, n + 2))
+    history: list[list[float]] = [[] for _ in range(m)]
+    results: list[RemezResult | None] = []
+    errors: dict[int, Exception] = {}
+    finished: list[int] = []
     step = max(1, QUOTIENT_BLOCK // g)
-    results: list[RemezResult] = []
-    for lo in range(0, values.shape[0], step):
-        results += _remez_block(space, values[lo : lo + step], n)
+    for lo in range(0, m, step):
+        block = slice(lo, lo + step)
+        in_class, failed, done = _remez_block(
+            space, values[block], n, coef[block], level[block], ref[block], around[block], history[block]
+        )
+        results += in_class
+        errors.update((lo + i, err) for i, err in failed.items())
+        finished += (lo + i for i in done)
+        if errors:
+            break
+    rows = np.array(sorted(i for i in finished if i < min(errors, default=m)), dtype=np.intp)
+
+    # the polish: each reference point moves to the vertex of the parabola
+    # through the residual there and at its two neighbours, unless it is an
+    # end node or the vertex is not a proper extremum within one node
+    idx, lv = ref[rows], np.abs(level[rows])
+    grid_pts, grid_vals = grid[idx], values[rows[:, None], idx]
+    r0, r1, r2 = around[rows].transpose(1, 0, 2)
+    denom = r0 - 2.0 * r1 + r2
+    h = grid[1] - grid[0]
+    vertex = (idx > 0) & (idx < g - 1) & ~(np.abs(denom) < 1e-300)
+    shift = np.divide(0.5 * h * (r0 - r2), denom, out=np.zeros_like(denom), where=vertex)
+    vertex &= ~(np.abs(shift) >= h)
+    points = np.sort(np.where(vertex, grid_pts + shift, grid_pts), axis=1)
+    samples = _sample_values(grid, values[rows], points)
+    distinct = (np.diff(points, axis=1) != 0).all(axis=1)
+    # a point left on its node samples there exactly, so a row whose points
+    # all stayed has the last discrete solve
+    moved = np.flatnonzero(distinct & (points != grid_pts).any(axis=1))
+    discrete_coef = coef[rows]
+    polished_coef, polished_level = discrete_coef.copy(), level[rows]
+    if moved.size:
+        polished_coef[moved], polished_level[moved], failed = _leveled_solves(points[moved], samples[moved], n)
+        errors.update((int(rows[moved[pos]]), err) for pos, err in failed.items())
+    if errors:
+        raise errors[min(errors)]
+    # the polish may only sharpen the certificate, never degrade it
+    sharper = distinct & (np.abs(polished_level) >= lv - REMEZ_TOL * np.maximum(1.0, lv))
+    error = np.where(sharper, np.abs(polished_level), lv)
+    final_coef = np.where(sharper[:, None], polished_coef, discrete_coef)
+    ref_pts = np.where(sharper[:, None], points, grid_pts)
+    ref_vals = np.where(sharper[:, None], samples, grid_vals)
+    # the residual at every row's reference, as one batched Horner
+    signs = np.where(ref_vals - horner_rows(final_coef, ref_pts) < 0, -1, 1)
+    for i, poly, lv_i, points_i, samples_i, signs_i, sharpened, discrete_ref, discrete in zip(
+        rows.tolist(), final_coef.tolist(), error.tolist(), ref_pts.tolist(), ref_vals.tolist(),
+        signs.tolist(), sharper.tolist(), idx.tolist(), discrete_coef.tolist(),
+    ):
+        if sharpened:
+            history[i].append(lv_i)
+        results[i] = RemezResult(
+            polynomial=Polynomial(tuple(poly)),
+            error=lv_i,
+            reference=tuple(points_i),
+            reference_values=tuple(samples_i),
+            residual_signs=tuple(signs_i),
+            iterations=len(history[i]),
+            level_history=tuple(history[i]),
+            discrete_reference=tuple(discrete_ref),
+            discrete_polynomial=Polynomial(tuple(discrete)),
+        )
     return results
 
 
@@ -656,7 +708,7 @@ def _in_class_fit(space: SpaceSpec, fv: np.ndarray, n: int, scale: float, ref_id
             polynomial=poly,
             error=float(np.max(np.abs(ls_resid))),
             reference=tuple(float(t) for t in ref),
-            reference_values=tuple(_sample_value(space.grid, fv, t) for t in ref),
+            reference_values=tuple(_sample_values(space.grid, fv, ref).tolist()),
             residual_signs=tuple(int(s) for s in (-1.0) ** np.arange(n + 2)),
             iterations=0,
             level_history=(),
@@ -666,24 +718,16 @@ def _in_class_fit(space: SpaceSpec, fv: np.ndarray, n: int, scale: float, ref_id
     return None
 
 
-def _polished_reference(grid: np.ndarray, fv: np.ndarray, ref_idx: list[int], residual: np.ndarray):
-    """The reference moved to the residual's nearby off-grid extrema, in
-    increasing order, with the sampled values there."""
-    points, samples = [], []
-    for j in ref_idx:
-        t_star = _polish_point(grid, residual, j)
-        if t_star is None:
-            points.append(float(grid[j]))
-            samples.append(float(fv[j]))
-        else:
-            points.append(t_star)
-            samples.append(_sample_value(grid, fv, t_star))
-    order = np.argsort(points)
-    return [points[i] for i in order], [samples[i] for i in order]
+def _remez_block(space: SpaceSpec, fv: np.ndarray, n: int, coef, level, ref, around, history):
+    """The discrete exchange of `remez_rows` over the rows of one block.
 
-
-def _remez_block(space: SpaceSpec, fv: np.ndarray, n: int) -> list[RemezResult]:
-    """`remez_rows` over the rows of one block."""
+    `coef` (k, n + 1), `level` (k,), `ref` (k, n + 2), `around` (k, 3, n + 2)
+    and `history` are the block's rows of the call's arrays. For each row it
+    finishes, the block leaves there the levelled solve at its last
+    reference, that reference, its level history, and the residual at each
+    reference point and at its two neighbours: all the certificate step
+    reads. Returns the results of the rows already in the class (None
+    elsewhere), the errors of the failing rows, and the finished rows."""
     grid = space.grid
     count = fv.shape[0]
     results: list[RemezResult | None] = [None] * count
@@ -707,14 +751,10 @@ def _remez_block(space: SpaceSpec, fv: np.ndarray, n: int) -> list[RemezResult]:
         except np.linalg.LinAlgError as err:
             errors[i] = err
 
-    # phase 1: discrete exchange on the grid
     active = [i for i in live.tolist() if results[i] is None and i not in errors]
     refs = {i: list(ref0) for i in active}
-    history: dict[int, list[float]] = {i: [] for i in active}
-    coef = np.empty((count, n + 1))
-    level = np.empty(count)
     kept = np.zeros(count, dtype=bool)  # the levelled solve of refs[i] is kept from an accepted trial
-    final_residual: dict[int, np.ndarray] = {}
+    finished: list[int] = []
     for _ in range(REMEZ_MAX_ITERATIONS):
         fresh = [i for i in active if not kept[i]]
         if fresh:
@@ -731,13 +771,13 @@ def _remez_block(space: SpaceSpec, fv: np.ndarray, n: int) -> list[RemezResult]:
         residual = fv[active] - horner_rows(coef[active], grid)
         mags = np.abs(residual)
         done = np.max(mags, axis=1) - levels <= REMEZ_TOL * np.maximum(1.0, levels)
-        going, trials = [], []
+        going, trials, stopped = [], [], []
         # the converged rows are split with the others, since selecting the
         # rest would copy the block; a block with no row left is not split
         split = _alternating_extrema(residual, mags) if not done.all() else [None] * len(active)
-        for i, r, m, candidates, converged in zip(active, residual, mags, split, done.tolist()):
+        for pos, (i, r, m, candidates, converged) in enumerate(zip(active, residual, mags, split, done.tolist())):
             if converged:
-                final_residual[i] = r.copy()
+                stopped.append(pos)
                 continue
             if len(candidates) < n + 2:
                 # too few sign runs for a multi-point exchange; the single
@@ -747,9 +787,16 @@ def _remez_block(space: SpaceSpec, fv: np.ndarray, n: int) -> list[RemezResult]:
                 continue
             new_idx = _trim_reference(candidates, m, n + 2)
             if new_idx == refs[i]:
-                final_residual[i] = r.copy()
+                stopped.append(pos)
                 continue
             trials.append((i, new_idx, r))
+        if stopped:
+            rows_stopped = [active[pos] for pos in stopped]
+            idx = np.array([refs[i] for i in rows_stopped])
+            ref[rows_stopped] = idx
+            stencil = np.clip(idx[:, None, :] + np.array([[-1], [0], [1]]), 0, grid.size - 1)
+            around[rows_stopped] = residual[np.array(stopped)[:, None, None], stencil]
+            finished += rows_stopped
         if trials:
             idx = np.array([new_idx for _, new_idx, _ in trials])
             rows_t = np.array([i for i, _, _ in trials])
@@ -770,64 +817,7 @@ def _remez_block(space: SpaceSpec, fv: np.ndarray, n: int) -> list[RemezResult]:
     for i in active:
         message = f"no convergence in {REMEZ_MAX_ITERATIONS} iterations"
         errors.setdefault(i, RemezConvergenceError(message, tuple(history[i])))
-
-    # phase 2: move each reference point to its nearby off-grid extremum
-    finished = sorted(i for i in final_residual if i < min(errors, default=count))
-    polished = {}
-    for i in finished:
-        points, samples = _polished_reference(grid, fv[i], refs[i], final_residual[i])
-        if len(set(points)) == n + 2:
-            polished[i] = (points, samples)
-    # a polish that moved nothing, bit for bit, has the last discrete solve
-    moved = [
-        i for i, pair in polished.items()
-        if np.array(pair).tobytes() != np.array([grid[refs[i]], fv[i, refs[i]]]).tobytes()
-    ]
-    if moved:
-        stack = np.array([polished[i] for i in moved])
-        moved_coef, moved_level, failed = _leveled_solves(stack[:, 0], stack[:, 1], n)
-        errors.update((moved[pos], err) for pos, err in failed.items())
-    if errors:
-        raise errors[min(errors)]
-
-    polys, final_levels, references = [], [], []
-    for i in finished:
-        discrete = Polynomial(tuple(coef[i]))
-        poly, lv = discrete, abs(float(level[i]))
-        reference = (grid[refs[i]].tolist(), fv[i, refs[i]].tolist())
-        if i in polished:
-            if i in moved:
-                pos = moved.index(i)
-                poly2, level2 = Polynomial(tuple(moved_coef[pos])), float(moved_level[pos])
-            else:
-                poly2, level2 = poly, lv
-            # the polish may only sharpen the certificate, never degrade it
-            if abs(level2) >= lv - REMEZ_TOL * max(1.0, lv):
-                poly, lv, reference = poly2, abs(level2), polished[i]
-                history[i].append(lv)
-        polys.append((discrete, poly))
-        final_levels.append(lv)
-        references.append(reference)
-    if not finished:
-        return results
-    # the residual at every row's reference, as one batched Horner
-    ref_pts, ref_vals = (np.array(side) for side in zip(*references))
-    resid_at_ref = ref_vals - horner_rows(np.array([poly.coefficients for _, poly in polys]), ref_pts)
-    for i, (discrete, poly), lv, (points, samples), resid in zip(
-        finished, polys, final_levels, references, resid_at_ref
-    ):
-        results[i] = RemezResult(
-            polynomial=poly,
-            error=lv,
-            reference=tuple(points),
-            reference_values=tuple(samples),
-            residual_signs=tuple(int(s) if s != 0 else 1 for s in np.sign(resid)),
-            iterations=len(history[i]),
-            level_history=tuple(history[i]),
-            discrete_reference=tuple(refs[i]),
-            discrete_polynomial=discrete,
-        )
-    return results
+    return results, errors, finished
 
 
 PERTURBATION_SCALE = 5e-3  # sup norm of the random direction of `continuity_experiment`
@@ -867,23 +857,23 @@ def continuity_experiment(
     rows[0] = f.values
     np.multiply((1.0 / np.arange(1, perturbations + 1))[:, None], g.values, out=rows[1:])
     rows[1:] += f.values
-    fitted = fits_on_grid(f.space, remez_rows(f.space, rows, n))
-    fitted[1:] -= fitted[0]
-    deviations = np.max(np.abs(fitted[1:], out=fitted[1:]), axis=1).tolist()
+    fits = fits_on_grid(f.space, remez_rows(f.space, rows, n))
+    fits[1:] -= fits[0]
+    deviations = np.max(np.abs(fits[1:], out=fits[1:]), axis=1).tolist()
     gnorm = norm(g)
     split = max(1, (3 * perturbations) // 4)
     # 10% headroom: m * d_m climbs toward its limit from below, so the bare
     # head maximum would reject genuine C/m decay
-    fitted = 1.1 * max((m + 1) * d for m, d in enumerate(deviations[:split]))
+    constant = 1.1 * max((m + 1) * d for m, d in enumerate(deviations[:split]))
     tail_ok = all(
-        d <= fitted / (m + 1) + 1e-12
+        d <= constant / (m + 1) + 1e-12
         for m, d in list(enumerate(deviations))[split:]
     )
     final_bound = 1e-3 * (1.0 + gnorm)
     return ContinuityReport(
         deviations=tuple(deviations),
         perturbation_norm=gnorm,
-        fitted_constant=float(fitted),
+        fitted_constant=float(constant),
         tail_ok=bool(tail_ok),
         final_ok=bool(deviations[-1] <= final_bound),
         final_bound=float(final_bound),

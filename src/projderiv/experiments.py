@@ -536,9 +536,11 @@ def _unit_polynomials(rng: np.random.Generator, n: int, grid: np.ndarray, count:
     """Up to `count` random polynomials of degree <= n: each draws n + 1
     normal coefficients, then one uniform factor in [0.2, 1] per
     coefficient, and its coefficients are scaled by those factors over its
-    peak |p| on the grid. A draw whose peak is 0 is skipped before its
-    factors are drawn. Returns the scaled coefficients (m, n + 1) and the
-    peaks (m,), with m <= count.
+    peak |p| on the grid. The factors can raise a draw with cancelling terms
+    above 1, so each scaled row is then divided by max(1, its grid peak):
+    every row is within the norm bound b = 1 of the check. A draw whose peak
+    is 0 is skipped before its factors are drawn. Returns the scaled
+    coefficients (m, n + 1) and the draws' peaks (m,), with m <= count.
 
     The grid starts at 0, where p is a_0, so only a draw with a_0 == 0 can
     peak at 0: it alone is evaluated inside the draw loop, and the kept draws
@@ -552,7 +554,9 @@ def _unit_polynomials(rng: np.random.Generator, n: int, grid: np.ndarray, count:
         factors.append(rng.uniform(0.2, 1.0, size=n + 1))
     coeffs = np.array(draws).reshape(-1, n + 1)
     peaks = np.max(np.abs(chebyshev.horner_rows(coeffs, grid)), axis=1)
-    return coeffs * np.array(factors).reshape(coeffs.shape) / peaks[:, None], peaks
+    scaled = coeffs * np.array(factors).reshape(coeffs.shape) / peaks[:, None]
+    scaled /= np.maximum(1.0, np.max(np.abs(chebyshev.horner_rows(scaled, grid)), axis=1))[:, None]
+    return scaled, peaks
 
 
 def _bound_violations(coeffs: np.ndarray, grid: np.ndarray, coef_bound: float, deriv_bound: float) -> tuple[int, int]:

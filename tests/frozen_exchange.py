@@ -1,7 +1,8 @@
-"""The exchange's per-row sign-run split and heap trim as they were before
-the split took a block of rows and the trim took its closed form: the frozen
-references that `chebyshev._alternating_extrema` and
-`chebyshev._trim_reference` must reproduce exactly."""
+"""The exchange's per-row sign-run split, heap trim and polish point as they
+were before the split took a block of rows, the trim took its closed form
+and the polish took every finished row of a call at once: the frozen
+references that `chebyshev._alternating_extrema`, `chebyshev._trim_reference`
+and the certificate step of `chebyshev.remez_rows` must reproduce exactly."""
 
 import heapq
 
@@ -60,3 +61,19 @@ def trim_reference_heap(candidates, residual, target):
         head, tail = nxt[size], prev[size]
         unlink(head if mags[head] <= mags[tail] else tail)
     return [c for c, keep in zip(candidates, alive) if keep]
+
+
+def polish_point(grid, residual, j):
+    """Vertex of the parabola through three neighbouring residual samples;
+    returns None at the boundary or when the fit is not a proper extremum."""
+    if j <= 0 or j >= grid.size - 1:
+        return None
+    r0, r1, r2 = residual[j - 1], residual[j], residual[j + 1]
+    denom = r0 - 2.0 * r1 + r2
+    if abs(denom) < 1e-300:
+        return None
+    h = grid[1] - grid[0]
+    shift = 0.5 * h * (r0 - r2) / denom
+    if abs(shift) >= h:
+        return None
+    return float(grid[j] + shift)

@@ -30,7 +30,6 @@ from projderiv.chebyshev import (
     derivative_coefficient_bound,
     remez,
     remez_rows,
-    sample_value,
 )
 from frozen_exchange import alternating_extrema_row, trim_reference_heap
 from grid_lp import lp_error
@@ -373,21 +372,6 @@ def test_remez_matches_the_minimax_lp_when_the_residual_has_few_sign_runs(target
     values = TARGETS_WITH_FEW_SIGN_RUNS[target](grid)
     res = remez(primal(C513, values), n)
     assert abs(res.error - lp_error(C513, n, values)) <= 1e-4
-
-
-def test_sample_value_exact_at_nodes():
-    f = primal(C513, np.sin(3 * C513.grid))
-    for j in (0, 7, 256, 512):
-        assert sample_value(f, float(C513.grid[j])) == f.values[j]
-
-
-@pytest.mark.parametrize("grid_size", [2, 3, 5, 513])
-def test_sample_value_is_exact_at_every_node(grid_size):
-    space = c01_space(grid_size)
-    values = np.sin(3 * space.grid) + 0.25
-    f = PrimalVector(space, values)
-    for j, t in enumerate(space.grid):
-        assert sample_value(f, float(t)) == values[j]
 
 
 def test_a_constant_on_two_nodes_reports_its_own_values():

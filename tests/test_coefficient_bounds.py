@@ -6,7 +6,7 @@ import pytest
 
 from frozen_bounds import coefficient_bounds_loop
 from projderiv import experiments
-from projderiv.chebyshev import coefficient_bound, derivative_coefficient_bound
+from projderiv.chebyshev import coefficient_bound, derivative_coefficient_bound, horner_rows
 from projderiv.experiments import _bound_violations, _unit_polynomials, resolve_config
 
 GRID = np.linspace(0.0, 1.0, 513)
@@ -57,6 +57,19 @@ def test_the_experiments_counts_are_the_loops(seed):
         *_, coef_viol, deriv_viol = coefficient_bounds_loop(loop_rng, n, GRID, COUNT, *_bounds(n))
         expected += [str(coef_viol), str(deriv_viol)]
     assert observed == expected
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7, 11, 1901])
+def test_every_checked_polynomial_is_within_the_norm_bound(seed):
+    # Prop. 4.6 is checked at b = 1, so every row's grid peak is at most 1 up
+    # to rounding; the rows the uniform factors raised above 1 read 1
+    rng = experiments._rng(resolve_config("coefficient_bounds_prop_4_6", overrides={"seed": seed}), 80)
+    eps = np.finfo(float).eps
+    for n in (1, 2, 3):
+        coeffs, _ = _unit_polynomials(rng, n, GRID, COUNT)
+        peaks = np.max(np.abs(horner_rows(coeffs, GRID)), axis=1)
+        assert peaks.max() <= 1.0 + 8 * eps
+        assert np.count_nonzero(peaks >= 1.0 - 8 * eps) >= 5
 
 
 class _ScriptedNormals:

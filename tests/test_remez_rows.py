@@ -11,24 +11,24 @@ from projderiv.chebyshev import (
     RemezConvergenceError,
     RemezResult,
     _grid_powers,
-    _polish_point,
+    _sample_values,
     _single_exchange,
     chebyshev_points,
     remez,
     remez_rows,
 )
-from frozen_exchange import alternating_extrema_row, trim_reference_heap
+from frozen_exchange import alternating_extrema_row, polish_point, trim_reference_heap
 from projderiv.coderivatives import poly_projection_map
 from projderiv.experiments import resolve_config, run_experiment
-from projderiv.spaces import c01_space, primal
+from projderiv.spaces import QUOTIENT_BLOCK, c01_space, primal
 
 
 # The one-row exchange as it was before the rows were stacked, kept as the
 # reference that remez_rows must reproduce in every field. It splits the
-# sign runs one row at a time and trims by the heap (the frozen references
-# of frozen_exchange.py), shares the single exchange and the polish point,
-# which have loop references of their own in test_chebyshev.py, and it
-# evaluates its polynomials by numpy's polyval.
+# sign runs one row at a time, trims by the heap and polishes point by point
+# (the frozen references of frozen_exchange.py), samples off the grid by the
+# scalar three-node parabola below, shares only the single exchange with the
+# package, and evaluates its polynomials by numpy's polyval.
 def _leveled_solve_one(points, values, n):
     system = np.empty((n + 2, n + 2))
     system[:, : n + 1] = points[:, None] ** np.arange(n + 1)
@@ -50,6 +50,15 @@ def _sample_value_three_nodes(f, t):
     l1 = -(d - t0) * (d - t2) / (h * h)
     l2 = (d - t0) * (d - t1) / (2 * h * h)
     return float(f0 * l0 + f1 * l1 + f2 * l2)
+
+
+def _sample_value_one(f, t):
+    # a point on a node reads that node's value
+    grid = f.space.grid
+    j = int(round(float(t) * (grid.size - 1)))
+    if 0 <= j < grid.size and grid[j] == t:
+        return float(f.values[j])
+    return _sample_value_three_nodes(f, t)
 
 
 def _remez_one_row(f, n, max_iterations=chebyshev.REMEZ_MAX_ITERATIONS):
@@ -76,7 +85,7 @@ def _remez_one_row(f, n, max_iterations=chebyshev.REMEZ_MAX_ITERATIONS):
                 polynomial=poly,
                 error=float(np.max(np.abs(ls_resid))),
                 reference=tuple(float(t) for t in ref),
-                reference_values=tuple(_sample_value_three_nodes(f, t) for t in ref),
+                reference_values=tuple(_sample_value_one(f, t) for t in ref),
                 residual_signs=tuple(int(s) for s in (-1.0) ** np.arange(n + 2)),
                 iterations=0,
                 level_history=(),
@@ -115,13 +124,13 @@ def _remez_one_row(f, n, max_iterations=chebyshev.REMEZ_MAX_ITERATIONS):
     residual = fv - npoly.polyval(grid, poly.coefficients)
     polished_pts, polished_vals = [], []
     for j in ref_idx:
-        t_star = _polish_point(grid, residual, j)
+        t_star = polish_point(grid, residual, j)
         if t_star is None:
             polished_pts.append(float(grid[j]))
             polished_vals.append(float(fv[j]))
         else:
             polished_pts.append(t_star)
-            polished_vals.append(_sample_value_three_nodes(f, t_star))
+            polished_vals.append(_sample_value_one(f, t_star))
     order = np.argsort(polished_pts)
     polished_pts = [polished_pts[i] for i in order]
     polished_vals = [polished_vals[i] for i in order]
@@ -196,6 +205,8 @@ def test_remez_rows_matches_the_one_row_exchange_bit_for_bit(grid_size, monkeypa
     exchange = chebyshev._single_exchange
     monkeypatch.setattr(chebyshev, "_single_exchange", lambda *a: single.append(1) or exchange(*a))
     iterations = set()
+    # a block holds QUOTIENT_BLOCK // G rows, 3 at G = 4097: there each batch
+    # spans three blocks, and its certificate step takes rows of all three
     for n in range(9):
         rows = _mixed_batch(space, n, rng)
         got = remez_rows(space, rows, n)
@@ -207,6 +218,21 @@ def test_remez_rows_matches_the_one_row_exchange_bit_for_bit(grid_size, monkeypa
     # different iterations, and rows that take the single exchange
     assert 0 in iterations and len(iterations) >= 4
     assert single
+
+
+def test_remez_rows_matches_the_one_row_exchange_on_plateaus():
+    # steps and small-integer rows leave the residual flat around some
+    # reference points: there the polish meets a parabola with no curvature,
+    # or a vertex more than one node away, and leaves the point on its node
+    for grid_size in (5, 9, 17, 33, 65):
+        space = c01_space(grid_size)
+        rng = np.random.default_rng(grid_size)
+        for n in range(min(grid_size - 1, 7)):
+            steps = np.sign(np.sin(rng.uniform(2, 20, (6, 1)) * space.grid + rng.uniform(0, 3, (6, 1))))
+            levels = rng.integers(0, 3, size=(6, grid_size)).astype(float)
+            rows = np.concatenate([steps, levels])
+            for row, fit in zip(rows, remez_rows(space, rows, n)):
+                assert_same_result(fit, _remez_one_row(primal(space, row), n))
 
 
 def test_remez_rows_of_an_empty_batch_is_empty():
@@ -263,6 +289,59 @@ def test_a_non_finite_row_fails_in_row_order(first, monkeypatch):
     monkeypatch.setattr(chebyshev, "REMEZ_MAX_ITERATIONS", 1)
     with pytest.raises(expected):
         remez_rows(space, rows, 2)
+
+
+@pytest.mark.parametrize("grid_size", [3, 5, 33, 513, 4097])
+def test_the_sampler_is_the_scalar_three_node_parabola_and_exact_at_nodes(grid_size):
+    space = c01_space(grid_size)
+    rng = np.random.default_rng(grid_size)
+    values = np.array(_smooth_rows(space, rng, 4))
+    t = rng.uniform(0.0, 1.0, size=(4, 16))
+    got = _sample_values(space.grid, values, t)
+    for row, points, sampled in zip(values, t, got):
+        want = [_sample_value_three_nodes(primal(space, row), point) for point in points]
+        assert sampled.tobytes() == np.array(want).tobytes()
+    # a row of values with its own points
+    assert _sample_values(space.grid, values[0], t[0]).tobytes() == got[0].tobytes()
+    nodes = np.broadcast_to(space.grid, values.shape)
+    assert _sample_values(space.grid, values, nodes).tobytes() == values.tobytes()
+
+
+def test_a_call_over_several_blocks_raises_the_first_blocks_polish_error(monkeypatch):
+    space = c01_space(4097)
+    n, budget = 3, 5
+    rows = _mixed_batch(space, n, np.random.default_rng(1))
+    # three blocks of at most 3 rows: the first row's polish moves its
+    # reference, and the noisy last row does not converge within the budget
+    assert len(rows) > 2 * (QUOTIENT_BLOCK // space.grid.size)
+    first = _remez_one_row(primal(space, rows[0]), n, max_iterations=budget)
+    assert first.reference != tuple(space.grid[list(first.discrete_reference)])
+    with pytest.raises(RemezConvergenceError) as last:
+        _remez_one_row(primal(space, rows[-1]), n, max_iterations=budget)
+    monkeypatch.setattr(chebyshev, "REMEZ_MAX_ITERATIONS", budget)
+    with pytest.raises(RemezConvergenceError) as got:
+        remez_rows(space, rows, n)
+    assert got.value.trace == last.value.trace
+
+    # the polish re-solve, the one solve at off-grid points, fails its first
+    # row, which is the call's first row
+    singular = np.linalg.LinAlgError("Singular matrix")
+    polish_calls = []
+    solves = chebyshev._leveled_solves
+
+    def failing_polish(points, values, n):
+        coef, level, failed = solves(points, values, n)
+        if not np.isin(points, space.grid).all():
+            polish_calls.append(points.shape[0])
+            failed[0] = singular
+        return coef, level, failed
+
+    monkeypatch.setattr(chebyshev, "_leveled_solves", failing_polish)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        remez_rows(space, rows, n)
+    assert got.value is singular
+    # one re-solve for the whole call, over rows of more than one block
+    assert len(polish_calls) == 1 and polish_calls[0] > QUOTIENT_BLOCK // space.grid.size
 
 
 @pytest.mark.parametrize("grid_size", [513, 4097])
