@@ -20,33 +20,41 @@ evaluation order: the supremum is order insensitive and the trace is indexed
 by level and row.
 
 The sampled rows depend on the map, the base and the schedule, never on the
-duals, so `sample_base` draws them once as a `SamplePass` that every
-candidate queried at its bases shares (`membership_batch`); only the
-numerators are per candidate. A pass stacks bases of one map on a leading
-axis, each base's rows around its own graph point, and a pass at one base is
-a stack of one; `SamplingSchedule.stack_size` keeps a stack within
+duals, so one walk over a pass answers every candidate queried at its bases
+(`membership_batch`); only the numerators are per candidate. `sample_base`
+draws the pass (`SamplePass`): the graph points, the level radii and the
+normalized extra rays. A pass stacks bases of one map on a leading axis,
+each base's rows around its own graph point, and a pass at one base is a
+stack of one; `SamplingSchedule.stack_size` keeps a stack within
 `QUOTIENT_BLOCK` entries (`spaces.QUOTIENT_BLOCK`, which `chebyshev` keeps
-too). Every walk over the levels of a pass goes by the same blocks of
-consecutive levels of at most `QUOTIENT_BLOCK` entries (one level where a
-level alone is larger, `_level_blocks`): `sample_base` builds each block's
-values and denominators with one `value_batch`, and one generator
-(`_block_quotients`) gives each block's quotients, which `estimate_limsup`
-keeps as its trace and `membership_batch` reduces to per-level suprema, both
-taking the limsup by one rule (`_limsup`). A stacked array rounds like the
-per-level and per-base ones, so nothing depends on the blocking or the
-stacking. The raw normal draws behind the directions do not depend on the
-space either, so passes with the same seed, levels, rows and dimension share
-one read-only block of them (the last block drawn is kept). Their norms do, and a schedule keeps them per space it has
-sampled, so each pass only divides the block by them, scales and shifts. A
-query's directed rays are evaluated together: one halving loop finds every
-ray's start, probing as rows only the rays not yet in the base branch, and
-their limits are one stacked array of rows. The kink rays do not depend on
-the duals either, so a pass builds their rows once for each of its bases
+too). A pass is walked once and never held whole. One generator
+(`_block_quotients`) goes over its levels by blocks of consecutive levels of
+at most `QUOTIENT_BLOCK` entries (one level where a level alone is larger,
+`_level_blocks`): it evaluates each block's points and values with one
+`value_batch` (`_level_rows`), builds each block's increments and
+denominators once (`_increments`, in smaller parts where the candidates'
+quotients need them), and gives their quotients (`_quotients`), which
+`estimate_limsup` keeps as its trace and `membership_batch` reduces to
+per-level suprema, both taking the limsup by one rule (`_limsup`). A trace
+is the one whole copy of a pass's rows: the walk writes each block's rows
+straight into it. A stacked array rounds like the per-level and per-base
+ones, so nothing depends on the blocking or the stacking. The raw normal
+draws behind the directions do not depend on the space either, so passes
+with the same seed, levels, rows and dimension share one read-only block of
+them (the last block drawn is kept). Their norms do, and a schedule keeps
+them per space it has sampled, so each walk only divides the block by them,
+scales and shifts. A query's directed
+rays are evaluated together: one halving loop finds every ray's start,
+probing as rows only the rays not yet in the base branch, and their limits
+are one stacked array of rows. The kink rays do not depend on the duals
+either, so a pass builds their rows once for each of its bases
 (`SamplePass.kink_rows`), a ray that does not start at a base reading NaN
-there. The quotient-form audit of `fixed_points` checks the same pass: its
-rows are each base's finest level's (`SamplePass.audit`). A pass is
-immutable and its arrays are read only, so sharing it cannot leak state from
-one estimate into another.
+there. The quotient-form audit of `fixed_points` checks the rows the walk
+judged: each base's finest level, which a walk copies out of its last block
+and keeps on the pass (`SamplePass.audit`, read after a walk), so no level
+is evaluated twice. A pass is immutable apart from that kept level, and its
+arrays are read only, so sharing it cannot leak state from one estimate
+into another.
 
 `membership_batch` answers many candidates at every base of a pass in one
 array pass: it takes their duals and extra rays as arrays with a leading
@@ -190,22 +198,25 @@ class SamplingSchedule:
     def stack_size(self, space: SpaceSpec, candidates: int) -> int:
         """How many bases one pass in `space` stacks (`sample_base`) when
         `candidates` candidates are asked at each: as many as keep the
-        stack's sample entries (bases x levels x rows x size), and one level
-        of its quotients (bases x candidates x rows), within QUOTIENT_BLOCK;
-        one where a single base is larger."""
+        entries a walk over the stack evaluates (bases x levels x rows x
+        size), and one level of its quotients (bases x candidates x rows),
+        within QUOTIENT_BLOCK; one where a single base is larger."""
         rows = self.dirs_per_level + len(self.extra_rays)
         return max(1, QUOTIENT_BLOCK // (rows * max(self.levels * space.size, candidates)))
 
 
 @dataclass(frozen=True, eq=False)
 class SamplePass:
-    """The candidate-independent rows of the estimates at a stack of bases of
-    one map, indexed [base, level, row]: the graph point (x, y) of each base
-    (rows of (bases, size) arrays), the radius of each level, the sampled
-    points u and values v (shape (bases, levels, rows, size)) and the
-    denominators ||u - x|| + ||v - y|| (shape (bases, levels, rows)), each
-    base's block around its own graph point. A pass at one base is a stack
-    of one. Built by `sample_base`; every array is read only."""
+    """What the estimates at a stack of bases of one map share, indexed
+    [base, level, row]: the graph point (x, y) of each base (rows of
+    (bases, size) arrays), the radius of each level and the normalized extra
+    rays, shape (k, size). A pass at one base is a stack of one. Built by
+    `sample_base`; every array is read only.
+
+    The sampled points u and values v (shape (bases, levels, rows, size))
+    are never held whole: each walk over the pass (`_block_quotients`)
+    evaluates them one block of levels at a time, and keeps a copy of each
+    base's finest level, the rows of its `audit`."""
 
     map: MapDescriptor
     bases: tuple[GraphPoint, ...]
@@ -213,9 +224,8 @@ class SamplePass:
     x: np.ndarray
     y: np.ndarray
     radii: np.ndarray
-    us: np.ndarray
-    vs: np.ndarray
-    dens: np.ndarray
+    extra: np.ndarray
+    _finest: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def base(self) -> GraphPoint:
@@ -223,12 +233,21 @@ class SamplePass:
         (base,) = self.bases
         return base
 
+    @property
+    def _shape(self) -> tuple[int, int, int, int]:
+        """(bases, levels, rows, size) of the sampled points."""
+        (bases, size), rows = self.x.shape, self.schedule.dirs_per_level + len(self.extra)
+        return bases, len(self.radii), rows, size
+
     @cached_property
     def audit(self) -> AuditRows:
         """The quotient-form audit rows of each base's finest level, shape
-        (bases, rows, ...), built on first use."""
-        x, y = self.x[:, None], self.y[:, None]
-        return AuditRows._around(self.map.space, x, y, self.us[:, -1], self.vs[:, -1], self.dens[:, -1])
+        (bases, rows, ...), built on first use from the rows a walk over the
+        pass kept; reading it before any walk is an error."""
+        if not self._finest:
+            raise RuntimeError("the audit reads the finest level of a walk over the pass, and none has run")
+        us, vs = self._finest
+        return AuditRows._around(self.map.space, self.x[:, None], self.y[:, None], us, vs)
 
     @cached_property
     def kink_rows(self) -> _RayRows:
@@ -276,11 +295,10 @@ class AuditRows:
         return cls._around(base.x.space, base.x.values, base.y.values, us, vs)
 
     @classmethod
-    def _around(cls, space: SpaceSpec, x, y, us: np.ndarray, vs: np.ndarray, dens=None) -> "AuditRows":
+    def _around(cls, space: SpaceSpec, x, y, us: np.ndarray, vs: np.ndarray) -> "AuditRows":
         """`at` around the graph points x and y, arrays that broadcast
-        against the rows (one base's point, or one per block of a stack),
-        with the denominators `dens` where they are known."""
-        du, dv, den = _increments(space, x, y, us, vs, dens)
+        against the rows (one base's point, or one per block of a stack)."""
+        du, dv, den = _increments(space, x, y, us, vs)
         a, ea = _two_diff(us, vs)
         b, eb = _two_diff(x, y)
         rows = cls(du, dv, den, du - dv, (a - b) + (ea - eb))
@@ -304,7 +322,8 @@ class QuotientTrace:
     """Every sampled quotient of one estimate, indexed [level, row]: the
     radius of each level, the sampled points u and values v (shape
     (levels, rows, size)), and the quotients (shape (levels, rows)). The
-    radii, us and vs are those of the shared `SamplePass`."""
+    radii are those of the `SamplePass`; us and vs are the trace's own
+    read-only arrays, which the walk over the pass writes block by block."""
 
     radii: np.ndarray
     us: np.ndarray
@@ -413,66 +432,90 @@ def _normal_draws(seed: int, levels: int, dirs_per_level: int, dim: int) -> np.n
 
 
 def sample_base(mapd: MapDescriptor, bases, schedule: SamplingSchedule) -> SamplePass:
-    """The sampled rows of every estimate at each of `bases` (a sequence of
-    graph points, stacked in order, or one graph point, a stack of one) and
-    the schedule: per level, the seeded unit directions plus the normalized
-    extra rays, scaled to the level radius around each base's x, with the
-    map's values and the quotient denominators there, one `value_batch` per
-    block of levels of the stack (`_level_blocks`). Each base's rows are
-    bit for bit those of a stack of that base alone."""
+    """The pass of every estimate at each of `bases` (a sequence of graph
+    points, stacked in order, or one graph point, a stack of one) and the
+    schedule: the graph points, the level radii and the normalized extra
+    rays. It evaluates nothing; each walk over the pass evaluates its rows
+    (`_level_rows`), and each base's rows are bit for bit those of a stack
+    of that base alone."""
     bases = (bases,) if isinstance(bases, GraphPoint) else tuple(bases)
     space = mapd.space
-    dim = space.size
-    extra = np.empty((0, dim))
+    extra = np.empty((0, space.size))
     if schedule.extra_rays:
         extra = np.stack([ray.values for ray in schedule.extra_rays])
         extra_norms = norm_rows(space, extra)
         extra = extra / np.where(extra_norms == 0.0, 1.0, extra_norms)[:, None]
-    levels, dirs = schedule.levels, schedule.dirs_per_level
-    draws, dir_norms = schedule._direction_draws(space)
-    radii = np.array([schedule.r0 * 2.0 ** (-level) for level in range(levels)])
+    radii = np.array([schedule.r0 * 2.0 ** (-level) for level in range(schedule.levels)])
     x = np.stack([base.x.values for base in bases])
     y = np.stack([base.y.values for base in bases])
-    # u = x + r * d, built in place
-    us = np.empty((len(bases), levels, dirs + len(extra), dim))
-    np.divide(draws, dir_norms[:, :, None], out=us[:, :, :dirs])
-    us[:, :, dirs:] = extra
-    us *= radii[:, None, None]
-    us += x[:, None, None, :]
-    vs = np.empty_like(us)
-    dens = np.empty(us.shape[:3])
-    for block in _level_blocks(us.shape, 1):
-        rows = us[:, block]
-        vs[:, block] = mapd.value_batch(rows.reshape(-1, dim)).reshape(rows.shape)
-        # `_increments`' denominators, without holding du and dv at once
-        dens[:, block] = norm_rows(space, rows - x[:, None, None]) + norm_rows(space, vs[:, block] - y[:, None, None])
-    for array in (x, y, radii, us, vs, dens):
+    for array in (x, y, radii, extra):
         array.flags.writeable = False
-    return SamplePass(mapd, bases, schedule, x, y, radii, us, vs, dens)
+    return SamplePass(mapd, bases, schedule, x, y, radii, extra)
+
+
+def _level_rows(samples: SamplePass, block: slice, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """The sampled points u and values v of the levels `block` of the pass,
+    shape (bases, levels in the block, rows, size), with one `value_batch`:
+    per level, the seeded unit directions and then the normalized extra
+    rays, scaled to the level radius around each base's x. With `out`, a
+    pair of (bases, levels, rows, size) arrays, the rows are written into
+    their levels `block`, and those views are returned."""
+    mapd = samples.map
+    draws, norms = samples.schedule._direction_draws(mapd.space)
+    # u = x + r * d
+    directions = draws[block] / norms[block, :, None]
+    if len(samples.extra):
+        extra = np.broadcast_to(samples.extra, (len(directions), *samples.extra.shape))
+        directions = np.concatenate([directions, extra], axis=1)
+    directions *= samples.radii[block, None, None]
+    us = np.add(directions, samples.x[:, None, None], out=None if out is None else out[0][:, block])
+    del directions  # gone before the values are evaluated
+    vs = mapd.value_batch(us.reshape(-1, us.shape[-1])).reshape(us.shape)
+    if out is not None:
+        out[1][:, block] = vs
+        vs = out[1][:, block]
+    return us, vs
 
 
 def _level_blocks(shape: tuple[int, ...], candidates: int) -> list[slice]:
     """Runs of consecutive levels of a (bases, levels, rows, size) stack of
     passes, or of one (levels, rows, size) block of draws, whose entries,
     and whose quotients of `candidates` candidates at each base, stay within
-    QUOTIENT_BLOCK; one level where a level alone is larger. Every walk over
-    the levels of a pass, or of its direction draws, takes these blocks."""
+    QUOTIENT_BLOCK; one level where a level alone is larger. A walk over a
+    pass evaluates its rows by the blocks of one candidate, and takes the
+    quotients of its candidates by their blocks within each; a walk over
+    direction draws takes the blocks of one candidate."""
     *stack, levels, rows, size = shape
     step = max(1, QUOTIENT_BLOCK // (math.prod(stack) * rows * max(size, candidates)))
     return [slice(lo, lo + step) for lo in range(0, levels, step)]
 
 
-def _block_quotients(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray):
+def _block_quotients(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray, out=None):
     """The quotients of m candidates at each base, the rows of the
-    (bases, m, size) arrays `xstars` and `ystars`, over the pass, one block
-    of levels at a time: shape (bases, m, levels in the block, rows)."""
+    (bases, m, size) arrays `xstars` and `ystars`, over the pass, one part
+    of a block of levels at a time: shape (bases, m, levels in the part,
+    rows).
+
+    The one walk over a pass. It evaluates each block of levels once
+    (`_level_rows`, into `out` where given, a pair of (bases, levels, rows,
+    size) arrays), and takes the quotients of each part of the block (its
+    `_level_blocks` for m candidates) by `_increments` and `_quotients`, so
+    each increment is built once, and a part's go before the next part's
+    are built. At the end it keeps a read-only copy of each base's finest
+    level for the audit (`SamplePass.audit`)."""
     space = samples.map.space
     x, y = samples.x[:, None, None], samples.y[:, None, None]
-    for block in _level_blocks(samples.us.shape, xstars.shape[1]):
-        du, dv, dens = _increments(space, x, y, samples.us[:, block], samples.vs[:, block], samples.dens[:, block])
-        quotients = _quotients(space, xstars, ystars, du[:, None], dv[:, None], dens[:, None])
-        del du, dv  # a block's increments go before the next block's are built
-        yield quotients
+    for block in _level_blocks(samples._shape, 1):
+        us, vs = _level_rows(samples, block, out)
+        for part in _level_blocks(us.shape, xstars.shape[1]):
+            du, dv, dens = _increments(space, x, y, us[:, part], vs[:, part])
+            quotients = _quotients(space, xstars, ystars, du[:, None], dv[:, None], dens[:, None])
+            del du, dv
+            yield quotients
+    finest = [us[:, -1].copy(), vs[:, -1].copy()]
+    for array in finest:
+        array.flags.writeable = False
+    samples._finest[:] = finest
 
 
 def estimate_limsup(
@@ -492,8 +535,11 @@ def _estimate(samples: SamplePass, xstar: DualVector, ystar: DualVector) -> Lims
     """`estimate_limsup` at the base of `samples`, a stack of one, with the
     trace."""
     xs, ys = xstar.values[None, None], ystar.values[None, None]
-    quotients = np.concatenate([q[0, 0] for q in _block_quotients(samples, xs, ys)])
-    trace = QuotientTrace(radii=samples.radii, us=samples.us[0], vs=samples.vs[0], quotients=quotients)
+    us, vs = np.empty(samples._shape[1:]), np.empty(samples._shape[1:])
+    quotients = np.concatenate([q[0, 0] for q in _block_quotients(samples, xs, ys, (us[None], vs[None]))])
+    for array in (us, vs):
+        array.flags.writeable = False
+    trace = QuotientTrace(radii=samples.radii, us=us, vs=vs, quotients=quotients)
     sups = quotients.max(axis=1)
     extrapolated = float(_limsup(sups))
     tol_accept, tol_reject = tolerance_pair(ystar)

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -336,14 +337,14 @@ def test_ask_matches_direct_calls_and_draws_one_pass_per_base_run(monkeypatch):
     near = queries[2]
     assert direct[2] == Verdict.NON_MEMBER
     assert membership_test(near.map, near.base, near.xstar, near.ystar, sched).verdict == Verdict.INDETERMINATE
-    # each stack's pass, and the rows an estimate's trace shares with it,
+    # each stack's pass, the one holder of the finest level its walk kept,
     # must be gone when the next stack's pass is drawn
     drawn, stacks = [], []
 
     def tracked(mapd, bases, schedule):
         assert all(ref() is None for ref in drawn)
         samples = sample_base(mapd, bases, schedule)
-        drawn.extend((weakref.ref(samples), weakref.ref(samples.us)))
+        drawn.extend((weakref.ref(samples), weakref.ref(samples.x)))
         stacks.append(samples.bases)
         return samples
 
@@ -353,6 +354,64 @@ def test_ask_matches_direct_calls_and_draws_one_pass_per_base_run(monkeypatch):
     # oracle queries, the cone run, and the far ball base; the registry
     # settles the ball run between them, which draws no pass
     assert stacks == [(exterior, interior), (positive,), (far,)]
+
+
+@pytest.mark.parametrize("points", [1, 2])
+def test_an_audit_ask_evaluates_each_level_of_its_pass_once(points, monkeypatch):
+    # fixed-point queries in the audit mode at the bases of one stack: the
+    # walk evaluates every level once, and the audit reads the finest level
+    # it kept instead of evaluating it again; the rays' rows are counted
+    # apart
+    space = lp_space(3.0, 4)
+    ballm = ball_projection_map(space, 1.0)
+    bases = [GraphPoint.at_point(ballm, primal(space, [1.2, -0.8, 0.5, 0.3 * k])) for k in range(points)]
+    rng = np.random.default_rng(31)
+    queries = [Query(ballm, base, dual(space, rng.normal(size=4)), mode="audit") for base in bases for _ in range(3)]
+    sched = SamplingSchedule(seed=5)
+    value_batch, ray_rows, forms_spread = MapDescriptor.value_batch, limsup_oracle._ray_rows, fixed_points._forms_spread
+    evaluated, rays, audits = [], [], []
+
+    def counted_values(self, rows):
+        evaluated.append(len(rows))
+        return value_batch(self, rows)
+
+    def counted_rays(mapd, x, y, t_starts, directions, split_l1_denominator=False):
+        rays.append(len(directions) * limsup_oracle.RAY_STEPS)
+        return ray_rows(mapd, x, y, t_starts, directions, split_l1_denominator)
+
+    def counted_audits(*args):
+        audits.append(args)
+        return forms_spread(*args)
+
+    monkeypatch.setattr(MapDescriptor, "value_batch", counted_values)
+    monkeypatch.setattr(limsup_oracle, "_ray_rows", counted_rays)
+    monkeypatch.setattr(fixed_points, "_forms_spread", counted_audits)
+    ask(queries, sched)
+    assert len(audits) == 1
+    assert sum(evaluated) - sum(rays) == points * sched.levels * sched.dirs_per_level
+
+
+@pytest.mark.parametrize("kind", ["ball", "cone"])
+def test_a_wide_ask_holds_no_whole_pass(kind):
+    # N = 16, S = 1024, K = 8 and p = 3: one whole pass of rows, us and vs,
+    # is 2 MiB; a warm one-base ask stays below it
+    space = lp_space(3.0, 16)
+    mapd = ball_projection_map(space, 1.0) if kind == "ball" else cone_projection_map(space)
+    base = GraphPoint.at_point(mapd, primal(space, np.linspace(-1.0, 2.0, 16)))
+    sched = SamplingSchedule(seed=3, dirs_per_level=1024)
+    rng = np.random.default_rng(0)
+    duals = [dual(space, rng.normal(size=16)) for _ in range(4)]
+    queries = [Query(mapd, base, w, mode="audit") for w in duals] + [Query(mapd, base, w, duals[0]) for w in duals]
+    whole = 2 * sched.levels * sched.dirs_per_level * space.size * 8
+    assert whole == 2**21
+    ask(queries, sched)
+    tracemalloc.start()
+    try:
+        ask(queries, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole
 
 
 def test_a_registry_run_takes_the_fixed_point_set_once_per_base_and_the_registry_once_per_query(monkeypatch):

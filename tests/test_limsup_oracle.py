@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import frozen_pass
 from projderiv.coderivatives import (
     SPHERE_BAND,
     MapDescriptor,
@@ -35,6 +36,7 @@ from projderiv.limsup_oracle import (
     trace_to_csv,
 )
 from projderiv.spaces import (
+    KIND_C01,
     DualVector,
     PrimalVector,
     atomic_measure,
@@ -200,6 +202,13 @@ def _same_estimate(a, b):
         assert np.array_equal(getattr(a.trace, field), getattr(b.trace, field))
 
 
+def _some_dual(space):
+    """A dual of `space` with a few atoms where it is a measure."""
+    if space.kind == KIND_C01:
+        return atomic_measure(space, [(0.0, 1.0), (0.3, -0.5), (0.8, 0.25)])
+    return dual(space, np.linspace(-0.5, 1.0, space.size))
+
+
 @pytest.mark.parametrize("name", sorted(SHARED_PASS_BASES))
 def test_a_shared_pass_gives_every_candidate_its_fresh_estimate(name):
     mapd, x, sched = SHARED_PASS_BASES[name]
@@ -214,10 +223,13 @@ def test_a_shared_pass_gives_every_candidate_its_fresh_estimate(name):
     shared += [limsup_oracle._estimate(samples, cands[0], c) for c in cands[1:]]
     fresh = [estimate_limsup(mapd, base, c, c, sched) for c in cands]
     fresh += [estimate_limsup(mapd, base, cands[0], c, sched) for c in cands[1:]]
+    frozen = frozen_pass.sample_base(mapd, [base], sched)
     for a, b in zip(shared, fresh):
         _same_estimate(a, b)
-        # the trace shares the pass's rows (its one base's) instead of copying them
-        assert a.trace.us.base is samples.us and a.trace.vs.base is samples.vs
+        # the trace holds the pass's rows (its one base's), written in place
+        # by the walk, and nothing more
+        assert np.array_equal(a.trace.us, frozen.us[0]) and np.array_equal(a.trace.vs, frozen.vs[0])
+        assert a.trace.us.flags.owndata and a.trace.vs.flags.owndata
     for c in cands[:2]:
         _same_estimate(membership_test(mapd, base, c, c, sched), membership_test(mapd, base, c, c, sched))
 
@@ -245,7 +257,7 @@ def _audit_spread_per_candidate(mapd, base, sched, ystar):
     # reference: the audit spread computed from scratch for one candidate,
     # on the finest level of a fresh pass, pairing the increments, their
     # difference and the TwoDiff shift
-    fresh = sample_base(mapd, base, sched)
+    fresh = frozen_pass.sample_base(mapd, [base], sched)
     us, vs = fresh.us[0, -1], fresh.vs[0, -1]
     du = us - base.x.values[None, :]
     dv = vs - base.y.values[None, :]
@@ -262,7 +274,10 @@ def _audit_spread_per_candidate(mapd, base, sched, ystar):
 def test_shared_audit_rows_give_every_candidate_its_per_candidate_spread(name):
     mapd, x, sched = SHARED_PASS_BASES[name]
     base = GraphPoint.at_point(mapd, x)
-    rows = sample_base(mapd, base, sched).audit
+    samples = sample_base(mapd, base, sched)
+    w = _some_dual(mapd.space)
+    limsup_oracle._estimate(samples, w, w)
+    rows = samples.audit
     rng = np.random.default_rng(23)
     for _ in range(5):
         ystar = dual(mapd.space, rng.uniform(-1.5, 1.5, size=mapd.space.size))
@@ -270,30 +285,52 @@ def test_shared_audit_rows_give_every_candidate_its_per_candidate_spread(name):
                               _audit_spread_per_candidate(mapd, base, sched, ystar))
 
 
-def test_a_shared_pass_and_its_trace_are_read_only():
-    mapd, x, sched = SHARED_PASS_BASES["ball p=2 exterior"]
+@pytest.mark.parametrize("name", ["ball p=2 exterior", "poly with extra rays"])
+def test_a_shared_pass_and_its_trace_are_read_only(name):
+    mapd, x, sched = SHARED_PASS_BASES[name]
     base = GraphPoint.at_point(mapd, x)
     samples = sample_base(mapd, base, sched)
-    for field in ("radii", "us", "vs", "dens"):
+    assert len(samples.extra) == len(sched.extra_rays)
+    for field in ("x", "y", "radii", "extra"):
+        assert not getattr(samples, field).flags.writeable, field
         with pytest.raises(ValueError, match="read-only"):
-            getattr(samples, field).flat[0] = 0.0
-    w = dual(L24, [1.0, 0.0, 0.0, 0.0])
-    est = estimate_limsup(mapd, base, w, w, sched)
-    with pytest.raises(ValueError, match="read-only"):
-        est.trace.us[0, 0, 0] = 0.0
+            getattr(samples, field)[...] = 0.0
+    w = _some_dual(mapd.space)
+    # a trace's rows, and the finest level its walk keeps for the audit
+    for est in (estimate_limsup(mapd, base, w, w, sched), limsup_oracle._estimate(samples, w, w)):
+        for array in (est.trace.us, est.trace.vs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 0.0
+    assert len(samples._finest) == 2
+    for array in samples._finest:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0, 0] = 0.0
 
 
 
 @pytest.mark.parametrize("name", sorted(SHARED_PASS_BASES))
-def test_the_audit_rows_are_the_finest_level_of_the_pass(name):
+def test_the_audit_rows_are_the_finest_level_of_the_pass(name, monkeypatch):
     mapd, x, sched = SHARED_PASS_BASES[name]
     base = GraphPoint.at_point(mapd, x)
+    frozen = frozen_pass.sample_base(mapd, [base], sched)
     samples = sample_base(mapd, base, sched)
+    # the audit reads the rows of a walk, and none has run yet
+    with pytest.raises(RuntimeError, match="none has run"):
+        samples.audit
+    w = _some_dual(mapd.space)
+    limsup_oracle._estimate(samples, w, w)
+    # the walk kept copies of the finest level, not views of its last block
+    assert all(array.base is None for array in samples._finest)
+
+    def refused(self, rows):
+        raise AssertionError("the audit evaluated a level again")
+
+    monkeypatch.setattr(MapDescriptor, "value_batch", refused)
     rows = samples.audit
     assert samples.audit is rows
-    assert np.array_equal(rows.du, samples.us[:, -1] - x.values)
-    assert np.array_equal(rows.dv, samples.vs[:, -1] - base.y.values)
-    assert np.array_equal(rows.den, samples.dens[:, -1])
+    assert np.array_equal(rows.du, frozen.us[:, -1] - x.values)
+    assert np.array_equal(rows.dv, frozen.vs[:, -1] - base.y.values)
+    assert np.array_equal(rows.den, frozen.dens[:, -1])
     for array in vars(rows).values():
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0.0
@@ -311,11 +348,17 @@ def test_passes_from_the_shared_draw_block_equal_fresh_passes(monkeypatch):
         (ball_projection_map(l3, 1.0), primal(l3, np.linspace(-1.0, 2.0, 16)), ()),
     ]
     draws = limsup_oracle._normal_draws
+    w = dual(l2, np.linspace(-0.5, 1.0, 16))
+
+    def walk(samples):
+        return limsup_oracle._estimate(samples, w, w).trace
+
     draws.cache_clear()
     shared = []
     for mapd, x, rays in cases:
         sched = SamplingSchedule(seed=12, levels=5, dirs_per_level=32, extra_rays=rays)
         shared.append(sample_base(mapd, GraphPoint.at_point(mapd, x), sched))
+        walk(shared[-1])
     assert draws.cache_info().hits == 2 and draws.cache_info().misses == 1
     block = draws(12, 5, 32, 16)
     with pytest.raises(ValueError, match="read-only"):
@@ -327,18 +370,24 @@ def test_passes_from_the_shared_draw_block_equal_fresh_passes(monkeypatch):
             fresh_schedule = replace(samples.schedule)
             assert fresh_schedule == samples.schedule and not fresh_schedule._norms
             fresh = sample_base(samples.map, samples.base, fresh_schedule)
-            for field in ("radii", "us", "vs", "dens"):
+            for field in ("x", "y", "radii", "extra"):
                 assert np.array_equal(getattr(samples, field), getattr(fresh, field))
+            walked, walked_fresh = walk(samples), walk(fresh)
+            for field in ("radii", "us", "vs", "quotients"):
+                assert np.array_equal(getattr(walked, field), getattr(walked_fresh, field))
+            frozen = frozen_pass.sample_base(samples.map, samples.bases, samples.schedule)
+            assert np.array_equal(walked.us, frozen.us[0]) and np.array_equal(walked.vs, frozen.vs[0])
 
     equal_fresh(shared)
-    # the in-place rows are the plain u = x + r * d of each level
+    # the walked rows are the plain u = x + r * d of each level
     samples = shared[0]
     space, x = samples.map.space, samples.base.x.values
     unit_extra = extra[0].values / norm(extra[0])
+    us = walk(samples).us
     for level, radius in enumerate(samples.radii.tolist()):
         dirs = np.random.default_rng([12, level]).standard_normal((32, 16))
         dirs = dirs / norm_rows(space, dirs)[:, None]
-        assert np.array_equal(samples.us[0, level], x[None, :] + radius * np.vstack([dirs, unit_extra]))
+        assert np.array_equal(us[level], x[None, :] + radius * np.vstack([dirs, unit_extra]))
 
     # bases in a p = 2, 3, 2 order on one schedule: it computes the norms of
     # the block once per space, one norm_rows call per block of levels (one
@@ -354,6 +403,9 @@ def test_passes_from_the_shared_draw_block_equal_fresh_passes(monkeypatch):
     order = [cases[0], cases[2], cases[1]]
     shared = [sample_base(mapd, GraphPoint.at_point(mapd, x), sched) for mapd, x, _ in order]
     block = draws(12, 5, 32, 16)
+    assert not [rows for _, rows in normed if np.shares_memory(rows, block)]  # a walk takes the norms
+    for samples in shared:
+        walk(samples)
     assert limsup_oracle._level_blocks(block.shape, 1) == [slice(0, 32)]
     assert [space.p for space, rows in normed if np.shares_memory(rows, block)] == [2.0, 3.0]
     # the schedule keeps one read-only (levels, rows) array per space
@@ -367,7 +419,7 @@ def test_passes_from_the_shared_draw_block_equal_fresh_passes(monkeypatch):
     equal_fresh(shared)
     # the kept norms go with the schedule, so no more than its spaces are kept
     kept_refs = [weakref.ref(norms) for norms in kept.values()]
-    del kept, norms, sched, shared
+    del kept, norms, sched, shared, samples
     gc.collect()
     assert [ref() for ref in kept_refs] == [None, None]
 
@@ -400,26 +452,29 @@ BLOCK_CASES = _block_cases()
 def test_the_blocked_pass_gives_the_per_level_quotients_bit_for_bit(name, monkeypatch):
     mapd, x, sched, xstar, ystar, calls = BLOCK_CASES[name]
     base = GraphPoint.at_point(mapd, x)
-    samples = sample_base(mapd, base, sched)
-    quotients = limsup_oracle._quotients
+    frozen = frozen_pass.sample_base(mapd, [base], sched)
+    walk, size = limsup_oracle._block_quotients, mapd.space.size
     sizes = []
 
-    def counted(space, xstars, ystars, du, dv, dens):
-        sizes.append(du.size)
-        return quotients(space, xstars, ystars, du, dv, dens)
+    def counted(samples, xstars, ystars, out=None):
+        for quotients in walk(samples, xstars, ystars, out):
+            sizes.append(quotients.size * size)  # the entries of the block's rows
+            yield quotients
 
     def per_level(k):
         du, dv, dens = limsup_oracle._increments(
-            mapd.space, x.values, base.y.values, samples.us[0, k], samples.vs[0, k], samples.dens[0, k]
+            mapd.space, x.values, base.y.values, frozen.us[0, k], frozen.vs[0, k], frozen.dens[0, k]
         )
-        return quotients(mapd.space, xstar.values[None], ystar.values[None], du[None], dv[None], dens)[0]
+        return limsup_oracle._quotients(mapd.space, xstar.values[None], ystar.values[None], du[None], dv[None], dens)[0]
 
-    monkeypatch.setattr(limsup_oracle, "_quotients", counted)
+    monkeypatch.setattr(limsup_oracle, "_block_quotients", counted)
     est = estimate_limsup(mapd, base, xstar, ystar, sched)
     reference = np.stack([per_level(k) for k in range(sched.levels)])
     assert np.array_equal(est.trace.quotients, reference)
-    assert len(sizes) == calls and sum(sizes) == samples.us.size
-    assert max(sizes) <= max(limsup_oracle.QUOTIENT_BLOCK, samples.us[0, 0].size)
+    whole = frozen_pass.quotients(mapd.space, frozen, xstar.values[None, None], ystar.values[None, None])
+    assert np.array_equal(est.trace.quotients, whole[0, 0])
+    assert len(sizes) == calls and sum(sizes) == frozen.us.size
+    assert max(sizes) <= max(limsup_oracle.QUOTIENT_BLOCK, frozen.us[0, 0].size)
 
 
 def _per_level_pass(mapd, base, schedule):
@@ -480,7 +535,10 @@ PASS_CASES = _pass_cases()
 def test_the_block_built_pass_gives_the_per_level_rows_bit_for_bit(name, monkeypatch):
     mapd, x, sched = PASS_CASES[name]
     base = GraphPoint.at_point(mapd, x)
-    reference = _per_level_pass(mapd, base, sched)
+    radii, us, vs, dens = _per_level_pass(mapd, base, sched)
+    frozen = frozen_pass.sample_base(mapd, [base], replace(sched))
+    for field, expected in zip(("radii", "us", "vs", "dens"), (radii, us[None], vs[None], dens[None])):
+        assert np.array_equal(getattr(frozen, field), expected), field
     value_batch = MapDescriptor.value_batch
     sizes = []
 
@@ -490,15 +548,20 @@ def test_the_block_built_pass_gives_the_per_level_rows_bit_for_bit(name, monkeyp
 
     monkeypatch.setattr(MapDescriptor, "value_batch", counted)
     samples = sample_base(mapd, base, replace(sched))
-    assert np.array_equal(samples.radii, reference[0])
-    for field, expected in zip(("us", "vs", "dens"), reference[1:]):
-        assert np.array_equal(getattr(samples, field)[0], expected), field
-    level = samples.us[0, 0].size
-    assert sum(sizes) == samples.us.size
+    assert not sizes  # a pass evaluates its rows when it is walked
+    w = _some_dual(mapd.space)
+    trace = limsup_oracle._estimate(samples, w, w).trace
+    assert np.array_equal(samples.radii, radii) and np.array_equal(trace.radii, radii)
+    assert np.array_equal(trace.us, us) and np.array_equal(trace.vs, vs)
+    monkeypatch.undo()
+    for field, got, want in zip(("us", "vs", "dens"), frozen_pass.walked_rows(samples), (us, vs, dens)):
+        assert np.array_equal(got[0], want), field
+    level = us[0].size
+    assert sum(sizes) == us.size
     assert max(sizes) <= max(limsup_oracle.QUOTIENT_BLOCK, level)
     # the whole pass is one block at the default shape; one level at N = 16,
     # S = 1024 and on these grids
-    assert len(sizes) == (1 if samples.us.size <= limsup_oracle.QUOTIENT_BLOCK else sched.levels)
+    assert len(sizes) == (1 if us.size <= limsup_oracle.QUOTIENT_BLOCK else sched.levels)
 
 
 def _membership_by_ray(mapd, base, xstar, ystar, sched, extra_rays):
