@@ -90,6 +90,10 @@ class ExperimentConfig:
             raise ConfigError("r > 0 and n >= 0 required")
         if self.r0 <= 0 or self.K < 4 or self.S < 16:
             raise ConfigError("schedule needs r0 > 0, K >= 4, S >= 16")
+        # a ball of radius at most SPHERE_BAND lies inside its own sphere
+        # band, the origin included, so no base point is off the sphere
+        if self.r <= cd.SPHERE_BAND:
+            raise ConfigError("r must be > 1e-12, the sphere band of a ball of radius below 1")
         # finer radii are below what the maps resolve, and far finer ones
         # round samples onto their base point
         if self.r0 * 2.0 ** (1 - self.K) < cd.SPHERE_BAND * max(1.0, self.r):

@@ -111,7 +111,6 @@ __all__ = [
     "LimsupEstimate",
     "tolerance_pair",
     "norming_rays",
-    "quotient",
     "sample_base",
     "estimate_limsup",
     "directed_ray_limit",
@@ -355,20 +354,6 @@ def _tolerances(dual_norms):
     array of them."""
     scale = 1.0 + dual_norms
     return 1e-3 * scale, 1e-2 * scale
-
-
-def quotient(
-    mapd: MapDescriptor,
-    base: GraphPoint,
-    u: PrimalVector,
-    v: PrimalVector,
-    xstar: DualVector,
-    ystar: DualVector,
-) -> float:
-    """The defining ratio at one sampled graph point (u, v) != (x, y):
-    `_quotients` on a row of one."""
-    du, dv, dens = _increments(base.x.space, base.x.values, base.y.values, u.values[None], v.values[None])
-    return float(_quotients(base.x.space, xstar.values[None], ystar.values[None], du[None], dv[None], dens)[0, 0])
 
 
 def _increments(

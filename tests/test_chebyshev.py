@@ -31,9 +31,9 @@ from projderiv.chebyshev import (
     remez,
     remez_rows,
 )
-from frozen_exchange import alternating_extrema_row, trim_reference_heap
 from grid_lp import lp_error
 from projderiv.spaces import PrimalVector, c01_space, norm, primal
+from reference_exchange import alternating_extrema, leveled_solve, trim_reference
 
 C513 = c01_space(513)
 
@@ -411,47 +411,6 @@ def test_chebyshev_points_endpoints():
     assert np.all(np.diff(pts) > 0)
 
 
-# Loop versions of the exchange helpers, kept as the reference that the
-# block run split and the closed-form trim must reproduce exactly, beside
-# the frozen per-row split and heap trim of frozen_exchange.py.
-def _alternating_extrema_loop(residual):
-    signs = np.sign(residual)
-    last = 1.0
-    carried = np.empty_like(signs)
-    for i, s in enumerate(signs):
-        if s != 0.0:
-            last = s
-        carried[i] = last
-    candidates = []
-    start = 0
-    for i in range(1, carried.size + 1):
-        if i == carried.size or carried[i] != carried[start]:
-            run = np.arange(start, i)
-            candidates.append(int(run[np.argmax(np.abs(residual[run]))]))
-            start = i
-    return candidates
-
-
-def _trim_reference_loop(candidates, residual, target):
-    picked = list(candidates)
-    while len(picked) > target:
-        if len(picked) - target == 1:
-            if abs(residual[picked[0]]) <= abs(residual[picked[-1]]):
-                picked.pop(0)
-            else:
-                picked.pop()
-            continue
-        mags = [abs(residual[j]) for j in picked]
-        k = int(np.argmin(mags))
-        if 0 < k < len(picked) - 1:
-            left, right = picked[k - 1], picked[k + 1]
-            keep = left if abs(residual[left]) >= abs(residual[right]) else right
-            picked[k - 1 : k + 2] = [keep]
-        else:
-            picked.pop(k)
-    return picked
-
-
 # a few magnitudes make ties common; both signed zeros appear
 tie_prone = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
 
@@ -468,18 +427,15 @@ tie_prone = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
 @example(4, [-1.0, 1.0, -0.0, 1.0, -1.0])  # leading zero run
 @example(0, [(-1.0) ** k * (1 + k % 3) for k in range(400)])  # ties at the trim's head
 @example(0, [1.0 + k % 7 if k % 2 else -0.5 for k in range(400)])  # a prefix past the head
-def test_run_split_and_trim_match_the_loop_versions(leading_zeros, values):
+def test_run_split_and_trim_match_the_reference_exchange(leading_zeros, values):
     residual = np.array([0.0] * leading_zeros + values)
     mags = np.abs(residual)
     (candidates,) = _alternating_extrema(residual[None, :], mags[None, :])
-    want = _alternating_extrema_loop(residual)
+    want = alternating_extrema(residual)
     assert candidates.tolist() == want
-    # the O(k^2) loop is the reference up to 40 candidates, the heap beyond
+    # every target up to 40 candidates, the first 12 beyond
     for target in range(1, len(want) + 1) if len(want) <= 40 else range(1, 13):
-        got = _trim_reference(candidates, mags, target)
-        assert got == trim_reference_heap(want, residual, target)
-        if len(want) <= 40:
-            assert got == _trim_reference_loop(want, residual, target)
+        assert _trim_reference(candidates, mags, target) == trim_reference(want, residual, target)
 
 
 def test_the_block_split_matches_the_row_split_row_by_row():
@@ -497,20 +453,7 @@ def test_the_block_split_matches_the_row_split_row_by_row():
         got = _alternating_extrema(block, np.abs(block))
         assert len(got) == len(block)
         for row, candidates in zip(block, got):
-            assert candidates.tolist() == alternating_extrema_row(row)
-            assert candidates.tolist() == _alternating_extrema_loop(row)
-
-
-# The levelled system as built before its columns were kept per degree and
-# its rows stacked: the reference that each row of _leveled_solves must
-# reproduce exactly at any degree.
-def _leveled_solve_rebuilt(points, values, n):
-    count = points.size
-    system = np.zeros((count, count))
-    system[:, : n + 1] = points[:, None] ** np.arange(n + 1)[None, :]
-    system[:, n + 1] = (-1.0) ** np.arange(count)
-    sol = np.linalg.solve(system, values)
-    return Polynomial(tuple(sol[: n + 1])), float(sol[n + 1])
+            assert candidates.tolist() == alternating_extrema(row)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 40, 70])
@@ -523,7 +466,7 @@ def test_leveled_solve_matches_the_rebuilt_system_bit_for_bit(n, rng):
         coefs, levels, errors = _leveled_solves(points, values, n)
         assert coefs.shape == (len(stack), n + 1) and levels.shape == (len(stack),) and not errors
         for row, (coef, level) in enumerate(zip(coefs, levels)):
-            ref_poly, ref_level = _leveled_solve_rebuilt(points[row], values[row], n)
+            ref_poly, ref_level = leveled_solve(points[row], values[row], n)
             assert coef.tobytes() == np.array(ref_poly.coefficients).tobytes()
             assert np.float64(level).tobytes() == np.float64(ref_level).tobytes()
 
@@ -536,7 +479,7 @@ def test_a_singular_system_fails_only_its_own_row():
     assert list(errors) == [1] and isinstance(errors[1], np.linalg.LinAlgError)
     assert np.isnan(coefs[1]).all() and np.isnan(levels[1])
     for row in (0, 2):
-        ref_poly, ref_level = _leveled_solve_rebuilt(points[row], values[row], 1)
+        ref_poly, ref_level = leveled_solve(points[row], values[row], 1)
         assert coefs[row].tobytes() == np.array(ref_poly.coefficients).tobytes()
         assert levels[row] == ref_level
 

@@ -99,6 +99,12 @@ def test_every_sampling_experiment_has_a_trace(experiment, capsys):
         assert code == 0 and out.split("\n", 1)[0] == "level,radius,direction_index,quotient"
 
 
+def test_a_ball_just_above_its_sphere_band_still_traces(capsys):
+    # the config takes any r above 1e-12, where the base point is off its sphere
+    assert main(["trace", "--experiment", "ball_coderiv_theorem_3_1", "--r", "2e-12"]) == 0
+    assert capsys.readouterr().out.startswith("level,radius,direction_index,quotient\n")
+
+
 def test_overrides_keep_their_types_in_the_config_echo(tmp_path):
     out = tmp_path / "r.json"
     argv = ["run", "--experiment", "determinants_lemma_4_5", "--p", "3", "--N", "5", "--r0", "0.25",
@@ -158,7 +164,11 @@ def test_run_experiment_rejects_unknown():
         ["run", "--experiment", "ball_theorem_4_1", "--K", "45"],
         ["run", "--experiment", "ball_theorem_4_1", "--K", "60"],
         ["run", "--experiment", "ball_theorem_4_1", "--K", "1100"],
+        # at r <= 1e-12 the whole ball lies inside its own sphere band
+        ["run", "--experiment", "ball_coderiv_theorem_3_1", "--r", "1e-13"],
+        ["run", "--experiment", "ball_coderiv_theorem_3_1", "--r", "1e-300"],
         ["trace", "--experiment", "cone_lp_theorem_4_2", "--M", "9"],
+        ["trace", "--experiment", "ball_theorem_4_1", "--r", "1e-12"],
     ],
     ids=lambda argv: " ".join(argv[2:]),
 )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import reference_oracle as ref
 from projderiv.coderivatives import (
     CONE_PROJ,
     ORACLE_ONLY,
@@ -776,21 +777,16 @@ def test_scaling_direction_report_values():
 
 
 def _per_step_scaling_report(f, degree, mu, gamma):
-    """The scaling path's report as it was computed step by step: two
-    `pairing` calls per step over its own sup-norm denominator, and its own
-    Richardson step on ten steps from lambda = 0.05, halving. Frozen as the
-    reference of the oracle-ray formulas."""
+    """The scaling path's report step by step: the reference oracle's
+    one-row quotient at each of ten steps from lambda = 0.05, halving, and
+    its Richardson step."""
     lams = [0.05 * 0.5**j for j in range(10)]
     rows = np.array([f.values] + [(1.0 + lam) * f.values for lam in lams])
     fitted_rows = chebyshev.fits_on_grid(f.space, chebyshev.remez_rows(f.space, rows, degree))
     p_grid = fitted_rows[0]
-    quotients = []
-    for g_values, q_grid in zip(rows[1:], fitted_rows[1:]):
-        g = PrimalVector(f.space, g_values)
-        num = pairing(mu, g - f) - pairing(gamma, PrimalVector(f.space, q_grid - p_grid))
-        den = float(np.max(np.abs(g.values - f.values)) + np.max(np.abs(q_grid - p_grid)))
-        quotients.append(num / den)
-    limit = float((quotients[-1] - 0.5 * quotients[-2]) / (1.0 - 0.5))
+    base = GraphPoint(f, PrimalVector(f.space, p_grid))
+    steps = [(PrimalVector(f.space, g), PrimalVector(f.space, q)) for g, q in zip(rows[1:], fitted_rows[1:])]
+    limit = float(ref.richardson(np.array([ref.quotient(base, g, q, mu, gamma) for g, q in steps])))
     predicted = pairing(mu, f) / (norm(f) + float(np.max(np.abs(p_grid))))
     excluded = None
     if dual_norm(mu - gamma) <= 1e-12 * (1.0 + dual_norm(mu)):

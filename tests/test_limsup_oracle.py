@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import frozen_pass
+import reference_oracle as ref
 from projderiv.coderivatives import (
     SPHERE_BAND,
     MapDescriptor,
@@ -30,7 +30,6 @@ from projderiv.limsup_oracle import (
     directed_ray_limit,
     estimate_limsup,
     membership_test,
-    quotient,
     sample_base,
     tolerance_pair,
     trace_to_csv,
@@ -50,7 +49,6 @@ from projderiv.spaces import (
     norm_rows,
     norming_direction,
     pairing,
-    pairing_rows,
     primal,
 )
 
@@ -68,12 +66,12 @@ def test_quotient_identity_map_is_zero(rng):
     w = dual(L24, [1, 2, 0, 0])
     for _ in range(10):
         u = primal(L24, rng.normal(size=4) * 0.1)
-        assert quotient(identity, base, u, identity.value(u), w, w) == 0.0
+        assert ref.quotient(base, u, identity.value(u), w, w) == 0.0
     translation = _translation(L24)
     base_t = GraphPoint.at_point(translation, PrimalVector.zero(L24))
     for _ in range(10):
         u = primal(L24, rng.normal(size=4) * 0.1)
-        q = quotient(translation, base_t, u, translation.value(u), w, w)
+        q = ref.quotient(base_t, u, translation.value(u), w, w)
         assert abs(q) <= 1e-14
 
 
@@ -82,7 +80,7 @@ def test_quotient_zero_denominator():
     base = GraphPoint.at_point(mapd, PrimalVector.zero(L24))
     w = dual(L24, [1, 0, 0, 0])
     with pytest.raises(ZeroDivisionError):
-        quotient(mapd, base, base.x, base.y, w, w)
+        ref.quotient(base, base.x, base.y, w, w)
     # a zero extra ray puts one sample of every level on the base point
     sched = SamplingSchedule(extra_rays=(PrimalVector.zero(L24),))
     with pytest.raises(ZeroDivisionError):
@@ -110,7 +108,7 @@ def test_ball_exterior_quotients_small_for_closed_form(rng):
         d /= np.linalg.norm(d)
         u = primal(sp, x.values + 1e-4 * d)
         v = mapd.value(u)
-        assert quotient(mapd, base, u, v, xs, ys) <= 1e-3
+        assert ref.quotient(base, u, v, xs, ys) <= 1e-3
 
 
 def test_graph_point_checked():
@@ -166,7 +164,7 @@ def test_trace_columns_hold_every_sample():
     for k in range(5):
         assert np.array_equal(trace.vs[k], mapd.value_batch(trace.us[k]))
         for u, v, q in zip(trace.us[k], trace.vs[k], trace.quotients[k]):
-            expected = quotient(mapd, base, primal(L24, u), primal(L24, v), xs, ys)
+            expected = ref.quotient(base, primal(L24, u), primal(L24, v), xs, ys)
             assert abs(q - expected) <= 1e-12 * max(abs(expected), 1e-300)
 
 
@@ -223,12 +221,12 @@ def test_a_shared_pass_gives_every_candidate_its_fresh_estimate(name):
     shared += [limsup_oracle._estimate(samples, cands[0], c) for c in cands[1:]]
     fresh = [estimate_limsup(mapd, base, c, c, sched) for c in cands]
     fresh += [estimate_limsup(mapd, base, cands[0], c, sched) for c in cands[1:]]
-    frozen = frozen_pass.sample_base(mapd, [base], sched)
+    reference = ref.sample_pass(mapd, base, sched)
     for a, b in zip(shared, fresh):
         _same_estimate(a, b)
         # the trace holds the pass's rows (its one base's), written in place
         # by the walk, and nothing more
-        assert np.array_equal(a.trace.us, frozen.us[0]) and np.array_equal(a.trace.vs, frozen.vs[0])
+        assert np.array_equal(a.trace.us, reference.us) and np.array_equal(a.trace.vs, reference.vs)
         assert a.trace.us.flags.owndata and a.trace.vs.flags.owndata
     for c in cands[:2]:
         _same_estimate(membership_test(mapd, base, c, c, sched), membership_test(mapd, base, c, c, sched))
@@ -246,30 +244,6 @@ def test_shared_base_samples_give_every_query_its_fresh_verdict():
             assert is_fixed_point(samples, cand, mode=mode) == is_fixed_point(fresh, cand, mode=mode)
 
 
-def _two_diff(a, b):
-    s = a - b
-    bv = s - a
-    av = s - bv
-    return s, (a - av) - (b + bv)
-
-
-def _audit_spread_per_candidate(mapd, base, sched, ystar):
-    # reference: the audit spread computed from scratch for one candidate,
-    # on the finest level of a fresh pass, pairing the increments, their
-    # difference and the TwoDiff shift
-    fresh = frozen_pass.sample_base(mapd, [base], sched)
-    us, vs = fresh.us[0, -1], fresh.vs[0, -1]
-    du = us - base.x.values[None, :]
-    dv = vs - base.y.values[None, :]
-    den = norm_rows(base.x.space, du) + norm_rows(base.x.space, dv)
-    f1 = (pairing_rows(ystar, du) - pairing_rows(ystar, dv)) / den
-    f2 = pairing_rows(ystar, du - dv) / den
-    a, ea = _two_diff(us, vs)
-    b, eb = _two_diff(base.x.values, base.y.values)
-    f3 = pairing_rows(ystar, (a - b) + (ea - eb)) / den
-    return np.maximum(np.maximum(np.abs(f1 - f2), np.abs(f1 - f3)), np.abs(f2 - f3))
-
-
 @pytest.mark.parametrize("name", ["ball p=2 exterior", "ball p=3 exterior", "cone", "l1 exterior", "affine"])
 def test_shared_audit_rows_give_every_candidate_its_per_candidate_spread(name):
     mapd, x, sched = SHARED_PASS_BASES[name]
@@ -278,11 +252,12 @@ def test_shared_audit_rows_give_every_candidate_its_per_candidate_spread(name):
     w = _some_dual(mapd.space)
     limsup_oracle._estimate(samples, w, w)
     rows = samples.audit
+    finest = ref.sample_pass(mapd, base, sched)  # each candidate's spread alone on its finest level
     rng = np.random.default_rng(23)
     for _ in range(5):
         ystar = dual(mapd.space, rng.uniform(-1.5, 1.5, size=mapd.space.size))
-        assert np.array_equal(quotient_forms_spread(ystar, rows)[0],
-                              _audit_spread_per_candidate(mapd, base, sched, ystar))
+        want = ref.audit_spread(mapd.space, x.values, base.y.values, finest.us[-1], finest.vs[-1], ystar.values[None])
+        assert np.array_equal(quotient_forms_spread(ystar, rows), want)
 
 
 @pytest.mark.parametrize("name", ["ball p=2 exterior", "poly with extra rays"])
@@ -307,12 +282,11 @@ def test_a_shared_pass_and_its_trace_are_read_only(name):
             array[0, 0, 0] = 0.0
 
 
-
 @pytest.mark.parametrize("name", sorted(SHARED_PASS_BASES))
 def test_the_audit_rows_are_the_finest_level_of_the_pass(name, monkeypatch):
     mapd, x, sched = SHARED_PASS_BASES[name]
     base = GraphPoint.at_point(mapd, x)
-    frozen = frozen_pass.sample_base(mapd, [base], sched)
+    reference = ref.sample_pass(mapd, base, sched)
     samples = sample_base(mapd, base, sched)
     # the audit reads the rows of a walk, and none has run yet
     with pytest.raises(RuntimeError, match="none has run"):
@@ -328,9 +302,9 @@ def test_the_audit_rows_are_the_finest_level_of_the_pass(name, monkeypatch):
     monkeypatch.setattr(MapDescriptor, "value_batch", refused)
     rows = samples.audit
     assert samples.audit is rows
-    assert np.array_equal(rows.du, frozen.us[:, -1] - x.values)
-    assert np.array_equal(rows.dv, frozen.vs[:, -1] - base.y.values)
-    assert np.array_equal(rows.den, frozen.dens[:, -1])
+    assert np.array_equal(rows.du, (reference.us[-1] - x.values)[None])
+    assert np.array_equal(rows.dv, (reference.vs[-1] - base.y.values)[None])
+    assert np.array_equal(rows.den, reference.dens[-1][None])
     for array in vars(rows).values():
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0.0
@@ -375,19 +349,10 @@ def test_passes_from_the_shared_draw_block_equal_fresh_passes(monkeypatch):
             walked, walked_fresh = walk(samples), walk(fresh)
             for field in ("radii", "us", "vs", "quotients"):
                 assert np.array_equal(getattr(walked, field), getattr(walked_fresh, field))
-            frozen = frozen_pass.sample_base(samples.map, samples.bases, samples.schedule)
-            assert np.array_equal(walked.us, frozen.us[0]) and np.array_equal(walked.vs, frozen.vs[0])
+            reference = ref.sample_pass(samples.map, samples.base, samples.schedule)
+            assert np.array_equal(walked.us, reference.us) and np.array_equal(walked.vs, reference.vs)
 
     equal_fresh(shared)
-    # the walked rows are the plain u = x + r * d of each level
-    samples = shared[0]
-    space, x = samples.map.space, samples.base.x.values
-    unit_extra = extra[0].values / norm(extra[0])
-    us = walk(samples).us
-    for level, radius in enumerate(samples.radii.tolist()):
-        dirs = np.random.default_rng([12, level]).standard_normal((32, 16))
-        dirs = dirs / norm_rows(space, dirs)[:, None]
-        assert np.array_equal(us[level], x[None, :] + radius * np.vstack([dirs, unit_extra]))
 
     # bases in a p = 2, 3, 2 order on one schedule: it computes the norms of
     # the block once per space, one norm_rows call per block of levels (one
@@ -452,7 +417,7 @@ BLOCK_CASES = _block_cases()
 def test_the_blocked_pass_gives_the_per_level_quotients_bit_for_bit(name, monkeypatch):
     mapd, x, sched, xstar, ystar, calls = BLOCK_CASES[name]
     base = GraphPoint.at_point(mapd, x)
-    frozen = frozen_pass.sample_base(mapd, [base], sched)
+    reference = ref.sample_pass(mapd, base, sched)
     walk, size = limsup_oracle._block_quotients, mapd.space.size
     sizes = []
 
@@ -461,49 +426,12 @@ def test_the_blocked_pass_gives_the_per_level_quotients_bit_for_bit(name, monkey
             sizes.append(quotients.size * size)  # the entries of the block's rows
             yield quotients
 
-    def per_level(k):
-        du, dv, dens = limsup_oracle._increments(
-            mapd.space, x.values, base.y.values, frozen.us[0, k], frozen.vs[0, k], frozen.dens[0, k]
-        )
-        return limsup_oracle._quotients(mapd.space, xstar.values[None], ystar.values[None], du[None], dv[None], dens)[0]
-
     monkeypatch.setattr(limsup_oracle, "_block_quotients", counted)
     est = estimate_limsup(mapd, base, xstar, ystar, sched)
-    reference = np.stack([per_level(k) for k in range(sched.levels)])
-    assert np.array_equal(est.trace.quotients, reference)
-    whole = frozen_pass.quotients(mapd.space, frozen, xstar.values[None, None], ystar.values[None, None])
-    assert np.array_equal(est.trace.quotients, whole[0, 0])
-    assert len(sizes) == calls and sum(sizes) == frozen.us.size
-    assert max(sizes) <= max(limsup_oracle.QUOTIENT_BLOCK, frozen.us[0, 0].size)
-
-
-def _per_level_pass(mapd, base, schedule):
-    """Reference: the rows of a pass built one level at a time, each level's
-    direction norms, values and denominators from its own rows."""
-    space, dim = mapd.space, mapd.space.size
-    x, y = base.x.values, base.y.values
-    extra = np.empty((0, dim))
-    if schedule.extra_rays:
-        extra = np.stack([ray.values for ray in schedule.extra_rays])
-        extra_norms = norm_rows(space, extra)
-        extra = extra / np.where(extra_norms == 0.0, 1.0, extra_norms)[:, None]
-    levels, dirs = schedule.levels, schedule.dirs_per_level
-    radii = np.empty(levels)
-    us = np.empty((levels, dirs + len(extra), dim))
-    vs = np.empty_like(us)
-    dens = np.empty(us.shape[:2])
-    for level in range(levels):
-        draws = np.random.default_rng([schedule.seed, level]).standard_normal((dirs, dim))
-        dir_norms = norm_rows(space, draws)
-        dir_norms[dir_norms == 0.0] = 1.0
-        radii[level] = schedule.r0 * 2.0 ** (-level)
-        np.divide(draws, dir_norms[:, None], out=us[level, :dirs])
-        us[level, dirs:] = extra
-        us[level] *= radii[level]
-        us[level] += x
-        vs[level] = mapd.value_batch(us[level])
-        dens[level] = norm_rows(space, us[level] - x[None, :]) + norm_rows(space, vs[level] - y[None, :])
-    return radii, us, vs, dens
+    want = ref.pass_quotients(mapd.space, base, reference, xstar.values[None], ystar.values[None])
+    assert np.array_equal(est.trace.quotients, want[0])
+    assert len(sizes) == calls and sum(sizes) == reference.us.size
+    assert max(sizes) <= max(limsup_oracle.QUOTIENT_BLOCK, reference.us[0].size)
 
 
 def _pass_cases():
@@ -535,10 +463,7 @@ PASS_CASES = _pass_cases()
 def test_the_block_built_pass_gives_the_per_level_rows_bit_for_bit(name, monkeypatch):
     mapd, x, sched = PASS_CASES[name]
     base = GraphPoint.at_point(mapd, x)
-    radii, us, vs, dens = _per_level_pass(mapd, base, sched)
-    frozen = frozen_pass.sample_base(mapd, [base], replace(sched))
-    for field, expected in zip(("radii", "us", "vs", "dens"), (radii, us[None], vs[None], dens[None])):
-        assert np.array_equal(getattr(frozen, field), expected), field
+    radii, us, vs, dens = ref.sample_pass(mapd, base, sched)
     value_batch = MapDescriptor.value_batch
     sizes = []
 
@@ -554,11 +479,9 @@ def test_the_block_built_pass_gives_the_per_level_rows_bit_for_bit(name, monkeyp
     assert np.array_equal(samples.radii, radii) and np.array_equal(trace.radii, radii)
     assert np.array_equal(trace.us, us) and np.array_equal(trace.vs, vs)
     monkeypatch.undo()
-    for field, got, want in zip(("us", "vs", "dens"), frozen_pass.walked_rows(samples), (us, vs, dens)):
+    for field, got, want in zip(("us", "vs", "dens"), ref.walked_rows(samples), (us, vs, dens)):
         assert np.array_equal(got[0], want), field
-    level = us[0].size
-    assert sum(sizes) == us.size
-    assert max(sizes) <= max(limsup_oracle.QUOTIENT_BLOCK, level)
+    assert sum(sizes) == us.size and max(sizes) <= max(limsup_oracle.QUOTIENT_BLOCK, us[0].size)
     # the whole pass is one block at the default shape; one level at N = 16,
     # S = 1024 and on these grids
     assert len(sizes) == (1 if us.size <= limsup_oracle.QUOTIENT_BLOCK else sched.levels)
@@ -635,23 +558,6 @@ def test_the_stacked_rays_give_the_per_ray_limit_bit_for_bit():
     assert raised >= 4
 
 
-def _ray_start_by_halving(mapd, base, direction):
-    # reference: one ray at a time, each probe built as a vector and tested
-    # alone; None where the ray leaves the branch at every tested scale or a
-    # probe is not finite
-    t = RAY_T0
-    for _ in range(60):
-        with np.errstate(over="ignore"):
-            try:
-                probe = base.x + t * direction
-            except ValueError:
-                return None
-        if mapd.same_branch(base.x.values, probe.values[None, :])[0]:
-            return t
-        t *= 0.5
-    return None
-
-
 def _ray_start_cases():
     """(name, map, base point, rays), each with rays that start at RAY_T0
     and rays that need halvings."""
@@ -685,9 +591,10 @@ def test_the_batched_ray_starts_equal_a_per_ray_halving_loop():
     for name, mapd, x, rays in _ray_start_cases():
         base = GraphPoint.at_point(mapd, x)
         starts = limsup_oracle._ray_starts(mapd, base.x.values, np.stack([ray.values for ray in rays]))
-        reference = [_ray_start_by_halving(mapd, base, ray) for ray in rays]
-        assert [None if np.isnan(t) else t for t in starts.tolist()] == reference, name
-        halved += sum(t < RAY_T0 for t in reference)
+        # the reference halves one ray at a time
+        reference = np.concatenate([ref.ray_starts(mapd, x.values, ray.values[None]) for ray in rays])
+        assert np.array_equal(starts, reference, equal_nan=True), name
+        halved += np.sum(reference < RAY_T0)
     # the near-sphere balls, the small cone coordinates and the l_1 ball at
     # 1.004 start rays below RAY_T0
     assert halved >= 10
@@ -742,7 +649,7 @@ def test_rays_that_never_start_are_skipped_and_raise_alone():
         never = primal(space, never)
         starts = limsup_oracle._ray_starts(mapd, base.x.values, np.stack([never.values, good.values]))
         assert np.isnan(starts[0]) and starts[1] == RAY_T0
-        assert _ray_start_by_halving(mapd, base, never) is None
+        assert np.isnan(ref.ray_starts(mapd, base.x.values, never.values[None])).all()
         both = np.stack([never.values, good.values])
         skipped = membership_test(mapd, base, phi, phi, sched, both)
         alone = membership_test(mapd, base, phi, phi, sched, good.values[None])
@@ -830,7 +737,7 @@ def test_ray_limit_is_the_richardson_step_of_quotient(kind):
     qs = []
     for j in range(RAY_STEPS):
         u = base.x + (RAY_T0 * RAY_RATIO**j) * direction
-        qs.append(quotient(mapd, base, u, mapd.value(u), xs, ys))
+        qs.append(ref.quotient(base, u, mapd.value(u), xs, ys))
     expected = (qs[-1] - RAY_RATIO * qs[-2]) / (1.0 - RAY_RATIO)
     assert expected != 0.0
     limit = directed_ray_limit(mapd, base, xs, ys, direction)

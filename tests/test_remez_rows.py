@@ -1,4 +1,4 @@
-"""`remez_rows` against the one-row exchange it replaced, bit for bit."""
+"""`remez_rows`, its trims and its sampler against `reference_exchange.py`, bit for bit."""
 
 import numpy as np
 import pytest
@@ -6,157 +6,16 @@ from numpy.polynomial import polynomial as npoly
 
 from projderiv import chebyshev
 from projderiv.chebyshev import (
-    KIND_C01,
     Polynomial,
     RemezConvergenceError,
-    RemezResult,
-    _grid_powers,
     _sample_values,
-    _single_exchange,
-    chebyshev_points,
     remez,
     remez_rows,
 )
-from frozen_exchange import alternating_extrema_row, polish_point, trim_reference_heap
 from projderiv.coderivatives import poly_projection_map
 from projderiv.experiments import resolve_config, run_experiment
 from projderiv.spaces import QUOTIENT_BLOCK, c01_space, primal
-
-
-# The one-row exchange as it was before the rows were stacked, kept as the
-# reference that remez_rows must reproduce in every field. It splits the
-# sign runs one row at a time, trims by the heap and polishes point by point
-# (the frozen references of frozen_exchange.py), samples off the grid by the
-# scalar three-node parabola below, shares only the single exchange with the
-# package, and evaluates its polynomials by numpy's polyval.
-def _leveled_solve_one(points, values, n):
-    system = np.empty((n + 2, n + 2))
-    system[:, : n + 1] = points[:, None] ** np.arange(n + 1)
-    system[:, n + 1] = (-1.0) ** np.arange(n + 2)
-    sol = np.linalg.solve(system, values)
-    return Polynomial(tuple(sol[: n + 1])), float(sol[n + 1])
-
-
-def _sample_value_three_nodes(f, t):
-    grid = f.space.grid
-    g = grid.size
-    h = 1.0 / (g - 1)
-    j = int(round(float(t) * (g - 1)))
-    j = min(max(j, 1), g - 2)
-    t0, t1, t2 = grid[j - 1], grid[j], grid[j + 1]
-    f0, f1, f2 = f.values[j - 1], f.values[j], f.values[j + 1]
-    d = float(t)
-    l0 = (d - t1) * (d - t2) / (2 * h * h)
-    l1 = -(d - t0) * (d - t2) / (h * h)
-    l2 = (d - t0) * (d - t1) / (2 * h * h)
-    return float(f0 * l0 + f1 * l1 + f2 * l2)
-
-
-def _sample_value_one(f, t):
-    # a point on a node reads that node's value
-    grid = f.space.grid
-    j = int(round(float(t) * (grid.size - 1)))
-    if 0 <= j < grid.size and grid[j] == t:
-        return float(f.values[j])
-    return _sample_value_three_nodes(f, t)
-
-
-def _remez_one_row(f, n, max_iterations=chebyshev.REMEZ_MAX_ITERATIONS):
-    assert f.space.kind == KIND_C01
-    grid = f.space.grid
-    g = grid.size
-    fv = f.values
-    scale = 1.0 + float(np.max(np.abs(fv)))
-    ref_idx = sorted({int(round(t * (g - 1))) for t in chebyshev_points(n + 2)})
-    k = 0
-    while len(ref_idx) < n + 2:
-        if k not in ref_idx:
-            ref_idx.append(k)
-            ref_idx.sort()
-        k += 1
-    vander, basis = _grid_powers(f.space, n)
-    if np.max(np.abs(fv - basis @ (basis.T @ fv))) <= 1e-9 * scale:
-        ls_coef, *_ = np.linalg.lstsq(vander, fv, rcond=None)
-        ls_resid = fv - vander @ ls_coef
-        if np.max(np.abs(ls_resid)) <= 1e-12 * scale:
-            ref = chebyshev_points(n + 2)
-            poly = Polynomial(tuple(ls_coef))
-            return RemezResult(
-                polynomial=poly,
-                error=float(np.max(np.abs(ls_resid))),
-                reference=tuple(float(t) for t in ref),
-                reference_values=tuple(_sample_value_one(f, t) for t in ref),
-                residual_signs=tuple(int(s) for s in (-1.0) ** np.arange(n + 2)),
-                iterations=0,
-                level_history=(),
-                discrete_reference=tuple(ref_idx),
-                discrete_polynomial=poly,
-            )
-    history = []
-    poly = None
-    level = 0.0
-    solved = None
-    for _ in range(1, max_iterations + 1):
-        poly, level = solved or _leveled_solve_one(grid[ref_idx], fv[ref_idx], n)
-        solved = None
-        history.append(abs(level))
-        residual = fv - npoly.polyval(grid, poly.coefficients)
-        max_resid = float(np.max(np.abs(residual)))
-        if max_resid - abs(level) <= chebyshev.REMEZ_TOL * max(1.0, abs(level)):
-            break
-        candidates = alternating_extrema_row(residual)
-        if len(candidates) < n + 2:
-            ref_idx = _single_exchange(ref_idx, residual)
-            continue
-        new_idx = trim_reference_heap(candidates, residual, n + 2)
-        if new_idx == ref_idx:
-            break
-        trial = _leveled_solve_one(grid[new_idx], fv[new_idx], n)
-        if abs(trial[1]) >= abs(level) - 1e-14 * scale:
-            ref_idx, solved = new_idx, trial
-        else:
-            ref_idx = _single_exchange(ref_idx, residual)
-    else:
-        raise RemezConvergenceError(f"no convergence in {max_iterations} iterations", tuple(history))
-    discrete_reference, discrete_polynomial = tuple(ref_idx), poly
-    ref_pts = [float(grid[j]) for j in ref_idx]
-    ref_vals = [float(fv[j]) for j in ref_idx]
-    residual = fv - npoly.polyval(grid, poly.coefficients)
-    polished_pts, polished_vals = [], []
-    for j in ref_idx:
-        t_star = polish_point(grid, residual, j)
-        if t_star is None:
-            polished_pts.append(float(grid[j]))
-            polished_vals.append(float(fv[j]))
-        else:
-            polished_pts.append(t_star)
-            polished_vals.append(_sample_value_one(f, t_star))
-    order = np.argsort(polished_pts)
-    polished_pts = [polished_pts[i] for i in order]
-    polished_vals = [polished_vals[i] for i in order]
-    if len(set(polished_pts)) == n + 2:
-        polished = np.array([polished_pts, polished_vals])
-        if polished.tobytes() == np.array([ref_pts, ref_vals]).tobytes():
-            poly2, level2 = poly, level
-        else:
-            poly2, level2 = _leveled_solve_one(polished[0], polished[1], n)
-        if abs(level2) >= abs(level) - chebyshev.REMEZ_TOL * max(1.0, abs(level)):
-            poly, level = poly2, abs(level2)
-            ref_pts, ref_vals = polished_pts, polished_vals
-            history.append(abs(level2))
-    level = abs(level)
-    resid_at_ref = np.array(ref_vals) - npoly.polyval(np.array(ref_pts), poly.coefficients)
-    return RemezResult(
-        polynomial=poly,
-        error=float(level),
-        reference=tuple(ref_pts),
-        reference_values=tuple(ref_vals),
-        residual_signs=tuple(int(s) if s != 0 else 1 for s in np.sign(resid_at_ref)),
-        iterations=len(history),
-        level_history=tuple(history),
-        discrete_reference=discrete_reference,
-        discrete_polynomial=discrete_polynomial,
-    )
+from reference_exchange import remez_one_row, sample_value, trim_reference
 
 
 def _bits(x):
@@ -212,7 +71,7 @@ def test_remez_rows_matches_the_one_row_exchange_bit_for_bit(grid_size, monkeypa
         got = remez_rows(space, rows, n)
         assert len(got) == len(rows)
         for row, fit in zip(rows, got):
-            assert_same_result(fit, _remez_one_row(primal(space, row), n))
+            assert_same_result(fit, remez_one_row(primal(space, row), n))
             iterations.add(fit.iterations)
     # the batches hold rows already in the class, rows that converge at
     # different iterations, and rows that take the single exchange
@@ -232,7 +91,7 @@ def test_remez_rows_matches_the_one_row_exchange_on_plateaus():
             levels = rng.integers(0, 3, size=(6, grid_size)).astype(float)
             rows = np.concatenate([steps, levels])
             for row, fit in zip(rows, remez_rows(space, rows, n)):
-                assert_same_result(fit, _remez_one_row(primal(space, row), n))
+                assert_same_result(fit, remez_one_row(primal(space, row), n))
 
 
 def test_remez_rows_of_an_empty_batch_is_empty():
@@ -256,7 +115,7 @@ def test_remez_rows_raises_with_the_first_failing_rows_trace(order, monkeypatch)
     traces = []
     for row in rows[1:]:
         with pytest.raises(RemezConvergenceError) as err:
-            _remez_one_row(primal(space, row), 2, max_iterations=1)
+            remez_one_row(primal(space, row), 2, max_iterations=1)
         traces.append(err.value.trace)
     assert traces[0] != traces[1]
     monkeypatch.setattr(chebyshev, "REMEZ_MAX_ITERATIONS", 1)
@@ -273,7 +132,7 @@ def test_the_polynomial_maps_values_are_the_one_row_fits_on_the_grid(grid_size):
     values = poly_projection_map(space, 2).value_batch(rows)
     assert values.shape == rows.shape
     for row, value in zip(rows, values):
-        want = npoly.polyval(space.grid, _remez_one_row(primal(space, row), 2).polynomial.coefficients)
+        want = npoly.polyval(space.grid, remez_one_row(primal(space, row), 2).polynomial.coefficients)
         assert value.tobytes() == want.tobytes()
     assert poly_projection_map(space, 2).value_batch(np.empty((0, grid_size))).shape == (0, grid_size)
 
@@ -299,7 +158,7 @@ def test_the_sampler_is_the_scalar_three_node_parabola_and_exact_at_nodes(grid_s
     t = rng.uniform(0.0, 1.0, size=(4, 16))
     got = _sample_values(space.grid, values, t)
     for row, points, sampled in zip(values, t, got):
-        want = [_sample_value_three_nodes(primal(space, row), point) for point in points]
+        want = [sample_value(primal(space, row), point) for point in points]
         assert sampled.tobytes() == np.array(want).tobytes()
     # a row of values with its own points
     assert _sample_values(space.grid, values[0], t[0]).tobytes() == got[0].tobytes()
@@ -314,10 +173,10 @@ def test_a_call_over_several_blocks_raises_the_first_blocks_polish_error(monkeyp
     # three blocks of at most 3 rows: the first row's polish moves its
     # reference, and the noisy last row does not converge within the budget
     assert len(rows) > 2 * (QUOTIENT_BLOCK // space.grid.size)
-    first = _remez_one_row(primal(space, rows[0]), n, max_iterations=budget)
+    first = remez_one_row(primal(space, rows[0]), n, max_iterations=budget)
     assert first.reference != tuple(space.grid[list(first.discrete_reference)])
     with pytest.raises(RemezConvergenceError) as last:
-        _remez_one_row(primal(space, rows[-1]), n, max_iterations=budget)
+        remez_one_row(primal(space, rows[-1]), n, max_iterations=budget)
     monkeypatch.setattr(chebyshev, "REMEZ_MAX_ITERATIONS", budget)
     with pytest.raises(RemezConvergenceError) as got:
         remez_rows(space, rows, n)
@@ -360,4 +219,4 @@ def test_the_structural_experiments_trims_match_the_heap(grid_size, monkeypatch)
     assert len(trims) > 100 and max(len(candidates) for candidates, *_ in trims) > grid_size // 8
     for candidates, mags, target, kept in trims:
         # the heap reads only the magnitudes of the residual it is given
-        assert kept == trim_reference_heap(candidates.tolist(), mags, target)
+        assert kept == trim_reference(candidates.tolist(), mags, target)

@@ -1,26 +1,22 @@
-"""The row forms of the closed-form side of an oracle run against scalar
-references, bit for bit.
+"""The row forms of the closed-form side of an oracle run against the
+one-vector formulas of the reference oracle, bit for bit.
 
 `dual_norm_rows` and `norming_rows` take an (m, size) array of candidates at
 once, and `MapDescriptor.expected_image` and `registry_rays` a (bases, m,
-size) stack of them, here a stack of one base. Each must give
-every row the bits that the one-vector formulas below give it alone: one
-scalar power ||w||^(q-2) per row, and <w, x> as the `np.dot` of one pairing.
-The magnitudes 0, 1e-310, 1e-200, 1 and 1e200 reach the rescaled duality
+size) stack of them, here a stack of one base. Each must give every row the
+bits that the one-vector formulas of `reference_oracle.py` give it alone:
+one scalar power ||w||^(q-2) per row, and <w, x> as the `np.dot` of one
+pairing. The magnitudes 0, 1e-310, 1e-200, 1 and 1e200 reach the rescaled duality
 formula and the rescaled norms.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
+import reference_oracle as ref
 from projderiv.coderivatives import (
-    AFFINE,
-    BALL_PROJ,
-    L1_BALL_PROJ,
     affine_map,
     ball_projection_map,
     cone_projection_map,
@@ -41,89 +37,6 @@ from projderiv.spaces import (
 MAGNITUDES = (0.0, 1e-310, 1e-200, 1.0, 1e200)
 COUNTS = (1, 7, 21)
 SPACES = [lp_space(p, 5) for p in (1.5, 2.0, 3.0, 6.0)] + [l1_space(5), c01_space(33)]
-
-
-# ---------------------------------------------------------------------------
-# scalar references: one vector at a time
-# ---------------------------------------------------------------------------
-
-def _ref_lp_norm(values, p):
-    """The p-norm of one vector: the power sum, or where it is 0 on a nonzero
-    vector or not finite, the power sum of the vector over its peak."""
-    mags = np.abs(values)[None, :]
-    with np.errstate(over="ignore"):
-        plain = ((mags**p).sum(axis=-1) ** (1.0 / p))[0]
-    if 0.0 < plain < math.inf or not values.any():
-        return plain
-    peak = mags.max()
-    return peak * (((mags / peak) ** p).sum(axis=-1) ** (1.0 / p))[0]
-
-
-def _ref_dual_norm(space, values):
-    if space.kind == "Lp":
-        return _ref_lp_norm(values, space.q)
-    if space.kind == "L1":
-        return float(np.max(np.abs(values)))
-    return float(np.sum(np.abs(values[np.flatnonzero(values)])))
-
-
-def _ref_duality_values(values, nv, p):
-    """|v_i|^(p-1) sign(v_i) / ||v||^(p-2) with a scalar power for the scale,
-    or the rescaled formula where that scale is not a normal float or the
-    plain formula is not finite."""
-    with np.errstate(over="ignore"):
-        scale = np.float64(nv) ** (p - 2.0)
-        if np.finfo(float).tiny <= scale < math.inf:
-            vals = np.abs(values) ** (p - 1.0) * np.sign(values) / scale
-            if np.isfinite(vals).all():
-                return vals
-    return nv * np.sign(values) * (np.abs(values) / nv) ** (p - 1.0)
-
-
-def _ref_norming(space, values):
-    nw = _ref_dual_norm(space, values)
-    if nw == 0.0:
-        return np.zeros(space.size)
-    if space.kind == "Lp":
-        q = space.q
-        j = values.copy() if q == 2.0 else _ref_duality_values(values, nw, q)
-        return j / nw
-    if space.kind == "L1":
-        n = int(np.argmax(np.abs(values)))
-        vals = np.zeros(space.size)
-        vals[n] = np.sign(values[n])
-        return vals
-    idx = np.flatnonzero(values)
-    return np.interp(space.grid, space.grid[idx], np.sign(values[idx]))
-
-
-def _ref_expected_image(mapd, x, ystar):
-    """The closed-form image of one y*, or None: the ball's exterior image
-    (r/||x||) (y* - (<y*, x>/||x||^2) J(x)) with <y*, x> one `np.dot`."""
-    space = mapd.space
-    if mapd.kind == AFFINE:
-        return ystar * float(mapd.scale)
-    if mapd.kind not in (BALL_PROJ, L1_BALL_PROJ):
-        return None
-    nx = _ref_lp_norm(x, space.p) if space.kind == "Lp" else float(np.sum(np.abs(x)))
-    gap = nx - mapd.radius
-    if abs(gap) <= 1e-12 * max(1.0, mapd.radius) or (mapd.kind == L1_BALL_PROJ and gap > 0):
-        return None
-    if gap < 0:
-        return ystar
-    jx = x.copy() if space.p == 2.0 else _ref_duality_values(x, nx, space.p)
-    coeff = float(np.dot(ystar, x)) / nx**2
-    return (ystar - jx * coeff) * float(mapd.radius / nx)
-
-
-def _ref_registry_ray(mapd, x, xstar, ystar):
-    expected = _ref_expected_image(mapd, x, ystar)
-    if expected is None:
-        return np.zeros(mapd.space.size)
-    diff = xstar - expected
-    if _ref_dual_norm(mapd.space, diff) > 1e-12 * (1.0 + _ref_dual_norm(mapd.space, ystar)):
-        return _ref_norming(mapd.space, diff)
-    return np.zeros(mapd.space.size)
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +64,15 @@ def _instances(space):
     x = np.linspace(1.0, -0.5, space.size)
     if space.kind == "C01":
         return [("polynomial", poly_projection_map(space, 1), x**3)]
-    instances = []
+    instances, nx = [], ref.norm(space, x)
     if space.kind == "Lp":
         ballm = ball_projection_map(space, 1.0)
-        nx = _ref_lp_norm(x, space.p)
         for name, radius in (("interior", 0.5), ("exterior", 3.0), ("far", 1e50)):
             instances.append((f"ball {name}", ballm, x * (radius / nx)))
         instances.append(("affine", affine_map(space, primal(space, 0.3 * x), 2.5), 0.2 * x))
         instances.append(("cone", cone_projection_map(space), x))
     else:
         l1ball = l1_ball_projection_map(space, 1.0)
-        nx = float(np.sum(np.abs(x)))
         for name, radius in (("interior", 0.5), ("exterior", 3.0)):
             instances.append((f"l1 ball {name}", l1ball, np.abs(x) * (radius / nx)))
     return instances
@@ -177,9 +88,9 @@ def test_dual_norms_and_norming_rows_are_the_vector_formulas(space, m):
     rng = np.random.default_rng(m)
     rows = _duals(space, m, rng)
     norms = dual_norm_rows(space, rows)
-    _assert_rows_equal(norms, np.array([_ref_dual_norm(space, w) for w in rows]), "dual norms")
+    _assert_rows_equal(norms, np.array([ref.dual_norm(space, w) for w in rows]), "dual norms")
     directions = norming_rows(space, rows, norms)
-    _assert_rows_equal(directions, np.stack([_ref_norming(space, w) for w in rows]), "norming rows")
+    _assert_rows_equal(directions, np.stack([ref.norming(space, w) for w in rows]), "norming rows")
 
 
 @pytest.mark.parametrize("m", COUNTS)
@@ -191,7 +102,7 @@ def test_expected_images_and_registry_rays_are_the_vector_formulas(space, m):
         ys = _duals(space, m, rng)
         images = mapd.expected_image([base], ys[None])
         images = images if images is None else images[0]
-        want = [_ref_expected_image(mapd, x, y) for y in ys]
+        want = [ref.expected_image(mapd, x, y) for y in ys]
         if want[0] is None:
             assert images is None, name
         else:
@@ -204,5 +115,5 @@ def test_expected_images_and_registry_rays_are_the_vector_formulas(space, m):
             xs[1::3] += images[1::3]
         for xrows, label in ((xs, "x* against y*"), (ys, "x* = y*")):
             rays = registry_rays(mapd, [base], xrows[None], ys[None])[0]
-            reference = np.stack([_ref_registry_ray(mapd, x, xw, y) for xw, y in zip(xrows, ys)])
+            reference = np.stack([ref.registry_ray(mapd, x, xw, y) for xw, y in zip(xrows, ys)])
             _assert_rows_equal(rays, reference, f"{name}: {label}")

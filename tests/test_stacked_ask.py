@@ -1,13 +1,14 @@
-"""`fixed_points.ask` over stacked passes against a frozen per-run reference.
+"""`fixed_points.ask` over stacked passes against the reference oracle.
 
 `ask` samples and answers every run of queries at one map that needs the
 oracle for equally many queries as one stacked pass, wherever the runs sit in
-the list. The reference below is the per-run pass the stack replaced: one
-pass sampled per run of consecutive queries at one base, and one oracle pass
-over that run's candidates, with one pairing slice per candidate
-(`_ref_pairing`) and the kink rays that start kept apart from those that do
-not. Every oracle entry (spread, scale, value and verdict) and every answer
-must be bit for bit the reference's.
+the list. The reference is the per-run pass the stack replaced: one pass of
+`reference_oracle.py` sampled per run of consecutive queries at one base, one
+level at a time, and the membership values, registry rays and audit spreads
+of that run's candidates, with one pairing slice per candidate and the kink
+rays that start kept apart from those that do not. Every oracle entry
+(spread, scale, value and verdict) and every answer must be bit for bit the
+reference's.
 """
 
 from __future__ import annotations
@@ -18,15 +19,10 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from frozen_pass import walked_rows
+import reference_oracle as ref
 from projderiv import fixed_points
 from projderiv.coderivatives import (
-    AFFINE,
-    BALL_PROJ,
-    CONE_PROJ,
-    L1_BALL_PROJ,
     MapDescriptor,
-    _sphere_side,
     affine_map,
     ball_projection_map,
     coderiv_ball_lp,
@@ -37,15 +33,10 @@ from projderiv.coderivatives import (
 from projderiv.fixed_points import FixedPointAuditError, Query, ask, is_fixed_point, registry_verdict
 from projderiv.limsup_oracle import (
     QUOTIENT_BLOCK,
-    RAY_HALVINGS,
-    RAY_RATIO,
     RAY_STEPS,
-    RAY_T0,
     Answer,
     GraphPoint,
     SamplingSchedule,
-    Verdict,
-    norming_rays,
     sample_base,
 )
 from projderiv.spaces import (
@@ -55,203 +46,18 @@ from projderiv.spaces import (
     c01_space,
     dual,
     dual_norm,
-    dual_norm_rows,
-    duality_map,
     l1_space,
     lp_space,
     norm,
-    norm_rows,
     primal,
 )
 
 # ---------------------------------------------------------------------------
-# the frozen per-run reference
+# the per-run reference
 # ---------------------------------------------------------------------------
 
 
-def _ref_level_blocks(shape, candidates):
-    levels, rows, size = shape
-    step = max(1, QUOTIENT_BLOCK // (rows * max(size, candidates)))
-    return [slice(lo, lo + step) for lo in range(0, levels, step)]
-
-
-def _ref_pairing(space, duals, rows):
-    """Each of m duals against a (k, ..., n, size) block, k = 1 or m: one
-    matrix-vector slice per dual, a measure over its own atoms."""
-    m, size = duals.shape
-    if space.kind == KIND_C01:
-        out = np.empty((m, *rows.shape[1:-1]))
-        for i, w in enumerate(duals):
-            idx = np.flatnonzero(w)
-            out[i] = rows[i if len(rows) > 1 else 0][..., idx] @ w[idx]
-        return out
-    return np.matmul(rows, duals.reshape(m, *(1,) * (rows.ndim - 3), size, 1))[..., 0]
-
-
-def _ref_quotients(space, xs, ys, du, dv, dens):
-    return (_ref_pairing(space, xs, du) - _ref_pairing(space, ys, dv)) / dens
-
-
-def _ref_richardson(qs):
-    return (qs[..., -1] - RAY_RATIO * qs[..., -2]) / (1.0 - RAY_RATIO)
-
-
-def _ref_sample(mapd, base, schedule):
-    """One base's pass: (us, vs, dens), indexed [level, row]."""
-    space, dim = mapd.space, mapd.space.size
-    extra = np.empty((0, dim))
-    if schedule.extra_rays:
-        extra = np.stack([ray.values for ray in schedule.extra_rays])
-        extra_norms = norm_rows(space, extra)
-        extra = extra / np.where(extra_norms == 0.0, 1.0, extra_norms)[:, None]
-    levels, dirs = schedule.levels, schedule.dirs_per_level
-    us = np.empty((levels, dirs + len(extra), dim))
-    for level in range(levels):
-        draws = np.random.default_rng([schedule.seed, level]).standard_normal((dirs, dim))
-        dir_norms = norm_rows(space, draws)
-        dir_norms[dir_norms == 0.0] = 1.0
-        us[level, :dirs] = draws / dir_norms[:, None]
-    us[:, dirs:] = extra
-    us *= np.array([schedule.r0 * 2.0 ** (-level) for level in range(levels)])[:, None, None]
-    us += base.x.values
-    vs = np.empty_like(us)
-    dens = np.empty(us.shape[:2])
-    for block in _ref_level_blocks(us.shape, 1):
-        vs[block] = mapd.value_batch(us[block].reshape(-1, dim)).reshape(us[block].shape)
-        dens[block] = norm_rows(space, us[block] - base.x.values) + norm_rows(space, vs[block] - base.y.values)
-    return us, vs, dens
-
-
-def _ref_same_branch(mapd, x, rows):
-    if mapd.kind in (BALL_PROJ, L1_BALL_PROJ):
-        inside = _sphere_side(norm_rows(mapd.space, rows), mapd.radius) <= 0
-        return inside == (_sphere_side(norm(x), mapd.radius) <= 0)
-    if mapd.kind == CONE_PROJ:
-        sx = np.sign(x.values)
-        active = sx != 0
-        return np.all(np.sign(rows[..., active]) == sx[active], axis=-1)
-    return np.ones(rows.shape[:-1], dtype=bool)
-
-
-def _ref_started_rays(mapd, base, directions):
-    """Which rays start in the base branch, and the rows of those that do."""
-    x = base.x.values
-    starts = np.full(len(directions), np.nan)
-    t = RAY_T0
-    with np.errstate(over="ignore"):
-        probes = x + t * directions
-    pending = np.flatnonzero(np.isfinite(probes).all(axis=-1))
-    probes = probes[pending]
-    for halving in range(RAY_HALVINGS):
-        if halving:
-            t *= 0.5
-            probes = x + t * directions[pending]
-        inside = _ref_same_branch(mapd, base.x, probes)
-        starts[pending[inside]] = t
-        pending = pending[~inside]
-        if not pending.size:
-            break
-    started = ~np.isnan(starts)
-    ts = starts[started][:, None] * RAY_RATIO ** np.arange(RAY_STEPS)
-    us = x + ts[:, :, None] * directions[started][:, None, :]
-    vs = mapd.value_batch(us.reshape(-1, us.shape[-1])).reshape(us.shape)
-    du, dv = us - x, vs - base.y.values
-    return started, (du, dv, norm_rows(mapd.space, du) + norm_rows(mapd.space, dv))
-
-
-def _ref_expected_image(mapd, base, ys):
-    """The closed-form image of each row of the (m, size) array `ys`, or None."""
-    if mapd.kind == AFFINE:
-        return ys * mapd.scale
-    side = _sphere_side(norm(base.x), mapd.radius) if mapd.kind in (BALL_PROJ, L1_BALL_PROJ) else 0.0
-    if mapd.kind == BALL_PROJ and side != 0:
-        if side < 0:
-            return ys
-        x, nx = base.x, norm(base.x)
-        coeffs = _ref_pairing(x.space, ys, x.values[None, None, :]) / nx**2
-        return (mapd.radius / nx) * (ys - coeffs * duality_map(x).values)
-    if mapd.kind == L1_BALL_PROJ and side < 0:
-        return ys
-    return None
-
-
-def _ref_registry_rays(mapd, base, xs, ys):
-    expected = _ref_expected_image(mapd, base, ys)
-    if expected is None:
-        return np.zeros(xs.shape)
-    return norming_rays(mapd.space, xs - expected, ys)
-
-
-def _ref_membership(mapd, base, sample, xs, ys, extra_rays):
-    """The extrapolated value and verdict of each candidate of one run."""
-    space = mapd.space
-    us, vs, dens = sample
-    sups = []
-    for block in _ref_level_blocks(us.shape, len(xs)):
-        du, dv = us[block] - base.x.values, vs[block] - base.y.values
-        sups.append(_ref_quotients(space, xs, ys, du[None], dv[None], dens[block]).max(axis=-1))
-    sups = np.concatenate(sups, axis=1)
-    values = np.where(sups[:, -1] > sups[:, -2], sups[:, -1], sups[:, -2])
-    norming = norming_rays(space, xs - ys, ys)
-    directions = np.concatenate([norming[:, None], extra_rays], axis=1)
-    own = np.full(directions.shape[:2], np.nan)
-    directions = directions.reshape(-1, space.size)
-    nonzero = np.flatnonzero(directions.any(axis=-1))
-    if nonzero.size:
-        started, rows = _ref_started_rays(mapd, base, directions[nonzero])
-        owners, columns = np.divmod(nonzero[started], own.shape[1])
-        own[owners, columns] = _ref_richardson(_ref_quotients(space, xs[owners], ys[owners], *rows))
-    kinks = np.empty((len(values), 0))
-    if mapd.kink_rays:
-        kink_directions = np.stack([ray.values for ray in mapd.kink_rays])
-        du, dv, kink_dens = _ref_started_rays(mapd, base, kink_directions)[1]
-        kinks = _ref_richardson(_ref_quotients(space, xs, ys, du[None], dv[None], kink_dens))
-    for limits in (own[:, 0], *kinks.T, *own[:, 1:].T):
-        values = np.where(limits > values, limits, values)
-    scale = 1.0 + dual_norm_rows(space, ys)
-    accepts, rejects = 1e-3 * scale, 1e-2 * scale
-    verdicts = [
-        Verdict.MEMBER if v <= a else Verdict.NON_MEMBER if v >= r else Verdict.INDETERMINATE
-        for v, a, r in zip(values.tolist(), accepts.tolist(), rejects.tolist())
-    ]
-    return [Answer(v, verdict) for v, verdict in zip(values.tolist(), verdicts)]
-
-
-def _ref_two_diff(a, b):
-    s = a - b
-    bv = s - a
-    return s, (a - (s - bv)) - (b + bv)
-
-
-def _ref_oracle_pass(mapd, base, sample, queries):
-    """(spread, scale, answer) of each query of one run."""
-    space = mapd.space
-    xs = np.stack([q.xstar.values for q in queries])
-    ys = np.stack([(q.xstar if q.ystar is None else q.ystar).values for q in queries])
-    answers = _ref_membership(mapd, base, sample, xs, ys, _ref_registry_rays(mapd, base, xs, ys)[:, None])
-    fixed = np.array([q.ystar is None for q in queries])
-    spreads = np.zeros(len(queries))
-    if fixed.any():
-        us, vs = sample[0][-1], sample[1][-1]
-        du, dv = us - base.x.values, vs - base.y.values
-        den = norm_rows(space, du) + norm_rows(space, dv)
-        a, ea = _ref_two_diff(us, vs)
-        b, eb = _ref_two_diff(base.x.values, base.y.values)
-        shift = (a - b) + (ea - eb)
-
-        def pair(rows):
-            return _ref_pairing(space, xs[fixed], rows[None])
-
-        f1 = (pair(du) - pair(dv)) / den
-        f2 = pair(du - dv) / den
-        f3 = pair(shift) / den
-        spread = np.maximum(np.maximum(np.abs(f1 - f2), np.abs(f1 - f3)), np.abs(f2 - f3))
-        spreads[fixed] = spread.max(axis=-1)
-    scales = 1.0 + dual_norm_rows(space, ys)
-    return list(zip(spreads.tolist(), scales.tolist(), answers))
-
-
-def _ref_runs(queries):
+def _runs(queries):
     """Each run of consecutive queries at one map and base, with its
     registry verdicts and the queries that need the oracle."""
     runs = []
@@ -266,21 +72,36 @@ def _ref_runs(queries):
     return runs
 
 
-def _ref_checked(queries, schedule):
+def _reference_entries(mapd, base, schedule, queries):
+    """(spread, scale, answer) of each query of one run on the run's own
+    reference pass, the audit spread on its finest level."""
+    space, x, y = mapd.space, base.x.values, base.y.values
+    xs = np.stack([q.xstar.values for q in queries])
+    ys = np.stack([(q.xstar if q.ystar is None else q.ystar).values for q in queries])
+    sample = ref.sample_pass(mapd, base, schedule)
+    rays = np.stack([ref.registry_ray(mapd, x, xw, yw) for xw, yw in zip(xs, ys)])
+    answers = ref.membership(mapd, base, sample, xs, ys, rays[:, None])
+    fixed = np.array([q.ystar is None for q in queries])
+    spreads = np.zeros(len(queries))
+    if fixed.any():
+        spreads[fixed] = ref.audit_spread(space, x, y, sample.us[-1], sample.vs[-1], xs[fixed]).max(axis=-1)
+    scales = [1.0 + float(ref.dual_norm(space, w)) for w in ys]
+    return list(zip(spreads.tolist(), scales, answers))
+
+
+def _reference_checked(queries, schedule):
     """The per-run oracle entry of every query that needs the oracle."""
     checked = {}
-    for run, _, needed in _ref_runs(queries):
+    for run, _, needed in _runs(queries):
         if needed:
-            mapd, base = run[0].map, run[0].base
-            sample = _ref_sample(mapd, base, schedule)
-            checked.update(zip(needed, _ref_oracle_pass(mapd, base, sample, needed)))
+            checked.update(zip(needed, _reference_entries(run[0].map, run[0].base, schedule, needed)))
     return checked
 
 
-def _ref_ask(queries, schedule):
-    checked = _ref_checked(queries, schedule)
+def _reference_ask(queries, checked):
+    """The answers of `ask`, given the reference entries `checked`."""
     answers = []
-    for run, exact, _ in _ref_runs(queries):
+    for run, exact, _ in _runs(queries):
         settled = {q: is_fixed_point(None, q.xstar, q.mode, batch=(exact.get(q), checked.get(q)))
                    for q in run if q.ystar is None}
         answers += [checked[q][2] if q in checked else Answer(None, settled[q]) for q in run]
@@ -455,7 +276,7 @@ def _bits(answer):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stacked_ask_is_the_per_run_pass_bit_for_bit(name, monkeypatch):
     schedule, queries = CASES[name]
-    reference = _ref_checked(queries, schedule)
+    reference = _reference_checked(queries, schedule)
     assert reference
     sizes, stacks = [], []
     value_batch, draw = MapDescriptor.value_batch, fixed_points.sample_base
@@ -470,7 +291,7 @@ def test_stacked_ask_is_the_per_run_pass_bit_for_bit(name, monkeypatch):
 
     monkeypatch.setattr(MapDescriptor, "value_batch", counted_values)
     monkeypatch.setattr(fixed_points, "sample_base", counted_draws)
-    runs = [needed for _, _, needed in _ref_runs(queries)]
+    runs = [needed for _, _, needed in _runs(queries)]
     checked = fixed_points._oracle_answers(runs, schedule)
     assert checked.keys() == reference.keys()
     for q, (spread, scale, answer) in checked.items():
@@ -491,7 +312,7 @@ def test_stacked_ask_is_the_per_run_pass_bit_for_bit(name, monkeypatch):
         assert len(stacks) < sum(1 for run in runs if run)
     monkeypatch.undo()
     try:
-        want = _ref_ask(queries, schedule)
+        want = _reference_ask(queries, reference)
     except FixedPointAuditError as error:
         with pytest.raises(FixedPointAuditError, match=re.escape(str(error))):
             ask(queries, schedule)
@@ -509,9 +330,9 @@ def test_a_stack_holds_each_bases_own_pass(name):
     for mapd, at in bases.items():
         samples = sample_base(mapd, list(at), schedule)
         assert samples.x.shape[0] == len(at)
-        rows = walked_rows(samples)
+        rows = ref.walked_rows(samples)
         for k, base in enumerate(at):
-            for field, got, want in zip(("us", "vs", "dens"), rows, _ref_sample(mapd, base, schedule)):
+            for field, got, want in zip(("us", "vs", "dens"), rows, ref.sample_pass(mapd, base, schedule)[1:]):
                 assert np.array_equal(got[k], want), (name, field)
             assert np.array_equal(samples.x[k], base.x.values) and np.array_equal(samples.y[k], base.y.values)
 
@@ -528,7 +349,7 @@ def test_a_kink_ray_that_does_not_start_reads_nan_in_its_stack():
     never = np.isnan(rows.dens).all(axis=-1)
     assert never.tolist() == [[k == 3 for k in range(len(directions))], [False] * len(directions)]
     for k, base in enumerate(bases):
-        started, want = _ref_started_rays(cone, base, directions)
+        started, want = ref.started_rays(cone, base, directions)
         assert started.tolist() == (~never[k]).tolist()
         for got, expected in zip(rows, want):
             assert np.array_equal(got[k][started], expected)
@@ -545,9 +366,9 @@ def test_expected_images_of_a_stack_are_each_bases_own():
     ys = np.stack([np.stack([w.values for w in _duals(space, rng, 5)]) for _ in bases])
     images = ballm.expected_image(bases, ys)
     for base, got, y in zip(bases, images, ys):
-        want = _ref_expected_image(ballm, base, y)
-        if want is None:
+        want = [ref.expected_image(ballm, base.x.values, w) for w in y]
+        if want[0] is None:
             assert np.isnan(got).all()
         else:
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, np.stack(want))
     assert ballm.expected_image(bases[2:], ys[2:]) is None
