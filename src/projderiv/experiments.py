@@ -263,7 +263,7 @@ def _exp_affine(config: ExperimentConfig) -> list[CheckResult]:
     base = lo.GraphPoint.at_point(translation, _primal_with_norm(space, rng, 0.2, 1.0))
 
     xs = _duals_with_norm(space, rng, 0.5, 1.5, 1)[0]
-    est = lo.estimate_limsup(translation, base, xs, xs, config.schedule())
+    est = lo.walked_estimate(translation, base, xs, xs, config.schedule())
     _check(
         checks,
         "translation quotient vanishes at x* = y*",
@@ -698,7 +698,7 @@ def _poly_setup(config: ExperimentConfig):
 
 def _poly_trace(config: ExperimentConfig) -> lo.LimsupEstimate:
     _, f, gamma = _poly_setup(config)
-    return fp.poly_fixed_point_quotient(f, config.n, gamma, seed=config.seed)
+    return fp.poly_fixed_point_quotient(f, config.n, gamma, seed=config.seed, trace=True)
 
 
 def _exp_poly_exclusions(config: ExperimentConfig) -> list[CheckResult]:
@@ -758,6 +758,29 @@ def _structural_instances(config: ExperimentConfig):
     return instances, cone_space, cone_map, cone_base
 
 
+def _origin_estimate(
+    mapd: cd.MapDescriptor, base: lo.GraphPoint, sched: lo.SamplingSchedule, ystar: DualVector | None
+) -> tuple[lo.LimsupEstimate, float]:
+    """The dual origin's fixed-point estimate at the base, without a trace
+    (`limsup_oracle.walked_estimate`), and the largest spread of y*'s three
+    quotient forms over every row the walk samples (0.0 without y*), a
+    running max over its blocks. Each block's rows go in as a stack of
+    one-row blocks: the golden report pins this spread, and a (1, size) @
+    (size,) product rounds like a scalar dot where a multi-row one does
+    not."""
+    spread = 0.0
+
+    def audit(us, vs):
+        nonlocal spread
+        size = us.shape[-1]
+        rows = lo.AuditRows.at(base, us.reshape(-1, 1, size), vs.reshape(-1, 1, size))
+        spread = max(spread, float(fp.quotient_forms_spread(ystar, rows).max()))
+
+    theta = DualVector.zero(mapd.space)
+    est = lo.walked_estimate(mapd, base, theta, theta, sched, rows=None if ystar is None else audit)
+    return est, spread
+
+
 def _exp_structural(config: ExperimentConfig) -> list[CheckResult]:
     checks: list[CheckResult] = []
     instances, cone_space, cone_map, cone_base = _structural_instances(config)
@@ -766,18 +789,10 @@ def _exp_structural(config: ExperimentConfig) -> list[CheckResult]:
     rng = _rng(config, 110)
     theta_ok, spread_worst = True, 0.0
     for k, (name, mapd, base) in enumerate(instances):
-        theta = DualVector.zero(mapd.space)
-        est = lo.estimate_limsup(mapd, base, theta, theta, sched)
+        ystar = _duals_with_norm(mapd.space, rng, 0.5, 1.5, 1)[0] if k < 3 else None
+        est, spread = _origin_estimate(mapd, base, sched, ystar)
         theta_ok = theta_ok and est.verdict == lo.Verdict.MEMBER and est.extrapolated == 0.0
-        if k < 3:
-            ystar = _duals_with_norm(mapd.space, rng, 0.5, 1.5, 1)[0]
-            # the origin estimate's rows, as a stack of one-row blocks: the
-            # golden report pins this spread, and a (1, size) @ (size,)
-            # product rounds like a scalar dot where a multi-row one does not
-            size = mapd.space.size
-            us, vs = est.trace.us.reshape(-1, 1, size), est.trace.vs.reshape(-1, 1, size)
-            spread = fp.quotient_forms_spread(ystar, lo.AuditRows.at(base, us, vs))
-            spread_worst = max(spread_worst, float(spread.max()))
+        spread_worst = max(spread_worst, spread)
     poly_space = c01_space(config.G)
     fpoly = primal(poly_space, poly_space.grid**2)
     est = fp.poly_fixed_point_quotient(fpoly, config.n, DualVector.zero(poly_space))

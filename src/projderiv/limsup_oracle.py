@@ -34,16 +34,19 @@ at most `QUOTIENT_BLOCK` entries (one level where a level alone is larger,
 `value_batch` (`_level_rows`), builds each block's increments and
 denominators once (`_increments`, in smaller parts where the candidates'
 quotients need them), and gives their quotients (`_quotients`), which
-`estimate_limsup` keeps as its trace and `membership_batch` reduces to
-per-level suprema, both taking the limsup by one rule (`_limsup`). A trace
-is the one whole copy of a pass's rows: the walk writes each block's rows
-straight into it. A stacked array rounds like the per-level and per-base
-ones, so nothing depends on the blocking or the stacking. The raw normal
-draws behind the directions do not depend on the space either, so passes
-with the same seed, levels, rows and dimension share one read-only block of
-them (the last block drawn is kept). Their norms do, and a schedule keeps
-them per space it has sampled, so each walk only divides the block by them,
-scales and shifts. A query's directed
+`membership_batch` and `walked_estimate` reduce to per-level suprema block
+by block (`_sampled_sups`) and `estimate_limsup` keeps as its trace, all
+taking the limsup by one rule (`_limsup`). A trace is the one whole copy of
+a pass's rows, and only `estimate_limsup` keeps one, for the `trace`
+command: the walk hands it each block's rows. Every estimate a run makes
+is trace-free (`walked_estimate`), and one that audits the sampled rows
+reads them block by block as the walk hands them over. A stacked array
+rounds like the per-level and per-base ones, so nothing depends on the
+blocking or the stacking. The raw normal draws behind the directions do not
+depend on the space either, so passes with the same seed, levels, rows and
+dimension share one read-only block of them (the last block drawn is kept).
+Their norms do, and a schedule keeps them per space it has sampled, so each
+walk only divides the block by them, scales and shifts. A query's directed
 rays are evaluated together: one halving loop finds every ray's start,
 probing as rows only the rays not yet in the base branch, and their limits
 are one stacked array of rows. The kink rays do not depend on the duals
@@ -63,8 +66,8 @@ only every candidate's per-level suprema (the `QUOTIENT_BLOCK` bound holds
 on the candidate axis too), the norming rays of x* - y* are rows
 (`norming_rays`, a zero ray where y* = x*), and the rays of every candidate
 at every base share one halving loop and one stacked pass of rows.
-`estimate_limsup`, `membership_test` and `directed_ray_limit` are batches of
-one through the same code
+`estimate_limsup`, `walked_estimate`, `membership_test` and
+`directed_ray_limit` are batches of one through the same code
 (`_quotients`, `_fold_rays`), so a batch gives each candidate its one-call
 numbers bit for bit. That rests on two rules. Products are
 `spaces.pairing_stack`, a stacked matmul whose slices are the per-dual
@@ -113,6 +116,7 @@ __all__ = [
     "norming_rays",
     "sample_base",
     "estimate_limsup",
+    "walked_estimate",
     "directed_ray_limit",
     "membership_test",
     "Answer",
@@ -338,7 +342,7 @@ class LimsupEstimate:
     per_level_sup: tuple[float, ...]
     extrapolated: float
     verdict: Verdict
-    trace: QuotientTrace
+    trace: QuotientTrace | None
     tol_accept: float
     tol_reject: float
 
@@ -438,13 +442,11 @@ def sample_base(mapd: MapDescriptor, bases, schedule: SamplingSchedule) -> Sampl
     return SamplePass(mapd, bases, schedule, x, y, radii, extra)
 
 
-def _level_rows(samples: SamplePass, block: slice, out=None) -> tuple[np.ndarray, np.ndarray]:
+def _level_rows(samples: SamplePass, block: slice) -> tuple[np.ndarray, np.ndarray]:
     """The sampled points u and values v of the levels `block` of the pass,
     shape (bases, levels in the block, rows, size), with one `value_batch`:
     per level, the seeded unit directions and then the normalized extra
-    rays, scaled to the level radius around each base's x. With `out`, a
-    pair of (bases, levels, rows, size) arrays, the rows are written into
-    their levels `block`, and those views are returned."""
+    rays, scaled to the level radius around each base's x."""
     mapd = samples.map
     draws, norms = samples.schedule._direction_draws(mapd.space)
     # u = x + r * d
@@ -453,12 +455,9 @@ def _level_rows(samples: SamplePass, block: slice, out=None) -> tuple[np.ndarray
         extra = np.broadcast_to(samples.extra, (len(directions), *samples.extra.shape))
         directions = np.concatenate([directions, extra], axis=1)
     directions *= samples.radii[block, None, None]
-    us = np.add(directions, samples.x[:, None, None], out=None if out is None else out[0][:, block])
+    us = directions + samples.x[:, None, None]
     del directions  # gone before the values are evaluated
     vs = mapd.value_batch(us.reshape(-1, us.shape[-1])).reshape(us.shape)
-    if out is not None:
-        out[1][:, block] = vs
-        vs = out[1][:, block]
     return us, vs
 
 
@@ -475,23 +474,27 @@ def _level_blocks(shape: tuple[int, ...], candidates: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, levels, step)]
 
 
-def _block_quotients(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray, out=None):
+def _block_quotients(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray, rows=None):
     """The quotients of m candidates at each base, the rows of the
     (bases, m, size) arrays `xstars` and `ystars`, over the pass, one part
     of a block of levels at a time: shape (bases, m, levels in the part,
     rows).
 
     The one walk over a pass. It evaluates each block of levels once
-    (`_level_rows`, into `out` where given, a pair of (bases, levels, rows,
-    size) arrays), and takes the quotients of each part of the block (its
-    `_level_blocks` for m candidates) by `_increments` and `_quotients`, so
-    each increment is built once, and a part's go before the next part's
-    are built. At the end it keeps a read-only copy of each base's finest
-    level for the audit (`SamplePass.audit`)."""
+    (`_level_rows`), hands each block to `rows` where given (a callable
+    taking the block's slice of levels and its points and values, two
+    (bases, levels in the block, rows, size) arrays, in level order), and
+    takes the quotients of each part of the block (its `_level_blocks` for
+    m candidates) by `_increments` and `_quotients`, so each increment is
+    built once, and a part's go before the next part's are built. At the
+    end it keeps a read-only copy of each base's finest level for the audit
+    (`SamplePass.audit`)."""
     space = samples.map.space
     x, y = samples.x[:, None, None], samples.y[:, None, None]
     for block in _level_blocks(samples._shape, 1):
-        us, vs = _level_rows(samples, block, out)
+        us, vs = _level_rows(samples, block)
+        if rows is not None:
+            rows(block, us, vs)
         for part in _level_blocks(us.shape, xstars.shape[1]):
             du, dv, dens = _increments(space, x, y, us[:, part], vs[:, part])
             quotients = _quotients(space, xstars, ystars, du[:, None], dv[:, None], dens[:, None])
@@ -511,21 +514,52 @@ def estimate_limsup(
     schedule: SamplingSchedule,
 ) -> LimsupEstimate:
     """Per-level suprema of the quotient over sampled directions, with the
-    max of the two finest levels as the extrapolated limsup value.
-    Deterministic for a fixed seed, bit for bit on the trace."""
+    max of the two finest levels as the extrapolated limsup value, and the
+    trace of every sampled row. Deterministic for a fixed seed, bit for bit
+    on the trace."""
     return _estimate(sample_base(mapd, base, schedule), xstar, ystar)
 
 
 def _estimate(samples: SamplePass, xstar: DualVector, ystar: DualVector) -> LimsupEstimate:
     """`estimate_limsup` at the base of `samples`, a stack of one, with the
-    trace."""
-    xs, ys = xstar.values[None, None], ystar.values[None, None]
+    trace: the walk's rows are written block by block into its arrays."""
     us, vs = np.empty(samples._shape[1:]), np.empty(samples._shape[1:])
-    quotients = np.concatenate([q[0, 0] for q in _block_quotients(samples, xs, ys, (us[None], vs[None]))])
+
+    def keep(block, block_us, block_vs):
+        us[block], vs[block] = block_us[0], block_vs[0]
+
+    xs, ys = xstar.values[None, None], ystar.values[None, None]
+    quotients = np.concatenate([q[0, 0] for q in _block_quotients(samples, xs, ys, keep)])
     for array in (us, vs):
         array.flags.writeable = False
     trace = QuotientTrace(radii=samples.radii, us=us, vs=vs, quotients=quotients)
-    sups = quotients.max(axis=1)
+    return _reduced(quotients.max(axis=1), ystar, trace)
+
+
+def walked_estimate(
+    mapd: MapDescriptor,
+    base: GraphPoint,
+    xstar: DualVector,
+    ystar: DualVector,
+    schedule: SamplingSchedule,
+    rows=None,
+) -> LimsupEstimate:
+    """`estimate_limsup` without the trace (`trace` is None): the same
+    per-level suprema, extrapolated value and verdict, bit for bit, from one
+    walk that keeps only each block's suprema (`_sampled_sups`), so it holds
+    one block of levels (`_level_blocks`) at a time. `rows`, where given, is
+    called with each block's sampled points and values, two (levels in the
+    block, rows, size) arrays, in level order; what it keeps of them is
+    outside that bound."""
+    samples = sample_base(mapd, base, schedule)
+    xs, ys = xstar.values[None, None], ystar.values[None, None]
+    block_rows = None if rows is None else lambda _, us, vs: rows(us[0], vs[0])
+    return _reduced(_sampled_sups(samples, xs, ys, block_rows)[0, 0], ystar, None)
+
+
+def _reduced(sups: np.ndarray, ystar: DualVector, trace: QuotientTrace | None) -> LimsupEstimate:
+    """The estimate of the per-level suprema `sups` of one candidate at its
+    y*, with `trace`."""
     extrapolated = float(_limsup(sups))
     tol_accept, tol_reject = tolerance_pair(ystar)
     return LimsupEstimate(
@@ -538,12 +572,12 @@ def _estimate(samples: SamplePass, xstar: DualVector, ystar: DualVector) -> Lims
     )
 
 
-def _sampled_limsups(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray) -> np.ndarray:
-    """`estimate_limsup(...).extrapolated` of each candidate at each base,
-    the rows of the (bases, m, size) arrays `xstars` and `ystars`, without
-    the trace: each block's quotients are reduced to per-level suprema."""
-    sups = np.concatenate([q.max(axis=-1) for q in _block_quotients(samples, xstars, ystars)], axis=-1)
-    return _limsup(sups)
+def _sampled_sups(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray, rows=None) -> np.ndarray:
+    """The per-level suprema of each candidate at each base, the rows of the
+    (bases, m, size) arrays `xstars` and `ystars`, shape (bases, m, levels),
+    without the trace: each block's quotients are reduced to their suprema
+    as the walk gives them (`rows` goes to the walk)."""
+    return np.concatenate([q.max(axis=-1) for q in _block_quotients(samples, xstars, ystars, rows)], axis=-1)
 
 
 def _limsup(sups: np.ndarray) -> np.ndarray:
@@ -788,7 +822,7 @@ def membership_batch(
     bases, m, size = xs.shape
     if not m:
         return [[] for _ in range(bases)]
-    values = _fold_rays(samples, xs, ys, extra_rays, _sampled_limsups(samples, xs, ys))
+    values = _fold_rays(samples, xs, ys, extra_rays, _limsup(_sampled_sups(samples, xs, ys)))
     accepts, rejects = _tolerances(dual_norm_rows(samples.map.space, ys.reshape(-1, size)))
     answers = [
         Answer(value, _verdict(value, accept, reject))

@@ -22,7 +22,14 @@ from projderiv.coderivatives import (
     poly_projection_map,
 )
 from projderiv import chebyshev, fixed_points, limsup_oracle
-from projderiv.experiments import EXPERIMENTS, _cone_setup, _random_smooth, resolve_config
+from projderiv.experiments import (
+    EXPERIMENTS,
+    _cone_setup,
+    _origin_estimate,
+    _random_smooth,
+    _structural_instances,
+    resolve_config,
+)
 from projderiv.fixed_points import (
     FixedPointAuditError,
     Query,
@@ -47,6 +54,7 @@ from projderiv.limsup_oracle import (
     sample_base,
 )
 from projderiv.spaces import (
+    KIND_C01,
     DualVector,
     PrimalVector,
     atomic_measure,
@@ -405,14 +413,41 @@ def test_a_wide_ask_holds_no_whole_pass(kind):
     queries = [Query(mapd, base, w, mode="audit") for w in duals] + [Query(mapd, base, w, duals[0]) for w in duals]
     whole = 2 * sched.levels * sched.dirs_per_level * space.size * 8
     assert whole == 2**21
-    ask(queries, sched)
+    assert _warm_peak(lambda: ask(queries, sched)) < whole
+
+
+def _warm_peak(call) -> int:
+    """The tracemalloc peak of `call`, made once before to fill its caches."""
+    call()
     tracemalloc.start()
     try:
-        ask(queries, sched)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < whole
+
+
+def test_a_warm_polynomial_estimate_holds_no_whole_trace():
+    # G = 4097: 5 levels of 16 directions and 8 rays; the whole trace, us
+    # and vs, is 7.9 MB, and the trace-free estimate stays below it
+    space = c01_space(4097)
+    f, theta = primal(space, space.grid**2), DualVector.zero(space)
+    whole = 2 * len(poly_fixed_point_quotient(f, 1, theta, trace=True).trace) * space.size * 8
+    assert whole == 2 * 5 * 24 * 4097 * 8
+    assert _warm_peak(lambda: poly_fixed_point_quotient(f, 1, theta)) < whole
+
+
+@pytest.mark.parametrize("instance", ["translation", "ball interior", "ball exterior", "l1 exterior"])
+def test_a_wide_structural_origin_estimate_holds_no_whole_pass(instance):
+    # N = 16, S = 1024, K = 8: the whole pass of a 16-dimensional instance,
+    # us and vs, is 2 MiB; its warm origin estimate, with the three-form
+    # audit of every row, stays below it
+    config = resolve_config("structural_prop_3_2", overrides={"N": "16", "S": "1024"})
+    mapd, base = {name: (mapd, base) for name, mapd, base in _structural_instances(config)[0]}[instance]
+    sched = config.schedule()
+    assert 2 * sched.levels * sched.dirs_per_level * mapd.space.size * 8 == 2**21
+    ystar = dual(mapd.space, np.linspace(-1.0, 1.0, 16))
+    assert _warm_peak(lambda: _origin_estimate(mapd, base, sched, ystar)) < 2**21
 
 
 def test_a_registry_run_takes_the_fixed_point_set_once_per_base_and_the_registry_once_per_query(monkeypatch):
@@ -660,21 +695,27 @@ def _spread_calls(monkeypatch):
 
 @pytest.mark.parametrize("S", [16, 64, 1024])
 @pytest.mark.parametrize("N", [2, 4, 16])
-def test_structural_audits_each_instance_in_one_call_as_one_call_per_row(N, S, monkeypatch):
+def test_structural_audits_each_block_in_one_call_as_one_call_per_row(N, S, monkeypatch):
     # each (1, size) block of the stack pairs like a row of its own, so the
-    # one call gives every row the spread of a call on that row alone (the
-    # fewest levels, K = 4, keep the per-row reference loop short)
+    # one call on a block of levels gives every row the spread of a call on
+    # that row alone, and an instance's calls cover its pass block by block
+    # (the fewest levels, K = 4, keep the per-row reference loop short)
     calls = _spread_calls(monkeypatch)
     config = resolve_config("structural_prop_3_2", overrides={"N": str(N), "S": str(S), "K": "4"})
     checks = EXPERIMENTS["structural_prop_3_2"].run(config)
     monkeypatch.undo()
     assert all(check.passed for check in checks)
-    assert len(calls) == 3
-    for ystar, base, us, vs, spreads in calls:
-        assert us.shape == vs.shape == (config.K * S, 1, ystar.space.size)
-        alone = [quotient_forms_spread(ystar, AuditRows.at(base, u, v)) for u, v in zip(us, vs)]
-        assert spreads.shape == (config.K * S, 1)
-        assert spreads.tobytes() == np.stack(alone).tobytes()
+    blocks = limsup_oracle._level_blocks((config.K, S, N), 1)
+    assert len(calls) == 3 * len(blocks)
+    for instance in range(3):
+        own = calls[instance * len(blocks) : (instance + 1) * len(blocks)]
+        assert all(call[0] is own[0][0] for call in own)  # one y* per instance
+        for (ystar, base, us, vs, spreads), block in zip(own, blocks):
+            levels = len(range(config.K)[block])
+            assert us.shape == vs.shape == (levels * S, 1, ystar.space.size)
+            alone = [quotient_forms_spread(ystar, AuditRows.at(base, u, v)) for u, v in zip(us, vs)]
+            assert spreads.shape == (levels * S, 1)
+            assert spreads.tobytes() == np.stack(alone).tobytes()
 
 
 def test_structural_and_l1_cases_sample_each_base_once(monkeypatch):
@@ -694,6 +735,90 @@ def test_structural_and_l1_cases_sample_each_base_once(monkeypatch):
         calls.clear()
         assert all(check.passed for check in EXPERIMENTS[experiment].run(resolve_config(experiment)))
         assert (len(draws), len(calls)) == (passes, spreads), experiment
+
+
+def test_no_run_keeps_a_quotient_trace(monkeypatch):
+    # every estimate made inside `run` is trace-free (`walked_estimate`);
+    # only the `trace` builders keep a trace
+    def refused(*args):
+        raise AssertionError("a run kept a quotient trace")
+
+    monkeypatch.setattr(limsup_oracle, "_estimate", refused)
+    for experiment in EXPERIMENTS:
+        assert all(check.passed for check in EXPERIMENTS[experiment].run(resolve_config(experiment))), experiment
+
+
+def _walked_estimates(monkeypatch, runs):
+    """The arguments of every `walked_estimate` call made by the runs, each
+    (experiment, overrides), and the estimate it returned; each run's
+    checks must pass."""
+    calls, walk = [], limsup_oracle.walked_estimate
+
+    def recorded(*args, **kwargs):
+        est = walk(*args, **kwargs)
+        calls.append((args, est))
+        return est
+
+    with monkeypatch.context() as patch:
+        patch.setattr(limsup_oracle, "walked_estimate", recorded)
+        patch.setattr(fixed_points, "walked_estimate", recorded)
+        for experiment, overrides in runs:
+            checks = EXPERIMENTS[experiment].run(resolve_config(experiment, overrides=overrides))
+            assert all(check.passed for check in checks), experiment
+    return calls
+
+
+def _same_numbers(walked, traced):
+    """`walked` is `traced` without its trace, bit for bit."""
+    assert walked.trace is None and traced.trace is not None
+    assert walked.extrapolated.hex() == traced.extrapolated.hex()
+    assert [s.hex() for s in walked.per_level_sup] == [s.hex() for s in traced.per_level_sup]
+    for field in ("verdict", "tol_accept", "tol_reject"):
+        assert getattr(walked, field) == getattr(traced, field), field
+
+
+@pytest.mark.parametrize("budget", [None, 700, 1])
+@pytest.mark.parametrize("G", [33, 4097])
+def test_the_estimates_of_a_run_are_its_traced_estimates_bit_for_bit(G, budget, monkeypatch):
+    # the five structural origin estimates, the polynomial one on the grid
+    # of G nodes and the affine translation's, in the live blocks of levels,
+    # in blocks of at most two levels (budget 700) and of one level each
+    # (budget 1); and, at each of their passes, a nonzero fixed-point
+    # candidate w and the pair (w, w / 2)
+    if budget is not None:
+        monkeypatch.setattr(limsup_oracle, "QUOTIENT_BLOCK", budget)
+    calls = _walked_estimates(monkeypatch, [("structural_prop_3_2", {"G": str(G)}), ("affine_props_3_3_3_5", {})])
+    assert len(calls) == 7
+    for (mapd, base, xstar, ystar, sched), est in calls:
+        _same_numbers(est, limsup_oracle.estimate_limsup(mapd, base, xstar, ystar, sched))
+        space = mapd.space
+        w = (atomic_measure(space, [(0.0, 1.0), (0.3, -0.5), (0.8, 0.25)]) if space.kind == KIND_C01
+             else dual(space, np.linspace(-0.5, 1.0, space.size)))
+        for xs, ys in ((w, w), (w, 0.5 * w)):
+            walked = limsup_oracle.walked_estimate(mapd, base, xs, ys, sched)
+            _same_numbers(walked, limsup_oracle.estimate_limsup(mapd, base, xs, ys, sched))
+        if budget is not None:
+            assert len(limsup_oracle._level_blocks(sample_base(mapd, base, sched)._shape, 1)) > 1
+
+
+@pytest.mark.parametrize("budget", [None, 700, 1])
+@pytest.mark.parametrize("N, S", [(4, 64), (16, 1024)])
+def test_the_blockwise_structural_spread_is_the_spread_of_the_whole_trace(N, S, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(limsup_oracle, "QUOTIENT_BLOCK", budget)
+    config = resolve_config("structural_prop_3_2", overrides={"N": str(N), "S": str(S)})
+    sched = config.schedule()
+    rng = np.random.default_rng(N)
+    for _, mapd, base in _structural_instances(config)[0][:3]:
+        size = mapd.space.size
+        ystar = dual(mapd.space, rng.uniform(-1.5, 1.5, size=size))
+        est, spread = _origin_estimate(mapd, base, sched, ystar)
+        theta = DualVector.zero(mapd.space)
+        traced = limsup_oracle.estimate_limsup(mapd, base, theta, theta, sched)
+        _same_numbers(est, traced)
+        rows = AuditRows.at(base, traced.trace.us.reshape(-1, 1, size), traced.trace.vs.reshape(-1, 1, size))
+        assert spread.hex() == float(quotient_forms_spread(ystar, rows).max()).hex()
+        assert _origin_estimate(mapd, base, sched, None)[1] == 0.0
 
 
 def test_poly_annihilator_structure():
@@ -838,9 +963,9 @@ def test_poly_quotient_rays_are_the_grid_powers(grid_size, monkeypatch):
 
     def recording(mapd, base, xstar, ystar, schedule):
         schedules.append(schedule)
-        return limsup_oracle.estimate_limsup(mapd, base, xstar, ystar, schedule)
+        return limsup_oracle.walked_estimate(mapd, base, xstar, ystar, schedule)
 
-    monkeypatch.setattr(fixed_points, "estimate_limsup", recording)
+    monkeypatch.setattr(fixed_points, "walked_estimate", recording)
     f = primal(space, space.grid**2)
     poly_fixed_point_quotient(f, degree, DualVector.zero(space))
     (schedule,) = schedules

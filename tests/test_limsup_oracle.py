@@ -421,8 +421,8 @@ def test_the_blocked_pass_gives_the_per_level_quotients_bit_for_bit(name, monkey
     walk, size = limsup_oracle._block_quotients, mapd.space.size
     sizes = []
 
-    def counted(samples, xstars, ystars, out=None):
-        for quotients in walk(samples, xstars, ystars, out):
+    def counted(samples, xstars, ystars, rows=None):
+        for quotients in walk(samples, xstars, ystars, rows):
             sizes.append(quotients.size * size)  # the entries of the block's rows
             yield quotients
 
