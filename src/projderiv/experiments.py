@@ -263,7 +263,7 @@ def _exp_affine(config: ExperimentConfig) -> list[CheckResult]:
     base = lo.GraphPoint.at_point(translation, _primal_with_norm(space, rng, 0.2, 1.0))
 
     xs = _duals_with_norm(space, rng, 0.5, 1.5, 1)[0]
-    est = lo.walked_estimate(translation, base, xs, xs, config.schedule())
+    est = lo.estimate_limsup(translation, base, xs, xs, config.schedule())
     _check(
         checks,
         "translation quotient vanishes at x* = y*",
@@ -698,7 +698,7 @@ def _poly_setup(config: ExperimentConfig):
 
 def _poly_trace(config: ExperimentConfig) -> lo.LimsupEstimate:
     _, f, gamma = _poly_setup(config)
-    return fp.poly_fixed_point_quotient(f, config.n, gamma, seed=config.seed, trace=True)
+    return fp.poly_fixed_point_quotient(f, config.n, gamma, seed=config.seed)
 
 
 def _exp_poly_exclusions(config: ExperimentConfig) -> list[CheckResult]:
@@ -761,8 +761,8 @@ def _structural_instances(config: ExperimentConfig):
 def _origin_estimate(
     mapd: cd.MapDescriptor, base: lo.GraphPoint, sched: lo.SamplingSchedule, ystar: DualVector | None
 ) -> tuple[lo.LimsupEstimate, float]:
-    """The dual origin's fixed-point estimate at the base, without a trace
-    (`limsup_oracle.walked_estimate`), and the largest spread of y*'s three
+    """The dual origin's fixed-point estimate at the base
+    (`limsup_oracle.estimate_limsup`), and the largest spread of y*'s three
     quotient forms over every row the walk samples (0.0 without y*), a
     running max over its blocks. Each block's rows go in as a stack of
     one-row blocks: the golden report pins this spread, and a (1, size) @
@@ -777,7 +777,7 @@ def _origin_estimate(
         spread = max(spread, float(fp.quotient_forms_spread(ystar, rows).max()))
 
     theta = DualVector.zero(mapd.space)
-    est = lo.walked_estimate(mapd, base, theta, theta, sched, rows=None if ystar is None else audit)
+    est = lo.estimate_limsup(mapd, base, theta, theta, sched, rows=None if ystar is None else audit)
     return est, spread
 
 

@@ -65,7 +65,6 @@ from .limsup_oracle import (
     norming_rays,
     sample_base,
     tolerance_pair,
-    walked_estimate,
 )
 from .spaces import (
     KIND_C01,
@@ -366,14 +365,12 @@ def poly_fixed_point_quotient(
     degree: int,
     candidate: DualVector,
     seed: int = 0,
-    trace: bool = False,
 ) -> LimsupEstimate:
     """Fixed-point quotient estimate for the polynomial projection at f, with
     perturbation directions drawn from smooth random grid functions plus
     polynomial directions (the projection is continuous, so numerators and
-    denominators vanish together along every sampled path). With `trace`
-    it is `estimate_limsup`'s, with the quotient trace; without, it is
-    `walked_estimate`'s, the same numbers without one."""
+    denominators vanish together along every sampled path): the
+    `estimate_limsup` of its schedule, with its quotient trace."""
     if f.space.kind != KIND_C01:
         raise ValueError("needs a C01 grid function")
     mapd = poly_projection_map(f.space, degree)
@@ -390,7 +387,7 @@ def poly_fixed_point_quotient(
         r0=POLY_R0, levels=POLY_LEVELS, dirs_per_level=POLY_DIRS, extra_rays=tuple(rays), seed=seed
     )
     base = GraphPoint.at_point(mapd, f)
-    return (estimate_limsup if trace else walked_estimate)(mapd, base, candidate, candidate, sched)
+    return estimate_limsup(mapd, base, candidate, candidate, sched)
 
 
 @dataclass(frozen=True)

@@ -34,15 +34,14 @@ at most `QUOTIENT_BLOCK` entries (one level where a level alone is larger,
 `value_batch` (`_level_rows`), builds each block's increments and
 denominators once (`_increments`, in smaller parts where the candidates'
 quotients need them), and gives their quotients (`_quotients`), which
-`membership_batch` and `walked_estimate` reduce to per-level suprema block
-by block (`_sampled_sups`) and `estimate_limsup` keeps as its trace, all
-taking the limsup by one rule (`_limsup`). A trace is the one whole copy of
-a pass's rows, and only `estimate_limsup` keeps one, for the `trace`
-command: the walk hands it each block's rows. Every estimate a run makes
-is trace-free (`walked_estimate`), and one that audits the sampled rows
-reads them block by block as the walk hands them over. A stacked array
-rounds like the per-level and per-base ones, so nothing depends on the
-blocking or the stacking. The raw normal draws behind the directions do not
+`membership_batch` reduces to per-level suprema block by block
+(`_sampled_sups`) and `estimate_limsup` keeps as its trace, both taking the
+limsup by one rule (`_limsup`). A trace is its quotients, one (levels, rows)
+array, and its per-level suprema are their row maxima: no estimate keeps a
+pass's rows, and one that audits them reads them block by block as the walk
+hands them over (`estimate_limsup`'s `rows`). A stacked array rounds like
+the per-level and per-base ones, so nothing depends on the blocking or the
+stacking. The raw normal draws behind the directions do not
 depend on the space either, so passes with the same seed, levels, rows and
 dimension share one read-only block of them (the last block drawn is kept).
 Their norms do, and a schedule keeps them per space it has sampled, so each
@@ -66,10 +65,9 @@ only every candidate's per-level suprema (the `QUOTIENT_BLOCK` bound holds
 on the candidate axis too), the norming rays of x* - y* are rows
 (`norming_rays`, a zero ray where y* = x*), and the rays of every candidate
 at every base share one halving loop and one stacked pass of rows.
-`estimate_limsup`, `walked_estimate`, `membership_test` and
-`directed_ray_limit` are batches of one through the same code
-(`_quotients`, `_fold_rays`), so a batch gives each candidate its one-call
-numbers bit for bit. That rests on two rules. Products are
+`estimate_limsup`, `membership_test` and `directed_ray_limit` are batches of
+one through the same code (`_quotients`, `_fold_rays`), so a batch gives
+each candidate its one-call numbers bit for bit. That rests on two rules. Products are
 `spaces.pairing_stack`, a stacked matmul whose slices are the per-dual
 matrix-vector products ((bases, 1, levels, rows, size) against (bases, m,
 1, size, 1)); a gemm over the candidates, or a flattened product, rounds
@@ -116,7 +114,6 @@ __all__ = [
     "norming_rays",
     "sample_base",
     "estimate_limsup",
-    "walked_estimate",
     "directed_ray_limit",
     "membership_test",
     "Answer",
@@ -323,14 +320,12 @@ def _two_diff(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class QuotientTrace:
     """Every sampled quotient of one estimate, indexed [level, row]: the
-    radius of each level, the sampled points u and values v (shape
-    (levels, rows, size)), and the quotients (shape (levels, rows)). The
-    radii are those of the `SamplePass`; us and vs are the trace's own
-    read-only arrays, which the walk over the pass writes block by block."""
+    radius of each level, those of the `SamplePass`, and the quotients,
+    shape (levels, rows); both read only. The sampled points and values are
+    not kept; the walk over the pass hands them to `estimate_limsup`'s
+    `rows` block by block."""
 
     radii: np.ndarray
-    us: np.ndarray
-    vs: np.ndarray
     quotients: np.ndarray
 
     def __len__(self) -> int:
@@ -342,7 +337,7 @@ class LimsupEstimate:
     per_level_sup: tuple[float, ...]
     extrapolated: float
     verdict: Verdict
-    trace: QuotientTrace | None
+    trace: QuotientTrace
     tol_accept: float
     tol_reject: float
 
@@ -482,19 +477,19 @@ def _block_quotients(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray
 
     The one walk over a pass. It evaluates each block of levels once
     (`_level_rows`), hands each block to `rows` where given (a callable
-    taking the block's slice of levels and its points and values, two
-    (bases, levels in the block, rows, size) arrays, in level order), and
-    takes the quotients of each part of the block (its `_level_blocks` for
-    m candidates) by `_increments` and `_quotients`, so each increment is
-    built once, and a part's go before the next part's are built. At the
-    end it keeps a read-only copy of each base's finest level for the audit
+    taking the block's points and values, two (bases, levels in the block,
+    rows, size) arrays, in level order), and takes the quotients of each
+    part of the block (its `_level_blocks` for m candidates) by
+    `_increments` and `_quotients`, so each increment is built once, and a
+    part's go before the next part's are built. At the end it keeps a
+    read-only copy of each base's finest level for the audit
     (`SamplePass.audit`)."""
     space = samples.map.space
     x, y = samples.x[:, None, None], samples.y[:, None, None]
     for block in _level_blocks(samples._shape, 1):
         us, vs = _level_rows(samples, block)
         if rows is not None:
-            rows(block, us, vs)
+            rows(us, vs)
         for part in _level_blocks(us.shape, xstars.shape[1]):
             du, dv, dens = _increments(space, x, y, us[:, part], vs[:, part])
             quotients = _quotients(space, xstars, ystars, du[:, None], dv[:, None], dens[:, None])
@@ -512,52 +507,30 @@ def estimate_limsup(
     xstar: DualVector,
     ystar: DualVector,
     schedule: SamplingSchedule,
+    rows=None,
 ) -> LimsupEstimate:
     """Per-level suprema of the quotient over sampled directions, with the
     max of the two finest levels as the extrapolated limsup value, and the
-    trace of every sampled row. Deterministic for a fixed seed, bit for bit
-    on the trace."""
-    return _estimate(sample_base(mapd, base, schedule), xstar, ystar)
+    trace of every sampled quotient. Deterministic for a fixed seed, bit for
+    bit on the trace. One walk over the pass, which holds one block of
+    levels (`_level_blocks`) of its rows at a time; `rows`, where given, is
+    called with each block's sampled points and values, two (1, levels in
+    the block, rows, size) arrays, in level order, and what it keeps of them
+    is outside that bound."""
+    return _estimate(sample_base(mapd, base, schedule), xstar, ystar, rows)
 
 
-def _estimate(samples: SamplePass, xstar: DualVector, ystar: DualVector) -> LimsupEstimate:
-    """`estimate_limsup` at the base of `samples`, a stack of one, with the
-    trace: the walk's rows are written block by block into its arrays."""
-    us, vs = np.empty(samples._shape[1:]), np.empty(samples._shape[1:])
-
-    def keep(block, block_us, block_vs):
-        us[block], vs[block] = block_us[0], block_vs[0]
-
+def _estimate(samples: SamplePass, xstar: DualVector, ystar: DualVector, rows=None) -> LimsupEstimate:
+    """`estimate_limsup` at the base of `samples`, a stack of one: the
+    walk's quotients, block by block, are the trace, and their row maxima
+    are the per-level suprema (`_sampled_sups`, bit for bit)."""
     xs, ys = xstar.values[None, None], ystar.values[None, None]
-    quotients = np.concatenate([q[0, 0] for q in _block_quotients(samples, xs, ys, keep)])
-    for array in (us, vs):
-        array.flags.writeable = False
-    trace = QuotientTrace(radii=samples.radii, us=us, vs=vs, quotients=quotients)
-    return _reduced(quotients.max(axis=1), ystar, trace)
+    quotients = np.concatenate([q[0, 0] for q in _block_quotients(samples, xs, ys, rows)])
+    quotients.flags.writeable = False
+    return _reduced(quotients.max(axis=1), ystar, QuotientTrace(radii=samples.radii, quotients=quotients))
 
 
-def walked_estimate(
-    mapd: MapDescriptor,
-    base: GraphPoint,
-    xstar: DualVector,
-    ystar: DualVector,
-    schedule: SamplingSchedule,
-    rows=None,
-) -> LimsupEstimate:
-    """`estimate_limsup` without the trace (`trace` is None): the same
-    per-level suprema, extrapolated value and verdict, bit for bit, from one
-    walk that keeps only each block's suprema (`_sampled_sups`), so it holds
-    one block of levels (`_level_blocks`) at a time. `rows`, where given, is
-    called with each block's sampled points and values, two (levels in the
-    block, rows, size) arrays, in level order; what it keeps of them is
-    outside that bound."""
-    samples = sample_base(mapd, base, schedule)
-    xs, ys = xstar.values[None, None], ystar.values[None, None]
-    block_rows = None if rows is None else lambda _, us, vs: rows(us[0], vs[0])
-    return _reduced(_sampled_sups(samples, xs, ys, block_rows)[0, 0], ystar, None)
-
-
-def _reduced(sups: np.ndarray, ystar: DualVector, trace: QuotientTrace | None) -> LimsupEstimate:
+def _reduced(sups: np.ndarray, ystar: DualVector, trace: QuotientTrace) -> LimsupEstimate:
     """The estimate of the per-level suprema `sups` of one candidate at its
     y*, with `trace`."""
     extrapolated = float(_limsup(sups))
@@ -572,12 +545,12 @@ def _reduced(sups: np.ndarray, ystar: DualVector, trace: QuotientTrace | None) -
     )
 
 
-def _sampled_sups(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray, rows=None) -> np.ndarray:
+def _sampled_sups(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray) -> np.ndarray:
     """The per-level suprema of each candidate at each base, the rows of the
     (bases, m, size) arrays `xstars` and `ystars`, shape (bases, m, levels),
     without the trace: each block's quotients are reduced to their suprema
-    as the walk gives them (`rows` goes to the walk)."""
-    return np.concatenate([q.max(axis=-1) for q in _block_quotients(samples, xstars, ystars, rows)], axis=-1)
+    as the walk gives them."""
+    return np.concatenate([q.max(axis=-1) for q in _block_quotients(samples, xstars, ystars)], axis=-1)
 
 
 def _limsup(sups: np.ndarray) -> np.ndarray:
@@ -774,7 +747,8 @@ def membership_test(
     """Three-way membership verdict for x* in the derivative operator value
     at y*.
 
-    Wraps `estimate_limsup` and additionally extrapolates directed rays
+    Wraps `estimate_limsup`, the same walk with the same trace and no
+    whole pass of rows, and additionally extrapolates directed rays
     (norming-direction rays plus kink-aligned basis rays and any caller
     supplied ones, the rows of the (k, size) array `extra_ray_dirs`) in one
     stacked pass, after one halving loop has found every ray's start; zero

@@ -28,6 +28,7 @@ from projderiv.experiments import (
     _origin_estimate,
     _random_smooth,
     _structural_instances,
+    experiment_trace,
     resolve_config,
 )
 from projderiv.fixed_points import (
@@ -427,12 +428,30 @@ def _warm_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_a_warm_polynomial_estimate_holds_no_whole_trace():
-    # G = 4097: 5 levels of 16 directions and 8 rays; the whole trace, us
-    # and vs, is 7.9 MB, and the trace-free estimate stays below it
+def _poly_schedule(monkeypatch, f, degree) -> SamplingSchedule:
+    """The schedule of `poly_fixed_point_quotient` at f, recorded on its one
+    `estimate_limsup` call."""
+    schedules = []
+
+    def recording(mapd, base, xstar, ystar, schedule):
+        schedules.append(schedule)
+        return limsup_oracle.estimate_limsup(mapd, base, xstar, ystar, schedule)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fixed_points, "estimate_limsup", recording)
+        poly_fixed_point_quotient(f, degree, DualVector.zero(f.space))
+    (schedule,) = schedules
+    return schedule
+
+
+def test_a_warm_polynomial_estimate_holds_no_whole_trace(monkeypatch):
+    # G = 4097: 5 levels of 16 directions and 8 rays; the whole pass, us
+    # and vs, is 7.9 MB, and the estimate, whose trace is its quotients,
+    # stays below it
     space = c01_space(4097)
     f, theta = primal(space, space.grid**2), DualVector.zero(space)
-    whole = 2 * len(poly_fixed_point_quotient(f, 1, theta, trace=True).trace) * space.size * 8
+    sched = _poly_schedule(monkeypatch, f, 1)
+    whole = 2 * sched.levels * (sched.dirs_per_level + len(sched.extra_rays)) * space.size * 8
     assert whole == 2 * 5 * 24 * 4097 * 8
     assert _warm_peak(lambda: poly_fixed_point_quotient(f, 1, theta)) < whole
 
@@ -737,49 +756,64 @@ def test_structural_and_l1_cases_sample_each_base_once(monkeypatch):
         assert (len(draws), len(calls)) == (passes, spreads), experiment
 
 
-def test_no_run_keeps_a_quotient_trace(monkeypatch):
-    # every estimate made inside `run` is trace-free (`walked_estimate`);
-    # only the `trace` builders keep a trace
-    def refused(*args):
-        raise AssertionError("a run kept a quotient trace")
+# one experiment per trace builder driven by N and S (the ball, the
+# translation, the cone at p = 2 and p = 3, the l_1 ball), and the polynomial
+# builder on the fine grid
+@pytest.mark.parametrize(
+    "experiment",
+    ["ball_coderiv_theorem_3_1", "affine_props_3_3_3_5", "cone_l2_theorem_4_3", "cone_lp_theorem_4_2", "l1_cases",
+     "poly_theorem_4_11"],
+)
+def test_a_warm_trace_builder_holds_no_whole_pass(experiment):
+    # a trace is its quotients: the whole pass of the traced estimate, us
+    # and vs, is 2 x K x S x N x 8 bytes (2 MiB at K = 8, 2.5 MiB at
+    # K = 10), and 7.9 MB for the polynomial's 5 levels of 24 rows at
+    # G = 4097; the warm builder stays below it
+    poly = experiment == "poly_theorem_4_11"
+    config = resolve_config(experiment, overrides={"G": "4097"} if poly else {"N": "16", "S": "1024"})
+    levels, rows = experiment_trace(config).trace.quotients.shape
+    size = config.G if poly else config.N
+    if not poly:
+        assert (levels, rows) == (config.K, config.S)
+    whole = 2 * levels * rows * size * 8
+    assert whole in (2**21, 10 * 2**18, 2 * 5 * 24 * 4097 * 8)
+    assert _warm_peak(lambda: experiment_trace(config)) < whole
 
-    monkeypatch.setattr(limsup_oracle, "_estimate", refused)
-    for experiment in EXPERIMENTS:
-        assert all(check.passed for check in EXPERIMENTS[experiment].run(resolve_config(experiment))), experiment
 
-
-def _walked_estimates(monkeypatch, runs):
-    """The arguments of every `walked_estimate` call made by the runs, each
+def _run_estimates(monkeypatch, runs):
+    """The arguments of every `estimate_limsup` call made by the runs, each
     (experiment, overrides), and the estimate it returned; each run's
     checks must pass."""
-    calls, walk = [], limsup_oracle.walked_estimate
+    calls, estimate = [], limsup_oracle.estimate_limsup
 
     def recorded(*args, **kwargs):
-        est = walk(*args, **kwargs)
+        est = estimate(*args, **kwargs)
         calls.append((args, est))
         return est
 
     with monkeypatch.context() as patch:
-        patch.setattr(limsup_oracle, "walked_estimate", recorded)
-        patch.setattr(fixed_points, "walked_estimate", recorded)
+        patch.setattr(limsup_oracle, "estimate_limsup", recorded)
+        patch.setattr(fixed_points, "estimate_limsup", recorded)
         for experiment, overrides in runs:
             checks = EXPERIMENTS[experiment].run(resolve_config(experiment, overrides=overrides))
             assert all(check.passed for check in checks), experiment
     return calls
 
 
-def _same_numbers(walked, traced):
-    """`walked` is `traced` without its trace, bit for bit."""
-    assert walked.trace is None and traced.trace is not None
-    assert walked.extrapolated.hex() == traced.extrapolated.hex()
-    assert [s.hex() for s in walked.per_level_sup] == [s.hex() for s in traced.per_level_sup]
-    for field in ("verdict", "tol_accept", "tol_reject"):
-        assert getattr(walked, field) == getattr(traced, field), field
+def _is_reference_estimate(est, reference, base, xstar, ystar):
+    """`est` is the estimate of (x*, y*) over the reference pass at the
+    base, bit for bit: its trace is the pass's quotients, its per-level
+    suprema their row maxima, and its value the larger of the two finest."""
+    want = ref.pass_quotients(base.x.space, base, reference, xstar.values[None], ystar.values[None])[0]
+    sups = want.max(axis=1).tolist()
+    assert est.trace.quotients.tobytes() == want.tobytes()
+    assert [s.hex() for s in est.per_level_sup] == [s.hex() for s in sups]
+    assert est.extrapolated.hex() == max(sups[-2:]).hex()
 
 
 @pytest.mark.parametrize("budget", [None, 700, 1])
 @pytest.mark.parametrize("G", [33, 4097])
-def test_the_estimates_of_a_run_are_its_traced_estimates_bit_for_bit(G, budget, monkeypatch):
+def test_the_estimates_of_a_run_are_the_reference_estimates_bit_for_bit(G, budget, monkeypatch):
     # the five structural origin estimates, the polynomial one on the grid
     # of G nodes and the affine translation's, in the live blocks of levels,
     # in blocks of at most two levels (budget 700) and of one level each
@@ -787,23 +821,23 @@ def test_the_estimates_of_a_run_are_its_traced_estimates_bit_for_bit(G, budget, 
     # candidate w and the pair (w, w / 2)
     if budget is not None:
         monkeypatch.setattr(limsup_oracle, "QUOTIENT_BLOCK", budget)
-    calls = _walked_estimates(monkeypatch, [("structural_prop_3_2", {"G": str(G)}), ("affine_props_3_3_3_5", {})])
+    calls = _run_estimates(monkeypatch, [("structural_prop_3_2", {"G": str(G)}), ("affine_props_3_3_3_5", {})])
     assert len(calls) == 7
     for (mapd, base, xstar, ystar, sched), est in calls:
-        _same_numbers(est, limsup_oracle.estimate_limsup(mapd, base, xstar, ystar, sched))
+        reference = ref.sample_pass(mapd, base, sched)
+        _is_reference_estimate(est, reference, base, xstar, ystar)
         space = mapd.space
         w = (atomic_measure(space, [(0.0, 1.0), (0.3, -0.5), (0.8, 0.25)]) if space.kind == KIND_C01
              else dual(space, np.linspace(-0.5, 1.0, space.size)))
         for xs, ys in ((w, w), (w, 0.5 * w)):
-            walked = limsup_oracle.walked_estimate(mapd, base, xs, ys, sched)
-            _same_numbers(walked, limsup_oracle.estimate_limsup(mapd, base, xs, ys, sched))
+            _is_reference_estimate(limsup_oracle.estimate_limsup(mapd, base, xs, ys, sched), reference, base, xs, ys)
         if budget is not None:
             assert len(limsup_oracle._level_blocks(sample_base(mapd, base, sched)._shape, 1)) > 1
 
 
 @pytest.mark.parametrize("budget", [None, 700, 1])
 @pytest.mark.parametrize("N, S", [(4, 64), (16, 1024)])
-def test_the_blockwise_structural_spread_is_the_spread_of_the_whole_trace(N, S, budget, monkeypatch):
+def test_the_blockwise_structural_spread_is_the_spread_of_the_whole_pass(N, S, budget, monkeypatch):
     if budget is not None:
         monkeypatch.setattr(limsup_oracle, "QUOTIENT_BLOCK", budget)
     config = resolve_config("structural_prop_3_2", overrides={"N": str(N), "S": str(S)})
@@ -814,9 +848,9 @@ def test_the_blockwise_structural_spread_is_the_spread_of_the_whole_trace(N, S, 
         ystar = dual(mapd.space, rng.uniform(-1.5, 1.5, size=size))
         est, spread = _origin_estimate(mapd, base, sched, ystar)
         theta = DualVector.zero(mapd.space)
-        traced = limsup_oracle.estimate_limsup(mapd, base, theta, theta, sched)
-        _same_numbers(est, traced)
-        rows = AuditRows.at(base, traced.trace.us.reshape(-1, 1, size), traced.trace.vs.reshape(-1, 1, size))
+        reference = ref.sample_pass(mapd, base, sched)
+        _is_reference_estimate(est, reference, base, theta, theta)
+        rows = AuditRows.at(base, reference.us.reshape(-1, 1, size), reference.vs.reshape(-1, 1, size))
         assert spread.hex() == float(quotient_forms_spread(ystar, rows).max()).hex()
         assert _origin_estimate(mapd, base, sched, None)[1] == 0.0
 
@@ -959,16 +993,7 @@ def test_poly_quotient_rays_are_the_grid_powers(grid_size, monkeypatch):
     the grid's power matrix (`chebyshev._grid_powers`), byte for byte the
     powers grid**k on these grids, whose nodes are dyadic."""
     space, degree = c01_space(grid_size), 1
-    schedules = []
-
-    def recording(mapd, base, xstar, ystar, schedule):
-        schedules.append(schedule)
-        return limsup_oracle.walked_estimate(mapd, base, xstar, ystar, schedule)
-
-    monkeypatch.setattr(fixed_points, "walked_estimate", recording)
-    f = primal(space, space.grid**2)
-    poly_fixed_point_quotient(f, degree, DualVector.zero(space))
-    (schedule,) = schedules
+    schedule = _poly_schedule(monkeypatch, primal(space, space.grid**2), degree)
     rays = [ray.values.tobytes() for ray in schedule.extra_rays[1 : degree + 3]]
     powers = chebyshev._grid_powers(space, degree + 1)[0]
     assert rays == [column.tobytes() for column in powers.T]

@@ -142,8 +142,12 @@ def test_determinism_bit_for_bit():
     b = estimate_limsup(mapd, base, xs, ys, sched)
     assert a.per_level_sup == b.per_level_sup
     assert a.extrapolated == b.extrapolated
-    for field in ("radii", "us", "vs", "quotients"):
+    for field in ("radii", "quotients"):
         assert np.array_equal(getattr(a.trace, field), getattr(b.trace, field))
+    # the rows behind them, walked from two passes
+    first, second = (ref.walked_rows(sample_base(mapd, base, sched)) for _ in range(2))
+    for got, want in zip(first, second):
+        assert np.array_equal(got, want)
 
 
 def test_trace_columns_hold_every_sample():
@@ -156,14 +160,15 @@ def test_trace_columns_hold_every_sample():
     est = estimate_limsup(mapd, base, xs, ys, sched)
     trace = est.trace
     assert trace.radii.shape == (5,)
-    assert trace.us.shape == trace.vs.shape == (5, 18, 4)
     assert trace.quotients.shape == (5, 18)
     assert len(trace) == 5 * (16 + 2)
     assert np.array_equal(trace.radii, 0.25 * 2.0 ** -np.arange(5))
     assert np.array_equal(trace.quotients.max(axis=1), est.per_level_sup)
+    us, vs, _ = (rows[0] for rows in ref.walked_rows(sample_base(mapd, base, sched)))
+    assert us.shape == vs.shape == (5, 18, 4)
     for k in range(5):
-        assert np.array_equal(trace.vs[k], mapd.value_batch(trace.us[k]))
-        for u, v, q in zip(trace.us[k], trace.vs[k], trace.quotients[k]):
+        assert np.array_equal(vs[k], mapd.value_batch(us[k]))
+        for u, v, q in zip(us[k], vs[k], trace.quotients[k]):
             expected = ref.quotient(base, primal(L24, u), primal(L24, v), xs, ys)
             assert abs(q - expected) <= 1e-12 * max(abs(expected), 1e-300)
 
@@ -196,7 +201,7 @@ def _same_estimate(a, b):
     assert np.array_equal(a.per_level_sup, b.per_level_sup)
     assert np.array_equal(a.extrapolated, b.extrapolated)
     assert a.verdict == b.verdict
-    for field in ("radii", "us", "vs", "quotients"):
+    for field in ("radii", "quotients"):
         assert np.array_equal(getattr(a.trace, field), getattr(b.trace, field))
 
 
@@ -217,17 +222,18 @@ def test_a_shared_pass_gives_every_candidate_its_fresh_estimate(name):
     cands = [dual(mapd.space, rng.normal(size=size) * (rng.random(size) < min(1.0, 6.0 / size)))
              for _ in range(4)]
     samples = sample_base(mapd, base, sched)
-    shared = [limsup_oracle._estimate(samples, c, c) for c in cands]
-    shared += [limsup_oracle._estimate(samples, cands[0], c) for c in cands[1:]]
-    fresh = [estimate_limsup(mapd, base, c, c, sched) for c in cands]
-    fresh += [estimate_limsup(mapd, base, cands[0], c, sched) for c in cands[1:]]
+    pairs = [(c, c) for c in cands] + [(cands[0], c) for c in cands[1:]]
+    shared = [limsup_oracle._estimate(samples, xs, ys) for xs, ys in pairs]
+    fresh = [estimate_limsup(mapd, base, xs, ys, sched) for xs, ys in pairs]
     reference = ref.sample_pass(mapd, base, sched)
-    for a, b in zip(shared, fresh):
+    # the shared pass's rows are the pass's (its one base's)
+    for got, want in zip(ref.walked_rows(samples), reference[1:]):
+        assert np.array_equal(got[0], want)
+    for a, b, (xs, ys) in zip(shared, fresh, pairs):
         _same_estimate(a, b)
-        # the trace holds the pass's rows (its one base's), written in place
-        # by the walk, and nothing more
-        assert np.array_equal(a.trace.us, reference.us) and np.array_equal(a.trace.vs, reference.vs)
-        assert a.trace.us.flags.owndata and a.trace.vs.flags.owndata
+        # the trace holds the quotients of those rows, and nothing more
+        want = ref.pass_quotients(mapd.space, base, reference, xs.values[None], ys.values[None])[0]
+        assert np.array_equal(a.trace.quotients, want)
     for c in cands[:2]:
         _same_estimate(membership_test(mapd, base, c, c, sched), membership_test(mapd, base, c, c, sched))
 
@@ -271,11 +277,12 @@ def test_a_shared_pass_and_its_trace_are_read_only(name):
         with pytest.raises(ValueError, match="read-only"):
             getattr(samples, field)[...] = 0.0
     w = _some_dual(mapd.space)
-    # a trace's rows, and the finest level its walk keeps for the audit
+    # a trace's radii and quotients, and the finest level its walk keeps for
+    # the audit
     for est in (estimate_limsup(mapd, base, w, w, sched), limsup_oracle._estimate(samples, w, w)):
-        for array in (est.trace.us, est.trace.vs):
+        for array in (est.trace.radii, est.trace.quotients):
             with pytest.raises(ValueError, match="read-only"):
-                array[0, 0, 0] = 0.0
+                array.flat[0] = 0.0
     assert len(samples._finest) == 2
     for array in samples._finest:
         with pytest.raises(ValueError, match="read-only"):
@@ -347,10 +354,13 @@ def test_passes_from_the_shared_draw_block_equal_fresh_passes(monkeypatch):
             for field in ("x", "y", "radii", "extra"):
                 assert np.array_equal(getattr(samples, field), getattr(fresh, field))
             walked, walked_fresh = walk(samples), walk(fresh)
-            for field in ("radii", "us", "vs", "quotients"):
+            for field in ("radii", "quotients"):
                 assert np.array_equal(getattr(walked, field), getattr(walked_fresh, field))
             reference = ref.sample_pass(samples.map, samples.base, samples.schedule)
-            assert np.array_equal(walked.us, reference.us) and np.array_equal(walked.vs, reference.vs)
+            for got, want in zip(ref.walked_rows(samples), reference[1:]):
+                assert np.array_equal(got[0], want)
+            want = ref.pass_quotients(samples.map.space, samples.base, reference, w.values[None], w.values[None])
+            assert np.array_equal(walked.quotients, want[0])
 
     equal_fresh(shared)
 
@@ -477,7 +487,8 @@ def test_the_block_built_pass_gives_the_per_level_rows_bit_for_bit(name, monkeyp
     w = _some_dual(mapd.space)
     trace = limsup_oracle._estimate(samples, w, w).trace
     assert np.array_equal(samples.radii, radii) and np.array_equal(trace.radii, radii)
-    assert np.array_equal(trace.us, us) and np.array_equal(trace.vs, vs)
+    want = ref.pass_quotients(mapd.space, base, ref.Pass(radii, us, vs, dens), w.values[None], w.values[None])
+    assert np.array_equal(trace.quotients, want[0])
     monkeypatch.undo()
     for field, got, want in zip(("us", "vs", "dens"), ref.walked_rows(samples), (us, vs, dens)):
         assert np.array_equal(got[0], want), field
