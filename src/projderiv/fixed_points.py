@@ -13,12 +13,13 @@ consecutive queries at one base. The registry is asked first, run by run;
 then the runs at one map that need the oracle for equally many queries are
 stacked, wherever they sit in the list and within the memory budget of
 `SamplingSchedule.stack_size`, and each stack is one `SamplePass` of the
-oracle (the map, the bases and the schedule, with a leading base axis,
-whose candidate-independent rows one walk evaluates block by block)
+oracle (the map, the bases and the schedule, with a leading base axis)
 answered in one array pass over the stacked candidates (`_oracle_pass`,
 one `limsup_oracle.membership_batch`; a fixed-point query is the
-membership query with y* = x*), bit for bit what
-each candidate gets when asked alone at its base. Each fixed-point query is
+membership query with y* = x*), bit for bit what each candidate gets when
+asked alone at its base. That pass's one walk evaluates the
+candidate-independent rows of the two finest levels only, block by block:
+the verdicts read no other level. Each fixed-point query is
 then settled by its own `is_fixed_point` call, in list order. The
 quotient-form audit checks each base's finest level (`SamplePass.audit`), so
 it sees the rows the oracle judges, with the stacked pairing

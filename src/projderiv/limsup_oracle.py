@@ -28,15 +28,20 @@ each base's rows around its own graph point, and a pass at one base is a
 stack of one; `SamplingSchedule.stack_size` keeps a stack within
 `QUOTIENT_BLOCK` entries (`spaces.QUOTIENT_BLOCK`, which `chebyshev` keeps
 too). A pass is walked once and never held whole. One generator
-(`_block_quotients`) goes over its levels by blocks of consecutive levels of
-at most `QUOTIENT_BLOCK` entries (one level where a level alone is larger,
-`_level_blocks`): it evaluates each block's points and values with one
-`value_batch` (`_level_rows`), builds each block's increments and
-denominators once (`_increments`, in smaller parts where the candidates'
-quotients need them), and gives their quotients (`_quotients`), which
-`membership_batch` reduces to per-level suprema block by block
-(`_sampled_sups`) and `estimate_limsup` keeps as its trace, both taking the
-limsup by one rule (`_limsup`). A trace is its quotients, one (levels, rows)
+(`_block_quotients`) goes over a range of its levels that ends at the finest
+by blocks of consecutive levels of at most `QUOTIENT_BLOCK` entries (one
+level where a level alone is larger, `_level_blocks`): it evaluates each
+block's points and values with one `value_batch` (`_level_rows`), builds
+each block's increments and denominators once (`_increments`, in smaller
+parts where the candidates' quotients need them), and gives their quotients
+(`_quotients`). `estimate_limsup` walks every level and keeps their
+quotients as its trace; `membership_batch` walks the two finest levels only
+and reduces them to their suprema block by block (`_sampled_sups`). Both
+take the limsup by one rule (`_limsup`), which reads the suprema of those
+two levels (`_LIMSUP_LEVELS`) and of no other. A level's directions come
+from its own seeded stream, and its rows, quotients and supremum do not
+depend on the levels beside it, so the two finest suprema of a batch are
+those of a walk over every level, bit for bit. A trace is its quotients, one (levels, rows)
 array, and its per-level suprema are their row maxima: no estimate keeps a
 pass's rows, and one that audits them reads them block by block as the walk
 hands them over (`estimate_limsup`'s `rows`). A stacked array rounds like
@@ -60,11 +65,12 @@ into another.
 
 `membership_batch` answers many candidates at every base of a pass in one
 array pass: it takes their duals and extra rays as arrays with a leading
-base axis (a fixed-point candidate has y* = x*), each block of levels keeps
-only every candidate's per-level suprema (the `QUOTIENT_BLOCK` bound holds
-on the candidate axis too), the norming rays of x* - y* are rows
-(`norming_rays`, a zero ray where y* = x*), and the rays of every candidate
-at every base share one halving loop and one stacked pass of rows.
+base axis (a fixed-point candidate has y* = x*), it walks the two finest
+levels, each block of them keeping only every candidate's per-level suprema
+(the `QUOTIENT_BLOCK` bound holds on the candidate axis too), the norming
+rays of x* - y* are rows (`norming_rays`, a zero ray where y* = x*), and the
+rays of every candidate at every base share one halving loop and one
+stacked pass of rows.
 `estimate_limsup`, `membership_test` and `directed_ray_limit` are batches of
 one through the same code (`_quotients`, `_fold_rays`), so a batch gives
 each candidate its one-call numbers bit for bit. That rests on two rules. Products are
@@ -82,7 +88,7 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -148,6 +154,12 @@ class GraphPoint:
         return cls(x, y)
 
 
+# The limsup estimate reads the suprema of the _LIMSUP_LEVELS finest levels
+# (`_limsup`), so a walk without a trace evaluates only those (`_sampled_sups`,
+# `SamplingSchedule.stack_size`).
+_LIMSUP_LEVELS = 2
+
+
 @dataclass(frozen=True)
 class SamplingSchedule:
     """Radii r0 * 2^-k for k < levels, with `dirs_per_level` random unit
@@ -198,11 +210,12 @@ class SamplingSchedule:
     def stack_size(self, space: SpaceSpec, candidates: int) -> int:
         """How many bases one pass in `space` stacks (`sample_base`) when
         `candidates` candidates are asked at each: as many as keep the
-        entries a walk over the stack evaluates (bases x levels x rows x
-        size), and one level of its quotients (bases x candidates x rows),
-        within QUOTIENT_BLOCK; one where a single base is larger."""
+        entries a walk of `membership_batch` over the stack evaluates (bases
+        x its two finest levels x rows x size, `_sampled_sups`), and one
+        level of its quotients (bases x candidates x rows), within
+        QUOTIENT_BLOCK; one where a single base is larger."""
         rows = self.dirs_per_level + len(self.extra_rays)
-        return max(1, QUOTIENT_BLOCK // (rows * max(self.levels * space.size, candidates)))
+        return max(1, QUOTIENT_BLOCK // (rows * max(_LIMSUP_LEVELS * space.size, candidates)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,8 +228,9 @@ class SamplePass:
 
     The sampled points u and values v (shape (bases, levels, rows, size))
     are never held whole: each walk over the pass (`_block_quotients`)
-    evaluates them one block of levels at a time, and keeps a copy of each
-    base's finest level, the rows of its `audit`."""
+    evaluates the levels it covers, every level for an estimate and the two
+    finest for `membership_batch`, one block of levels at a time, and keeps
+    a copy of each base's finest level, the rows of its `audit`."""
 
     map: MapDescriptor
     bases: tuple[GraphPoint, ...]
@@ -456,37 +470,40 @@ def _level_rows(samples: SamplePass, block: slice) -> tuple[np.ndarray, np.ndarr
     return us, vs
 
 
-def _level_blocks(shape: tuple[int, ...], candidates: int) -> list[slice]:
-    """Runs of consecutive levels of a (bases, levels, rows, size) stack of
-    passes, or of one (levels, rows, size) block of draws, whose entries,
-    and whose quotients of `candidates` candidates at each base, stay within
-    QUOTIENT_BLOCK; one level where a level alone is larger. A walk over a
-    pass evaluates its rows by the blocks of one candidate, and takes the
-    quotients of its candidates by their blocks within each; a walk over
-    direction draws takes the blocks of one candidate."""
+def _level_blocks(shape: tuple[int, ...], candidates: int, first: int = 0) -> list[slice]:
+    """Runs of consecutive levels, from level `first` on, of a (bases,
+    levels, rows, size) stack of passes, or of one (levels, rows, size)
+    block of draws, whose entries, and whose quotients of `candidates`
+    candidates at each base, stay within QUOTIENT_BLOCK; one level where a
+    level alone is larger. A walk over a pass evaluates its rows by the
+    blocks of one candidate, and takes the quotients of its candidates by
+    their blocks within each; a walk over direction draws takes the blocks
+    of one candidate."""
     *stack, levels, rows, size = shape
     step = max(1, QUOTIENT_BLOCK // (math.prod(stack) * rows * max(size, candidates)))
-    return [slice(lo, lo + step) for lo in range(0, levels, step)]
+    return [slice(lo, lo + step) for lo in range(first, levels, step)]
 
 
-def _block_quotients(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray, rows=None):
+def _block_quotients(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray, rows=None, first: int = 0):
     """The quotients of m candidates at each base, the rows of the
-    (bases, m, size) arrays `xstars` and `ystars`, over the pass, one part
-    of a block of levels at a time: shape (bases, m, levels in the part,
-    rows).
+    (bases, m, size) arrays `xstars` and `ystars`, over the levels `first`
+    to the finest of the pass (all of them by default), one part of a block
+    of levels at a time: shape (bases, m, levels in the part, rows).
 
-    The one walk over a pass. It evaluates each block of levels once
-    (`_level_rows`), hands each block to `rows` where given (a callable
-    taking the block's points and values, two (bases, levels in the block,
-    rows, size) arrays, in level order), and takes the quotients of each
-    part of the block (its `_level_blocks` for m candidates) by
-    `_increments` and `_quotients`, so each increment is built once, and a
-    part's go before the next part's are built. At the end it keeps a
+    The one walk over a pass. It evaluates each block of those levels once
+    (`_level_rows`), and no other level, hands each block to `rows` where
+    given (a callable taking the block's points and values, two (bases,
+    levels in the block, rows, size) arrays, in level order), and takes the
+    quotients of each part of the block (its `_level_blocks` for m
+    candidates) by `_increments` and `_quotients`, so each increment is
+    built once, and a part's go before the next part's are built. Each
+    level's rows and quotients are those of a walk over every level, bit for
+    bit: its directions are its own stream's. At the end it keeps a
     read-only copy of each base's finest level for the audit
     (`SamplePass.audit`)."""
     space = samples.map.space
     x, y = samples.x[:, None, None], samples.y[:, None, None]
-    for block in _level_blocks(samples._shape, 1):
+    for block in _level_blocks(samples._shape, 1, first):
         us, vs = _level_rows(samples, block)
         if rows is not None:
             rows(us, vs)
@@ -522,8 +539,9 @@ def estimate_limsup(
 
 def _estimate(samples: SamplePass, xstar: DualVector, ystar: DualVector, rows=None) -> LimsupEstimate:
     """`estimate_limsup` at the base of `samples`, a stack of one: the
-    walk's quotients, block by block, are the trace, and their row maxima
-    are the per-level suprema (`_sampled_sups`, bit for bit)."""
+    walk's quotients over every level, block by block, are the trace, and
+    their row maxima are the per-level suprema (the two finest bit for bit
+    those of `_sampled_sups`)."""
     xs, ys = xstar.values[None, None], ystar.values[None, None]
     quotients = np.concatenate([q[0, 0] for q in _block_quotients(samples, xs, ys, rows)])
     quotients.flags.writeable = False
@@ -546,17 +564,21 @@ def _reduced(sups: np.ndarray, ystar: DualVector, trace: QuotientTrace) -> Limsu
 
 
 def _sampled_sups(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray) -> np.ndarray:
-    """The per-level suprema of each candidate at each base, the rows of the
-    (bases, m, size) arrays `xstars` and `ystars`, shape (bases, m, levels),
-    without the trace: each block's quotients are reduced to their suprema
-    as the walk gives them."""
-    return np.concatenate([q.max(axis=-1) for q in _block_quotients(samples, xstars, ystars)], axis=-1)
+    """The suprema of the _LIMSUP_LEVELS finest levels of each candidate at
+    each base, the rows of the (bases, m, size) arrays `xstars` and
+    `ystars`, shape (bases, m, _LIMSUP_LEVELS), without the trace: the walk
+    evaluates those levels only, and each block's quotients are reduced to
+    their suprema as the walk gives them."""
+    first = len(samples.radii) - _LIMSUP_LEVELS
+    return np.concatenate([q.max(axis=-1) for q in _block_quotients(samples, xstars, ystars, first=first)], axis=-1)
 
 
 def _limsup(sups: np.ndarray) -> np.ndarray:
     """The limsup estimate of per-level suprema (the last axis): the max of
-    the two finest as Python's max(sups[-2:]) takes it, the finest if larger."""
-    return np.where(sups[..., -1] > sups[..., -2], sups[..., -1], sups[..., -2])
+    the _LIMSUP_LEVELS finest as Python's max takes it, coarsest first, a
+    finer level's only where it is larger."""
+    finest = np.moveaxis(sups[..., -_LIMSUP_LEVELS:], -1, 0)
+    return reduce(lambda value, sup: np.where(sup > value, sup, value), finest)
 
 
 # Directed rays start at t = RAY_T0 (or the first halving of it that stays
@@ -788,10 +810,12 @@ def membership_batch(
     verdicts, one list of m answers per base. A candidate with y* = x* asks
     whether x* is a fixed point.
 
-    Each block of levels evaluates every candidate's quotients in one
-    stacked product and keeps only their per-level suprema, the rays of all
-    candidates are one stacked pass (`_fold_rays`), and the tolerances are
-    those of the rows' dual norms (`spaces.dual_norm_rows`).
+    The walk evaluates the two finest levels, the only ones whose suprema
+    the limsup rule reads (`_sampled_sups`); each block of them evaluates
+    every candidate's quotients in one stacked product and keeps only their
+    per-level suprema. The rays of all candidates are one stacked pass
+    (`_fold_rays`), and the tolerances are those of the rows' dual norms
+    (`spaces.dual_norm_rows`).
     """
     bases, m, size = xs.shape
     if not m:

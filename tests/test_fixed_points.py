@@ -50,6 +50,7 @@ from projderiv.limsup_oracle import (
     GraphPoint,
     SamplingSchedule,
     Verdict,
+    estimate_limsup,
     membership_batch,
     membership_test,
     sample_base,
@@ -369,9 +370,9 @@ def test_ask_matches_direct_calls_and_draws_one_pass_per_base_run(monkeypatch):
 @pytest.mark.parametrize("points", [1, 2])
 def test_an_audit_ask_evaluates_each_level_of_its_pass_once(points, monkeypatch):
     # fixed-point queries in the audit mode at the bases of one stack: the
-    # walk evaluates every level once, and the audit reads the finest level
-    # it kept instead of evaluating it again; the rays' rows are counted
-    # apart
+    # walk evaluates each of the two finest levels, the ones the verdicts
+    # read, once, and the audit reads the finest level it kept instead of
+    # evaluating it again; the rays' rows are counted apart
     space = lp_space(3.0, 4)
     ballm = ball_projection_map(space, 1.0)
     bases = [GraphPoint.at_point(ballm, primal(space, [1.2, -0.8, 0.5, 0.3 * k])) for k in range(points)]
@@ -398,7 +399,53 @@ def test_an_audit_ask_evaluates_each_level_of_its_pass_once(points, monkeypatch)
     monkeypatch.setattr(fixed_points, "_forms_spread", counted_audits)
     ask(queries, sched)
     assert len(audits) == 1
-    assert sum(evaluated) - sum(rays) == points * sched.levels * sched.dirs_per_level
+    assert sum(evaluated) - sum(rays) == points * 2 * sched.dirs_per_level
+
+
+def _walked_levels(call, monkeypatch) -> list[int]:
+    """The levels of each pass that `call` evaluates, in the order its walks
+    evaluate them (`limsup_oracle._level_rows`)."""
+    level_rows, walked = limsup_oracle._level_rows, []
+
+    def recorded(samples, block):
+        walked.extend(range(len(samples.radii))[block])
+        return level_rows(samples, block)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(limsup_oracle, "_level_rows", recorded)
+        call()
+    return walked
+
+
+@pytest.mark.parametrize("levels", [4, 8, 10])
+@pytest.mark.parametrize("n, rows", [(4, 64), (16, 1024)])
+def test_a_batch_walk_evaluates_only_the_levels_its_verdicts_read(levels, n, rows, monkeypatch):
+    # at N = 4, S = 64 a block holds every level of a pass, at N = 16,
+    # S = 1024 one level; `ask` and `membership_batch` evaluate the two
+    # finest levels, those whose suprema the limsup rule reads, of each pass
+    # (`ask` stacks both bases in one pass at N = 4 and draws one pass per
+    # base at N = 16); an estimate, a membership test and a trace keep every
+    # level's quotients, so they evaluate all of them
+    space = lp_space(3.0, n)
+    ballm = ball_projection_map(space, 1.0)
+    ramp = np.linspace(-1.0, 2.0, n)
+    bases = [GraphPoint.at_point(ballm, primal(space, scale * ramp)) for scale in (0.2, 1.5)]
+    sched = SamplingSchedule(levels=levels, dirs_per_level=rows, seed=4)
+    rng = np.random.default_rng(levels)
+    duals = [dual(space, rng.normal(size=n)) for _ in range(3)]
+    queries = [Query(ballm, base, w, mode="oracle") for base in bases for w in duals]
+    finest, every = [levels - 2, levels - 1], list(range(levels))
+    passes = 1 if n == 4 else len(bases)
+    assert _walked_levels(lambda: ask(queries, sched), monkeypatch) == finest * passes
+    xs = np.stack([np.stack([w.values for w in duals])] * len(bases))
+    samples, no_rays = sample_base(ballm, bases, sched), np.zeros((*xs.shape[:2], 0, n))
+    assert _walked_levels(lambda: membership_batch(samples, xs, xs[::-1], no_rays), monkeypatch) == finest
+    base, w = bases[1], duals[0]
+    assert _walked_levels(lambda: estimate_limsup(ballm, base, w, duals[1], sched), monkeypatch) == every
+    assert _walked_levels(lambda: membership_test(ballm, base, w, duals[1], sched), monkeypatch) == every
+    overrides = {"p": "3", "N": str(n), "S": str(rows), "K": str(levels)}
+    config = resolve_config("ball_coderiv_theorem_3_1", overrides=overrides)
+    assert _walked_levels(lambda: experiment_trace(config), monkeypatch) == every
 
 
 @pytest.mark.parametrize("kind", ["ball", "cone"])

@@ -19,7 +19,7 @@ from projderiv.coderivatives import (
     poly_projection_map,
 )
 from projderiv import limsup_oracle
-from projderiv.fixed_points import is_fixed_point, quotient_forms_spread, registry_rays
+from projderiv.fixed_points import Query, ask, is_fixed_point, quotient_forms_spread, registry_rays
 from projderiv.limsup_oracle import (
     RAY_RATIO,
     RAY_STEPS,
@@ -81,10 +81,13 @@ def test_quotient_zero_denominator():
     w = dual(L24, [1, 0, 0, 0])
     with pytest.raises(ZeroDivisionError):
         ref.quotient(base, base.x, base.y, w, w)
-    # a zero extra ray puts one sample of every level on the base point
+    # a zero extra ray puts one sample of every level on the base point,
+    # the two finest levels that a fixed-point `ask` walks included
     sched = SamplingSchedule(extra_rays=(PrimalVector.zero(L24),))
     with pytest.raises(ZeroDivisionError):
         estimate_limsup(mapd, base, w, w, sched)
+    with pytest.raises(ZeroDivisionError):
+        ask([Query(mapd, base, w, mode="oracle")], sched)
 
 
 def test_translation_ray_limit():

@@ -225,13 +225,14 @@ def _c01_case(seed):
 
 
 def _split_case(seed):
-    """Ten runs of one membership query at one ball: one more than a stack
-    holds at the default shape, so the stack splits at QUOTIENT_BLOCK."""
+    """Thirty-three runs of one membership query at one ball: one more than
+    a stack holds at the default shape, so the stack splits at
+    QUOTIENT_BLOCK."""
     rng = np.random.default_rng(seed)
     space = lp_space(3.0, 4)
     ballm = ball_projection_map(space, 1.0)
     queries = []
-    for k in range(10):
+    for k in range(33):
         base = GraphPoint.at_point(ballm, _point(space, rng, 2.5 if k % 2 else 0.5))
         ystar = _duals(space, rng, 1)[0]
         queries.append(Query(ballm, base, coderiv_ball_lp(base.x, 1.0, ystar).point, ystar))
@@ -305,7 +306,7 @@ def test_stacked_ask_is_the_per_run_pass_bit_for_bit(name, monkeypatch):
     assert max(sizes) <= max(QUOTIENT_BLOCK, level)
     assert sum(stacks) == sum(1 for run in runs if run)
     if name == "split":
-        assert stacks == [8, 2]
+        assert stacks == [32, 1]
     elif name == "N=16 S=1024":
         assert stacks == [1, 1, 1]
     else:
