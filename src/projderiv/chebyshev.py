@@ -327,23 +327,29 @@ def chebyshev_points(count: int) -> np.ndarray:
     return (1.0 - np.cos(np.pi * j / (count - 1))) / 2.0
 
 
-def _sample_values(grid: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _sample_values(grid: np.ndarray, values: np.ndarray, t: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Values of grid functions at points of [0, 1]: `values` (..., G) and
-    `t` (..., p) with the same leading shape. A point is read by the
-    parabola through the three nodes centred at its nearest interior node;
-    a node is read exactly, which is all a two-node grid can be asked."""
+    `t` (..., p) with the same leading shape, or, with `rows`, `values`
+    (R, G) and `t` (len(rows), p), the points of the grid functions
+    values[rows], whose nodes are read from `values` without copying its
+    rows. A point is read by the parabola through the three nodes centred
+    at its nearest interior node; a node is read exactly, which is all a
+    two-node grid can be asked."""
     g = grid.size
     h = 1.0 / (g - 1)
     nearest = np.clip(np.rint(t * (g - 1)).astype(np.intp), 0, g - 1)
     j = np.clip(nearest, 1, g - 2)
+
+    def nodes(k):
+        return np.take_along_axis(values, k, axis=-1) if rows is None else values[rows[:, None], k]
+
     t0, t1, t2 = grid[j - 1], grid[j], grid[j + 1]
-    f0, f1, f2 = (np.take_along_axis(values, k, axis=-1) for k in (j - 1, j, j + 1))
+    f0, f1, f2 = nodes(j - 1), nodes(j), nodes(j + 1)
     # Lagrange on three equispaced nodes
     l0 = (t - t1) * (t - t2) / (2 * h * h)
     l1 = -(t - t0) * (t - t2) / (h * h)
     l2 = (t - t0) * (t - t1) / (2 * h * h)
-    at_node = np.take_along_axis(values, nearest, axis=-1)
-    return np.where(grid[nearest] == t, at_node, f0 * l0 + f1 * l1 + f2 * l2)
+    return np.where(grid[nearest] == t, nodes(nearest), f0 * l0 + f1 * l1 + f2 * l2)
 
 
 def annihilator(points: np.ndarray, n: int) -> tuple[np.ndarray, float]:
@@ -629,7 +635,7 @@ def remez_rows(space: SpaceSpec, values, n: int) -> list[RemezResult]:
     shift = np.divide(0.5 * h * (r0 - r2), denom, out=np.zeros_like(denom), where=vertex)
     vertex &= ~(np.abs(shift) >= h)
     points = np.sort(np.where(vertex, grid_pts + shift, grid_pts), axis=1)
-    samples = _sample_values(grid, values[rows], points)
+    samples = _sample_values(grid, values, points, rows)
     distinct = (np.diff(points, axis=1) != 0).all(axis=1)
     # a point left on its node samples there exactly, so a row whose points
     # all stayed has the last discrete solve

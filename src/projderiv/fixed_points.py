@@ -14,12 +14,15 @@ then the runs at one map that need the oracle for equally many queries are
 stacked, wherever they sit in the list and within the memory budget of
 `SamplingSchedule.stack_size`, and each stack is one `SamplePass` of the
 oracle (the map, the bases and the schedule, with a leading base axis)
-answered in one array pass over the stacked candidates (`_oracle_pass`,
-one `limsup_oracle.membership_batch`; a fixed-point query is the
-membership query with y* = x*), bit for bit what each candidate gets when
-asked alone at its base. That pass's one walk evaluates the
+answered in array passes over the stacked candidates (the two halves of
+`limsup_oracle.membership_batch`; a fixed-point query is the membership
+query with y* = x*), bit for bit what each candidate gets when asked alone
+at its base. Each sample stack's one walk evaluates the
 candidate-independent rows of the two finest levels only, block by block:
-the verdicts read no other level. Each fixed-point query is
+the verdicts read no other level (`_walked`). The rays are folded by ray
+stacks of whole sample stacks, as many as keep their ray rows within
+`QUOTIENT_BLOCK` (`_folded`), so that wide bases, one to a sample stack,
+share one ray pass. Each fixed-point query is
 then settled by its own `is_fixed_point` call, in list order. The
 quotient-form audit checks each base's finest level (`SamplePass.audit`), so
 it sees the rows the oracle judges, with the stacked pairing
@@ -57,11 +60,16 @@ from .limsup_oracle import (
     SamplePass,
     SamplingSchedule,
     Verdict,
+    _answers,
+    _candidate_parts,
+    _fold_rays,
     _increments,
+    _limsup,
     _quotients,
+    _ray_stack_size,
     _richardson,
+    _sampled_sups,
     estimate_limsup,
-    membership_batch,
     membership_test,  # not called here; the benchmark's tracer wraps this binding too
     norming_rays,
     sample_base,
@@ -186,29 +194,60 @@ def is_fixed_point(
 
 def _oracle_pass(samples: SamplePass, runs: Sequence[Sequence[Query]]) -> list[list[tuple[float, float, Answer]]]:
     """What the oracle says about each query of each run, the run at each
-    base of `samples` (m queries each), in one `membership_batch` over the
+    base of `samples` (m queries each), as one `membership_batch` over the
     stacked candidates, a fixed-point query asked with y* = x*, each with
     the registry's rejection rays: the largest spread of the query's three
     quotient forms on its base's audit rows (`SamplePass.audit`; more than
     1e-12 times its scale means the pairing arithmetic broke, and a
     membership query, which has no audit, reads 0.0), its scale
-    1 + ||y*||_*, and its answer; one list per run."""
-    mapd, space = samples.map, samples.map.space
+    1 + ||y*||_*, and its answer; one list per run. It is the two halves of
+    `_oracle_answers` over one stack: the walk (`_walked`), then the rays
+    (`_folded`)."""
+    xs, ys, fixed = _stacked(runs)
+    return _folded(samples, xs, ys, fixed, *_walked(samples, xs, ys, fixed))
+
+
+def _stacked(runs: Sequence[Sequence[Query]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x* and y* of each query of each run, (runs, m, size) arrays (y* =
+    x* for a fixed-point query), and which queries ask about a fixed point,
+    a (runs, m) mask."""
     xs = np.array([[q.xstar.values for q in run] for run in runs])
     ys = np.array([[(q.xstar if q.ystar is None else q.ystar).values for q in run] for run in runs])
-    answers = membership_batch(samples, xs, ys, registry_rays(mapd, samples.bases, xs, ys)[:, :, None])
     fixed = np.array([[q.ystar is None for q in run] for run in runs])
+    return xs, ys, fixed
+
+
+def _walked(samples: SamplePass, xs: np.ndarray, ys: np.ndarray, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The walk's half of `_oracle_pass` at the bases of `samples`: each
+    candidate's limsup value over the two finest levels and its audit
+    spread, (bases, m) arrays. The spreads are taken for a part of the
+    candidates at a time (`_candidate_parts`), each row bit for bit its own
+    `quotient_forms_spread` (`pairing_stack`); a membership query's read
+    0.0."""
+    space, m = samples.map.space, xs.shape[1]
+    values = _limsup(_sampled_sups(samples, xs, ys))
     spreads = np.zeros(fixed.shape)
     if fixed.any():
-        # every candidate's spreads at once, each row bit for bit its own
-        # `quotient_forms_spread` (`pairing_stack`); a membership query's are
-        # dropped
         audit = samples.audit
-        spreads[fixed] = _forms_spread(
-            lambda rows: pairing_stack(space, xs, rows[:, None]), audit, audit.den[:, None]
-        ).max(axis=-1)[fixed]
+        for part in _candidate_parts(audit.den.size, m):
+            spreads[:, part] = _forms_spread(
+                lambda rows: pairing_stack(space, xs[:, part], rows[:, None]), audit, audit.den[:, None]
+            ).max(axis=-1)
+        spreads[~fixed] = 0.0
+    return values, spreads
+
+
+def _folded(
+    samples: SamplePass, xs: np.ndarray, ys: np.ndarray, fixed: np.ndarray, values: np.ndarray, spreads: np.ndarray
+) -> list[list[tuple[float, float, Answer]]]:
+    """The rays' half of `_oracle_pass` at the bases of `samples`, given the
+    walk's `values` and `spreads` there: each candidate's value folded with
+    its rays and the registry's rejection ray (`_fold_rays`), and its
+    `_oracle_pass` entry."""
+    mapd, space = samples.map, samples.map.space
+    values = _fold_rays(samples, xs, ys, registry_rays(mapd, samples.bases, xs, ys)[:, :, None], values)
     scales = 1.0 + dual_norm_rows(space, ys.reshape(-1, space.size)).reshape(fixed.shape)
-    return [list(zip(*columns)) for columns in zip(spreads.tolist(), scales.tolist(), answers)]
+    return [list(zip(*columns)) for columns in zip(spreads.tolist(), scales.tolist(), _answers(space, ys, values))]
 
 
 def quotient_forms_spread(ystar: DualVector, rows: AuditRows) -> np.ndarray:
@@ -285,10 +324,15 @@ def _oracle_answers(runs: list[list[Query]], schedule: SamplingSchedule) -> dict
     """The `_oracle_pass` entry of each query of `runs`, each run the
     queries of one base that need the oracle. The runs at one map with
     equally many queries are stacked in list order, at most
-    `SamplingSchedule.stack_size` to a stack, and each stack is one
-    `sample_base` pass answered by one `_oracle_pass`; the stacks go in the
-    order of their first run, and each stack's pass is released before the
-    next is drawn, so the memory bound of one stack holds for the list."""
+    `SamplingSchedule.stack_size` to a sample stack, whose `sample_base`
+    pass is walked (`_walked`) and released before the next is drawn, so
+    the memory bound of one stack holds for the list. Their rays are folded
+    by ray stacks (`_folded`): as many consecutive whole sample stacks as
+    keep the ray rows of their bases within QUOTIENT_BLOCK
+    (`_ray_stack_size`, with the registry's one rejection ray per
+    candidate), over one pass of all their bases, which `sample_base` draws
+    without evaluating anything; a ray stack of one sample stack folds over
+    the pass it walked. The keys go in the order of their first run."""
     stacks: dict[tuple[MapDescriptor, int], list[list[Query]]] = {}
     for run in runs:
         if run:
@@ -296,11 +340,20 @@ def _oracle_answers(runs: list[list[Query]], schedule: SamplingSchedule) -> dict
     checked = {}
     for (mapd, m), stacked in stacks.items():
         size = schedule.stack_size(mapd.space, m)
-        for lo in range(0, len(stacked), size):
-            group = stacked[lo : lo + size]
-            samples = None  # release the previous pass before drawing this one
-            samples = sample_base(mapd, [run[0].base for run in group], schedule)
-            for run, entries in zip(group, _oracle_pass(samples, group)):
+        fold = _ray_stack_size(mapd, m, 1, size)
+        for lo in range(0, len(stacked), fold):
+            group = stacked[lo : lo + fold]
+            xs, ys, fixed = _stacked(group)
+            walked = []
+            for at in range(0, len(group), size):
+                samples = None  # release the previous pass before drawing this one
+                samples = sample_base(mapd, [run[0].base for run in group[at : at + size]], schedule)
+                walked.append(_walked(samples, xs[at : at + size], ys[at : at + size], fixed[at : at + size]))
+            if len(walked) > 1:
+                samples = None
+                samples = sample_base(mapd, [run[0].base for run in group], schedule)
+            values, spreads = (np.concatenate(arrays) for arrays in zip(*walked))
+            for run, entries in zip(group, _folded(samples, xs, ys, fixed, values, spreads)):
                 checked.update(zip(run, entries))
     return checked
 

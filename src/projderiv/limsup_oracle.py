@@ -34,11 +34,13 @@ level where a level alone is larger, `_level_blocks`): it evaluates each
 block's points and values with one `value_batch` (`_level_rows`), builds
 each block's increments and denominators once (`_increments`, in smaller
 parts where the candidates' quotients need them), and gives their quotients
-(`_quotients`). `estimate_limsup` walks every level and keeps their
-quotients as its trace; `membership_batch` walks the two finest levels only
-and reduces them to their suprema block by block (`_sampled_sups`). Both
-take the limsup by one rule (`_limsup`), which reads the suprema of those
-two levels (`_LIMSUP_LEVELS`) and of no other. A level's directions come
+(`_quotients`), by parts of the candidates where one level of all of them
+is more than `QUOTIENT_BLOCK` (`_candidate_parts`). `estimate_limsup` walks
+every level and keeps their quotients as its trace; `membership_batch`
+walks the two finest levels only and reduces them to their suprema part by
+part (`_sampled_sups`). Both take the limsup by one rule (`_limsup`),
+which reads the suprema of those two levels (`_LIMSUP_LEVELS`) and of no
+other. A level's directions come
 from its own seeded stream, and its rows, quotients and supremum do not
 depend on the levels beside it, so the two finest suprema of a batch are
 those of a walk over every level, bit for bit. A trace is its quotients, one (levels, rows)
@@ -66,11 +68,16 @@ into another.
 `membership_batch` answers many candidates at every base of a pass in one
 array pass: it takes their duals and extra rays as arrays with a leading
 base axis (a fixed-point candidate has y* = x*), it walks the two finest
-levels, each block of them keeping only every candidate's per-level suprema
-(the `QUOTIENT_BLOCK` bound holds on the candidate axis too), the norming
-rays of x* - y* are rows (`norming_rays`, a zero ray where y* = x*), and the
-rays of every candidate at every base share one halving loop and one
-stacked pass of rows.
+levels, each part of them keeping only its candidates' per-level suprema
+(the `QUOTIENT_BLOCK` bound holds on the candidate axis too,
+`_candidate_parts`), the norming rays of x* - y* are rows (`norming_rays`, a
+zero ray where y* = x*), and the rays of every candidate at every base share
+one halving loop and one stacked pass of rows (`_fold_rays`). Its two
+halves, the walk and the fold of rays, are also run apart: `fixed_points`
+walks its sample stacks one by one and folds the rays of as many whole
+stacks as keep their ray rows within `QUOTIENT_BLOCK` at once
+(`_ray_stack_size`), over one pass of all their bases, so that where each
+stack holds one wide base, many bases still share one ray pass.
 `estimate_limsup`, `membership_test` and `directed_ray_limit` are batches of
 one through the same code (`_quotients`, `_fold_rays`), so a batch gives
 each candidate its one-call numbers bit for bit. That rests on two rules. Products are
@@ -84,8 +91,8 @@ that does not start) never replacing a value.
 
 from __future__ import annotations
 
-import io
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
@@ -230,7 +237,10 @@ class SamplePass:
     are never held whole: each walk over the pass (`_block_quotients`)
     evaluates the levels it covers, every level for an estimate and the two
     finest for `membership_batch`, one block of levels at a time, and keeps
-    a copy of each base's finest level, the rows of its `audit`."""
+    a copy of each base's finest level, the rows of its `audit`. Drawing a
+    pass evaluates nothing, so a pass that is never walked is cheap: the
+    rays of several stacks are folded over one pass of all their bases,
+    which only its graph points and `kink_rows` serve."""
 
     map: MapDescriptor
     bases: tuple[GraphPoint, ...]
@@ -484,34 +494,50 @@ def _level_blocks(shape: tuple[int, ...], candidates: int, first: int = 0) -> li
     return [slice(lo, lo + step) for lo in range(first, levels, step)]
 
 
+def _candidate_parts(entries: int, candidates: int) -> list[slice]:
+    """Runs of consecutive candidates whose quotients, `entries` per
+    candidate, stay within QUOTIENT_BLOCK; one candidate where its own are
+    more. Each candidate's quotients are its slice of a stacked product
+    (`pairing_stack`), so a part gives them bit for bit."""
+    step = max(1, QUOTIENT_BLOCK // entries)
+    return [slice(lo, lo + step) for lo in range(0, candidates, step)]
+
+
 def _block_quotients(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray, rows=None, first: int = 0):
     """The quotients of m candidates at each base, the rows of the
     (bases, m, size) arrays `xstars` and `ystars`, over the levels `first`
     to the finest of the pass (all of them by default), one part of a block
-    of levels at a time: shape (bases, m, levels in the part, rows).
+    of levels at a time: `(levels, candidates, quotients)`, the part's
+    levels (a range), its candidates (a slice) and their quotients, shape
+    (bases, candidates in the part, levels in the part, rows).
 
     The one walk over a pass. It evaluates each block of those levels once
     (`_level_rows`), and no other level, hands each block to `rows` where
     given (a callable taking the block's points and values, two (bases,
     levels in the block, rows, size) arrays, in level order), and takes the
-    quotients of each part of the block (its `_level_blocks` for m
-    candidates) by `_increments` and `_quotients`, so each increment is
-    built once, and a part's go before the next part's are built. Each
-    level's rows and quotients are those of a walk over every level, bit for
-    bit: its directions are its own stream's. At the end it keeps a
-    read-only copy of each base's finest level for the audit
-    (`SamplePass.audit`)."""
+    quotients of each part of the block by `_increments` and `_quotients`:
+    its `_level_blocks` for m candidates, each split by candidates where
+    one level of them is more than QUOTIENT_BLOCK (`_candidate_parts`), so
+    each increment is built once, and a part's quotients go before the next
+    part's are taken. Each level's rows and quotients are those of a walk
+    over every level, bit for bit: its directions are its own stream's. At
+    the end it keeps a read-only copy of each base's finest level for the
+    audit (`SamplePass.audit`)."""
     space = samples.map.space
     x, y = samples.x[:, None, None], samples.y[:, None, None]
+    levels = range(len(samples.radii))
     for block in _level_blocks(samples._shape, 1, first):
         us, vs = _level_rows(samples, block)
         if rows is not None:
             rows(us, vs)
         for part in _level_blocks(us.shape, xstars.shape[1]):
             du, dv, dens = _increments(space, x, y, us[:, part], vs[:, part])
-            quotients = _quotients(space, xstars, ystars, du[:, None], dv[:, None], dens[:, None])
+            for candidates in _candidate_parts(dens.size, xstars.shape[1]):
+                quotients = _quotients(
+                    space, xstars[:, candidates], ystars[:, candidates], du[:, None], dv[:, None], dens[:, None]
+                )
+                yield levels[block][part], candidates, quotients
             del du, dv
-            yield quotients
     finest = [us[:, -1].copy(), vs[:, -1].copy()]
     for array in finest:
         array.flags.writeable = False
@@ -543,7 +569,7 @@ def _estimate(samples: SamplePass, xstar: DualVector, ystar: DualVector, rows=No
     their row maxima are the per-level suprema (the two finest bit for bit
     those of `_sampled_sups`)."""
     xs, ys = xstar.values[None, None], ystar.values[None, None]
-    quotients = np.concatenate([q[0, 0] for q in _block_quotients(samples, xs, ys, rows)])
+    quotients = np.concatenate([q[0, 0] for *_, q in _block_quotients(samples, xs, ys, rows)])
     quotients.flags.writeable = False
     return _reduced(quotients.max(axis=1), ystar, QuotientTrace(radii=samples.radii, quotients=quotients))
 
@@ -567,10 +593,13 @@ def _sampled_sups(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray) -
     """The suprema of the _LIMSUP_LEVELS finest levels of each candidate at
     each base, the rows of the (bases, m, size) arrays `xstars` and
     `ystars`, shape (bases, m, _LIMSUP_LEVELS), without the trace: the walk
-    evaluates those levels only, and each block's quotients are reduced to
+    evaluates those levels only, and each part's quotients are reduced to
     their suprema as the walk gives them."""
     first = len(samples.radii) - _LIMSUP_LEVELS
-    return np.concatenate([q.max(axis=-1) for q in _block_quotients(samples, xstars, ystars, first=first)], axis=-1)
+    sups = np.empty((*xstars.shape[:2], _LIMSUP_LEVELS))
+    for levels, candidates, quotients in _block_quotients(samples, xstars, ystars, first=first):
+        sups[:, candidates, levels.start - first : levels.stop - first] = quotients.max(axis=-1)
+    return sups
 
 
 def _limsup(sups: np.ndarray) -> np.ndarray:
@@ -717,6 +746,16 @@ def norming_rays(space: SpaceSpec, diffs: np.ndarray, ystars: np.ndarray) -> np.
     return norming_rows(space, diffs, np.where(aimed, norms, 0.0))
 
 
+def _ray_stack_size(mapd: MapDescriptor, candidates: int, extra: int, stack: int) -> int:
+    """How many bases one fold of rays (`_fold_rays`) takes where stacks of
+    `stack` bases ask `candidates` candidates, each with `extra` extra rays,
+    at each base: as many whole stacks as keep the ray rows of their bases,
+    (kink rays + candidates x (1 + extra)) x RAY_STEPS x size entries per
+    base, within QUOTIENT_BLOCK; one stack where a stack's are more."""
+    rows = (len(mapd.kink_rays) + candidates * (1 + extra)) * RAY_STEPS * mapd.space.size
+    return stack * max(1, QUOTIENT_BLOCK // (stack * rows))
+
+
 def _fold_rays(
     samples: SamplePass, xs: np.ndarray, ys: np.ndarray, extra_rays: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
@@ -732,7 +771,10 @@ def _fold_rays(
     probe is not finite, are skipped, and a NaN limit never replaces a
     value. The kink rays' rows are the pass's (`SamplePass.kink_rows`); the
     other rays of every candidate at every base share one halving loop and
-    one stacked pass of rows.
+    one stacked pass of rows. No candidate's limits depend on the other
+    bases or candidates of the pass, so `samples` need not be the pass that
+    was walked for `values`: it may stack the bases of several walked
+    passes (`_ray_stack_size`).
     """
     mapd, space = samples.map, samples.map.space
     bases, m, size = xs.shape
@@ -810,18 +852,29 @@ def membership_batch(
     verdicts, one list of m answers per base. A candidate with y* = x* asks
     whether x* is a fixed point.
 
-    The walk evaluates the two finest levels, the only ones whose suprema
-    the limsup rule reads (`_sampled_sups`); each block of them evaluates
-    every candidate's quotients in one stacked product and keeps only their
-    per-level suprema. The rays of all candidates are one stacked pass
-    (`_fold_rays`), and the tolerances are those of the rows' dual norms
-    (`spaces.dual_norm_rows`).
+    It is two halves over one stack, which `fixed_points` also runs apart,
+    over stacks of their own. The walk evaluates the two finest levels, the
+    only ones whose suprema the limsup rule reads (`_sampled_sups`); each
+    part of them evaluates its candidates' quotients in one stacked product
+    and keeps only their per-level suprema. Then the rays of all candidates
+    are one stacked pass (`_fold_rays`), and the tolerances are those of the
+    rows' dual norms (`_answers`). No candidate's value depends on the other
+    bases or candidates of either half.
     """
     bases, m, size = xs.shape
     if not m:
         return [[] for _ in range(bases)]
     values = _fold_rays(samples, xs, ys, extra_rays, _limsup(_sampled_sups(samples, xs, ys)))
-    accepts, rejects = _tolerances(dual_norm_rows(samples.map.space, ys.reshape(-1, size)))
+    return _answers(samples.map.space, ys, values)
+
+
+def _answers(space: SpaceSpec, ys: np.ndarray, values: np.ndarray) -> list[list[Answer]]:
+    """The answer of each candidate of `membership_batch`, with y* the rows
+    of the (bases, m, size) array `ys` and its folded value in the (bases, m)
+    array `values`, by the tolerances of the rows' dual norms
+    (`spaces.dual_norm_rows`): one list of m answers per base."""
+    bases, m, size = ys.shape
+    accepts, rejects = _tolerances(dual_norm_rows(space, ys.reshape(-1, size)))
     answers = [
         Answer(value, _verdict(value, accept, reject))
         for value, accept, reject in zip(values.reshape(-1).tolist(), accepts.tolist(), rejects.tolist())
@@ -830,11 +883,13 @@ def membership_batch(
 
 
 def trace_to_csv(estimate: LimsupEstimate) -> str:
-    """Quotient trace as CSV rows (level, radius, direction index, quotient)."""
-    out = io.StringIO()
-    out.write("level,radius,direction_index,quotient\n")
+    """Quotient trace as CSV rows (level, radius, direction index, quotient).
+    Each level's lines are one join of its rows' indices and quotient reprs
+    over its "level,radius," prefix."""
     trace = estimate.trace
+    indices = [f"{index}," for index in range(trace.quotients.shape[1])]
+    lines = ["level,radius,direction_index,quotient\n"]
     for level, (radius, quotients) in enumerate(zip(trace.radii.tolist(), trace.quotients.tolist())):
-        for index, q in enumerate(quotients):
-            out.write(f"{level},{radius!r},{index},{q!r}\n")
-    return out.getvalue()
+        prefix = f"{level},{radius!r},"
+        lines.append(prefix + f"\n{prefix}".join(map(operator.add, indices, map(repr, quotients))) + "\n")
+    return "".join(lines)

@@ -9,6 +9,13 @@ default configs are used and the files go to `tests/golden/`, which the
 acceptance suite compares against byte for byte. Running it at two commits
 with the same seed and diffing the two directories shows whether a change
 kept every report and trace identical.
+
+Under `wide/` it also writes, in the same form, the reports of the `run`
+configs of CI's wide and fine-grid steps (`WIDE_RUNS`): `wide-<experiment>.json`
+at N = 16 and S = 1024, where every oracle pass is a stack of one base, and
+`fine-<experiment>.json` at G = 4097. Those steps diff their reports, without
+the timestamp, against `tests/golden/wide/`; the tier-1 suite does not read
+them.
 """
 
 from __future__ import annotations
@@ -31,6 +38,23 @@ from projderiv.limsup_oracle import trace_to_csv
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 TRACED = tuple(name for name, record in EXPERIMENTS.items() if record.trace is not None)
+
+# (file stem, experiment, overrides) of each report under wide/
+WIDE_RUNS = tuple(
+    (f"wide-{name}", name, {"N": "16", "S": "1024"})
+    for name in (
+        "ball_theorem_4_1",
+        "ball_coderiv_theorem_3_1",
+        "affine_props_3_3_3_5",
+        "cone_l2_theorem_4_3",
+        "cone_lp_theorem_4_2",
+        "l1_cases",
+        "structural_prop_3_2",
+    )
+) + tuple(
+    (f"fine-{name}", name, {"G": "4097"})
+    for name in ("remez_theorem_5_4", "remez_continuity_theorem_4_8", "structural_prop_3_2", "poly_theorem_4_11")
+)
 
 
 def _overrides(seed: int | None) -> dict:
@@ -64,6 +88,10 @@ def main() -> None:
         report = run_experiment(resolve_config(name, overrides=_overrides(args.seed)))
         (out / f"{name}.json").write_text(report_text(report))
     (out / "traces.sha256").write_text(trace_digests(args.seed))
+    (out / "wide").mkdir(exist_ok=True)
+    for stem, name, overrides in WIDE_RUNS:
+        report = run_experiment(resolve_config(name, overrides={**overrides, **_overrides(args.seed)}))
+        (out / "wide" / f"{stem}.json").write_text(report_text(report))
 
 
 if __name__ == "__main__":

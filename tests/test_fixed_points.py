@@ -464,6 +464,21 @@ def test_a_wide_ask_holds_no_whole_pass(kind):
     assert _warm_peak(lambda: ask(queries, sched)) < whole
 
 
+@pytest.mark.parametrize("kind", ["ball", "cone"])
+def test_a_wide_ask_of_many_candidates_holds_no_whole_pass(kind):
+    # 48 audit queries at one base of N = 16, S = 1024: one level of their
+    # quotients is 48 x 1,024 entries, three times QUOTIENT_BLOCK, so the
+    # walk and the audit take the candidates by parts and the ask stays
+    # below one whole pass
+    space = lp_space(3.0, 16)
+    mapd = ball_projection_map(space, 1.0) if kind == "ball" else cone_projection_map(space)
+    base = GraphPoint.at_point(mapd, primal(space, np.linspace(-1.0, 2.0, 16)))
+    sched = SamplingSchedule(seed=3, dirs_per_level=1024)
+    rng = np.random.default_rng(1)
+    queries = [Query(mapd, base, dual(space, rng.normal(size=16)), mode="audit") for _ in range(48)]
+    assert _warm_peak(lambda: ask(queries, sched)) < 2 * sched.levels * sched.dirs_per_level * space.size * 8
+
+
 def _warm_peak(call) -> int:
     """The tracemalloc peak of `call`, made once before to fill its caches."""
     call()
@@ -655,16 +670,22 @@ def test_a_mixed_run_asks_the_oracle_once_and_gives_each_query_its_lone_verdict(
     alone = [_one_at_a_time(samples, q) for q in queries]
     assert {Verdict.MEMBER, Verdict.NON_MEMBER} <= set(alone)
     calls = []
+    walked, fold = fixed_points._walked, fixed_points._fold_rays
 
-    def counted(samples, xs, ys, extra_rays):
-        calls.append(xs.shape[:2])
-        return membership_batch(samples, xs, ys, extra_rays)
+    def counted_walks(samples, xs, ys, fixed):
+        calls.append(("walk", xs.shape[:2]))
+        return walked(samples, xs, ys, fixed)
 
-    monkeypatch.setattr(fixed_points, "membership_batch", counted)
+    def counted_folds(samples, xs, ys, extra_rays, values):
+        calls.append(("fold", xs.shape[:2]))
+        return fold(samples, xs, ys, extra_rays, values)
+
+    monkeypatch.setattr(fixed_points, "_walked", counted_walks)
+    monkeypatch.setattr(fixed_points, "_fold_rays", counted_folds)
     assert _verdicts(queries, sched) == alone
-    # one batch for the run's one stack, a stack of one base; the
-    # registry-mode queries are settled by the closed form
-    assert calls == [(1, len(queries) - 2)]
+    # one walk and one fold of rays for the run's one stack, a stack of one
+    # base; the registry-mode queries are settled by the closed form
+    assert calls == [("walk", (1, len(queries) - 2)), ("fold", (1, len(queries) - 2))]
 
 
 def test_the_first_failing_query_of_a_run_raises(monkeypatch):

@@ -435,9 +435,9 @@ def test_the_blocked_pass_gives_the_per_level_quotients_bit_for_bit(name, monkey
     sizes = []
 
     def counted(samples, xstars, ystars, rows=None):
-        for quotients in walk(samples, xstars, ystars, rows):
+        for levels, candidates, quotients in walk(samples, xstars, ystars, rows):
             sizes.append(quotients.size * size)  # the entries of the block's rows
-            yield quotients
+            yield levels, candidates, quotients
 
     monkeypatch.setattr(limsup_oracle, "_block_quotients", counted)
     est = estimate_limsup(mapd, base, xstar, ystar, sched)

@@ -162,6 +162,9 @@ def test_the_sampler_is_the_scalar_three_node_parabola_and_exact_at_nodes(grid_s
         assert sampled.tobytes() == np.array(want).tobytes()
     # a row of values with its own points
     assert _sample_values(space.grid, values[0], t[0]).tobytes() == got[0].tobytes()
+    # chosen rows of the values, read in place
+    rows = np.array([2, 0, 3])
+    assert _sample_values(space.grid, values, t[rows], rows).tobytes() == got[rows].tobytes()
     nodes = np.broadcast_to(space.grid, values.shape)
     assert _sample_values(space.grid, values, nodes).tobytes() == values.tobytes()
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import reference_oracle as ref
-from projderiv import fixed_points
+from projderiv import fixed_points, limsup_oracle
 from projderiv.coderivatives import (
     MapDescriptor,
     affine_map,
@@ -32,7 +32,6 @@ from projderiv.coderivatives import (
 )
 from projderiv.fixed_points import FixedPointAuditError, Query, ask, is_fixed_point, registry_verdict
 from projderiv.limsup_oracle import (
-    QUOTIENT_BLOCK,
     RAY_STEPS,
     Answer,
     GraphPoint,
@@ -255,6 +254,25 @@ def _wide_case(seed):
     return "N=16 S=1024", SamplingSchedule(seed=seed, dirs_per_level=1024), queries
 
 
+def _wide_cone_case(seed):
+    """The l_3 cone at N = 16 and S = 1024, with its 32 kink rays: four runs
+    of one query, one at a base with a 1e-300 coordinate, from which the
+    kink ray -e_2 never starts, and a run of two at a fifth base."""
+    rng = np.random.default_rng(seed)
+    space = lp_space(3.0, 16)
+    cone = cone_projection_map(space)
+    tiny = np.zeros(16)
+    tiny[:3] = [0.7, 1e-300, -0.4]
+    points = [tiny, *(rng.uniform(-1.0, 1.5, size=16) for _ in range(4))]
+    bases = [GraphPoint.at_point(cone, primal(space, x)) for x in points]
+    queries = [Query(cone, bases[0], DualVector.zero(space), _duals(space, rng, 1)[0])]
+    queries += [Query(cone, bases[1], w, w) for w in _duals(space, rng, 1)]
+    queries += [Query(cone, bases[2], w, mode="oracle") for w in _duals(space, rng, 1)]
+    queries += [Query(cone, bases[3], w, _duals(space, rng, 1)[0]) for w in _duals(space, rng, 1)]
+    queries += [Query(cone, bases[4], w, mode="audit") for w in _duals(space, rng, 2)]
+    return "cone N=16 S=1024", SamplingSchedule(seed=seed, dirs_per_level=1024), queries
+
+
 CASES = {
     name: (schedule, queries)
     for name, schedule, queries in (
@@ -266,52 +284,69 @@ CASES = {
         _c01_case(6),
         _split_case(7),
         _wide_case(8),
+        _wide_cone_case(9),
     )
 }
+
+WIDE = ("N=16 S=1024", "cone N=16 S=1024")
 
 
 def _bits(answer):
     return (None if answer.extrapolated is None else answer.extrapolated.hex(), answer.verdict)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_stacked_ask_is_the_per_run_pass_bit_for_bit(name, monkeypatch):
+def _check_stacked_ask(name, monkeypatch):
+    """Asks the case's queries, checks every oracle entry and answer against
+    the per-run reference and every batch against the block, and returns the
+    bases of each sample stack and of each fold of rays."""
     schedule, queries = CASES[name]
+    block = limsup_oracle.QUOTIENT_BLOCK
     reference = _reference_checked(queries, schedule)
     assert reference
-    sizes, stacks = [], []
-    value_batch, draw = MapDescriptor.value_batch, fixed_points.sample_base
+    sizes, stacks, folds, rays = [], [], [], []
+    value_batch, walked, fold, ray_rows = (
+        MapDescriptor.value_batch, fixed_points._walked, fixed_points._fold_rays, limsup_oracle._ray_rows
+    )
 
     def counted_values(self, rows):
         sizes.append(rows.size)
         return value_batch(self, rows)
 
-    def counted_draws(mapd, bases, schedule):
-        stacks.append(len(bases))
-        return draw(mapd, bases, schedule)
+    def counted_walks(samples, *args):
+        stacks.append(len(samples.bases))
+        return walked(samples, *args)
 
-    monkeypatch.setattr(MapDescriptor, "value_batch", counted_values)
-    monkeypatch.setattr(fixed_points, "sample_base", counted_draws)
+    def counted_folds(samples, *args):
+        folds.append(len(samples.bases))
+        return fold(samples, *args)
+
+    def counted_rays(mapd, x, y, t_starts, directions, split_l1_denominator=False):
+        rays.append(directions.size * RAY_STEPS)  # the entries of its one value batch
+        return ray_rows(mapd, x, y, t_starts, directions, split_l1_denominator)
+
     runs = [needed for _, _, needed in _runs(queries)]
-    checked = fixed_points._oracle_answers(runs, schedule)
+    with monkeypatch.context() as patch:
+        patch.setattr(MapDescriptor, "value_batch", counted_values)
+        patch.setattr(fixed_points, "_walked", counted_walks)
+        patch.setattr(fixed_points, "_fold_rays", counted_folds)
+        patch.setattr(limsup_oracle, "_ray_rows", counted_rays)
+        checked = fixed_points._oracle_answers(runs, schedule)
     assert checked.keys() == reference.keys()
     for q, (spread, scale, answer) in checked.items():
         want_spread, want_scale, want = reference[q]
         assert (spread, scale, _bits(answer)) == (want_spread, want_scale, _bits(want)), (name, q.mode)
-    # fewer passes than runs wherever runs stack, and no value batch above
-    # the block or one level of one base; the rays' batches stay below it
-    # too at these shapes
+    # no value batch above the block or one level of one base, and no ray
+    # batch above the block or the rays of one base: its kink rays and each
+    # candidate's norming and registry rays
     rows = schedule.dirs_per_level + len(schedule.extra_rays)
     level = rows * queries[0].map.space.size
-    assert max(sizes) <= max(QUOTIENT_BLOCK, level)
-    assert sum(stacks) == sum(1 for run in runs if run)
-    if name == "split":
-        assert stacks == [32, 1]
-    elif name == "N=16 S=1024":
-        assert stacks == [1, 1, 1]
-    else:
-        assert len(stacks) < sum(1 for run in runs if run)
-    monkeypatch.undo()
+    assert max(sizes) <= max(block, level)
+    own = max((len(run[0].map.kink_rays) + 2 * len(run)) * RAY_STEPS * run[0].map.space.size for run in runs if run)
+    assert max(rays) <= max(block, own)
+    # every run in one sample stack and in one fold, a fold being whole
+    # sample stacks
+    assert sum(stacks) == sum(folds) == sum(1 for run in runs if run)
+    assert len(folds) <= len(stacks)
     try:
         want = _reference_ask(queries, reference)
     except FixedPointAuditError as error:
@@ -319,6 +354,39 @@ def test_stacked_ask_is_the_per_run_pass_bit_for_bit(name, monkeypatch):
             ask(queries, schedule)
     else:
         assert [_bits(a) for a in ask(queries, schedule)] == [_bits(a) for a in want]
+    return stacks, folds
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stacked_ask_is_the_per_run_pass_bit_for_bit(name, monkeypatch):
+    schedule, queries = CASES[name]
+    stacks, folds = _check_stacked_ask(name, monkeypatch)
+    runs = sum(1 for _ in groupby(queries, key=lambda q: (q.map, q.base)))
+    if name == "split":
+        # 80 ray rows per base: both sample stacks fold as one
+        assert stacks == [32, 1] and folds == [33]
+    elif name == "N=16 S=1024":
+        # three bases of four queries, 1,280 ray rows each: one sample stack
+        # per base, one fold for all three
+        assert stacks == [1, 1, 1] and folds == [3]
+    elif name == "cone N=16 S=1024":
+        # 5,440 ray rows per base of one query, 5,760 at the base of two
+        assert stacks == [1, 1, 1, 1, 1] and folds == [3, 1, 1]
+    else:
+        # fewer passes than runs wherever runs stack; the folds are the
+        # sample stacks at these shapes
+        assert len(stacks) < runs and folds == stacks
+
+
+@pytest.mark.parametrize("block", [700, 1])
+@pytest.mark.parametrize("name", WIDE)
+def test_a_small_block_folds_the_rays_of_one_base_at_a_time(name, block, monkeypatch):
+    # a block of 700 entries holds fewer than one base's ray rows, and of
+    # one entry nothing: every sample stack, fold and part of candidates is
+    # one base's, and every answer keeps its bits
+    monkeypatch.setattr(limsup_oracle, "QUOTIENT_BLOCK", block)
+    stacks, folds = _check_stacked_ask(name, monkeypatch)
+    assert set(stacks) == set(folds) == {1}
 
 
 @pytest.mark.parametrize("name", ["ball p=3", "cone p=2", "C01"])
