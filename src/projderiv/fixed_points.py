@@ -10,29 +10,16 @@ A `Query` names a map, a base and the duals to ask about there; `ask` answers
 a list of them, one `limsup_oracle.Answer` each (the oracle's value and
 verdict, or a closed form's verdict with no value). A run is a set of
 consecutive queries at one base. The registry is asked first, run by run;
-then the runs at one map that need the oracle for equally many queries are
-stacked, wherever they sit in the list and within the memory budget of
-`SamplingSchedule.stack_size`, and each stack is one `SamplePass` of the
-oracle (the map, the bases and the schedule, with a leading base axis)
-answered in array passes over the stacked candidates (the two halves of
-`limsup_oracle.membership_batch`; a fixed-point query is the membership
-query with y* = x*), bit for bit what each candidate gets when asked alone
-at its base. Each sample stack's one walk evaluates the
-candidate-independent rows of the two finest levels only, block by block:
-the verdicts read no other level (`_walked`). The rays are folded by ray
-stacks of whole sample stacks, as many as keep their ray rows within
-`QUOTIENT_BLOCK` (`_folded`), so that wide bases, one to a sample stack,
-share one ray pass. Each fixed-point query is
-then settled by its own `is_fixed_point` call, in list order. The
-quotient-form audit checks each base's finest level (`SamplePass.audit`), so
-it sees the rows the oracle judges, with the stacked pairing
-`spaces.pairing_stack`. The closed-form side of a stack is rows as well: each
-base's fixed-point set is taken once, and the registry's rejection rays of
-all candidates are one (bases, m, size) array (`registry_rays`, from
-`MapDescriptor.expected_image` and `spaces.norming_rows`), each row bit for
-bit the ray of its candidate alone. `convexity_candidates` builds the
-labelled candidates of the convexity and closedness probe, which are asked
-like any other query.
+then the runs at one map that need the oracle for equally many queries,
+wherever they sit in the list, go to `limsup_oracle.membership_batch`, the
+oracle's one stacked entry (a fixed-point query is the membership query
+with y* = x*), which gives each query bit for bit what it gets when asked
+alone. Each fixed-point query is then settled by its own `is_fixed_point`
+call, in list order, by the audit's verdict rules. The registry's rejection
+rays of a stack are one (bases, m, size) array (`registry_rays`), each row
+bit for bit the ray of its candidate alone. `convexity_candidates` builds
+the labelled candidates of the convexity and closedness probe, which are
+asked like any other query.
 """
 
 from __future__ import annotations
@@ -60,19 +47,13 @@ from .limsup_oracle import (
     SamplePass,
     SamplingSchedule,
     Verdict,
-    _answers,
-    _candidate_parts,
-    _fold_rays,
     _increments,
-    _limsup,
     _quotients,
-    _ray_stack_size,
     _richardson,
-    _sampled_sups,
     estimate_limsup,
+    membership_batch,
     membership_test,  # not called here; the benchmark's tracer wraps this binding too
     norming_rays,
-    sample_base,
     tolerance_pair,
 )
 from .spaces import (
@@ -82,11 +63,9 @@ from .spaces import (
     SpaceSpec,
     atomic_measure,
     dual_norm,
-    dual_norm_rows,
     norm,
     pairing,
     pairing_rows,
-    pairing_stack,
 )
 
 __all__ = [
@@ -166,10 +145,10 @@ def is_fixed_point(
 
     `batch` is the candidate's entry of its run of queries in `ask`: its
     registry verdict (None in the oracle mode), and where it needs the
-    oracle its `_oracle_pass` entry. With it `samples` is not read, and
-    `ask` passes None: the pass that answered the query is released by then.
-    Without it the registry is asked here, and a query that needs the oracle
-    is a run of one.
+    oracle its `membership_batch` entry. With it `samples` is not read, and
+    `ask` passes None. Without it the registry is asked here, and a query
+    that needs the oracle is a stack of one of `membership_batch` at the
+    map, base and schedule of `samples`.
     """
     if mode not in ("registry", "oracle", "audit"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -179,7 +158,12 @@ def is_fixed_point(
     )
     if mode == "registry" and exact is not None:
         return exact
-    spread, scale, answer = oracle or _oracle_pass(samples, [[Query(samples.map, samples.base, candidate)]])[0][0]
+    if oracle is None:
+        w = candidate.values[None, None]
+        ((oracle,),) = membership_batch(
+            samples.map, [samples.base], w, w, np.ones((1, 1), bool), samples.schedule, registry_rays
+        )
+    spread, scale, answer = oracle
     if spread > 1e-12 * scale:
         raise FixedPointAuditError(f"quotient forms disagree by {spread:.3e} at scale {scale:.3e}")
     if mode == "audit" and exact is not None:
@@ -192,80 +176,12 @@ def is_fixed_point(
     return answer.verdict
 
 
-def _oracle_pass(samples: SamplePass, runs: Sequence[Sequence[Query]]) -> list[list[tuple[float, float, Answer]]]:
-    """What the oracle says about each query of each run, the run at each
-    base of `samples` (m queries each), as one `membership_batch` over the
-    stacked candidates, a fixed-point query asked with y* = x*, each with
-    the registry's rejection rays: the largest spread of the query's three
-    quotient forms on its base's audit rows (`SamplePass.audit`; more than
-    1e-12 times its scale means the pairing arithmetic broke, and a
-    membership query, which has no audit, reads 0.0), its scale
-    1 + ||y*||_*, and its answer; one list per run. It is the two halves of
-    `_oracle_answers` over one stack: the walk (`_walked`), then the rays
-    (`_folded`)."""
-    xs, ys, fixed = _stacked(runs)
-    return _folded(samples, xs, ys, fixed, *_walked(samples, xs, ys, fixed))
-
-
-def _stacked(runs: Sequence[Sequence[Query]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The x* and y* of each query of each run, (runs, m, size) arrays (y* =
-    x* for a fixed-point query), and which queries ask about a fixed point,
-    a (runs, m) mask."""
-    xs = np.array([[q.xstar.values for q in run] for run in runs])
-    ys = np.array([[(q.xstar if q.ystar is None else q.ystar).values for q in run] for run in runs])
-    fixed = np.array([[q.ystar is None for q in run] for run in runs])
-    return xs, ys, fixed
-
-
-def _walked(samples: SamplePass, xs: np.ndarray, ys: np.ndarray, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The walk's half of `_oracle_pass` at the bases of `samples`: each
-    candidate's limsup value over the two finest levels and its audit
-    spread, (bases, m) arrays. The spreads are taken for a part of the
-    candidates at a time (`_candidate_parts`), each row bit for bit its own
-    `quotient_forms_spread` (`pairing_stack`); a membership query's read
-    0.0."""
-    space, m = samples.map.space, xs.shape[1]
-    values = _limsup(_sampled_sups(samples, xs, ys))
-    spreads = np.zeros(fixed.shape)
-    if fixed.any():
-        audit = samples.audit
-        for part in _candidate_parts(audit.den.size, m):
-            spreads[:, part] = _forms_spread(
-                lambda rows: pairing_stack(space, xs[:, part], rows[:, None]), audit, audit.den[:, None]
-            ).max(axis=-1)
-        spreads[~fixed] = 0.0
-    return values, spreads
-
-
-def _folded(
-    samples: SamplePass, xs: np.ndarray, ys: np.ndarray, fixed: np.ndarray, values: np.ndarray, spreads: np.ndarray
-) -> list[list[tuple[float, float, Answer]]]:
-    """The rays' half of `_oracle_pass` at the bases of `samples`, given the
-    walk's `values` and `spreads` there: each candidate's value folded with
-    its rays and the registry's rejection ray (`_fold_rays`), and its
-    `_oracle_pass` entry."""
-    mapd, space = samples.map, samples.map.space
-    values = _fold_rays(samples, xs, ys, registry_rays(mapd, samples.bases, xs, ys)[:, :, None], values)
-    scales = 1.0 + dual_norm_rows(space, ys.reshape(-1, space.size)).reshape(fixed.shape)
-    return [list(zip(*columns)) for columns in zip(spreads.tolist(), scales.tolist(), _answers(space, ys, values))]
-
-
 def quotient_forms_spread(ystar: DualVector, rows: AuditRows) -> np.ndarray:
     """Largest pairwise difference of the three algebraically equal quotient
     forms of the fixed-point criterion at each audit row: pairing the
     increments separately, pairing their difference, and pairing the
-    residual shift (u - v) - (x - y)."""
-    return _forms_spread(lambda increments: pairing_rows(ystar, increments), rows, rows.den)
-
-
-def _forms_spread(pair, rows: AuditRows, den: np.ndarray) -> np.ndarray:
-    """`quotient_forms_spread` with the pairing `pair` of the audit rows'
-    increments (one dual's, or those of a stack of duals) over the
-    denominators `den`, the rows' shaped to the pairings."""
-    f1 = (pair(rows.du) - pair(rows.dv)) / den
-    f2 = pair(rows.du_minus_dv) / den
-    f3 = pair(rows.shift) / den
-    return np.maximum(np.maximum(np.abs(f1 - f2), np.abs(f1 - f3)), np.abs(f2 - f3))
+    residual shift (u - v) - (x - y): `AuditRows.spread` of one dual."""
+    return rows.spread(ystar.space, ystar.values[None])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,8 +206,8 @@ def ask(queries: Iterable[Query], schedule: SamplingSchedule) -> list[Answer]:
     A run is a set of consecutive queries at one map and base. The registry
     is asked first, run by run, so that what each run needs from the oracle
     is known (`_oracle_answers`); the runs at one map that need the oracle
-    for equally many queries are then sampled and answered together, as one
-    stacked pass, wherever they sit in the list. Each fixed-point query is
+    for equally many queries are then answered together by one
+    `membership_batch`, wherever they sit in the list. Each fixed-point query is
     then settled by its own `is_fixed_point` call, in list order, so the
     first query that fails raises.
     """
@@ -320,41 +236,32 @@ def _needs_oracle(query: Query, exact: dict[Query, Verdict | None]) -> bool:
     return query.ystar is not None or query.mode in ("oracle", "audit") or (query in exact and exact[query] is None)
 
 
+def _stacked(runs: Sequence[Sequence[Query]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x* and y* of each query of each run, (runs, m, size) arrays (y* =
+    x* for a fixed-point query), and which queries ask about a fixed point,
+    a (runs, m) mask."""
+    xs = np.array([[q.xstar.values for q in run] for run in runs])
+    ys = np.array([[(q.xstar if q.ystar is None else q.ystar).values for q in run] for run in runs])
+    fixed = np.array([[q.ystar is None for q in run] for run in runs])
+    return xs, ys, fixed
+
+
 def _oracle_answers(runs: list[list[Query]], schedule: SamplingSchedule) -> dict[Query, tuple[float, float, Answer]]:
-    """The `_oracle_pass` entry of each query of `runs`, each run the
+    """The `membership_batch` entry of each query of `runs`, each run the
     queries of one base that need the oracle. The runs at one map with
-    equally many queries are stacked in list order, at most
-    `SamplingSchedule.stack_size` to a sample stack, whose `sample_base`
-    pass is walked (`_walked`) and released before the next is drawn, so
-    the memory bound of one stack holds for the list. Their rays are folded
-    by ray stacks (`_folded`): as many consecutive whole sample stacks as
-    keep the ray rows of their bases within QUOTIENT_BLOCK
-    (`_ray_stack_size`, with the registry's one rejection ray per
-    candidate), over one pass of all their bases, which `sample_base` draws
-    without evaluating anything; a ray stack of one sample stack folds over
-    the pass it walked. The keys go in the order of their first run."""
+    equally many queries are stacked in list order and answered by one
+    `membership_batch`, with the registry's rejection rays; the keys go in
+    the order of their first run."""
     stacks: dict[tuple[MapDescriptor, int], list[list[Query]]] = {}
     for run in runs:
         if run:
             stacks.setdefault((run[0].map, len(run)), []).append(run)
     checked = {}
-    for (mapd, m), stacked in stacks.items():
-        size = schedule.stack_size(mapd.space, m)
-        fold = _ray_stack_size(mapd, m, 1, size)
-        for lo in range(0, len(stacked), fold):
-            group = stacked[lo : lo + fold]
-            xs, ys, fixed = _stacked(group)
-            walked = []
-            for at in range(0, len(group), size):
-                samples = None  # release the previous pass before drawing this one
-                samples = sample_base(mapd, [run[0].base for run in group[at : at + size]], schedule)
-                walked.append(_walked(samples, xs[at : at + size], ys[at : at + size], fixed[at : at + size]))
-            if len(walked) > 1:
-                samples = None
-                samples = sample_base(mapd, [run[0].base for run in group], schedule)
-            values, spreads = (np.concatenate(arrays) for arrays in zip(*walked))
-            for run, entries in zip(group, _folded(samples, xs, ys, fixed, values, spreads)):
-                checked.update(zip(run, entries))
+    for (mapd, _), stacked in stacks.items():
+        xs, ys, fixed = _stacked(stacked)
+        entries = membership_batch(mapd, [run[0].base for run in stacked], xs, ys, fixed, schedule, registry_rays)
+        for run, entry in zip(stacked, entries):
+            checked.update(zip(run, entry))
     return checked
 
 

@@ -20,79 +20,54 @@ evaluation order: the supremum is order insensitive and the trace is indexed
 by level and row.
 
 The sampled rows depend on the map, the base and the schedule, never on the
-duals, so one walk over a pass answers every candidate queried at its bases
-(`membership_batch`); only the numerators are per candidate. `sample_base`
-draws the pass (`SamplePass`): the graph points, the level radii and the
-normalized extra rays. A pass stacks bases of one map on a leading axis,
-each base's rows around its own graph point, and a pass at one base is a
-stack of one; `SamplingSchedule.stack_size` keeps a stack within
-`QUOTIENT_BLOCK` entries (`spaces.QUOTIENT_BLOCK`, which `chebyshev` keeps
-too). A pass is walked once and never held whole. One generator
+duals, so one walk over a pass answers every candidate asked at its bases;
+only the numerators are per candidate. `sample_base` draws the pass
+(`SamplePass`): the graph points, the level radii and the normalized extra
+rays, with a leading base axis (a pass at one base is a stack of one). It
+evaluates nothing, and no pass is ever held whole. The one walk over a pass
 (`_block_quotients`) goes over a range of its levels that ends at the finest
-by blocks of consecutive levels of at most `QUOTIENT_BLOCK` entries (one
-level where a level alone is larger, `_level_blocks`): it evaluates each
-block's points and values with one `value_batch` (`_level_rows`), builds
-each block's increments and denominators once (`_increments`, in smaller
-parts where the candidates' quotients need them), and gives their quotients
-(`_quotients`), by parts of the candidates where one level of all of them
-is more than `QUOTIENT_BLOCK` (`_candidate_parts`). `estimate_limsup` walks
-every level and keeps their quotients as its trace; `membership_batch`
-walks the two finest levels only and reduces them to their suprema part by
-part (`_sampled_sups`). Both take the limsup by one rule (`_limsup`),
-which reads the suprema of those two levels (`_LIMSUP_LEVELS`) and of no
-other. A level's directions come
-from its own seeded stream, and its rows, quotients and supremum do not
-depend on the levels beside it, so the two finest suprema of a batch are
-those of a walk over every level, bit for bit. A trace is its quotients, one (levels, rows)
-array, and its per-level suprema are their row maxima: no estimate keeps a
-pass's rows, and one that audits them reads them block by block as the walk
-hands them over (`estimate_limsup`'s `rows`). A stacked array rounds like
-the per-level and per-base ones, so nothing depends on the blocking or the
-stacking. The raw normal draws behind the directions do not
-depend on the space either, so passes with the same seed, levels, rows and
-dimension share one read-only block of them (the last block drawn is kept).
-Their norms do, and a schedule keeps them per space it has sampled, so each
-walk only divides the block by them, scales and shifts. A query's directed
-rays are evaluated together: one halving loop finds every ray's start,
-probing as rows only the rays not yet in the base branch, and their limits
-are one stacked array of rows. The kink rays do not depend on the duals
-either, so a pass builds their rows once for each of its bases
-(`SamplePass.kink_rows`), a ray that does not start at a base reading NaN
-there. The quotient-form audit of `fixed_points` checks the rows the walk
-judged: each base's finest level, which a walk copies out of its last block
-and keeps on the pass (`SamplePass.audit`, read after a walk), so no level
-is evaluated twice. A pass is immutable apart from that kept level, and its
-arrays are read only, so sharing it cannot leak state from one estimate
-into another.
+by blocks of at most `QUOTIENT_BLOCK` entries (`spaces.QUOTIENT_BLOCK`; one
+level where a level alone is larger, `_level_blocks`). It evaluates each
+block with one `value_batch` (`_level_rows`), takes its quotients
+(`_increments`, `_quotients`) by parts of the candidates where one level of
+all of them is larger (`_candidate_parts`), and keeps a copy of each base's
+finest level for the quotient-form audit (`SamplePass.audit`), so no level
+is evaluated twice. `estimate_limsup` walks every level and keeps their
+quotients as its trace; `membership_batch` walks the two finest and keeps
+their suprema (`_sampled_sups`). Both take the limsup by one rule
+(`_limsup`), which reads the suprema of those two levels and of no other. A
+level's directions come from its own seeded stream, so its rows, quotients
+and supremum are those of a walk over every level, bit for bit. The raw
+normal draws do not depend on the space, so passes with the same seed,
+levels, rows and dimension share one read-only block of them, and a
+schedule keeps their norms per space.
 
-`membership_batch` answers many candidates at every base of a pass in one
-array pass: it takes their duals and extra rays as arrays with a leading
-base axis (a fixed-point candidate has y* = x*), it walks the two finest
-levels, each part of them keeping only its candidates' per-level suprema
-(the `QUOTIENT_BLOCK` bound holds on the candidate axis too,
-`_candidate_parts`), the norming rays of x* - y* are rows (`norming_rays`, a
-zero ray where y* = x*), and the rays of every candidate at every base share
-one halving loop and one stacked pass of rows (`_fold_rays`). Its two
-halves, the walk and the fold of rays, are also run apart: `fixed_points`
-walks its sample stacks one by one and folds the rays of as many whole
-stacks as keep their ray rows within `QUOTIENT_BLOCK` at once
-(`_ray_stack_size`), over one pass of all their bases, so that where each
-stack holds one wide base, many bases still share one ray pass.
-`estimate_limsup`, `membership_test` and `directed_ray_limit` are batches of
-one through the same code (`_quotients`, `_fold_rays`), so a batch gives
-each candidate its one-call numbers bit for bit. That rests on two rules. Products are
-`spaces.pairing_stack`, a stacked matmul whose slices are the per-dual
-matrix-vector products ((bases, 1, levels, rows, size) against (bases, m,
-1, size, 1)); a gemm over the candidates, or a flattened product, rounds
-differently. And the folding of ray limits keeps Python's left-to-right max
-per candidate, with its rays in their one-call order, a NaN limit (a ray
-that does not start) never replacing a value.
+`membership_batch` is the oracle's one stacked entry: `fixed_points.ask`
+hands it the queries of one map and candidate count, and a direct
+`fixed_points.is_fixed_point` is a stack of one through it. It draws sample
+stacks of at most `SamplingSchedule.stack_size` bases, walks each and
+releases it, then folds the directed rays over ray stacks of whole sample
+stacks (`_ray_stack_size`, `_fold_rays`), so that wide bases, one to a
+sample stack, still share one ray pass. The rays of every candidate share
+one halving loop and one stacked pass of rows; the kink rays do not depend
+on the duals, so a pass builds their rows once per base
+(`SamplePass.kink_rows`). `estimate_limsup`, `membership_test` and
+`directed_ray_limit` are batches of one through the same code, so a batch
+gives each candidate its one-call numbers bit for bit. That rests on two
+rules. Products are `spaces.pairing_stack`, a stacked matmul whose slices
+are the per-dual matrix-vector products; a gemm over the candidates, or a
+flattened product, rounds differently. And the fold of ray limits keeps
+Python's left-to-right max per candidate, rays in their one-call order, a
+NaN limit (a ray that does not start) never replacing a value. A pass is
+immutable apart from its kept finest level, and its arrays are read only,
+so sharing it cannot leak state from one estimate into another.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
@@ -216,11 +191,12 @@ class SamplingSchedule:
 
     def stack_size(self, space: SpaceSpec, candidates: int) -> int:
         """How many bases one pass in `space` stacks (`sample_base`) when
-        `candidates` candidates are asked at each: as many as keep the
-        entries a walk of `membership_batch` over the stack evaluates (bases
-        x its two finest levels x rows x size, `_sampled_sups`), and one
-        level of its quotients (bases x candidates x rows), within
-        QUOTIENT_BLOCK; one where a single base is larger."""
+        `candidates` candidates are asked at each, the bases of one sample
+        stack of `membership_batch`: as many as keep the entries its walk
+        evaluates (bases x the two finest levels x rows x size,
+        `_sampled_sups`), and one level of its quotients (bases x
+        candidates x rows), within QUOTIENT_BLOCK; one where a single base
+        is larger."""
         rows = self.dirs_per_level + len(self.extra_rays)
         return max(1, QUOTIENT_BLOCK // (rows * max(_LIMSUP_LEVELS * space.size, candidates)))
 
@@ -238,9 +214,10 @@ class SamplePass:
     evaluates the levels it covers, every level for an estimate and the two
     finest for `membership_batch`, one block of levels at a time, and keeps
     a copy of each base's finest level, the rows of its `audit`. Drawing a
-    pass evaluates nothing, so a pass that is never walked is cheap: the
-    rays of several stacks are folded over one pass of all their bases,
-    which only its graph points and `kink_rows` serve."""
+    pass evaluates nothing, so a pass that is never walked is cheap:
+    `membership_batch` folds the rays of several sample stacks over one
+    pass of all their bases, which only its graph points and `kink_rows`
+    serve."""
 
     map: MapDescriptor
     bases: tuple[GraphPoint, ...]
@@ -329,6 +306,26 @@ class AuditRows:
         for array in vars(rows).values():
             array.flags.writeable = False
         return rows
+
+    def spread(self, space: SpaceSpec, duals: np.ndarray) -> np.ndarray:
+        """Largest pairwise difference of the three algebraically equal
+        quotient forms of the fixed-point criterion (y* = x*) of each dual at
+        each row: pairing the increments separately, pairing their
+        difference, and pairing the residual shift (u - v) - (x - y).
+        `duals` is an (S..., m, size) array, S the leading stack axes of the
+        rows (none for one base's rows, the bases of a stack), and the
+        result has shape (S..., m, rows...); each dual's slice is bit for bit
+        that of a stack of it alone (`pairing_stack`)."""
+        axis = duals.ndim - 2
+
+        def pair(increments):
+            return pairing_stack(space, duals, np.expand_dims(increments, axis))
+
+        den = np.expand_dims(self.den, axis)
+        f1 = (pair(self.du) - pair(self.dv)) / den
+        f2 = pair(self.du_minus_dv) / den
+        f3 = pair(self.shift) / den
+        return np.maximum(np.maximum(np.abs(f1 - f2), np.abs(f1 - f3)), np.abs(f2 - f3))
 
 
 def _two_diff(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -832,54 +829,88 @@ def membership_test(
 
 @dataclass(frozen=True)
 class Answer:
-    """The oracle's answer about one candidate of `membership_batch`: the
-    extrapolated value and verdict of its `membership_test`. `fixed_points.ask`
-    answers a query that a closed form settles with the closed form's
-    verdict and no value (`extrapolated` None)."""
+    """The oracle's answer about one candidate: the extrapolated value and
+    verdict of its `membership_test`, which `membership_batch` gives each
+    candidate of a stack. `fixed_points.ask` answers a query that a closed
+    form settles with the closed form's verdict and no value (`extrapolated`
+    None)."""
 
     extrapolated: float | None
     verdict: Verdict
 
 
 def membership_batch(
-    samples: SamplePass, xs: np.ndarray, ys: np.ndarray, extra_rays: np.ndarray
-) -> list[list[Answer]]:
-    """`membership_test` of each candidate (xs[b, i], ys[b, i]), rows of
-    (bases, m, size) arrays of dual values, with the extra rays
-    extra_rays[b, i] (a (bases, m, k, size) array) at the base b of
-    `samples`, in one array pass over every candidate at every base, without
-    the traces: the same extrapolated values, bit for bit, and the same
-    verdicts, one list of m answers per base. A candidate with y* = x* asks
-    whether x* is a fixed point.
+    mapd: MapDescriptor,
+    bases: Sequence[GraphPoint],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    fixed: np.ndarray,
+    schedule: SamplingSchedule,
+    extra_rays,
+) -> list[list[tuple[float, float, Answer]]]:
+    """What the oracle says about each candidate (xs[b, i], ys[b, i]), rows
+    of (bases, m, size) arrays of dual values, at the graph point bases[b]
+    of the map: one list of m entries (spread, scale, answer) per base.
 
-    It is two halves over one stack, which `fixed_points` also runs apart,
-    over stacks of their own. The walk evaluates the two finest levels, the
-    only ones whose suprema the limsup rule reads (`_sampled_sups`); each
-    part of them evaluates its candidates' quotients in one stacked product
-    and keeps only their per-level suprema. Then the rays of all candidates
-    are one stacked pass (`_fold_rays`), and the tolerances are those of the
-    rows' dual norms (`_answers`). No candidate's value depends on the other
-    bases or candidates of either half.
+    The answer is the value and verdict of the candidate's `membership_test`
+    with one extra ray, its row of `extra_rays(mapd, bases, xs, ys)` (a
+    callable giving a (bases, m, size) array for a stack of the bases and
+    their candidates, a zero row aiming no ray), bit for bit. The scale is
+    1 + ||y*||_*. Where the (bases, m) mask `fixed` is set, the candidate
+    asks whether x* is a fixed point (y* = x*), and the spread is the
+    largest of its quotient forms' spreads on its base's finest level
+    (`AuditRows.spread`); elsewhere it is 0.0.
+
+    The bases are drawn in sample stacks of at most
+    `SamplingSchedule.stack_size`, in order, and each stack is walked over
+    its two finest levels (`_sampled_sups`, the audit spreads a part of the
+    candidates at a time, `_candidate_parts`) and released before the next
+    is drawn, so the memory bound of one stack holds for all of them. The
+    rays are folded by ray stacks (`_fold_rays`): as many consecutive whole
+    sample stacks as keep their ray rows within QUOTIENT_BLOCK
+    (`_ray_stack_size`), over one pass of all their bases, which
+    `sample_base` draws without evaluating anything; a ray stack of one
+    sample stack folds over the pass it walked. No candidate's entry
+    depends on the other bases or candidates.
     """
-    bases, m, size = xs.shape
-    if not m:
-        return [[] for _ in range(bases)]
-    values = _fold_rays(samples, xs, ys, extra_rays, _limsup(_sampled_sups(samples, xs, ys)))
-    return _answers(samples.map.space, ys, values)
-
-
-def _answers(space: SpaceSpec, ys: np.ndarray, values: np.ndarray) -> list[list[Answer]]:
-    """The answer of each candidate of `membership_batch`, with y* the rows
-    of the (bases, m, size) array `ys` and its folded value in the (bases, m)
-    array `values`, by the tolerances of the rows' dual norms
-    (`spaces.dual_norm_rows`): one list of m answers per base."""
-    bases, m, size = ys.shape
-    accepts, rejects = _tolerances(dual_norm_rows(space, ys.reshape(-1, size)))
-    answers = [
-        Answer(value, _verdict(value, accept, reject))
-        for value, accept, reject in zip(values.reshape(-1).tolist(), accepts.tolist(), rejects.tolist())
-    ]
-    return [answers[b * m : (b + 1) * m] for b in range(bases)]
+    space, (count, m, size) = mapd.space, xs.shape
+    stack = schedule.stack_size(space, m)
+    fold = _ray_stack_size(mapd, m, 1, stack)
+    entries = []
+    for lo in range(0, count, fold):
+        group, walked = slice(lo, lo + fold), []
+        for at in range(lo, min(lo + fold, count), stack):
+            samples = None  # release the previous pass before drawing this one
+            samples = sample_base(mapd, bases[at : at + stack], schedule)
+            part = slice(at, at + stack)
+            values = _limsup(_sampled_sups(samples, xs[part], ys[part]))
+            spreads = np.zeros(fixed[part].shape)
+            if fixed[part].any():
+                audit = samples.audit
+                for candidates in _candidate_parts(audit.den.size, m):
+                    spreads[:, candidates] = audit.spread(space, xs[part, candidates]).max(axis=-1)
+                spreads[~fixed[part]] = 0.0
+            walked.append((values, spreads))
+        if len(walked) > 1:
+            samples = None
+            samples = sample_base(mapd, bases[group], schedule)
+        values, spreads = (np.concatenate(arrays) for arrays in zip(*walked))
+        rays = extra_rays(mapd, samples.bases, xs[group], ys[group])[:, :, None]
+        values = _fold_rays(samples, xs[group], ys[group], rays, values)
+        norms = dual_norm_rows(space, ys[group].reshape(-1, size))
+        accepts, rejects = _tolerances(norms)
+        answers = [
+            (spread, scale, Answer(value, _verdict(value, accept, reject)))
+            for spread, scale, value, accept, reject in zip(
+                spreads.reshape(-1).tolist(),
+                (1.0 + norms).tolist(),
+                values.reshape(-1).tolist(),
+                accepts.tolist(),
+                rejects.tolist(),
+            )
+        ]
+        entries += [answers[b * m : (b + 1) * m] for b in range(len(values))]
+    return entries
 
 
 def trace_to_csv(estimate: LimsupEstimate) -> str:

@@ -6,6 +6,8 @@ settings.register_profile(
     "ci",
     max_examples=40,
     deadline=None,
+    # the same example stream on every machine and every run
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from projderiv import cli, fixed_points, spaces
+from projderiv import cli, limsup_oracle, spaces
 from projderiv.cli import main
 from projderiv.experiments import (
     ConfigError,
@@ -189,7 +189,7 @@ def test_quotient_form_audit_failure_exits_1_without_a_traceback(tmp_path, capsy
     # a pairing off by a constant is not linear: the form that pairs the two
     # increments separately cancels the offset, the other two forms keep it
     monkeypatch.setattr(
-        fixed_points, "pairing_stack", lambda space, duals, rows: spaces.pairing_stack(space, duals, rows) + 1e-9
+        limsup_oracle, "pairing_stack", lambda space, duals, rows: spaces.pairing_stack(space, duals, rows) + 1e-9
     )
     argv = ["run", "--experiment", "ball_theorem_4_1", "--out", str(tmp_path / "r.json")]
     assert main(argv) == 1

@@ -359,7 +359,7 @@ def test_ask_matches_direct_calls_and_draws_one_pass_per_base_run(monkeypatch):
         stacks.append(samples.bases)
         return samples
 
-    monkeypatch.setattr(fixed_points, "sample_base", tracked)
+    monkeypatch.setattr(limsup_oracle, "sample_base", tracked)
     assert _verdicts(queries, sched) == direct
     # the stacks in the order of their first run: the two ball runs of four
     # oracle queries, the cone run, and the far ball base; the registry
@@ -379,7 +379,7 @@ def test_an_audit_ask_evaluates_each_level_of_its_pass_once(points, monkeypatch)
     rng = np.random.default_rng(31)
     queries = [Query(ballm, base, dual(space, rng.normal(size=4)), mode="audit") for base in bases for _ in range(3)]
     sched = SamplingSchedule(seed=5)
-    value_batch, ray_rows, forms_spread = MapDescriptor.value_batch, limsup_oracle._ray_rows, fixed_points._forms_spread
+    value_batch, ray_rows, forms_spread = MapDescriptor.value_batch, limsup_oracle._ray_rows, AuditRows.spread
     evaluated, rays, audits = [], [], []
 
     def counted_values(self, rows):
@@ -396,7 +396,7 @@ def test_an_audit_ask_evaluates_each_level_of_its_pass_once(points, monkeypatch)
 
     monkeypatch.setattr(MapDescriptor, "value_batch", counted_values)
     monkeypatch.setattr(limsup_oracle, "_ray_rows", counted_rays)
-    monkeypatch.setattr(fixed_points, "_forms_spread", counted_audits)
+    monkeypatch.setattr(AuditRows, "spread", counted_audits)
     ask(queries, sched)
     assert len(audits) == 1
     assert sum(evaluated) - sum(rays) == points * 2 * sched.dirs_per_level
@@ -423,7 +423,7 @@ def test_a_batch_walk_evaluates_only_the_levels_its_verdicts_read(levels, n, row
     # at N = 4, S = 64 a block holds every level of a pass, at N = 16,
     # S = 1024 one level; `ask` and `membership_batch` evaluate the two
     # finest levels, those whose suprema the limsup rule reads, of each pass
-    # (`ask` stacks both bases in one pass at N = 4 and draws one pass per
+    # (both stack the two bases in one pass at N = 4 and draw one pass per
     # base at N = 16); an estimate, a membership test and a trace keep every
     # level's quotients, so they evaluate all of them
     space = lp_space(3.0, n)
@@ -438,8 +438,13 @@ def test_a_batch_walk_evaluates_only_the_levels_its_verdicts_read(levels, n, row
     passes = 1 if n == 4 else len(bases)
     assert _walked_levels(lambda: ask(queries, sched), monkeypatch) == finest * passes
     xs = np.stack([np.stack([w.values for w in duals])] * len(bases))
-    samples, no_rays = sample_base(ballm, bases, sched), np.zeros((*xs.shape[:2], 0, n))
-    assert _walked_levels(lambda: membership_batch(samples, xs, xs[::-1], no_rays), monkeypatch) == finest
+    fixed = np.zeros(xs.shape[:2], bool)
+
+    def no_rays(mapd, bases, xs, ys):
+        return np.zeros(xs.shape)
+
+    batch = _walked_levels(lambda: membership_batch(ballm, bases, xs, xs[::-1], fixed, sched, no_rays), monkeypatch)
+    assert batch == finest * passes
     base, w = bases[1], duals[0]
     assert _walked_levels(lambda: estimate_limsup(ballm, base, w, duals[1], sched), monkeypatch) == every
     assert _walked_levels(lambda: membership_test(ballm, base, w, duals[1], sched), monkeypatch) == every
@@ -624,11 +629,12 @@ def test_a_batch_pass_answers_each_query_as_a_batch_of_one(shift, d):
             cands.append((rng.uniform(0.3, 1.5) / dual_norm(w)) * w)
         ystars = [dual(space, rng.normal(size=d)) for _ in cands]
         samples = sample_base(mapd, base, sched)
-        # the one oracle pass of `ask`, over the fixed-point queries and then
-        # the membership queries
-        asked = [Query(mapd, base, w) for w in cands] + [Query(mapd, base, w, y) for w, y in zip(cands, ystars)]
-        (checked,) = fixed_points._oracle_pass(samples, [asked])
+        # the one oracle batch of `ask`, over the fixed-point queries and
+        # then the membership queries
         xs, ys = np.stack([w.values for w in cands]), np.stack([y.values for y in ystars])
+        asked = np.concatenate([xs, xs]), np.concatenate([xs, ys]), np.arange(2 * m) < m
+        (checked,) = membership_batch(mapd, [base], *(array[None] for array in asked), sched, registry_rays)
+        limsup_oracle._sampled_sups(samples, xs[None], xs[None])  # the walk keeps the audit's rows
         (rays,) = registry_rays(mapd, [base], xs[None], ys[None])
         answers = [answer for _, _, answer in checked[m:]]
         for w, y, extra, (spread, scale, fixed), answer in zip(cands, ystars, rays, checked, answers):
@@ -670,18 +676,18 @@ def test_a_mixed_run_asks_the_oracle_once_and_gives_each_query_its_lone_verdict(
     alone = [_one_at_a_time(samples, q) for q in queries]
     assert {Verdict.MEMBER, Verdict.NON_MEMBER} <= set(alone)
     calls = []
-    walked, fold = fixed_points._walked, fixed_points._fold_rays
+    walked, fold = limsup_oracle._sampled_sups, limsup_oracle._fold_rays
 
-    def counted_walks(samples, xs, ys, fixed):
+    def counted_walks(samples, xs, ys):
         calls.append(("walk", xs.shape[:2]))
-        return walked(samples, xs, ys, fixed)
+        return walked(samples, xs, ys)
 
     def counted_folds(samples, xs, ys, extra_rays, values):
         calls.append(("fold", xs.shape[:2]))
         return fold(samples, xs, ys, extra_rays, values)
 
-    monkeypatch.setattr(fixed_points, "_walked", counted_walks)
-    monkeypatch.setattr(fixed_points, "_fold_rays", counted_folds)
+    monkeypatch.setattr(limsup_oracle, "_sampled_sups", counted_walks)
+    monkeypatch.setattr(limsup_oracle, "_fold_rays", counted_folds)
     assert _verdicts(queries, sched) == alone
     # one walk and one fold of rays for the run's one stack, a stack of one
     # base; the registry-mode queries are settled by the closed form
@@ -753,8 +759,8 @@ def test_ask_answers_with_the_oracle_value_or_a_closed_form_verdict_without_one(
     for q, answer in zip(asked[:2], answers):
         xs = q.xstar.values[None]
         ys = xs if q.ystar is None else q.ystar.values[None]
-        rays = registry_rays(ballm, [base], xs[None], ys[None])
-        ((alone,),) = membership_batch(samples, xs[None], ys[None], rays[:, :, None])
+        fixed = np.array([[q.ystar is None]])
+        (((_, _, alone),),) = membership_batch(ballm, [base], xs[None], ys[None], fixed, sched, registry_rays)
         assert (answer.verdict, answer.extrapolated.hex()) == (alone.verdict, alone.extrapolated.hex())
     assert answers[2] == Answer(None, registry_verdict(ballm, base, w)) == Answer(None, Verdict.NON_MEMBER)
 
@@ -815,7 +821,6 @@ def test_structural_and_l1_cases_sample_each_base_once(monkeypatch):
         return sample_base(mapd, base, schedule)
 
     monkeypatch.setattr(limsup_oracle, "sample_base", counted)
-    monkeypatch.setattr(fixed_points, "sample_base", counted)
     calls = _spread_calls(monkeypatch)
     for experiment, passes, spreads in (("structural_prop_3_2", 7, 3), ("l1_cases", 1, 0)):
         draws.clear()

@@ -305,7 +305,7 @@ def _check_stacked_ask(name, monkeypatch):
     assert reference
     sizes, stacks, folds, rays = [], [], [], []
     value_batch, walked, fold, ray_rows = (
-        MapDescriptor.value_batch, fixed_points._walked, fixed_points._fold_rays, limsup_oracle._ray_rows
+        MapDescriptor.value_batch, limsup_oracle._sampled_sups, limsup_oracle._fold_rays, limsup_oracle._ray_rows
     )
 
     def counted_values(self, rows):
@@ -327,8 +327,8 @@ def _check_stacked_ask(name, monkeypatch):
     runs = [needed for _, _, needed in _runs(queries)]
     with monkeypatch.context() as patch:
         patch.setattr(MapDescriptor, "value_batch", counted_values)
-        patch.setattr(fixed_points, "_walked", counted_walks)
-        patch.setattr(fixed_points, "_fold_rays", counted_folds)
+        patch.setattr(limsup_oracle, "_sampled_sups", counted_walks)
+        patch.setattr(limsup_oracle, "_fold_rays", counted_folds)
         patch.setattr(limsup_oracle, "_ray_rows", counted_rays)
         checked = fixed_points._oracle_answers(runs, schedule)
     assert checked.keys() == reference.keys()
@@ -387,6 +387,46 @@ def test_a_small_block_folds_the_rays_of_one_base_at_a_time(name, block, monkeyp
     monkeypatch.setattr(limsup_oracle, "QUOTIENT_BLOCK", block)
     stacks, folds = _check_stacked_ask(name, monkeypatch)
     assert set(stacks) == set(folds) == {1}
+
+
+def test_ask_and_is_fixed_point_walk_and_fold_only_inside_membership_batch(monkeypatch):
+    # every level that `ask` evaluates on a mixed run, and every fold of its
+    # rays, and those of a direct `is_fixed_point`, fall inside the oracle's
+    # one public stacked entry, so their time is the oracle's own
+    rng = np.random.default_rng(13)
+    space = lp_space(3.0, 4)
+    ballm = ball_projection_map(space, 1.0)
+    base = GraphPoint.at_point(ballm, _point(space, rng, 2.0))
+    queries = _every_mode(ballm, base, rng, 3)
+    schedule = SamplingSchedule(seed=13)
+    entry, depth, calls = limsup_oracle.membership_batch, [0], []
+
+    def entered(*args):
+        depth[0] += 1
+        try:
+            return entry(*args)
+        finally:
+            depth[0] -= 1
+
+    def recorded(name):
+        inner = getattr(limsup_oracle, name)
+
+        def call(*args):
+            calls.append((name, depth[0] > 0))
+            return inner(*args)
+
+        return call
+
+    monkeypatch.setattr(fixed_points, "membership_batch", entered, raising=False)
+    monkeypatch.setattr(limsup_oracle, "membership_batch", entered)
+    for name in ("_level_rows", "_fold_rays"):
+        monkeypatch.setattr(limsup_oracle, name, recorded(name))
+    ask(queries, schedule)
+    asked = len(calls)
+    is_fixed_point(sample_base(ballm, base, schedule), queries[-1].xstar, "oracle")
+    assert 0 < asked < len(calls)
+    assert [name for name, inside in calls if not inside] == []
+    assert {name for name, _ in calls} == {"_level_rows", "_fold_rays"}
 
 
 @pytest.mark.parametrize("name", ["ball p=3", "cone p=2", "C01"])
