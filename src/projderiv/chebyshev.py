@@ -7,17 +7,19 @@ refinement of the residual extrema) sharpens the equioscillation certificate
 at coarse grids.
 
 The exchange runs over the rows of an array (`remez_rows`; `remez` is a
-batch of one), in blocks of `spaces.QUOTIENT_BLOCK` grid values (3 rows at
-G = 4097). Per iteration, the rows still exchanging share one stacked
-levelled solve, one stacked trial solve, one batched Horner for their
-residuals (`horner_rows`), one convergence comparison and one sign-run split
-(`_alternating_extrema`). The trim to the next reference
-(`_trim_reference`) is the closed form of dropping the smallest candidate
-one at a time, and reads only the largest candidates. The trial acceptance
-and the single exchange stay per row, so each row keeps the bits of an
-exchange of that row alone. The certificate step (the polish, its re-solve
-and the result) runs once per `remez_rows` call, as arrays over every row
-the blocks finished; `_sample_values` is its one off-grid sampler.
+batch of one), as one exchange loop per call. Per iteration, the rows still
+exchanging share one stacked levelled solve and one stacked trial solve; the
+passes over the grid run in chunks of `spaces.QUOTIENT_BLOCK` grid values (3
+rows at G = 4097): one batched Horner for the chunk's residuals
+(`horner_rows`), one convergence comparison and one sign-run split
+(`_alternating_extrema`). Between chunks a row keeps only O(n) values. The
+trim to the next reference (`_trim_reference`) is the closed form of
+dropping the smallest candidate one at a time, and reads only the largest
+candidates. The trial acceptance and the single exchange stay per row, so
+each row keeps the bits of an exchange of that row alone. The certificate
+step (the polish, its re-solve and the result) runs once per call, as arrays
+over every row the loop finished; `_sample_values` is its one off-grid
+sampler.
 
 The monomial basis lives here only: every system and fit takes its powers
 from `_powers`, and `horner_rows` is the one polynomial evaluator.
@@ -403,13 +405,13 @@ def horner_rows(coefficients: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _alternating_extrema(residual: np.ndarray, mags: np.ndarray) -> list[np.ndarray]:
-    """The candidates of each row of a (k, G) block of residuals, given their
+    """The candidates of each row of a (k, G) chunk of residuals, given their
     magnitudes |residual|: the indices of the per-sign-run argmax of
     |residual|, one per run, so a row's candidates alternate in sign by
     construction. Exact zeros carry the previous nonzero sign (+1 before the
     first one), and a tie within a run goes to its first index.
 
-    The block is split as one flat array: a run starts where `residual > 0`
+    The chunk is split as one flat array: a run starts where `residual > 0`
     changes and at the start of every row."""
     rows, g = residual.shape
     positive = residual > 0
@@ -562,24 +564,28 @@ def remez_rows(space: SpaceSpec, values, n: int) -> list[RemezResult]:
     one off-grid polish; one `RemezResult` per row, bit for bit the result
     of exchanging that row alone.
 
-    The rows are exchanged together, in blocks of at most
-    `spaces.QUOTIENT_BLOCK` grid values (rows x G, so 3 rows at G = 4097),
-    the oracle's memory budget. Each iteration solves the levelled systems
-    of the rows that need one, then the trial systems, as one stacked solve
-    each; it evaluates every row's residual by one batched Horner
-    (`horner_rows`) and tests convergence as one array comparison, and a row
-    leaves the block as it converges. The sign runs of the block's residuals
-    are split in one flat pass, and each row's trim is the closed form of
-    the one-at-a-time rule (see `_trim_reference`). What is decided from one
-    row's trimmed reference stays per row: the trial acceptance and the
-    single-exchange fallback. A multi-point exchange is taken only when its
-    trial levelled solve does not lower the level, and an accepted trial's
-    solve is reused as the next iteration's.
+    The rows are exchanged together, in one loop per call. Each iteration
+    solves the levelled systems of the rows that need one, then the trial
+    systems, as one stacked solve each over every row of the call. The
+    passes over the grid run in chunks of at most `spaces.QUOTIENT_BLOCK`
+    grid values (rows x G, so 3 rows at G = 4097), the oracle's memory
+    budget, as do the finiteness test, the scale and the in-class prefilter
+    before the loop: per chunk, one batched Horner (`horner_rows`) for the
+    residuals, one array comparison for convergence, and one flat split of
+    the sign runs; each row's trim is the closed form of the one-at-a-time
+    rule (see `_trim_reference`). A row leaves the loop as it converges, and
+    between chunks it keeps only O(n) values: its reference, coefficients,
+    level, level history and, once finished, its residual stencil. What is
+    decided from one row's trimmed reference stays per row: the trial
+    acceptance and the single-exchange fallback, whose residual is
+    recomputed from the row's coefficients. A multi-point exchange is taken
+    only when its trial levelled solve does not lower the level, and an
+    accepted trial's solve is reused as the next iteration's.
 
-    The certificate step runs here, once per call, as arrays over every row
-    the blocks finished: the parabolic polish of each reference point (from
-    the residual at the point and its two neighbours, all a block keeps of
-    a finished row), one stacked levelled re-solve of the rows it moved, the
+    The certificate step runs once per call, as arrays over every row the
+    loop finished: the parabolic polish of each reference point (from the
+    residual at the point and its two neighbours, all the loop keeps of a
+    finished row), one stacked levelled re-solve of the rows it moved, the
     test that the polish may only sharpen the level, and the residual signs.
     A row whose polish moves no point keeps its last discrete solve.
 
@@ -589,10 +595,9 @@ def remez_rows(space: SpaceSpec, values, n: int) -> list[RemezResult]:
 
     A row that fails (a non-finite value, a singular system, or no
     convergence within REMEZ_MAX_ITERATIONS) fails the call with the error of
-    the first failing row, as exchanging the rows one by one would: the
-    blocks run in order until one has a failing row, the rows finished
-    before the first failing row are certified, and the smallest failing
-    row's error is raised.
+    the first failing row, as exchanging the rows one by one would: the rows
+    after the smallest failing row leave the loop as it fails, the rows
+    before it are certified, and its error is raised.
     """
     if space.kind != KIND_C01:
         raise ValueError("remez operates on C01 grid functions")
@@ -604,23 +609,104 @@ def remez_rows(space: SpaceSpec, values, n: int) -> list[RemezResult]:
     if values.ndim != 2 or values.shape[1] != g:
         raise ValueError(f"expected rows of {g} grid values, got shape {values.shape}")
     m = values.shape[0]
-    coef, level = np.empty((m, n + 1)), np.empty(m)
+    coef, level, scale = np.empty((m, n + 1)), np.empty(m), np.empty(m)
     ref, around = np.empty((m, n + 2), dtype=np.intp), np.empty((m, 3, n + 2))
     history: list[list[float]] = [[] for _ in range(m)]
-    results: list[RemezResult | None] = []
+    results: list[RemezResult | None] = [None] * m
+    # the error of each failing row; rows after the first one no longer matter
     errors: dict[int, Exception] = {}
-    finished: list[int] = []
+    ref0 = chebyshev_nodes(g, n)
+    basis = _grid_powers(space, n)[1]
     step = max(1, QUOTIENT_BLOCK // g)
     for lo in range(0, m, step):
-        block = slice(lo, lo + step)
-        in_class, failed, done = _remez_block(
-            space, values[block], n, coef[block], level[block], ref[block], around[block], history[block]
-        )
-        results += in_class
-        errors.update((lo + i, err) for i, err in failed.items())
-        finished += (lo + i for i in done)
-        if errors:
+        rows = values[lo : lo + step]
+        scale[lo : lo + step] = 1.0 + np.max(np.abs(rows), axis=1)
+        finite = np.isfinite(rows).all(axis=1)
+        for i in np.flatnonzero(~finite).tolist():
+            errors[lo + i] = ValueError("vector entries must be finite")
+        # the projection onto the orthonormal basis is only a cheap
+        # prefilter: lstsq and its 1e-12 test decide, for rows that pass it
+        live = lo + np.flatnonzero(finite)
+        rows = values[live]
+        near = np.max(np.abs(rows - (rows @ basis) @ basis.T), axis=1) <= 1e-9 * scale[live]
+        for i in live[near].tolist():
+            try:
+                results[i] = _in_class_fit(space, values[i], n, scale[i], ref0)
+            except np.linalg.LinAlgError as err:
+                errors[i] = err
+
+    active = [i for i in range(m) if results[i] is None and i not in errors]
+    refs = {i: list(ref0) for i in active}
+    kept = np.zeros(m, dtype=bool)  # the levelled solve of refs[i] is kept from an accepted trial
+    finished: list[int] = []
+    for _ in range(REMEZ_MAX_ITERATIONS):
+        fresh = [i for i in active if not kept[i]]
+        if fresh:
+            idx = np.array([refs[i] for i in fresh])
+            coef[fresh], level[fresh], failed = _leveled_solves(grid[idx], values[np.array(fresh)[:, None], idx], n)
+            errors.update((fresh[pos], err) for pos, err in failed.items())
+        active = [i for i in active if i < min(errors, default=m)]
+        if not active:
             break
+        kept[active] = False
+        levels = np.abs(level[active])
+        for i, lv in zip(active, levels.tolist()):
+            history[i].append(lv)
+        going, trials = [], []
+        for lo in range(0, len(active), step):
+            chunk, chunk_levels = active[lo : lo + step], levels[lo : lo + step]
+            residual = values[chunk] - horner_rows(coef[chunk], grid)
+            mags = np.abs(residual)
+            done = np.max(mags, axis=1) - chunk_levels <= REMEZ_TOL * np.maximum(1.0, chunk_levels)
+            stopped = []
+            # the converged rows are split with the others, since selecting
+            # the rest would copy the chunk; a chunk with no row left is not
+            # split
+            split = _alternating_extrema(residual, mags) if not done.all() else [None] * len(chunk)
+            for pos, (i, r, mag, candidates, converged) in enumerate(zip(chunk, residual, mags, split, done.tolist())):
+                if converged:
+                    stopped.append(pos)
+                    continue
+                if len(candidates) < n + 2:
+                    # too few sign runs for a multi-point exchange; the single
+                    # exchange needs only the global peak
+                    refs[i] = _single_exchange(refs[i], r)
+                    going.append(i)
+                    continue
+                new_idx = _trim_reference(candidates, mag, n + 2)
+                if new_idx == refs[i]:
+                    stopped.append(pos)
+                    continue
+                trials.append((i, new_idx))
+            if stopped:
+                rows_stopped = [chunk[pos] for pos in stopped]
+                idx = np.array([refs[i] for i in rows_stopped])
+                ref[rows_stopped] = idx
+                stencil = np.clip(idx[:, None, :] + np.array([[-1], [0], [1]]), 0, g - 1)
+                around[rows_stopped] = residual[np.array(stopped)[:, None, None], stencil]
+                finished += rows_stopped
+        if trials:
+            idx = np.array([new_idx for _, new_idx in trials])
+            rows_t = np.array([i for i, _ in trials])
+            trial_coef, trial_level, failed = _leveled_solves(grid[idx], values[rows_t[:, None], idx], n)
+            for pos, (i, new_idx) in enumerate(trials):
+                if pos in failed:
+                    errors[i] = failed[pos]
+                    continue
+                # take the multi-point exchange only when it does not lower
+                # the level; otherwise fall back to the monotone single
+                # exchange, on the row's residual recomputed from its
+                # coefficients: elementwise, so the chunk's row bit for bit
+                if abs(trial_level[pos]) >= abs(level[i]) - 1e-14 * scale[i]:
+                    refs[i] = new_idx
+                    coef[i], level[i], kept[i] = trial_coef[pos], trial_level[pos], True
+                else:
+                    refs[i] = _single_exchange(refs[i], values[i] - horner_rows(coef[i : i + 1], grid)[0])
+                going.append(i)
+        active = sorted(going)
+    for i in active:
+        message = f"no convergence in {REMEZ_MAX_ITERATIONS} iterations"
+        errors.setdefault(i, RemezConvergenceError(message, tuple(history[i])))
     rows = np.array(sorted(i for i in finished if i < min(errors, default=m)), dtype=np.intp)
 
     # the polish: each reference point moves to the vertex of the parabola
@@ -722,108 +808,6 @@ def _in_class_fit(space: SpaceSpec, fv: np.ndarray, n: int, scale: float, ref_id
             discrete_polynomial=poly,
         )
     return None
-
-
-def _remez_block(space: SpaceSpec, fv: np.ndarray, n: int, coef, level, ref, around, history):
-    """The discrete exchange of `remez_rows` over the rows of one block.
-
-    `coef` (k, n + 1), `level` (k,), `ref` (k, n + 2), `around` (k, 3, n + 2)
-    and `history` are the block's rows of the call's arrays. For each row it
-    finishes, the block leaves there the levelled solve at its last
-    reference, that reference, its level history, and the residual at each
-    reference point and at its two neighbours: all the certificate step
-    reads. Returns the results of the rows already in the class (None
-    elsewhere), the errors of the failing rows, and the finished rows."""
-    grid = space.grid
-    count = fv.shape[0]
-    results: list[RemezResult | None] = [None] * count
-    # the error of each failing row; rows after the first one no longer matter
-    errors: dict[int, Exception] = {}
-    finite = np.isfinite(fv).all(axis=1)
-    for i in np.flatnonzero(~finite).tolist():
-        errors[i] = ValueError("vector entries must be finite")
-    live = np.flatnonzero(finite)
-    scale = 1.0 + np.max(np.abs(fv), axis=1)
-    ref0 = chebyshev_nodes(grid.size, n)
-
-    # the projection onto the orthonormal basis is only a cheap prefilter:
-    # lstsq and its 1e-12 test decide, for rows that pass it
-    basis = _grid_powers(space, n)[1]
-    rows = fv[live]
-    near = np.max(np.abs(rows - (rows @ basis) @ basis.T), axis=1) <= 1e-9 * scale[live]
-    for i in live[near].tolist():
-        try:
-            results[i] = _in_class_fit(space, fv[i], n, scale[i], ref0)
-        except np.linalg.LinAlgError as err:
-            errors[i] = err
-
-    active = [i for i in live.tolist() if results[i] is None and i not in errors]
-    refs = {i: list(ref0) for i in active}
-    kept = np.zeros(count, dtype=bool)  # the levelled solve of refs[i] is kept from an accepted trial
-    finished: list[int] = []
-    for _ in range(REMEZ_MAX_ITERATIONS):
-        fresh = [i for i in active if not kept[i]]
-        if fresh:
-            idx = np.array([refs[i] for i in fresh])
-            coef[fresh], level[fresh], failed = _leveled_solves(grid[idx], fv[np.array(fresh)[:, None], idx], n)
-            errors.update((fresh[pos], err) for pos, err in failed.items())
-        active = [i for i in active if i < min(errors, default=count)]
-        if not active:
-            break
-        kept[active] = False
-        levels = np.abs(level[active])
-        for i, lv in zip(active, levels.tolist()):
-            history[i].append(lv)
-        residual = fv[active] - horner_rows(coef[active], grid)
-        mags = np.abs(residual)
-        done = np.max(mags, axis=1) - levels <= REMEZ_TOL * np.maximum(1.0, levels)
-        going, trials, stopped = [], [], []
-        # the converged rows are split with the others, since selecting the
-        # rest would copy the block; a block with no row left is not split
-        split = _alternating_extrema(residual, mags) if not done.all() else [None] * len(active)
-        for pos, (i, r, m, candidates, converged) in enumerate(zip(active, residual, mags, split, done.tolist())):
-            if converged:
-                stopped.append(pos)
-                continue
-            if len(candidates) < n + 2:
-                # too few sign runs for a multi-point exchange; the single
-                # exchange needs only the global peak
-                refs[i] = _single_exchange(refs[i], r)
-                going.append(i)
-                continue
-            new_idx = _trim_reference(candidates, m, n + 2)
-            if new_idx == refs[i]:
-                stopped.append(pos)
-                continue
-            trials.append((i, new_idx, r))
-        if stopped:
-            rows_stopped = [active[pos] for pos in stopped]
-            idx = np.array([refs[i] for i in rows_stopped])
-            ref[rows_stopped] = idx
-            stencil = np.clip(idx[:, None, :] + np.array([[-1], [0], [1]]), 0, grid.size - 1)
-            around[rows_stopped] = residual[np.array(stopped)[:, None, None], stencil]
-            finished += rows_stopped
-        if trials:
-            idx = np.array([new_idx for _, new_idx, _ in trials])
-            rows_t = np.array([i for i, _, _ in trials])
-            trial_coef, trial_level, failed = _leveled_solves(grid[idx], fv[rows_t[:, None], idx], n)
-            for pos, (i, new_idx, r) in enumerate(trials):
-                if pos in failed:
-                    errors[i] = failed[pos]
-                    continue
-                # take the multi-point exchange only when it does not lower
-                # the level; otherwise fall back to the monotone single exchange
-                if abs(trial_level[pos]) >= abs(level[i]) - 1e-14 * scale[i]:
-                    refs[i] = new_idx
-                    coef[i], level[i], kept[i] = trial_coef[pos], trial_level[pos], True
-                else:
-                    refs[i] = _single_exchange(refs[i], r)
-                going.append(i)
-        active = sorted(going)
-    for i in active:
-        message = f"no convergence in {REMEZ_MAX_ITERATIONS} iterations"
-        errors.setdefault(i, RemezConvergenceError(message, tuple(history[i])))
-    return results, errors, finished
 
 
 PERTURBATION_SCALE = 5e-3  # sup norm of the random direction of `continuity_experiment`

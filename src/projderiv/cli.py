@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -33,6 +34,9 @@ from .limsup_oracle import trace_to_csv
 from .chebyshev import RemezConvergenceError
 
 
+# built on the first call, not at import, and reused: one process may call
+# `main` many times
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="projderiv",
@@ -67,8 +71,7 @@ def _report_path(config: ExperimentConfig) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
 
     if args.command == "list":
         for name, description in describe_experiments():

@@ -31,8 +31,10 @@ KIND_L1 = "L1"
 KIND_C01 = "C01"
 
 # Largest stacked block of entries that one call evaluates: the oracle's sample
-# entries and quotients, and `chebyshev.remez_rows`' grid values; a larger
-# block would raise the peak memory of the wide and fine-grid passes.
+# entries and quotients, and each chunk of rows that a grid pass of
+# `chebyshev.remez_rows` takes (its one exchange loop keeps O(n) values per
+# row between chunks); a larger block would raise the peak memory of the wide
+# and fine-grid passes.
 QUOTIENT_BLOCK = 2**14
 
 __all__ = [

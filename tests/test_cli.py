@@ -76,6 +76,23 @@ def test_config_file_and_flag_precedence(tmp_path):
         resolve_config("l1_cases", {"validate": "1"})
 
 
+def test_two_calls_in_one_process_parse_their_flags_independently(monkeypatch):
+    seen = []
+
+    def record(experiment, file_values, overrides):
+        seen.append((experiment, overrides))
+        raise ConfigError("stop before the run")
+
+    monkeypatch.setattr(cli, "resolve_config", record)
+    assert main(["run", "--experiment", "l1_cases", "--seed", "3", "--N", "5"]) == 2
+    assert main(["trace", "--experiment", "ball_theorem_4_1", "--K", "4"]) == 2
+    (first, a), (second, b) = seen
+    assert (first, a["seed"], a["N"], a["K"]) == ("l1_cases", "3", "5", None)
+    assert (second, b["seed"], b["N"], b["K"]) == ("ball_theorem_4_1", None, None, "4")
+    # the parser is built once
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_trace_csv_and_no_trace(capsys):
     assert main(["trace", "--experiment", "l1_cases"]) == 0
     out = capsys.readouterr().out

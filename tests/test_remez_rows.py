@@ -64,8 +64,9 @@ def test_remez_rows_matches_the_one_row_exchange_bit_for_bit(grid_size, monkeypa
     exchange = chebyshev._single_exchange
     monkeypatch.setattr(chebyshev, "_single_exchange", lambda *a: single.append(1) or exchange(*a))
     iterations = set()
-    # a block holds QUOTIENT_BLOCK // G rows, 3 at G = 4097: there each batch
-    # spans three blocks, and its certificate step takes rows of all three
+    # a chunk of the grid passes holds QUOTIENT_BLOCK // G rows, 3 at
+    # G = 4097: there each batch spans three chunks, and its certificate step
+    # takes rows of all three
     for n in range(9):
         rows = _mixed_batch(space, n, rng)
         got = remez_rows(space, rows, n)
@@ -169,11 +170,11 @@ def test_the_sampler_is_the_scalar_three_node_parabola_and_exact_at_nodes(grid_s
     assert _sample_values(space.grid, values, nodes).tobytes() == values.tobytes()
 
 
-def test_a_call_over_several_blocks_raises_the_first_blocks_polish_error(monkeypatch):
+def test_a_call_over_several_chunks_raises_the_first_chunks_polish_error(monkeypatch):
     space = c01_space(4097)
     n, budget = 3, 5
     rows = _mixed_batch(space, n, np.random.default_rng(1))
-    # three blocks of at most 3 rows: the first row's polish moves its
+    # three chunks of at most 3 rows: the first row's polish moves its
     # reference, and the noisy last row does not converge within the budget
     assert len(rows) > 2 * (QUOTIENT_BLOCK // space.grid.size)
     first = remez_one_row(primal(space, rows[0]), n, max_iterations=budget)
@@ -202,8 +203,58 @@ def test_a_call_over_several_blocks_raises_the_first_blocks_polish_error(monkeyp
     with pytest.raises(np.linalg.LinAlgError) as got:
         remez_rows(space, rows, n)
     assert got.value is singular
-    # one re-solve for the whole call, over rows of more than one block
+    # one re-solve for the whole call, over rows of more than one chunk
     assert len(polish_calls) == 1 and polish_calls[0] > QUOTIENT_BLOCK // space.grid.size
+
+
+def test_the_grid_passes_stay_in_chunks_and_a_rejected_trial_recomputes_its_residual(monkeypatch):
+    space = c01_space(4097)
+    grid, n = space.grid, 18
+    bound = max(QUOTIENT_BLOCK, grid.size)
+    rng = np.random.default_rng(n)
+    # noisy rows at a degree where a trial solve can lower the level, so
+    # some trials are rejected; 14 rows are five chunks of 3 at G = 4097
+    rows = np.array([np.sin((k + 1) * grid) + 0.05 * rng.standard_normal(grid.size) for k in range(14)])
+    assert len(rows) > 3 * (QUOTIENT_BLOCK // grid.size)
+    events = []
+    horner, split, solves, single = (
+        chebyshev.horner_rows, chebyshev._alternating_extrema, chebyshev._leveled_solves, chebyshev._single_exchange
+    )
+
+    def record_horner(coefficients, t):
+        out = horner(coefficients, t)
+        assert out.size <= bound
+        if t.ndim == 1:
+            events.append(("horner", coefficients.copy()))
+        return out
+
+    def record_split(residual, mags):
+        assert residual.size <= bound
+        events.append(("split", None))
+        return split(residual, mags)
+
+    monkeypatch.setattr(chebyshev, "horner_rows", record_horner)
+    monkeypatch.setattr(chebyshev, "_alternating_extrema", record_split)
+    monkeypatch.setattr(chebyshev, "_leveled_solves", lambda *a: events.append(("solve", None)) or solves(*a))
+    monkeypatch.setattr(chebyshev, "_single_exchange", lambda *a: events.append(("single", None)) or single(*a))
+    fits = remez_rows(space, rows, n)
+    for row, fit in zip(rows, fits):
+        assert_same_result(fit, remez_one_row(primal(space, row), n))
+
+    # An iteration's chunk residuals come between two solves, each chunk's
+    # Horner followed by its split. A rejected trial's fallback follows the
+    # trial solve: a one-row Horner of the row's coefficients, then the single
+    # exchange. The row's chunk is the one whose Horner took those
+    # coefficients.
+    rejected_in, chunks, iteration = [], [], []
+    for (name, data), following in zip(events, [name for name, _ in events[1:]] + [None]):
+        if name == "solve" and chunks:
+            iteration, chunks = chunks, []
+        elif name == "horner" and following == "single":
+            rejected_in += [c for c, coefficients in enumerate(iteration) if (coefficients == data).all(axis=1).any()]
+        elif name == "horner":
+            chunks.append(data)
+    assert max(rejected_in, default=0) > 0
 
 
 @pytest.mark.parametrize("grid_size", [513, 4097])
