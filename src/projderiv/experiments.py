@@ -139,18 +139,17 @@ def _rng(config: ExperimentConfig, tag: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, tag])
 
 
-def _unit_values(space: SpaceSpec, rng: np.random.Generator) -> np.ndarray:
-    vals = rng.normal(size=space.size)
-    return vals * (1.0 / dual_norm_rows(space, vals[None, :])[0])
+def _unit_rows(space: SpaceSpec, vals: np.ndarray) -> np.ndarray:
+    """Each row of an (m, size) array over its dual norm."""
+    return vals * (1.0 / dual_norm_rows(space, vals))[:, None]
 
 
-def _duals_with_norm(space, rng, lo_norm, hi_norm, count) -> list[DualVector]:
-    # each dual's scale is drawn before its direction; the directions are
-    # normalized as one block, each row bit for bit `_unit_values`
+def _duals_with_norm(space, rng, lo_norm, hi_norm, count) -> np.ndarray:
+    """`count` dual values, the rows of a (count, size) block, each of dual
+    norm drawn in [lo_norm, hi_norm]: each row's norm is drawn before its
+    direction, and the directions are normalized as one block."""
     scales, draws = zip(*[(rng.uniform(lo_norm, hi_norm), rng.normal(size=space.size)) for _ in range(count)])
-    vals = np.stack(draws)
-    units = vals * (1.0 / dual_norm_rows(space, vals))[:, None]
-    return [dual(space, row) for row in units * np.array(scales)[:, None]]
+    return _unit_rows(space, np.stack(draws)) * np.array(scales)[:, None]
 
 
 def _primal_with_norm(space, rng, lo_norm, hi_norm) -> PrimalVector:
@@ -163,12 +162,14 @@ MEMBER, NON_MEMBER = lo.Verdict.MEMBER, lo.Verdict.NON_MEMBER
 
 
 def _ask(cases, config: ExperimentConfig) -> tuple[Counter, int]:
-    """Asks the queries of (check name, query, expected verdict) cases in
-    order, as one list (`fp.ask`). Returns, per check name, how many verdicts
-    were the expected one, and how many verdicts were indeterminate."""
-    names, queries, expected = zip(*cases)
+    """Asks the queries of (query, labels) cases in order, as one list
+    (`fp.ask`), with a (check name, expected verdict) label per row. Returns,
+    per check name, how many verdicts were the expected one, and how many
+    verdicts were indeterminate."""
+    queries, labels = zip(*cases)
     verdicts = [answer.verdict for answer in fp.ask(queries, config.schedule())]
-    hits = Counter(name for name, want, got in zip(names, expected, verdicts) if got == want)
+    rows = [label for block in labels for label in block]
+    hits = Counter(name for (name, want), got in zip(rows, verdicts) if got == want)
     return hits, verdicts.count(lo.Verdict.INDETERMINATE)
 
 
@@ -194,14 +195,14 @@ def _exp_ball_fixed_points(config: ExperimentConfig) -> list[CheckResult]:
         for i in range(20):
             x = _primal_with_norm(space, rng, 0.1 * config.r, 0.8 * config.r)
             base = lo.GraphPoint.at_point(mapd, x)
-            for cand in _duals_with_norm(space, rng, 0.3, 1.5, 20):
-                cases.append((interior, fp.Query(mapd, base, cand, mode="oracle"), MEMBER))
+            block = _duals_with_norm(space, rng, 0.3, 1.5, 20)
+            cases.append((fp.Query(mapd, base, block, mode="oracle"), [(interior, MEMBER)] * 20))
+        # an exterior base's block is the dual origin, then its 20 draws
         for i in range(20):
             x = _primal_with_norm(space, rng, 1.5 * config.r, 2.2 * config.r)
             base = lo.GraphPoint.at_point(mapd, x)
-            cases.append((theta, fp.Query(mapd, base, DualVector.zero(space), mode="oracle"), MEMBER))
-            for cand in _duals_with_norm(space, rng, 0.5, 1.0, 20):
-                cases.append((exterior, fp.Query(mapd, base, cand, mode="oracle"), NON_MEMBER))
+            block = np.concatenate([np.zeros((1, space.size)), _duals_with_norm(space, rng, 0.5, 1.0, 20)])
+            cases.append((fp.Query(mapd, base, block, mode="oracle"), [(theta, MEMBER)] + [(exterior, NON_MEMBER)] * 20))
         hits, undecided = _ask(cases, config)
         indeterminate += undecided
         for name, total in ((interior, 400), (theta, 20), (exterior, 400)):
@@ -213,23 +214,27 @@ def _exp_ball_fixed_points(config: ExperimentConfig) -> list[CheckResult]:
 def _exp_ball_coderivative(config: ExperimentConfig) -> list[CheckResult]:
     checks: list[CheckResult] = []
     accepted, rejected = "closed-form images accepted", "perturbed images rejected"
-    cases = []
-    worst_collapse = 0.0
-    # one map per p, so that the bases at each map are asked as stacks
+    # one map per p, so that the bases at each map are asked as stacks; base i
+    # draws its point, y* and the direction of its perturbation from its own rng
     maps = [cd.ball_projection_map(lp_space(p, config.N), config.r) for p in (2.0, 3.0)]
+    drawn = []
     for i in range(50):
-        mapd = maps[i % 2]
-        space = mapd.space
+        space = maps[i % 2].space
         rng = _rng(config, 20 + i)
         x = _primal_with_norm(space, rng, 2.5 * config.r, 3.5 * config.r)
-        ystar = _duals_with_norm(space, rng, 0.5, 1.5, 1)[0]
-        base = lo.GraphPoint.at_point(mapd, x)
-        image = cd.coderiv_ball_lp(x, config.r, ystar).point
-        cases.append((accepted, fp.Query(mapd, base, image, ystar), MEMBER))
-        perturbed = image + dual(space, 0.1 * _unit_values(space, rng))
-        cases.append((rejected, fp.Query(mapd, base, perturbed, ystar), NON_MEMBER))
-        collapse = cd.coderiv_ball_lp(x, config.r, duality_map(x)).point
-        worst_collapse = max(worst_collapse, dual_norm(collapse))
+        drawn.append((x, _duals_with_norm(space, rng, 0.5, 1.5, 1)[0], rng.normal(size=space.size)))
+    # base i's block, asked in base order: its closed-form image, then perturbed
+    cases, worst_collapse = [None] * 50, 0.0
+    for k, mapd in enumerate(maps):
+        points, ystars, directions = zip(*drawn[k::2])
+        # the derivative images of y* and of J(x), which collapses to the dual origin
+        jx = np.stack([duality_map(x).values for x in points])
+        images = cd._ball_images(points, config.r, np.stack([np.stack(ystars), jx], axis=1))
+        xs = np.stack([images[:, 0], images[:, 0] + 0.1 * _unit_rows(mapd.space, np.stack(directions))], axis=1)
+        worst_collapse = max(worst_collapse, float(dual_norm_rows(mapd.space, images[:, 1]).max()))
+        for j, (x, ystar) in enumerate(zip(points, ystars)):
+            query = fp.Query(mapd, lo.GraphPoint.at_point(mapd, x), xs[j], np.stack([ystar, ystar]))
+            cases[2 * j + k] = (query, [(accepted, MEMBER), (rejected, NON_MEMBER)])
     hits, _ = _ask(cases, config)
     _check_hits(checks, hits, accepted, 50)
     _check_hits(checks, hits, rejected, 50)
@@ -262,7 +267,7 @@ def _exp_affine(config: ExperimentConfig) -> list[CheckResult]:
     translation = cd.affine_map(space, shift, 1.0)
     base = lo.GraphPoint.at_point(translation, _primal_with_norm(space, rng, 0.2, 1.0))
 
-    xs = _duals_with_norm(space, rng, 0.5, 1.5, 1)[0]
+    xs = dual(space, _duals_with_norm(space, rng, 0.5, 1.5, 1)[0])
     est = lo.estimate_limsup(translation, base, xs, xs, config.schedule())
     _check(
         checks,
@@ -274,7 +279,7 @@ def _exp_affine(config: ExperimentConfig) -> list[CheckResult]:
 
     ray_ok = 0
     for i in range(5):
-        a, b = _duals_with_norm(space, rng, 0.5, 1.5, 2)
+        a, b = (dual(space, row) for row in _duals_with_norm(space, rng, 0.5, 1.5, 2))
         limit = lo.directed_ray_limit(translation, base, a, b, norming_direction(a - b))
         target = dual_norm(a - b) / 2.0
         ray_ok += abs(limit - target) <= 0.1 * target
@@ -347,26 +352,27 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
 
     accepted, rejected = "members accepted", "negative off-support coordinates rejected"
     sliced = "slice membership matches the oracle"
-    cases = []
+    members, outside = [], []
     for i in range(30):
         y = rng.normal(size=config.N) * 2.0
         for j in off:
             y[j - 1] = rng.uniform(0.0, 2.0)
-        cases.append((accepted, fp.Query(mapd, base, dual(space, y), mode="oracle"), MEMBER))
+        members.append(y)
     for i in range(30):
         y = rng.normal(size=config.N) * 2.0
         for j in off:
             y[j - 1] = rng.uniform(0.0, 2.0)
         y[int(rng.choice(off)) - 1] = -rng.uniform(0.3, 2.0)
-        cases.append((rejected, fp.Query(mapd, base, dual(space, y), mode="oracle"), NON_MEMBER))
+        outside.append(y)
 
     anchor_vals = rng.normal(size=config.N) * 2.0
     for j in off:
         anchor_vals[j - 1] = rng.uniform(0.5, 2.0)
     anchor = dual(space, anchor_vals)
     slice_set = cd.coderiv_cone_l2(xbar, m_set, anchor)
-    for i in range(30):
-        z = np.array(anchor.values)
+    anchors = np.tile(anchor.values, (30, 1))
+    zs = anchors.copy()
+    for i, z in enumerate(zs):
         mode = i % 3
         if mode == 0:
             for j in off:
@@ -375,10 +381,11 @@ def _exp_cone_l2(config: ExperimentConfig) -> list[CheckResult]:
             z[int(rng.choice(off)) - 1] += rng.uniform(0.3, 1.0)
         else:
             z[int(rng.choice(sorted(m_set.members))) - 1] += rng.uniform(0.3, 1.0)
-        zd = dual(space, z)
-        expected = MEMBER if slice_set.membership(zd) else NON_MEMBER
-        cases.append((sliced, fp.Query(mapd, base, zd, anchor), expected))
-    hits, _ = _ask(cases, config)
+    # the slice's closed form reads one DualVector at a time
+    expected = [MEMBER if slice_set.membership(dual(space, z)) else NON_MEMBER for z in zs]
+    hits, _ = _ask([(fp.Query(mapd, base, np.stack(members), mode="oracle"), [(accepted, MEMBER)] * 30),
+                    (fp.Query(mapd, base, np.stack(outside), mode="oracle"), [(rejected, NON_MEMBER)] * 30),
+                    (fp.Query(mapd, base, zs, anchors), [(sliced, want) for want in expected])], config)
     _check_hits(checks, hits, accepted, 30)
     _check_hits(checks, hits, rejected, 30)
     _check_hits(checks, hits, sliced, 30)
@@ -398,17 +405,18 @@ def _exp_cone_lp(config: ExperimentConfig) -> list[CheckResult]:
         if not mask.any():
             mask[0] = True
         f = primal(space, rng.uniform(0.3, 1.5, size=config.N) * mask)
-        jf = duality_map(f)
+        jf = duality_map(f).values[None]
         base = lo.GraphPoint.at_point(mapd, f)
-        cases.append((images, fp.Query(mapd, base, jf, jf), MEMBER))
+        cases.append((fp.Query(mapd, base, jf, jf), [(images, MEMBER)]))
 
     base0 = lo.GraphPoint.at_point(mapd, PrimalVector.zero(space))
+    psis = []
     for i in range(20):
         mask = rng.random(config.N) > 0.3
         if not mask.any():
             mask[0] = True
-        psi = dual(space, rng.uniform(0.3, 1.5, size=config.N) * mask)
-        cases.append((origin, fp.Query(mapd, base0, psi, psi), MEMBER))
+        psis.append(rng.uniform(0.3, 1.5, size=config.N) * mask)
+    cases.append((fp.Query(mapd, base0, np.stack(psis), np.stack(psis)), [(origin, MEMBER)] * 20))
 
     for i in range(40):
         fv = rng.uniform(0.3, 1.5, size=config.N) * rng.choice(
@@ -421,10 +429,9 @@ def _exp_cone_lp(config: ExperimentConfig) -> list[CheckResult]:
         # sign condition and the defining quotient genuinely part ways
         pv[(fv < 0.0) & (pv < 0.0)] = 0.0
         f = primal(space, fv)
-        phi = dual(space, pv)
-        expected = MEMBER if cd.coderiv_cone_lp_theta_membership(f, phi) else NON_MEMBER
+        expected = MEMBER if cd.coderiv_cone_lp_theta_membership(f, dual(space, pv)) else NON_MEMBER
         base = lo.GraphPoint.at_point(mapd, f)
-        cases.append((matched, fp.Query(mapd, base, DualVector.zero(space), phi), expected))
+        cases.append((fp.Query(mapd, base, np.zeros((1, config.N)), pv[None]), [(matched, expected)]))
     hits, _ = _ask(cases, config)
     _check_hits(checks, hits, images, 20)
     _check_hits(checks, hits, origin, 20)
@@ -469,18 +476,17 @@ def _exp_l1_cases(config: ExperimentConfig) -> list[CheckResult]:
             f"{limit:.5f}",
             f"{target} +- 5%",
         )
-    # the origin is a membership query, so the oracle answers it with a value
-    theta = DualVector.zero(space)
-    queries = [fp.Query(mapd, base, theta, theta)]
+    # the origin is a membership candidate, so the oracle answers it with a
+    # value; it and the 20 duals are one block
+    phis = [np.zeros(config.N)]
     rng = _rng(config, 60)
     for i in range(20):
         vals = rng.uniform(0.3, 1.2, size=config.N) * rng.choice([-1.0, 1.0], size=config.N)
         vals *= rng.random(config.N) > 0.4
         if not np.any(vals):
             vals[0] = 0.5
-        phi = dual(space, vals)
-        queries.append(fp.Query(mapd, base, phi, phi))
-    origin, *answers = fp.ask(queries, config.schedule())
+        phis.append(vals)
+    origin, *answers = fp.ask([fp.Query(mapd, base, np.stack(phis), np.stack(phis))], config.schedule())
     _check(
         checks,
         "dual origin is a fixed point with exact zero quotients",
@@ -789,7 +795,7 @@ def _exp_structural(config: ExperimentConfig) -> list[CheckResult]:
     rng = _rng(config, 110)
     theta_ok, spread_worst = True, 0.0
     for k, (name, mapd, base) in enumerate(instances):
-        ystar = _duals_with_norm(mapd.space, rng, 0.5, 1.5, 1)[0] if k < 3 else None
+        ystar = dual(mapd.space, _duals_with_norm(mapd.space, rng, 0.5, 1.5, 1)[0]) if k < 3 else None
         est, spread = _origin_estimate(mapd, base, sched, ystar)
         theta_ok = theta_ok and est.verdict == lo.Verdict.MEMBER and est.extrapolated == 0.0
         spread_worst = max(spread_worst, spread)
@@ -801,22 +807,18 @@ def _exp_structural(config: ExperimentConfig) -> list[CheckResult]:
     _check(checks, "the three quotient forms agree", spread_worst <= 1e-12, f"{spread_worst:.3e}", "<= 1e-12")
 
     cone_point = lo.GraphPoint.at_point(cone_map, cone_base)
-    members = []
-    for i in range(5):
-        y = rng.normal(size=6) * 2.0
-        y[2:] = np.abs(y[2:])
-        members.append(dual(cone_space, y))
+    members = rng.normal(size=(5, 6)) * 2.0
+    members[:, 2:] = np.abs(members[:, 2:])
     # both probes are one list at the one cone base, so they share one pass
-    registry = fp.convexity_candidates(members, trials=100, seed=config.seed)
-    audit = fp.convexity_candidates(members[:2], trials=10, seed=config.seed)
-    queries = [fp.Query(cone_map, cone_point, cand) for _, cand in registry]
-    queries += [fp.Query(cone_map, cone_point, cand, mode="audit") for _, cand in audit]
+    registry, registry_block = fp.convexity_candidates(members, trials=100, seed=config.seed)
+    audit, audit_block = fp.convexity_candidates(members[:2], trials=10, seed=config.seed)
+    queries = [fp.Query(cone_map, cone_point, registry_block), fp.Query(cone_map, cone_point, audit_block, mode="audit")]
     verdicts = [answer.verdict for answer in fp.ask(queries, sched)]
-    for name, labelled, asked in (
+    for name, labels, asked in (
         ("convexity and closedness probe has no violations", registry, verdicts[: len(registry)]),
         ("audited combinations stay members", audit, verdicts[len(registry) :]),
     ):
-        violations = [f"{label}: {v.value}" for (label, _), v in zip(labelled, asked) if v != MEMBER]
+        violations = [f"{label}: {v.value}" for label, v in zip(labels, asked) if v != MEMBER]
         _check(checks, name, not violations, violations, "[]")
     return checks
 

@@ -6,20 +6,22 @@ characterization applies (whole dual space, origin only, or a nonnegativity
 cone over an index set); everything else goes to the sampling oracle. In
 audit mode both run and a contradiction fails loudly.
 
-A `Query` names a map, a base and the duals to ask about there; `ask` answers
-a list of them, one `limsup_oracle.Answer` each (the oracle's value and
-verdict, or a closed form's verdict with no value). A run is a set of
-consecutive queries at one base. The registry is asked first, run by run;
-then the runs at one map that need the oracle for equally many queries,
-wherever they sit in the list, go to `limsup_oracle.membership_batch`, the
-oracle's one stacked entry (a fixed-point query is the membership query
-with y* = x*), which gives each query bit for bit what it gets when asked
-alone. Each fixed-point query is then settled by its own `is_fixed_point`
-call, in list order, by the audit's verdict rules. The registry's rejection
-rays of a stack are one (bases, m, size) array (`registry_rays`), each row
-bit for bit the ray of its candidate alone. `convexity_candidates` builds
-the labelled candidates of the convexity and closedness probe, which are
-asked like any other query.
+A `Query` names a map, a base and a block of candidates there, the rows of
+(m, size) arrays; `ask` answers a list of them, one `limsup_oracle.Answer`
+per candidate in row order (the oracle's value and verdict, or a closed
+form's verdict with no value). A run is a set of consecutive queries at one
+base. The registry is asked first, run by run, wrapping each row it reads in
+a `DualVector`; then the runs at one map that need the oracle for equally
+many candidates, wherever they sit in the list, go to
+`limsup_oracle.membership_batch`, the oracle's one stacked entry (a
+fixed-point candidate is the membership candidate with y* = x*), which
+takes the rows as they are and gives each candidate bit for bit what it gets
+when asked alone. Each fixed-point candidate is then settled by its own
+`is_fixed_point` call, in list order, by the audit's verdict rules. The
+registry's rejection rays of a stack are one (bases, m, size) array
+(`registry_rays`), each row bit for bit the ray of its candidate alone.
+`convexity_candidates` builds the labelled candidates of the convexity and
+closedness probe, which are asked like any other query.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ def registry_verdict(
 
 def is_fixed_point(
     samples: SamplePass | None,
-    candidate: DualVector,
+    candidate: DualVector | None,
     mode: str = "registry",
     *,
     batch: tuple[Verdict | None, tuple[float, float, Answer] | None] | None = None,
@@ -143,12 +145,12 @@ def is_fixed_point(
     both, raise `FixedPointAuditError` on contradiction, and return the
     oracle's verdict, so an indeterminate one shows.
 
-    `batch` is the candidate's entry of its run of queries in `ask`: its
-    registry verdict (None in the oracle mode), and where it needs the
-    oracle its `membership_batch` entry. With it `samples` is not read, and
-    `ask` passes None. Without it the registry is asked here, and a query
-    that needs the oracle is a stack of one of `membership_batch` at the
-    map, base and schedule of `samples`.
+    `batch` is the candidate's entry of its run in `ask`: its registry
+    verdict (None in the oracle mode), and where it needs the oracle its
+    `membership_batch` entry. With it neither `samples` nor `candidate` is
+    read, and `ask` passes None for both. Without it the registry is asked
+    here, and a candidate that needs the oracle is a stack of one of
+    `membership_batch` at the map, base and schedule of `samples`.
     """
     if mode not in ("registry", "oracle", "audit"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -186,116 +188,111 @@ def quotient_forms_spread(ystar: DualVector, rows: AuditRows) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Query:
-    """One oracle question at a graph point of a map. Without y* it asks
-    whether x* is a fixed point (`is_fixed_point` in `mode`); with y* it asks
-    whether x* lies in the derivative operator's value at y*
-    (`membership_test`, with the registry's rejection rays)."""
+    """A block of oracle questions at a graph point of a map, one per row of
+    the (m, size) array `xstars`. Without `ystars` row i asks whether
+    xstars[i] is a fixed point (`is_fixed_point` in `mode`); with the (m,
+    size) array `ystars` it asks whether xstars[i] lies in the derivative
+    operator's value at ystars[i] (`membership_test`, with the registry's
+    rejection rays). A query of one dual is a block of one."""
 
     map: MapDescriptor
     base: GraphPoint
-    xstar: DualVector
-    ystar: DualVector | None = None
+    xstars: np.ndarray
+    ystars: np.ndarray | None = None
     mode: str = "registry"
 
 
 def ask(queries: Iterable[Query], schedule: SamplingSchedule) -> list[Answer]:
-    """The answer of each query, in order: the oracle's `Answer` where the
-    oracle settled it, and the registry's verdict without a value
-    (`extrapolated` None) where a closed form did.
+    """The answer of each candidate, the rows of each query in order: the
+    oracle's `Answer` where the oracle settled it, and the registry's verdict
+    without a value (`extrapolated` None) where a closed form did.
 
     A run is a set of consecutive queries at one map and base. The registry
     is asked first, run by run, so that what each run needs from the oracle
-    is known (`_oracle_answers`); the runs at one map that need the oracle
-    for equally many queries are then answered together by one
-    `membership_batch`, wherever they sit in the list. Each fixed-point query is
-    then settled by its own `is_fixed_point` call, in list order, so the
-    first query that fails raises.
+    is known: membership candidates and the oracle and audit modes, the
+    registry mode only where no closed form settles the candidate. The runs
+    at one map that need the oracle for equally many candidates are then
+    answered together by one `membership_batch`, wherever they sit in the
+    list (`_oracle_answers`). Each fixed-point candidate is then settled by
+    its own `is_fixed_point` call, in list order, so the first that fails
+    raises.
     """
     runs = [list(run) for _, run in groupby(queries, key=lambda q: (q.map, q.base))]
+    rows = [[q for q in run for _ in q.xstars] for run in runs]
     exacts = [_registry_verdicts(run) for run in runs]
-    needed = [[q for q in run if _needs_oracle(q, exact)] for run, exact in zip(runs, exacts)]
-    checked = _oracle_answers(needed, schedule)
-    return [answer for run, exact in zip(runs, exacts) for answer in _ask_run(run, exact, checked)]
+    needs = [
+        [q.ystars is not None or q.mode in ("oracle", "audit") or (q.mode == "registry" and v is None)
+         for q, v in zip(row, exact)]
+        for row, exact in zip(rows, exacts)
+    ]
+    answers = []
+    for row, exact, need, entries in zip(rows, exacts, needs, _oracle_answers(runs, needs, schedule)):
+        entries = iter(entries)
+        for q, verdict, needed in zip(row, exact, need):
+            entry = next(entries) if needed else None
+            if q.ystars is None:
+                verdict = is_fixed_point(None, None, q.mode, batch=(verdict, entry))
+            answers.append(Answer(None, verdict) if entry is None else entry[2])
+    return answers
 
 
-def _registry_verdicts(run: list[Query]) -> dict[Query, Verdict | None]:
-    """The registry's verdict of each fixed-point query of a run in the
-    registry and audit modes (None where no closed form settles it), with
-    the base's closed-form fixed-point set taken once for all of them."""
-    asked = [q for q in run if q.ystar is None and q.mode in ("registry", "audit")]
-    if not asked:
-        return {}
+def _registry_verdicts(run: list[Query]) -> list[Verdict | None]:
+    """The registry's verdict of each candidate of a run, in row order: the
+    closed form's (None where none settles it) for a fixed-point candidate in
+    the registry and audit modes, each row wrapped in a `DualVector`, with the
+    base's fixed-point set taken once for the run; None for every other."""
     mapd, base = run[0].map, run[0].base
-    char = mapd.fixed_point_set(base)
-    return {q: registry_verdict(mapd, base, q.xstar, char) for q in asked}
+    asked = [q.ystars is None and q.mode in ("registry", "audit") for q in run]
+    char = mapd.fixed_point_set(base) if any(asked) else None
+    return [registry_verdict(mapd, base, DualVector(mapd.space, x), char) if on else None
+            for q, on in zip(run, asked) for x in q.xstars]
 
 
-def _needs_oracle(query: Query, exact: dict[Query, Verdict | None]) -> bool:
-    """Membership queries and the oracle and audit modes ask the oracle, the
-    registry mode only where no closed form settles the query."""
-    return query.ystar is not None or query.mode in ("oracle", "audit") or (query in exact and exact[query] is None)
-
-
-def _stacked(runs: Sequence[Sequence[Query]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The x* and y* of each query of each run, (runs, m, size) arrays (y* =
-    x* for a fixed-point query), and which queries ask about a fixed point,
-    a (runs, m) mask."""
-    xs = np.array([[q.xstar.values for q in run] for run in runs])
-    ys = np.array([[(q.xstar if q.ystar is None else q.ystar).values for q in run] for run in runs])
-    fixed = np.array([[q.ystar is None for q in run] for run in runs])
-    return xs, ys, fixed
-
-
-def _oracle_answers(runs: list[list[Query]], schedule: SamplingSchedule) -> dict[Query, tuple[float, float, Answer]]:
-    """The `membership_batch` entry of each query of `runs`, each run the
-    queries of one base that need the oracle. The runs at one map with
-    equally many queries are stacked in list order and answered by one
-    `membership_batch`, with the registry's rejection rays; the keys go in
-    the order of their first run."""
-    stacks: dict[tuple[MapDescriptor, int], list[list[Query]]] = {}
-    for run in runs:
-        if run:
-            stacks.setdefault((run[0].map, len(run)), []).append(run)
-    checked = {}
-    for (mapd, _), stacked in stacks.items():
-        xs, ys, fixed = _stacked(stacked)
-        entries = membership_batch(mapd, [run[0].base for run in stacked], xs, ys, fixed, schedule, registry_rays)
-        for run, entry in zip(stacked, entries):
-            checked.update(zip(run, entry))
+def _oracle_answers(runs: list[list[Query]], needs: list[list[bool]], schedule: SamplingSchedule) -> list[list]:
+    """The `membership_batch` entry of each candidate of each run that needs
+    the oracle (`needs`, a flag per candidate), in row order. The runs at one
+    map with equally many such candidates are stacked in list order, their
+    rows one concatenation (y* = x* for a fixed-point candidate), and
+    answered by one `membership_batch` with the registry's rejection rays;
+    the keys go in the order of their first run."""
+    stacks: dict[tuple[MapDescriptor, int], list[int]] = {}
+    for k, (run, need) in enumerate(zip(runs, needs)):
+        if any(need):
+            stacks.setdefault((run[0].map, sum(need)), []).append(k)
+    checked = [[] for _ in runs]
+    for (mapd, m), stacked in stacks.items():
+        blocks = [q for k in stacked for q in runs[k]]
+        need = np.concatenate([needs[k] for k in stacked])
+        xs = np.concatenate([q.xstars for q in blocks])[need]
+        ys = np.concatenate([q.xstars if q.ystars is None else q.ystars for q in blocks])[need]
+        fixed = np.repeat([q.ystars is None for q in blocks], [len(q.xstars) for q in blocks])[need]
+        shape = (len(stacked), m, xs.shape[-1])
+        bases = [runs[k][0].base for k in stacked]
+        entries = membership_batch(mapd, bases, xs.reshape(shape), ys.reshape(shape), fixed.reshape(shape[:2]),
+                                   schedule, registry_rays)
+        for k, entry in zip(stacked, entries):
+            checked[k] = entry
     return checked
 
 
-def _ask_run(run: list[Query], exact: dict[Query, Verdict | None], checked: dict) -> list[Answer]:
-    """The answers of a run of queries at one base, in order, from its
-    registry verdicts and the oracle's entries: each fixed-point query is
-    settled by its own `is_fixed_point` call, in order."""
-    settled = {q: is_fixed_point(None, q.xstar, q.mode, batch=(exact.get(q), checked.get(q)))
-               for q in run if q.ystar is None}
-    return [checked[q][2] if q in checked else Answer(None, settled[q]) for q in run]
-
-
-def convexity_candidates(
-    members: Sequence[DualVector], trials: int = 100, seed: int = 0
-) -> list[tuple[str, DualVector]]:
+def convexity_candidates(members: np.ndarray, trials: int = 100, seed: int = 0) -> tuple[list[str], np.ndarray]:
     """Labelled candidates of the convexity and closedness probe of a
-    fixed-point set that holds `members`: convex combinations of random
-    member pairs at t in {0.25, 0.5, 0.75}, then a geometric interpolation
-    sequence toward the first member, and that member as its limit. Each
-    must be a fixed point too."""
+    fixed-point set that holds the rows of the (k, size) array `members`:
+    convex combinations of random member pairs at t in {0.25, 0.5, 0.75},
+    then a geometric interpolation sequence toward the first member, and
+    that member as its limit. Each must be a fixed point too. Returns the
+    labels and the candidates, the rows of one (m, size) block."""
     if len(members) < 2:
         raise ValueError("need at least two members to combine")
     rng = np.random.default_rng(seed)
-    weights = (0.25, 0.5, 0.75)
-    candidates = []
-    for trial in range(trials):
-        i, j = rng.integers(0, len(members), size=2)
-        t = weights[trial % len(weights)]
-        combo = t * members[int(i)] + (1.0 - t) * members[int(j)]
-        candidates.append((f"combination trial {trial}", combo))
+    pairs = np.array([rng.integers(0, len(members), size=2) for _ in range(trials)]).reshape(-1, 2)
+    t = np.array((0.25, 0.5, 0.75))[np.arange(trials) % 3, None]
+    combinations = t * members[pairs[:, 0]] + (1.0 - t) * members[pairs[:, 1]]
     target, other = members[0], members[-1]
-    candidates += [(f"sequence step {k}", target + (2.0**-k) * (other - target)) for k in range(1, 7)]
-    candidates.append(("sequence limit", target))
-    return candidates
+    sequence = target + 2.0 ** -np.arange(1, 7)[:, None] * (other - target)
+    labels = [f"combination trial {trial}" for trial in range(trials)]
+    labels += [f"sequence step {k}" for k in range(1, 7)] + ["sequence limit"]
+    return labels, np.concatenate([combinations, sequence, target[None]])
 
 # ---------------------------------------------------------------------------
 # polynomial projection fixed points

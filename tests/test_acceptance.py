@@ -49,3 +49,17 @@ def test_a_second_run_in_one_process_repeats_the_report():
     config = resolve_config("ball_theorem_4_1")
     first, second = (report_text(run_experiment(config)) for _ in range(2))
     assert first == second == (GOLDEN_DIR / "ball_theorem_4_1.json").read_text()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 18: the continuity check's final bound d_32 <= 1e-3 (1 + ||g||) "
+    "fails where the projection's local Lipschitz ratio at f is above about 6.4",
+)
+@pytest.mark.parametrize("seed", [219, 297])
+def test_the_continuity_check_holds_at_every_seed(seed):
+    # a known failure at its default config, kept visible: a mend turns
+    # this test into an unexpected pass, which fails the strict xfail
+    report = run_experiment(resolve_config("remez_continuity_theorem_4_8", overrides={"seed": seed}))
+    assert [c.name for c in report.checks if not c.passed] == []

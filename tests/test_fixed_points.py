@@ -75,6 +75,17 @@ L24 = lp_space(2.0, 4)
 C513 = c01_space(513)
 
 
+def _query(mapd, base, xstar, ystar=None, mode="registry"):
+    """A query of one dual: a block of one."""
+    return Query(mapd, base, xstar.values[None], None if ystar is None else ystar.values[None], mode)
+
+
+def _duals(query):
+    """The x* and y* (None for a fixed-point query) of a query of one dual."""
+    space = query.map.space
+    return dual(space, query.xstars[0]), None if query.ystars is None else dual(space, query.ystars[0])
+
+
 def test_characterize_branches():
     shift = primal(L24, [0.3, 0, 0, 0])
     translation = affine_map(L24, shift, 1.0)
@@ -285,15 +296,13 @@ def test_quotient_forms_spread_raises_on_a_row_at_the_base():
 def test_convexity_probe_whole_dual(rng):
     ballm = ball_projection_map(L24, 1.0)
     base = GraphPoint.at_point(ballm, primal(L24, [0.1, 0.2, 0, 0]))
-    members = tuple(dual(L24, rng.normal(size=4)) for _ in range(4))
-    labelled = convexity_candidates(members, trials=30, seed=0)
-    labels = [label for label, _ in labelled]
+    members = np.stack([rng.normal(size=4) for _ in range(4)])
+    labels, cands = convexity_candidates(members, trials=30, seed=0)
     steps = [f"sequence step {k}" for k in range(1, 7)]
     assert labels == [*(f"combination trial {t}" for t in range(30)), *steps, "sequence limit"]
-    assert labelled[-1][1] is members[0]
+    assert cands.shape == (37, 4) and np.array_equal(cands[-1], members[0])
     for mode in ("registry", "oracle"):
-        queries = [Query(ballm, base, cand, mode=mode) for _, cand in labelled]
-        assert _verdicts(queries, SamplingSchedule(seed=3)) == [Verdict.MEMBER] * 37
+        assert _verdicts([Query(ballm, base, cands, mode=mode)], SamplingSchedule(seed=3)) == [Verdict.MEMBER] * 37
     with pytest.raises(ValueError):
         convexity_candidates(members[:1], trials=5)
 
@@ -314,14 +323,14 @@ def _runner_queries():
     image = coderiv_ball_lp(exterior.x, 1.0, ystar).point
     off_support = dual(L24, [0.5, -0.3, 0.2, 0.7])
     return [
-        Query(ballm, exterior, dual(L24, [0.4, 0.1, 0, 0]), mode="oracle"),
-        Query(ballm, exterior, image, ystar),
-        Query(ballm, exterior, image + dual(L24, [0.02, 0.0, 0.0, 0.0]), ystar),
-        Query(ballm, exterior, DualVector.zero(L24), mode="audit"),
-        Query(cone, positive, off_support),
-        Query(cone, positive, dual(L24, [0.5, -0.3, -0.4, 0.7]), mode="audit"),
-        Query(cone, positive, off_support, off_support),
-        Query(ballm, exterior, dual(L24, [-0.6, 0.2, 0.1, 0]), mode="registry"),
+        _query(ballm, exterior, dual(L24, [0.4, 0.1, 0, 0]), mode="oracle"),
+        _query(ballm, exterior, image, ystar),
+        _query(ballm, exterior, image + dual(L24, [0.02, 0.0, 0.0, 0.0]), ystar),
+        _query(ballm, exterior, DualVector.zero(L24), mode="audit"),
+        _query(cone, positive, off_support),
+        _query(cone, positive, dual(L24, [0.5, -0.3, -0.4, 0.7]), mode="audit"),
+        _query(cone, positive, off_support, off_support),
+        _query(ballm, exterior, dual(L24, [-0.6, 0.2, 0.1, 0]), mode="registry"),
     ]
 
 
@@ -334,20 +343,21 @@ def test_ask_matches_direct_calls_and_draws_one_pass_per_base_run(monkeypatch):
     ballm, exterior, positive = queries[0].map, queries[0].base, queries[4].base
     interior = GraphPoint.at_point(ballm, primal(L24, [0.3, -0.2, 0.1, 0.0]))
     far = GraphPoint.at_point(ballm, primal(L24, [0.0, -3.0, 1.0, 0.5]))
-    queries += [Query(ballm, interior, dual(L24, [0.2 * k, 0.3, -0.2, 0.4]), mode="oracle") for k in range(4)]
-    queries += [Query(ballm, far, dual(L24, [0.0, 0.6, -0.2, 0.1]), mode="audit")]
+    queries += [_query(ballm, interior, dual(L24, [0.2 * k, 0.3, -0.2, 0.4]), mode="oracle") for k in range(4)]
+    queries += [_query(ballm, far, dual(L24, [0.0, 0.6, -0.2, 0.1]), mode="audit")]
     direct = []
     for q in queries:
-        if q.ystar is None:
-            direct.append(is_fixed_point(sample_base(q.map, q.base, sched), q.xstar, q.mode))
+        xstar, ystar = _duals(q)
+        if ystar is None:
+            direct.append(is_fixed_point(sample_base(q.map, q.base, sched), xstar, q.mode))
         else:
-            rays = registry_rays(q.map, [q.base], q.xstar.values[None, None], q.ystar.values[None, None])[0]
-            direct.append(membership_test(q.map, q.base, q.xstar, q.ystar, sched, rays).verdict)
+            rays = registry_rays(q.map, [q.base], q.xstars[None], q.ystars[None])[0]
+            direct.append(membership_test(q.map, q.base, xstar, ystar, sched, rays).verdict)
     assert {Verdict.MEMBER, Verdict.NON_MEMBER} <= set(direct)
     # the registry's ray rejects the perturbed image; sampling alone cannot
     near = queries[2]
     assert direct[2] == Verdict.NON_MEMBER
-    assert membership_test(near.map, near.base, near.xstar, near.ystar, sched).verdict == Verdict.INDETERMINATE
+    assert membership_test(near.map, near.base, *_duals(near), sched).verdict == Verdict.INDETERMINATE
     # each stack's pass, the one holder of the finest level its walk kept,
     # must be gone when the next stack's pass is drawn
     drawn, stacks = [], []
@@ -377,7 +387,7 @@ def test_an_audit_ask_evaluates_each_level_of_its_pass_once(points, monkeypatch)
     ballm = ball_projection_map(space, 1.0)
     bases = [GraphPoint.at_point(ballm, primal(space, [1.2, -0.8, 0.5, 0.3 * k])) for k in range(points)]
     rng = np.random.default_rng(31)
-    queries = [Query(ballm, base, dual(space, rng.normal(size=4)), mode="audit") for base in bases for _ in range(3)]
+    queries = [_query(ballm, base, dual(space, rng.normal(size=4)), mode="audit") for base in bases for _ in range(3)]
     sched = SamplingSchedule(seed=5)
     value_batch, ray_rows, forms_spread = MapDescriptor.value_batch, limsup_oracle._ray_rows, AuditRows.spread
     evaluated, rays, audits = [], [], []
@@ -433,7 +443,7 @@ def test_a_batch_walk_evaluates_only_the_levels_its_verdicts_read(levels, n, row
     sched = SamplingSchedule(levels=levels, dirs_per_level=rows, seed=4)
     rng = np.random.default_rng(levels)
     duals = [dual(space, rng.normal(size=n)) for _ in range(3)]
-    queries = [Query(ballm, base, w, mode="oracle") for base in bases for w in duals]
+    queries = [_query(ballm, base, w, mode="oracle") for base in bases for w in duals]
     finest, every = [levels - 2, levels - 1], list(range(levels))
     passes = 1 if n == 4 else len(bases)
     assert _walked_levels(lambda: ask(queries, sched), monkeypatch) == finest * passes
@@ -463,7 +473,7 @@ def test_a_wide_ask_holds_no_whole_pass(kind):
     sched = SamplingSchedule(seed=3, dirs_per_level=1024)
     rng = np.random.default_rng(0)
     duals = [dual(space, rng.normal(size=16)) for _ in range(4)]
-    queries = [Query(mapd, base, w, mode="audit") for w in duals] + [Query(mapd, base, w, duals[0]) for w in duals]
+    queries = [_query(mapd, base, w, mode="audit") for w in duals] + [_query(mapd, base, w, duals[0]) for w in duals]
     whole = 2 * sched.levels * sched.dirs_per_level * space.size * 8
     assert whole == 2**21
     assert _warm_peak(lambda: ask(queries, sched)) < whole
@@ -480,7 +490,7 @@ def test_a_wide_ask_of_many_candidates_holds_no_whole_pass(kind):
     base = GraphPoint.at_point(mapd, primal(space, np.linspace(-1.0, 2.0, 16)))
     sched = SamplingSchedule(seed=3, dirs_per_level=1024)
     rng = np.random.default_rng(1)
-    queries = [Query(mapd, base, dual(space, rng.normal(size=16)), mode="audit") for _ in range(48)]
+    queries = [_query(mapd, base, dual(space, rng.normal(size=16)), mode="audit") for _ in range(48)]
     assert _warm_peak(lambda: ask(queries, sched)) < 2 * sched.levels * sched.dirs_per_level * space.size * 8
 
 
@@ -548,13 +558,13 @@ def test_a_registry_run_takes_the_fixed_point_set_once_per_base_and_the_registry
     positive = GraphPoint.at_point(cone, primal(l34, [1.0, 2.0, 0, 0]))
     ystar = dual(L24, [0.3, -0.2, 0.5, 0.1])
     queries = [
-        Query(ballm, exterior, dual(L24, [0.4, 0.1, 0, 0])),
-        Query(ballm, exterior, DualVector.zero(L24)),
-        Query(ballm, exterior, coderiv_ball_lp(exterior.x, 1.0, ystar).point, ystar),
-        Query(ballm, exterior, dual(L24, [-0.6, 0.2, 0.1, 0])),
-        Query(cone, positive, duality_map(positive.x)),
-        Query(cone, positive, dual(l34, [0.5, -0.3, 0.2, 0.7])),
-        Query(cone, positive, dual(l34, [0.0, 0.0, 0.2, 0.7])),
+        _query(ballm, exterior, dual(L24, [0.4, 0.1, 0, 0])),
+        _query(ballm, exterior, DualVector.zero(L24)),
+        _query(ballm, exterior, coderiv_ball_lp(exterior.x, 1.0, ystar).point, ystar),
+        _query(ballm, exterior, dual(L24, [-0.6, 0.2, 0.1, 0])),
+        _query(cone, positive, duality_map(positive.x)),
+        _query(cone, positive, dual(l34, [0.5, -0.3, 0.2, 0.7])),
+        _query(cone, positive, dual(l34, [0.0, 0.0, 0.2, 0.7])),
     ]
     expected = ask(queries, sched)
     sets, verdicts = [], []
@@ -572,7 +582,7 @@ def test_a_registry_run_takes_the_fixed_point_set_once_per_base_and_the_registry
     monkeypatch.setattr(fixed_points, "registry_verdict", counted_verdict)
     assert ask(queries, sched) == expected
     assert sets == [exterior, positive]
-    assert verdicts == [q.xstar for q in queries if q.ystar is None]
+    assert [w.values.tolist() for w in verdicts] == [q.xstars[0].tolist() for q in queries if q.ystars is None]
 
 
 def _batch_instances(d):
@@ -604,12 +614,11 @@ def _batch_instances(d):
 
 def _one_at_a_time(samples, query):
     """The verdict of one query asked alone."""
-    if query.ystar is None:
-        return is_fixed_point(samples, query.xstar, query.mode)
-    rays = registry_rays(query.map, [query.base], query.xstar.values[None, None], query.ystar.values[None, None])[0]
-    return membership_test(
-        query.map, query.base, query.xstar, query.ystar, samples.schedule, rays
-    ).verdict
+    xstar, ystar = _duals(query)
+    if ystar is None:
+        return is_fixed_point(samples, xstar, query.mode)
+    rays = registry_rays(query.map, [query.base], query.xstars[None], query.ystars[None])[0]
+    return membership_test(query.map, query.base, xstar, ystar, samples.schedule, rays).verdict
 
 
 @pytest.mark.parametrize("shift, d", [(0, 1), (1, 4), (2, 16)])
@@ -645,9 +654,12 @@ def test_a_batch_pass_answers_each_query_as_a_batch_of_one(shift, d):
             assert scale == 1.0 + dual_norm(w), name
             alone = membership_test(mapd, base, w, y, sched, extra[None])
             assert (answer.verdict, answer.extrapolated.hex()) == (alone.verdict, alone.extrapolated.hex()), name
-        queries = [Query(mapd, base, w, mode=mode) for mode in ("registry", "oracle", "audit") for w in cands]
-        queries += [Query(mapd, base, w, y) for w, y in zip(cands, ystars)]
-        assert _verdicts(queries, sched) == [_one_at_a_time(samples, q) for q in queries], name
+        # each mode's candidates, and the membership candidates, as one block
+        modes = ("registry", "oracle", "audit")
+        blocks = [Query(mapd, base, xs, mode=mode) for mode in modes] + [Query(mapd, base, xs, ys)]
+        alone = [_query(mapd, base, w, mode=mode) for mode in modes for w in cands]
+        alone += [_query(mapd, base, w, y) for w, y in zip(cands, ystars)]
+        assert _verdicts(blocks, sched) == [_one_at_a_time(samples, q) for q in alone], name
 
 
 def test_a_mixed_run_asks_the_oracle_once_and_gives_each_query_its_lone_verdict(monkeypatch):
@@ -661,16 +673,16 @@ def test_a_mixed_run_asks_the_oracle_once_and_gives_each_query_its_lone_verdict(
     outside = dual(space, [0.3, 0.9, 0.2, 0.5, -0.7, 1.0])
     anchor = dual(space, [-0.6, 1.1, 0.9, 1.4, 0.5, 0.8])
     queries = [
-        Query(mapd, base, member, mode="registry"),
-        Query(mapd, base, member, anchor),
-        Query(mapd, base, outside, mode="oracle"),
-        Query(mapd, base, anchor, anchor),
-        Query(mapd, base, outside, mode="audit"),
-        Query(mapd, base, outside, mode="registry"),
-        Query(mapd, base, member, mode="oracle"),
-        Query(mapd, base, outside, anchor),
-        Query(mapd, base, DualVector.zero(space), mode="audit"),
-        Query(mapd, base, member, mode="audit"),
+        _query(mapd, base, member, mode="registry"),
+        _query(mapd, base, member, anchor),
+        _query(mapd, base, outside, mode="oracle"),
+        _query(mapd, base, anchor, anchor),
+        _query(mapd, base, outside, mode="audit"),
+        _query(mapd, base, outside, mode="registry"),
+        _query(mapd, base, member, mode="oracle"),
+        _query(mapd, base, outside, anchor),
+        _query(mapd, base, DualVector.zero(space), mode="audit"),
+        _query(mapd, base, member, mode="audit"),
     ]
     samples = sample_base(mapd, base, sched)
     alone = [_one_at_a_time(samples, q) for q in queries]
@@ -701,9 +713,9 @@ def test_the_first_failing_query_of_a_run_raises(monkeypatch):
     samples = _exterior_ball_samples()
     ballm, base, sched = samples.map, samples.base, samples.schedule
     w = dual(L24, [1.0, 0.0, 0.0, 0.0])
-    ok = [Query(ballm, base, dual(L24, [0.0, 0.7, 0.1, 0.0]), mode="oracle"), Query(ballm, base, w, w)]
-    first, second = (Query(ballm, base, c * w, mode="audit") for c in (1.0, 2.0))
-    unknown = Query(ballm, base, w, mode="bogus")
+    ok = [_query(ballm, base, dual(L24, [0.0, 0.7, 0.1, 0.0]), mode="oracle"), _query(ballm, base, w, w)]
+    first, second = (_query(ballm, base, c * w, mode="audit") for c in (1.0, 2.0))
+    unknown = _query(ballm, base, w, mode="bogus")
     assert _verdicts([*ok, first, second], sched) == [_one_at_a_time(samples, q) for q in (*ok, first, second)]
     monkeypatch.setattr(fixed_points, "registry_verdict", lambda mapd, base, candidate, char=None: Verdict.MEMBER)
     messages = []
@@ -728,7 +740,7 @@ def test_an_audit_at_the_cone_origin_sees_the_sign_of_a_dual(p, monkeypatch):
     space = lp_space(p, 4)
     cone = cone_projection_map(space)
     origin = GraphPoint.at_point(cone, PrimalVector.zero(space))
-    query = Query(cone, origin, dual(space, [0.5, -0.7, 0.2, 0.0]), mode="audit")
+    query = _query(cone, origin, dual(space, [0.5, -0.7, 0.2, 0.0]), mode="audit")
     sched = SamplingSchedule(seed=7)
     assert _verdicts([query], sched) == [Verdict.NON_MEMBER]
     known_member = MapDescriptor.known_member
@@ -751,15 +763,15 @@ def test_ask_answers_with_the_oracle_value_or_a_closed_form_verdict_without_one(
     ystar = dual(L24, [0.3, -0.2, 0.5, 0.1])
     w = dual(L24, [0.4, 0.1, 0.0, 0.0])
     asked = [
-        Query(ballm, base, coderiv_ball_lp(base.x, 1.0, ystar).point, ystar),
-        Query(ballm, base, w, mode="oracle"),
-        Query(ballm, base, w),
+        _query(ballm, base, coderiv_ball_lp(base.x, 1.0, ystar).point, ystar),
+        _query(ballm, base, w, mode="oracle"),
+        _query(ballm, base, w),
     ]
     answers = ask(asked, sched)
     for q, answer in zip(asked[:2], answers):
-        xs = q.xstar.values[None]
-        ys = xs if q.ystar is None else q.ystar.values[None]
-        fixed = np.array([[q.ystar is None]])
+        xs = q.xstars
+        ys = xs if q.ystars is None else q.ystars
+        fixed = np.array([[q.ystars is None]])
         (((_, _, alone),),) = membership_batch(ballm, [base], xs[None], ys[None], fixed, sched, registry_rays)
         assert (answer.verdict, answer.extrapolated.hex()) == (alone.verdict, alone.extrapolated.hex())
     assert answers[2] == Answer(None, registry_verdict(ballm, base, w)) == Answer(None, Verdict.NON_MEMBER)

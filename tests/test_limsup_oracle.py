@@ -87,7 +87,7 @@ def test_quotient_zero_denominator():
     with pytest.raises(ZeroDivisionError):
         estimate_limsup(mapd, base, w, w, sched)
     with pytest.raises(ZeroDivisionError):
-        ask([Query(mapd, base, w, mode="oracle")], sched)
+        ask([Query(mapd, base, w.values[None], mode="oracle")], sched)
 
 
 def test_translation_ray_limit():

@@ -1,19 +1,21 @@
 """`fixed_points.ask` over stacked passes against the reference oracle.
 
 `ask` samples and answers every run of queries at one map that needs the
-oracle for equally many queries as one stacked pass, wherever the runs sit in
-the list. The reference is the per-run pass the stack replaced: one pass of
-`reference_oracle.py` sampled per run of consecutive queries at one base, one
-level at a time, and the membership values, registry rays and audit spreads
-of that run's candidates, with one pairing slice per candidate and the kink
-rays that start kept apart from those that do not. Every oracle entry
-(spread, scale, value and verdict) and every answer must be bit for bit the
-reference's.
+oracle for equally many candidates as one stacked pass, wherever the runs sit
+in the list. The reference is the per-run pass the stack replaced: one pass
+of `reference_oracle.py` sampled per run of consecutive queries at one base,
+one level at a time, and the membership values, registry rays and audit
+spreads of that run's candidates, taken one dual at a time, with one pairing
+slice per candidate and the kink rays that start kept apart from those that
+do not. Every oracle entry (spread, scale, value and verdict) and every
+answer must be bit for bit the reference's, and every answer must be the one
+its candidate gets as a block of one.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -56,11 +58,31 @@ from projderiv.spaces import (
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class _Candidate:
+    """One row of a query's block, its duals as `DualVector`s."""
+
+    map: MapDescriptor
+    base: GraphPoint
+    xstar: DualVector
+    ystar: DualVector | None
+    mode: str
+
+
+def _candidates(queries):
+    """The candidates of the queries, each query's rows in order."""
+    return [
+        _Candidate(q.map, q.base, dual(q.map.space, x), None if q.ystars is None else dual(q.map.space, q.ystars[i]), q.mode)
+        for q in queries
+        for i, x in enumerate(q.xstars)
+    ]
+
+
 def _runs(queries):
-    """Each run of consecutive queries at one map and base, with its
-    registry verdicts and the queries that need the oracle."""
+    """Each run of consecutive candidates at one map and base, with its
+    registry verdicts and the candidates that need the oracle."""
     runs = []
-    for (mapd, base), run in groupby(queries, key=lambda q: (q.map, q.base)):
+    for (mapd, base), run in groupby(_candidates(queries), key=lambda q: (q.map, q.base)):
         run = list(run)
         asked = [q for q in run if q.ystar is None and q.mode in ("registry", "audit")]
         char = mapd.fixed_point_set(base) if asked else None
@@ -72,7 +94,7 @@ def _runs(queries):
 
 
 def _reference_entries(mapd, base, schedule, queries):
-    """(spread, scale, answer) of each query of one run on the run's own
+    """(spread, scale, answer) of each candidate of one run on the run's own
     reference pass, the audit spread on its finest level."""
     space, x, y = mapd.space, base.x.values, base.y.values
     xs = np.stack([q.xstar.values for q in queries])
@@ -88,19 +110,21 @@ def _reference_entries(mapd, base, schedule, queries):
     return list(zip(spreads.tolist(), scales, answers))
 
 
-def _reference_checked(queries, schedule):
-    """The per-run oracle entry of every query that needs the oracle."""
+def _reference_checked(runs, schedule):
+    """The per-run oracle entry of every candidate of `_runs` that needs the
+    oracle."""
     checked = {}
-    for run, _, needed in _runs(queries):
+    for run, _, needed in runs:
         if needed:
             checked.update(zip(needed, _reference_entries(run[0].map, run[0].base, schedule, needed)))
     return checked
 
 
-def _reference_ask(queries, checked):
-    """The answers of `ask`, given the reference entries `checked`."""
+def _reference_ask(runs, checked):
+    """The answers of `ask`, one per candidate of `_runs`, given the
+    reference entries `checked`."""
     answers = []
-    for run, exact, _ in _runs(queries):
+    for run, exact, _ in runs:
         settled = {q: is_fixed_point(None, q.xstar, q.mode, batch=(exact.get(q), checked.get(q)))
                    for q in run if q.ystar is None}
         answers += [checked[q][2] if q in checked else Answer(None, settled[q]) for q in run]
@@ -113,16 +137,16 @@ def _reference_ask(queries, checked):
 
 
 def _duals(space, rng, count, lo=0.3, hi=1.5):
-    """`count` duals with dual norms in [lo, hi]; a measure has a few atoms."""
+    """`count` dual values with dual norms in [lo, hi], the rows of a
+    (count, size) block; a measure has a few atoms."""
     out = []
     while len(out) < count:
         vals = rng.normal(size=space.size)
         if space.kind == KIND_C01:
             vals *= rng.random(space.size) < 4.0 / space.size
         if np.any(vals):
-            w = dual(space, vals)
-            out.append((rng.uniform(lo, hi) / dual_norm(w)) * w)
-    return out
+            out.append(vals * (rng.uniform(lo, hi) / dual_norm(dual(space, vals))))
+    return np.array(out).reshape(count, space.size)
 
 
 def _point(space, rng, radius):
@@ -131,19 +155,17 @@ def _point(space, rng, radius):
 
 
 def _every_mode(mapd, base, rng, count):
-    """`count` fixed-point queries in each mode and `count` membership
-    queries, the dual origin among them."""
-    space = mapd.space
-    cands = [DualVector.zero(space), *_duals(space, rng, count - 1)]
-    ystars = _duals(space, rng, count)
-    queries = [Query(mapd, base, w, mode=mode) for mode in ("registry", "oracle", "audit") for w in cands]
-    return queries + [Query(mapd, base, w, y) for w, y in zip(cands, ystars)]
+    """A block of `count` fixed-point candidates in each mode and a block of
+    `count` membership candidates, the dual origin first in each."""
+    cands = np.concatenate([np.zeros((1, mapd.space.size)), _duals(mapd.space, rng, count - 1)])
+    queries = [Query(mapd, base, cands, mode=mode) for mode in ("registry", "oracle", "audit")]
+    return queries + [Query(mapd, base, cands, _duals(mapd.space, rng, count))]
 
 
 def _ball_case(p, seed):
     """Interior, exterior and sphere bases of one ball, with runs of 1, 20
-    and 21 queries, runs at one map that a cone run separates, and every
-    mode."""
+    and 21 candidates (the dual origin and 20 draws as one block or as two),
+    runs at one map that a cone run separates, and every mode."""
     rng = np.random.default_rng(seed)
     space = lp_space(p, 4)
     ballm = ball_projection_map(space, 1.0)
@@ -152,17 +174,17 @@ def _ball_case(p, seed):
     exterior = [GraphPoint.at_point(ballm, _point(space, rng, r)) for r in (1.5, 2.0, 3.0)]
     sphere = GraphPoint.at_point(ballm, primal(space, [1.0, 0.0, 0.0, 0.0]))
     elsewhere = GraphPoint.at_point(cone, _point(space, rng, 1.0))
-    queries = []
-    for base in (interior[0], exterior[0]):
-        queries += [Query(ballm, base, w, mode="oracle") for w in _duals(space, rng, 20)]
-    queries += [Query(cone, elsewhere, w, w) for w in _duals(space, rng, 20)]
-    for base in (exterior[1], interior[1], sphere):
-        queries += [Query(ballm, base, DualVector.zero(space), mode="oracle")]
-        queries += [Query(ballm, base, w, mode="oracle") for w in _duals(space, rng, 20)]
+    queries = [Query(ballm, base, _duals(space, rng, 20), mode="oracle") for base in (interior[0], exterior[0])]
+    ws = _duals(space, rng, 20)
+    queries.append(Query(cone, elsewhere, ws, ws))
+    zero = np.zeros((1, 4))
+    queries += [Query(ballm, exterior[1], zero, mode="oracle"), Query(ballm, exterior[1], _duals(space, rng, 20), mode="oracle")]
+    for base in (interior[1], sphere):
+        queries.append(Query(ballm, base, np.concatenate([zero, _duals(space, rng, 20)]), mode="oracle"))
     for base in (*exterior, *interior, sphere):
-        ystar = _duals(space, rng, 1)[0]
-        image = coderiv_ball_lp(base.x, 1.0, ystar).point if base is not sphere else ystar
-        queries.append(Query(ballm, base, image + dual(space, 0.1 * rng.normal(size=4)), ystar))
+        ystar = _duals(space, rng, 1)
+        image = coderiv_ball_lp(base.x, 1.0, dual(space, ystar[0])).point.values if base is not sphere else ystar[0]
+        queries.append(Query(ballm, base, (image + 0.1 * rng.normal(size=4))[None], ystar))
     for base in (exterior[2], interior[2], sphere):
         queries += _every_mode(ballm, base, rng, 3)
     return f"ball p={p:g}", SamplingSchedule(seed=seed), queries
@@ -171,7 +193,7 @@ def _ball_case(p, seed):
 def _cone_case(p, seed):
     """The Lp cone at the origin, at a base off the origin, and at a base
     with a 1e-300 coordinate, from which the kink ray -e_2 never starts;
-    runs of 1 and 20 queries and every mode."""
+    runs of 1 and 20 candidates and every mode."""
     rng = np.random.default_rng(seed)
     space = lp_space(p, 4)
     cone = cone_projection_map(space)
@@ -180,10 +202,10 @@ def _cone_case(p, seed):
     mixed = [GraphPoint.at_point(cone, primal(space, rng.uniform(-1.0, 1.5, size=4))) for _ in range(3)]
     queries = []
     for base in (origin, tiny, *mixed):
-        queries += [Query(cone, base, w, w) for w in _duals(space, rng, 1)]
-    psis = [dual(space, np.abs(w.values)) for w in _duals(space, rng, 20)]
-    queries += [Query(cone, origin, w, w) for w in psis]
-    queries += [Query(cone, tiny, DualVector.zero(space), w) for w in _duals(space, rng, 20)]
+        w = _duals(space, rng, 1)
+        queries.append(Query(cone, base, w, w))
+    psis = np.abs(_duals(space, rng, 20))
+    queries += [Query(cone, origin, psis, psis), Query(cone, tiny, np.zeros((20, 4)), _duals(space, rng, 20))]
     for base in (origin, tiny, mixed[0]):
         queries += _every_mode(cone, base, rng, 3)
     return f"cone p={p:g}", SamplingSchedule(seed=seed), queries
@@ -224,8 +246,8 @@ def _c01_case(seed):
 
 
 def _split_case(seed):
-    """Thirty-three runs of one membership query at one ball: one more than
-    a stack holds at the default shape, so the stack splits at
+    """Thirty-three runs of one membership candidate at one ball: one more
+    than a stack holds at the default shape, so the stack splits at
     QUOTIENT_BLOCK."""
     rng = np.random.default_rng(seed)
     space = lp_space(3.0, 4)
@@ -233,8 +255,8 @@ def _split_case(seed):
     queries = []
     for k in range(33):
         base = GraphPoint.at_point(ballm, _point(space, rng, 2.5 if k % 2 else 0.5))
-        ystar = _duals(space, rng, 1)[0]
-        queries.append(Query(ballm, base, coderiv_ball_lp(base.x, 1.0, ystar).point, ystar))
+        ystar = _duals(space, rng, 1)
+        queries.append(Query(ballm, base, coderiv_ball_lp(base.x, 1.0, dual(space, ystar[0])).point.values[None], ystar))
     return "split", SamplingSchedule(seed=seed), queries
 
 
@@ -247,16 +269,16 @@ def _wide_case(seed):
     queries = []
     for radius in (2.5, 3.0, 0.5):
         base = GraphPoint.at_point(ballm, _point(space, rng, radius))
-        ystar = _duals(space, rng, 1)[0]
-        image = coderiv_ball_lp(base.x, 1.0, ystar).point
-        queries += [Query(ballm, base, image, ystar), Query(ballm, base, image + 0.1 * ystar, ystar)]
-        queries += [Query(ballm, base, w, mode="oracle") for w in _duals(space, rng, 2)]
+        ystar = _duals(space, rng, 1)
+        image = coderiv_ball_lp(base.x, 1.0, dual(space, ystar[0])).point.values
+        queries.append(Query(ballm, base, np.stack([image, image + 0.1 * ystar[0]]), np.concatenate([ystar, ystar])))
+        queries.append(Query(ballm, base, _duals(space, rng, 2), mode="oracle"))
     return "N=16 S=1024", SamplingSchedule(seed=seed, dirs_per_level=1024), queries
 
 
 def _wide_cone_case(seed):
     """The l_3 cone at N = 16 and S = 1024, with its 32 kink rays: four runs
-    of one query, one at a base with a 1e-300 coordinate, from which the
+    of one candidate, one at a base with a 1e-300 coordinate, from which the
     kink ray -e_2 never starts, and a run of two at a fifth base."""
     rng = np.random.default_rng(seed)
     space = lp_space(3.0, 16)
@@ -265,11 +287,11 @@ def _wide_cone_case(seed):
     tiny[:3] = [0.7, 1e-300, -0.4]
     points = [tiny, *(rng.uniform(-1.0, 1.5, size=16) for _ in range(4))]
     bases = [GraphPoint.at_point(cone, primal(space, x)) for x in points]
-    queries = [Query(cone, bases[0], DualVector.zero(space), _duals(space, rng, 1)[0])]
-    queries += [Query(cone, bases[1], w, w) for w in _duals(space, rng, 1)]
-    queries += [Query(cone, bases[2], w, mode="oracle") for w in _duals(space, rng, 1)]
-    queries += [Query(cone, bases[3], w, _duals(space, rng, 1)[0]) for w in _duals(space, rng, 1)]
-    queries += [Query(cone, bases[4], w, mode="audit") for w in _duals(space, rng, 2)]
+    w = _duals(space, rng, 1)
+    queries = [Query(cone, bases[0], np.zeros((1, 16)), _duals(space, rng, 1)), Query(cone, bases[1], w, w)]
+    queries.append(Query(cone, bases[2], _duals(space, rng, 1), mode="oracle"))
+    queries.append(Query(cone, bases[3], _duals(space, rng, 1), _duals(space, rng, 1)))
+    queries.append(Query(cone, bases[4], _duals(space, rng, 2), mode="audit"))
     return "cone N=16 S=1024", SamplingSchedule(seed=seed, dirs_per_level=1024), queries
 
 
@@ -301,7 +323,8 @@ def _check_stacked_ask(name, monkeypatch):
     bases of each sample stack and of each fold of rays."""
     schedule, queries = CASES[name]
     block = limsup_oracle.QUOTIENT_BLOCK
-    reference = _reference_checked(queries, schedule)
+    candidate_runs = _runs(queries)
+    reference = _reference_checked(candidate_runs, schedule)
     assert reference
     sizes, stacks, folds, rays = [], [], [], []
     value_batch, walked, fold, ray_rows = (
@@ -324,17 +347,24 @@ def _check_stacked_ask(name, monkeypatch):
         rays.append(directions.size * RAY_STEPS)  # the entries of its one value batch
         return ray_rows(mapd, x, y, t_starts, directions, split_l1_denominator)
 
-    runs = [needed for _, _, needed in _runs(queries)]
+    runs = [needed for _, _, needed in candidate_runs if needed]
+    # each candidate that needs the oracle as a block of one
+    blocks = [
+        [Query(q.map, q.base, q.xstar.values[None], None if q.ystar is None else q.ystar.values[None], q.mode) for q in run]
+        for run in runs
+    ]
     with monkeypatch.context() as patch:
         patch.setattr(MapDescriptor, "value_batch", counted_values)
         patch.setattr(limsup_oracle, "_sampled_sups", counted_walks)
         patch.setattr(limsup_oracle, "_fold_rays", counted_folds)
         patch.setattr(limsup_oracle, "_ray_rows", counted_rays)
-        checked = fixed_points._oracle_answers(runs, schedule)
-    assert checked.keys() == reference.keys()
-    for q, (spread, scale, answer) in checked.items():
-        want_spread, want_scale, want = reference[q]
-        assert (spread, scale, _bits(answer)) == (want_spread, want_scale, _bits(want)), (name, q.mode)
+        checked = fixed_points._oracle_answers(blocks, [[True] * len(run) for run in runs], schedule)
+    assert [len(entries) for entries in checked] == [len(run) for run in runs]
+    assert sum(map(len, runs)) == len(reference)
+    for run, entries in zip(runs, checked):
+        for q, (spread, scale, answer) in zip(run, entries):
+            want_spread, want_scale, want = reference[q]
+            assert (spread, scale, _bits(answer)) == (want_spread, want_scale, _bits(want)), (name, q.mode)
     # no value batch above the block or one level of one base, and no ray
     # batch above the block or the rays of one base: its kink rays and each
     # candidate's norming and registry rays
@@ -345,15 +375,19 @@ def _check_stacked_ask(name, monkeypatch):
     assert max(rays) <= max(block, own)
     # every run in one sample stack and in one fold, a fold being whole
     # sample stacks
-    assert sum(stacks) == sum(folds) == sum(1 for run in runs if run)
+    assert sum(stacks) == sum(folds) == len(runs)
     assert len(folds) <= len(stacks)
-    try:
-        want = _reference_ask(queries, reference)
-    except FixedPointAuditError as error:
-        with pytest.raises(FixedPointAuditError, match=re.escape(str(error))):
-            ask(queries, schedule)
-    else:
-        assert [_bits(a) for a in ask(queries, schedule)] == [_bits(a) for a in want]
+    # the blocks as asked, and each candidate as a block of one
+    alone = [Query(q.map, q.base, q.xstars[i : i + 1], None if q.ystars is None else q.ystars[i : i + 1], q.mode)
+             for q in queries for i in range(len(q.xstars))]
+    for asked in (queries, alone):
+        try:
+            want = _reference_ask(candidate_runs, reference)
+        except FixedPointAuditError as error:
+            with pytest.raises(FixedPointAuditError, match=re.escape(str(error))):
+                ask(asked, schedule)
+        else:
+            assert [_bits(a) for a in ask(asked, schedule)] == [_bits(a) for a in want]
     return stacks, folds
 
 
@@ -423,7 +457,7 @@ def test_ask_and_is_fixed_point_walk_and_fold_only_inside_membership_batch(monke
         monkeypatch.setattr(limsup_oracle, name, recorded(name))
     ask(queries, schedule)
     asked = len(calls)
-    is_fixed_point(sample_base(ballm, base, schedule), queries[-1].xstar, "oracle")
+    is_fixed_point(sample_base(ballm, base, schedule), dual(space, queries[-1].xstars[-1]), "oracle")
     assert 0 < asked < len(calls)
     assert [name for name, inside in calls if not inside] == []
     assert {name for name, _ in calls} == {"_level_rows", "_fold_rays"}
@@ -472,7 +506,7 @@ def test_expected_images_of_a_stack_are_each_bases_own():
     ballm = ball_projection_map(space, 1.0)
     points = [_point(space, rng, r) for r in (0.5, 2.0)] + [primal(space, [1.0, 0.0, 0.0, 0.0])]
     bases = [GraphPoint.at_point(ballm, x) for x in points]
-    ys = np.stack([np.stack([w.values for w in _duals(space, rng, 5)]) for _ in bases])
+    ys = np.stack([_duals(space, rng, 5) for _ in bases])
     images = ballm.expected_image(bases, ys)
     for base, got, y in zip(bases, images, ys):
         want = [ref.expected_image(ballm, base.x.values, w) for w in y]
