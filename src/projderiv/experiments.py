@@ -770,10 +770,11 @@ def _origin_estimate(
     """The dual origin's fixed-point estimate at the base
     (`limsup_oracle.estimate_limsup`), and the largest spread of y*'s three
     quotient forms over every row the walk samples (0.0 without y*), a
-    running max over its blocks. Each block's rows go in as a stack of
-    one-row blocks: the golden report pins this spread, and a (1, size) @
-    (size,) product rounds like a scalar dot where a multi-row one does
-    not."""
+    running max over its blocks, whose first form is the oracle's quotient
+    formula (`limsup_oracle._quotients`, through `AuditRows.spread`). Each
+    block's rows go in as a stack of one-row blocks: the golden report pins
+    this spread, and a (1, size) @ (size,) product rounds like a scalar dot
+    where a multi-row one does not."""
     spread = 0.0
 
     def audit(us, vs):

@@ -180,9 +180,10 @@ def is_fixed_point(
 
 def quotient_forms_spread(ystar: DualVector, rows: AuditRows) -> np.ndarray:
     """Largest pairwise difference of the three algebraically equal quotient
-    forms of the fixed-point criterion at each audit row: pairing the
-    increments separately, pairing their difference, and pairing the
-    residual shift (u - v) - (x - y): `AuditRows.spread` of one dual."""
+    forms of the fixed-point criterion at each audit row: the quotients of
+    the increments (`limsup_oracle._quotients`), pairing their difference,
+    and pairing the residual shift (u - v) - (x - y): `AuditRows.spread` of
+    one dual."""
     return rows.spread(ystar.space, ystar.values[None])[0]
 
 

@@ -30,11 +30,12 @@ by blocks of at most `QUOTIENT_BLOCK` entries (`spaces.QUOTIENT_BLOCK`; one
 level where a level alone is larger, `_level_blocks`). It evaluates each
 block with one `value_batch` (`_level_rows`), takes its quotients
 (`_increments`, `_quotients`) by parts of the candidates where one level of
-all of them is larger (`_candidate_parts`), and keeps a copy of each base's
-finest level for the quotient-form audit (`SamplePass.audit`), so no level
-is evaluated twice. `estimate_limsup` walks every level and keeps their
-quotients as its trace; `membership_batch` walks the two finest and keeps
-their suprema (`_sampled_sups`). Both take the limsup by one rule
+all of them is larger (`_candidate_parts`), so no level is evaluated twice.
+`estimate_limsup` walks every level and keeps their quotients as its trace;
+`membership_batch` walks the two finest and keeps their suprema
+(`_sampled_sups`), and audits the finest level as it goes: the first
+quotient form is the walk's own quotients, the other two pair its
+increments (`AuditRows.spread`). Both take the limsup by one rule
 (`_limsup`), which reads the suprema of those two levels and of no other. A
 level's directions come from its own seeded stream, so its rows, quotients
 and supremum are those of a walk over every level, bit for bit. The raw
@@ -59,8 +60,8 @@ are the per-dual matrix-vector products; a gemm over the candidates, or a
 flattened product, rounds differently. And the fold of ray limits keeps
 Python's left-to-right max per candidate, rays in their one-call order, a
 NaN limit (a ray that does not start) never replacing a value. A pass is
-immutable apart from its kept finest level, and its arrays are read only,
-so sharing it cannot leak state from one estimate into another.
+immutable and its arrays are read only, so sharing it cannot leak state
+from one estimate into another.
 """
 
 from __future__ import annotations
@@ -213,11 +214,10 @@ class SamplePass:
     are never held whole: each walk over the pass (`_block_quotients`)
     evaluates the levels it covers, every level for an estimate and the two
     finest for `membership_batch`, one block of levels at a time, and keeps
-    a copy of each base's finest level, the rows of its `audit`. Drawing a
-    pass evaluates nothing, so a pass that is never walked is cheap:
-    `membership_batch` folds the rays of several sample stacks over one
-    pass of all their bases, which only its graph points and `kink_rows`
-    serve."""
+    none of them. Drawing a pass evaluates nothing, so a pass that is never
+    walked is cheap: `membership_batch` folds the rays of several sample
+    stacks over one pass of all their bases, which only its graph points
+    and `kink_rows` serve."""
 
     map: MapDescriptor
     bases: tuple[GraphPoint, ...]
@@ -226,7 +226,6 @@ class SamplePass:
     y: np.ndarray
     radii: np.ndarray
     extra: np.ndarray
-    _finest: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def base(self) -> GraphPoint:
@@ -239,16 +238,6 @@ class SamplePass:
         """(bases, levels, rows, size) of the sampled points."""
         (bases, size), rows = self.x.shape, self.schedule.dirs_per_level + len(self.extra)
         return bases, len(self.radii), rows, size
-
-    @cached_property
-    def audit(self) -> AuditRows:
-        """The quotient-form audit rows of each base's finest level, shape
-        (bases, rows, ...), built on first use from the rows a walk over the
-        pass kept; reading it before any walk is an error."""
-        if not self._finest:
-            raise RuntimeError("the audit reads the finest level of a walk over the pass, and none has run")
-        us, vs = self._finest
-        return AuditRows._around(self.map.space, self.x[:, None], self.y[:, None], us, vs)
 
     @cached_property
     def kink_rows(self) -> _RayRows:
@@ -277,55 +266,54 @@ class SamplePass:
 class AuditRows:
     """The candidate-independent arrays of the three quotient forms at
     sample rows (us, vs) around a base: the increments du = u - x and
-    dv = v - y, the denominators ||du|| + ||dv||, du - dv, and the residual
-    shift (u - v) - (x - y). Built by `at`; every array is read only."""
+    dv = v - y, the denominators ||du|| + ||dv||, and the residual shift
+    (u - v) - (x - y) (`_shift`). Built by `at`, or by an audited walk from
+    the finest level's increments (`_block_quotients`); every array is read
+    only."""
 
     du: np.ndarray
     dv: np.ndarray
     den: np.ndarray
-    du_minus_dv: np.ndarray
     shift: np.ndarray
+
+    def __post_init__(self):
+        for array in vars(self).values():
+            array.flags.writeable = False
 
     @classmethod
     def at(cls, base: GraphPoint, us: np.ndarray, vs: np.ndarray) -> "AuditRows":
         """The audit arrays of the rows (us, vs) around the base; a row at
-        the base is a ZeroDivisionError. The shift is formed from the
-        error-free differences of u - v and x - y. Rounded plainly, it would
-        carry an absolute error of about eps |x - y|, which the small
-        denominators near an exterior base blow up."""
-        return cls._around(base.x.space, base.x.values, base.y.values, us, vs)
+        the base is a ZeroDivisionError."""
+        x, y = base.x.values, base.y.values
+        return cls(*_increments(base.x.space, x, y, us, vs), _shift(us, vs, x, y))
 
-    @classmethod
-    def _around(cls, space: SpaceSpec, x, y, us: np.ndarray, vs: np.ndarray) -> "AuditRows":
-        """`at` around the graph points x and y, arrays that broadcast
-        against the rows (one base's point, or one per block of a stack)."""
-        du, dv, den = _increments(space, x, y, us, vs)
-        a, ea = _two_diff(us, vs)
-        b, eb = _two_diff(x, y)
-        rows = cls(du, dv, den, du - dv, (a - b) + (ea - eb))
-        for array in vars(rows).values():
-            array.flags.writeable = False
-        return rows
-
-    def spread(self, space: SpaceSpec, duals: np.ndarray) -> np.ndarray:
+    def spread(self, space: SpaceSpec, duals: np.ndarray, f1: np.ndarray | None = None) -> np.ndarray:
         """Largest pairwise difference of the three algebraically equal
         quotient forms of the fixed-point criterion (y* = x*) of each dual at
-        each row: pairing the increments separately, pairing their
-        difference, and pairing the residual shift (u - v) - (x - y).
-        `duals` is an (S..., m, size) array, S the leading stack axes of the
-        rows (none for one base's rows, the bases of a stack), and the
-        result has shape (S..., m, rows...); each dual's slice is bit for bit
-        that of a stack of it alone (`pairing_stack`)."""
+        each row: the quotients of the increments (`_quotients`, or `f1`,
+        the quotients a walk took at these rows), pairing their difference,
+        and pairing the residual shift (u - v) - (x - y). `duals` is an
+        (S..., m, size) array, S the leading stack axes of the rows (none for
+        one base's rows, the bases of a stack), and the result has shape
+        (S..., m, rows...); each dual's slice is bit for bit that of a stack
+        of it alone (`pairing_stack`)."""
         axis = duals.ndim - 2
-
-        def pair(increments):
-            return pairing_stack(space, duals, np.expand_dims(increments, axis))
-
-        den = np.expand_dims(self.den, axis)
-        f1 = (pair(self.du) - pair(self.dv)) / den
-        f2 = pair(self.du_minus_dv) / den
-        f3 = pair(self.shift) / den
+        du, dv, den = (np.expand_dims(array, axis) for array in (self.du, self.dv, self.den))
+        if f1 is None:
+            f1 = _quotients(space, duals, duals, du, dv, den)
+        f2 = pairing_stack(space, duals, du - dv) / den
+        f3 = pairing_stack(space, duals, np.expand_dims(self.shift, axis)) / den
         return np.maximum(np.maximum(np.abs(f1 - f2), np.abs(f1 - f3)), np.abs(f2 - f3))
+
+
+def _shift(us: np.ndarray, vs: np.ndarray, x, y) -> np.ndarray:
+    """The residual shift (u - v) - (x - y) of sample rows (us, vs) around
+    the graph points x and y (arrays that broadcast against them), formed
+    from the error-free differences of u - v and x - y. Rounded plainly, it
+    would carry an absolute error of about eps |x - y|, which the small
+    denominators near an exterior base blow up."""
+    (a, ea), (b, eb) = _two_diff(us, vs), _two_diff(x, y)
+    return (a - b) + (ea - eb)
 
 
 def _two_diff(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -500,13 +488,19 @@ def _candidate_parts(entries: int, candidates: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, candidates, step)]
 
 
-def _block_quotients(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray, rows=None, first: int = 0):
+def _block_quotients(
+    samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray, rows=None, first: int = 0, audit: bool = False
+):
     """The quotients of m candidates at each base, the rows of the
     (bases, m, size) arrays `xstars` and `ystars`, over the levels `first`
     to the finest of the pass (all of them by default), one part of a block
-    of levels at a time: `(levels, candidates, quotients)`, the part's
-    levels (a range), its candidates (a slice) and their quotients, shape
-    (bases, candidates in the part, levels in the part, rows).
+    of levels at a time: `(levels, candidates, quotients, spreads)`, the
+    part's levels (a range), its candidates (a slice), their quotients,
+    shape (bases, candidates in the part, levels in the part, rows), and,
+    with `audit` on the finest level's part, each candidate's quotient-form
+    spreads at x* on that level, shape (bases, candidates in the part,
+    rows), whose first form is those quotients (`AuditRows.spread`); None
+    elsewhere.
 
     The one walk over a pass. It evaluates each block of those levels once
     (`_level_rows`), and no other level, hands each block to `rows` where
@@ -517,9 +511,7 @@ def _block_quotients(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray
     one level of them is more than QUOTIENT_BLOCK (`_candidate_parts`), so
     each increment is built once, and a part's quotients go before the next
     part's are taken. Each level's rows and quotients are those of a walk
-    over every level, bit for bit: its directions are its own stream's. At
-    the end it keeps a read-only copy of each base's finest level for the
-    audit (`SamplePass.audit`)."""
+    over every level, bit for bit: its directions are its own stream's."""
     space = samples.map.space
     x, y = samples.x[:, None, None], samples.y[:, None, None]
     levels = range(len(samples.radii))
@@ -529,16 +521,16 @@ def _block_quotients(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray
             rows(us, vs)
         for part in _level_blocks(us.shape, xstars.shape[1]):
             du, dv, dens = _increments(space, x, y, us[:, part], vs[:, part])
+            finest = None
+            if audit and levels[block][part][-1] == levels[-1]:
+                finest = AuditRows(du[:, -1], dv[:, -1], dens[:, -1], _shift(us[:, -1], vs[:, -1], x[:, 0], y[:, 0]))
             for candidates in _candidate_parts(dens.size, xstars.shape[1]):
                 quotients = _quotients(
                     space, xstars[:, candidates], ystars[:, candidates], du[:, None], dv[:, None], dens[:, None]
                 )
-                yield levels[block][part], candidates, quotients
-            del du, dv
-    finest = [us[:, -1].copy(), vs[:, -1].copy()]
-    for array in finest:
-        array.flags.writeable = False
-    samples._finest[:] = finest
+                spreads = None if finest is None else finest.spread(space, xstars[:, candidates], quotients[:, :, -1])
+                yield levels[block][part], candidates, quotients, spreads
+            del du, dv, finest
 
 
 def estimate_limsup(
@@ -566,7 +558,7 @@ def _estimate(samples: SamplePass, xstar: DualVector, ystar: DualVector, rows=No
     their row maxima are the per-level suprema (the two finest bit for bit
     those of `_sampled_sups`)."""
     xs, ys = xstar.values[None, None], ystar.values[None, None]
-    quotients = np.concatenate([q[0, 0] for *_, q in _block_quotients(samples, xs, ys, rows)])
+    quotients = np.concatenate([q[0, 0] for _, _, q, _ in _block_quotients(samples, xs, ys, rows)])
     quotients.flags.writeable = False
     return _reduced(quotients.max(axis=1), ystar, QuotientTrace(radii=samples.radii, quotients=quotients))
 
@@ -586,17 +578,24 @@ def _reduced(sups: np.ndarray, ystar: DualVector, trace: QuotientTrace) -> Limsu
     )
 
 
-def _sampled_sups(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray) -> np.ndarray:
+def _sampled_sups(samples: SamplePass, xstars: np.ndarray, ystars: np.ndarray, fixed: np.ndarray):
     """The suprema of the _LIMSUP_LEVELS finest levels of each candidate at
     each base, the rows of the (bases, m, size) arrays `xstars` and
-    `ystars`, shape (bases, m, _LIMSUP_LEVELS), without the trace: the walk
-    evaluates those levels only, and each part's quotients are reduced to
-    their suprema as the walk gives them."""
+    `ystars`, shape (bases, m, _LIMSUP_LEVELS), without the trace, and the
+    (bases, m) spreads of the walk's audit of the finest level, 0.0 where
+    the mask `fixed` is not set: the walk evaluates those levels only, and
+    each part's quotients are reduced to their suprema as the walk gives
+    them."""
     first = len(samples.radii) - _LIMSUP_LEVELS
     sups = np.empty((*xstars.shape[:2], _LIMSUP_LEVELS))
-    for levels, candidates, quotients in _block_quotients(samples, xstars, ystars, first=first):
+    spreads = np.zeros(fixed.shape)
+    walk = _block_quotients(samples, xstars, ystars, first=first, audit=fixed.any())
+    for levels, candidates, quotients, audited in walk:
         sups[:, candidates, levels.start - first : levels.stop - first] = quotients.max(axis=-1)
-    return sups
+        if audited is not None:
+            spreads[:, candidates] = audited.max(axis=-1)
+    spreads[~fixed] = 0.0
+    return sups, spreads
 
 
 def _limsup(sups: np.ndarray) -> np.ndarray:
@@ -858,15 +857,16 @@ def membership_batch(
     their candidates, a zero row aiming no ray), bit for bit. The scale is
     1 + ||y*||_*. Where the (bases, m) mask `fixed` is set, the candidate
     asks whether x* is a fixed point (y* = x*), and the spread is the
-    largest of its quotient forms' spreads on its base's finest level
+    largest of its quotient forms' spreads on its base's finest level, whose
+    first form is the quotients the walk took its suprema from
     (`AuditRows.spread`); elsewhere it is 0.0.
 
     The bases are drawn in sample stacks of at most
     `SamplingSchedule.stack_size`, in order, and each stack is walked over
-    its two finest levels (`_sampled_sups`, the audit spreads a part of the
-    candidates at a time, `_candidate_parts`) and released before the next
-    is drawn, so the memory bound of one stack holds for all of them. The
-    rays are folded by ray stacks (`_fold_rays`): as many consecutive whole
+    its two finest levels (`_sampled_sups`, which audits the finest level a
+    part of the candidates at a time, `_candidate_parts`) and released
+    before the next is drawn, so the memory bound of one stack holds for all
+    of them. The rays are folded by ray stacks (`_fold_rays`): as many consecutive whole
     sample stacks as keep their ray rows within QUOTIENT_BLOCK
     (`_ray_stack_size`), over one pass of all their bases, which
     `sample_base` draws without evaluating anything; a ray stack of one
@@ -883,14 +883,8 @@ def membership_batch(
             samples = None  # release the previous pass before drawing this one
             samples = sample_base(mapd, bases[at : at + stack], schedule)
             part = slice(at, at + stack)
-            values = _limsup(_sampled_sups(samples, xs[part], ys[part]))
-            spreads = np.zeros(fixed[part].shape)
-            if fixed[part].any():
-                audit = samples.audit
-                for candidates in _candidate_parts(audit.den.size, m):
-                    spreads[:, candidates] = audit.spread(space, xs[part, candidates]).max(axis=-1)
-                spreads[~fixed[part]] = 0.0
-            walked.append((values, spreads))
+            sups, spreads = _sampled_sups(samples, xs[part], ys[part], fixed[part])
+            walked.append((_limsup(sups), spreads))
         if len(walked) > 1:
             samples = None
             samples = sample_base(mapd, bases[group], schedule)

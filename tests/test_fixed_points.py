@@ -643,14 +643,15 @@ def test_a_batch_pass_answers_each_query_as_a_batch_of_one(shift, d):
         xs, ys = np.stack([w.values for w in cands]), np.stack([y.values for y in ystars])
         asked = np.concatenate([xs, xs]), np.concatenate([xs, ys]), np.arange(2 * m) < m
         (checked,) = membership_batch(mapd, [base], *(array[None] for array in asked), sched, registry_rays)
-        limsup_oracle._sampled_sups(samples, xs[None], xs[None])  # the walk keeps the audit's rows
+        finest = ref.sample_pass(mapd, base, sched)
         (rays,) = registry_rays(mapd, [base], xs[None], ys[None])
         answers = [answer for _, _, answer in checked[m:]]
         for w, y, extra, (spread, scale, fixed), answer in zip(cands, ystars, rays, checked, answers):
             own = registry_rays(mapd, [base], w.values[None, None], w.values[None, None])[0]
             alone = membership_test(mapd, base, w, w, sched, own)
             assert (fixed.verdict, fixed.extrapolated.hex()) == (alone.verdict, alone.extrapolated.hex()), name
-            assert spread == np.max(quotient_forms_spread(w, samples.audit)), name
+            want = ref.audit_spread(space, base.x.values, base.y.values, finest.us[-1], finest.vs[-1], w.values[None])
+            assert spread.hex() == float(want.max()).hex(), name
             assert scale == 1.0 + dual_norm(w), name
             alone = membership_test(mapd, base, w, y, sched, extra[None])
             assert (answer.verdict, answer.extrapolated.hex()) == (alone.verdict, alone.extrapolated.hex()), name
@@ -690,9 +691,9 @@ def test_a_mixed_run_asks_the_oracle_once_and_gives_each_query_its_lone_verdict(
     calls = []
     walked, fold = limsup_oracle._sampled_sups, limsup_oracle._fold_rays
 
-    def counted_walks(samples, xs, ys):
+    def counted_walks(samples, xs, ys, fixed):
         calls.append(("walk", xs.shape[:2]))
-        return walked(samples, xs, ys)
+        return walked(samples, xs, ys, fixed)
 
     def counted_folds(samples, xs, ys, extra_rays, values):
         calls.append(("fold", xs.shape[:2]))
@@ -938,6 +939,23 @@ def test_the_blockwise_structural_spread_is_the_spread_of_the_whole_pass(N, S, b
         rows = AuditRows.at(base, reference.us.reshape(-1, 1, size), reference.vs.reshape(-1, 1, size))
         assert spread.hex() == float(quotient_forms_spread(ystar, rows).max()).hex()
         assert _origin_estimate(mapd, base, sched, None)[1] == 0.0
+
+
+def test_a_wrong_quotient_formula_fails_both_audits(monkeypatch):
+    # each audit's first form is the quotients of `_quotients`, which the
+    # verdicts read too: scaled by 1.001 they disagree with the other two
+    # forms, in the oracle's audit of a fixed-point block and in the origin
+    # estimates of structural_prop_3_2
+    quotients = limsup_oracle._quotients
+    monkeypatch.setattr(limsup_oracle, "_quotients", lambda *args: quotients(*args) * 1.001)
+    samples = _exterior_ball_samples()
+    xs = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 4))
+    with pytest.raises(FixedPointAuditError, match="quotient forms disagree"):
+        ask([Query(samples.map, samples.base, xs, mode="oracle")], samples.schedule)
+    config = resolve_config("structural_prop_3_2")
+    _, mapd, base = _structural_instances(config)[0][2]  # the ball's exterior base
+    ystar = dual(mapd.space, np.linspace(-1.0, 1.0, mapd.space.size))
+    assert _origin_estimate(mapd, base, config.schedule(), ystar)[1] > 1e-12
 
 
 def test_poly_annihilator_structure():

@@ -19,11 +19,12 @@ from projderiv.coderivatives import (
     poly_projection_map,
 )
 from projderiv import limsup_oracle
-from projderiv.fixed_points import Query, ask, is_fixed_point, quotient_forms_spread, registry_rays
+from projderiv.fixed_points import Query, ask, is_fixed_point, registry_rays
 from projderiv.limsup_oracle import (
     RAY_RATIO,
     RAY_STEPS,
     RAY_T0,
+    AuditRows,
     GraphPoint,
     SamplingSchedule,
     Verdict,
@@ -253,20 +254,22 @@ def test_shared_base_samples_give_every_query_its_fresh_verdict():
             assert is_fixed_point(samples, cand, mode=mode) == is_fixed_point(fresh, cand, mode=mode)
 
 
-@pytest.mark.parametrize("name", ["ball p=2 exterior", "ball p=3 exterior", "cone", "l1 exterior", "affine"])
+@pytest.mark.parametrize("name", sorted(SHARED_PASS_BASES))
 def test_shared_audit_rows_give_every_candidate_its_per_candidate_spread(name):
+    # five fixed-point candidates share one audited walk: each one's spread
+    # is the reference's, on its own, over the finest level, bit for bit
     mapd, x, sched = SHARED_PASS_BASES[name]
     base = GraphPoint.at_point(mapd, x)
-    samples = sample_base(mapd, base, sched)
-    w = _some_dual(mapd.space)
-    limsup_oracle._estimate(samples, w, w)
-    rows = samples.audit
-    finest = ref.sample_pass(mapd, base, sched)  # each candidate's spread alone on its finest level
+    finest = ref.sample_pass(mapd, base, sched)
     rng = np.random.default_rng(23)
-    for _ in range(5):
-        ystar = dual(mapd.space, rng.uniform(-1.5, 1.5, size=mapd.space.size))
-        want = ref.audit_spread(mapd.space, x.values, base.y.values, finest.us[-1], finest.vs[-1], ystar.values[None])
-        assert np.array_equal(quotient_forms_spread(ystar, rows), want)
+    size = mapd.space.size
+    xs = rng.uniform(-1.5, 1.5, size=(5, size)) * (rng.random((5, size)) < min(1.0, 6.0 / size))
+    (entries,) = limsup_oracle.membership_batch(
+        mapd, [base], xs[None], xs[None], np.ones((1, 5), bool), sched, lambda mapd, bases, xs, ys: np.zeros(xs.shape)
+    )
+    for w, (spread, _, _) in zip(xs, entries):
+        want = ref.audit_spread(mapd.space, x.values, base.y.values, finest.us[-1], finest.vs[-1], w[None])
+        assert spread.hex() == float(want.max()).hex(), name
 
 
 @pytest.mark.parametrize("name", ["ball p=2 exterior", "poly with extra rays"])
@@ -280,16 +283,23 @@ def test_a_shared_pass_and_its_trace_are_read_only(name):
         with pytest.raises(ValueError, match="read-only"):
             getattr(samples, field)[...] = 0.0
     w = _some_dual(mapd.space)
-    # a trace's radii and quotients, and the finest level its walk keeps for
-    # the audit
+    before = {
+        key: (value, np.copy(value) if isinstance(value, np.ndarray) else None) for key, value in vars(samples).items()
+    }
+    # a trace's radii and quotients are read only
     for est in (estimate_limsup(mapd, base, w, w, sched), limsup_oracle._estimate(samples, w, w)):
         for array in (est.trace.radii, est.trace.quotients):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0.0
-    assert len(samples._finest) == 2
-    for array in samples._finest:
-        with pytest.raises(ValueError, match="read-only"):
-            array[0, 0, 0] = 0.0
+    fixed = np.ones((1, 1), bool)
+    limsup_oracle._sampled_sups(samples, w.values[None, None], w.values[None, None], fixed)  # an audited walk
+    # the walks leave every attribute of the pass as it was, and no array
+    # there is writeable
+    assert vars(samples).keys() == before.keys()
+    for key, (value, copy) in before.items():
+        assert getattr(samples, key) is value, key
+        if copy is not None:
+            assert not value.flags.writeable and np.array_equal(value, copy), key
 
 
 @pytest.mark.parametrize("name", sorted(SHARED_PASS_BASES))
@@ -298,23 +308,34 @@ def test_the_audit_rows_are_the_finest_level_of_the_pass(name, monkeypatch):
     base = GraphPoint.at_point(mapd, x)
     reference = ref.sample_pass(mapd, base, sched)
     samples = sample_base(mapd, base, sched)
-    # the audit reads the rows of a walk, and none has run yet
-    with pytest.raises(RuntimeError, match="none has run"):
-        samples.audit
     w = _some_dual(mapd.space)
-    limsup_oracle._estimate(samples, w, w)
-    # the walk kept copies of the finest level, not views of its last block
-    assert all(array.base is None for array in samples._finest)
+    xs = w.values[None, None]
+    calls, audits = [], []
+    value_batch, spread = MapDescriptor.value_batch, AuditRows.spread
 
-    def refused(self, rows):
-        raise AssertionError("the audit evaluated a level again")
+    def counted(self, rows):
+        calls.append(rows.shape)
+        return value_batch(self, rows)
 
-    monkeypatch.setattr(MapDescriptor, "value_batch", refused)
-    rows = samples.audit
-    assert samples.audit is rows
+    def kept(self, space, duals, f1=None):
+        audits.append((self, f1))
+        return spread(self, space, duals, f1)
+
+    monkeypatch.setattr(MapDescriptor, "value_batch", counted)
+    monkeypatch.setattr(AuditRows, "spread", kept)
+    limsup_oracle._sampled_sups(samples, xs, xs, np.zeros((1, 1), bool))
+    unaudited, calls[:] = list(calls), []
+    limsup_oracle._sampled_sups(samples, xs, xs, np.ones((1, 1), bool))
+    # the audit evaluates no level again: the audited walk evaluates what the
+    # unaudited one does
+    assert calls == unaudited
+    # it reads the walk's own finest level once: its increments, and as its
+    # first form the quotients the walk took there
+    ((rows, f1),) = audits
     assert np.array_equal(rows.du, (reference.us[-1] - x.values)[None])
     assert np.array_equal(rows.dv, (reference.vs[-1] - base.y.values)[None])
     assert np.array_equal(rows.den, reference.dens[-1][None])
+    assert np.array_equal(f1, limsup_oracle._estimate(samples, w, w).trace.quotients[-1][None, None])
     for array in vars(rows).values():
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0.0
@@ -435,9 +456,9 @@ def test_the_blocked_pass_gives_the_per_level_quotients_bit_for_bit(name, monkey
     sizes = []
 
     def counted(samples, xstars, ystars, rows=None):
-        for levels, candidates, quotients in walk(samples, xstars, ystars, rows):
+        for levels, candidates, quotients, spreads in walk(samples, xstars, ystars, rows):
             sizes.append(quotients.size * size)  # the entries of the block's rows
-            yield levels, candidates, quotients
+            yield levels, candidates, quotients, spreads
 
     monkeypatch.setattr(limsup_oracle, "_block_quotients", counted)
     est = estimate_limsup(mapd, base, xstar, ystar, sched)
